@@ -102,6 +102,7 @@ func BuildContext(ctx context.Context, reads []fastq.Read, cfg Config) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	defer ck.close()
 	return buildWithStore(ctx, reads, cfg, st, ck)
 }
 

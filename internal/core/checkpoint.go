@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -34,6 +35,12 @@ type checkpoint struct {
 	// spill runs are journalled from concurrent compute workers — several
 	// oversized partitions can publish runs at once.
 	mu sync.Mutex
+	// closed is set when the build returns. An attempt the watchdog
+	// abandoned, or one still unwinding from a cancellation, outlives the
+	// build that started it; once the caller has the result, the manifest
+	// may belong to a Scrub or a resume, and a late save would interleave
+	// with theirs in the same temp file.
+	closed bool
 
 	// step1Valid marks the manifest's Step 1 roster trustworthy: every
 	// partition file either verified or is listed in step1Rebuild.
@@ -58,6 +65,31 @@ type checkpoint struct {
 	// verification and had to be re-executed.
 	resumed    int
 	rebuiltSet map[int]bool
+}
+
+// errCheckpointClosed is what a straggling attempt gets for journalling
+// after its build returned.
+var errCheckpointClosed = errors.New("core: checkpoint closed: the build has returned")
+
+// save persists the manifest; ck.mu must be held. It refuses once the
+// checkpoint is closed.
+func (ck *checkpoint) save() error {
+	if ck.closed {
+		return errCheckpointClosed
+	}
+	return ck.man.Save(ck.path)
+}
+
+// close ends the checkpoint's journalling. It waits out a save in flight,
+// so when it returns this build writes the manifest no more. Safe on a nil
+// checkpoint.
+func (ck *checkpoint) close() {
+	if ck == nil {
+		return
+	}
+	ck.mu.Lock()
+	ck.closed = true
+	ck.mu.Unlock()
 }
 
 // wrapBuildStore applies the config's fault-injection store wrapper, if
@@ -212,9 +244,10 @@ func verifyStep1File(ds store.PartitionStore, rec *manifest.Step1Partition) bool
 }
 
 // verifySubgraphFile checks a claimed subgraph file: present, the recorded
-// size, parseable, and carrying the recorded vertex count. On success it
-// returns the parsed graph so a KeepSubgraphs build reuses the
-// verification parse.
+// size, parseable, carrying the recorded vertex count, and strictly
+// ascending — graph.Merge refuses anything else, so a mis-ordered file is
+// damage to rebuild from, not a claim to trust. On success it returns the
+// parsed graph so a KeepSubgraphs build reuses the verification parse.
 func verifySubgraphFile(ds store.PartitionStore, rec *manifest.Step2Partition) (*graph.Subgraph, bool) {
 	if rec == nil {
 		return nil, false
@@ -227,7 +260,7 @@ func verifySubgraphFile(ds store.PartitionStore, rec *manifest.Step2Partition) (
 		return nil, false
 	}
 	g, err := graph.ReadSubgraph(r)
-	if err != nil || int64(g.NumVertices()) != rec.Vertices {
+	if err != nil || int64(g.NumVertices()) != rec.Vertices || g.CheckSorted() != nil {
 		return nil, false
 	}
 	return g, true
@@ -330,7 +363,7 @@ func (ck *checkpoint) markStep2(i int, written *graph.Subgraph, distinct int64) 
 		Edges:    int64(written.NumEdges()),
 		Distinct: distinct,
 	})
-	err := ck.man.Save(ck.path)
+	err := ck.save()
 	ck.mu.Unlock()
 	if err != nil {
 		return err
@@ -370,7 +403,7 @@ func (ck *checkpoint) journalSpillRun(rec manifest.SpillRun) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	ck.man.AddSpillRun(rec)
-	return ck.man.Save(ck.path)
+	return ck.save()
 }
 
 // journalSpillDone marks a partition's run scan complete: every run it
@@ -380,7 +413,7 @@ func (ck *checkpoint) journalSpillDone(i int) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	ck.man.SetSpillDone(i)
-	return ck.man.Save(ck.path)
+	return ck.save()
 }
 
 // clearSpillClaims drops a partition's journalled spill state before a
@@ -394,7 +427,7 @@ func (ck *checkpoint) clearSpillClaims(i int) error {
 		return nil
 	}
 	ck.man.DropSpill(i)
-	return ck.man.Save(ck.path)
+	return ck.save()
 }
 
 // resumedDistinct sums the skipped partitions' constructed vertex counts,

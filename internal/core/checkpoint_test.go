@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -182,6 +183,82 @@ func TestResumeCorruptSubgraphDetectedBySize(t *testing.T) {
 	}
 	if !second.Graph.Equal(first.Graph) {
 		t.Fatal("graph after truncated-subgraph rebuild differs")
+	}
+}
+
+// TestResumeMisorderedSubgraphRebuilt: a subgraph file of the right size
+// and vertex count whose records are out of order is damage — the final
+// merge requires sorted inputs — so resume rebuilds the partition instead
+// of handing the file to graph.Merge.
+func TestResumeMisorderedSubgraphRebuilt(t *testing.T) {
+	reads := tinyReads(t)
+	cfg, dir := ckConfig(t)
+	first := buildCheckpointed(t, reads, cfg)
+
+	victim := dataFile(dir, subgraphFile(0))
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadSubgraph(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() < 2 {
+		t.Fatalf("partition 0 holds %d vertices, test needs 2", g.NumVertices())
+	}
+	last := len(g.Vertices) - 1
+	g.Vertices[0], g.Vertices[last] = g.Vertices[last], g.Vertices[0]
+	var damaged bytes.Buffer
+	if err := g.Write(&damaged); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(victim, damaged.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Checkpoint.Resume = true
+	second := buildCheckpointed(t, reads, cfg)
+	if second.Stats.RebuiltPartitions != 1 {
+		t.Fatalf("mis-ordered subgraph not rebuilt: rebuilt=%d", second.Stats.RebuiltPartitions)
+	}
+	if !second.Graph.Equal(first.Graph) {
+		t.Fatal("graph after mis-ordered-subgraph rebuild differs")
+	}
+}
+
+// TestClosedCheckpointJournalsNothing: an attempt that outlives its build
+// (abandoned by the watchdog, or still unwinding from a cancellation) must
+// not write the manifest once the build has returned — by then a Scrub or
+// a resume owns the file.
+func TestClosedCheckpointJournalsNothing(t *testing.T) {
+	cfg, dir := ckConfig(t)
+	_, ck, err := openCheckpoint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := manifest.SpillRun{Partition: 0, Run: 0, Name: spillRunFile(0, 0), Bytes: 18, Vertices: 0}
+	if err := ck.journalSpillRun(run); err != nil {
+		t.Fatalf("journalling on an open checkpoint: %v", err)
+	}
+	before, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.close()
+	run.Run = 1
+	if err := ck.journalSpillRun(run); !errors.Is(err, errCheckpointClosed) {
+		t.Errorf("journalSpillRun after close: err = %v, want errCheckpointClosed", err)
+	}
+	if err := ck.journalSpillDone(0); !errors.Is(err, errCheckpointClosed) {
+		t.Errorf("journalSpillDone after close: err = %v, want errCheckpointClosed", err)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a closed checkpoint rewrote the manifest")
 	}
 }
 

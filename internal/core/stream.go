@@ -47,6 +47,7 @@ func BuildFromReaderContext(ctx context.Context, r io.Reader, cfg Config, chunkB
 	if err != nil {
 		return nil, err
 	}
+	defer ck.close()
 
 	var totalReads int64 = -1 // -1: step 1 resumed, the stream was not read
 	partStats, step1Stats, err := buildStep1(ctx, cfg, st, ck, func(sinks partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error) {

@@ -506,9 +506,8 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 
 // collectStep2 materialises the table into a sorted subgraph plus counters.
 // The sort runs on up to sortWorkers goroutines, clamped to the physical
-// parallelism available — beyond that the merge rounds only add copying —
-// and the result is identical to the sequential sort (vertex keys are
-// unique).
+// parallelism available, and the result is identical to the sequential
+// sort (vertex keys are unique).
 func collectStep2(table hashtable.KmerTable, k int, kmers int64, sortWorkers int) Step2Output {
 	sub := &graph.Subgraph{K: k, Vertices: make([]graph.Vertex, 0, table.Len())}
 	table.ForEach(func(e hashtable.Entry) {

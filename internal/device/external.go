@@ -95,6 +95,12 @@ func SpillRuns(ctx context.Context, sks []msp.Superkmer, cfg ExternalConfig) (Sp
 		if len(buf) == 0 {
 			return nil
 		}
+		// A canceled or abandoned attempt publishes nothing more: its run
+		// names are deterministic, and the retry or resume that replaced
+		// it is writing them now.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		// A single giant superkmer can overshoot the nominal capacity; the
 		// scratch buffer tracks the overshoot.
 		if len(scratch) < len(buf) {

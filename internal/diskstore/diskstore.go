@@ -6,7 +6,9 @@
 // directory fsync, so a crash — including SIGKILL and power loss — at any
 // point leaves either the complete previous file or the complete new file
 // under the final name, never a partial one. Stale .tmp files from a
-// crashed writer are invisible to Open/List and are swept by Reset.
+// crashed writer are invisible to Open/List and are swept by Reset and
+// SweepTmp; the .tmp of a writer still open on this Store is registered as
+// live, and no sweep touches it.
 package diskstore
 
 import (
@@ -39,6 +41,9 @@ type Store struct {
 	mu           sync.Mutex
 	bytesRead    int64
 	bytesWritten int64
+	// live counts the open writers (Create to Close) of each .tmp path:
+	// what tells an in-flight file from a crashed writer's orphan.
+	live map[string]int
 }
 
 var _ store.PartitionStore = (*Store)(nil)
@@ -51,7 +56,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: creating root: %w", err)
 	}
-	return &Store{root: dir}, nil
+	return &Store{root: dir, live: make(map[string]int)}, nil
 }
 
 // Root returns the store's root directory.
@@ -78,11 +83,27 @@ func (s *Store) Create(name string) (io.WriteCloser, error) {
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: creating %q: %w", name, err)
 	}
-	f, err := os.Create(final + tmpSuffix)
+	// Registered before the file exists and under the lock SweepTmp removes
+	// under, so a sweep sees either no file or a live one.
+	tmp := final + tmpSuffix
+	s.mu.Lock()
+	s.live[tmp]++
+	s.mu.Unlock()
+	f, err := os.Create(tmp)
 	if err != nil {
+		s.release(tmp)
 		return nil, fmt.Errorf("diskstore: creating %q: %w", name, err)
 	}
-	return &atomicFile{store: s, f: f, tmp: final + tmpSuffix, final: final}, nil
+	return &atomicFile{store: s, f: f, tmp: tmp, final: final}, nil
+}
+
+// release drops one writer of a .tmp path from the live set.
+func (s *Store) release(tmp string) {
+	s.mu.Lock()
+	if s.live[tmp]--; s.live[tmp] <= 0 {
+		delete(s.live, tmp)
+	}
+	s.mu.Unlock()
 }
 
 // Open returns a reader over a snapshot of the file's published content.
@@ -245,11 +266,14 @@ func (s *Store) Reset() error {
 	return syncDir(s.root)
 }
 
-// SweepTmp removes every in-flight ".tmp" file under the root — the
+// SweepTmp removes every orphaned ".tmp" file under the root — the
 // leftovers of writers killed mid-stream — returning the swept names
 // (root-relative, slash-separated, .tmp suffix included), sorted. Published
-// files are untouched. Each affected directory is fsynced so the sweep is
-// durable.
+// files are untouched, and so is the .tmp of any writer still open on this
+// Store, so sweeping is safe while publishers run. A file that vanishes
+// between the walk and the remove (its writer just published it) is
+// already gone, not an error. Each affected directory is fsynced so the
+// sweep is durable.
 func (s *Store) SweepTmp() ([]string, error) {
 	var swept []string
 	dirs := make(map[string]bool)
@@ -257,7 +281,16 @@ func (s *Store) SweepTmp() ([]string, error) {
 		if err != nil || d.IsDir() || !strings.HasSuffix(p, tmpSuffix) {
 			return err
 		}
-		if err := os.Remove(p); err != nil {
+		s.mu.Lock()
+		live := s.live[p] > 0
+		if !live {
+			err = os.Remove(p)
+		}
+		s.mu.Unlock()
+		if live || errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
 			return err
 		}
 		rel, err := filepath.Rel(s.root, p)
@@ -314,6 +347,8 @@ func (a *atomicFile) Close() error {
 		return nil
 	}
 	a.done = true
+	// Live until the rename (or the failure cleanup) has happened.
+	defer a.store.release(a.tmp)
 	if err := a.f.Sync(); err != nil {
 		a.f.Close()
 		os.Remove(a.tmp)

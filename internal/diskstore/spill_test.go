@@ -3,6 +3,7 @@ package diskstore
 import (
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -43,9 +44,10 @@ func publishRun(t testing.TB, s *Store, name string, k int, base uint64, n int) 
 // TestConcurrentSpillRunPublication drives the out-of-core write pattern
 // against the durable store: many goroutines publishing spill runs for
 // different partitions at once, with a sweeper looping SweepTmp the whole
-// time — the discipline Scrub relies on. Every published run must verify
-// (header, records, CRC footer), and the sweep must never have touched a
-// published file.
+// time. The store knows its live writers, so the sweep must never take an
+// in-flight file: every publish succeeds first time, every published run
+// verifies (header, records, CRC footer), and an orphan planted beside
+// them is still swept.
 func TestConcurrentSpillRunPublication(t *testing.T) {
 	s := open(t)
 	const (
@@ -54,6 +56,15 @@ func TestConcurrentSpillRunPublication(t *testing.T) {
 		runsPer    = 4
 		vertsPer   = 50
 	)
+
+	// A crashed writer's leftover, next to where live writers will work.
+	orphan := filepath.Join(s.Root(), "spill", "0000", "run-9999.tmp")
+	if err := os.MkdirAll(filepath.Dir(orphan), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -82,18 +93,9 @@ func TestConcurrentSpillRunPublication(t *testing.T) {
 			for r := 0; r < runsPer; r++ {
 				name := fmt.Sprintf("spill/%04d/run-%04d", p, r)
 				base := uint64(p)<<32 | uint64(r)<<16
-				// A concurrent SweepTmp may delete our in-flight .tmp,
-				// failing the publish — exactly what a crashed writer's
-				// cleanup does to a zombie. Retry like the build does:
-				// Create truncates, publication is idempotent.
-				for attempt := 0; ; attempt++ {
-					if tryPublishRun(s, name, k, base, vertsPer) == nil {
-						break
-					}
-					if attempt > 100 {
-						t.Errorf("publishing %s never succeeded", name)
-						return
-					}
+				if err := tryPublishRun(s, name, k, base, vertsPer); err != nil {
+					t.Errorf("publishing %s under a concurrent sweep: %v", name, err)
+					return
 				}
 			}
 		}()
@@ -101,6 +103,10 @@ func TestConcurrentSpillRunPublication(t *testing.T) {
 	pub.Wait()
 	close(stop)
 	wg.Wait()
+	// One sweep certainly ran, however the scheduler treated the sweeper.
+	if _, err := s.SweepTmp(); err != nil {
+		t.Fatal(err)
+	}
 
 	names, err := s.List()
 	if err != nil {
@@ -122,7 +128,8 @@ func TestConcurrentSpillRunPublication(t *testing.T) {
 			t.Fatalf("run %s holds %d vertices, want %d", name, count, vertsPer)
 		}
 	}
-	// Nothing in-flight may survive the final sweep.
+	// Every writer has closed and the sweeper ran throughout: neither an
+	// in-flight file nor the planted orphan may be left.
 	err = filepath.WalkDir(s.Root(), func(p string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(p, ".tmp") {
 			t.Errorf("leftover in-flight file %s", p)
@@ -134,7 +141,8 @@ func TestConcurrentSpillRunPublication(t *testing.T) {
 	}
 }
 
-// tryPublishRun is publishRun without the test fataling, for retry loops.
+// tryPublishRun is publishRun returning its error, for goroutines that may
+// not call t.Fatal.
 func tryPublishRun(s *Store, name string, k int, base uint64, n int) error {
 	w, err := s.Create(name)
 	if err != nil {

@@ -209,6 +209,24 @@ func (km Kmer) Compare(other Kmer) int {
 	}
 }
 
+// BitLen returns the number of significant bits in the packed k-mer: the
+// key width a radix sort must cover (at most 2k for a valid k-mer).
+func (km Kmer) BitLen() int {
+	if km.Hi != 0 {
+		return 64 + bits.Len64(km.Hi)
+	}
+	return bits.Len64(km.Lo)
+}
+
+// Bits8 returns the eight bits of the packed k-mer that start at bit shift
+// (0 <= shift < 128) — a radix-sort digit.
+func (km Kmer) Bits8(shift uint) uint8 {
+	if shift >= 64 {
+		return uint8(km.Hi >> (shift - 64))
+	}
+	return uint8(km.Lo>>shift | km.Hi<<(64-shift))
+}
+
 // revComp2 reverses the order of the 32 2-bit base codes in one word and
 // complements each: bits.Reverse64 reverses bit order (which also swaps the
 // two bits inside every base code), the masked shift pair swaps them back,

@@ -263,3 +263,33 @@ func TestQuickRCInvolution(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestKmerBitLenAndBits8(t *testing.T) {
+	cases := []struct {
+		km   Kmer
+		bits int
+	}{
+		{Kmer{}, 0},
+		{Kmer{Lo: 1}, 1},
+		{Kmer{Lo: 1 << 63}, 64},
+		{Kmer{Hi: 1}, 65},
+		{Kmer{Hi: 1 << 61, Lo: 7}, 126},
+	}
+	for _, c := range cases {
+		if got := c.km.BitLen(); got != c.bits {
+			t.Errorf("BitLen(%+v) = %d, want %d", c.km, got, c.bits)
+		}
+	}
+	km := Kmer{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}
+	for shift := uint(0); shift < 128; shift++ {
+		// The reference: shift the 128-bit value right one bit at a time.
+		hi, lo := km.Hi, km.Lo
+		for i := uint(0); i < shift; i++ {
+			lo = lo>>1 | hi<<63
+			hi >>= 1
+		}
+		if got := km.Bits8(shift); got != uint8(lo) {
+			t.Errorf("Bits8(%d) = %#x, want %#x", shift, got, uint8(lo))
+		}
+	}
+}

@@ -10,7 +10,6 @@
 package graph
 
 import (
-	"fmt"
 	"sort"
 
 	"parahash/internal/dna"
@@ -24,6 +23,14 @@ type Vertex struct {
 	// preceding the canonical orientation (by base), Counts[4..7] count
 	// neighbours following it.
 	Counts [8]uint32
+}
+
+// addCounts adds o's edge multiplicities to v's: the same k-mer observed in
+// two places is one vertex with both sets of observations.
+func (v *Vertex) addCounts(o *Vertex) {
+	for j, c := range o.Counts {
+		v.Counts[j] += c
+	}
 }
 
 // Multiplicity is the total number of adjacency observations at the vertex.
@@ -83,13 +90,6 @@ type Subgraph struct {
 	Vertices []Vertex
 }
 
-// Sort orders the vertices canonically; construction emits hash order.
-func (g *Subgraph) Sort() {
-	sort.Slice(g.Vertices, func(i, j int) bool {
-		return g.Vertices[i].Kmer.Less(g.Vertices[j].Kmer)
-	})
-}
-
 // Lookup finds a vertex by canonical k-mer in a sorted subgraph.
 func (g *Subgraph) Lookup(km dna.Kmer) (Vertex, bool) {
 	i := sort.Search(len(g.Vertices), func(i int) bool {
@@ -139,38 +139,6 @@ func (g *Subgraph) FilterByMultiplicity(min int) int {
 	}
 	g.Vertices = kept
 	return removed
-}
-
-// Merge combines subgraphs into one graph, summing counters of vertices
-// that appear in several subgraphs. With MSP partitioning, vertex sets are
-// disjoint across partitions, so merging is pure concatenation; the
-// summation path exists for non-partitioned construction and for tests.
-func Merge(k int, subs ...*Subgraph) (*Subgraph, error) {
-	total := 0
-	for _, s := range subs {
-		if s.K != k {
-			return nil, fmt.Errorf("graph: cannot merge K=%d subgraph into K=%d graph", s.K, k)
-		}
-		total += len(s.Vertices)
-	}
-	merged := &Subgraph{K: k, Vertices: make([]Vertex, 0, total)}
-	for _, s := range subs {
-		merged.Vertices = append(merged.Vertices, s.Vertices...)
-	}
-	merged.Sort()
-	// Collapse duplicates.
-	out := merged.Vertices[:0]
-	for _, v := range merged.Vertices {
-		if n := len(out); n > 0 && out[n-1].Kmer == v.Kmer {
-			for j := range v.Counts {
-				out[n-1].Counts[j] += v.Counts[j]
-			}
-		} else {
-			out = append(out, v)
-		}
-	}
-	merged.Vertices = out
-	return merged, nil
 }
 
 // Stats summarises a graph in the terms of Table I of the paper.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -254,6 +255,50 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 	if !got.Equal(g) {
 		t.Fatal("round trip changed the graph")
+	}
+}
+
+// callSizes records the size of every Write it receives.
+type callSizes struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (c *callSizes) Write(p []byte) (int, error) {
+	c.sizes = append(c.sizes, len(p))
+	return c.Buffer.Write(p)
+}
+
+// TestWriteBlocks: Write hands the (unbuffered) writer blocks of at least
+// 1 MiB — one call for a partition-sized subgraph — and the bytes are the
+// record-at-a-time encoding, whatever the block boundaries.
+func TestWriteBlocks(t *testing.T) {
+	for _, n := range []int{0, 1, writeBlockRecords - 1, writeBlockRecords, writeBlockRecords + 1, 3*writeBlockRecords + 7} {
+		g := &Subgraph{K: 27, Vertices: make([]Vertex, n)}
+		for i := range g.Vertices {
+			g.Vertices[i] = Vertex{Kmer: dna.Kmer{Hi: uint64(i) >> 3, Lo: uint64(i) * 0x9e3779b97f4a7c15}, Counts: [8]uint32{uint32(i), 1, 2, 3, 4, 5, 6, ^uint32(i)}}
+		}
+		want := append([]byte("PHDG"), formatVersion, 27)
+		want = binary.LittleEndian.AppendUint64(want, uint64(n))
+		for _, v := range g.Vertices {
+			want = binary.LittleEndian.AppendUint64(want, v.Kmer.Hi)
+			want = binary.LittleEndian.AppendUint64(want, v.Kmer.Lo)
+			for _, c := range v.Counts {
+				want = binary.LittleEndian.AppendUint32(want, c)
+			}
+		}
+		var got callSizes
+		if err := g.Write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("n=%d: serialized bytes differ from the per-record encoding", n)
+		}
+		for i, size := range got.sizes[:len(got.sizes)-1] {
+			if size < 1<<20 {
+				t.Errorf("n=%d: Write call %d of %d carried %d bytes, want >= 1 MiB", n, i, len(got.sizes), size)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // AssemblyMetrics summarises a contig set with the standard de novo
 // assembly statistics (the ones GAGE — the paper's dataset source —
@@ -35,7 +35,8 @@ func ComputeAssemblyMetrics(contigs []string, genomeSize int) AssemblyMetrics {
 		lengths[i] = len(c)
 		m.TotalBases += len(c)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(lengths)))
+	slices.Sort(lengths)
+	slices.Reverse(lengths)
 	m.Longest = lengths[0]
 	m.MeanLength = float64(m.TotalBases) / float64(len(contigs))
 

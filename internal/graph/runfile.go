@@ -87,11 +87,7 @@ func (rw *RunWriter) Add(v Vertex) error {
 		return fmt.Errorf("graph: run writer: vertex %d out of order", rw.written)
 	}
 	var buf [VertexRecordBytes]byte
-	binary.LittleEndian.PutUint64(buf[0:], v.Kmer.Hi)
-	binary.LittleEndian.PutUint64(buf[8:], v.Kmer.Lo)
-	for j, c := range v.Counts {
-		binary.LittleEndian.PutUint32(buf[16+4*j:], c)
-	}
+	putVertex(buf[:], &v)
 	if _, err := rw.bw.Write(buf[:]); err != nil {
 		return err
 	}
@@ -190,11 +186,7 @@ func (rr *RunReader) Next() (Vertex, error) {
 	}
 	rr.crc.Write(buf[:])
 	var v Vertex
-	v.Kmer.Hi = binary.LittleEndian.Uint64(buf[0:])
-	v.Kmer.Lo = binary.LittleEndian.Uint64(buf[8:])
-	for j := range v.Counts {
-		v.Counts[j] = binary.LittleEndian.Uint32(buf[16+4*j:])
-	}
+	getVertex(&v, buf[:])
 	rr.read++
 	return v, nil
 }
@@ -276,9 +268,7 @@ func MergeRuns(runs []*RunReader, emit func(Vertex) error) error {
 			if !ok || i == best || heads[i].Kmer != acc.Kmer {
 				continue
 			}
-			for j := range acc.Counts {
-				acc.Counts[j] += heads[i].Counts[j]
-			}
+			acc.addCounts(&heads[i])
 			if err := advance(i); err != nil {
 				return err
 			}

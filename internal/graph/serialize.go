@@ -31,43 +31,65 @@ var ErrBadFormat = errors.New("graph: bad subgraph format")
 
 // SerializedSize returns the exact byte size of a subgraph's serialization.
 func SerializedSize(numVertices int) int64 {
-	return int64(4+1+1+8) + int64(numVertices)*VertexRecordBytes
+	return headerBytes + int64(numVertices)*VertexRecordBytes
 }
 
-// Write serialises the subgraph.
+// headerBytes is the fixed PHDG header size.
+const headerBytes = 4 + 1 + 1 + 8
+
+// writeBlockRecords sizes Write's encode buffer: just over 1 MiB of
+// records, so a partition subgraph goes out in one Write call and the
+// final graph in a few dozen.
+const writeBlockRecords = 1<<20/VertexRecordBytes + 1
+
+// putVertex encodes v into rec[:VertexRecordBytes].
+func putVertex(rec []byte, v *Vertex) {
+	_ = rec[VertexRecordBytes-1]
+	binary.LittleEndian.PutUint64(rec[0:], v.Kmer.Hi)
+	binary.LittleEndian.PutUint64(rec[8:], v.Kmer.Lo)
+	for j, c := range v.Counts {
+		binary.LittleEndian.PutUint32(rec[16+4*j:], c)
+	}
+}
+
+// getVertex decodes rec[:VertexRecordBytes] into v.
+func getVertex(v *Vertex, rec []byte) {
+	_ = rec[VertexRecordBytes-1]
+	v.Kmer.Hi = binary.LittleEndian.Uint64(rec[0:])
+	v.Kmer.Lo = binary.LittleEndian.Uint64(rec[8:])
+	for j := range v.Counts {
+		v.Counts[j] = binary.LittleEndian.Uint32(rec[16+4*j:])
+	}
+}
+
+// Write serialises the subgraph. Records are encoded into one large block
+// and handed to w a block at a time: the writers behind it (a file, a
+// store's atomic temp file) are unbuffered, so each call is a syscall.
 func (g *Subgraph) Write(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<15)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(formatVersion); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(g.K)); err != nil {
-		return err
-	}
-	var buf [VertexRecordBytes]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(len(g.Vertices)))
-	if _, err := bw.Write(buf[:8]); err != nil {
-		return err
-	}
-	for _, v := range g.Vertices {
-		binary.LittleEndian.PutUint64(buf[0:], v.Kmer.Hi)
-		binary.LittleEndian.PutUint64(buf[8:], v.Kmer.Lo)
-		for j, c := range v.Counts {
-			binary.LittleEndian.PutUint32(buf[16+4*j:], c)
+	buf := make([]byte, headerBytes+min(len(g.Vertices), writeBlockRecords)*VertexRecordBytes)
+	copy(buf, magic[:])
+	buf[4] = formatVersion
+	buf[5] = byte(g.K)
+	binary.LittleEndian.PutUint64(buf[6:], uint64(len(g.Vertices)))
+	fill := headerBytes
+	for i := range g.Vertices {
+		if fill+VertexRecordBytes > len(buf) {
+			if _, err := w.Write(buf[:fill]); err != nil {
+				return err
+			}
+			fill = 0
 		}
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
+		putVertex(buf[fill:], &g.Vertices[i])
+		fill += VertexRecordBytes
 	}
-	return bw.Flush()
+	_, err := w.Write(buf[:fill])
+	return err
 }
 
 // ReadSubgraph parses a serialised subgraph.
 func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 	br := bufio.NewReaderSize(r, 1<<15)
-	var head [14]byte
+	var head [headerBytes]byte
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
 	}
@@ -88,11 +110,7 @@ func ReadSubgraph(r io.Reader) (*Subgraph, error) {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, i, err)
 		}
-		g.Vertices[i].Kmer.Hi = binary.LittleEndian.Uint64(buf[0:])
-		g.Vertices[i].Kmer.Lo = binary.LittleEndian.Uint64(buf[8:])
-		for j := range g.Vertices[i].Counts {
-			g.Vertices[i].Counts[j] = binary.LittleEndian.Uint32(buf[16+4*j:])
-		}
+		getVertex(&g.Vertices[i], buf[:])
 	}
 	return g, nil
 }

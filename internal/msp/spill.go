@@ -1,6 +1,11 @@
 package msp
 
-import "parahash/internal/dna"
+import (
+	"sync"
+	"sync/atomic"
+
+	"parahash/internal/dna"
+)
 
 // Spill records are the unit of the out-of-core Step 2 path: instead of
 // inserting each k-mer observation into an in-memory hash table, the
@@ -68,122 +73,152 @@ func AppendSpillRecords(dst []SpillRecord, sk Superkmer, k int) []SpillRecord {
 	return dst
 }
 
-// spillSortParallelMin is the record count below which SortSpillRecords
-// stays sequential: goroutine fan-out costs more than it saves on small
-// runs (same threshold rationale as graph.SortParallel).
-const spillSortParallelMin = 1 << 13
+// spillSortSmall is the length up to which insertion sort beats setting up
+// the radix histograms.
+const spillSortSmall = 32
 
-// spillSortBlock is the leaf size sorted by insertion sort before the
-// bottom-up merge passes take over.
-const spillSortBlock = 32
+// spillSortParallelMin is the record count below which SortSpillRecords
+// stays on one goroutine (same rationale as graph.SortParallel: a
+// single-thread radix sort of a few thousand records is shorter than the
+// fan-out that would split it).
+const spillSortParallelMin = 1 << 15
+
+// spillHist holds one 256-bucket histogram per k-mer byte.
+type spillHist [16][256]int
 
 // SortSpillRecords orders recs ascending by canonical k-mer using up to
 // workers goroutines and the caller-provided scratch buffer (len(scratch)
-// must be >= len(recs)). The sort is an iterative bottom-up merge sort
-// ping-ponging between the two buffers — no sort.Slice closures, no
-// per-call allocation — so a reused (records, scratch) buffer pair sorts
-// every spill run with zero allocations on the sequential path. Ties
-// (duplicate k-mers) may land in any order; the downstream merge sums
+// must be >= len(recs)). It is the LSD byte-radix sort graph.Sort uses, on
+// 24-byte records: one counting pass per significant k-mer byte, the width
+// taken from the keys themselves, ping-ponging between recs and scratch —
+// no comparisons, no per-call allocation, so a reused (records, scratch)
+// pair sorts every spill run with zero allocations on the sequential
+// path. Ties (duplicate k-mers) keep their input order when sequential and
+// may land in any order across worker counts; the downstream merge sums
 // their counters commutatively, so the aggregate is deterministic.
 func SortSpillRecords(recs, scratch []SpillRecord, workers int) {
 	n := len(recs)
-	if n <= 1 {
+	if n <= spillSortSmall {
+		insertionSortSpill(recs)
 		return
 	}
-	if workers <= 1 || n < spillSortParallelMin {
-		// The parallel body lives in its own function: its goroutine
-		// closures capture the buffers, and sharing a stack frame with that
-		// capture would heap-allocate the slice headers on this
-		// sequential path too.
-		sortSpillRun(recs, scratch[:n])
+	var or dna.Kmer
+	for i := range recs {
+		or.Hi |= recs[i].Kmer.Hi
+		or.Lo |= recs[i].Kmer.Lo
+	}
+	width := or.BitLen()
+	tmp := scratch[:n]
+	if workers <= 1 || n < spillSortParallelMin || width <= 8 {
+		var hist spillHist
+		if radixSortSpill(recs, tmp, width, &hist)%2 == 1 {
+			copy(recs, tmp)
+		}
 		return
 	}
-	sortSpillParallel(recs, scratch[:n], workers)
+	// The parallel body lives in its own function: its goroutine closures
+	// capture the buffers, and sharing a stack frame with that capture
+	// would heap-allocate the slice headers on the sequential path too.
+	sortSpillParallel(recs, tmp, width, workers)
 }
 
-func sortSpillParallel(recs, scratch []SpillRecord, workers int) {
-	n := len(recs)
-	// Keep per-worker runs at least ~1k records so goroutine work dwarfs
-	// the fan-out cost.
-	if workers > n/1024 {
-		workers = n / 1024
+// sortSpillParallel scatters recs on the top eight significant key bits
+// into tmp — bucket d lands in tmp[start[d]:start[d+1]], also its final
+// span of recs — and the workers radix-sort the buckets on the remaining
+// low bits.
+func sortSpillParallel(recs, tmp []SpillRecord, width, workers int) {
+	shift := uint(width - 8)
+	var start [257]int
+	for i := range recs {
+		start[int(recs[i].Kmer.Bits8(shift))+1]++
 	}
-
-	// Sort near-equal slices concurrently, each inside its own buffer span.
-	type span struct{ lo, hi int }
-	spans := make([]span, 0, workers)
-	for i := 0; i < workers; i++ {
-		lo, hi := i*n/workers, (i+1)*n/workers
-		if lo < hi {
-			spans = append(spans, span{lo, hi})
-		}
+	for d := 1; d <= 256; d++ {
+		start[d] += start[d-1]
 	}
-	done := make(chan struct{}, len(spans))
-	for _, sp := range spans {
-		go func(lo, hi int) {
-			sortSpillRun(recs[lo:hi], scratch[lo:hi])
-			done <- struct{}{}
-		}(sp.lo, sp.hi)
+	next := start
+	for i := range recs {
+		d := recs[i].Kmer.Bits8(shift)
+		tmp[next[d]] = recs[i]
+		next[d]++
 	}
-	for range spans {
-		<-done
-	}
-
-	// Merge adjacent sorted spans pairwise, ping-ponging the buffers, until
-	// one fully sorted run remains; copy back if it ended in scratch.
-	src, dst := recs, scratch
-	for len(spans) > 1 {
-		next := make([]span, 0, (len(spans)+1)/2)
-		for i := 0; i < len(spans); i += 2 {
-			if i+1 == len(spans) {
-				sp := spans[i]
-				copy(dst[sp.lo:sp.hi], src[sp.lo:sp.hi])
-				next = append(next, sp)
-				continue
+	var (
+		wg     sync.WaitGroup
+		bucket atomic.Int64
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var hist spillHist
+			for {
+				d := int(bucket.Add(1)) - 1
+				if d >= 256 {
+					return
+				}
+				src, dst := tmp[start[d]:start[d+1]], recs[start[d]:start[d+1]]
+				if radixSortSpill(src, dst, int(shift), &hist)%2 == 0 {
+					copy(dst, src)
+				}
 			}
-			a, b := spans[i], spans[i+1]
-			mergeSpill(dst[a.lo:b.hi], src[a.lo:a.hi], src[b.lo:b.hi])
-			next = append(next, span{a.lo, b.hi})
-		}
-		spans = next
-		src, dst = dst, src
+		}()
 	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
-	}
+	wg.Wait()
 }
 
-// sortSpillRun sorts a in place using b (same length) as merge scratch:
-// insertion-sorted leaf blocks, then bottom-up merge passes.
-func sortSpillRun(a, b []SpillRecord) {
+// radixSortSpill orders a ascending by the low width bits of its k-mers —
+// the keys must agree on every higher bit — ping-ponging between a and tmp
+// (len(tmp) == len(a)), and returns the number of scatter passes made: the
+// result is in a when that is even, in tmp when odd. A byte on which all
+// keys agree is skipped.
+func radixSortSpill(a, tmp []SpillRecord, width int, hist *spillHist) (scatters int) {
 	n := len(a)
-	for lo := 0; lo < n; lo += spillSortBlock {
-		hi := lo + spillSortBlock
-		if hi > n {
-			hi = n
+	if n <= spillSortSmall {
+		insertionSortSpill(a)
+		return 0
+	}
+	passes := (width + 7) / 8
+	h := hist[:passes]
+	for p := range h {
+		h[p] = [256]int{}
+	}
+	for i := range a {
+		lo, hi := a[i].Kmer.Lo, a[i].Kmer.Hi
+		for p := 0; p < passes && p < 8; p++ {
+			h[p][uint8(lo>>(8*p))]++
 		}
-		insertionSortSpill(a[lo:hi])
+		for p := 8; p < passes; p++ {
+			h[p][uint8(hi>>(8*(p-8)))]++
+		}
 	}
-	if n <= spillSortBlock {
-		return
-	}
-	src, dst := a, b
-	for width := spillSortBlock; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > n {
-				mid = n
+	src, dst := a, tmp
+	for p := range h {
+		off := &h[p]
+		if off[src[0].Kmer.Bits8(uint(8*p))] == n {
+			continue
+		}
+		shift := uint(8 * (p % 8))
+		sum := 0
+		for d, c := range off {
+			off[d] = sum
+			sum += c
+		}
+		if p < 8 {
+			for i := range src {
+				d := uint8(src[i].Kmer.Lo >> shift)
+				dst[off[d]] = src[i]
+				off[d]++
 			}
-			if hi > n {
-				hi = n
+		} else {
+			for i := range src {
+				d := uint8(src[i].Kmer.Hi >> shift)
+				dst[off[d]] = src[i]
+				off[d]++
 			}
-			mergeSpill(dst[lo:hi], src[lo:mid], src[mid:hi])
 		}
 		src, dst = dst, src
+		scatters++
 	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
+	return scatters
 }
 
 func insertionSortSpill(a []SpillRecord) {
@@ -192,21 +227,4 @@ func insertionSortSpill(a []SpillRecord) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-}
-
-// mergeSpill merges two sorted runs into dst (len(dst) = len(a)+len(b)).
-func mergeSpill(dst, a, b []SpillRecord) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if b[j].Kmer.Less(a[i].Kmer) {
-			dst[k] = b[j]
-			j++
-		} else {
-			dst[k] = a[i]
-			i++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
 }

@@ -45,7 +45,7 @@ func TestAppendSpillRecordsMatchesNaiveEnumeration(t *testing.T) {
 
 func TestSortSpillRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 1 << 13, 1<<14 + 17} {
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 1000, 1 << 13, 1<<14 + 17, spillSortParallelMin + 5} {
 		for _, workers := range []int{1, 2, 4, 7} {
 			recs := make([]SpillRecord, n)
 			for i := range recs {

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"parahash/internal/graph"
 )
 
 // TestJournalCompact exercises the compaction contract at the journal
@@ -186,6 +189,47 @@ func TestGraphCacheEviction(t *testing.T) {
 	if got.GraphEvictions != s.GraphEvictions || got.GraphsCached != s.GraphsCached {
 		t.Fatalf("/v1/stats cache counters = %d/%d, want %d/%d",
 			got.GraphsCached, got.GraphEvictions, s.GraphsCached, s.GraphEvictions)
+	}
+}
+
+// TestColdLoadRejectsMisorderedGraph: a cold load trusts the published
+// file's order after one read-only check; a file whose vertices are out of
+// order is refused with a typed error, never re-sorted into a graph no
+// build produced.
+func TestColdLoadRejectsMisorderedGraph(t *testing.T) {
+	m, err := Open(Options{Root: t.TempDir(), Base: testBase(), GraphCacheSize: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	var ids []string
+	for i := 0; i < 2; i++ { // the second job evicts the first from the cache
+		rec, err := m.Submit(JobSpec{}, bytes.NewReader(tinyFASTQ(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJobState(t, m, rec.ID, StateDone)
+		ids = append(ids, rec.ID)
+	}
+	data, err := os.ReadFile(m.GraphPath(ids[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadSubgraph(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kmer := g.Vertices[0].Kmer.String(g.K)
+	g.Vertices[0], g.Vertices[1] = g.Vertices[1], g.Vertices[0]
+	var damaged bytes.Buffer
+	if err := g.Write(&damaged); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(m.GraphPath(ids[0]), damaged.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Query(ids[0], kmer); !errors.Is(err, graph.ErrUnsorted) {
+		t.Fatalf("query over a mis-ordered graph file: err = %v, want graph.ErrUnsorted", err)
 	}
 }
 

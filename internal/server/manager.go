@@ -795,7 +795,12 @@ func (m *Manager) loadGraph(id string) (*parahash.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: parsing job graph: %w", err)
 	}
-	g.Sort() // Lookup binary-searches; published graphs are sorted, but cheap to guarantee
+	// Lookup binary-searches, and a published graph is sorted: a file that
+	// is not has been damaged, and re-sorting it would serve answers from a
+	// graph no build produced.
+	if err := g.CheckSorted(); err != nil {
+		return nil, fmt.Errorf("server: job %s graph: %w", id, err)
+	}
 	m.mu.Lock()
 	m.cacheGraphLocked(id, g)
 	m.mu.Unlock()
