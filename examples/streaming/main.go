@@ -1,9 +1,10 @@
 // Streaming / out-of-core: the paper's premise is that neither the input
 // nor the graph fits in memory, so everything flows partition by
 // partition. This example writes a gzipped FASTQ "file", then constructs
-// its De Bruijn graph from the stream: Step 1 ever holds only one chunk of
-// reads, Step 2 one superkmer partition plus its hash table — the peak
-// residency reported at the end is a small fraction of the dataset.
+// its De Bruijn graph from the stream: Step 1 ever holds only a few chunks
+// of reads, Step 2 a few superkmer partitions plus a hash table per
+// processor — the peak residency reported at the end is a small fraction of
+// the dataset.
 package main
 
 import (

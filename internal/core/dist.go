@@ -276,38 +276,49 @@ type DistOutput struct {
 	Kmers    int64
 }
 
-// ConstructDistPartition is the worker side of distributed Step 2: decode
-// one superkmer partition from the shared checkpoint store, construct its
-// subgraph on this process's first configured processor, apply the output
-// filter, and publish the result under the fenced name outName (never the
-// canonical one — promotion is the coordinator's job). The store's atomic
-// publish means a worker killed at any point leaves either nothing or the
-// complete fenced file.
-func ConstructDistPartition(ctx context.Context, cfg Config, index int, outName string) (DistOutput, error) {
+// DistWorker is the worker side of distributed Step 2 for the life of one
+// worker process: the shared checkpoint store and one processor set, so
+// consecutive partitions recycle the processor's hash table and scratch the
+// way a single-process build's do.
+type DistWorker struct {
+	cfg  Config
+	st   store.PartitionStore
+	proc device.Processor
+}
+
+// NewDistWorker validates the configuration and opens the shared checkpoint
+// store.
+func NewDistWorker(cfg Config) (*DistWorker, error) {
 	if err := cfg.Validate(); err != nil {
-		return DistOutput{}, err
+		return nil, err
 	}
 	if cfg.Checkpoint.Dir == "" {
-		return DistOutput{}, fmt.Errorf("core: distributed worker requires a checkpoint directory")
+		return nil, fmt.Errorf("core: distributed worker requires a checkpoint directory")
 	}
 	ds, err := diskstore.Open(filepath.Join(cfg.Checkpoint.Dir, "data"))
 	if err != nil {
-		return DistOutput{}, fmt.Errorf("core: opening checkpoint store: %w", err)
-	}
-	var st store.PartitionStore = ds
-	st = wrapBuildStore(cfg, st)
-	sks, _, err := loadPartition(st, superkmerFile(index))
-	if err != nil {
-		return DistOutput{}, fmt.Errorf("core: loading partition %d: %w", index, err)
+		return nil, fmt.Errorf("core: opening checkpoint store: %w", err)
 	}
 	procs := processors(cfg)
 	if len(procs) == 0 {
-		return DistOutput{}, fmt.Errorf("core: no processors configured")
+		return nil, fmt.Errorf("core: no processors configured")
 	}
-	var kmers int64
-	for i := range sks {
-		kmers += int64(sks[i].NumKmers(cfg.K))
+	return &DistWorker{cfg: cfg, st: wrapBuildStore(cfg, ds), proc: procs[0]}, nil
+}
+
+// Construct decodes one superkmer partition from the shared checkpoint
+// store, constructs its subgraph on the worker's first configured processor,
+// applies the output filter, and publishes the result under the fenced name
+// outName (never the canonical one — promotion is the coordinator's job).
+// The store's atomic publish means a worker killed at any point leaves
+// either nothing or the complete fenced file.
+func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (DistOutput, error) {
+	cfg, st := w.cfg, w.st
+	part, err := loadPartition(st, superkmerFile(index))
+	if err != nil {
+		return DistOutput{}, fmt.Errorf("core: loading partition %d: %w", index, err)
 	}
+	sks, kmers := part.Superkmers, part.NumKmers(cfg.K)
 	var out device.Step2Output
 	spilled := false
 	if predicted, ok := cfg.predictedTableBytes(kmers); ok {
@@ -324,7 +335,7 @@ func ConstructDistPartition(ctx context.Context, cfg Config, index int, outName 
 		}
 	}
 	if !spilled {
-		out, err = step2Construct(ctx, procs[0], sks, cfg)
+		out, err = step2Construct(ctx, w.proc, sks, kmers, cfg)
 		if err != nil {
 			return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 		}

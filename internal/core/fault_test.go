@@ -220,7 +220,7 @@ func (tableFullProc) Step2(_ context.Context, sks []msp.Superkmer, k, tableSlots
 func TestStep2ConstructResizeExhausted(t *testing.T) {
 	cfg := tinyConfig()
 	sks := []msp.Superkmer{{Bases: tinyReads(t)[0].Bases}}
-	_, err := step2Construct(context.Background(), tableFullProc{}, sks, cfg)
+	_, err := step2Construct(context.Background(), tableFullProc{}, sks, int64(sks[0].NumKmers(cfg.K)), cfg)
 	if !errors.Is(err, ErrResizeExhausted) {
 		t.Fatalf("unbounded resize not capped: %v", err)
 	}

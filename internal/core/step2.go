@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"parahash/internal/device"
-	"parahash/internal/dna"
 	"parahash/internal/faultinject"
 	"parahash/internal/graph"
 	"parahash/internal/hashtable"
@@ -79,39 +78,37 @@ type spillPlan struct {
 
 // step2Input carries one partition's superkmers plus its routing decision
 // through the pipeline (workers receive no slot index, so the decision
-// rides with the data).
+// rides with the data). kmers is the decoder's count for sks.
 type step2Input struct {
 	part  int
 	sks   []msp.Superkmer
+	kmers int64
 	spill *spillPlan
 }
 
-// loadPartition decodes a superkmer partition from the store, copying each
-// record out of the decoder's reuse buffer, and reports the encoded bytes
-// consumed. The decoder demands the integrity footer our own Step 1 always
-// writes, so truncated or corrupted partition bytes fail with a typed,
-// retryable error instead of silently mis-decoding.
-func loadPartition(st store.PartitionStore, name string) ([]msp.Superkmer, int64, error) {
+// loadPartition reads a superkmer partition's image from the store and
+// decodes it whole. The decoder demands the integrity footer our own Step 1
+// always writes, so truncated or corrupted partition bytes fail with a
+// typed, retryable error instead of silently mis-decoding; the returned
+// partition's Bytes are the encoded bytes consumed either way.
+func loadPartition(st store.PartitionStore, name string) (msp.DecodedPartition, error) {
 	r, err := st.Open(name)
 	if err != nil {
-		return nil, 0, err
+		return msp.DecodedPartition{}, err
 	}
-	dec := msp.NewDecoder(r)
-	dec.RequireFooter = true
-	var sks []msp.Superkmer
-	for {
-		sk, err := dec.Next()
-		if err == io.EOF {
-			return sks, dec.BytesRead(), nil
-		}
-		if err != nil {
-			return nil, dec.BytesRead(), err
-		}
-		bases := make([]dna.Base, len(sk.Bases))
-		copy(bases, sk.Bases)
-		sk.Bases = bases
-		sks = append(sks, sk)
+	// Stores hand out snapshot readers that know their length; anything
+	// else is read to its end.
+	var image []byte
+	if sized, ok := r.(interface{ Len() int }); ok {
+		image = make([]byte, sized.Len())
+		_, err = io.ReadFull(r, image)
+	} else {
+		image, err = io.ReadAll(r)
 	}
+	if err != nil {
+		return msp.DecodedPartition{}, fmt.Errorf("%w: reading %q: %v", msp.ErrCorrupt, name, err)
+	}
+	return msp.DecodePartition(image)
 }
 
 // runStep2 executes the subgraph construction step: superkmer partitions
@@ -176,7 +173,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			if in.spill != nil {
 				return spillConstruct(ctx, in, cfg, st, ck)
 			}
-			return step2Construct(ctx, p, in.sks, cfg)
+			return step2Construct(ctx, p, in.sks, in.kmers, cfg)
 		}
 	}
 
@@ -213,12 +210,12 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			// merge needs, so the superkmer partition is not decoded at all.
 			return in, nil
 		}
-		sks, decoded, err := loadPartition(st, superkmerFile(in.part))
+		part, err := loadPartition(st, superkmerFile(in.part))
 		// Accumulate (not assign): a retried read re-decodes the partition
 		// and both passes cost real IO. The write closure fills the other
 		// fields; the pipeline's stage ordering makes the shared struct safe.
-		works[slot].decodedBytes += decoded
-		in.sks = sks
+		works[slot].decodedBytes += part.Bytes
+		in.sks, in.kmers = part.Superkmers, part.NumKmers(cfg.K)
 		return in, err
 	}
 	write := func(slot int, out device.Step2Output) error {
@@ -430,12 +427,9 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 // step2Construct sizes the hash table for one partition and builds its
 // subgraph on processor p, doubling the table when Property 1's pre-sizing
 // under-estimated — but only maxTableResizes times, so a pathological
-// partition surfaces ErrResizeExhausted instead of looping forever.
-func step2Construct(ctx context.Context, p device.Processor, sks []msp.Superkmer, cfg Config) (device.Step2Output, error) {
-	var kmers int64
-	for _, sk := range sks {
-		kmers += int64(sk.NumKmers(cfg.K))
-	}
+// partition surfaces ErrResizeExhausted instead of looping forever. kmers is
+// the k-mer count of sks, which the partition decoder already knows.
+func step2Construct(ctx context.Context, p device.Processor, sks []msp.Superkmer, kmers int64, cfg Config) (device.Step2Output, error) {
 	slots, err := hashtable.SizeForKmersChecked(kmers, cfg.Lambda, cfg.Alpha)
 	if err != nil {
 		return device.Step2Output{}, fmt.Errorf("core: sizing hash table for %d kmers: %w", kmers, err)

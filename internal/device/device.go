@@ -131,9 +131,12 @@ const ctxCheckEvery = 256
 // concurrency over the shared state-transfer hash table; charged time comes
 // from the calibration so experiments are host-independent.
 //
-// A CPU carries per-worker scratch reused across kernel invocations, so a
-// single CPU value must not run two kernels concurrently — the pipeline
-// already guarantees this (one worker goroutine per processor).
+// A CPU carries per-worker Step 1 scratch reused across kernel invocations,
+// so a single CPU value must not run two Step 1 kernels concurrently — the
+// pipeline already guarantees this (one worker goroutine per processor).
+// Step 2 shares nothing between calls but the recycled table, handed over
+// under a lock, so an attempt the watchdog abandoned may still be winding
+// down while the processor's next attempt runs.
 type CPU struct {
 	// Threads is the worker count (the paper machine runs 20).
 	Threads int
@@ -153,8 +156,8 @@ type CPU struct {
 	// CPU scans with zero allocations per read.
 	scanners []msp.Scanner
 	skBufs   [][]msp.Superkmer
-	// chunkEnds is the Step 2 kmer-weighted chunk boundary scratch.
-	chunkEnds []int
+	// tables recycles the previous partition's Step 2 hash table.
+	tables tableCache
 }
 
 var _ Processor = (*CPU)(nil)
@@ -164,6 +167,13 @@ func (c *CPU) Name() string { return "CPU" }
 
 // Kind implements Processor.
 func (c *CPU) Kind() Kind { return KindCPU }
+
+// superkmersHint estimates how many superkmers reads holding the given bases
+// will yield, to size a scan buffer once instead of growing it: a random
+// minimizer changes about twice per k-p+2 k-mers, and every read ends one.
+func superkmersHint(bases int64, reads, k, p int) int {
+	return int(2*bases/int64(k-p+2)) + reads
+}
 
 // Step1 scans reads into superkmers with Threads parallel workers, each
 // holding its own persistent scanner, then concatenates in read order. The
@@ -181,6 +191,7 @@ func (c *CPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 	for len(c.skBufs) < len(chunks) {
 		c.skBufs = append(c.skBufs, nil)
 	}
+	chunkBases := make([]int64, len(chunks))
 	var wg sync.WaitGroup
 	for i, chunk := range chunks {
 		wg.Add(1)
@@ -188,7 +199,13 @@ func (c *CPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 			defer wg.Done()
 			sc := &c.scanners[i]
 			sc.K, sc.P, sc.NumPartitions = k, p, c.Partitions
+			for _, rd := range chunk {
+				chunkBases[i] += int64(len(rd.Bases))
+			}
 			out := c.skBufs[i][:0]
+			if hint := superkmersHint(chunkBases[i], len(chunk), k, p); cap(out) < hint {
+				out = make([]msp.Superkmer, 0, hint)
+			}
 			for j, rd := range chunk {
 				if j%ctxCheckEvery == 0 && ctx.Err() != nil {
 					return
@@ -204,11 +221,9 @@ func (c *CPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 	}
 
 	var bases int64
-	for _, rd := range reads {
-		bases += int64(len(rd.Bases))
-	}
 	total := 0
-	for _, r := range c.skBufs[:len(chunks)] {
+	for i, r := range c.skBufs[:len(chunks)] {
+		bases += chunkBases[i]
 		total += len(r)
 	}
 	all := make([]msp.Superkmer, 0, total)
@@ -222,25 +237,25 @@ func (c *CPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 	}, nil
 }
 
-// step2ChunksPerThread is the Step 2 work-claiming granularity: the
-// partition is cut into about this many kmer-weighted chunks per worker, so
-// the tail imbalance is bounded by one chunk (~1/8 of a thread's share)
-// while the claim cursor stays far too cold to contend.
-const step2ChunksPerThread = 8
+// step2ChunkKmers is the Step 2 work-claiming granularity in k-mers: tens
+// of microseconds of hashing per claim, so the tail imbalance is bounded by
+// one small chunk while the claim cursor stays far too cold to contend. A
+// fixed weight — not a share of the partition's total — lets one walk over
+// the records both cut the chunks and count the k-mers.
+const step2ChunkKmers = 1024
 
-// step2Chunks cuts sks into contiguous chunks of near-equal k-mer weight,
-// appending each chunk's exclusive end index to ends. An index-striped split
-// balances record counts, not k-mer counts; skewed superkmer lengths then
-// idle every thread behind the one holding the long records.
-func step2Chunks(ends []int, sks []msp.Superkmer, k int, kmers int64, workers int) []int {
-	grain := kmers / int64(workers*step2ChunksPerThread)
-	if grain < 1 {
-		grain = 1
-	}
+// step2Chunks cuts sks into contiguous chunks of at least step2ChunkKmers
+// k-mers each (the last may be lighter) and returns each chunk's exclusive
+// end index and the partition's k-mer count. An index-striped split balances
+// record counts, not k-mer counts; skewed superkmer lengths then idle every
+// thread behind the one holding the long records.
+func step2Chunks(sks []msp.Superkmer, k int) (ends []int, kmers int64) {
 	var acc int64
 	for i := range sks {
-		acc += int64(sks[i].NumKmers(k))
-		if acc >= grain {
+		n := int64(sks[i].NumKmers(k))
+		kmers += n
+		acc += n
+		if acc >= step2ChunkKmers {
 			ends = append(ends, i+1)
 			acc = 0
 		}
@@ -248,30 +263,60 @@ func step2Chunks(ends []int, sks []msp.Superkmer, k int, kmers int64, workers in
 	if n := len(sks); n > 0 && (len(ends) == 0 || ends[len(ends)-1] != n) {
 		ends = append(ends, n)
 	}
-	return ends
+	return ends, kmers
+}
+
+// tableCache lets a processor build each partition in the table it built
+// the previous one in. Allocating a table means zeroing megabytes the
+// collector must then trace and free; Reset clears only the words a new
+// table needs clear. The mutex orders the hand-over even against an
+// attempt the pipeline's watchdog has abandoned but which has not returned.
+type tableCache struct {
+	mu   sync.Mutex
+	held hashtable.KmerTable
+}
+
+// take returns an empty table for (backend, k, slots): the held one, Reset,
+// when hashtable.Reusable says a new one would be no different, else a new
+// one — the held table is let go first either way, so a processor never
+// holds two.
+func (tc *tableCache) take(backend hashtable.Backend, k, slots int) (hashtable.KmerTable, error) {
+	tc.mu.Lock()
+	t := tc.held
+	tc.held = nil
+	tc.mu.Unlock()
+	if hashtable.Reusable(t, backend, k, slots) {
+		t.Reset()
+		return t, nil
+	}
+	return hashtable.NewBackend(backend, k, slots)
+}
+
+// put hands a table back for the next partition. Only a kernel that has
+// joined all its workers and whose context is still live may call it: an
+// abandoned attempt may still be writing to its table.
+func (tc *tableCache) put(t hashtable.KmerTable) {
+	tc.mu.Lock()
+	tc.held = t
+	tc.mu.Unlock()
 }
 
 // Step2 hashes a superkmer partition with Threads workers sharing one
-// state-transfer table, then materialises the sorted subgraph. Work is
-// distributed by kmer-weighted chunk claiming: workers pull contiguous
-// chunks of near-equal k-mer weight from an atomic cursor, so skewed
-// superkmer lengths cannot idle threads the way the former index-striped
-// split could. Each worker updates its own padded metrics shard via a
-// per-worker table handle.
+// table, then materialises the sorted subgraph. Work is distributed by
+// kmer-weighted chunk claiming: workers pull contiguous chunks of near-equal
+// k-mer weight from an atomic cursor, so skewed superkmer lengths cannot
+// idle threads the way an index-striped split would. Each worker updates
+// its own padded metrics shard via a per-worker table handle. The table is
+// the previous partition's when that one fits (see tableCache).
 func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int) (Step2Output, error) {
 	if c.Threads < 1 {
 		return Step2Output{}, fmt.Errorf("device: CPU threads %d must be positive", c.Threads)
 	}
-	table, err := hashtable.NewBackend(c.Table, k, tableSlots)
+	table, err := c.tables.take(c.Table, k, tableSlots)
 	if err != nil {
 		return Step2Output{}, err
 	}
-	var kmers int64
-	for _, sk := range sks {
-		kmers += int64(sk.NumKmers(k))
-	}
-	ends := step2Chunks(c.chunkEnds[:0], sks, k, kmers, c.Threads)
-	c.chunkEnds = ends
+	ends, kmers := step2Chunks(sks, k)
 
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -328,6 +373,7 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 		}
 	}
 	out := collectStep2(table, k, kmers, c.Threads)
+	c.tables.put(table)
 	out.Seconds = c.Cal.CPUStep2Seconds(kmers, c.Threads, out.TableBytes)
 	out.ComputeSeconds = out.Seconds
 	return out, nil
@@ -363,8 +409,9 @@ func Step1TransferBytes(bases, superkmers int64) int64 {
 // a larger partition count.
 var ErrDeviceMemory = errors.New("device: partition exceeds GPU memory; increase the partition count")
 
-// GPU is the simulated device processor. Like CPU it carries kernel scratch
-// reused across calls, so one GPU value must not run two kernels at once.
+// GPU is the simulated device processor. Like CPU it carries Step 1 scratch
+// reused across calls, so one GPU value must not run two Step 1 kernels at
+// once.
 type GPU struct {
 	// Index distinguishes multiple devices ("GPU0", "GPU1").
 	Index int
@@ -380,6 +427,8 @@ type GPU struct {
 
 	// scan is the persistent Step 1 scanner (warm minimizer buffers).
 	scan msp.Scanner
+	// tables recycles the previous partition's Step 2 hash table.
+	tables tableCache
 }
 
 var _ Processor = (*GPU)(nil)
@@ -398,14 +447,16 @@ func (g *GPU) Kind() Kind { return KindGPU }
 func (g *GPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Output, error) {
 	sc := &g.scan
 	sc.K, sc.P, sc.NumPartitions = k, p, g.Partitions
-	var all []msp.Superkmer
 	var bases int64
+	for _, rd := range reads {
+		bases += int64(len(rd.Bases))
+	}
+	all := make([]msp.Superkmer, 0, superkmersHint(bases, len(reads), k, p))
 	for i, rd := range reads {
 		if i%ctxCheckEvery == 0 && ctx.Err() != nil {
 			return Step1Output{}, ctx.Err()
 		}
 		all = sc.Superkmers(all, rd.Bases)
-		bases += int64(len(rd.Bases))
 	}
 	transfer := Step1TransferBytes(bases, int64(len(all)))
 	seconds := g.Cal.GPUStep1Seconds(bases, transfer)
@@ -432,7 +483,7 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 				ErrDeviceMemory, need, g.MemoryBytes)
 		}
 	}
-	table, err := hashtable.NewBackend(g.Table, k, tableSlots)
+	table, err := g.tables.take(g.Table, k, tableSlots)
 	if err != nil {
 		return Step2Output{}, err
 	}
@@ -489,6 +540,7 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	flushWarp()
 
 	out := collectStep2(table, k, kmers, runtime.GOMAXPROCS(0))
+	g.tables.put(table)
 	// Transfer: the encoded superkmer partition down, the subgraph up.
 	var skBytes int64
 	for _, sk := range sks {

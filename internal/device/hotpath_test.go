@@ -85,33 +85,30 @@ func TestStep2Chunks(t *testing.T) {
 	for _, sk := range sks {
 		kmers += int64(sk.NumKmers(27))
 	}
-	for _, workers := range []int{1, 3, 8} {
-		ends := step2Chunks(nil, sks, 27, kmers, workers)
-		if len(ends) == 0 || ends[len(ends)-1] != len(sks) {
-			t.Fatalf("workers=%d: chunk ends %v do not cover the input", workers, ends)
-		}
-		prev := 0
-		grain := kmers / int64(workers*step2ChunksPerThread)
-		if grain < 1 {
-			grain = 1
-		}
-		for ci, end := range ends {
-			if end <= prev {
-				t.Fatalf("workers=%d: chunk %d empty or out of order (%v)", workers, ci, ends)
-			}
-			var w int64
-			for _, sk := range sks[prev:end] {
-				w += int64(sk.NumKmers(27))
-			}
-			// Every chunk except the last must have reached the grain.
-			if ci < len(ends)-1 && w < grain {
-				t.Fatalf("workers=%d: chunk %d weight %d below grain %d", workers, ci, w, grain)
-			}
-			prev = end
-		}
+	ends, counted := step2Chunks(sks, 27)
+	if counted != kmers {
+		t.Fatalf("step2Chunks counted %d k-mers, the records hold %d", counted, kmers)
 	}
-	if ends := step2Chunks(nil, nil, 27, 0, 4); len(ends) != 0 {
-		t.Fatalf("empty input produced chunks %v", ends)
+	if len(ends) < 2 || ends[len(ends)-1] != len(sks) {
+		t.Fatalf("chunk ends %v do not cover the input in several chunks", ends)
+	}
+	prev := 0
+	for ci, end := range ends {
+		if end <= prev {
+			t.Fatalf("chunk %d empty or out of order (%v)", ci, ends)
+		}
+		var w int64
+		for _, sk := range sks[prev:end] {
+			w += int64(sk.NumKmers(27))
+		}
+		// Every chunk except the last must have reached the grain.
+		if ci < len(ends)-1 && w < step2ChunkKmers {
+			t.Fatalf("chunk %d weight %d below grain %d", ci, w, step2ChunkKmers)
+		}
+		prev = end
+	}
+	if ends, counted := step2Chunks(nil, 27); len(ends) != 0 || counted != 0 {
+		t.Fatalf("empty input produced chunks %v, %d k-mers", ends, counted)
 	}
 }
 

@@ -109,7 +109,9 @@ func (s *Store) release(tmp string) {
 // Open returns a reader over a snapshot of the file's published content.
 // The whole file is read at open time — mirroring iosim.Store's snapshot
 // semantics, so one Open charges one full read regardless of how the
-// returned reader is consumed.
+// returned reader is consumed. The reader knows what it holds (Len), so a
+// loader that wants the whole image sizes its buffer once instead of
+// growing it.
 func (s *Store) Open(name string) (io.Reader, error) {
 	p, err := s.pathOf(name)
 	if err != nil {

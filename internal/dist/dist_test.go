@@ -282,7 +282,11 @@ func (c *zombieConn) Kill() {
 				return
 			}
 			p := a.Partitions[0]
-			out, err := core.ConstructDistPartition(context.Background(), c.cfg, p, core.FencedName(p, a.Token))
+			w, err := core.NewDistWorker(c.cfg)
+			if err != nil {
+				return
+			}
+			out, err := w.Construct(context.Background(), p, core.FencedName(p, a.Token))
 			if err != nil {
 				return
 			}

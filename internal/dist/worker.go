@@ -26,6 +26,12 @@ const CrashPoint = "dist.partition"
 // of the lease is abandoned for the coordinator to re-assign. in closing,
 // a shutdown message, or ctx ending terminate the loop.
 func RunWorker(ctx context.Context, id string, cfg core.Config, in <-chan Message, send func(Message) error) error {
+	// One construction context for the process's life: every partition it
+	// is leased is built on the same processor, table and store handle.
+	w, err := core.NewDistWorker(cfg)
+	if err != nil {
+		return err
+	}
 	if err := send(Message{Type: TypeHello, Worker: id}); err != nil {
 		return err
 	}
@@ -40,7 +46,7 @@ func RunWorker(ctx context.Context, id string, cfg core.Config, in <-chan Messag
 			if m.Type != TypeAssign {
 				continue
 			}
-			if err := serveLease(ctx, id, cfg, m, send); err != nil {
+			if err := serveLease(ctx, id, w, m, send); err != nil {
 				return err
 			}
 		}
@@ -49,7 +55,7 @@ func RunWorker(ctx context.Context, id string, cfg core.Config, in <-chan Messag
 
 // serveLease works through one assigned partition range under its fencing
 // token.
-func serveLease(ctx context.Context, id string, cfg core.Config, lease Message, send func(Message) error) error {
+func serveLease(ctx context.Context, id string, w *core.DistWorker, lease Message, send func(Message) error) error {
 	for _, p := range lease.Partitions {
 		if err := send(Message{Type: TypeHeartbeat, Worker: id, Token: lease.Token}); err != nil {
 			return err
@@ -60,7 +66,7 @@ func serveLease(ctx context.Context, id string, cfg core.Config, lease Message, 
 		if err := faultinject.MaybeStall(ctx, CrashPoint); err != nil {
 			return err
 		}
-		out, err := core.ConstructDistPartition(ctx, cfg, p, core.FencedName(p, lease.Token))
+		out, err := w.Construct(ctx, p, core.FencedName(p, lease.Token))
 		if err != nil {
 			if ctx.Err() != nil {
 				return context.Cause(ctx)

@@ -506,6 +506,10 @@ func (f *Flaky) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots in
 		// A wedged kernel holds the attempt until the watchdog (or the run)
 		// cancels the context; a cooperative hang keeps the test leak-free.
 		<-ctx.Done()
+		// It then wakes into its dead context, as a real kernel would, while
+		// the pipeline may already be running this processor's next attempt:
+		// the device must cope with the abandoned one winding down.
+		_, _ = f.inner.Step2(ctx, sks, k, tableSlots)
 		return device.Step2Output{}, fmt.Errorf("%s step2 (call %d): hang released: %w",
 			f.inner.Name(), call, ctx.Err())
 	}

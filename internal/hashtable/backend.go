@@ -141,6 +141,24 @@ func NewBackend(b Backend, k, capacity int) (KmerTable, error) {
 	}
 }
 
+// Reusable reports whether t, once Reset, is indistinguishable from what
+// NewBackend(b, k, capacity) would build: the same backend, k-mer length and
+// rounded slot count, hence the same layout, probe sequences and counters.
+func Reusable(t KmerTable, b Backend, k, capacity int) bool {
+	if t == nil || capacity < 1 || t.K() != k || int64(t.Capacity()) != roundedSlots(capacity) {
+		return false
+	}
+	switch t.(type) {
+	case *Table:
+		return b == "" || b == BackendStateTransfer
+	case *LockFreeTable:
+		return b == BackendLockFree
+	case *ShardedTable:
+		return b == BackendSharded
+	}
+	return false
+}
+
 // MemoryBytesForBackend returns the footprint a table of the given backend
 // and slot capacity would allocate (after rounding), so the Step 2
 // admission controller and the GPU device-memory check charge exactly the

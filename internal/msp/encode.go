@@ -51,7 +51,7 @@ var ErrCorruptPartition = errors.New("msp: partition failed integrity check")
 // Encoder.Close (FooterSize bytes) is not included.
 func EncodedSize(n int) int {
 	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], uint64(n)) + 1 + (n+3)/4
+	return binary.PutUvarint(tmp[:], uint64(n)) + bodySize(n)
 }
 
 // FooterSize is the byte size of the integrity footer Close appends.
@@ -76,7 +76,7 @@ func NewEncoder(w io.Writer) *Encoder {
 // Encode appends one superkmer record.
 func (e *Encoder) Encode(sk Superkmer) error {
 	n := len(sk.Bases)
-	need := binary.MaxVarintLen64 + 1 + (n+3)/4
+	need := binary.MaxVarintLen64 + bodySize(n)
 	if cap(e.scratch) < need {
 		e.scratch = make([]byte, need)
 	}
@@ -174,37 +174,50 @@ func NewDecoder(r io.Reader) *Decoder {
 // The Minimizer field is not stored on disk and is returned as zero.
 // It returns io.EOF at a clean end of stream — after a verified footer, or
 // at a record boundary for footerless streams unless RequireFooter is set.
+// The record structure itself is walked by the helpers DecodePartition
+// shares (decode.go), so both decoders accept and reject the same bytes.
 func (d *Decoder) Next() (Superkmer, error) {
 	if d.done {
 		return Superkmer{}, io.EOF
 	}
-	first, err := d.r.ReadByte()
-	if err == io.EOF {
+	// A short peek means the stream ends (or fails) inside these bytes.
+	hdr, err := d.r.Peek(binary.MaxVarintLen64)
+	if len(hdr) == 0 {
+		if err != io.EOF {
+			return Superkmer{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 		d.done = true
 		if d.RequireFooter {
-			return Superkmer{}, fmt.Errorf("%w: stream ends without integrity footer", ErrCorruptPartition)
+			return Superkmer{}, errNoFooter
 		}
 		return Superkmer{}, io.EOF
 	}
-	if err != nil {
-		return Superkmer{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	d.bytes++
-	if first == 0 {
-		return Superkmer{}, d.verifyFooter()
+	if hdr[0] == footerMarker {
+		d.done = true
+		d.bytes++
+		d.r.Discard(1)
+		// One byte past the CRC is enough to see trailing data; a stream
+		// that ends after the CRC with anything but EOF is not a clean end.
+		rest, err := d.r.Peek(FooterSize)
+		n, ferr := checkFooter(d.crc, rest)
+		d.bytes += int64(n)
+		if ferr == nil && err != io.EOF {
+			ferr = errTrailingData
+		}
+		if ferr != nil {
+			return Superkmer{}, ferr
+		}
+		return Superkmer{}, io.EOF
 	}
 
-	// Re-read the record length byte by byte so the raw varint bytes feed
-	// the CRC.
-	n64, err := d.readUvarint(first)
+	n, width, err := recordHeader(hdr)
+	d.bytes += int64(width)
 	if err != nil {
 		return Superkmer{}, err
 	}
-	n := int(n64)
-	if n <= 0 || n > 1<<30 {
-		return Superkmer{}, fmt.Errorf("%w: implausible superkmer length %d", ErrCorrupt, n)
-	}
-	payload := 1 + (n+3)/4 // flags + packed bases
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, hdr[:width])
+	d.r.Discard(width)
+	payload := bodySize(n)
 	if cap(d.scratch) < payload {
 		d.scratch = make([]byte, payload)
 	}
@@ -214,77 +227,10 @@ func (d *Decoder) Next() (Superkmer, error) {
 	}
 	d.bytes += int64(payload)
 	d.crc = crc32.Update(d.crc, crc32.IEEETable, body)
-
-	flags, packed := body[0], body[1:]
 	if cap(d.bases) < n {
 		d.bases = make([]dna.Base, n)
 	}
-	bases := d.bases[:n]
-	for i := range packed {
-		bb := packed[i]
-		for j := 0; j < 4 && i*4+j < n; j++ {
-			bases[i*4+j] = dna.Base(bb >> (6 - 2*uint(j)) & 3)
-		}
-	}
-	sk := Superkmer{Bases: bases}
-	if flags&1 != 0 {
-		sk.HasLeft = true
-		sk.Left = dna.Base(flags >> 2 & 3)
-	}
-	if flags&2 != 0 {
-		sk.HasRight = true
-		sk.Right = dna.Base(flags >> 4 & 3)
-	}
-	return sk, nil
-}
-
-// readUvarint decodes a varint whose first byte has already been consumed,
-// folding the raw bytes into the running CRC.
-func (d *Decoder) readUvarint(first byte) (uint64, error) {
-	var raw [binary.MaxVarintLen64]byte
-	var x uint64
-	var shift uint
-	b := first
-	for i := 0; ; i++ {
-		raw[i] = b
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				return 0, fmt.Errorf("%w: record length varint overflows", ErrCorrupt)
-			}
-			x |= uint64(b) << shift
-			d.crc = crc32.Update(d.crc, crc32.IEEETable, raw[:i+1])
-			return x, nil
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
-		if i+1 == binary.MaxVarintLen64 {
-			return 0, fmt.Errorf("%w: record length varint overflows", ErrCorrupt)
-		}
-		var err error
-		if b, err = d.r.ReadByte(); err != nil {
-			return 0, fmt.Errorf("%w: truncated record length", ErrCorrupt)
-		}
-		d.bytes++
-	}
-}
-
-// verifyFooter checks the CRC footer (whose marker byte has been consumed)
-// against the running record CRC and enforces a clean end of stream.
-func (d *Decoder) verifyFooter() error {
-	d.done = true
-	var crcBytes [FooterSize - 1]byte
-	if _, err := io.ReadFull(d.r, crcBytes[:]); err != nil {
-		return fmt.Errorf("%w: truncated integrity footer", ErrCorruptPartition)
-	}
-	d.bytes += FooterSize - 1
-	want := binary.LittleEndian.Uint32(crcBytes[:])
-	if want != d.crc {
-		return fmt.Errorf("%w: crc 0x%08x, footer says 0x%08x", ErrCorruptPartition, d.crc, want)
-	}
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		return fmt.Errorf("%w: trailing data after integrity footer", ErrCorruptPartition)
-	}
-	return io.EOF
+	return unpackRecord(d.bases[:n], body), nil
 }
 
 // PlainEncodedSize returns the record size of the non-encoded (one character

@@ -27,7 +27,12 @@ import (
 //     (a hung device kernel must not hang the whole build);
 //   - admission control: Policy.Admission gates each partition's predicted
 //     working-set bytes through a weighted semaphore, so concurrent
-//     residency queues under a memory budget instead of OOMing.
+//     residency queues under a memory budget instead of OOMing;
+//   - bounded residency: the input stage reads at most len(workers)+1
+//     partitions ahead of the workers, and a partition's input is let go
+//     the moment it is produced or permanently failed, its output the moment
+//     the output stage takes it — so a run holds a constant number of
+//     partitions in memory however many it processes.
 
 // ErrNoHealthyWorkers reports that every worker was quarantined before the
 // run completed; the partitions that were not yet produced fail with it.
@@ -183,6 +188,14 @@ type runState struct {
 	released []bool // partition's grant was returned
 	weights  []int64
 
+	// held marks partitions the input stage has taken up and the work stage
+	// has not finished with (produced or permanently failed); unproduced
+	// counts them, and the input stage waits while it is at the read-ahead
+	// bound. dropInput forgets partition i's input value.
+	held       []bool
+	unproduced int
+	dropInput  func(i int)
+
 	pol         Policy
 	maxAttempts int
 	jitter      *rand.Rand // nil when BackoffJitter == 0
@@ -209,6 +222,20 @@ func (st *runState) failLocked(i int, err error) {
 		st.failed[i] = err
 	}
 	st.releaseLocked(i)
+	st.settleLocked(i)
+}
+
+// settleLocked ends partition i's stay in the work stage — it has an output
+// or never will: its input is forgotten, so the collector can have it while
+// the run goes on, and its read-ahead slot goes back to the input stage.
+// Callers broadcast.
+func (st *runState) settleLocked(i int) {
+	if !st.held[i] {
+		return
+	}
+	st.held[i] = false
+	st.unproduced--
+	st.dropInput(i)
 }
 
 // releaseLocked returns partition i's admission grant exactly once.
@@ -231,6 +258,7 @@ func (st *runState) abandonLocked(cause error) {
 			st.failed[i] = fmt.Errorf("pipeline: partition %d: %w (last worker fault: %w)",
 				i, ErrNoHealthyWorkers, cause)
 			st.releaseLocked(i)
+			st.settleLocked(i)
 		}
 	}
 }
@@ -253,6 +281,10 @@ func (st *runState) abandonLocked(cause error) {
 //     surviving processors and still succeeds with >= 1 healthy worker;
 //   - each partition passes pol.Admission (when set) before its read stage,
 //     bounding concurrent working-set bytes under the memory budget;
+//   - the read stage stays at most len(workers)+1 partitions ahead of the
+//     work stage (read but neither produced nor permanently failed), with or
+//     without an admission gate, and inputs and outputs are dropped as soon
+//     as the next stage is done with them;
 //   - permanently failed partitions do not abort the run: the remaining
 //     partitions are still processed and written in order, and all
 //     permanent errors are aggregated (errors.Join) into the returned
@@ -316,6 +348,8 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 		admitted:    make([]bool, n),
 		released:    make([]bool, n),
 		weights:     make([]int64, n),
+		held:        make([]bool, n),
+		dropInput:   func(i int) { var zero I; inputs[i] = zero },
 		pol:         pol,
 		maxAttempts: pol.MaxAttempts,
 		rep:         &rep,
@@ -362,10 +396,17 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 		defer wg.Done()
 		for i := 0; i < n; i++ {
 			st.mu.Lock()
+			// Park on the read-ahead bound before asking for admission, so a
+			// parked reader holds no grant.
+			for st.unproduced > len(workers) && !st.abandoned && !st.canceled {
+				st.cond.Wait()
+			}
 			if st.abandoned || st.canceled {
 				st.mu.Unlock()
 				return
 			}
+			st.held[i] = true
+			st.unproduced++
 			st.weights[i] = weigh(i)
 			w := st.weights[i]
 			st.mu.Unlock()
@@ -465,10 +506,11 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 				}
 				id := st.queue[0]
 				st.queue = st.queue[1:]
+				in := inputs[id]
 				st.mu.Unlock()
 
 				start := time.Now()
-				out, err := runAttempt(runCtx, pol.AttemptTimeout, workers[w], inputs[id])
+				out, err := runAttempt(runCtx, pol.AttemptTimeout, workers[w], in)
 				if rec != nil {
 					rec.StageSpan(StageCompute, id, w, start, time.Now())
 				}
@@ -478,6 +520,7 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 					st.consec[w] = 0
 					outputs[id] = out
 					st.produced[id] = true
+					st.settleLocked(id)
 					st.rep.Assignment[id] = w
 					st.cond.Broadcast()
 					st.mu.Unlock()
@@ -548,7 +591,10 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 				st.mu.Unlock()
 				continue
 			}
+			// The writer's copy is the only one from here on.
 			out := outputs[i]
+			var zero O
+			outputs[i] = zero
 			st.mu.Unlock()
 
 			for attempt := 1; ; attempt++ {

@@ -213,7 +213,12 @@ func TestConcurrentAdmissionSerializes(t *testing.T) {
 	waitJobState(t, m, a.ID, StateDone)
 	waitJobState(t, m, b.ID, StateDone)
 
+	// A job is journalled done before its goroutine returns the grant, so
+	// wait for the balance rather than sampling it once.
 	s := m.Stats()
+	for deadline := time.Now().Add(5 * time.Second); s.Gate.BalanceBytes != 0 && time.Now().Before(deadline); s = m.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if s.Gate.PeakBytes > budget {
 		t.Fatalf("gate peak %d exceeds budget %d — jobs did not serialize", s.Gate.PeakBytes, budget)
 	}

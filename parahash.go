@@ -118,7 +118,8 @@ func BuildContext(ctx context.Context, reads []Read, cfg Config) (*Result, error
 
 // BuildFromReader constructs the graph from a plain or gzip-compressed
 // FASTA/FASTQ stream without materialising the full read set: Step 1 holds
-// one chunk of reads at a time, matching the paper's out-of-core operation.
+// a few chunks of reads at a time — one in each of its overlapped parse,
+// scan and encode stages — matching the paper's out-of-core operation.
 func BuildFromReader(r io.Reader, cfg Config) (*Result, error) {
 	return core.BuildFromReader(r, cfg, 0)
 }
