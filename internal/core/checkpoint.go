@@ -32,8 +32,7 @@ type checkpoint struct {
 
 	// mu serialises manifest mutation and Save. Step 2 completions are
 	// journalled from the pipeline's write stage (single-threaded), but
-	// spill runs are journalled from concurrent compute workers — several
-	// oversized partitions can publish runs at once.
+	// completed spill scans are claimed from concurrent compute workers.
 	mu sync.Mutex
 	// closed is set when the build returns. An attempt the watchdog
 	// abandoned, or one still unwinding from a cancellation, outlives the
@@ -41,6 +40,9 @@ type checkpoint struct {
 	// may belong to a Scrub or a resume, and a late save would interleave
 	// with theirs in the same temp file.
 	closed bool
+	// onSave, when set, sees the manifest each save is about to persist;
+	// tests use it to check what was durable before a claim went out.
+	onSave func(*manifest.Manifest)
 
 	// step1Valid marks the manifest's Step 1 roster trustworthy: every
 	// partition file either verified or is listed in step1Rebuild.
@@ -54,7 +56,7 @@ type checkpoint struct {
 	// subgraphs caches the resumed partitions' parsed subgraphs when the
 	// build keeps them (they were parsed for verification anyway).
 	subgraphs map[int]*graph.Subgraph
-	// spillReady maps partitions whose spill scan completed before the
+	// spillReady maps partitions whose spill scan was claimed before the
 	// crash (spill-done journalled, every run file verified) to their run
 	// records in merge order. A resume that still routes the partition
 	// out-of-core merges these runs directly instead of re-spilling.
@@ -76,6 +78,9 @@ var errCheckpointClosed = errors.New("core: checkpoint closed: the build has ret
 func (ck *checkpoint) save() error {
 	if ck.closed {
 		return errCheckpointClosed
+	}
+	if ck.onSave != nil {
+		ck.onSave(ck.man)
 	}
 	return ck.man.Save(ck.path)
 }
@@ -185,9 +190,10 @@ func (ck *checkpoint) assess(cfg Config) {
 			ck.rebuiltSet[i] = true
 		}
 		// Spill claims are trusted for a merge-only resume only when the run
-		// scan completed before the crash and every journalled run file
+		// scan completed before the crash and every claimed run file
 		// verifies (size, CRC footer, journalled checksum, sort order).
-		// Anything less — a partial scan, a missing or damaged run — drops
+		// Anything less — a missing or damaged run, or the run claims
+		// without a done mark that older builds journalled mid-scan — drops
 		// the partition's whole spill state; it re-spills from its Step 1
 		// file, overwriting the same deterministic run names.
 		if runs := m.SpillRunsFor(i); len(runs) > 0 || m.IsSpillDone(i) {
@@ -340,7 +346,9 @@ func (ck *checkpoint) recordStep1(stats []msp.PartitionStats, infos []msp.FileIn
 		})
 	}
 	ck.man.Step1Done = true
-	return ck.man.Save(ck.path)
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	return ck.save()
 }
 
 // markStep2 journals one partition's Step 2 completion after its subgraph
@@ -397,33 +405,30 @@ func sweepSpillPrefix(st store.PartitionStore, part int) {
 	}
 }
 
-// journalSpillRun records one durably published out-of-core run. Called
-// from concurrent compute workers, after the run file's atomic rename.
-func (ck *checkpoint) journalSpillRun(rec manifest.SpillRun) error {
+// journalSpillScan claims a partition's completed run scan — every run it
+// spilled plus the spill-done mark — in one save, so a crash from here on
+// resumes at the merge. The caller has Sync'd the files the records name.
+// Runs are not claimed one by one: resume uses a partition's runs only if
+// its scan completed.
+func (ck *checkpoint) journalSpillScan(i int, runs []manifest.SpillRun) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	ck.man.AddSpillRun(rec)
-	return ck.save()
-}
-
-// journalSpillDone marks a partition's run scan complete: every run it
-// will ever have is journalled, so a crash from here on resumes at the
-// merge.
-func (ck *checkpoint) journalSpillDone(i int) error {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
+	for _, rec := range runs {
+		ck.man.AddSpillRun(rec)
+	}
 	ck.man.SetSpillDone(i)
 	return ck.save()
 }
 
-// clearSpillClaims drops a partition's journalled spill state before a
-// fresh spill attempt (a retry after a failed attempt). Files are left in
-// place — the retry overwrites the same deterministic names, and anything
-// beyond the new attempt's run count becomes an unjournalled orphan.
+// clearSpillClaims drops a partition's claimed scan before a fresh spill
+// attempt — a retry after a failed merge, the only way an attempt finds a
+// claim already there. Files are left in place: the retry overwrites the
+// same deterministic names, and anything beyond its run count becomes an
+// unclaimed orphan.
 func (ck *checkpoint) clearSpillClaims(i int) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	if len(ck.man.SpillRunsFor(i)) == 0 && !ck.man.IsSpillDone(i) {
+	if !ck.man.IsSpillDone(i) {
 		return nil
 	}
 	ck.man.DropSpill(i)

@@ -238,7 +238,7 @@ func TestClosedCheckpointJournalsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := manifest.SpillRun{Partition: 0, Run: 0, Name: spillRunFile(0, 0), Bytes: 18, Vertices: 0}
-	if err := ck.journalSpillRun(run); err != nil {
+	if err := ck.journalSpillScan(0, []manifest.SpillRun{run}); err != nil {
 		t.Fatalf("journalling on an open checkpoint: %v", err)
 	}
 	before, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
@@ -246,12 +246,12 @@ func TestClosedCheckpointJournalsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck.close()
-	run.Run = 1
-	if err := ck.journalSpillRun(run); !errors.Is(err, errCheckpointClosed) {
-		t.Errorf("journalSpillRun after close: err = %v, want errCheckpointClosed", err)
+	run.Partition = 1
+	if err := ck.journalSpillScan(1, []manifest.SpillRun{run}); !errors.Is(err, errCheckpointClosed) {
+		t.Errorf("journalSpillScan after close: err = %v, want errCheckpointClosed", err)
 	}
-	if err := ck.journalSpillDone(0); !errors.Is(err, errCheckpointClosed) {
-		t.Errorf("journalSpillDone after close: err = %v, want errCheckpointClosed", err)
+	if err := ck.clearSpillClaims(0); !errors.Is(err, errCheckpointClosed) {
+		t.Errorf("clearSpillClaims after close: err = %v, want errCheckpointClosed", err)
 	}
 	after, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {

@@ -372,11 +372,12 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 // budget-bounded sorted runs, merge them into the subgraph, then remove the
 // runs — the merged graph is in memory and the fenced subgraph publish below
 // is the only artifact the coordinator will ever trust. Workers never touch
-// the manifest, so runs are fenced by name instead of journalled: the
-// worker's fencing token (parsed from its assigned output name) suffixes
-// every run, keeping a zombie holding a revoked lease out of the current
-// holder's in-flight files. A worker killed at any point leaves only fenced
-// orphans, which SweepFenced removes.
+// the manifest, so runs are fenced by name instead of journalled — and,
+// since no claim ever names them, never fsync'd: the worker's fencing token
+// (parsed from its assigned output name) suffixes every run, keeping a
+// zombie holding a revoked lease out of the current holder's in-flight
+// files. A worker killed at any point leaves only fenced orphans, which
+// SweepFenced removes.
 func distSpillStep2(ctx context.Context, cfg Config, index int, outName string, sks []msp.Superkmer, st store.PartitionStore, budget int64) (device.Step2Output, error) {
 	threads := cfg.CPUThreads
 	if threads < 1 {

@@ -39,10 +39,11 @@ type ScrubReport struct {
 	// SpillVerified and SpillDamaged count journalled out-of-core run
 	// claims by the same judgement resume assessment applies (size, CRC
 	// footer, journalled checksum, sort order). A partition with any
-	// damaged run — or an incomplete scan — has its whole spill state
-	// dropped; the resume re-spills it from its Step 1 file. Only failed
-	// verification counts as damage: dropping an incomplete scan's claims
-	// is routine crash hygiene, not corruption.
+	// damaged run has its whole spill state dropped; the resume re-spills
+	// it from its Step 1 file. So has one whose runs carry no done mark —
+	// builds that journalled each run as it landed left those mid-scan;
+	// this one claims a scan only once it is complete — and that is
+	// routine crash hygiene, not damage.
 	SpillVerified int
 	SpillDamaged  int
 	// SpillSwept lists orphaned spill run files removed from the data
@@ -151,8 +152,9 @@ func Scrub(dir string) (ScrubReport, error) {
 			}
 		}
 		// Spill claims: verify every journalled run; any damage — or an
-		// incomplete scan — drops the partition's whole spill state so the
-		// resume re-spills from the (verified) Step 1 file. k comes from the
+		// older build's mid-scan claims, runs without the done mark — drops
+		// the partition's whole spill state so the resume re-spills from
+		// the (verified) Step 1 file. k comes from the
 		// run headers themselves; the manifest cross-checks size, checksum
 		// and vertex count, which is what distinguishes a damaged run from a
 		// well-formed but wrong one.
@@ -195,13 +197,15 @@ func Scrub(dir string) (ScrubReport, error) {
 		rep.ManifestRepaired = true
 	}
 
-	// Sweep orphaned spill files: merge intermediates (never journalled),
-	// runs of claims dropped above, and runs superseded by a published
-	// subgraph. Every surviving claim was verified, so anything under
-	// spill/ not claimed is reconstructible in-flight state, removed like a
-	// *.tmp file. The sweep runs only after the repaired manifest is saved —
-	// removing a file before its claim is durably dropped would turn a crash
-	// here into phantom damage on the next pass.
+	// Sweep orphaned spill files: the runs of a scan that never completed
+	// and merge intermediates (neither ever journalled, nor ever fsync'd —
+	// after a power loss they may be empty or truncated), runs of claims
+	// dropped above, and runs superseded by a published subgraph. Every
+	// surviving claim was verified, so anything under spill/ not claimed is
+	// reconstructible in-flight state, removed like a *.tmp file. The sweep
+	// runs only after the repaired manifest is saved — removing a file
+	// before its claim is durably dropped would turn a crash here into
+	// phantom damage on the next pass.
 	claimed := make(map[string]bool, len(m.SpillRuns))
 	for _, rec := range m.SpillRuns {
 		claimed[rec.Name] = true

@@ -1,0 +1,508 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"parahash/internal/device"
+	"parahash/internal/fastq"
+	"parahash/internal/faultinject"
+	"parahash/internal/manifest"
+	"parahash/internal/store"
+	"parahash/internal/store/storetest"
+)
+
+// The out-of-core durability rule under test: a file is fsync'd only before
+// a claim that names it is journalled, and a claim is journalled only when a
+// resume would use it. So a spilled partition costs one covering Sync and two
+// manifest saves (scan claimed, subgraph published) however many runs it has,
+// and files no claim ever names — merge intermediates, a dist worker's
+// fenced runs — are never synced at all.
+
+// spillDurabilityConfig spills every partition into enough runs (about twenty
+// each) that each needs a reduction pass, so merge intermediates exist.
+func spillDurabilityConfig(t *testing.T) (Config, string) {
+	cfg, dir := ckConfig(t)
+	cfg.NumPartitions = 2
+	cfg.PartitionMemoryBudgetBytes = 32 << 10
+	return cfg, dir
+}
+
+// scannedRun matches a single-process run name; a dist worker's fenced
+// ".t<token>" run does not.
+var scannedRun = regexp.MustCompile(`^spill/(\d{4})/run-(\d{4})$`)
+
+// syncRecorder is the recording store: which names were published durably,
+// which volatile, and which a successful Sync has covered.
+type syncRecorder struct {
+	store.PartitionStore
+	mu       sync.Mutex
+	durable  map[string]bool
+	volatile map[string]bool
+	synced   map[string]bool
+}
+
+func newSyncRecorder(inner store.PartitionStore) *syncRecorder {
+	return &syncRecorder{PartitionStore: inner, durable: map[string]bool{}, volatile: map[string]bool{}, synced: map[string]bool{}}
+}
+
+func (r *syncRecorder) Create(name string) (io.WriteCloser, error) {
+	r.mu.Lock()
+	r.durable[name] = true
+	r.mu.Unlock()
+	return r.PartitionStore.Create(name)
+}
+
+func (r *syncRecorder) CreateVolatile(name string) (io.WriteCloser, error) {
+	r.mu.Lock()
+	r.volatile[name] = true
+	r.mu.Unlock()
+	return r.PartitionStore.CreateVolatile(name)
+}
+
+func (r *syncRecorder) Sync(names ...string) error {
+	if err := r.PartitionStore.Sync(names...); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	for _, name := range names {
+		r.synced[name] = true
+	}
+	r.mu.Unlock()
+	return nil
+}
+
+// journalWatch is the manifest-save observer of one build.
+type journalWatch struct {
+	rec *syncRecorder
+	// saves counts every save observed; scanRuns is each partition's run
+	// count as claimed; claims and completions count, per partition, the
+	// saves that claimed its scan and that journalled its subgraph.
+	saves       int
+	scanRuns    map[int]int
+	claims      map[int]int
+	completions map[int]int
+	// unsynced lists claimed names no Sync had covered when the save began.
+	unsynced []string
+}
+
+// observe runs inside checkpoint.save, under the checkpoint's lock.
+func (w *journalWatch) observe(m *manifest.Manifest) {
+	w.saves++
+	w.rec.mu.Lock()
+	for _, run := range m.SpillRuns {
+		if !w.rec.synced[run.Name] {
+			w.unsynced = append(w.unsynced, run.Name)
+		}
+	}
+	w.rec.mu.Unlock()
+	// One save carries one mutation: a partition's scan newly claimed, or a
+	// partition newly complete.
+	for _, p := range m.SpillDone {
+		if runs := len(m.SpillRunsFor(p)); w.scanRuns[p] != runs {
+			w.scanRuns[p] = runs
+			w.claims[p]++
+		}
+	}
+	for _, rec := range m.Step2 {
+		if w.completions[rec.Index] == 0 {
+			w.completions[rec.Index] = 1
+		}
+	}
+}
+
+// watchedBuild runs a checkpointed build the way BuildContext does, with the
+// recording store between the pipeline and the disk and the observer on the
+// checkpoint.
+func watchedBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Result, *journalWatch, error) {
+	st, ck, err := openCheckpoint(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer ck.close()
+	w := &journalWatch{rec: newSyncRecorder(st), scanRuns: map[int]int{}, claims: map[int]int{}, completions: map[int]int{}}
+	ck.onSave = w.observe
+	res, err := buildWithStore(ctx, reads, cfg, w.rec, ck)
+	return res, w, err
+}
+
+// checkOrdering asserts (i) and (ii) for one build, finished or killed:
+// every claimed run was synced before its claim's save began, nothing but a
+// scanned run — ordinal below the partition's scan count — was ever synced,
+// and no spill file was published through the durable Create. scanRuns is the uninterrupted build's run count per partition
+// (run boundaries are deterministic).
+func checkOrdering(t *testing.T, w *journalWatch, scanRuns map[int]int) {
+	t.Helper()
+	if len(w.unsynced) > 0 {
+		t.Errorf("claims journalled before their files were synced: %v", w.unsynced)
+	}
+	for name := range w.rec.synced {
+		m := scannedRun.FindStringSubmatch(name)
+		if m == nil {
+			t.Errorf("synced %q: not a scanned run", name)
+			continue
+		}
+		part, _ := strconv.Atoi(m[1])
+		if run, _ := strconv.Atoi(m[2]); run >= scanRuns[part] {
+			t.Errorf("synced %q: a merge intermediate (partition %d scanned %d runs)", name, part, scanRuns[part])
+		}
+	}
+	for name := range w.rec.durable {
+		if strings.HasPrefix(name, "spill/") {
+			t.Errorf("%q was published with its own fsyncs", name)
+		}
+	}
+	for p, n := range w.claims {
+		if n+w.completions[p] > 2 {
+			t.Errorf("partition %d caused %d manifest saves, want at most 2", p, n+w.completions[p])
+		}
+	}
+}
+
+// checkNoLitter walks a finished checkpoint for what a crash must not leave
+// behind once a resume has completed: spill files, in-flight temporaries,
+// fenced worker files.
+func checkNoLitter(t *testing.T, dir string) {
+	t.Helper()
+	fenced := regexp.MustCompile(`\.t\d+$`)
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, p)
+		rel = filepath.ToSlash(rel)
+		if strings.HasPrefix(rel, "data/spill/") || strings.HasSuffix(rel, ".tmp") || fenced.MatchString(rel) {
+			t.Errorf("litter left in the checkpoint: %s", rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// resumeAndCheck resumes a killed build and requires the uninterrupted
+// build's exact graph, a clean Scrub and no litter. It returns the store
+// names the resume opened: a partition's superkmer file is among them only
+// if the partition was rescanned rather than merged from claimed runs.
+func resumeAndCheck(t *testing.T, reads []fastq.Read, cfg Config, dir string, want []byte) map[string]bool {
+	t.Helper()
+	opened := &openRecorder{opened: map[string]bool{}}
+	cfg.Checkpoint.Resume = true
+	cfg.StoreWrap = func(st store.PartitionStore) store.PartitionStore {
+		opened.PartitionStore = st
+		return opened
+	}
+	res, err := Build(reads, cfg)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if !bytes.Equal(serializeGraph(t, res.Graph), want) {
+		t.Fatal("resumed graph is not byte-identical to the uninterrupted build")
+	}
+	rep, err := Scrub(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("scrub after resume not clean: %+v", rep)
+	}
+	checkNoLitter(t, dir)
+	return opened.opened
+}
+
+// openRecorder records which names a build opened.
+type openRecorder struct {
+	store.PartitionStore
+	mu     sync.Mutex
+	opened map[string]bool
+}
+
+func (r *openRecorder) Open(name string) (io.Reader, error) {
+	r.mu.Lock()
+	r.opened[name] = true
+	r.mu.Unlock()
+	return r.PartitionStore.Open(name)
+}
+
+// killAt returns a context whose build is canceled — the in-process kill —
+// at the given hit of a fault point.
+func killAt(point string, hit int) (context.Context, context.CancelCauseFunc) {
+	plan := faultinject.Plan{CancelPoints: []faultinject.PointFault{{Point: point, Hit: hit}}}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return plan.ApplyPoints(ctx, cancel), cancel
+}
+
+// uninterruptedGraph is the serialized graph of a fault-free spilled build.
+func uninterruptedGraph(t *testing.T, reads []fastq.Read) []byte {
+	t.Helper()
+	cfg, _ := spillDurabilityConfig(t)
+	res, err := Build(reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serializeGraph(t, res.Graph)
+}
+
+// TestSpillClaimsOnlySyncedRuns is the ordering test: for an uninterrupted
+// spilled build and for a kill at every step2.spill hit and every
+// step2.spill.merge hit, claims name only synced files, only scanned runs
+// are ever synced, a spilled partition costs two saves — and every kill
+// resumes to the identical graph.
+func TestSpillClaimsOnlySyncedRuns(t *testing.T) {
+	reads := tinyReads(t)
+	cfg, dir := spillDurabilityConfig(t)
+	res, clean, err := watchedBuild(context.Background(), reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serializeGraph(t, res.Graph)
+	np := cfg.NumPartitions
+	if res.Stats.Spill.Partitions != np {
+		t.Fatalf("%d of %d partitions spilled; the config must spill all", res.Stats.Spill.Partitions, np)
+	}
+	checkOrdering(t, clean, clean.scanRuns)
+	checkNoLitter(t, dir)
+	totalRuns := 0
+	for p := 0; p < np; p++ {
+		if clean.claims[p] != 1 || clean.completions[p] != 1 {
+			t.Errorf("partition %d: %d scan claims, %d completions, want one of each", p, clean.claims[p], clean.completions[p])
+		}
+		totalRuns += clean.scanRuns[p]
+	}
+	if int64(totalRuns) != res.Stats.Spill.Runs {
+		t.Errorf("claimed %d runs, the build spilled %d", totalRuns, res.Stats.Spill.Runs)
+	}
+	// Step 1's record plus two saves per spilled partition; with the fresh
+	// manifest openCheckpoint wrote before the observer existed that is the
+	// issue's 2 + NP + spilled.
+	if wantSaves := 1 + 2*np; clean.saves != wantSaves {
+		t.Errorf("%d manifest saves observed, want %d", clean.saves, wantSaves)
+	}
+	if len(clean.rec.synced) != totalRuns {
+		t.Errorf("%d files synced, want the %d claimed runs", len(clean.rec.synced), totalRuns)
+	}
+	intermediates := 0
+	for name := range clean.rec.volatile {
+		if !clean.rec.synced[name] {
+			intermediates++
+		}
+	}
+	if intermediates == 0 {
+		t.Fatal("no merge intermediate was published; the config must force a reduction pass")
+	}
+
+	kill := func(point string, hit int) {
+		t.Helper()
+		cfg, dir := spillDurabilityConfig(t)
+		ctx, cancel := killAt(point, hit)
+		defer cancel(nil)
+		_, w, err := watchedBuild(ctx, reads, cfg)
+		if !errors.Is(err, faultinject.ErrPointCanceled) {
+			t.Fatalf("%s hit %d: err = %v, want ErrPointCanceled", point, hit, err)
+		}
+		checkOrdering(t, w, clean.scanRuns)
+		resumeAndCheck(t, reads, cfg, dir, want)
+	}
+	step := 1
+	if testing.Short() {
+		step = 7
+	}
+	for hit := 1; hit <= totalRuns; hit += step {
+		kill("step2.spill", hit)
+	}
+	for hit := 1; hit <= np; hit++ {
+		kill("step2.spill.merge", hit)
+		kill("step2.partition", hit)
+	}
+}
+
+// TestResumeDropsMidScanClaims: builds before the single claim journalled
+// each run as it landed, so a checkpoint one of them left mid-scan holds run
+// claims without the done mark. Resume and Scrub still drop such a
+// partition's spill state and re-spill it.
+func TestResumeDropsMidScanClaims(t *testing.T) {
+	reads := tinyReads(t)
+	want := uninterruptedGraph(t, reads)
+	for _, scrubFirst := range []bool{false, true} {
+		cfg, dir := spillDurabilityConfig(t)
+		ctx, cancel := killAt("step2.spill.merge", 1)
+		_, err := BuildContext(ctx, reads, cfg)
+		cancel(nil)
+		if !errors.Is(err, faultinject.ErrPointCanceled) {
+			t.Fatalf("err = %v, want ErrPointCanceled", err)
+		}
+		// Rewrite the claim into what the older build would have left part
+		// way through the scan: the first half of the runs, no done mark.
+		manPath := filepath.Join(dir, "manifest.json")
+		man, err := manifest.Load(manPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(man.SpillDone) == 0 {
+			t.Fatal("no scan was claimed before the kill")
+		}
+		part := man.SpillDone[0]
+		runs := man.SpillRunsFor(part)
+		man.DropSpill(part)
+		for _, run := range runs[:len(runs)/2] {
+			man.AddSpillRun(run)
+		}
+		if err := man.Save(manPath); err != nil {
+			t.Fatal(err)
+		}
+		if scrubFirst {
+			rep, err := Scrub(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.ManifestRepaired || rep.SpillDamaged != 0 || len(rep.SpillSwept) == 0 {
+				t.Fatalf("scrub of a mid-scan claim: %+v", rep)
+			}
+		}
+		if opened := resumeAndCheck(t, reads, cfg, dir, want); !opened[superkmerFile(part)] {
+			t.Errorf("partition %d merged from a scan that never completed", part)
+		}
+	}
+}
+
+// TestDistWorkerNeverSyncs: a dist worker's runs are fenced by name and no
+// manifest ever names them, so a worker process pays no Sync at all — its
+// one durable file is the fenced subgraph it publishes through Create.
+func TestDistWorkerNeverSyncs(t *testing.T) {
+	reads := tinyReads(t)
+	cfg, _ := spillDurabilityConfig(t)
+	plan, err := PrepareDistBuild(context.Background(), reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *syncRecorder
+	wcfg := cfg
+	wcfg.StoreWrap = func(st store.PartitionStore) store.PartitionStore {
+		rec = newSyncRecorder(st)
+		return rec
+	}
+	worker, err := NewDistWorker(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := worker.Construct(context.Background(), 0, FencedName(0, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.volatile) < device.DefaultMergeFanIn {
+		t.Fatalf("worker published %d runs; the partition must spill past one merge pass", len(rec.volatile))
+	}
+	for name := range rec.volatile {
+		if !strings.HasSuffix(name, ".t7") {
+			t.Errorf("worker run %q is not fenced", name)
+		}
+	}
+	if len(rec.synced) != 0 {
+		t.Errorf("dist worker synced %v", rec.synced)
+	}
+	if len(rec.durable) != 1 || !rec.durable[FencedName(0, 7)] {
+		t.Errorf("dist worker published %v durably, want only its fenced subgraph", rec.durable)
+	}
+	if err := plan.PromoteFenced(0, 7, out.Distinct); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpillResumeAfterPowerLoss kills a spilled build between a claimed scan
+// and its merge, then cuts the power: every file published volatile and not
+// synced since is dropped or truncated. With an honest device the claimed
+// runs survive and the resume merges them without rescanning; with a device
+// that lost the flushes the claimed runs are damaged too, verification
+// rejects them and the partition re-spills. Either way the graph is the
+// uninterrupted build's.
+func TestSpillResumeAfterPowerLoss(t *testing.T) {
+	reads := tinyReads(t)
+	want := uninterruptedGraph(t, reads)
+	for _, tc := range []struct {
+		name               string
+		truncate, loseSync bool
+	}{
+		{"drop", false, false},
+		{"truncate", true, false},
+		{"drop/lost-flushes", false, true},
+		{"truncate/lost-flushes", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, dir := spillDurabilityConfig(t)
+			var pl *storetest.PowerLoss
+			cfg.StoreWrap = func(st store.PartitionStore) store.PartitionStore {
+				pl = storetest.NewPowerLoss(st)
+				pl.LoseSyncs = tc.loseSync
+				return pl
+			}
+			ctx, cancel := killAt("step2.spill.merge", 1)
+			defer cancel(nil)
+			if _, err := BuildContext(ctx, reads, cfg); !errors.Is(err, faultinject.ErrPointCanceled) {
+				t.Fatalf("err = %v, want ErrPointCanceled", err)
+			}
+			man, err := manifest.Load(filepath.Join(dir, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(man.SpillDone) == 0 {
+				t.Fatal("no scan was claimed before the kill")
+			}
+			claimed := map[string]bool{}
+			for _, run := range man.SpillRuns {
+				claimed[run.Name] = true
+			}
+			damaged, err := pl.Cut(tc.truncate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hitClaim := false
+			for _, name := range damaged {
+				hitClaim = hitClaim || claimed[name]
+			}
+			if hitClaim != tc.loseSync {
+				t.Fatalf("power cut damaged a claimed run: %v, want %v (damaged %v)", hitClaim, tc.loseSync, damaged)
+			}
+			opened := resumeAndCheck(t, reads, cfg, dir, want)
+			for _, p := range man.SpillDone {
+				if got := opened[superkmerFile(p)]; got != tc.loseSync {
+					t.Errorf("claimed partition %d rescanned: %v, want %v", p, got, tc.loseSync)
+				}
+			}
+		})
+	}
+}
+
+// TestSpillSyncDiskFull: delayed allocation can report a full disk at the
+// covering Sync rather than at any write. The build fails typed, the
+// partition's scan is not claimed, and a resume once space is back converges.
+func TestSpillSyncDiskFull(t *testing.T) {
+	reads := tinyReads(t)
+	cfg, dir := spillDurabilityConfig(t)
+	cfg.StoreWrap = func(st store.PartitionStore) store.PartitionStore {
+		fs := faultinject.WrapStore(st)
+		fs.FailSyncsNTimes(spillRunFile(0, 0), -1, fmt.Errorf("%w: flushing", store.ErrDiskFull))
+		return fs
+	}
+	if _, err := Build(reads, cfg); !errors.Is(err, store.ErrDiskFull) {
+		t.Fatalf("full disk at the covering sync: err = %v, want store.ErrDiskFull", err)
+	}
+	man, err := manifest.Load(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.IsSpillDone(0) || len(man.SpillRunsFor(0)) != 0 {
+		t.Fatal("partition 0's scan was claimed although its runs never synced")
+	}
+	resumeAndCheck(t, reads, cfg, dir, uninterruptedGraph(t, reads))
+}

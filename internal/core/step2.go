@@ -343,10 +343,12 @@ func (c Config) spillBudgetFor(predicted int64) (budget int64, auto bool) {
 }
 
 // spillConstruct builds one oversized partition out-of-core: scan its
-// superkmers into budget-bounded sorted runs spilled through the store
-// (each journalled in the manifest as it lands), then k-way merge-dedup
-// the runs into the final sorted subgraph. A merge-only input skips the
-// scan and merges the journalled runs a crashed build left behind.
+// superkmers into budget-bounded sorted runs spilled through the store, then
+// k-way merge-dedup the runs into the final sorted subgraph. Runs are
+// published without an fsync; with a checkpoint, the completed scan is made
+// durable by one covering Sync and claimed by one manifest save, so a crash
+// from then on resumes at the merge. A merge-only input skips the scan and
+// merges the claimed runs a crashed build left behind.
 func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.PartitionStore, ck *checkpoint) (device.Step2Output, error) {
 	threads := cfg.CPUThreads
 	if threads < 1 {
@@ -370,24 +372,23 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 		}
 		kmers = in.spill.mergeKmers
 	} else {
+		var scanned []manifest.SpillRun
 		if ck != nil {
-			// A fresh attempt (or a retry after a failed one) owns the
-			// partition's whole spill namespace again: drop stale claims so
-			// the journal only ever describes this attempt's runs. Files are
-			// overwritten in place — run names are deterministic.
+			// A retry after a failed merge owns the partition's spill
+			// namespace again: drop the failed attempt's claim before its
+			// files are overwritten in place (run names are deterministic).
 			if err := ck.clearSpillClaims(in.part); err != nil {
 				return device.Step2Output{}, err
 			}
 			ecfg.OnRun = func(run int, name string, bytes int64, crc uint32, vertices int64) error {
-				if err := ck.journalSpillRun(manifest.SpillRun{
+				scanned = append(scanned, manifest.SpillRun{
 					Partition: in.part, Run: run, Name: name,
 					Bytes: bytes, CRC32: crc, Vertices: vertices,
-				}); err != nil {
-					return err
-				}
-				// A kill here models power loss mid-scan: some runs journalled,
-				// the scan incomplete. Resume drops them and re-spills. The
-				// stall point is the plan-scoped (in-process) analogue.
+				})
+				// A kill here models power loss mid-scan: runs published but
+				// neither flushed nor claimed, so whatever survives is an
+				// orphan and the resume re-spills over it. The stall point
+				// is the plan-scoped (in-process) analogue.
 				faultinject.MaybeCrash("step2.spill")
 				return faultinject.MaybeStall(ctx, "step2.spill")
 			}
@@ -397,7 +398,13 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 			return device.Step2Output{}, fmt.Errorf("core: spilling partition %d: %w", in.part, err)
 		}
 		if ck != nil {
-			if err := ck.journalSpillDone(in.part); err != nil {
+			// The claim may name only durable files, so the runs are flushed
+			// first. Without a checkpoint nothing will ever claim them and
+			// they are never flushed at all.
+			if err := st.Sync(spill.RunNames...); err != nil {
+				return device.Step2Output{}, fmt.Errorf("core: syncing partition %d's spill runs: %w", in.part, err)
+			}
+			if err := ck.journalSpillScan(in.part, scanned); err != nil {
 				return device.Step2Output{}, err
 			}
 		}
@@ -405,8 +412,8 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 		kmers = spill.Kmers
 		spilledBytes = spill.SpilledBytes
 	}
-	// A kill here models a crash between the completed scan and the merge;
-	// resume verifies the journalled runs and goes straight back to merging.
+	// A kill here models a crash between the claimed scan and the merge;
+	// resume verifies the claimed runs and goes straight back to merging.
 	faultinject.MaybeCrash("step2.spill.merge")
 	if err := faultinject.MaybeStall(ctx, "step2.spill.merge"); err != nil {
 		return device.Step2Output{}, err

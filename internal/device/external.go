@@ -40,18 +40,19 @@ type ExternalConfig struct {
 	BufferBytes int64
 	// SortWorkers bounds the run sorter's goroutines.
 	SortWorkers int
-	// Store is where runs spill; run files inherit its atomic-publish and
-	// disk-full semantics.
+	// Store is where runs spill. Runs and merge intermediates are published
+	// volatile — complete and atomic, but not flushed: they can be rebuilt
+	// from the partition's superkmer file, so only a caller about to journal
+	// a claim over them pays for a Sync.
 	Store store.PartitionStore
 	// RunName maps a run ordinal onto a store name. Merge passes continue
 	// the ordinal sequence for their intermediate runs, so every spill
 	// artifact of a partition shares one sweepable namespace (and dist
 	// workers can fence the whole sequence with their lease token).
 	RunName func(run int) string
-	// OnRun, when set, is invoked after each scanned run is durably
-	// published — the checkpoint journalling hook. It is not called for
-	// merge intermediates, which are reconstructible from the journalled
-	// runs.
+	// OnRun, when set, is invoked after each scanned run is published, with
+	// the record a checkpoint would claim it by. It is not called for merge
+	// intermediates, which are reconstructible from the scanned runs.
 	OnRun func(run int, name string, bytes int64, crc uint32, vertices int64) error
 	// MaxFanIn caps runs per merge pass; zero means DefaultMergeFanIn.
 	MaxFanIn int
@@ -80,8 +81,7 @@ type SpillResult struct {
 
 // SpillRuns scans a partition's superkmers into bounded sorted runs and
 // spills each through the store. Every published run is complete and
-// CRC-verified on read, so a crash mid-spill loses at most the in-memory
-// buffer; the OnRun hook lets the caller journal each run as it lands.
+// CRC-verified on read; none is durable until the caller Syncs it.
 func SpillRuns(ctx context.Context, sks []msp.Superkmer, cfg ExternalConfig) (SpillResult, error) {
 	capRecords := int(cfg.BufferBytes / (2 * msp.SpillRecordBytes))
 	if capRecords < spillMinBufferRecords {
@@ -152,7 +152,7 @@ func writeSpillRun(st store.PartitionStore, name string, k int, recs []msp.Spill
 			distinct++
 		}
 	}
-	sink, err := st.Create(name)
+	sink, err := st.CreateVolatile(name)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -303,7 +303,7 @@ func mergeRunsToRun(ctx context.Context, cfg ExternalConfig, names []string, out
 	if err != nil {
 		return err
 	}
-	sink, err := cfg.Store.Create(outName)
+	sink, err := cfg.Store.CreateVolatile(outName)
 	if err != nil {
 		return fmt.Errorf("device: creating merge run %q: %w", outName, err)
 	}

@@ -8,7 +8,9 @@
 // under the final name, never a partial one. Stale .tmp files from a
 // crashed writer are invisible to Open/List and are swept by Reset and
 // SweepTmp; the .tmp of a writer still open on this Store is registered as
-// live, and no sweep touches it.
+// live, and no sweep touches it. CreateVolatile keeps the .tmp + rename
+// publish but leaves both fsyncs to a later Sync over the names a journal is
+// about to claim, so files nothing ever claims are never flushed.
 package diskstore
 
 import (
@@ -44,6 +46,8 @@ type Store struct {
 	// live counts the open writers (Create to Close) of each .tmp path:
 	// what tells an in-flight file from a crashed writer's orphan.
 	live map[string]int
+	// fsync flushes one open file; tests replace it to surface flush errors.
+	fsync func(*os.File) error
 }
 
 var _ store.PartitionStore = (*Store)(nil)
@@ -56,7 +60,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: creating root: %w", err)
 	}
-	return &Store{root: dir, live: make(map[string]int)}, nil
+	return &Store{root: dir, live: make(map[string]int), fsync: (*os.File).Sync}, nil
 }
 
 // Root returns the store's root directory.
@@ -76,6 +80,17 @@ func (s *Store) pathOf(name string) (string, error) {
 // parent directory, so the file is observable under its name only once it
 // is complete and durable.
 func (s *Store) Create(name string) (io.WriteCloser, error) {
+	return s.create(name, false)
+}
+
+// CreateVolatile is Create without the two fsyncs: Close still publishes the
+// complete file by atomic rename, but neither its bytes nor its directory
+// entry are durable until a Sync names it.
+func (s *Store) CreateVolatile(name string) (io.WriteCloser, error) {
+	return s.create(name, true)
+}
+
+func (s *Store) create(name string, volatile bool) (io.WriteCloser, error) {
 	final, err := s.pathOf(name)
 	if err != nil {
 		return nil, err
@@ -94,7 +109,39 @@ func (s *Store) Create(name string) (io.WriteCloser, error) {
 		s.release(tmp)
 		return nil, fmt.Errorf("diskstore: creating %q: %w", name, err)
 	}
-	return &atomicFile{store: s, f: f, tmp: tmp, final: final}, nil
+	return &atomicFile{store: s, f: f, tmp: tmp, final: final, volatile: volatile}, nil
+}
+
+// Sync makes the named published files durable: it fsyncs each file, then
+// each distinct parent directory once — the two flushes CreateVolatile
+// skipped, batched over everything a journal claim is about to name.
+func (s *Store) Sync(names ...string) error {
+	dirs := make(map[string]bool)
+	for _, name := range names {
+		p, err := s.pathOf(name)
+		if err != nil {
+			return err
+		}
+		f, err := os.Open(p)
+		if err != nil {
+			if os.IsNotExist(err) {
+				return fmt.Errorf("%w: %q", store.ErrNotFound, name)
+			}
+			return fmt.Errorf("diskstore: syncing %q: %w", name, err)
+		}
+		err = s.fsync(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("diskstore: syncing %q: %w", name, classify(err))
+		}
+		dirs[filepath.Dir(p)] = true
+	}
+	for dir := range dirs {
+		if err := syncDir(dir); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // release drops one writer of a .tmp path from the live set.
@@ -320,6 +367,7 @@ type atomicFile struct {
 	store      *Store
 	f          *os.File
 	tmp, final string
+	volatile   bool
 	done       bool
 }
 
@@ -342,8 +390,9 @@ func (a *atomicFile) Write(p []byte) (int, error) {
 
 // Close publishes the file: fsync the data, close, atomically rename over
 // the final name, then fsync the parent directory so the rename itself is
-// durable. On any failure the temporary file is removed and the previous
-// published content (if any) is left intact. Closing twice is a no-op.
+// durable; a volatile file skips both fsyncs. On any failure the temporary
+// file is removed and the previous published content (if any) is left
+// intact. Closing twice is a no-op.
 func (a *atomicFile) Close() error {
 	if a.done {
 		return nil
@@ -351,10 +400,12 @@ func (a *atomicFile) Close() error {
 	a.done = true
 	// Live until the rename (or the failure cleanup) has happened.
 	defer a.store.release(a.tmp)
-	if err := a.f.Sync(); err != nil {
-		a.f.Close()
-		os.Remove(a.tmp)
-		return fmt.Errorf("diskstore: syncing %q: %w", a.final, classify(err))
+	if !a.volatile {
+		if err := a.store.fsync(a.f); err != nil {
+			a.f.Close()
+			os.Remove(a.tmp)
+			return fmt.Errorf("diskstore: syncing %q: %w", a.final, classify(err))
+		}
 	}
 	if err := a.f.Close(); err != nil {
 		os.Remove(a.tmp)
@@ -363,6 +414,9 @@ func (a *atomicFile) Close() error {
 	if err := os.Rename(a.tmp, a.final); err != nil {
 		os.Remove(a.tmp)
 		return fmt.Errorf("diskstore: publishing %q: %w", a.final, err)
+	}
+	if a.volatile {
+		return nil
 	}
 	return syncDir(filepath.Dir(a.final))
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 
 	"parahash/internal/store"
@@ -232,5 +233,80 @@ func TestReopenSeesPublishedFiles(t *testing.T) {
 	}
 	if s2.BytesWritten() != 0 {
 		t.Errorf("reopened store inherited write counter: %d", s2.BytesWritten())
+	}
+}
+
+// TestVolatilePublishSkipsFlushes pins what CreateVolatile saves and what
+// Sync pays: a volatile Close flushes nothing, a durable one flushes its
+// file, and Sync flushes each named file exactly once.
+func TestVolatilePublishSkipsFlushes(t *testing.T) {
+	s := open(t)
+	var flushed []string
+	s.fsync = func(f *os.File) error {
+		flushed = append(flushed, filepath.Base(f.Name()))
+		return f.Sync()
+	}
+	for _, name := range []string{"spill/0000/run-0000", "spill/0000/run-0001", "spill/0000/run-0002"} {
+		w, err := s.CreateVolatile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.WriteString(w, name)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(s.Root(), name+".tmp")); !os.IsNotExist(err) {
+			t.Errorf("%s: .tmp survives a volatile Close: %v", name, err)
+		}
+	}
+	if len(flushed) != 0 {
+		t.Fatalf("volatile publishes flushed %v", flushed)
+	}
+	put(t, s, "subgraphs/0000", "durable")
+	if len(flushed) != 1 || flushed[0] != "0000.tmp" {
+		t.Fatalf("durable publish flushed %v, want its .tmp", flushed)
+	}
+	flushed = nil
+	if err := s.Sync("spill/0000/run-0000", "spill/0000/run-0001"); err != nil {
+		t.Fatal(err)
+	}
+	if len(flushed) != 2 || flushed[0] != "run-0000" || flushed[1] != "run-0001" {
+		t.Fatalf("Sync flushed %v, want the two named runs", flushed)
+	}
+}
+
+// TestFlushENOSPCIsDiskFull: delayed allocation can surface ENOSPC at the
+// flush instead of at write(2); from a durable Close and from Sync alike it
+// must classify as store.ErrDiskFull, and a failed Sync leaves the published
+// file in place.
+func TestFlushENOSPCIsDiskFull(t *testing.T) {
+	s := open(t)
+	w, err := s.CreateVolatile("spill/0000/run-0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(w, "run")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.fsync = func(f *os.File) error {
+		return &os.PathError{Op: "sync", Path: f.Name(), Err: syscall.ENOSPC}
+	}
+	if err := s.Sync("spill/0000/run-0000"); !errors.Is(err, store.ErrDiskFull) {
+		t.Fatalf("ENOSPC at Sync: err = %v, want store.ErrDiskFull", err)
+	}
+	if n, err := s.Size("spill/0000/run-0000"); err != nil || n != 3 {
+		t.Fatalf("file after a failed Sync: size %d, err %v", n, err)
+	}
+	d, err := s.Create("subgraphs/0000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(d, "graph")
+	if err := d.Close(); !errors.Is(err, store.ErrDiskFull) {
+		t.Fatalf("ENOSPC at a durable Close: err = %v, want store.ErrDiskFull", err)
+	}
+	if _, err := s.Size("subgraphs/0000"); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("failed durable Close published the file: err = %v", err)
 	}
 }

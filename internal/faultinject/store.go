@@ -29,6 +29,7 @@ type Store struct {
 	mu          sync.Mutex
 	readFaults  map[string]*storeFault
 	writeFaults map[string]*storeFault
+	syncFaults  map[string]*storeFault
 	corruptions map[string]int
 	slowReads   map[string]*slowFault
 	slowWrites  map[string]*slowFault
@@ -82,6 +83,7 @@ func WrapStore(inner store.PartitionStore) *Store {
 		inner:       inner,
 		readFaults:  make(map[string]*storeFault),
 		writeFaults: make(map[string]*storeFault),
+		syncFaults:  make(map[string]*storeFault),
 		corruptions: make(map[string]int),
 		slowReads:   make(map[string]*slowFault),
 		slowWrites:  make(map[string]*slowFault),
@@ -102,6 +104,13 @@ func (s *Store) FailWritesOn(name string, err error) { s.setFault(s.writeFaults,
 // FailWritesNTimes makes the next n Writes to the named file return err.
 func (s *Store) FailWritesNTimes(name string, n int, err error) {
 	s.setFault(s.writeFaults, name, n, err)
+}
+
+// FailSyncsNTimes makes the next n Syncs that name the file return err — the
+// flush-time failure (delayed-allocation ENOSPC, a dying device) that Write
+// never saw.
+func (s *Store) FailSyncsNTimes(name string, n int, err error) {
+	s.setFault(s.syncFaults, name, n, err)
 }
 
 func (s *Store) setFault(m map[string]*storeFault, name string, n int, err error) {
@@ -165,11 +174,35 @@ func (s *Store) SetCapacityBytes(n int64) {
 // Create opens a writer on the inner store, interposing write faults,
 // latency and the capacity budget on every Write.
 func (s *Store) Create(name string) (io.WriteCloser, error) {
-	w, err := s.inner.Create(name)
+	return s.createWith(s.inner.Create, name)
+}
+
+// CreateVolatile is Create over the inner store's volatile writer: the same
+// faults apply whether or not Close will flush.
+func (s *Store) CreateVolatile(name string) (io.WriteCloser, error) {
+	return s.createWith(s.inner.CreateVolatile, name)
+}
+
+func (s *Store) createWith(create func(string) (io.WriteCloser, error), name string) (io.WriteCloser, error) {
+	w, err := create(name)
 	if err != nil {
 		return nil, err
 	}
 	return &faultyWriter{store: s, inner: w, name: name}, nil
+}
+
+// Sync applies any scripted sync fault on the named files, then forwards.
+func (s *Store) Sync(names ...string) error {
+	s.mu.Lock()
+	for _, name := range names {
+		if f := s.syncFaults[name]; f.take() {
+			err := f.err
+			s.mu.Unlock()
+			return fmt.Errorf("faultinject: syncing %q: %w", name, err)
+		}
+	}
+	s.mu.Unlock()
+	return s.inner.Sync(names...)
 }
 
 // Open serves the inner file, interposing read faults, latency and

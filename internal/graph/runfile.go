@@ -125,20 +125,27 @@ func (rw *RunWriter) Sum32() uint32 { return rw.sum }
 // RunReader streams a run file one vertex at a time, verifying the CRC
 // footer when the last vertex has been consumed.
 type RunReader struct {
-	br    *bufio.Reader
-	crc   hash.Hash32
-	k     int
-	count uint64
-	read  uint64
-	done  bool
+	r io.Reader
+	// buf[pos:end] is read but not yet consumed. The checksum is taken over
+	// each block as it is read, not record by record: 48-byte writes would
+	// never reach crc32's vectorised kernel.
+	buf      []byte
+	pos, end int
+	crc      uint32
+	// unsummed counts the record bytes still to be read and checksummed;
+	// whatever follows them is the footer.
+	unsummed uint64
+	k        int
+	count    uint64
+	read     uint64
+	done     bool
 }
 
 // NewRunReader parses the run header.
 func NewRunReader(r io.Reader) (*RunReader, error) {
-	rr := &RunReader{crc: crc32.NewIEEE()}
-	rr.br = bufio.NewReaderSize(r, 1<<15)
+	rr := &RunReader{r: r}
 	var head [runHeaderBytes]byte
-	if _, err := io.ReadFull(rr.br, head[:]); err != nil {
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrCorruptRun, err)
 	}
 	if [4]byte(head[:4]) != runMagic {
@@ -152,7 +159,9 @@ func NewRunReader(r io.Reader) (*RunReader, error) {
 	if rr.count > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible vertex count %d", ErrCorruptRun, rr.count)
 	}
-	rr.crc.Write(head[:])
+	rr.crc = crc32.ChecksumIEEE(head[:])
+	rr.unsummed = rr.count * VertexRecordBytes
+	rr.buf = make([]byte, 1<<15)
 	return rr, nil
 }
 
@@ -162,6 +171,29 @@ func (rr *RunReader) K() int { return rr.k }
 // Count returns the run's declared vertex count.
 func (rr *RunReader) Count() int64 { return int64(rr.count) }
 
+// take returns the next n unconsumed bytes, reading another block when
+// fewer are buffered. The slice is valid until the next call.
+func (rr *RunReader) take(n int) ([]byte, error) {
+	if rr.end-rr.pos < n {
+		rr.end = copy(rr.buf, rr.buf[rr.pos:rr.end])
+		rr.pos = 0
+		m, err := io.ReadAtLeast(rr.r, rr.buf[rr.end:], n-rr.end)
+		fresh := rr.buf[rr.end : rr.end+m]
+		if uint64(len(fresh)) > rr.unsummed {
+			fresh = fresh[:rr.unsummed]
+		}
+		rr.crc = crc32.Update(rr.crc, crc32.IEEETable, fresh)
+		rr.unsummed -= uint64(len(fresh))
+		rr.end += m
+		if err != nil {
+			return nil, err
+		}
+	}
+	b := rr.buf[rr.pos : rr.pos+n]
+	rr.pos += n
+	return b, nil
+}
+
 // Next returns the next vertex, or io.EOF after the last one — at which
 // point the footer CRC has been verified, so an io.EOF return certifies
 // the whole run's integrity.
@@ -170,23 +202,22 @@ func (rr *RunReader) Next() (Vertex, error) {
 		return Vertex{}, io.EOF
 	}
 	if rr.read == rr.count {
-		var foot [runFooterBytes]byte
-		if _, err := io.ReadFull(rr.br, foot[:]); err != nil {
+		foot, err := rr.take(runFooterBytes)
+		if err != nil {
 			return Vertex{}, fmt.Errorf("%w: footer: %v", ErrCorruptRun, err)
 		}
-		if got := binary.LittleEndian.Uint32(foot[:]); got != rr.crc.Sum32() {
+		if got := binary.LittleEndian.Uint32(foot); got != rr.crc {
 			return Vertex{}, fmt.Errorf("%w: CRC mismatch", ErrCorruptRun)
 		}
 		rr.done = true
 		return Vertex{}, io.EOF
 	}
-	var buf [VertexRecordBytes]byte
-	if _, err := io.ReadFull(rr.br, buf[:]); err != nil {
+	rec, err := rr.take(VertexRecordBytes)
+	if err != nil {
 		return Vertex{}, fmt.Errorf("%w: vertex %d: %v", ErrCorruptRun, rr.read, err)
 	}
-	rr.crc.Write(buf[:])
 	var v Vertex
-	getVertex(&v, buf[:])
+	getVertex(&v, rec)
 	rr.read++
 	return v, nil
 }
@@ -210,7 +241,7 @@ func VerifyRun(r io.Reader, k int) (int64, uint32, error) {
 	for i := int64(0); ; i++ {
 		v, err := rr.Next()
 		if err == io.EOF {
-			return rr.Count(), rr.crc.Sum32(), nil
+			return rr.Count(), rr.crc, nil
 		}
 		if err != nil {
 			return 0, 0, err

@@ -76,6 +76,22 @@ func (s *Store) Create(name string) (io.WriteCloser, error) {
 	return &countingWriter{store: s, buf: &bytes.Buffer{}, name: name}, nil
 }
 
+// CreateVolatile is Create: memory has no flush to defer.
+func (s *Store) CreateVolatile(name string) (io.WriteCloser, error) { return s.Create(name) }
+
+// Sync has nothing to flush; it only holds the contract's ErrNotFound for a
+// name that was never published.
+func (s *Store) Sync(names ...string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, name := range names {
+		if _, ok := s.files[name]; !ok {
+			return fmt.Errorf("%w: %q", ErrNotFound, name)
+		}
+	}
+	return nil
+}
+
 // Open returns a reader over a file's current content. The content is
 // copied at open time, so concurrent writers do not disturb readers, and a
 // scripted read fault (FailReadsNTimes) charges its budget exactly once per

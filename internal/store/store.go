@@ -40,6 +40,17 @@ var ErrDiskFull = errors.New("store: disk full")
 //     ErrNotFound). Durable implementations publish on Close by writing a
 //     temporary sibling, fsyncing and renaming, so a crash mid-write never
 //     leaves a partial file under the final name.
+//   - CreateVolatile is Create without the durability: Close publishes the
+//     complete file atomically — readers see the previous version or the new
+//     one, never a prefix — but until a Sync names it a crash may lose,
+//     empty or truncate it. It is for files that can be rebuilt from durable
+//     inputs and that no journal names yet (spill runs, merge intermediates),
+//     which must not each pay a flush.
+//   - Sync makes the named published files durable: each file is flushed,
+//     then each parent directory once. A claim journalled after Sync returns
+//     names only bytes a crash cannot take back; a file no claim will ever
+//     name is never synced. An absent name is an error wrapping ErrNotFound;
+//     a medium that runs out of space while flushing reports ErrDiskFull.
 //   - Open returns a reader over a snapshot of the file's content taken at
 //     open time: concurrent writers never disturb an open reader, and any
 //     scripted read fault (iosim's FailReadsNTimes) charges its fault budget
@@ -53,6 +64,8 @@ var ErrDiskFull = errors.New("store: disk full")
 //     accounting; TotalBytes is the current sum of published file sizes.
 type PartitionStore interface {
 	Create(name string) (io.WriteCloser, error)
+	CreateVolatile(name string) (io.WriteCloser, error)
+	Sync(names ...string) error
 	Open(name string) (io.Reader, error)
 	Size(name string) (int64, error)
 	Remove(name string) error

@@ -1,10 +1,10 @@
 // Package storetest is the conformance suite for store.PartitionStore
 // implementations. Every store (iosim's in-memory simulator, diskstore's
 // durable directory) runs the same suite from its own test file, so the
-// contract documented on the interface — publish-on-Close atomicity,
-// snapshot reads, ErrNotFound classification, idempotent Remove, sorted
-// listing that hides in-flight writes, cumulative byte accounting — is
-// enforced identically on both media. A behavioural divergence between the
+// contract documented on the interface — publish-on-Close atomicity (durable
+// and volatile alike), Sync's ErrNotFound, snapshot reads, ErrNotFound
+// classification, idempotent Remove, sorted listing that hides in-flight
+// writes, cumulative byte accounting — is enforced identically on both media. A behavioural divergence between the
 // simulated and the real store would silently invalidate the virtual-time
 // experiments, so additions to the interface contract belong here first.
 package storetest
@@ -28,20 +28,34 @@ type Factory func(t *testing.T) store.PartitionStore
 func Run(t *testing.T, factory Factory) {
 	t.Run("WriteReadRoundtrip", func(t *testing.T) { testRoundtrip(t, factory(t)) })
 	t.Run("NotFound", func(t *testing.T) { testNotFound(t, factory(t)) })
-	t.Run("PublishOnClose", func(t *testing.T) { testPublishOnClose(t, factory(t)) })
+	t.Run("PublishOnClose", func(t *testing.T) { s := factory(t); testPublishOnClose(t, s, s.Create) })
+	t.Run("VolatilePublishOnClose", func(t *testing.T) { s := factory(t); testPublishOnClose(t, s, s.CreateVolatile) })
 	t.Run("CreateReplacesOnClose", func(t *testing.T) { testCreateReplaces(t, factory(t)) })
 	t.Run("SnapshotRead", func(t *testing.T) { testSnapshotRead(t, factory(t)) })
 	t.Run("CloseIdempotent", func(t *testing.T) { testCloseIdempotent(t, factory(t)) })
 	t.Run("RemoveIdempotent", func(t *testing.T) { testRemoveIdempotent(t, factory(t)) })
 	t.Run("ListSorted", func(t *testing.T) { testListSorted(t, factory(t)) })
 	t.Run("ByteAccounting", func(t *testing.T) { testByteAccounting(t, factory(t)) })
-	t.Run("PublishDuringConcurrentOpen", func(t *testing.T) { testPublishDuringConcurrentOpen(t, factory(t)) })
+	t.Run("PublishDuringConcurrentOpen", func(t *testing.T) { s := factory(t); testPublishDuringConcurrentOpen(t, s, s.Create) })
+	t.Run("VolatilePublishDuringConcurrentOpen", func(t *testing.T) {
+		s := factory(t)
+		testPublishDuringConcurrentOpen(t, s, s.CreateVolatile)
+	})
+	t.Run("Sync", func(t *testing.T) { testSync(t, factory(t)) })
 	t.Run("ListDuringInflightWrites", func(t *testing.T) { testListDuringInflightWrites(t, factory(t)) })
 }
 
+// creator is Create or CreateVolatile: both publish atomically on Close.
+type creator func(name string) (io.WriteCloser, error)
+
 func put(t *testing.T, s store.PartitionStore, name, content string) {
 	t.Helper()
-	w, err := s.Create(name)
+	putWith(t, s.Create, name, content)
+}
+
+func putWith(t *testing.T, create creator, name, content string) {
+	t.Helper()
+	w, err := create(name)
 	if err != nil {
 		t.Fatalf("Create(%q): %v", name, err)
 	}
@@ -89,8 +103,8 @@ func testNotFound(t *testing.T, s store.PartitionStore) {
 	}
 }
 
-func testPublishOnClose(t *testing.T, s store.PartitionStore) {
-	w, err := s.Create("part")
+func testPublishOnClose(t *testing.T, s store.PartitionStore, create creator) {
+	w, err := create("part")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +126,10 @@ func testPublishOnClose(t *testing.T, s store.PartitionStore) {
 	}
 	if len(names) != 0 {
 		t.Errorf("unpublished file listed: %v", names)
+	}
+	// Nor can it be made durable: Sync sees published files only.
+	if err := s.Sync("part"); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("Sync of an unpublished file: err = %v, want ErrNotFound", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -207,7 +225,7 @@ func testListSorted(t *testing.T, s store.PartitionStore) {
 // one complete published version — never a torn mix of two versions and
 // never a short read — because Step 2 re-reads partitions concurrently
 // with Step 1 retries rewriting them.
-func testPublishDuringConcurrentOpen(t *testing.T, s store.PartitionStore) {
+func testPublishDuringConcurrentOpen(t *testing.T, s store.PartitionStore, create creator) {
 	// Versions are same-length and self-describing: every byte of version i
 	// equals 'a'+i, so a torn snapshot is detectable from any byte pair.
 	version := func(i int) string {
@@ -224,7 +242,7 @@ func testPublishDuringConcurrentOpen(t *testing.T, s store.PartitionStore) {
 	go func() {
 		defer close(done)
 		for i := 1; i < versions; i++ {
-			put(t, s, "f", version(i))
+			putWith(t, create, "f", version(i))
 		}
 	}()
 	for {
@@ -252,6 +270,31 @@ func testPublishDuringConcurrentOpen(t *testing.T, s store.PartitionStore) {
 			return
 		default:
 		}
+	}
+}
+
+// testSync pins the covering-sync contract: any published file — volatile or
+// not, in any directory — can be named, content is untouched, and an absent
+// name anywhere in the list is ErrNotFound.
+func testSync(t *testing.T, s store.PartitionStore) {
+	putWith(t, s.CreateVolatile, "spill/0001/run-0000", "run zero")
+	putWith(t, s.CreateVolatile, "spill/0001/run-0001", "run one")
+	putWith(t, s.CreateVolatile, "spill/0002/run-0000", "other partition")
+	put(t, s, "subgraphs/0001", "already durable")
+	if err := s.Sync("spill/0001/run-0000", "spill/0001/run-0001", "spill/0002/run-0000", "subgraphs/0001"); err != nil {
+		t.Fatalf("Sync of published files: %v", err)
+	}
+	if err := s.Sync("spill/0001/run-0000"); err != nil {
+		t.Fatalf("second Sync of the same file: %v", err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatalf("Sync of nothing: %v", err)
+	}
+	if got := get(t, s, "spill/0001/run-0001"); got != "run one" {
+		t.Errorf("content after Sync = %q", got)
+	}
+	if err := s.Sync("spill/0001/run-0000", "spill/0001/run-0009"); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("Sync naming an absent file: err = %v, want ErrNotFound", err)
 	}
 }
 
