@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -137,8 +138,9 @@ func TestCrashResumeE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crashed run: the child SIGKILLs itself after journalling the 5th
-	// Step 2 partition.
+	// Crashed run: the child SIGKILLs itself after the save that claims the
+	// 5th Step 2 partition (claims are journalled a group at a time, so the
+	// manifest then holds at least 5).
 	ck := filepath.Join(dir, "ck")
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashResumeHelper$")
 	cmd.Env = append(os.Environ(),
@@ -155,7 +157,7 @@ func TestCrashResumeE2E(t *testing.T) {
 	}
 
 	// The SIGKILL mid-build must leave no output file (atomic publication)
-	// and a manifest claiming exactly the 5 journalled partitions.
+	// and a manifest claiming at least the 5 partitions journalled by then.
 	if _, err := os.Stat(crashOut); !os.IsNotExist(err) {
 		t.Fatalf("crashed run left a partial output file: %v", err)
 	}
@@ -163,18 +165,19 @@ func TestCrashResumeE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Step1Done || len(m.Step2) != 5 {
-		t.Fatalf("post-crash manifest: step1_done=%v step2=%d, want true/5",
-			m.Step1Done, len(m.Step2))
+	claimed := len(m.Step2)
+	if !m.Step1Done || claimed < 5 {
+		t.Fatalf("post-crash manifest: step1_done=%v step2=%d, want true/>=5",
+			m.Step1Done, claimed)
 	}
 
-	// Resume: the survivor partitions are skipped, the rest rebuilt, and
+	// Resume: exactly the claimed partitions are skipped, the rest built, and
 	// the final graph is byte-identical to the uninterrupted run.
 	buf.Reset()
 	if err := run(append(buildArgs(crashOut, ck), "-resume"), &buf); err != nil {
 		t.Fatalf("resume failed: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "5 partitions resumed, 0 rebuilt") {
+	if !strings.Contains(buf.String(), fmt.Sprintf("%d partitions resumed, 0 rebuilt", claimed)) {
 		t.Errorf("resume summary missing:\n%s", buf.String())
 	}
 	a, err := os.ReadFile(cleanOut)

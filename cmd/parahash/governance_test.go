@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -100,7 +101,7 @@ func TestRunMemBudgetFlag(t *testing.T) {
 
 // TestSigintResumeE2E is the graceful-shutdown end-to-end test: a child
 // process (this test binary re-executed) wedges mid-Step 2 on the armed
-// stall point with three partitions journalled, receives SIGINT, and must
+// stall point with at least three partitions journalled, receives SIGINT, and must
 // exit 130 with the checkpoint intact and no tmp litter; resuming with
 // -resume must then produce output byte-identical to an uninterrupted run.
 func TestSigintResumeE2E(t *testing.T) {
@@ -121,8 +122,8 @@ func TestSigintResumeE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: the child stalls after journalling the 3rd Step 2
-	// partition; we SIGINT it there.
+	// Interrupted run: the child stalls after the save that claims the 3rd
+	// Step 2 partition; we SIGINT it there.
 	ck := filepath.Join(dir, "ck")
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestSigintResumeHelper$")
 	var childOut bytes.Buffer
@@ -167,7 +168,7 @@ func TestSigintResumeE2E(t *testing.T) {
 	}
 
 	// Graceful shutdown contract: no output file, no tmp litter, and a
-	// manifest claiming exactly the 3 journalled partitions.
+	// manifest claiming at least the 3 partitions journalled by then.
 	for _, p := range []string{intOut, intOut + ".tmp"} {
 		if _, serr := os.Stat(p); !os.IsNotExist(serr) {
 			t.Fatalf("interrupted run left %s behind: %v", p, serr)
@@ -177,18 +178,19 @@ func TestSigintResumeE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Step1Done || len(m.Step2) != 3 {
-		t.Fatalf("post-SIGINT manifest: step1_done=%v step2=%d, want true/3",
-			m.Step1Done, len(m.Step2))
+	claimed := len(m.Step2)
+	if !m.Step1Done || claimed < 3 {
+		t.Fatalf("post-SIGINT manifest: step1_done=%v step2=%d, want true/>=3",
+			m.Step1Done, claimed)
 	}
 
-	// Resume: the journalled partitions are adopted and the final graph is
+	// Resume: exactly the journalled partitions are adopted and the final graph is
 	// byte-identical to the uninterrupted run.
 	buf.Reset()
 	if err := run(append(buildArgs(intOut, ck), "-resume"), &buf); err != nil {
 		t.Fatalf("resume failed: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "3 partitions resumed, 0 rebuilt") {
+	if !strings.Contains(buf.String(), fmt.Sprintf("%d partitions resumed, 0 rebuilt", claimed)) {
 		t.Errorf("resume summary missing:\n%s", buf.String())
 	}
 	a, err := os.ReadFile(cleanOut)

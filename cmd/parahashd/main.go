@@ -113,6 +113,12 @@ func run(args []string, stdout io.Writer) error {
 		opts.MemoryBudgetBytes = budget
 	}
 
+	// SIGTERM/SIGINT start the graceful drain (stop admitting, checkpoint and
+	// journal running jobs, exit 0); a second signal kills. Registered before
+	// /healthz can answer: a client may signal the moment it does.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+
 	// The listener binds before recovery so /healthz can answer 503
 	// "starting" while journalled jobs are scrubbed and re-queued; it
 	// flips to 200 only once the manager reports ready.
@@ -164,11 +170,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "parahashd ready")
 
-	// SIGTERM/SIGINT start the graceful drain: stop admitting, checkpoint
-	// and journal running jobs, then exit 0. A second signal kills
-	// immediately (NotifyContext restores default disposition).
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:

@@ -252,8 +252,8 @@ func TestDaemonCrashResumeE2E(t *testing.T) {
 	dataDir := t.TempDir()
 	input := tinyFASTQBytes(t)
 
-	// Phase 1: daemon armed to die after journalling the 2nd Step 2
-	// partition of its first build.
+	// Phase 1: daemon armed to die after the save that claims the 2nd Step 2
+	// partition of its first build (a group claim: at least 2 are journalled).
 	cmd, addr, out := startDaemon(t, dataDir,
 		faultinject.CrashEnv+"=step2.partition:2")
 	waitHealthz(t, addr, out)
@@ -323,8 +323,8 @@ func TestDaemonSigtermDrainE2E(t *testing.T) {
 	waitHealthz(t, addr, out)
 	rec := submitJob(t, addr, input)
 
-	// Wait for two journalled Step 2 claims (the stall holds the build
-	// right after the second), then SIGTERM.
+	// Wait for two journalled Step 2 claims (the stall holds the committer
+	// right after the save that claims the second), then SIGTERM.
 	mpath := filepath.Join(dataDir, "jobs", rec.ID, "checkpoint", "manifest.json")
 	deadline := time.Now().Add(60 * time.Second)
 	for {

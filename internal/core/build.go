@@ -51,7 +51,7 @@ func PartitionOnly(reads []fastq.Read, cfg Config) ([]msp.PartitionStats, StepSt
 	if err := fastq.Validate(reads, cfg.K); err != nil {
 		return nil, StepStats{}, err
 	}
-	stats, _, stepStats, err := runStep1(context.Background(), reads, cfg, storeSinks(newSimStore(cfg)))
+	stats, _, stepStats, err := runStep1(context.Background(), reads, cfg, storeSinks(newSimStore(cfg), nil))
 	return stats, stepStats, err
 }
 
@@ -184,21 +184,32 @@ func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *ch
 			MeasuredProcessorParts: make([]int, n),
 		}, nil
 	}
-	sinks := storeSinks(st)
+	var only map[int]bool // the partitions to write; nil: all of them
 	if ck != nil && ck.step1Valid {
-		sinks = rebuildSinks(st, ck.step1Rebuild)
+		only = ck.step1Rebuild
 	}
-	partStats, infos, stepStats, err := run(sinks)
+	partStats, infos, stepStats, err := run(storeSinks(st, only))
 	if err != nil {
 		return nil, StepStats{}, err
 	}
 	if ck != nil {
-		// The partition files are durably published (the writer closed);
-		// a crash before the manifest records them forces a Step 1 rerun on
-		// resume, which is safe — the files are simply rewritten.
+		// The partition files are published (the writer closed) but neither
+		// durable nor claimed; a crash here forces a Step 1 rerun on resume,
+		// which is safe — the files are simply rewritten.
 		faultinject.MaybeCrash("step1.published")
-		if err := faultinject.MaybeStall(ctx, "step1.published"); err != nil {
-			return nil, StepStats{}, err
+		if faultinject.MaybeStall(ctx, "step1.published") != nil {
+			return nil, StepStats{}, context.Cause(ctx)
+		}
+		// The roster may name only durable files: one covering Sync over what
+		// this run wrote, then the one save that claims them all.
+		var wrote []string
+		for i := range partStats {
+			if only == nil || only[i] {
+				wrote = append(wrote, superkmerFile(i))
+			}
+		}
+		if err := st.Sync(wrote...); err != nil {
+			return nil, StepStats{}, fmt.Errorf("core: syncing the partition files: %w", err)
 		}
 		if err := ck.recordStep1(partStats, infos); err != nil {
 			return nil, StepStats{}, err

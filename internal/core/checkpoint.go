@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"parahash/internal/diskstore"
@@ -31,9 +31,12 @@ type checkpoint struct {
 	path string
 
 	// mu serialises manifest mutation and Save. Step 2 completions are
-	// journalled from the pipeline's write stage (single-threaded), but
-	// completed spill scans are claimed from concurrent compute workers.
+	// journalled by the step's one committer goroutine, but completed spill
+	// scans are claimed from concurrent compute workers.
 	mu sync.Mutex
+	// superseded lists partitions whose spill claims a Step 2 claim dropped
+	// and whose run files are still to be removed once that claim is saved.
+	superseded []int
 	// closed is set when the build returns. An attempt the watchdog
 	// abandoned, or one still unwinding from a cancellation, outlives the
 	// build that started it; once the caller has the result, the manifest
@@ -328,10 +331,11 @@ func (ck *checkpoint) partitionStats() []msp.PartitionStats {
 }
 
 // recordStep1 journals Step 1 completion: every partition's published file
-// footprint plus its statistics, then Step1Done. Called only after the
-// writer has closed — i.e. after every file is durably published — so each
-// claim is backed by bytes on disk.
+// footprint plus its statistics, then Step1Done. Called only after the files
+// this run wrote have been Sync'd, so each claim is backed by bytes on disk.
 func (ck *checkpoint) recordStep1(stats []msp.PartitionStats, infos []msp.FileInfo) error {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
 	for i := range stats {
 		ck.man.SetStep1(manifest.Step1Partition{
 			Index:        i,
@@ -346,60 +350,64 @@ func (ck *checkpoint) recordStep1(stats []msp.PartitionStats, infos []msp.FileIn
 		})
 	}
 	ck.man.Step1Done = true
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
 	return ck.save()
 }
 
-// markStep2 journals one partition's Step 2 completion after its subgraph
-// file has been durably published. written is the graph as written (after
-// any output filtering); distinct is the constructed pre-filter vertex
-// count, preserved so resumed runs keep exact graph-size accounting. Any
-// spill claims the partition accumulated are dropped in the same atomic
-// save — the subgraph supersedes its runs — and the run files are removed
-// afterwards (a crash in between leaves unjournalled orphans, swept by
-// Scrub).
-func (ck *checkpoint) markStep2(i int, written *graph.Subgraph, distinct int64) error {
-	ck.mu.Lock()
-	spilled := ck.man.SpillRunsFor(i)
-	ck.man.DropSpill(i)
-	ck.man.SetStep2(manifest.Step2Partition{
+// step2Record is partition i's Step 2 claim. written is the graph as written
+// (after any output filtering); distinct is the constructed pre-filter vertex
+// count, preserved so resumed runs keep exact graph-size accounting.
+func step2Record(i int, written *graph.Subgraph, distinct int64) manifest.Step2Partition {
+	return manifest.Step2Partition{
 		Index:    i,
 		Name:     subgraphFile(i),
 		Bytes:    graph.SerializedSize(written.NumVertices()),
 		Vertices: int64(written.NumVertices()),
 		Edges:    int64(written.NumEdges()),
 		Distinct: distinct,
-	})
-	err := ck.save()
-	ck.mu.Unlock()
-	if err != nil {
-		return err
 	}
-	for _, rec := range spilled {
-		_ = ck.ds.Remove(rec.Name)
-	}
-	if len(spilled) > 0 {
-		// Merge intermediates continue the run ordinal sequence but are
-		// never journalled (they are reconstructible), so the claim loop
-		// above misses them: sweep the partition's whole spill namespace.
-		sweepSpillPrefix(ck.ds, i)
-	}
-	return nil
 }
 
-// sweepSpillPrefix best-effort removes every store object under a
-// partition's spill directory — journalled runs and unjournalled merge
-// intermediates alike. Called only after the partition's subgraph is
-// durable, when the runs have nothing left to prove.
-func sweepSpillPrefix(st store.PartitionStore, part int) {
+// markStep2 journals a group of Step 2 completions in one save; the caller
+// has made the subgraph files they name durable. Any spill claims the
+// partitions accumulated are dropped in the same atomic save — a subgraph
+// supersedes its runs — and the run files removed afterwards (a crash in
+// between leaves orphans, swept by Scrub). Safe to repeat after a failed save.
+func (ck *checkpoint) markStep2(group ...manifest.Step2Partition) error {
+	ck.mu.Lock()
+	for _, rec := range group {
+		if len(ck.man.SpillRunsFor(rec.Index)) > 0 {
+			ck.superseded = append(ck.superseded, rec.Index)
+		}
+		ck.man.DropSpill(rec.Index)
+		ck.man.SetStep2(rec)
+	}
+	err := ck.save()
+	sweep := ck.superseded
+	if err == nil {
+		ck.superseded = nil
+	}
+	ck.mu.Unlock()
+	if err == nil && len(sweep) > 0 {
+		sweepSpill(ck.ds, sweep)
+	}
+	return err
+}
+
+// sweepSpill best-effort removes everything under the partitions' spill
+// directories — journalled runs and the merge intermediates that continue
+// their ordinals unjournalled — with one listing of the store. Called only
+// once the partitions' subgraphs are claimed and the runs prove nothing.
+func sweepSpill(st store.PartitionStore, parts []int) {
 	names, err := st.List()
 	if err != nil {
 		return
 	}
-	prefix := fmt.Sprintf("spill/%04d/", part)
+	dirs := make(map[string]bool, len(parts))
+	for _, part := range parts {
+		dirs[path.Dir(spillRunFile(part, 0))] = true
+	}
 	for _, name := range names {
-		if strings.HasPrefix(name, prefix) {
+		if dirs[path.Dir(name)] {
 			_ = st.Remove(name)
 		}
 	}

@@ -161,7 +161,7 @@ func (p *DistPlan) PromoteFenced(i int, token int64, distinct int64) error {
 	if err := p.ck.ds.Rename(name, subgraphFile(i)); err != nil {
 		return fmt.Errorf("core: promoting fenced subgraph %q: %w", name, err)
 	}
-	if err := p.ck.markStep2(i, g, distinct); err != nil {
+	if err := p.ck.markStep2(step2Record(i, g, distinct)); err != nil {
 		return err
 	}
 	if p.cfg.KeepSubgraphs {
@@ -340,22 +340,8 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 			return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 		}
 	}
-	toWrite := out.Graph
-	if cfg.OutputFilterMin > 1 {
-		filtered := &graph.Subgraph{K: toWrite.K,
-			Vertices: append([]graph.Vertex(nil), toWrite.Vertices...)}
-		filtered.FilterByMultiplicity(cfg.OutputFilterMin)
-		toWrite = filtered
-	}
-	sink, err := st.Create(outName)
+	toWrite, err := publishSubgraph(st.Create, outName, out.Graph, cfg.OutputFilterMin)
 	if err != nil {
-		return DistOutput{}, fmt.Errorf("core: creating fenced subgraph %q: %w", outName, err)
-	}
-	if err := toWrite.Write(sink); err != nil {
-		sink.Close()
-		return DistOutput{}, fmt.Errorf("core: writing fenced subgraph %q: %w", outName, err)
-	}
-	if err := sink.Close(); err != nil {
 		return DistOutput{}, err
 	}
 	return DistOutput{

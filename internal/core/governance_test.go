@@ -43,11 +43,12 @@ func TestBuildContextTimeoutWrapsCause(t *testing.T) {
 	}
 }
 
-// TestCancelMidStep2JournalsCompletedPartitions stalls the Step 2 writer
-// after it has journalled three partitions, cancels the build, and verifies
-// the ISSUE's cancellation contract: the error wraps ErrCanceled, exactly
-// the completed partitions are in the manifest, and a -resume build picks
-// them up and produces the same graph as an uninterrupted run.
+// TestCancelMidStep2JournalsCompletedPartitions stalls the Step 2 committer
+// after the save that claims the third partition, cancels the build, and
+// verifies the cancellation contract: the error wraps ErrCanceled and keeps
+// the cause, the manifest claims at least those three partitions, and a
+// -resume build adopts exactly what the manifest claims and produces the same
+// graph as an uninterrupted run.
 func TestCancelMidStep2JournalsCompletedPartitions(t *testing.T) {
 	reads := tinyReads(t)
 	cfg, dir := ckConfig(t)
@@ -64,8 +65,8 @@ func TestCancelMidStep2JournalsCompletedPartitions(t *testing.T) {
 		errc <- err
 	}()
 
-	// The writer journals partitions in order and stalls right after the
-	// third markStep2; wait for those three entries, then cancel.
+	// The committer claims partitions in order, a group at a time, and stalls
+	// right after the save that claims the third; wait for it, then cancel.
 	mpath := filepath.Join(dir, "manifest.json")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -90,8 +91,9 @@ func TestCancelMidStep2JournalsCompletedPartitions(t *testing.T) {
 	if lerr != nil {
 		t.Fatal(lerr)
 	}
-	if len(m.Step2) != 3 {
-		t.Fatalf("manifest has %d Step 2 partitions, want exactly the 3 journalled before the stall", len(m.Step2))
+	claimed := len(m.Step2)
+	if claimed < 3 {
+		t.Fatalf("manifest has %d Step 2 partitions, want at least the 3 claimed before the stall", claimed)
 	}
 
 	// Resume must adopt the journalled partitions and finish the build.
@@ -102,8 +104,9 @@ func TestCancelMidStep2JournalsCompletedPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume after cancellation: %v", err)
 	}
-	if res.Stats.ResumedPartitions != 3 {
-		t.Fatalf("resume adopted %d partitions, want 3", res.Stats.ResumedPartitions)
+	if res.Stats.ResumedPartitions != claimed || res.Stats.RebuiltPartitions != 0 {
+		t.Fatalf("resume adopted %d partitions and rebuilt %d, want the %d claimed and none rebuilt",
+			res.Stats.ResumedPartitions, res.Stats.RebuiltPartitions, claimed)
 	}
 	if want := graph.BuildNaive(reads, cfg.K); !res.Graph.Equal(want) {
 		t.Fatal("resumed graph diverges from the naive reference")

@@ -22,12 +22,13 @@ import (
 	"parahash/internal/store/storetest"
 )
 
-// The out-of-core durability rule under test: a file is fsync'd only before
-// a claim that names it is journalled, and a claim is journalled only when a
-// resume would use it. So a spilled partition costs one covering Sync and two
-// manifest saves (scan claimed, subgraph published) however many runs it has,
-// and files no claim ever names — merge intermediates, a dist worker's
-// fenced runs — are never synced at all.
+// The durability rule under test, both halves: a file is fsync'd only before
+// a claim that names it is journalled, and a claim names every file that is
+// ready when it is written. So a spilled partition costs one covering Sync and
+// one scan claim however many runs it has, subgraphs are flushed and claimed a
+// group at a time, the Step 1 roster after one covering Sync, and files no
+// claim ever names — merge intermediates, a dist worker's fenced runs — are
+// never synced at all. (The in-core half is in group_commit_test.go.)
 
 // spillDurabilityConfig spills every partition into enough runs (about twenty
 // each) that each needs a reduction pass, so merge intermediates exist.
@@ -43,17 +44,21 @@ func spillDurabilityConfig(t *testing.T) (Config, string) {
 var scannedRun = regexp.MustCompile(`^spill/(\d{4})/run-(\d{4})$`)
 
 // syncRecorder is the recording store: which names were published durably,
-// which volatile, and which a successful Sync has covered.
+// which volatile, how often a successful Sync has covered each name, how many
+// Sync calls succeeded and how many of them named a subgraph (one per Step 2
+// commit group).
 type syncRecorder struct {
 	store.PartitionStore
-	mu       sync.Mutex
-	durable  map[string]bool
-	volatile map[string]bool
-	synced   map[string]bool
+	mu            sync.Mutex
+	durable       map[string]bool
+	volatile      map[string]bool
+	synced        map[string]int
+	syncCalls     int
+	subgraphSyncs int
 }
 
 func newSyncRecorder(inner store.PartitionStore) *syncRecorder {
-	return &syncRecorder{PartitionStore: inner, durable: map[string]bool{}, volatile: map[string]bool{}, synced: map[string]bool{}}
+	return &syncRecorder{PartitionStore: inner, durable: map[string]bool{}, volatile: map[string]bool{}, synced: map[string]int{}}
 }
 
 func (r *syncRecorder) Create(name string) (io.WriteCloser, error) {
@@ -75,8 +80,14 @@ func (r *syncRecorder) Sync(names ...string) error {
 		return err
 	}
 	r.mu.Lock()
+	r.syncCalls++
+	group := false
 	for _, name := range names {
-		r.synced[name] = true
+		r.synced[name]++
+		group = group || strings.HasPrefix(name, "subgraphs/")
+	}
+	if group {
+		r.subgraphSyncs++
 	}
 	r.mu.Unlock()
 	return nil
@@ -85,10 +96,12 @@ func (r *syncRecorder) Sync(names ...string) error {
 // journalWatch is the manifest-save observer of one build.
 type journalWatch struct {
 	rec *syncRecorder
-	// saves counts every save observed; scanRuns is each partition's run
-	// count as claimed; claims and completions count, per partition, the
-	// saves that claimed its scan and that journalled its subgraph.
+	// saves counts every save observed, step2Saves those that claimed at
+	// least one more subgraph; scanRuns is each partition's run count as
+	// claimed; claims and completions count, per partition, the saves that
+	// claimed its scan and that journalled its subgraph.
 	saves       int
+	step2Saves  int
 	scanRuns    map[int]int
 	claims      map[int]int
 	completions map[int]int
@@ -99,25 +112,40 @@ type journalWatch struct {
 // observe runs inside checkpoint.save, under the checkpoint's lock.
 func (w *journalWatch) observe(m *manifest.Manifest) {
 	w.saves++
-	w.rec.mu.Lock()
+	var claimed []string
+	for _, rec := range m.Step1 {
+		claimed = append(claimed, rec.Name)
+	}
+	for _, rec := range m.Step2 {
+		claimed = append(claimed, rec.Name)
+	}
 	for _, run := range m.SpillRuns {
-		if !w.rec.synced[run.Name] {
-			w.unsynced = append(w.unsynced, run.Name)
+		claimed = append(claimed, run.Name)
+	}
+	w.rec.mu.Lock()
+	for _, name := range claimed {
+		if w.rec.synced[name] == 0 {
+			w.unsynced = append(w.unsynced, name)
 		}
 	}
 	w.rec.mu.Unlock()
 	// One save carries one mutation: a partition's scan newly claimed, or a
-	// partition newly complete.
+	// group of partitions newly complete.
 	for _, p := range m.SpillDone {
 		if runs := len(m.SpillRunsFor(p)); w.scanRuns[p] != runs {
 			w.scanRuns[p] = runs
 			w.claims[p]++
 		}
 	}
+	grew := false
 	for _, rec := range m.Step2 {
 		if w.completions[rec.Index] == 0 {
 			w.completions[rec.Index] = 1
+			grew = true
 		}
+	}
+	if grew {
+		w.step2Saves++
 	}
 }
 
@@ -130,26 +158,42 @@ func watchedBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Result,
 		return nil, nil, err
 	}
 	defer ck.close()
-	w := &journalWatch{rec: newSyncRecorder(st), scanRuns: map[int]int{}, claims: map[int]int{}, completions: map[int]int{}}
-	ck.onSave = w.observe
+	return watchedBuildOver(ctx, reads, cfg, st, ck)
+}
+
+// watchedBuildOver is watchedBuild over an already opened checkpoint, for
+// tests that put a store of their own under the recorder.
+func watchedBuildOver(ctx context.Context, reads []fastq.Read, cfg Config, st store.PartitionStore, ck *checkpoint) (*Result, *journalWatch, error) {
+	w := watchCheckpoint(st, ck)
 	res, err := buildWithStore(ctx, reads, cfg, w.rec, ck)
 	return res, w, err
 }
 
-// checkOrdering asserts (i) and (ii) for one build, finished or killed:
-// every claimed run was synced before its claim's save began, nothing but a
-// scanned run — ordinal below the partition's scan count — was ever synced,
-// and no spill file was published through the durable Create. scanRuns is the uninterrupted build's run count per partition
-// (run boundaries are deterministic).
+// watchCheckpoint puts the recording store over st and the observer on ck.
+func watchCheckpoint(st store.PartitionStore, ck *checkpoint) *journalWatch {
+	w := &journalWatch{rec: newSyncRecorder(st), scanRuns: map[int]int{}, claims: map[int]int{}, completions: map[int]int{}}
+	ck.onSave = w.observe
+	return w
+}
+
+// checkOrdering asserts the rule for one build, finished or killed: every
+// name in every saved claim was synced before that save began; nothing but a
+// partition file, a subgraph or a scanned run — ordinal below the partition's
+// scan count — was ever synced; and nothing the single-process build writes
+// was published through the durable Create. scanRuns is the uninterrupted
+// build's run count per partition (run boundaries are deterministic).
 func checkOrdering(t *testing.T, w *journalWatch, scanRuns map[int]int) {
 	t.Helper()
 	if len(w.unsynced) > 0 {
 		t.Errorf("claims journalled before their files were synced: %v", w.unsynced)
 	}
 	for name := range w.rec.synced {
+		if strings.HasPrefix(name, "superkmers/") || strings.HasPrefix(name, "subgraphs/") {
+			continue
+		}
 		m := scannedRun.FindStringSubmatch(name)
 		if m == nil {
-			t.Errorf("synced %q: not a scanned run", name)
+			t.Errorf("synced %q: not a partition file, a subgraph or a scanned run", name)
 			continue
 		}
 		part, _ := strconv.Atoi(m[1])
@@ -158,9 +202,7 @@ func checkOrdering(t *testing.T, w *journalWatch, scanRuns map[int]int) {
 		}
 	}
 	for name := range w.rec.durable {
-		if strings.HasPrefix(name, "spill/") {
-			t.Errorf("%q was published with its own fsyncs", name)
-		}
+		t.Errorf("%q was published with its own fsyncs", name)
 	}
 	for p, n := range w.claims {
 		if n+w.completions[p] > 2 {
@@ -254,11 +296,12 @@ func uninterruptedGraph(t *testing.T, reads []fastq.Read) []byte {
 	return serializeGraph(t, res.Graph)
 }
 
-// TestSpillClaimsOnlySyncedRuns is the ordering test: for an uninterrupted
-// spilled build and for a kill at every step2.spill hit and every
-// step2.spill.merge hit, claims name only synced files, only scanned runs
-// are ever synced, a spilled partition costs two saves — and every kill
-// resumes to the identical graph.
+// TestSpillClaimsOnlySyncedRuns is the ordering test on the out-of-core path:
+// for an uninterrupted spilled build and for a kill at every step1.published,
+// step2.spill, step2.spill.merge and step2.partition hit, claims name only
+// synced files, no merge intermediate is ever synced, a spilled partition
+// costs one scan claim and a share of a group's — and every kill resumes to
+// the identical graph.
 func TestSpillClaimsOnlySyncedRuns(t *testing.T) {
 	reads := tinyReads(t)
 	cfg, dir := spillDurabilityConfig(t)
@@ -283,18 +326,20 @@ func TestSpillClaimsOnlySyncedRuns(t *testing.T) {
 	if int64(totalRuns) != res.Stats.Spill.Runs {
 		t.Errorf("claimed %d runs, the build spilled %d", totalRuns, res.Stats.Spill.Runs)
 	}
-	// Step 1's record plus two saves per spilled partition; with the fresh
-	// manifest openCheckpoint wrote before the observer existed that is the
-	// issue's 2 + NP + spilled.
-	if wantSaves := 1 + 2*np; clean.saves != wantSaves {
+	// Step 1's record, one scan claim per spilled partition, one save per
+	// commit group.
+	if clean.step2Saves < 1 || clean.step2Saves > np || clean.step2Saves != clean.rec.subgraphSyncs {
+		t.Errorf("%d Step 2 saves for %d commit groups over %d partitions", clean.step2Saves, clean.rec.subgraphSyncs, np)
+	}
+	if wantSaves := 1 + np + clean.step2Saves; clean.saves != wantSaves {
 		t.Errorf("%d manifest saves observed, want %d", clean.saves, wantSaves)
 	}
-	if len(clean.rec.synced) != totalRuns {
-		t.Errorf("%d files synced, want the %d claimed runs", len(clean.rec.synced), totalRuns)
+	if want := 2*np + totalRuns; len(clean.rec.synced) != want {
+		t.Errorf("%d files synced, want %d: the partition files, the subgraphs and the claimed runs", len(clean.rec.synced), want)
 	}
 	intermediates := 0
 	for name := range clean.rec.volatile {
-		if !clean.rec.synced[name] {
+		if clean.rec.synced[name] == 0 {
 			intermediates++
 		}
 	}
@@ -321,6 +366,7 @@ func TestSpillClaimsOnlySyncedRuns(t *testing.T) {
 	for hit := 1; hit <= totalRuns; hit += step {
 		kill("step2.spill", hit)
 	}
+	kill("step1.published", 1)
 	for hit := 1; hit <= np; hit++ {
 		kill("step2.spill.merge", hit)
 		kill("step2.partition", hit)

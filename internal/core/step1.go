@@ -40,20 +40,17 @@ func SpillRunFile(part, run int) string { return spillRunFile(part, run) }
 // partitionSinks opens the sink for one superkmer partition's encoded file.
 type partitionSinks func(i int) (io.WriteCloser, error)
 
-// storeSinks writes every partition into the store.
-func storeSinks(st store.PartitionStore) partitionSinks {
-	return func(i int) (io.WriteCloser, error) { return st.Create(superkmerFile(i)) }
-}
-
-// rebuildSinks writes only the target partitions, discarding the rest. A
-// selective Step 1 rebuild still re-scans the full input — MSP routing needs
-// every read — but only the partitions being rebuilt touch the store, and
-// because a partition's record order equals the global read order, the
-// rewritten files are byte-identical to the originals.
-func rebuildSinks(st store.PartitionStore, targets map[int]bool) partitionSinks {
+// storeSinks writes the partitions into the store: every one, or with a
+// non-nil only just those, discarding the rest. A selective Step 1 rebuild
+// still re-scans the full input — MSP routing needs every read — but only the
+// partitions being rebuilt touch the store, and because a partition's record
+// order equals the global read order, the rewritten files are byte-identical
+// to the originals. The files are published without an fsync: buildStep1
+// flushes them all at once before the roster that names them is journalled.
+func storeSinks(st store.PartitionStore, only map[int]bool) partitionSinks {
 	return func(i int) (io.WriteCloser, error) {
-		if targets[i] {
-			return st.Create(superkmerFile(i))
+		if only == nil || only[i] {
+			return st.CreateVolatile(superkmerFile(i))
 		}
 		return nopSink{}, nil
 	}

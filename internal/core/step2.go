@@ -113,9 +113,10 @@ func loadPartition(st store.PartitionStore, name string) (msp.DecodedPartition, 
 
 // runStep2 executes the subgraph construction step: superkmer partitions
 // flow through the pipeline, each hashed by an idle processor into a
-// subgraph that the output stage serialises to the store. With a checkpoint,
+// subgraph that the output stage publishes to the store. With a checkpoint,
 // partitions whose Step 2 completion already verified are skipped entirely,
-// and every freshly published subgraph is journalled in the manifest.
+// and the freshly published subgraphs are made durable and claimed in the
+// manifest a group at a time (step2Committer).
 func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, st store.PartitionStore, ck *checkpoint) ([]*graph.Subgraph, []step2Work, StepStats, error) {
 	np := len(partStats)
 	procs := processors(cfg)
@@ -203,6 +204,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		}
 	}
 
+	committer := startStep2Committer(ctx, cfg, st, ck)
 	read := func(slot int) (step2Input, error) {
 		in := step2Input{part: pending[slot], spill: plans[slot]}
 		if in.spill != nil && in.spill.mergeOnly != nil {
@@ -238,47 +240,24 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			w.mergePasses = out.MergePasses
 			w.spillBufferBytes = plan.budget
 		}
-		toWrite := out.Graph
-		if cfg.OutputFilterMin > 1 {
-			filtered := &graph.Subgraph{K: toWrite.K,
-				Vertices: append([]graph.Vertex(nil), toWrite.Vertices...)}
-			filtered.FilterByMultiplicity(cfg.OutputFilterMin)
-			toWrite = filtered
+		// Published, not durable: the committer flushes it with its group.
+		toWrite, err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin)
+		if err != nil {
+			return err
 		}
 		w.graphBytes = graph.SerializedSize(toWrite.NumVertices())
-		sink, err := st.Create(subgraphFile(i))
-		if err != nil {
-			return fmt.Errorf("core: creating subgraph %d: %w", i, err)
-		}
-		if err := toWrite.Write(sink); err != nil {
-			sink.Close()
-			return fmt.Errorf("core: writing subgraph %d: %w", i, err)
-		}
-		if err := sink.Close(); err != nil {
-			return err
-		}
-		// The file is durably published only after Close; journal the
-		// completion now, then honour an armed crash point — a kill here
-		// models power loss with the partition already safe.
-		if ck != nil {
-			if err := ck.markStep2(i, toWrite, out.Distinct); err != nil {
-				return err
-			}
-		}
-		faultinject.MaybeCrash("step2.partition")
-		// The armed stall point models a build wedged after journalling this
-		// partition; the SIGINT e2e test uses it to hold the run mid-Step 2
-		// with a known set of completed partitions.
-		if err := faultinject.MaybeStall(ctx, "step2.partition"); err != nil {
-			return err
-		}
 		if cfg.KeepSubgraphs {
 			subgraphs[i] = out.Graph
 		}
-		return nil
+		return committer.submit(step2Record(i, toWrite, out.Distinct))
 	}
 
 	report, err := pipeline.RunResilientTraced(ctx, len(pending), read, workers, write, pol, stepRecorder(cfg, "step2", procs))
+	// Drained on every path: when the step returns, every published subgraph
+	// is claimed or will never be, and the manifest is written no more.
+	if cerr := committer.drain(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, nil, StepStats{}, err
 	}
@@ -289,6 +268,25 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	}
 	applyReport(&stats, report, procs)
 	return subgraphs, works, stats, nil
+}
+
+// publishSubgraph applies the output filter to g and publishes the result
+// under name through create — the store's volatile or durable writer —
+// returning the graph as written.
+func publishSubgraph(create func(string) (io.WriteCloser, error), name string, g *graph.Subgraph, filterMin int) (*graph.Subgraph, error) {
+	if filterMin > 1 {
+		g = &graph.Subgraph{K: g.K, Vertices: append([]graph.Vertex(nil), g.Vertices...)}
+		g.FilterByMultiplicity(filterMin)
+	}
+	sink, err := create(name)
+	if err != nil {
+		return nil, fmt.Errorf("core: creating subgraph %q: %w", name, err)
+	}
+	if err := g.Write(sink); err != nil {
+		sink.Close()
+		return nil, fmt.Errorf("core: writing subgraph %q: %w", name, err)
+	}
+	return g, sink.Close()
 }
 
 // foldStep2Works accumulates the per-partition Step 2 measurements into the

@@ -112,36 +112,61 @@ func (s *Store) create(name string, volatile bool) (io.WriteCloser, error) {
 	return &atomicFile{store: s, f: f, tmp: tmp, final: final, volatile: volatile}, nil
 }
 
-// Sync makes the named published files durable: it fsyncs each file, then
-// each distinct parent directory once — the two flushes CreateVolatile
-// skipped, batched over everything a journal claim is about to name.
+// syncParallelism is how many files Sync flushes at once. An fsync is time
+// spent waiting on the device, not computing, so a few in flight overlap the
+// waits; more than a few only queue on the same journal.
+const syncParallelism = 4
+
+// Sync makes the named published files durable: it fsyncs each file —
+// syncParallelism at a time — then each distinct parent directory once: the
+// two flushes CreateVolatile skipped, batched over everything a journal claim
+// is about to name. The error returned is the first-named failing file's.
 func (s *Store) Sync(names ...string) error {
-	dirs := make(map[string]bool)
-	for _, name := range names {
-		p, err := s.pathOf(name)
-		if err != nil {
-			return err
-		}
-		f, err := os.Open(p)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return fmt.Errorf("%w: %q", store.ErrNotFound, name)
-			}
-			return fmt.Errorf("diskstore: syncing %q: %w", name, err)
-		}
-		err = s.fsync(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("diskstore: syncing %q: %w", name, classify(err))
-		}
-		dirs[filepath.Dir(p)] = true
+	dirs, errs := make([]string, len(names)), make([]error, len(names))
+	slots := make(chan struct{}, syncParallelism)
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		slots <- struct{}{}
+		go func(i int, name string) {
+			dirs[i], errs[i] = s.syncFile(name)
+			<-slots
+			wg.Done()
+		}(i, name)
 	}
-	for dir := range dirs {
-		if err := syncDir(dir); err != nil {
+	wg.Wait()
+	synced := make(map[string]bool)
+	for i, err := range errs {
+		if err != nil {
 			return err
+		}
+		if !synced[dirs[i]] {
+			synced[dirs[i]] = true
+			syncDir(dirs[i])
 		}
 	}
 	return nil
+}
+
+// syncFile fsyncs one published file and returns its directory.
+func (s *Store) syncFile(name string) (string, error) {
+	p, err := s.pathOf(name)
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(p)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return "", fmt.Errorf("%w: %q", store.ErrNotFound, name)
+		}
+		return "", fmt.Errorf("diskstore: syncing %q: %w", name, err)
+	}
+	err = s.fsync(f)
+	f.Close()
+	if err != nil {
+		return "", fmt.Errorf("diskstore: syncing %q: %w", name, classify(err))
+	}
+	return filepath.Dir(p), nil
 }
 
 // release drops one writer of a .tmp path from the live set.

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -241,9 +243,12 @@ func TestReopenSeesPublishedFiles(t *testing.T) {
 // file, and Sync flushes each named file exactly once.
 func TestVolatilePublishSkipsFlushes(t *testing.T) {
 	s := open(t)
+	var mu sync.Mutex // Sync flushes several files at once
 	var flushed []string
 	s.fsync = func(f *os.File) error {
+		mu.Lock()
 		flushed = append(flushed, filepath.Base(f.Name()))
+		mu.Unlock()
 		return f.Sync()
 	}
 	for _, name := range []string{"spill/0000/run-0000", "spill/0000/run-0001", "spill/0000/run-0002"} {
@@ -270,6 +275,7 @@ func TestVolatilePublishSkipsFlushes(t *testing.T) {
 	if err := s.Sync("spill/0000/run-0000", "spill/0000/run-0001"); err != nil {
 		t.Fatal(err)
 	}
+	sort.Strings(flushed)
 	if len(flushed) != 2 || flushed[0] != "run-0000" || flushed[1] != "run-0001" {
 		t.Fatalf("Sync flushed %v, want the two named runs", flushed)
 	}

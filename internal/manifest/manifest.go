@@ -20,10 +20,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"parahash/internal/atomicfile"
 )
 
 // Schema identifies the manifest layout; bump on breaking changes so a
@@ -280,39 +282,16 @@ func Load(path string) (*Manifest, error) {
 	return Parse(data)
 }
 
-// Save atomically persists the manifest: marshal, write to "<path>.tmp",
-// fsync, rename over path, fsync the parent directory. A crash during Save
+// Save atomically and durably persists the manifest; a crash during Save
 // leaves the previous manifest intact.
 func (m *Manifest) Save(path string) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("manifest: encoding: %w", err)
-	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := atomicfile.WriteDurable(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(m)
+	})
 	if err != nil {
 		return fmt.Errorf("manifest: writing: %w", err)
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("manifest: writing: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("manifest: writing: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("manifest: publishing: %w", err)
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -3,8 +3,6 @@ package msp
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"parahash/internal/dna"
 )
@@ -159,56 +157,28 @@ func (w *Writer) FileInfos() []FileInfo {
 	return out
 }
 
-// publishParallelism is how many partition files Close finalises at once.
-// A durable sink's Close is an fsync, a rename and a directory fsync — time
-// spent waiting on the device, not computing — so a few in flight overlap
-// the waits; more than a few only queue on the same journal.
-const publishParallelism = 4
-
 // Close finalises every encoder — writing each partition's integrity
-// footer — and closes every sink, publishParallelism partitions at a time,
+// footer — and closes every sink (even one whose footer write failed),
 // attempting all of them and returning the lowest-indexed partition's error.
-// Each file's bytes were fixed by the records routed to it, so the order in
-// which the files are published does not show in them.
+// The build's sinks publish without an fsync (the files are flushed together
+// before the roster claims them), so there is no device wait to overlap.
 func (w *Writer) Close() error {
-	errs := make([]error, len(w.encoders))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < publishParallelism && g < len(errs); g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(errs) {
-					return
-				}
-				errs[i] = w.closePartition(i)
+	var first error
+	for i, enc := range w.encoders {
+		var err error
+		if enc != nil {
+			err = enc.Close()
+		}
+		if w.closers[i] != nil {
+			if cerr := w.closers[i].Close(); err == nil {
+				err = cerr
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		}
+		if first == nil {
+			first = err
 		}
 	}
-	return nil
-}
-
-// closePartition writes partition i's footer and closes its sink; the sink
-// is closed even when the footer write failed.
-func (w *Writer) closePartition(i int) error {
-	var err error
-	if w.encoders[i] != nil {
-		err = w.encoders[i].Close()
-	}
-	if w.closers[i] != nil {
-		if cerr := w.closers[i].Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return first
 }
 
 // SummarizeStats aggregates per-partition stats into totals plus the

@@ -133,9 +133,9 @@ type Report struct {
 	// partition was never produced).
 	Assignment []int
 	// Written marks each partition whose write stage succeeded — i.e. its
-	// output is durably committed through the write closure. On a partial
-	// failure it tells callers exactly which partitions' outputs survive
-	// (e.g. which a checkpointed build may later resume from).
+	// output is published through the write closure. Durability is the
+	// caller's commit: a checkpointed build resumes from what its manifest
+	// claims, not from this.
 	Written []bool
 	// Retries counts failed attempts that were retried (read, work and
 	// write stages combined).

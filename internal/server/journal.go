@@ -15,9 +15,11 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"parahash/internal/atomicfile"
 )
 
 // JournalSchema versions the job journal format.
@@ -318,36 +320,13 @@ func (j *Journal) persistLocked() error {
 
 // writeDoc publishes one serialised journal document atomically.
 func (j *Journal) writeDoc(doc journalFile) error {
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: encoding job journal: %w", err)
-	}
-	data = append(data, '\n')
-
-	tmp := j.path + ".tmp"
-	f, err := os.Create(tmp)
+	err := atomicfile.WriteDurable(j.path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	})
 	if err != nil {
 		return fmt.Errorf("server: writing job journal: %w", err)
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("server: writing job journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: writing job journal: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: publishing job journal: %w", err)
-	}
-	if d, err := os.Open(filepath.Dir(j.path)); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"parahash"
+	"parahash/internal/atomicfile"
 	"parahash/internal/core"
 	"parahash/internal/device"
 	"parahash/internal/hashtable"
@@ -423,7 +424,7 @@ func (m *Manager) Submit(spec JobSpec, input io.Reader) (JobRecord, error) {
 	if err := os.MkdirAll(m.jobDir(id), 0o777); err != nil {
 		return JobRecord{}, fmt.Errorf("server: creating job directory: %w", err)
 	}
-	if err := writeFileAtomic(m.inputPath(id), func(w io.Writer) error {
+	if err := atomicfile.WriteDurable(m.inputPath(id), func(w io.Writer) error {
 		return parahash.WriteFASTQ(w, reads)
 	}); err != nil {
 		return JobRecord{}, fmt.Errorf("server: storing input: %w", err)
@@ -529,23 +530,22 @@ func (m *Manager) runJob(ctx context.Context, id string, resume bool) {
 		defer m.gate.Release(rec.WeightBytes)
 	}
 
-	if err := m.journalState(id, func(jr *JobRecord) {
-		jr.State = StateRunning
-		jr.StartedUnix = m.opts.now().Unix()
-	}); err != nil {
-		m.opts.Logf("server: job %s: journalling running: %v", id, err)
-		return
-	}
-
 	var res *parahash.Result
 	var err error
 	for attempt := 0; ; attempt++ {
+		// The first attempt's save also journals the job running: restart
+		// recovery then sees it running with Attempts >= 1, in one rewrite.
 		if err = m.journalState(id, func(jr *JobRecord) {
+			if attempt == 0 {
+				jr.State = StateRunning
+				jr.StartedUnix = m.opts.now().Unix()
+			}
 			jr.Attempts++
 			if cfg.Checkpoint.Resume {
 				jr.Resumed = true
 			}
 		}); err != nil {
+			m.opts.Logf("server: job %s: journalling attempt %d: %v", id, attempt+1, err)
 			return // killed mid-journal: leave state as the journal has it
 		}
 		res, err = m.buildOnce(ctx, id, cfg)
@@ -688,10 +688,10 @@ func (m *Manager) finishJob(ctx context.Context, id string, res *parahash.Result
 func (m *Manager) publishOutputs(id string, res *parahash.Result) error {
 	rec, _ := m.journal.Get(id)
 	cfg := m.jobConfig(id, rec.Spec)
-	if err := writeFileAtomic(m.graphPath(id), res.Graph.Write); err != nil {
+	if err := atomicfile.WriteDurable(m.graphPath(id), res.Graph.Write); err != nil {
 		return fmt.Errorf("server: publishing graph: %w", err)
 	}
-	if err := writeFileAtomic(m.metricsPath(id), parahash.MetricsOf(res, cfg).WriteJSON); err != nil {
+	if err := atomicfile.WriteDurable(m.metricsPath(id), parahash.MetricsOf(res, cfg).WriteJSON); err != nil {
 		return fmt.Errorf("server: publishing metrics: %w", err)
 	}
 	return nil
@@ -885,38 +885,6 @@ func (m *Manager) Kill() {
 		rt.cancel(errors.New("server: killed"))
 	}
 	m.wg.Wait()
-}
-
-// writeFileAtomic publishes a file all-or-nothing (tmp, fsync, rename).
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // lookupKmer canonicalizes and looks up one k-mer string.
