@@ -218,22 +218,6 @@ func BenchmarkAblationExtensionBases(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndBuild is the headline wall-clock benchmark: the full
-// two-step pipeline on the scaled Chr14 stand-in.
-func BenchmarkEndToEndBuild(b *testing.B) {
-	reads := benchReads(b)
-	cfg := parahash.DefaultConfig()
-	cfg.NumPartitions = 32
-	cfg.KeepSubgraphs = false
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := parahash.Build(reads, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHashingThroughput measures raw concurrent-table insertion speed
 // on this host (wall clock, not virtual time).
 func BenchmarkHashingThroughput(b *testing.B) {

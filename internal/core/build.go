@@ -48,11 +48,8 @@ func PartitionOnly(reads []fastq.Read, cfg Config) ([]msp.PartitionStats, StepSt
 	if err := cfg.Validate(); err != nil {
 		return nil, StepStats{}, err
 	}
-	if err := fastq.Validate(reads, cfg.K); err != nil {
-		return nil, StepStats{}, err
-	}
-	stats, _, stepStats, err := runStep1(context.Background(), reads, cfg, storeSinks(newSimStore(cfg), nil))
-	return stats, stepStats, err
+	s1, err := runStep1(context.Background(), sliceSource(reads, cfg), cfg, storeSinks(newSimStore(cfg), nil))
+	return s1.parts, s1.stats, err
 }
 
 // newSimStore creates the in-memory simulated store a checkpoint-less build
@@ -95,57 +92,41 @@ func BuildContext(ctx context.Context, reads []fastq.Read, cfg Config) (*Result,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := fastq.Validate(reads, cfg.K); err != nil {
-		return nil, err
-	}
 	st, ck, err := openCheckpoint(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer ck.close()
-	return buildWithStore(ctx, reads, cfg, st, ck)
+	return buildWithStore(ctx, sliceSource(reads, cfg), cfg, st, ck)
 }
 
-// buildWithStore runs the validated pipeline against a caller-provided
-// store; fault-injection tests use it to exercise IO error paths. A non-nil
-// checkpoint makes the build resumable: completed, verified partitions are
-// skipped and every durable publication is journalled.
-func buildWithStore(ctx context.Context, reads []fastq.Read, cfg Config, st store.PartitionStore, ck *checkpoint) (*Result, error) {
+// buildWithStore runs the validated pipeline over the chunks of src against a
+// caller-provided store; fault-injection tests use it to exercise IO error
+// paths. A non-nil checkpoint makes the build resumable: completed, verified
+// partitions are skipped and every durable publication is journalled.
+func buildWithStore(ctx context.Context, src chunkSource, cfg Config, st store.PartitionStore, ck *checkpoint) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	partStats, step1Stats, err := buildStep1(ctx, cfg, st, ck, func(sinks partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error) {
-		return runStep1(ctx, reads, cfg, sinks)
-	})
+	s1, err := buildStep1(ctx, src, cfg, st, ck)
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 1 (MSP partitioning): %w", err))
 	}
-	subgraphs, works, step2Stats, err := runStep2(ctx, partStats, cfg, st, ck)
+	subgraphs, works, step2Stats, err := runStep2(ctx, s1.parts, cfg, st, ck)
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 2 (subgraph construction): %w", err))
 	}
 
 	res := &Result{Subgraphs: subgraphs}
-	res.Stats.Step1 = step1Stats
+	res.Stats.Step1 = s1.stats
 	res.Stats.Step2 = step2Stats
-	res.Stats.TotalSeconds = step1Stats.Seconds + step2Stats.Seconds
-	res.Stats.Superkmers = msp.SummarizeStats(partStats)
+	res.Stats.TotalSeconds = s1.stats.Seconds + step2Stats.Seconds
+	res.Stats.Superkmers = msp.SummarizeStats(s1.parts)
 	res.Stats.TotalKmers = res.Stats.Superkmers.TotalKmers
-
-	var peak int64
-	chunkBytes := int64(0)
-	chunks := fastq.PartitionReads(reads, cfg.inputChunks())
-	for _, ch := range chunks {
-		if b := fastqBytesOf(ch); b > chunkBytes {
-			chunkBytes = b
-		}
-	}
-	peak = chunkBytes
 	finishStats(&res.Stats, works, ck)
-	if p := res.Stats.PeakMemoryBytes; p > peak {
-		peak = p
+	if s1.peakChunkBytes > res.Stats.PeakMemoryBytes {
+		res.Stats.PeakMemoryBytes = s1.peakChunkBytes
 	}
-	res.Stats.PeakMemoryBytes = peak
 
 	if cfg.KeepSubgraphs {
 		merged, err := graph.Merge(cfg.K, subgraphs...)
@@ -158,15 +139,11 @@ func buildWithStore(ctx context.Context, reads []fastq.Read, cfg Config, st stor
 }
 
 // buildStep1 resolves Step 1 against the checkpoint: fully resumed (no
-// execution), selectively rebuilt (full re-scan, only failed partitions
-// rewritten), or run from scratch. run executes the step with the chosen
-// sinks; it is a closure so the in-memory and streaming entry points share
-// this resume logic.
-func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *checkpoint,
-	run func(partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error),
-) ([]msp.PartitionStats, StepStats, error) {
+// execution, src is not read), selectively rebuilt (full re-scan, only failed
+// partitions rewritten), or run from scratch.
+func buildStep1(ctx context.Context, src chunkSource, cfg Config, st store.PartitionStore, ck *checkpoint) (step1Result, error) {
 	if err := context.Cause(ctx); ctx.Err() != nil {
-		return nil, StepStats{}, err
+		return step1Result{}, err
 	}
 	if ck != nil && ck.step1Complete() {
 		// Every partition file verified: Step 1 costs nothing, and its
@@ -175,22 +152,22 @@ func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *ch
 		// reporting indexes them safely.
 		procs := processors(cfg)
 		n := len(procs)
-		return ck.partitionStats(), StepStats{
+		return step1Result{parts: ck.partitionStats(), stats: StepStats{
 			ProcessorNames:         procNames(procs),
 			ProcessorBusy:          make([]float64, n),
 			ProcessorUnits:         make([]int64, n),
 			ProcessorParts:         make([]int, n),
 			SoloSeconds:            make([]float64, n),
 			MeasuredProcessorParts: make([]int, n),
-		}, nil
+		}}, nil
 	}
 	var only map[int]bool // the partitions to write; nil: all of them
 	if ck != nil && ck.step1Valid {
 		only = ck.step1Rebuild
 	}
-	partStats, infos, stepStats, err := run(storeSinks(st, only))
+	s1, err := runStep1(ctx, src, cfg, storeSinks(st, only))
 	if err != nil {
-		return nil, StepStats{}, err
+		return step1Result{}, err
 	}
 	if ck != nil {
 		// The partition files are published (the writer closed) but neither
@@ -198,24 +175,24 @@ func buildStep1(ctx context.Context, cfg Config, st store.PartitionStore, ck *ch
 		// which is safe — the files are simply rewritten.
 		faultinject.MaybeCrash("step1.published")
 		if faultinject.MaybeStall(ctx, "step1.published") != nil {
-			return nil, StepStats{}, context.Cause(ctx)
+			return step1Result{}, context.Cause(ctx)
 		}
 		// The roster may name only durable files: one covering Sync over what
 		// this run wrote, then the one save that claims them all.
 		var wrote []string
-		for i := range partStats {
+		for i := range s1.parts {
 			if only == nil || only[i] {
 				wrote = append(wrote, superkmerFile(i))
 			}
 		}
 		if err := st.Sync(wrote...); err != nil {
-			return nil, StepStats{}, fmt.Errorf("core: syncing the partition files: %w", err)
+			return step1Result{}, fmt.Errorf("core: syncing the partition files: %w", err)
 		}
-		if err := ck.recordStep1(partStats, infos); err != nil {
-			return nil, StepStats{}, err
+		if err := ck.recordStep1(s1.parts, s1.files); err != nil {
+			return step1Result{}, err
 		}
 	}
-	return partStats, stepStats, nil
+	return s1, nil
 }
 
 // finishStats folds the executed partitions' measurements plus the resumed

@@ -85,9 +85,6 @@ type Config struct {
 	// to 512 for multi-gigabyte inputs, 960 for 100 GB or more; scaled
 	// datasets want proportionally fewer).
 	NumPartitions int
-	// InputChunks is the number of equal-size input partitions Step 1
-	// processes; 0 selects a default of 4 per processor (min 16).
-	InputChunks int
 
 	// Lambda is λ of Property 1 — expected sequencing errors per read —
 	// used to pre-size hash tables (paper default 2).
@@ -327,18 +324,6 @@ func (c Config) NumProcessors() int {
 	n := c.NumGPUs
 	if c.UseCPU {
 		n++
-	}
-	return n
-}
-
-// inputChunks resolves the Step 1 chunk count.
-func (c Config) inputChunks() int {
-	if c.InputChunks > 0 {
-		return c.InputChunks
-	}
-	n := 4 * c.NumProcessors()
-	if n < 16 {
-		n = 16
 	}
 	return n
 }

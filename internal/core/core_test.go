@@ -374,7 +374,7 @@ func TestBuildSurfacesWriteFaults(t *testing.T) {
 	store := iosim.NewStore(cfg.Medium)
 	boom := errors.New("injected write failure")
 	store.FailWritesOn(superkmerFile(3), boom)
-	if _, err := buildWithStore(context.Background(), reads, cfg, store, nil); !errors.Is(err, boom) {
+	if _, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil); !errors.Is(err, boom) {
 		t.Fatalf("write fault not surfaced: %v", err)
 	}
 }
@@ -385,7 +385,7 @@ func TestBuildSurfacesReadFaults(t *testing.T) {
 	store := iosim.NewStore(cfg.Medium)
 	boom := errors.New("injected read failure")
 	store.FailReadsOn(superkmerFile(5), boom)
-	if _, err := buildWithStore(context.Background(), reads, cfg, store, nil); !errors.Is(err, boom) {
+	if _, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil); !errors.Is(err, boom) {
 		t.Fatalf("read fault not surfaced: %v", err)
 	}
 }
@@ -396,7 +396,7 @@ func TestBuildSurfacesSubgraphWriteFaults(t *testing.T) {
 	store := iosim.NewStore(cfg.Medium)
 	boom := errors.New("injected subgraph write failure")
 	store.FailWritesOn(subgraphFile(2), boom)
-	if _, err := buildWithStore(context.Background(), reads, cfg, store, nil); !errors.Is(err, boom) {
+	if _, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil); !errors.Is(err, boom) {
 		t.Fatalf("subgraph write fault not surfaced: %v", err)
 	}
 }

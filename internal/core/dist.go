@@ -66,9 +66,6 @@ func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Dis
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := fastq.Validate(reads, cfg.K); err != nil {
-		return nil, err
-	}
 	if cfg.Checkpoint.Dir == "" {
 		return nil, fmt.Errorf("core: distributed build requires a checkpoint directory")
 	}
@@ -76,9 +73,7 @@ func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Dis
 	if err != nil {
 		return nil, err
 	}
-	partStats, step1Stats, err := buildStep1(ctx, cfg, st, ck, func(sinks partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error) {
-		return runStep1(ctx, reads, cfg, sinks)
-	})
+	s1, err := buildStep1(ctx, sliceSource(reads, cfg), cfg, st, ck)
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 1 (MSP partitioning): %w", err))
 	}
@@ -98,7 +93,7 @@ func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Dis
 	for _, rec := range staleRuns {
 		_ = ck.ds.Remove(rec.Name) // best-effort; scrub sweeps leftovers
 	}
-	p := &DistPlan{cfg: cfg, ck: ck, partStats: partStats, step1: step1Stats}
+	p := &DistPlan{cfg: cfg, ck: ck, partStats: s1.parts, step1: s1.stats}
 	// So are any fenced orphans: results the dead fleet published but never
 	// reported. Nothing will ever promote them (their tokens are below the
 	// preserved high-water), so sweep them before leasing the space out.

@@ -55,7 +55,7 @@ func TestBuildDegradedMatchesFaultFree(t *testing.T) {
 	store := iosim.NewStore(faulty.Medium)
 	plan.ApplyStore(store)
 
-	res, err := buildWithStore(context.Background(), reads, faulty, store, nil)
+	res, err := buildWithStore(context.Background(), sliceSource(reads, faulty), faulty, store, nil)
 	if err != nil {
 		t.Fatalf("degraded build failed: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestBuildDegradedMatchesFaultFree(t *testing.T) {
 	// Determinism of the degraded run itself: same plan, same graph.
 	store2 := iosim.NewStore(faulty.Medium)
 	plan.ApplyStore(store2)
-	res2, err := buildWithStore(context.Background(), reads, faulty, store2, nil)
+	res2, err := buildWithStore(context.Background(), sliceSource(reads, faulty), faulty, store2, nil)
 	if err != nil {
 		t.Fatalf("second degraded build failed: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestBuildRecoversTransientWriteFault(t *testing.T) {
 	// Subgraph writes are idempotent (Create truncates), so a transient
 	// write fault must be absorbed by a retry.
 	store.FailWritesNTimes(subgraphFile(2), 1, boom)
-	res, err := buildWithStore(context.Background(), reads, cfg, store, nil)
+	res, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil)
 	if err != nil {
 		t.Fatalf("transient write fault not recovered: %v", err)
 	}
@@ -143,7 +143,7 @@ func TestBuildRecoversCorruptPartitionRead(t *testing.T) {
 	// footer must catch the corruption and the retry — served from the
 	// intact stored bytes — must recover, end to end.
 	store.CorruptReadsNTimes(superkmerFile(1), 1)
-	res, err := buildWithStore(context.Background(), reads, cfg, store, nil)
+	res, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil)
 	if err != nil {
 		t.Fatalf("corrupt read not recovered: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestBuildPersistentCorruptionSurfacesTyped(t *testing.T) {
 	cfg := tinyConfig()
 	store := iosim.NewStore(cfg.Medium)
 	store.CorruptReadsNTimes(superkmerFile(4), -1) // every read corrupt
-	_, err := buildWithStore(context.Background(), reads, cfg, store, nil)
+	_, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil)
 	if !errors.Is(err, msp.ErrCorruptPartition) {
 		t.Fatalf("persistent corruption not surfaced as ErrCorruptPartition: %v", err)
 	}
@@ -178,7 +178,7 @@ func TestBuildAllProcessorsDead(t *testing.T) {
 		},
 	}
 	cfg.ProcWrap = plan.WrapProcessors
-	_, err := buildWithStore(context.Background(), reads, cfg, iosim.NewStore(cfg.Medium), nil)
+	_, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, iosim.NewStore(cfg.Medium), nil)
 	if !errors.Is(err, pipeline.ErrNoHealthyWorkers) {
 		t.Fatalf("expected ErrNoHealthyWorkers, got: %v", err)
 	}
@@ -194,13 +194,13 @@ func TestBuildMissingPartitionFailsFast(t *testing.T) {
 	// Deleting a partition between the steps models an unrecoverable
 	// loss: ErrNotFound is classified non-retryable, so the build must
 	// not burn its attempt budget re-reading a file that cannot appear.
-	_, err := buildWithStore(context.Background(), reads, cfg, store, nil)
+	_, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store2 := iosim.NewStore(cfg.Medium)
 	store2.FailReadsOn(superkmerFile(0), iosim.ErrNotFound)
-	if _, err := buildWithStore(context.Background(), reads, cfg, store2, nil); !errors.Is(err, iosim.ErrNotFound) {
+	if _, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store2, nil); !errors.Is(err, iosim.ErrNotFound) {
 		t.Fatalf("missing partition not surfaced: %v", err)
 	}
 }

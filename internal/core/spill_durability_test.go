@@ -165,7 +165,7 @@ func watchedBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Result,
 // tests that put a store of their own under the recorder.
 func watchedBuildOver(ctx context.Context, reads []fastq.Read, cfg Config, st store.PartitionStore, ck *checkpoint) (*Result, *journalWatch, error) {
 	w := watchCheckpoint(st, ck)
-	res, err := buildWithStore(ctx, reads, cfg, w.rec, ck)
+	res, err := buildWithStore(ctx, sliceSource(reads, cfg), cfg, w.rec, ck)
 	return res, w, err
 }
 

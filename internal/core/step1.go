@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -148,66 +149,154 @@ type step1Work struct {
 	encodedBytes int64
 }
 
-// fastqBytesOf approximates a chunk's on-disk FASTQ footprint.
-func fastqBytesOf(reads []fastq.Read) int64 { return fastq.ApproxFASTQBytes(reads) }
+// ErrNoUsableReads reports an input that yielded no k-mer at all — no reads,
+// or none as long as K. Step 1 decides it after the scan and before anything
+// is journalled, so a resume of the failed build fails the same way.
+var ErrNoUsableReads = errors.New("core: input contains no usable reads")
 
-// runStep1 executes the MSP graph partitioning step: input chunks flow
-// through the work-stealing pipeline, each consumed by a processor that
-// scans it into superkmers, and the output stage routes superkmers into
-// encoded partition files via the sinks. It also returns each finalised
-// file's footprint (size and record CRC) for the build manifest.
-func runStep1(ctx context.Context, reads []fastq.Read, cfg Config, sinks partitionSinks) ([]msp.PartitionStats, []msp.FileInfo, StepStats, error) {
-	chunks := fastq.PartitionReads(reads, cfg.inputChunks())
+// chunkSource yields Step 1's input chunks in read order and io.EOF after the
+// last. Any other error is final: the source is not asked again.
+type chunkSource func() ([]fastq.Read, error)
+
+// sliceSource cuts an in-memory read set into equal chunks, 4 per processor
+// and at least 16.
+func sliceSource(reads []fastq.Read, cfg Config) chunkSource {
+	n := 4 * cfg.NumProcessors()
+	if n < 16 {
+		n = 16
+	}
+	chunks := fastq.PartitionReads(reads, n)
+	return func() ([]fastq.Read, error) {
+		if len(chunks) == 0 {
+			return nil, io.EOF
+		}
+		chunk := chunks[0]
+		chunks = chunks[1:]
+		return chunk, nil
+	}
+}
+
+// chunkedSource fills chunks of about chunkBases bases from a stream of reads
+// that ends with io.EOF, so only the chunks in flight are ever resident.
+func chunkedSource(next func() (fastq.Read, error), chunkBases int) chunkSource {
+	eof, last := false, 0
+	return func() ([]fastq.Read, error) {
+		if eof {
+			return nil, io.EOF
+		}
+		chunk := make([]fastq.Read, 0, last+last/8)
+		for size := 0; size < chunkBases; {
+			rd, err := next()
+			if err == io.EOF {
+				eof = true
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			chunk = append(chunk, rd)
+			size += len(rd.Bases)
+		}
+		if len(chunk) == 0 {
+			return nil, io.EOF
+		}
+		last = len(chunk)
+		return chunk, nil
+	}
+}
+
+// step1Result is what Step 1 hands the rest of the build.
+type step1Result struct {
+	parts []msp.PartitionStats
+	// files is each finalised partition file's footprint (size and record
+	// CRC) for the build manifest.
+	files []msp.FileInfo
+	stats StepStats
+	// peakChunkBytes is the largest input chunk's approximate FASTQ bytes.
+	peakChunkBytes int64
+}
+
+// scannedChunk is one chunk after the scan, with what the output stage needs
+// to know about the reads it came from.
+type scannedChunk struct {
+	device.Step1Output
+	reads, fastqBytes int64
+}
+
+// runStep1 executes the MSP graph partitioning step on the work-stealing
+// pipeline: the input stage takes chunks from src, whichever processor is idle
+// scans a chunk into superkmers, and the output stage routes the superkmers of
+// each chunk, in source order, into encoded partition files via the sinks — so
+// a partition file's bytes depend on the read order only, not on the chunking
+// or on which processor scanned what. A failing or hung processor is retried
+// and quarantined under cfg.Resilience; a failing source is not — a stream
+// cannot be re-read — and ends the step with the source's error.
+func runStep1(ctx context.Context, src chunkSource, cfg Config, sinks partitionSinks) (step1Result, error) {
 	writer, err := msp.NewPartitionWriter(cfg.K, cfg.NumPartitions, sinks)
 	if err != nil {
-		return nil, nil, StepStats{}, err
+		return step1Result{}, err
 	}
 
 	procs := processors(cfg)
-	works := make([]step1Work, len(chunks))
-
-	workers := make([]pipeline.Worker[[]fastq.Read, device.Step1Output], len(procs))
+	workers := make([]pipeline.Worker[[]fastq.Read, scannedChunk], len(procs))
 	for i, p := range procs {
 		p := p
-		workers[i] = func(ctx context.Context, chunk []fastq.Read) (device.Step1Output, error) {
-			return p.Step1(ctx, chunk, cfg.K, cfg.P)
+		workers[i] = func(ctx context.Context, chunk []fastq.Read) (scannedChunk, error) {
+			out, err := p.Step1(ctx, chunk, cfg.K, cfg.P)
+			return scannedChunk{out, int64(len(chunk)), fastq.ApproxFASTQBytes(chunk)}, err
 		}
 	}
 
-	read := func(i int) ([]fastq.Read, error) { return chunks[i], nil }
-	// written tracks each chunk's routed superkmer count so a retried
-	// write resumes where it left off instead of double-routing records.
-	written := make([]int, len(chunks))
-	write := func(i int, out device.Step1Output) error {
-		w := &works[i]
-		w.reads = int64(len(chunks[i]))
-		w.bases = out.Bases
-		w.fastqBytes = fastqBytesOf(chunks[i])
+	read := func(int) ([]fastq.Read, error) {
+		chunk, err := src()
+		if err != nil && err != io.EOF {
+			err = &pipeline.SourceError{Err: err}
+		}
+		return chunk, err
+	}
+	// Only the output stage touches works. encoded is how many of the current
+	// chunk's superkmers are routed already, so a retried write resumes where
+	// it left off instead of double-routing records.
+	var works []step1Work
+	encoded := 0
+	write := func(i int, out scannedChunk) error {
+		if i >= len(works) {
+			works = append(works, make([]step1Work, i+1-len(works))...)
+			works[i] = step1Work{reads: out.reads, bases: out.Bases, fastqBytes: out.fastqBytes}
+			encoded = 0
+		}
 		// The batch is routed by the scan-time partition stamps, so this
-		// sequential stage does no minimizer hashing; a partial batch
-		// resumes after the records already encoded.
-		n, bytes, err := writer.WriteBatch(out.Superkmers[written[i]:])
-		written[i] += n
-		w.superkmers += int64(n)
-		w.encodedBytes += bytes
+		// sequential stage does no minimizer hashing.
+		n, bytes, err := writer.WriteBatch(out.Superkmers[encoded:])
+		encoded += n
+		works[i].superkmers += int64(n)
+		works[i].encodedBytes += bytes
 		return err
 	}
 
-	report, err := pipeline.RunResilientTraced(ctx, len(chunks), read, workers, write, cfg.resiliencePolicy(), stepRecorder(cfg, "step1", procs))
-	if err != nil {
-		writer.Close()
-		return nil, nil, StepStats{}, err
+	report, err := pipeline.RunResilientTraced(ctx, read, workers, write, cfg.resiliencePolicy(), stepRecorder(cfg, "step1", procs))
+	// Closed on every path, so a failed step leaves no open sink behind.
+	if cerr := writer.Close(); err == nil {
+		err = cerr
 	}
-	if err := writer.Close(); err != nil {
-		return nil, nil, StepStats{}, err
+	if err != nil {
+		return step1Result{}, err
 	}
 
-	stats, err := scheduleStep1(works, cfg, procs)
-	if err != nil {
-		return nil, nil, StepStats{}, err
+	res := step1Result{parts: writer.Stats(), files: writer.FileInfos()}
+	if msp.SummarizeStats(res.parts).TotalKmers == 0 {
+		return step1Result{}, fmt.Errorf("%w: no read is at least k=%d bases long", ErrNoUsableReads, cfg.K)
 	}
-	applyReport(&stats, report, procs)
-	return writer.Stats(), writer.FileInfos(), stats, nil
+	for _, w := range works {
+		if w.fastqBytes > res.peakChunkBytes {
+			res.peakChunkBytes = w.fastqBytes
+		}
+	}
+	if res.stats, err = scheduleStep1(works, cfg, procs); err != nil {
+		return step1Result{}, err
+	}
+	applyReport(&res.stats, report, procs)
+	return res, nil
 }
 
 // step1Cost returns processor p's virtual seconds for one chunk.

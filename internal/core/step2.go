@@ -191,6 +191,9 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		// A spilling partition is weighed by its bounded run buffer instead:
 		// that is all the memory the sort-merge path holds at once.
 		pol.AdmissionWeight = func(slot int) int64 {
+			if slot == len(pending) {
+				return 0 // the end of the input, not a partition
+			}
 			if plan := plans[slot]; plan != nil {
 				return plan.budget
 			}
@@ -206,6 +209,9 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 
 	committer := startStep2Committer(ctx, cfg, st, ck)
 	read := func(slot int) (step2Input, error) {
+		if slot == len(pending) {
+			return step2Input{}, io.EOF
+		}
 		in := step2Input{part: pending[slot], spill: plans[slot]}
 		if in.spill != nil && in.spill.mergeOnly != nil {
 			// Merge-only resume: the journalled runs carry everything the
@@ -252,7 +258,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		return committer.submit(step2Record(i, toWrite, out.Distinct))
 	}
 
-	report, err := pipeline.RunResilientTraced(ctx, len(pending), read, workers, write, pol, stepRecorder(cfg, "step2", procs))
+	report, err := pipeline.RunResilientTraced(ctx, read, workers, write, pol, stepRecorder(cfg, "step2", procs))
 	// Drained on every path: when the step returns, every published subgraph
 	// is claimed or will never be, and the manifest is written no more.
 	if cerr := committer.drain(); err == nil {

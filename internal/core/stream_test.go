@@ -61,60 +61,100 @@ func step1Artifacts(t *testing.T, dir string, partitions int) ([][]byte, []manif
 	return files, m.Step1
 }
 
+// sameStep1Artifacts holds what Step 1 left in dir to a reference build's
+// partition files and manifest claims.
+func sameStep1Artifacts(t *testing.T, what, dir string, wantFiles [][]byte, wantClaims []manifest.Step1Partition) {
+	t.Helper()
+	files, claims := step1Artifacts(t, dir, len(wantFiles))
+	for i := range files {
+		if !bytes.Equal(files[i], wantFiles[i]) {
+			t.Fatalf("%s: partition file %d differs from the reference build's", what, i)
+		}
+	}
+	if !reflect.DeepEqual(claims, wantClaims) {
+		t.Fatalf("%s: Step 1 claims %+v, the reference build journalled %+v", what, claims, wantClaims)
+	}
+}
+
+// processorSets are the device mixes Step 1 is checked over: the CPU alone,
+// CPU and GPU co-processing, and GPUs only.
+var processorSets = []struct {
+	name   string
+	useCPU bool
+	gpus   int
+}{
+	{"CPU", true, 0},
+	{"CPU+GPU", true, 1},
+	{"2 GPUs", false, 2},
+}
+
 // TestStreamedStep1ArtifactsIndependentOfChunking is the byte-identity claim
-// of the overlapped Step 1: whatever the chunk size and however many
-// processors the stages interleave on, the partition files and the Step 1
-// manifest claims are those of the in-memory build.
+// of the one Step 1: whichever entry point feeds it, whatever the chunk size,
+// whichever processors scan the chunks and however the stages interleave, the
+// partition files, the Step 1 manifest claims and the final graph are the same
+// bytes.
 func TestStreamedStep1ArtifactsIndependentOfChunking(t *testing.T) {
 	reads, input := streamReads(t, 4)
 	cfg := tinyConfig()
 	cfg.NumPartitions = 8
 	cfg.Checkpoint = CheckpointConfig{Dir: t.TempDir(), InputLabel: "test:stream"}
-	inMemory := buildCheckpointed(t, reads, cfg)
+	reference := buildCheckpointed(t, reads, cfg)
+	wantGraph := serializeGraph(t, reference.Graph)
 	wantFiles, wantClaims := step1Artifacts(t, cfg.Checkpoint.Dir, cfg.NumPartitions)
 
+	check := func(what string, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		sameStep1Artifacts(t, what, cfg.Checkpoint.Dir, wantFiles, wantClaims)
+		if !bytes.Equal(serializeGraph(t, res.Graph), wantGraph) {
+			t.Fatalf("%s: graph differs from the reference build's", what)
+		}
+	}
+
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for _, chunkBases := range []int{1, 64 << 10, 512 << 10, 1 << 30} {
+	for _, maxprocs := range []int{1, 4} {
+		runtime.GOMAXPROCS(maxprocs)
+		for _, ps := range processorSets {
+			cfg.UseCPU, cfg.NumGPUs = ps.useCPU, ps.gpus
+			what := fmt.Sprintf("GOMAXPROCS=%d %s", maxprocs, ps.name)
+
 			cfg.Checkpoint.Dir = t.TempDir()
-			res, err := BuildFromReader(bytes.NewReader(input), cfg, chunkBases)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d chunkBases=%d: %v", procs, chunkBases, err)
-			}
-			files, claims := step1Artifacts(t, cfg.Checkpoint.Dir, cfg.NumPartitions)
-			for i := range files {
-				if !bytes.Equal(files[i], wantFiles[i]) {
-					t.Fatalf("GOMAXPROCS=%d chunkBases=%d: partition file %d differs from the in-memory build's", procs, chunkBases, i)
+			res, err := Build(reads, cfg)
+			check(what+" slice", res, err)
+
+			for _, chunkBases := range []int{1, 64 << 10, 512 << 10, 1 << 30} {
+				cfg.Checkpoint.Dir = t.TempDir()
+				res, err := BuildFromReader(bytes.NewReader(input), cfg, chunkBases)
+				check(fmt.Sprintf("%s reader chunkBases=%d", what, chunkBases), res, err)
+				if chunkBases == 1 && res.Stats.Step1.Partitions != len(reads) {
+					t.Fatalf("chunkBases=1 streamed %d chunks for %d reads", res.Stats.Step1.Partitions, len(reads))
 				}
-			}
-			if !reflect.DeepEqual(claims, wantClaims) {
-				t.Fatalf("GOMAXPROCS=%d chunkBases=%d: Step 1 claims %+v, in-memory build journalled %+v", procs, chunkBases, claims, wantClaims)
-			}
-			if !res.Graph.Equal(inMemory.Graph) {
-				t.Fatalf("GOMAXPROCS=%d chunkBases=%d: graph differs from the in-memory build's", procs, chunkBases)
-			}
-			if chunkBases == 1 && res.Stats.Step1.Partitions != len(reads) {
-				t.Fatalf("chunkBases=1 streamed %d chunks for %d reads", res.Stats.Step1.Partitions, len(reads))
 			}
 		}
 	}
 }
 
 // TestStreamedStep1RecordsStageSpans checks the streamed Step 1 shows up in
-// the trace: one read, compute and write wall span per chunk.
+// the trace: one read, compute and write wall span per chunk, the compute
+// spans naming the configured processors that really scanned the chunks — more
+// than one of them when there is more than one.
 func TestStreamedStep1RecordsStageSpans(t *testing.T) {
 	_, input := streamReads(t, 4)
 	cfg := tinyConfig()
+	cfg.NumGPUs = 1
 	cfg.Trace = obs.NewTrace()
-	res, err := BuildFromReader(bytes.NewReader(input), cfg, 32<<10)
+	res, err := BuildFromReader(bytes.NewReader(input), cfg, 8<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chunks := res.Stats.Step1.Partitions
-	if chunks < 3 {
-		t.Fatalf("only %d chunks streamed; the test wants several", chunks)
+	if chunks < 8 {
+		t.Fatalf("only %d chunks streamed; the test wants several per processor", chunks)
 	}
+	configured := map[string]bool{"CPU": true, "GPU0": true}
+	scannedBy := map[string]int{}
 	perStage := map[string][]bool{}
 	for _, s := range cfg.Trace.Spans() {
 		if s.Step != "step1" || s.Clock != obs.ClockWall {
@@ -123,8 +163,11 @@ func TestStreamedStep1RecordsStageSpans(t *testing.T) {
 		if s.End < s.Start || s.Partition < 0 || s.Partition >= chunks {
 			t.Fatalf("malformed step1 span %+v", s)
 		}
-		if (s.Stage == pipeline.StageCompute) != (s.WorkerName == "CPU") {
+		if (s.Stage == pipeline.StageCompute) != configured[s.WorkerName] {
 			t.Fatalf("step1 %s span attributed to %q", s.Stage, s.WorkerName)
+		}
+		if s.Stage == pipeline.StageCompute {
+			scannedBy[s.WorkerName]++
 		}
 		if perStage[s.Stage] == nil {
 			perStage[s.Stage] = make([]bool, chunks)
@@ -144,6 +187,12 @@ func TestStreamedStep1RecordsStageSpans(t *testing.T) {
 		if seen != chunks {
 			t.Fatalf("%d of %d chunks have a step1 %s span", seen, chunks, stage)
 		}
+	}
+	if len(scannedBy) < 2 {
+		t.Fatalf("all %d chunks were scanned by %v; two processors are configured", chunks, scannedBy)
+	}
+	if got := res.Stats.Step1.MeasuredProcessorParts; len(got) != 2 || got[0] != scannedBy["CPU"] || got[1] != scannedBy["GPU0"] {
+		t.Fatalf("Step1.MeasuredProcessorParts = %v, the trace has %v", got, scannedBy)
 	}
 }
 
@@ -203,14 +252,19 @@ func (c *cancelingReader) Read(p []byte) (int, error) {
 
 // TestStreamedStep1StopsCleanly fails the streamed Step 1 in each stage —
 // the parser mid-stream, the caller's context mid-stream, the output sinks —
-// and checks that the typed error comes back, every stage goroutine is gone,
-// every sink is closed and no .tmp file is left in the store.
+// under the default Resilience, and checks that the typed error comes back, a
+// failed source is not read again, every stage goroutine is gone, every sink
+// is closed and no .tmp file is left in the store.
 func TestStreamedStep1StopsCleanly(t *testing.T) {
 	_, input := streamReads(t, 20)
 	// The same stream with one oversized record two thirds of the way in.
 	cut := bytes.Index(input[2*len(input)/3:], []byte("\n@")) + 2*len(input)/3 + 1
 	oversized := append(append(append([]byte(nil), input[:cut]...),
 		[]byte("@huge\n"+strings.Repeat("ACGT", 1000)+"\n+\n"+strings.Repeat("I", 4000)+"\n")...), input[cut:]...)
+	// And with a record that lost its '+' line: a second Next would find the
+	// following record intact and carry on as if nothing were missing.
+	malformed := append(append(append([]byte(nil), input[:cut]...),
+		[]byte("@torn\nACGTACGT\nIIIIIIII\n")...), input[cut:]...)
 	boom := errors.New("sink fell over")
 	cause := errors.New("operator interrupt")
 
@@ -223,6 +277,7 @@ func TestStreamedStep1StopsCleanly(t *testing.T) {
 		want      error
 	}{
 		{name: "parse error mid-stream", input: oversized, failAfter: -1, want: fastq.ErrRecordTooLarge},
+		{name: "malformed record mid-stream", input: malformed, failAfter: -1, want: fastq.ErrBadRecord},
 		{name: "cancel mid-stream", input: input, failAfter: -1, cancelAt: len(input) / 2, want: cause},
 		{name: "failing sink", input: input, failAfter: 64 << 10, failWith: boom, want: boom},
 		{name: "disk full", input: input, failAfter: 64 << 10, failWith: store.ErrDiskFull, want: store.ErrDiskFull},
@@ -247,9 +302,24 @@ func TestStreamedStep1StopsCleanly(t *testing.T) {
 			fr.MaxRecordBytes = 1000
 			sinks := &countingSinks{failAfter: tc.failAfter, failWith: tc.failWith}
 
-			_, _, _, _, err = runStep1Stream(ctx, fr, cfg, sinks.over(ds), 16<<10)
+			// The default Resilience retries a failed stage; the source must
+			// be exempt, or a retry would resume past the bad record.
+			failed, readsAfterFailure := false, 0
+			next := func() (fastq.Read, error) {
+				if failed {
+					readsAfterFailure++
+				}
+				rd, err := fr.Next()
+				failed = failed || (err != nil && err != io.EOF)
+				return rd, err
+			}
+
+			_, err = runStep1(ctx, chunkedSource(next, 16<<10), cfg, sinks.over(ds))
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want one wrapping %v", err, tc.want)
+			}
+			if readsAfterFailure != 0 {
+				t.Fatalf("the source was read %d more times after it failed", readsAfterFailure)
 			}
 			if o, c := sinks.opened.Load(), sinks.closed.Load(); o != int64(cfg.NumPartitions) || c != o {
 				t.Fatalf("%d sinks opened, %d closed", o, c)

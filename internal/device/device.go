@@ -132,8 +132,9 @@ const ctxCheckEvery = 256
 // from the calibration so experiments are host-independent.
 //
 // A CPU carries per-worker Step 1 scratch reused across kernel invocations,
-// so a single CPU value must not run two Step 1 kernels concurrently — the
-// pipeline already guarantees this (one worker goroutine per processor).
+// so a CPU value runs one Step 1 kernel at a time (step1 serialises them):
+// the pipeline drives a processor from one worker goroutine, but an attempt
+// its watchdog abandoned may still be winding down when the retry arrives.
 // Step 2 shares nothing between calls but the recycled table, handed over
 // under a lock, so an attempt the watchdog abandoned may still be winding
 // down while the processor's next attempt runs.
@@ -151,9 +152,11 @@ type CPU struct {
 	// paper's state-transfer table.
 	Table hashtable.Backend
 
-	// Per-worker Step 1 scratch: scanners keep their minimizer/p-mer/deque
-	// buffers warm, skBufs keep the per-worker superkmer slices, so a warmed
-	// CPU scans with zero allocations per read.
+	// Per-worker Step 1 scratch, held by one kernel at a time (step1):
+	// scanners keep their minimizer/p-mer/deque buffers warm, skBufs keep the
+	// per-worker superkmer slices, so a warmed CPU scans with zero allocations
+	// per read.
+	step1    sync.Mutex
 	scanners []msp.Scanner
 	skBufs   [][]msp.Superkmer
 	// tables recycles the previous partition's Step 2 hash table.
@@ -184,6 +187,8 @@ func (c *CPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 	if c.Threads < 1 {
 		return Step1Output{}, fmt.Errorf("device: CPU threads %d must be positive", c.Threads)
 	}
+	c.step1.Lock()
+	defer c.step1.Unlock()
 	chunks := fastq.PartitionReads(reads, c.Threads)
 	for len(c.scanners) < len(chunks) {
 		c.scanners = append(c.scanners, msp.Scanner{})
@@ -425,8 +430,10 @@ type GPU struct {
 	// Table mirrors CPU.Table: the Step 2 hash-table backend.
 	Table hashtable.Backend
 
-	// scan is the persistent Step 1 scanner (warm minimizer buffers).
-	scan msp.Scanner
+	// scan is the persistent Step 1 scanner (warm minimizer buffers); step1
+	// serialises the kernels that share it, as on the CPU.
+	step1 sync.Mutex
+	scan  msp.Scanner
 	// tables recycles the previous partition's Step 2 hash table.
 	tables tableCache
 }
@@ -445,6 +452,8 @@ func (g *GPU) Kind() Kind { return KindGPU }
 // does the O(LKP) minimizer search and the CPU the irregular memory
 // movement (§III-D).
 func (g *GPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Output, error) {
+	g.step1.Lock()
+	defer g.step1.Unlock()
 	sc := &g.scan
 	sc.K, sc.P, sc.NumPartitions = k, p, g.Partitions
 	var bases int64

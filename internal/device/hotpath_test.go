@@ -2,6 +2,8 @@ package device
 
 import (
 	"context"
+	"reflect"
+	"sync"
 	"testing"
 
 	"parahash/internal/costmodel"
@@ -32,6 +34,41 @@ func TestStep1PartitionStamps(t *testing.T) {
 				t.Fatalf("%s: superkmer %d stamped %d, want %d", proc.Name(), i, sk.Part, want)
 			}
 		}
+	}
+}
+
+// TestStep1KernelsOnOneDeviceDoNotShareScratch runs Step 1 kernels on one
+// device value at once — what a watchdog-abandoned attempt winding down beside
+// its retry amounts to — and holds each to a fresh device's output (and, under
+// -race, to not touching the other's scanners).
+func TestStep1KernelsOnOneDeviceDoNotShareScratch(t *testing.T) {
+	reads := testReads(t)
+	cal := costmodel.DefaultCalibration()
+	for _, mk := range []func() Processor{
+		func() Processor { return &CPU{Threads: 3, Cal: cal, Partitions: 16} },
+		func() Processor { return &GPU{Cal: cal, Partitions: 16} },
+	} {
+		want, err := mk().Step1(context.Background(), reads, 27, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared := mk()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := shared.Step1(context.Background(), reads, 27, 11)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got.Superkmers, want.Superkmers) {
+					t.Errorf("%s: a kernel sharing its device produced different superkmers", shared.Name())
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -38,12 +38,12 @@ func TestRunCanceledContextStopsRun(t *testing.T) {
 	cause := errors.New("operator interrupt")
 	cancel(cause)
 
-	_, err := Run(ctx, 100,
+	rep, err := runN(ctx, 100,
 		func(i int) (int, error) { return i, nil },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil })
-	if err == nil || !errors.Is(err, cause) {
-		t.Fatalf("Run under canceled ctx returned %v, want cause %v", err, cause)
+		[]Worker[int, int]{okWorker},
+		func(i, o int) error { return nil }, Policy{})
+	if err == nil || !errors.Is(err, cause) || !rep.Canceled {
+		t.Fatalf("run under canceled ctx returned %v (report %+v), want cause %v", err, rep, cause)
 	}
 	check()
 }
@@ -73,7 +73,7 @@ func TestRunResilientCancelMidRunIsLeakFreeAndKeepsWrites(t *testing.T) {
 		cancel(cause)
 	}()
 
-	rep, err := RunResilient(ctx, n,
+	rep, err := runN(ctx, n,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{worker, worker},
 		func(i, o int) error { written.Add(1); return nil },
@@ -115,7 +115,7 @@ func TestRunResilientWatchdogKillsHungAttempt(t *testing.T) {
 	}
 	ok := func(_ context.Context, x int) (int, error) { return x, nil }
 
-	rep, err := RunResilient(context.Background(), n,
+	rep, err := runN(context.Background(), n,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{hang, ok},
 		func(i, o int) error { return nil },
@@ -157,7 +157,7 @@ func TestRunResilientWatchdogQuarantinesRepeatOffender(t *testing.T) {
 	}
 	ok := func(_ context.Context, x int) (int, error) { return x, nil }
 
-	rep, err := RunResilient(context.Background(), n,
+	rep, err := runN(context.Background(), n,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{hang, ok},
 		func(i, o int) error { return nil },
@@ -185,7 +185,7 @@ func TestRunResilientWatchdogTimeoutDisabledByDefault(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		return x, nil
 	}
-	rep, err := RunResilient(context.Background(), 2,
+	rep, err := runN(context.Background(), 2,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{slow},
 		func(i, o int) error { return nil },
@@ -207,7 +207,7 @@ func TestRunResilientAdmissionSerializesUnderTightBudget(t *testing.T) {
 	// Every partition weighs 60 bytes: only one fits at a time, so the run
 	// serialises but still completes with peak residency under budget.
 	var inFlight, maxInFlight atomic.Int64
-	rep, runErr := RunResilient(context.Background(), n,
+	rep, runErr := runN(context.Background(), n,
 		func(i int) (int, error) {
 			if cur := inFlight.Add(1); cur > maxInFlight.Load() {
 				maxInFlight.Store(cur)
@@ -219,7 +219,7 @@ func TestRunResilientAdmissionSerializesUnderTightBudget(t *testing.T) {
 			func(_ context.Context, x int) (int, error) { return x, nil },
 		},
 		func(i, o int) error { inFlight.Add(-1); return nil },
-		Policy{Admission: gate, AdmissionWeight: func(int) int64 { return 60 }})
+		Policy{Admission: gate, AdmissionWeight: weighing(n, 60)})
 	if runErr != nil {
 		t.Fatalf("run failed: %v", runErr)
 	}
@@ -265,14 +265,14 @@ func TestRunResilientCancelWhileQueuedForAdmissionReleasesGate(t *testing.T) {
 			cancel(cause)
 			close(release)
 		}()
-		return RunResilient(ctx, 2,
+		return runN(ctx, 2,
 			func(i int) (int, error) { return i, nil },
 			[]Worker[int, int]{func(wctx context.Context, x int) (int, error) {
 				<-wctx.Done()
 				return 0, wctx.Err()
 			}},
 			func(i, o int) error { return nil },
-			Policy{Admission: gate, AdmissionWeight: func(int) int64 { return 10 }})
+			Policy{Admission: gate, AdmissionWeight: weighing(2, 10)})
 	}()
 	<-release
 	if runErr == nil || !errors.Is(runErr, cause) {

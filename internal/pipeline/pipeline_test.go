@@ -4,12 +4,85 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// counted turns read into a source of exactly n items: it reports io.EOF at
+// index n, the way a source that knows its length does.
+func counted[I any](n int, read func(i int) (I, error)) func(i int) (I, error) {
+	return func(i int) (I, error) {
+		if i >= n {
+			var zero I
+			return zero, io.EOF
+		}
+		return read(i)
+	}
+}
+
+// streamed is counted for a source that cannot say where it ends: it numbers
+// its own items and ignores the index it is asked for, like a parser over a
+// stream.
+func streamed[I any](n int, read func(i int) (I, error)) func(i int) (I, error) {
+	next := 0
+	return func(int) (I, error) {
+		if next >= n {
+			var zero I
+			return zero, io.EOF
+		}
+		next++
+		return read(next - 1)
+	}
+}
+
+// sourceKind is one of the two ways a run's input ends: a source that knows
+// its length (and weighs the index past its end 0), or a stream that finds
+// out by reading (and so weighs every index alike).
+type sourceKind struct {
+	name    string
+	streams bool
+}
+
+var sourceKinds = []sourceKind{{name: "counted"}, {name: "streamed", streams: true}}
+
+// sourceOf builds kind's source over n items.
+func sourceOf[I any](kind sourceKind, n int, read func(i int) (I, error)) func(i int) (I, error) {
+	if kind.streams {
+		return streamed(n, read)
+	}
+	return counted(n, read)
+}
+
+// weigh is kind's admission weight function for n items of w bytes each.
+func (kind sourceKind) weigh(n int, w int64) func(i int) int64 {
+	if kind.streams {
+		return func(int) int64 { return w }
+	}
+	return weighing(n, w)
+}
+
+// weighing is the admission weight function of a source of exactly n items of
+// w bytes each: the index at which the source ends weighs nothing.
+func weighing(n int, w int64) func(i int) int64 {
+	return func(i int) int64 {
+		if i >= n {
+			return 0
+		}
+		return w
+	}
+}
+
+// runN runs the pipeline, untraced, over a source of exactly n items.
+func runN[I, O any](ctx context.Context, n int, read func(i int) (I, error), workers []Worker[I, O], write func(i int, o O) error, pol Policy) (Report, error) {
+	return RunResilientTraced(ctx, counted(n, read), workers, write, pol, nil)
+}
+
+// The TestRun* cases run the pipeline under the zero Policy — the plain,
+// retry-nothing runtime.
 
 func TestRunProcessesAllPartitionsInOrder(t *testing.T) {
 	const n = 50
@@ -25,7 +98,7 @@ func TestRunProcessesAllPartitionsInOrder(t *testing.T) {
 		got = append(got, i)
 		return nil
 	}
-	assignment, err := Run(context.Background(), n, read, workers, write)
+	rep, err := runN(context.Background(), n, read, workers, write, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +110,10 @@ func TestRunProcessesAllPartitionsInOrder(t *testing.T) {
 			t.Fatalf("output order broken at %d: %d", i, v)
 		}
 	}
-	if len(assignment) != n {
-		t.Fatalf("assignment has %d entries", len(assignment))
+	if len(rep.Assignment) != n {
+		t.Fatalf("assignment has %d entries", len(rep.Assignment))
 	}
-	for i, w := range assignment {
+	for i, w := range rep.Assignment {
 		if w < 0 || w >= len(workers) {
 			t.Fatalf("partition %d assigned to bogus worker %d", i, w)
 		}
@@ -48,8 +121,8 @@ func TestRunProcessesAllPartitionsInOrder(t *testing.T) {
 }
 
 func TestRunWorkStealing(t *testing.T) {
-	// With multiple workers and enough partitions, more than one worker
-	// should get work (they all steal from the same queue).
+	// Every worker steals from the same queue, and between them they process
+	// each partition exactly once.
 	const n = 200
 	var perWorker [4]atomic.Int64
 	workers := make([]Worker[int, int], 4)
@@ -60,8 +133,8 @@ func TestRunWorkStealing(t *testing.T) {
 			return x, nil
 		}
 	}
-	_, err := Run(context.Background(), n, func(i int) (int, error) { return i, nil }, workers,
-		func(i, o int) error { return nil })
+	_, err := runN(context.Background(), n, func(i int) (int, error) { return i, nil }, workers,
+		func(i, o int) error { return nil }, Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,86 +149,73 @@ func TestRunWorkStealing(t *testing.T) {
 
 func TestRunReadError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(context.Background(), 10,
+	var attempts atomic.Int64
+	_, err := runN(context.Background(), 10,
 		func(i int) (int, error) {
 			if i == 3 {
+				attempts.Add(1)
 				return 0, boom
 			}
 			return i, nil
 		},
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil })
+		[]Worker[int, int]{okWorker},
+		func(i, o int) error { return nil }, Policy{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("read error not surfaced: %v", err)
 	}
-}
-
-func TestRunWorkerError(t *testing.T) {
-	boom := errors.New("kaput")
-	_, err := Run(context.Background(), 10,
-		func(i int) (int, error) { return i, nil },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) {
-			if x == 5 {
-				return 0, boom
-			}
-			return x, nil
-		}},
-		func(i, o int) error { return nil })
-	if !errors.Is(err, boom) {
-		t.Fatalf("worker error not surfaced: %v", err)
+	if got := attempts.Load(); got != 1 {
+		t.Fatalf("the zero policy read the failing partition %d times, want 1", got)
 	}
 }
 
 func TestRunWriteError(t *testing.T) {
 	boom := errors.New("disk full")
-	_, err := Run(context.Background(), 10,
+	var attempts atomic.Int64
+	_, err := runN(context.Background(), 10,
 		func(i int) (int, error) { return i, nil },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
+		[]Worker[int, int]{okWorker},
 		func(i, o int) error {
 			if i == 7 {
+				attempts.Add(1)
 				return boom
 			}
 			return nil
-		})
+		}, Policy{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("write error not surfaced: %v", err)
 	}
-}
-
-func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), -1, func(i int) (int, error) { return 0, nil },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(int, int) error { return nil }); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, err := Run[int, int](context.Background(), 5, func(i int) (int, error) { return 0, nil }, nil,
-		func(int, int) error { return nil }); err == nil {
-		t.Error("no workers accepted")
+	if got := attempts.Load(); got != 1 {
+		t.Fatalf("the zero policy wrote the failing partition %d times, want 1", got)
 	}
 }
 
 func TestRunZeroPartitions(t *testing.T) {
-	_, err := Run(context.Background(), 0, func(i int) (int, error) { return i, nil },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil })
+	rep, err := runN(context.Background(), 0, func(i int) (int, error) { return i, nil },
+		[]Worker[int, int]{okWorker},
+		func(i, o int) error { return errors.New("nothing to write") }, Policy{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rep.Assignment) != 0 || len(rep.Written) != 0 {
+		t.Fatalf("an empty source left a report of %d/%d partitions", len(rep.Assignment), len(rep.Written))
 	}
 }
 
 func TestRunAssignmentOnFailure(t *testing.T) {
-	// An immediate read failure must leave every assignment entry at -1:
-	// before the sentinel, untouched partitions were mis-attributed to
+	// Partitions no worker produced are attributed to no one (-1), never to
 	// worker 0 (the zero value).
 	boom := errors.New("boom")
-	assignment, err := Run(context.Background(), 8,
+	rep, err := runN(context.Background(), 8,
 		func(i int) (int, error) { return 0, boom },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
-		func(i, o int) error { return nil })
+		[]Worker[int, int]{okWorker},
+		func(i, o int) error { return nil }, Policy{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("read error not surfaced: %v", err)
 	}
-	for i, w := range assignment {
+	if len(rep.Assignment) != 8 {
+		t.Fatalf("assignment has %d entries, want 8", len(rep.Assignment))
+	}
+	for i, w := range rep.Assignment {
 		if w != -1 {
 			t.Errorf("partition %d attributed to worker %d on failure, want -1", i, w)
 		}
@@ -163,37 +223,40 @@ func TestRunAssignmentOnFailure(t *testing.T) {
 }
 
 func TestRunPromptShutdown(t *testing.T) {
-	// Once a stage has failed, a worker must stop at claim time — not fully
-	// process the partition it claims next because srv already covers it.
-	// read(2) fails after signalling; the sole worker holds partition 0
-	// until the failure is guaranteed recorded, then must never run
-	// partition 1.
-	readFailed := make(chan struct{})
-	var processed [3]atomic.Bool
-	read := func(i int) (int, error) {
-		if i == 2 {
-			close(readFailed)
-			return 0, errors.New("input torn")
+	// A source that fails is not asked again — under any attempt budget, a
+	// second read of a stream would resume past the bad record — and what it
+	// yielded before the failure still drains: items 0 and 1 are written,
+	// nothing is read after index 2, and the error comes back wrapped.
+	torn := errors.New("input torn")
+	for _, pol := range []Policy{{}, {MaxAttempts: 3, QuarantineAfter: 2}} {
+		check := goroutineFence(t)
+		var reads atomic.Int64
+		read := func(int) (int, error) {
+			i := int(reads.Add(1)) - 1
+			if i >= 2 {
+				return 0, &SourceError{Err: torn}
+			}
+			return i, nil
 		}
-		return i, nil
-	}
-	worker := func(_ context.Context, x int) (int, error) {
-		if x == 0 {
-			<-readFailed
-			// The failed flag is set by the reader after read returns; give
-			// it time to land so the claim-time check is actually exercised.
-			time.Sleep(50 * time.Millisecond)
+		var wrote []int
+		rep, err := RunResilientTraced(context.Background(), read, []Worker[int, int]{okWorker, okWorker},
+			func(i, o int) error { wrote = append(wrote, o); return nil }, pol, nil)
+		if !errors.Is(err, torn) {
+			t.Fatalf("MaxAttempts=%d: source error not surfaced: %v", pol.MaxAttempts, err)
 		}
-		processed[x].Store(true)
-		return x, nil
-	}
-	_, err := Run(context.Background(), 3, read, []Worker[int, int]{worker},
-		func(i, o int) error { return nil })
-	if err == nil {
-		t.Fatal("expected read failure")
-	}
-	if processed[1].Load() {
-		t.Error("worker processed partition 1 after the pipeline had failed")
+		if got := reads.Load(); got != 3 {
+			t.Fatalf("MaxAttempts=%d: the source was read %d times, want 3 (two items, one failure)", pol.MaxAttempts, got)
+		}
+		if len(wrote) != 2 || wrote[0] != 0 || wrote[1] != 1 {
+			t.Fatalf("MaxAttempts=%d: wrote %v, want the two items read before the failure", pol.MaxAttempts, wrote)
+		}
+		if rep.Retries != 0 || len(rep.Assignment) != 2 || len(rep.FailedPartitions) != 0 {
+			t.Fatalf("MaxAttempts=%d: report %+v, want no retries and two items", pol.MaxAttempts, rep)
+		}
+		if len(rep.Faults) != 1 || rep.Faults[0].Stage != "read" || rep.Faults[0].Partition != 2 {
+			t.Fatalf("MaxAttempts=%d: faults %+v, want the one failed read", pol.MaxAttempts, rep.Faults)
+		}
+		check()
 	}
 }
 
@@ -218,11 +281,11 @@ func (l *spanLog) StageSpan(stage string, partition, worker int, start, end time
 func TestRunTracedRecordsSpans(t *testing.T) {
 	const n = 10
 	var log spanLog
-	_, err := RunTraced(context.Background(), n,
-		func(i int) (int, error) { return i, nil },
-		[]Worker[int, int]{func(_ context.Context, x int) (int, error) { return x, nil }},
+	_, err := RunResilientTraced(context.Background(),
+		counted(n, func(i int) (int, error) { return i, nil }),
+		[]Worker[int, int]{okWorker},
 		func(i, o int) error { return nil },
-		&log)
+		Policy{}, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +298,9 @@ func TestRunTracedRecordsSpans(t *testing.T) {
 		perPart, ok := counts[s.stage]
 		if !ok {
 			t.Fatalf("unknown stage %q", s.stage)
+		}
+		if s.partition >= n {
+			t.Fatalf("%s span for index %d: the read that found the end of the source is not a partition", s.stage, s.partition)
 		}
 		perPart[s.partition]++
 		if s.end.Before(s.start) {

@@ -1,17 +1,43 @@
 // Package pipeline implements ParaHash's work-stealing co-processing
 // pipeline (§III-E): a three-stage flow — input partitions, consuming and
-// producing, output partitions — synchronised by the four shared counters
-// the paper names srv, cns, prd and wrt.
+// producing, output partitions — that both build steps run on. The paper
+// synchronises the stages with four shared counters, srv, cns, prd and wrt;
+// RunResilientTraced, the one runtime, keeps their roles under one mutex:
 //
-//   - srv points at the tail of the input queue and is advanced only by the
-//     input stage as partitions become available.
-//   - cns hands out queuing ids to processors: a processor claims the next
-//     partition by atomically incrementing cns, and a partition is
-//     consumable when srv >= its id.
-//   - prd counts produced output partitions.
-//   - wrt points at the head of the output queue; the output stage writes
-//     partition wrt as soon as it has been produced (prd ordering is
-//     tracked per slot so out-of-order completions never block correctness).
+//   - srv, the tail of the input queue, is the input stage taking the next
+//     index up and queueing the item it read; it runs until the source
+//     reports io.EOF, so the item count need not be known up front.
+//   - cns hands queued items to processors: whichever worker is idle claims
+//     the head of the queue (work stealing).
+//   - prd marks produced outputs, tracked per item so out-of-order
+//     completions never block correctness.
+//   - wrt is the output stage's cursor: it writes item wrt as soon as it has
+//     been produced, so writes happen in item order.
+//
+// The paper's pipeline is all-or-nothing: the first error from any stage
+// aborts the whole build, discarding every completed partition. Real
+// heterogeneous deployments lose processors mid-run and hit transient IO
+// faults routinely, and partition-granular construction makes recovery
+// cheap — a failed partition is re-read or re-hashed, a failed processor's
+// partitions are re-queued onto the survivors. The runtime does that under a
+// Policy (the zero Policy retries nothing and never quarantines), plus:
+//
+//   - cancellation: the run's context cancels promptly and leak-free — no
+//     new stage attempt starts, condition waits wake, and every pipeline
+//     goroutine exits before the run returns;
+//   - a watchdog: Policy.AttemptTimeout bounds each work-stage attempt in
+//     wall-clock time, and an expired attempt is abandoned and treated as an
+//     ordinary worker fault, feeding the retry/quarantine machinery (a hung
+//     device kernel must not hang the whole build);
+//   - admission control: Policy.Admission gates each partition's predicted
+//     working-set bytes through a weighted semaphore, so concurrent
+//     residency queues under a memory budget instead of OOMing;
+//   - bounded residency: the input stage reads at most len(workers)+1
+//     partitions ahead of the workers and stops while the output stage is
+//     that far behind them; a partition's input is let go the moment it is
+//     produced or permanently failed, its output the moment the output stage
+//     takes it — so a run holds a constant number of partitions in memory
+//     however many it processes.
 //
 // The package also provides Simulate, a deterministic virtual-time
 // scheduler over the same greedy idle-processor-takes-next policy, which
@@ -21,10 +47,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -38,7 +60,7 @@ const (
 // SpanRecorder receives wall-clock stage spans from a pipeline run: one call
 // per read / compute / write invocation, with the partition index and, for
 // compute spans, the worker that ran it (-1 for the IO stages). Retried
-// attempts in the resilient runner each produce their own span.
+// attempts each produce their own span.
 // Implementations must be safe for concurrent use from every pipeline
 // goroutine.
 type SpanRecorder interface {
@@ -46,169 +68,9 @@ type SpanRecorder interface {
 }
 
 // Worker consumes one input partition and produces one output partition.
-// A Worker models a processor in the consuming-and-producing stage; Run
+// A Worker models a processor in the consuming-and-producing stage; a run
 // invokes each worker from its own goroutine only, so workers may keep
 // unsynchronised internal state. The context carries the run's (and, under
-// the resilient runner's watchdog, the attempt's) cancellation: workers
-// doing long compute must check it periodically and return its error.
+// the watchdog, the attempt's) cancellation: workers doing long compute must
+// check it periodically and return its error.
 type Worker[I, O any] func(ctx context.Context, item I) (O, error)
-
-// Run pipelines n partitions through three overlapped stages:
-//
-//	read(i)    — stage 1, called sequentially for i = 0..n-1;
-//	workers    — stage 2, each claiming partitions off the shared queue
-//	             (work stealing: whichever worker is idle takes the next);
-//	write(i,o) — stage 3, called sequentially in partition order.
-//
-// Run returns the first error from any stage, after all goroutines have
-// stopped. Canceling ctx stops every stage promptly (between partitions, and
-// within cooperative workers) and returns the context's cause. The
-// assignment of partitions to workers is returned for workload-distribution
-// reporting; partitions never produced by any worker (because a stage failed
-// first) are reported as -1, matching Report.Assignment's convention.
-func Run[I, O any](ctx context.Context, n int, read func(i int) (I, error), workers []Worker[I, O], write func(i int, o O) error) ([]int, error) {
-	return RunTraced(ctx, n, read, workers, write, nil)
-}
-
-// RunTraced is Run with an optional SpanRecorder observing every stage
-// invocation; rec may be nil.
-func RunTraced[I, O any](ctx context.Context, n int, read func(i int) (I, error), workers []Worker[I, O], write func(i int, o O) error, rec SpanRecorder) ([]int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("pipeline: negative partition count %d", n)
-	}
-	if len(workers) == 0 {
-		return nil, fmt.Errorf("pipeline: no workers")
-	}
-	var (
-		srv atomic.Int64 // input partitions made available
-		cns atomic.Int64 // queuing ids handed to processors
-		prd atomic.Int64 // output partitions produced
-		wrt int64        // output partitions written (single-writer)
-	)
-	inputs := make([]I, n)
-	outputs := make([]O, n)
-	outReady := make([]atomic.Bool, n)
-	// -1 marks a partition no worker produced, so an early failure never
-	// mis-attributes untouched partitions to worker 0.
-	assignment := make([]int, n)
-	for i := range assignment {
-		assignment[i] = -1
-	}
-
-	var failed atomic.Bool
-	errCh := make(chan error, len(workers)+2)
-	fail := func(err error) {
-		failed.Store(true)
-		errCh <- err
-	}
-	// canceled doubles as the failure flag for spin loops; the cause is
-	// surfaced once, after the goroutines join.
-	canceled := func() bool {
-		if ctx.Err() != nil {
-			failed.Store(true)
-			return true
-		}
-		return false
-	}
-
-	var wg sync.WaitGroup
-
-	// Stage 1: input. Advances srv after each partition lands.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			if failed.Load() || canceled() {
-				return
-			}
-			start := time.Now()
-			item, err := read(i)
-			if rec != nil {
-				rec.StageSpan(StageRead, i, -1, start, time.Now())
-			}
-			if err != nil {
-				fail(fmt.Errorf("pipeline: reading partition %d: %w", i, err))
-				return
-			}
-			inputs[i] = item
-			srv.Add(1)
-		}
-	}()
-
-	// Stage 2: processors. Each claims a queuing id via cns and waits for
-	// srv to reach it.
-	for w := range workers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				// Check at claim time too, not only while spinning on srv:
-				// when every input is already served a worker would otherwise
-				// fully process the partition it claims after another stage
-				// has failed.
-				if failed.Load() || canceled() {
-					return
-				}
-				id := cns.Add(1) - 1
-				if id >= int64(n) {
-					return
-				}
-				for srv.Load() <= id {
-					if failed.Load() || canceled() {
-						return
-					}
-					runtime.Gosched()
-				}
-				start := time.Now()
-				out, err := workers[w](ctx, inputs[id])
-				if rec != nil {
-					rec.StageSpan(StageCompute, int(id), w, start, time.Now())
-				}
-				if err != nil {
-					fail(fmt.Errorf("pipeline: worker %d on partition %d: %w", w, id, err))
-					return
-				}
-				assignment[id] = w
-				outputs[id] = out
-				outReady[id].Store(true)
-				prd.Add(1)
-			}
-		}(w)
-	}
-
-	// Stage 3: output. Writes partition wrt as soon as it is produced.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for ; wrt < int64(n); wrt++ {
-			for !outReady[wrt].Load() {
-				if failed.Load() || canceled() {
-					return
-				}
-				runtime.Gosched()
-			}
-			start := time.Now()
-			err := write(int(wrt), outputs[wrt])
-			if rec != nil {
-				rec.StageSpan(StageWrite, int(wrt), -1, start, time.Now())
-			}
-			if err != nil {
-				fail(fmt.Errorf("pipeline: writing partition %d: %w", wrt, err))
-				return
-			}
-		}
-	}()
-
-	wg.Wait()
-	close(errCh)
-	if err := ctx.Err(); err != nil {
-		return assignment, fmt.Errorf("pipeline: run canceled: %w", context.Cause(ctx))
-	}
-	if err := <-errCh; err != nil {
-		return assignment, err
-	}
-	return assignment, nil
-}

@@ -15,51 +15,61 @@ import (
 // more than len(workers)+1, with or without an admission gate, while slow
 // workers and a slower writer give the reader every chance to run ahead.
 func TestRunResilientReadAheadIsBounded(t *testing.T) {
-	for _, gated := range []bool{false, true} {
-		for _, numWorkers := range []int{1, 3} {
-			const n = 60
-			var reads, worked atomic.Int64
-			var maxAhead int64
-			read := func(i int) (int, error) {
-				// Only the reader writes maxAhead; the run's return orders it
-				// before the assertion below.
-				if ahead := reads.Add(1) - worked.Load(); ahead > maxAhead {
-					maxAhead = ahead
-				}
-				return i, nil
-			}
-			workers := make([]Worker[int, int], numWorkers)
-			for w := range workers {
-				workers[w] = func(_ context.Context, x int) (int, error) {
-					time.Sleep(200 * time.Microsecond)
-					worked.Add(1)
-					return x, nil
-				}
-			}
-			write := func(i, o int) error {
-				time.Sleep(300 * time.Microsecond)
-				return nil
-			}
-			var pol Policy
-			if gated {
-				gate, err := NewGate(1 << 20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pol.Admission = gate
-				pol.AdmissionWeight = func(int) int64 { return 1 }
-			}
-			rep, err := RunResilient(context.Background(), n, read, workers, write, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if maxAhead > int64(numWorkers)+1 || maxAhead < 1 {
-				t.Errorf("gated=%v workers=%d: reader got %d partitions ahead, bound is %d", gated, numWorkers, maxAhead, numWorkers+1)
-			}
-			if gated && rep.Admission.BalanceBytes != 0 {
-				t.Errorf("gate left unbalanced: %+v", rep.Admission)
+	for _, src := range sourceKinds {
+		for _, gated := range []bool{false, true} {
+			for _, numWorkers := range []int{1, 3} {
+				readAheadIsBounded(t, src, gated, numWorkers)
 			}
 		}
+	}
+}
+
+func readAheadIsBounded(t *testing.T, src sourceKind, gated bool, numWorkers int) {
+	t.Helper()
+	const n = 60
+	var reads, worked atomic.Int64
+	var maxAhead int64
+	read := func(i int) (int, error) {
+		// Only the reader writes maxAhead; the run's return orders it
+		// before the assertion below.
+		if ahead := reads.Add(1) - worked.Load(); ahead > maxAhead {
+			maxAhead = ahead
+		}
+		return i, nil
+	}
+	workers := make([]Worker[int, int], numWorkers)
+	for w := range workers {
+		workers[w] = func(_ context.Context, x int) (int, error) {
+			time.Sleep(200 * time.Microsecond)
+			worked.Add(1)
+			return x, nil
+		}
+	}
+	write := func(i, o int) error {
+		time.Sleep(300 * time.Microsecond)
+		return nil
+	}
+	var pol Policy
+	if gated {
+		gate, err := NewGate(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol.Admission = gate
+		pol.AdmissionWeight = src.weigh(n, 1)
+	}
+	rep, err := RunResilientTraced(context.Background(), sourceOf(src, n, read), workers, write, pol, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxAhead > int64(numWorkers)+1 || maxAhead < 1 {
+		t.Errorf("%s gated=%v workers=%d: reader got %d partitions ahead, bound is %d", src.name, gated, numWorkers, maxAhead, numWorkers+1)
+	}
+	if len(rep.Written) != n {
+		t.Errorf("%s: the report covers %d partitions, want %d", src.name, len(rep.Written), n)
+	}
+	if gated && rep.Admission.BalanceBytes != 0 {
+		t.Errorf("%s: gate left unbalanced: %+v", src.name, rep.Admission)
 	}
 }
 
@@ -79,6 +89,12 @@ func collectable(freed *atomic.Int64, id int) *payload {
 // worker until the earlier partitions' inputs and outputs have been
 // collected: a run that kept them until it returned would never get there.
 func TestRunResilientReleasesInputsAndOutputsMidRun(t *testing.T) {
+	for _, src := range sourceKinds {
+		t.Run(src.name, func(t *testing.T) { releasesInputsAndOutputsMidRun(t, src) })
+	}
+}
+
+func releasesInputsAndOutputsMidRun(t *testing.T, src sourceKind) {
 	const n = 8
 	var inputsFreed, outputsFreed atomic.Int64
 	var written atomic.Int64
@@ -115,7 +131,7 @@ func TestRunResilientReleasesInputsAndOutputsMidRun(t *testing.T) {
 		written.Add(1)
 		return nil
 	}
-	if _, err := RunResilient(context.Background(), n, read, []Worker[*payload, *payload]{worker, worker}, write, Policy{}); err != nil {
+	if _, err := RunResilientTraced(context.Background(), sourceOf(src, n, read), []Worker[*payload, *payload]{worker, worker}, write, Policy{}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,7 +174,7 @@ func TestRunResilientRetriedPartitionsKeepTheirInput(t *testing.T) {
 		return 0, errors.New("device fell off the bus")
 	}
 	got := make([]int, n)
-	rep, err := RunResilient(context.Background(), n,
+	rep, err := runN(context.Background(), n,
 		func(i int) (*payload, error) { return &payload{id: i}, nil },
 		[]Worker[*payload, int]{flaky, dead},
 		func(i, o int) error { got[i] = o; return nil },
@@ -181,65 +197,74 @@ func TestRunResilientRetriedPartitionsKeepTheirInput(t *testing.T) {
 // workers that never finish: it must return promptly, leak nothing and leave
 // the admission gate balanced.
 func TestRunResilientStopsWithReaderParkedOnBound(t *testing.T) {
-	const n, numWorkers = 20, 2
-	for _, how := range []string{"cancel", "abandon"} {
-		check := goroutineFence(t)
-		gate, err := NewGate(100)
-		if err != nil {
-			t.Fatal(err)
+	for _, src := range sourceKinds {
+		for _, how := range []string{"cancel", "abandon"} {
+			t.Run(src.name+"/"+how, func(t *testing.T) { stopsWithReaderParkedOnBound(t, src, how) })
 		}
-		ctx, cancel := context.WithCancelCause(context.Background())
-		cause := errors.New("stop")
-		var reads atomic.Int64
-		parked := make(chan struct{})
-		read := func(i int) (int, error) {
-			if reads.Add(1) == numWorkers+1 {
-				close(parked) // the bound's last read: the reader parks next
-			}
-			return i, nil
-		}
-		worker := func(wctx context.Context, x int) (int, error) {
-			<-parked
-			if how == "abandon" {
-				return 0, errors.New("device fell off the bus")
-			}
-			<-wctx.Done()
-			return 0, wctx.Err()
-		}
-		go func() {
-			<-parked
-			time.Sleep(5 * time.Millisecond)
-			if how == "cancel" {
-				cancel(cause)
-			}
-		}()
-		pol := Policy{Admission: gate, AdmissionWeight: func(int) int64 { return 10 }, QuarantineAfter: 1}
-		start := time.Now()
-		rep, runErr := RunResilient(ctx, n, read, []Worker[int, int]{worker, worker}, func(i, o int) error { return nil }, pol)
-		cancel(nil)
-		switch how {
-		case "cancel":
-			if !errors.Is(runErr, cause) || !rep.Canceled {
-				t.Fatalf("cancel: err %v, report %+v", runErr, rep)
-			}
-		case "abandon":
-			if !errors.Is(runErr, ErrNoHealthyWorkers) {
-				t.Fatalf("abandon: err %v", runErr)
-			}
-		}
-		if took := time.Since(start); took > 2*time.Second {
-			t.Fatalf("%s: run took %v to stop", how, took)
-		}
-		if got := reads.Load(); got != numWorkers+1 {
-			t.Fatalf("%s: %d partitions read, the bound allows %d before any is produced", how, got, numWorkers+1)
-		}
-		if rep.Admission.BalanceBytes != 0 {
-			t.Fatalf("%s: gate left holding %d bytes", how, rep.Admission.BalanceBytes)
-		}
-		if err := gate.Acquire(context.Background(), 100); err != nil {
-			t.Fatalf("%s: gate leaked a grant: %v", how, err)
-		}
-		gate.Release(100)
-		check()
 	}
+}
+
+func stopsWithReaderParkedOnBound(t *testing.T, src sourceKind, how string) {
+	const n, numWorkers = 20, 2
+	check := goroutineFence(t)
+	gate, err := NewGate(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cause := errors.New("stop")
+	var reads atomic.Int64
+	parked := make(chan struct{})
+	read := func(i int) (int, error) {
+		if reads.Add(1) == numWorkers+1 {
+			close(parked) // the bound's last read: the reader parks next
+		}
+		return i, nil
+	}
+	worker := func(wctx context.Context, x int) (int, error) {
+		<-parked
+		if how == "abandon" {
+			return 0, errors.New("device fell off the bus")
+		}
+		<-wctx.Done()
+		return 0, wctx.Err()
+	}
+	go func() {
+		<-parked
+		time.Sleep(5 * time.Millisecond)
+		if how == "cancel" {
+			cancel(cause)
+		}
+	}()
+	pol := Policy{Admission: gate, AdmissionWeight: src.weigh(n, 10), QuarantineAfter: 1}
+	start := time.Now()
+	rep, runErr := RunResilientTraced(ctx, sourceOf(src, n, read), []Worker[int, int]{worker, worker}, func(i, o int) error { return nil }, pol, nil)
+	cancel(nil)
+	switch how {
+	case "cancel":
+		if !errors.Is(runErr, cause) || !rep.Canceled {
+			t.Fatalf("cancel: err %v, report %+v", runErr, rep)
+		}
+	case "abandon":
+		if !errors.Is(runErr, ErrNoHealthyWorkers) {
+			t.Fatalf("abandon: err %v", runErr)
+		}
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("%s: run took %v to stop", how, took)
+	}
+	if got := reads.Load(); got != numWorkers+1 {
+		t.Fatalf("%s: %d partitions read, the bound allows %d before any is produced", how, got, numWorkers+1)
+	}
+	if len(rep.Assignment) != numWorkers+1 || len(rep.Written) != numWorkers+1 {
+		t.Fatalf("%s: the report covers %d/%d partitions, %d were taken up", how, len(rep.Assignment), len(rep.Written), numWorkers+1)
+	}
+	if rep.Admission.BalanceBytes != 0 {
+		t.Fatalf("%s: gate left holding %d bytes", how, rep.Admission.BalanceBytes)
+	}
+	if err := gate.Acquire(context.Background(), 100); err != nil {
+		t.Fatalf("%s: gate leaked a grant: %v", how, err)
+	}
+	gate.Release(100)
+	check()
 }

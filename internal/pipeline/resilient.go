@@ -4,35 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"time"
 )
-
-// This file adds the fault-tolerant variant of Run. The paper's pipeline is
-// all-or-nothing: the first error from any stage aborts the whole build,
-// discarding every completed partition. Real heterogeneous deployments lose
-// processors mid-run and hit transient IO faults routinely, and ParaHash's
-// partition-granular construction makes per-partition recovery cheap: a
-// failed partition can simply be re-read or re-hashed, and a failed
-// processor's partitions re-queued onto the survivors. RunResilient
-// implements exactly that policy, plus three governors:
-//
-//   - cancellation: the run's context cancels promptly and leak-free — no
-//     new stage attempt starts, condition waits wake, and every pipeline
-//     goroutine exits before RunResilient returns;
-//   - a watchdog: Policy.AttemptTimeout bounds each work-stage attempt in
-//     wall-clock time, and an expired attempt is abandoned and treated as an
-//     ordinary worker fault, feeding the existing retry/quarantine machinery
-//     (a hung device kernel must not hang the whole build);
-//   - admission control: Policy.Admission gates each partition's predicted
-//     working-set bytes through a weighted semaphore, so concurrent
-//     residency queues under a memory budget instead of OOMing;
-//   - bounded residency: the input stage reads at most len(workers)+1
-//     partitions ahead of the workers, and a partition's input is let go
-//     the moment it is produced or permanently failed, its output the moment
-//     the output stage takes it — so a run holds a constant number of
-//     partitions in memory however many it processes.
 
 // ErrNoHealthyWorkers reports that every worker was quarantined before the
 // run completed; the partitions that were not yet produced fail with it.
@@ -44,9 +20,9 @@ var ErrNoHealthyWorkers = errors.New("pipeline: all workers quarantined")
 // worker's consecutive-failure count advances toward quarantine.
 var ErrAttemptTimeout = errors.New("pipeline: partition attempt deadline exceeded")
 
-// Policy configures RunResilient's fault handling. The zero value retries
-// nothing and never quarantines, making RunResilient behave like Run except
-// that it aggregates every partition error instead of stopping at the first.
+// Policy configures a run's fault handling. The zero value retries nothing
+// and never quarantines; a run under it still aggregates every partition
+// error instead of stopping at the first.
 type Policy struct {
 	// MaxAttempts is the per-partition attempt budget per stage (read,
 	// work, write). 1 — and, normalised, anything below 1 — means fail
@@ -93,14 +69,17 @@ type Policy struct {
 	// write order and the gate can never deadlock the in-order writer.
 	Admission *Gate
 	// AdmissionWeight returns a partition's admission weight in bytes
-	// (typically its Property-1 predicted hash table footprint). nil
-	// weights every partition 1 byte. Ignored without Admission.
+	// (typically its Property-1 predicted hash table footprint); a weight of
+	// 0 or less passes without consulting the gate. It is also asked about
+	// the index at which read then reports io.EOF, so a source that knows its
+	// length weighs that index 0. nil weights every index 1 byte. Ignored
+	// without Admission.
 	AdmissionWeight func(i int) int64
 }
 
 // PartitionError records one failed attempt at one partition. Recovered
 // attempts appear in Report.Faults; permanent failures are additionally
-// joined into RunResilient's returned error.
+// joined into the run's returned error.
 type PartitionError struct {
 	// Partition is the partition index.
 	Partition int
@@ -167,34 +146,64 @@ type Report struct {
 	Admission GateStats
 }
 
-// runState is the shared mutable state of one RunResilient invocation,
-// guarded by mu.
-type runState struct {
+// SourceError marks a read failure as the failure of the source itself rather
+// than of one item: a stream cannot be rewound, so there is nothing to re-read
+// and nothing behind the failure to skip to. Whatever the policy says the
+// input stage does not retry it — a second read would resume mid-stream and
+// silently drop the bad record — and reads no further; the items already taken
+// up drain through the work and write stages and the run returns Err wrapped.
+type SourceError struct{ Err error }
+
+// Error implements error.
+func (e *SourceError) Error() string { return e.Err.Error() }
+
+// Unwrap exposes the underlying error to errors.Is/As.
+func (e *SourceError) Unwrap() error { return e.Err }
+
+// slot is the run's state for one item, created when the input stage takes
+// the item's index up.
+type slot[I, O any] struct {
+	in  I // dropped when the work stage is done with the item
+	out O // dropped when the output stage takes it
+
+	// held marks an item the input stage has taken up and the work stage has
+	// not finished with (produced or permanently failed).
+	held     bool
+	produced bool  // the item has an output
+	written  bool  // the item's write stage succeeded
+	failed   error // permanent failure
+	attempts int   // charged failed work-stage attempts
+	worker   int   // the worker that produced the item, -1 if none did
+
+	weight  int64
+	granted bool // the item holds an admission grant of its weight
+}
+
+// runState is the shared mutable state of one run, guarded by mu.
+type runState[I, O any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	queue       []int   // partitions ready for a worker to claim
-	produced    []bool  // partition has an output
-	failed      []error // permanent per-partition failure
-	attempts    []int   // charged failed attempts per partition
-	consec      []int   // consecutive failures per worker
+	// items has one slot per index the input stage has taken up; total is the
+	// item count once the input stage has stopped (the source ended, failed,
+	// or the run was stopped), -1 before.
+	items     []slot[I, O]
+	total     int
+	sourceErr error // the SourceError that ended the input, if one did
+
+	queue       []int // items ready for a worker to claim
+	consec      []int // consecutive failures per worker
 	quarantined []bool
 	healthy     int
 	abandoned   bool // all workers quarantined
 	canceled    bool // the run context was canceled
 	writerDone  bool
 
-	admitted []bool // partition holds an admission grant
-	released []bool // partition's grant was returned
-	weights  []int64
-
-	// held marks partitions the input stage has taken up and the work stage
-	// has not finished with (produced or permanently failed); unproduced
-	// counts them, and the input stage waits while it is at the read-ahead
-	// bound. dropInput forgets partition i's input value.
-	held       []bool
+	// unproduced counts held items, backlog the outputs the output stage has
+	// not taken yet; the input stage waits while either is over the read-ahead
+	// bound.
 	unproduced int
-	dropInput  func(i int)
+	backlog    int
 
 	pol         Policy
 	maxAttempts int
@@ -205,7 +214,7 @@ type runState struct {
 // chargeRetryLocked books one retried attempt and its exponential virtual
 // backoff, spread by the seeded jitter factor when the policy asks for one.
 // attempt is the 1-based attempt that just failed.
-func (st *runState) chargeRetryLocked(attempt int) {
+func (st *runState[I, O]) chargeRetryLocked(attempt int) {
 	st.rep.Retries++
 	backoff := st.pol.BackoffSeconds * float64(int64(1)<<uint(attempt-1))
 	if st.jitter != nil {
@@ -214,61 +223,90 @@ func (st *runState) chargeRetryLocked(attempt int) {
 	st.rep.BackoffSeconds += backoff
 }
 
-// failLocked marks a partition permanently failed (first failure wins) and
+// failLocked marks an item permanently failed (first failure wins) and
 // returns its admission grant — a dead partition must not hold budget that
 // live partitions are queueing for.
-func (st *runState) failLocked(i int, err error) {
-	if st.failed[i] == nil {
-		st.failed[i] = err
+func (st *runState[I, O]) failLocked(i int, err error) {
+	if st.items[i].failed == nil {
+		st.items[i].failed = err
 	}
 	st.releaseLocked(i)
 	st.settleLocked(i)
 }
 
-// settleLocked ends partition i's stay in the work stage — it has an output
-// or never will: its input is forgotten, so the collector can have it while
-// the run goes on, and its read-ahead slot goes back to the input stage.
-// Callers broadcast.
-func (st *runState) settleLocked(i int) {
-	if !st.held[i] {
+// settleLocked ends item i's stay in the work stage — it has an output or
+// never will: its input is forgotten, so the collector can have it while the
+// run goes on, and its read-ahead slot goes back to the input stage. Callers
+// broadcast.
+func (st *runState[I, O]) settleLocked(i int) {
+	it := &st.items[i]
+	if !it.held {
 		return
 	}
-	st.held[i] = false
+	it.held = false
 	st.unproduced--
-	st.dropInput(i)
+	var zero I
+	it.in = zero
 }
 
-// releaseLocked returns partition i's admission grant exactly once.
-func (st *runState) releaseLocked(i int) {
-	if st.pol.Admission == nil || !st.admitted[i] || st.released[i] {
+// releaseLocked returns item i's admission grant exactly once.
+func (st *runState[I, O]) releaseLocked(i int) {
+	it := &st.items[i]
+	if !it.granted {
 		return
 	}
-	st.released[i] = true
-	st.pol.Admission.Release(st.weights[i])
+	it.granted = false
+	st.pol.Admission.Release(it.weight)
 }
 
-// abandonLocked fails every partition that has no output yet; called when
-// the last healthy worker is quarantined. cause is the fault that retired
-// the final worker, kept in the chain so callers can still errors.Is the
+// readyLocked reports whether item i is ready for the output stage: it has
+// an output or never will.
+func (st *runState[I, O]) readyLocked(i int) bool {
+	return i < len(st.items) && (st.items[i].produced || st.items[i].failed != nil)
+}
+
+// readOutcome is what the input stage's attempts at one index came to.
+type readOutcome int
+
+const (
+	itemRead     readOutcome = iota // the item is ready for the workers
+	itemFailed                      // permanently failed; on to the next
+	inputStopped                    // the source ended or failed here, or the run is stopping
+)
+
+// untakeLocked gives index i back: the source ended (or failed) there, so
+// the slot the input stage took up for it never was an item.
+func (st *runState[I, O]) untakeLocked(i int) {
+	st.releaseLocked(i)
+	st.settleLocked(i)
+	st.items = st.items[:i]
+}
+
+// abandonLocked fails every item that has no output yet; called when the
+// last healthy worker is quarantined. cause is the fault that retired the
+// final worker, kept in the chain so callers can still errors.Is the
 // underlying device error.
-func (st *runState) abandonLocked(cause error) {
+func (st *runState[I, O]) abandonLocked(cause error) {
 	st.abandoned = true
-	for i := range st.failed {
-		if !st.produced[i] && st.failed[i] == nil {
-			st.failed[i] = fmt.Errorf("pipeline: partition %d: %w (last worker fault: %w)",
-				i, ErrNoHealthyWorkers, cause)
-			st.releaseLocked(i)
-			st.settleLocked(i)
+	for i := range st.items {
+		if it := &st.items[i]; !it.produced && it.failed == nil {
+			st.failLocked(i, fmt.Errorf("pipeline: partition %d: %w (last worker fault: %w)",
+				i, ErrNoHealthyWorkers, cause))
 		}
 	}
 }
 
-// RunResilient pipelines n partitions through the same three overlapped
-// stages as Run — sequential read, work-stealing workers, sequential
-// in-order write — but applies pol's fault-handling on top:
+// RunResilientTraced pipelines the items of a source through three
+// overlapped stages — sequential read, work-stealing workers, sequential
+// in-order write — with pol's fault handling on top. The source's length is
+// not known up front: read(i) is called for i = 0, 1, … and ends the run by
+// returning io.EOF, bare. rec, when non-nil, observes every stage attempt
+// (retries included).
 //
 //   - a failed read or write is retried up to pol.MaxAttempts times with
-//     deterministic virtual-time backoff;
+//     deterministic virtual-time backoff — except a read that fails with a
+//     *SourceError, which ends the input: nothing more is read, what was
+//     taken up drains, and the run returns the error;
 //   - a failed worker attempt re-queues the partition (any worker may pick
 //     it up) until the partition's attempt budget is exhausted;
 //   - a work-stage attempt that outlives pol.AttemptTimeout is abandoned by
@@ -279,12 +317,14 @@ func (st *runState) abandonLocked(cause error) {
 //     is quarantined — it stops claiming work and its partition is
 //     re-queued for free, so the build degrades gracefully onto the
 //     surviving processors and still succeeds with >= 1 healthy worker;
-//   - each partition passes pol.Admission (when set) before its read stage,
-//     bounding concurrent working-set bytes under the memory budget;
+//   - each partition of positive weight passes pol.Admission (when set)
+//     before its read stage, bounding concurrent working-set bytes under the
+//     memory budget;
 //   - the read stage stays at most len(workers)+1 partitions ahead of the
 //     work stage (read but neither produced nor permanently failed), with or
-//     without an admission gate, and inputs and outputs are dropped as soon
-//     as the next stage is done with them;
+//     without an admission gate, and stops reading while more than
+//     len(workers) outputs wait for the output stage; inputs and outputs are
+//     dropped as soon as the next stage is done with them;
 //   - permanently failed partitions do not abort the run: the remaining
 //     partitions are still processed and written in order, and all
 //     permanent errors are aggregated (errors.Join) into the returned
@@ -294,31 +334,15 @@ func (st *runState) abandonLocked(cause error) {
 //     starts, already-written partitions stay committed (Report.Written),
 //     and the returned error wraps the context's cause.
 //
-// The Report is always valid, even when an error is returned.
-func RunResilient[I, O any](ctx context.Context, n int, read func(i int) (I, error), workers []Worker[I, O], write func(i int, o O) error, pol Policy) (Report, error) {
-	return RunResilientTraced(ctx, n, read, workers, write, pol, nil)
-}
-
-// RunResilientTraced is RunResilient with an optional SpanRecorder
-// observing every stage attempt (retries included); rec may be nil.
-func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (I, error), workers []Worker[I, O], write func(i int, o O) error, pol Policy, rec SpanRecorder) (Report, error) {
+// The Report is always valid, even when an error is returned; its
+// per-partition slices have one entry per item the input stage took up.
+func RunResilientTraced[I, O any](ctx context.Context, read func(i int) (I, error), workers []Worker[I, O], write func(i int, o O) error, pol Policy, rec SpanRecorder) (Report, error) {
 	rep := Report{}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if n < 0 {
-		return rep, fmt.Errorf("pipeline: negative partition count %d", n)
-	}
 	if len(workers) == 0 {
 		return rep, fmt.Errorf("pipeline: no workers")
-	}
-	rep.Assignment = make([]int, n)
-	for i := range rep.Assignment {
-		rep.Assignment[i] = -1
-	}
-	rep.Written = make([]bool, n)
-	if n == 0 {
-		return rep, nil
 	}
 	if pol.MaxAttempts < 1 {
 		pol.MaxAttempts = 1
@@ -335,21 +359,11 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 		weigh = func(int) int64 { return 1 }
 	}
 
-	inputs := make([]I, n)
-	outputs := make([]O, n)
-
-	st := &runState{
-		produced:    make([]bool, n),
-		failed:      make([]error, n),
-		attempts:    make([]int, n),
+	st := &runState[I, O]{
+		total:       -1,
 		consec:      make([]int, len(workers)),
 		quarantined: make([]bool, len(workers)),
 		healthy:     len(workers),
-		admitted:    make([]bool, n),
-		released:    make([]bool, n),
-		weights:     make([]int64, n),
-		held:        make([]bool, n),
-		dropInput:   func(i int) { var zero I; inputs[i] = zero },
 		pol:         pol,
 		maxAttempts: pol.MaxAttempts,
 		rep:         &rep,
@@ -388,33 +402,42 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 
 	var wg sync.WaitGroup
 
-	// Stage 1: input. Reads partitions in order — acquiring each partition's
-	// admission grant first — retrying transient faults; a permanently
-	// unreadable partition is recorded and skipped.
+	// Stage 1: input. Takes indices up in order — acquiring each one's
+	// admission grant first — until the source ends, retrying transient
+	// faults; a permanently unreadable partition is recorded and skipped.
+	// However it stops, what it took up by then is the run's item count.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < n; i++ {
+		defer func() {
+			st.mu.Lock()
+			st.total = len(st.items)
+			st.cond.Broadcast()
+			st.mu.Unlock()
+		}()
+		for i := 0; ; i++ {
 			st.mu.Lock()
 			// Park on the read-ahead bound before asking for admission, so a
 			// parked reader holds no grant.
-			for st.unproduced > len(workers) && !st.abandoned && !st.canceled {
+			for (st.unproduced > len(workers) || st.backlog > len(workers)) && !st.abandoned && !st.canceled {
 				st.cond.Wait()
 			}
 			if st.abandoned || st.canceled {
 				st.mu.Unlock()
 				return
 			}
-			st.held[i] = true
+			// The source cannot say whether item i exists before it is read, so
+			// the index at which it ends is weighed and taken up like an item —
+			// a source that knows its length weighs that index 0 — and given
+			// back once read reports the end.
+			w := weigh(i)
+			st.items = append(st.items, slot[I, O]{held: true, worker: -1, weight: w})
 			st.unproduced++
-			st.weights[i] = weigh(i)
-			w := st.weights[i]
 			st.mu.Unlock()
 
-			if pol.Admission != nil {
+			if pol.Admission != nil && w > 0 {
 				if err := pol.Admission.Acquire(runCtx, w); err != nil {
-					// Canceled or abandoned while queued; the loop exit above
-					// records which on the next iteration's check — just stop.
+					// Canceled or abandoned while queued.
 					st.mu.Lock()
 					if st.canceled {
 						st.rep.CanceledAttempts++
@@ -423,7 +446,7 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 					return
 				}
 				st.mu.Lock()
-				st.admitted[i] = true
+				st.items[i].granted = true
 				if st.abandoned || st.canceled {
 					st.releaseLocked(i)
 					st.mu.Unlock()
@@ -432,46 +455,55 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 				st.mu.Unlock()
 			}
 
-			item, ok := func() (I, bool) {
+			item, outcome := func() (I, readOutcome) {
+				var none I
 				for attempt := 1; ; attempt++ {
 					if runCtx.Err() != nil {
 						st.mu.Lock()
 						st.rep.CanceledAttempts++
 						st.releaseLocked(i)
 						st.mu.Unlock()
-						var zero I
-						return zero, false
+						return none, inputStopped
 					}
 					start := time.Now()
 					item, err := read(i)
+					if err == io.EOF {
+						st.mu.Lock()
+						st.untakeLocked(i)
+						st.mu.Unlock()
+						return none, inputStopped
+					}
 					if rec != nil {
 						rec.StageSpan(StageRead, i, -1, start, time.Now())
 					}
 					if err == nil {
-						return item, true
+						return item, itemRead
 					}
 					st.mu.Lock()
 					st.rep.Faults = append(st.rep.Faults,
 						PartitionError{Partition: i, Stage: "read", Worker: -1, Attempt: attempt, Err: err})
+					var srcErr *SourceError
+					if errors.As(err, &srcErr) {
+						st.sourceErr = fmt.Errorf("pipeline: the input failed at item %d: %w", i, err)
+						st.untakeLocked(i)
+						st.mu.Unlock()
+						return none, inputStopped
+					}
 					if attempt >= st.maxAttempts || !retryable(err) {
 						st.failLocked(i, fmt.Errorf("pipeline: reading partition %d (attempt %d/%d): %w",
 							i, attempt, st.maxAttempts, err))
 						st.cond.Broadcast()
 						st.mu.Unlock()
-						var zero I
-						return zero, false
+						return none, itemFailed
 					}
 					st.chargeRetryLocked(attempt)
 					st.mu.Unlock()
 				}
 			}()
-			if !ok {
-				st.mu.Lock()
-				canceled := st.canceled
-				st.mu.Unlock()
-				if canceled {
-					return
-				}
+			if outcome == inputStopped {
+				return
+			}
+			if outcome == itemFailed {
 				continue
 			}
 			st.mu.Lock()
@@ -480,7 +512,7 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 				st.mu.Unlock()
 				return
 			}
-			inputs[i] = item
+			st.items[i].in = item
 			st.queue = append(st.queue, i)
 			st.cond.Broadcast()
 			st.mu.Unlock()
@@ -506,7 +538,7 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 				}
 				id := st.queue[0]
 				st.queue = st.queue[1:]
-				in := inputs[id]
+				in := st.items[id].in
 				st.mu.Unlock()
 
 				start := time.Now()
@@ -518,10 +550,10 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 				st.mu.Lock()
 				if err == nil {
 					st.consec[w] = 0
-					outputs[id] = out
-					st.produced[id] = true
+					it := &st.items[id]
+					it.out, it.produced, it.worker = out, true, w
+					st.backlog++
 					st.settleLocked(id)
-					st.rep.Assignment[id] = w
 					st.cond.Broadcast()
 					st.mu.Unlock()
 					continue
@@ -533,7 +565,7 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 					st.mu.Unlock()
 					return
 				}
-				attempt := st.attempts[id] + 1
+				attempt := st.items[id].attempts + 1
 				st.rep.Faults = append(st.rep.Faults,
 					PartitionError{Partition: id, Stage: "work", Worker: w, Attempt: attempt, Err: err})
 				if errors.Is(err, ErrAttemptTimeout) {
@@ -557,7 +589,7 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 					st.mu.Unlock()
 					return
 				}
-				st.attempts[id] = attempt
+				st.items[id].attempts = attempt
 				if attempt >= st.maxAttempts {
 					st.failLocked(id, fmt.Errorf("pipeline: worker %d on partition %d (attempt %d/%d): %w",
 						w, id, attempt, st.maxAttempts, err))
@@ -572,29 +604,43 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 	}
 
 	// Stage 3: output. Writes produced partitions in order, skipping
-	// permanently failed ones so one bad partition never blocks the rest.
-	// Cancellation stops it before the next partition; the in-flight write
-	// is allowed to finish so committed outputs are never half-published.
+	// permanently failed ones so one bad partition never blocks the rest,
+	// until the input stage has stopped and everything it took up is dealt
+	// with. Cancellation stops it before the next partition; the in-flight
+	// write is allowed to finish so committed outputs are never
+	// half-published.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < n; i++ {
+		for i := 0; ; i++ {
 			st.mu.Lock()
-			for !st.produced[i] && st.failed[i] == nil && !st.canceled {
+			// Index i is past the end once the input stage has stopped short
+			// of it.
+			for !st.readyLocked(i) && !st.canceled && !(st.total >= 0 && i >= st.total) {
 				st.cond.Wait()
 			}
-			if st.canceled && !st.produced[i] {
+			if !st.readyLocked(i) {
+				canceled := st.canceled
+				st.mu.Unlock()
+				if canceled {
+					return
+				}
+				break
+			}
+			if st.canceled && !st.items[i].produced {
 				st.mu.Unlock()
 				return
 			}
-			if st.failed[i] != nil {
+			if st.items[i].failed != nil {
 				st.mu.Unlock()
 				continue
 			}
 			// The writer's copy is the only one from here on.
-			out := outputs[i]
+			out := st.items[i].out
 			var zero O
-			outputs[i] = zero
+			st.items[i].out = zero
+			st.backlog--
+			st.cond.Broadcast()
 			st.mu.Unlock()
 
 			for attempt := 1; ; attempt++ {
@@ -611,7 +657,7 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 				}
 				if err == nil {
 					st.mu.Lock()
-					st.rep.Written[i] = true
+					st.items[i].written = true
 					st.releaseLocked(i)
 					st.mu.Unlock()
 					break
@@ -639,44 +685,46 @@ func RunResilientTraced[I, O any](ctx context.Context, n int, read func(i int) (
 	close(watcherStop)
 	watcherWg.Wait()
 
-	// Return any grants still held (e.g. partitions admitted but never
-	// reaching a terminal state before cancellation), so a shared gate is
-	// left balanced.
-	st.mu.Lock()
-	for i := range st.admitted {
+	// Every goroutine is gone, so the state needs no lock from here on. Return
+	// any grants still held (e.g. partitions admitted but never reaching a
+	// terminal state before cancellation), so a shared gate is left balanced.
+	n := len(st.items)
+	rep.Assignment = make([]int, n)
+	rep.Written = make([]bool, n)
+	written := 0
+	for i := range st.items {
 		st.releaseLocked(i)
+		rep.Assignment[i] = st.items[i].worker
+		rep.Written[i] = st.items[i].written
+		if st.items[i].written {
+			written++
+		}
 	}
-	canceled := st.canceled
-	st.mu.Unlock()
-
 	if pol.Admission != nil {
 		rep.Admission = pol.Admission.Stats()
 	}
 
-	if canceled {
+	if st.canceled {
 		rep.Canceled = true
-		written := 0
-		for _, w := range rep.Written {
-			if w {
-				written++
-			}
-		}
 		return rep, fmt.Errorf("pipeline: run canceled after %d of %d partitions written: %w",
 			written, n, context.Cause(ctx))
 	}
 
 	var errs []error
-	for i, e := range st.failed {
-		if e != nil {
+	for i := range st.items {
+		if e := st.items[i].failed; e != nil {
 			rep.FailedPartitions = append(rep.FailedPartitions, i)
 			errs = append(errs, e)
 		}
 	}
+	var err error
 	if len(errs) > 0 {
-		return rep, fmt.Errorf("pipeline: %d of %d partitions failed: %w",
-			len(errs), n, errors.Join(errs...))
+		err = fmt.Errorf("pipeline: %d of %d partitions failed: %w", len(errs), n, errors.Join(errs...))
 	}
-	return rep, nil
+	if st.sourceErr != nil {
+		err = errors.Join(st.sourceErr, err)
+	}
+	return rep, err
 }
 
 // runAttempt invokes one work-stage attempt under the watchdog: with a

@@ -15,7 +15,7 @@ func okWorker(_ context.Context, x int) (int, error) { return x, nil }
 func TestRunResilientFaultFreeMatchesRun(t *testing.T) {
 	const n = 64
 	var got []int
-	rep, err := RunResilient(context.Background(), n,
+	rep, err := runN(context.Background(), n,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{okWorker, okWorker, okWorker},
 		func(i, o int) error {
@@ -50,7 +50,7 @@ func TestRunResilientFaultFreeMatchesRun(t *testing.T) {
 func TestRunResilientRetriesTransientRead(t *testing.T) {
 	boom := errors.New("flaky disk")
 	var failures atomic.Int64
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := runN(context.Background(), 10,
 		func(i int) (int, error) {
 			if i == 4 && failures.Add(1) <= 2 {
 				return 0, boom
@@ -80,7 +80,7 @@ func TestRunResilientRetriesTransientRead(t *testing.T) {
 func jitteredBackoffRun(t *testing.T, jitter float64, seed int64) float64 {
 	t.Helper()
 	var failures [10]atomic.Int64
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := runN(context.Background(), 10,
 		func(i int) (int, error) {
 			if i%3 == 0 && failures[i].Add(1) <= 2 {
 				return 0, errors.New("flaky disk")
@@ -128,7 +128,7 @@ func TestRunResilientBackoffJitter(t *testing.T) {
 
 func TestRunResilientBackoffJitterValidation(t *testing.T) {
 	for _, j := range []float64{-0.1, 1.5} {
-		_, err := RunResilient(context.Background(), 1,
+		_, err := runN(context.Background(), 1,
 			func(i int) (int, error) { return i, nil },
 			[]Worker[int, int]{okWorker},
 			func(i, o int) error { return nil },
@@ -141,7 +141,7 @@ func TestRunResilientBackoffJitterValidation(t *testing.T) {
 
 func TestRunResilientReadRetriesExhausted(t *testing.T) {
 	boom := errors.New("dead disk")
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := runN(context.Background(), 10,
 		func(i int) (int, error) {
 			if i == 3 {
 				return 0, boom
@@ -162,7 +162,7 @@ func TestRunResilientReadRetriesExhausted(t *testing.T) {
 func TestRunResilientNonRetryableFailsFast(t *testing.T) {
 	fatal := errors.New("no such file")
 	var reads atomic.Int64
-	_, err := RunResilient(context.Background(), 4,
+	_, err := runN(context.Background(), 4,
 		func(i int) (int, error) {
 			if i == 1 {
 				reads.Add(1)
@@ -191,7 +191,7 @@ func TestRunResilientWorkerErrorRetriedMidStream(t *testing.T) {
 		return 2 * x, nil
 	}
 	var got []int
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := runN(context.Background(), 10,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{worker},
 		func(i, o int) error {
@@ -217,7 +217,7 @@ func TestRunResilientAggregatesAllPartitionErrors(t *testing.T) {
 	boomA := errors.New("fault A")
 	boomB := errors.New("fault B")
 	var written atomic.Int64
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := runN(context.Background(), 10,
 		func(i int) (int, error) {
 			switch i {
 			case 2:
@@ -244,7 +244,7 @@ func TestRunResilientAggregatesAllPartitionErrors(t *testing.T) {
 func TestRunResilientWriteErrorAfterPartialOutput(t *testing.T) {
 	boom := errors.New("disk full")
 	var got []int
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := runN(context.Background(), 10,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error {
@@ -279,7 +279,7 @@ func TestRunResilientWriteErrorAfterPartialOutput(t *testing.T) {
 
 func TestRunResilientWrittenMarksDurablePartitions(t *testing.T) {
 	boom := errors.New("disk full")
-	rep, err := RunResilient(context.Background(), 10,
+	rep, err := runN(context.Background(), 10,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{okWorker},
 		func(i, o int) error {
@@ -324,7 +324,7 @@ func TestRunResilientQuarantineWithOneSurvivor(t *testing.T) {
 		},
 	}
 	var got []int
-	rep, err := RunResilient(context.Background(), n,
+	rep, err := runN(context.Background(), n,
 		func(i int) (int, error) { return i, nil },
 		workers,
 		func(i, o int) error {
@@ -357,7 +357,7 @@ func TestRunResilientAllWorkersQuarantined(t *testing.T) {
 		func(_ context.Context, x int) (int, error) { return 0, dead },
 		func(_ context.Context, x int) (int, error) { return 0, dead },
 	}
-	rep, err := RunResilient(context.Background(), 20,
+	rep, err := runN(context.Background(), 20,
 		func(i int) (int, error) { return i, nil },
 		workers,
 		func(i, o int) error { return nil },
@@ -371,21 +371,19 @@ func TestRunResilientAllWorkersQuarantined(t *testing.T) {
 	if len(rep.Quarantined) != 2 {
 		t.Errorf("quarantined = %v, want both workers", rep.Quarantined)
 	}
-	if len(rep.FailedPartitions) != 20 {
-		t.Errorf("failed partitions = %d, want all 20", len(rep.FailedPartitions))
+	// Every partition the input stage had taken up fails; it takes none up
+	// afterwards, and never more than the read-ahead bound before.
+	if got := len(rep.FailedPartitions); got == 0 || got != len(rep.Assignment) || got > len(workers)+1 {
+		t.Errorf("failed partitions = %d of %d taken up, want all of them and at most %d", got, len(rep.Assignment), len(workers)+1)
 	}
 }
 
 func TestRunResilientValidationAndZero(t *testing.T) {
-	if _, err := RunResilient(context.Background(), -1, func(i int) (int, error) { return 0, nil },
-		[]Worker[int, int]{okWorker}, func(int, int) error { return nil }, Policy{}); err == nil {
-		t.Error("negative n accepted")
-	}
-	if _, err := RunResilient[int, int](context.Background(), 5, func(i int) (int, error) { return 0, nil },
+	if _, err := runN[int, int](context.Background(), 5, func(i int) (int, error) { return 0, nil },
 		nil, func(int, int) error { return nil }, Policy{}); err == nil {
 		t.Error("no workers accepted")
 	}
-	rep, err := RunResilient(context.Background(), 0, func(i int) (int, error) { return 0, nil },
+	rep, err := runN(context.Background(), 0, func(i int) (int, error) { return 0, nil },
 		[]Worker[int, int]{okWorker}, func(int, int) error { return nil }, Policy{})
 	if err != nil || len(rep.Assignment) != 0 {
 		t.Errorf("zero partitions: %v %+v", err, rep)
@@ -397,7 +395,7 @@ func TestRunResilientZeroPolicyFailsFastButAggregates(t *testing.T) {
 	// like Run, but with error aggregation instead of first-error abort.
 	boom := errors.New("boom")
 	var processed atomic.Int64
-	_, err := RunResilient(context.Background(), 10,
+	_, err := runN(context.Background(), 10,
 		func(i int) (int, error) { return i, nil },
 		[]Worker[int, int]{func(_ context.Context, x int) (int, error) {
 			if x%2 == 1 {
@@ -436,7 +434,7 @@ func TestRunResilientStress(t *testing.T) {
 	}
 	var mu sync.Mutex
 	got := make([]int, 0, n)
-	rep, err := RunResilient(context.Background(), n,
+	rep, err := runN(context.Background(), n,
 		func(i int) (int, error) {
 			if i%17 == 0 && !readFailed[i].Swap(true) {
 				return 0, transient

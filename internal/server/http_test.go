@@ -161,7 +161,14 @@ func TestHTTPLifecycle(t *testing.T) {
 // and while draining.
 func TestHTTPShedding(t *testing.T) {
 	input := tinyFASTQ(t)
-	m, err := Open(Options{Root: t.TempDir(), Base: testBase(), MaxQueue: 1, Logf: t.Logf})
+	// The accepted job is held at the start of its build until the later
+	// submissions have been shed, however fast a build is.
+	release := make(chan struct{})
+	m, err := Open(Options{Root: t.TempDir(), Base: testBase(), MaxQueue: 1, Logf: t.Logf,
+		WrapJobConfig: func(_ string, cfg parahash.Config) parahash.Config {
+			<-release
+			return cfg
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +200,7 @@ func TestHTTPShedding(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
+	close(release)
 	if !sawShed {
 		t.Fatal("no submission shed despite MaxQueue=1")
 	}

@@ -17,6 +17,7 @@ import (
 	"parahash/internal/atomicfile"
 	"parahash/internal/core"
 	"parahash/internal/device"
+	"parahash/internal/fastq"
 	"parahash/internal/hashtable"
 	"parahash/internal/pipeline"
 	"parahash/internal/store"
@@ -591,18 +592,16 @@ func (m *Manager) buildOnce(ctx context.Context, id string, cfg parahash.Config)
 		return nil, fmt.Errorf("server: opening job input: %w", err)
 	}
 	defer f.Close()
-	reads, err := parahash.ParseReads(f)
-	if err != nil {
-		return nil, fmt.Errorf("server: re-parsing job input: %w", err)
-	}
-	return parahash.BuildContext(attemptCtx, reads, cfg)
+	// Streamed, so the daemon never holds a job's whole read set.
+	return parahash.BuildFromReaderContext(attemptCtx, f, cfg)
 }
 
 // retryable classifies a build failure. Deterministic failures — disk
 // full, a checkpoint from a different configuration, cancellation of any
 // flavour (client, drain, kill, deadline), resize exhaustion, device
-// memory — fail the job; everything else is presumed transient (a flaky
-// store, an exhausted quarantine roster) and retried from the checkpoint.
+// memory, a stored input that no longer parses or holds no usable read —
+// fail the job; everything else is presumed transient (a flaky store, an
+// exhausted quarantine roster) and retried from the checkpoint.
 func (m *Manager) retryable(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false
@@ -612,6 +611,9 @@ func (m *Manager) retryable(ctx context.Context, err error) bool {
 		errors.Is(err, parahash.ErrManifestMismatch),
 		errors.Is(err, store.ErrDiskFull),
 		errors.Is(err, core.ErrResizeExhausted),
+		errors.Is(err, core.ErrNoUsableReads),
+		errors.Is(err, fastq.ErrBadRecord),
+		errors.Is(err, fastq.ErrRecordTooLarge),
 		errors.Is(err, hashtable.ErrPartitionTooLarge),
 		errors.Is(err, device.ErrDeviceMemory):
 		return false

@@ -11,9 +11,13 @@ import (
 	"time"
 
 	"parahash"
+	"parahash/internal/core"
+	"parahash/internal/fastq"
 	"parahash/internal/faultinject"
 	"parahash/internal/hashtable"
 	"parahash/internal/manifest"
+	"parahash/internal/obs"
+	"parahash/internal/pipeline"
 )
 
 // testBase is a fast build configuration for server tests.
@@ -504,5 +508,93 @@ func assertNoTmpFiles(t testing.TB, root string) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJobBuildStreamsItsInput: a build attempt hands the stored input file to
+// the streaming entry point instead of parsing it whole — Step 1 sees chunks
+// cut by the stream's size (one, for an input under a chunk long), where the
+// in-memory entry point cuts any read set into 4 per processor and at least
+// 16 — and the graph is the oracle's.
+func TestJobBuildStreamsItsInput(t *testing.T) {
+	input := tinyFASTQ(t)
+	reads, err := parahash.ParseReads(bytes.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bases int
+	for _, rd := range reads {
+		bases += len(rd.Bases)
+	}
+	wantChunks := (bases + core.DefaultStreamChunkBases - 1) / core.DefaultStreamChunkBases
+
+	trace := parahash.NewTrace()
+	m, err := Open(Options{Root: t.TempDir(), Base: testBase(), Logf: t.Logf,
+		WrapJobConfig: func(_ string, cfg parahash.Config) parahash.Config {
+			cfg.Trace = trace
+			return cfg
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	rec, err := m.Submit(JobSpec{}, bytes.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJobState(t, m, rec.ID, StateDone)
+
+	chunks := 0
+	for _, s := range trace.Spans() {
+		if s.Step == "step1" && s.Stage == pipeline.StageRead && s.Clock == obs.ClockWall {
+			chunks++
+		}
+	}
+	if chunks != wantChunks {
+		t.Fatalf("Step 1 read %d chunks; streaming %d bases takes %d", chunks, bases, wantChunks)
+	}
+	got, err := os.ReadFile(m.GraphPath(rec.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, oracleGraphBytes(t, input, testBase())) {
+		t.Fatal("the streamed job's graph differs from the oracle's")
+	}
+}
+
+// TestJobWithDamagedInputFails damages a job's stored input between submit
+// and build: the record that no longer parses fails the job with its typed
+// error on the first attempt — the default retry budget must not read past it
+// into a truncated graph — and nothing is published.
+func TestJobWithDamagedInputFails(t *testing.T) {
+	input := tinyFASTQ(t)
+	cut := bytes.Index(input[len(input)/2:], []byte("\n@")) + len(input)/2 + 1
+	damaged := append(append(append([]byte(nil), input[:cut]...), []byte("@torn\nACGTACGT\nIIIIIIII\n")...), input[cut:]...)
+
+	var m *Manager
+	m, err := Open(Options{Root: t.TempDir(), Base: testBase(), Logf: t.Logf, RetryBackoff: time.Millisecond,
+		WrapJobConfig: func(id string, cfg parahash.Config) parahash.Config {
+			if err := os.WriteFile(m.inputPath(id), damaged, 0o666); err != nil {
+				t.Error(err)
+			}
+			return cfg
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	rec, err := m.Submit(JobSpec{}, bytes.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitJobState(t, m, rec.ID, StateFailed)
+	if !strings.Contains(failed.Error, fastq.ErrBadRecord.Error()) {
+		t.Fatalf("job error %q, want the malformed record's", failed.Error)
+	}
+	if failed.Attempts != 1 {
+		t.Fatalf("the unparseable input was attempted %d times", failed.Attempts)
+	}
+	if _, err := os.Stat(m.GraphPath(rec.ID)); !os.IsNotExist(err) {
+		t.Fatalf("a graph was published for the failed job (stat: %v)", err)
 	}
 }

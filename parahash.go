@@ -48,6 +48,10 @@ var ErrManifestMismatch = core.ErrManifestMismatch
 // checkpointed build keeps its completed partitions journalled for resume.
 var ErrCanceled = core.ErrCanceled
 
+// ErrNoUsableReads reports an input that yielded no k-mer: no reads, or none
+// at least K bases long.
+var ErrNoUsableReads = core.ErrNoUsableReads
+
 // Result is a completed construction: the merged graph, the per-partition
 // subgraphs, and the run's statistics.
 type Result = core.Result
@@ -118,8 +122,8 @@ func BuildContext(ctx context.Context, reads []Read, cfg Config) (*Result, error
 
 // BuildFromReader constructs the graph from a plain or gzip-compressed
 // FASTA/FASTQ stream without materialising the full read set: Step 1 holds
-// a few chunks of reads at a time — one in each of its overlapped parse,
-// scan and encode stages — matching the paper's out-of-core operation.
+// a few chunks of reads at a time — those between its overlapped parse, scan
+// and encode stages — matching the paper's out-of-core operation.
 func BuildFromReader(r io.Reader, cfg Config) (*Result, error) {
 	return core.BuildFromReader(r, cfg, 0)
 }
