@@ -42,6 +42,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if cmd == "scrub" {
 		return cmdScrub(stdout, path)
 	}
+	// lookup reads one page of the file in place; everything else decodes
+	// the whole graph.
+	if cmd == "lookup" {
+		if len(rest) != 1 {
+			return fmt.Errorf("usage: dbgtool lookup graph.dbg KMER")
+		}
+		return cmdLookup(stdout, path, rest[0])
+	}
 	g, err := loadGraph(path)
 	if err != nil {
 		return err
@@ -49,11 +57,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	switch cmd {
 	case "stats":
 		return cmdStats(stdout, g)
-	case "lookup":
-		if len(rest) != 1 {
-			return fmt.Errorf("usage: dbgtool lookup graph.dbg KMER")
-		}
-		return cmdLookup(stdout, g, rest[0])
 	case "spectrum":
 		return cmdSpectrum(stdout, g)
 	case "contigs":
@@ -97,13 +100,30 @@ func cmdStats(w io.Writer, g *graph.Subgraph) error {
 	return nil
 }
 
-func cmdLookup(w io.Writer, g *graph.Subgraph, kmerStr string) error {
-	if len(kmerStr) != g.K {
-		return fmt.Errorf("k-mer %q has length %d, graph K is %d", kmerStr, len(kmerStr), g.K)
+func cmdLookup(w io.Writer, path, kmerStr string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	g, err := graph.OpenFile(f, st.Size())
+	if err != nil {
+		return err
+	}
+	k := g.K()
+	if len(kmerStr) != k {
+		return fmt.Errorf("k-mer %q has length %d, graph K is %d", kmerStr, len(kmerStr), k)
 	}
 	km := dna.KmerFromString(kmerStr)
-	canon, fwd := km.Canonical(g.K)
-	v, ok := g.Lookup(canon)
+	canon, fwd := km.Canonical(k)
+	v, ok, err := g.Lookup(canon)
+	if err != nil {
+		return err
+	}
 	if !ok {
 		fmt.Fprintf(w, "%s: not in graph\n", kmerStr)
 		return nil
@@ -112,7 +132,7 @@ func cmdLookup(w io.Writer, g *graph.Subgraph, kmerStr string) error {
 	if !fwd {
 		strand = "reverse-complement"
 	}
-	fmt.Fprintf(w, "%s (canonical %s, queried on %s strand)\n", kmerStr, canon.String(g.K), strand)
+	fmt.Fprintf(w, "%s (canonical %s, queried on %s strand)\n", kmerStr, canon.String(k), strand)
 	fmt.Fprintf(w, "occurrences ~%d, degree %d\n", v.Occurrences(), v.Degree())
 	for _, side := range []graph.Side{graph.Left, graph.Right} {
 		name := "left "
@@ -121,8 +141,8 @@ func cmdLookup(w io.Writer, g *graph.Subgraph, kmerStr string) error {
 		}
 		for b := dna.Base(0); b < 4; b++ {
 			if n := v.Count(side, b); n > 0 {
-				nb := graph.Neighbor(canon, g.K, side, b)
-				fmt.Fprintf(w, "  %s %c x%-6d -> %s\n", name, b.Char(), n, nb.String(g.K))
+				nb := graph.Neighbor(canon, k, side, b)
+				fmt.Fprintf(w, "  %s %c x%-6d -> %s\n", name, b.Char(), n, nb.String(k))
 			}
 		}
 	}

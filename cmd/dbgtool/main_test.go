@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +13,7 @@ import (
 	"parahash"
 	"parahash/internal/core"
 	"parahash/internal/dna"
+	"parahash/internal/graph"
 )
 
 // writeTestGraph builds a small graph file and returns its path plus one
@@ -49,25 +53,81 @@ func TestStats(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	path, probe := writeTestGraph(t)
-	var out, errw bytes.Buffer
-	if err := run([]string{"lookup", path, probe}, &out, &errw); err != nil {
+	image, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "occurrences") {
-		t.Errorf("lookup output:\n%s", out.String())
+	g, err := graph.ReadSubgraph(bytes.NewReader(image))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Absent k-mer.
-	out.Reset()
+	lookup := func(path, kmer string) (string, error) {
+		var out, errw bytes.Buffer
+		err := run([]string{"lookup", path, kmer}, &out, &errw)
+		return out.String(), err
+	}
+
+	// Both strands of a present k-mer name the same vertex — the one the
+	// decoded graph holds.
+	canon, fwd := dna.KmerFromString(probe).Canonical(g.K)
+	v, ok := g.Lookup(canon)
+	if !ok {
+		t.Fatalf("probe %s not in the decoded graph", probe)
+	}
+	strands := map[bool]string{true: "forward", false: "reverse-complement"}
+	var adjacency [2]string
+	for i, kmer := range []string{probe, dna.KmerFromString(probe).ReverseComplement(g.K).String(g.K)} {
+		out, err := lookup(path, kmer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := fmt.Sprintf("%s (canonical %s, queried on %s strand)\noccurrences ~%d, degree %d\n",
+			kmer, canon.String(g.K), strands[fwd == (i == 0)], v.Occurrences(), v.Degree())
+		if !strings.HasPrefix(out, head) {
+			t.Errorf("lookup %s:\n%swant it to start\n%s", kmer, out, head)
+		}
+		adjacency[i] = strings.TrimPrefix(out, head)
+		if n := strings.Count(adjacency[i], "\n"); n != v.Degree() {
+			t.Errorf("lookup %s lists %d edges, vertex has degree %d:\n%s", kmer, n, v.Degree(), out)
+		}
+	}
+	if adjacency[0] != adjacency[1] {
+		t.Errorf("the two strands list different edges:\n%s\n%s", adjacency[0], adjacency[1])
+	}
+
 	absent := strings.Repeat("A", 27)
-	if err := run([]string{"lookup", path, absent}, &out, &errw); err != nil {
-		t.Fatal(err)
+	if out, err := lookup(path, absent); err != nil || out != absent+": not in graph\n" {
+		t.Errorf("absent lookup: %q, %v", out, err)
 	}
-	if !strings.Contains(out.String(), "not in graph") {
-		t.Errorf("absent lookup output:\n%s", out.String())
+	if _, err := lookup(path, "ACGT"); err == nil || err.Error() != `k-mer "ACGT" has length 4, graph K is 27` {
+		t.Errorf("wrong-length k-mer: err = %v", err)
 	}
-	// Wrong length.
-	if err := run([]string{"lookup", path, "ACGT"}, &out, &errw); err == nil {
-		t.Error("wrong-length kmer accepted")
+
+	// A damaged file is refused by the header and exact-size checks, before
+	// anything is sized from its vertex count.
+	hugeCount := bytes.Clone(image)
+	binary.LittleEndian.PutUint64(hugeCount[6:], 1<<36)
+	for what, damaged := range map[string][]byte{
+		"truncated":                   image[:len(image)-1],
+		"padded":                      append(bytes.Clone(image), 0),
+		"2^36-vertex count":           hugeCount,
+		"2^36-vertex header, no body": hugeCount[:14],
+	} {
+		bad := filepath.Join(t.TempDir(), "bad.dbg")
+		if err := os.WriteFile(bad, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lookup(bad, probe); !errors.Is(err, graph.ErrBadFormat) || !strings.Contains(err.Error(), "bad subgraph format") {
+			t.Errorf("%s: err = %v, want graph.ErrBadFormat", what, err)
+		}
+		// The decoding subcommands take the same header: a typed error,
+		// not the runtime's out-of-memory abort.
+		if strings.HasPrefix(what, "2^36") {
+			var out, errw bytes.Buffer
+			if err := run([]string{"stats", bad}, &out, &errw); !errors.Is(err, graph.ErrBadFormat) {
+				t.Errorf("stats on %s: err = %v, want graph.ErrBadFormat", what, err)
+			}
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 		maxQueue    = fs.Int("max-queue", 16, "max queued+running jobs before submissions are shed with 429")
 		jobDeadline = fs.Duration("job-deadline", 0, "per-job wall-clock deadline; also seeds the per-partition watchdog (0 = none)")
 
-		graphCache    = fs.Int("graph-cache", 8, "decoded completed graphs kept resident for queries (LRU); evicted graphs reload from disk")
+		graphCache    = fs.Int("graph-cache", 8, "completed jobs' graph files kept open for queries (LRU; a descriptor and 0.4% of the file each); an evicted file is reopened and re-checked on its next query")
 		journalRetain = fs.Int("journal-retain", 64, "terminal job records kept through startup journal compaction; queued/running records are always kept")
 
 		retryMax      = fs.Int("retry-max", 2, "retries per job after a transient build failure (resuming from its checkpoint)")

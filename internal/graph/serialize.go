@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -86,31 +85,55 @@ func (g *Subgraph) Write(w io.Writer) error {
 	return err
 }
 
-// ReadSubgraph parses a serialised subgraph.
-func ReadSubgraph(r io.Reader) (*Subgraph, error) {
-	br := bufio.NewReaderSize(r, 1<<15)
-	var head [headerBytes]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
-	}
+// parseHeader validates a PHDG header and returns its k and vertex count.
+// The count is untrusted: nothing may be sized from it before that many
+// records are known to exist.
+func parseHeader(head *[headerBytes]byte) (k int, count uint64, err error) {
 	if [4]byte(head[:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrBadFormat)
 	}
 	if head[4] != formatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, head[4])
+		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, head[4])
 	}
-	k := int(head[5])
-	count := binary.LittleEndian.Uint64(head[6:14])
+	count = binary.LittleEndian.Uint64(head[6:14])
 	if count > 1<<40 {
-		return nil, fmt.Errorf("%w: implausible vertex count %d", ErrBadFormat, count)
+		return 0, 0, fmt.Errorf("%w: implausible vertex count %d", ErrBadFormat, count)
 	}
-	g := &Subgraph{K: k, Vertices: make([]Vertex, count)}
-	var buf [VertexRecordBytes]byte
-	for i := range g.Vertices {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, i, err)
+	return int(head[5]), count, nil
+}
+
+// ReadSubgraph parses a serialised subgraph.
+func ReadSubgraph(r io.Reader) (*Subgraph, error) {
+	var head [headerBytes]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
+	}
+	k, count, err := parseHeader(&head)
+	if err != nil {
+		return nil, err
+	}
+	// Records are read a write block at a time, and the vertex slice follows
+	// the blocks that have arrived, not the header: one block to start, four
+	// times the size whenever it is full, never past the count. A damaged
+	// count cannot ask for more than a constant factor of what the stream
+	// delivered; an honest one costs a third of the graph in copies.
+	block := int(min(count, writeBlockRecords))
+	g := &Subgraph{K: k, Vertices: make([]Vertex, 0, block)}
+	buf := make([]byte, block*VertexRecordBytes)
+	for uint64(len(g.Vertices)) < count {
+		done := len(g.Vertices)
+		if done == cap(g.Vertices) {
+			g.Vertices = append(make([]Vertex, 0, min(count, 4*uint64(done))), g.Vertices...)
 		}
-		getVertex(&g.Vertices[i], buf[:])
+		n := int(min(count-uint64(done), writeBlockRecords))
+		got, err := io.ReadFull(r, buf[:n*VertexRecordBytes])
+		if err != nil {
+			return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, done+got/VertexRecordBytes, err)
+		}
+		g.Vertices = g.Vertices[:done+n]
+		for i := 0; i < n; i++ {
+			getVertex(&g.Vertices[done+i], buf[i*VertexRecordBytes:])
+		}
 	}
 	return g, nil
 }

@@ -10,8 +10,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
+	"parahash"
 	"parahash/internal/graph"
 )
 
@@ -124,19 +128,11 @@ func TestStartupCompactionPreservesRecovery(t *testing.T) {
 	waitJobState(t, m, rec.ID, StateDone)
 }
 
-// TestGraphCacheEviction drives the completed-graph query cache past its
-// LRU bound and checks that evicted graphs transparently reload from their
-// published files, with the churn visible in /v1/stats.
-func TestGraphCacheEviction(t *testing.T) {
-	input := tinyFASTQ(t)
-	m, err := Open(Options{Root: t.TempDir(), Base: testBase(), GraphCacheSize: 2, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Drain(context.Background())
-
+// buildJobs submits n copies of input and waits for each to finish.
+func buildJobs(t *testing.T, m *Manager, input []byte, n int) []string {
+	t.Helper()
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		rec, err := m.Submit(JobSpec{}, bytes.NewReader(input))
 		if err != nil {
 			t.Fatal(err)
@@ -144,51 +140,217 @@ func TestGraphCacheEviction(t *testing.T) {
 		waitJobState(t, m, rec.ID, StateDone)
 		ids = append(ids, rec.ID)
 	}
-	s := m.Stats()
-	if s.GraphsCached > 2 {
-		t.Errorf("GraphsCached = %d, want <= 2", s.GraphsCached)
+	return ids
+}
+
+// middleVertex decodes a job's published graph — the oracle the in-place
+// reader is held to — and returns one of its k-mers with its vertex.
+func middleVertex(t *testing.T, m *Manager, id string) (string, graph.Vertex) {
+	t.Helper()
+	f, err := os.Open(m.GraphPath(id))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.GraphEvictions < 1 {
-		t.Errorf("GraphEvictions = %d, want >= 1", s.GraphEvictions)
+	defer f.Close()
+	g, err := graph.ReadSubgraph(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := g.Vertices[len(g.Vertices)/2]
+	return v.Kmer.String(g.K), v
+}
+
+// openFilesUnder counts this process's descriptors that point below root.
+func openFilesUnder(t *testing.T, root string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
+	}
+	if root, err = filepath.EvalSymlinks(root); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink("/proc/self/fd/" + fd.Name()); err == nil && strings.HasPrefix(target, root) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGraphCacheEviction drives the completed-graph query cache past its
+// LRU bound and checks that evicted graph files transparently reopen, with
+// the churn visible in /v1/stats and every handle closed by Drain.
+func TestGraphCacheEviction(t *testing.T) {
+	root := t.TempDir()
+	m, err := Open(Options{Root: root, Base: testBase(), GraphCacheSize: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+
+	ids := buildJobs(t, m, tinyFASTQ(t), 3)
+	if s := m.Stats(); s.GraphsCached != 0 {
+		t.Errorf("GraphsCached = %d before any query, want 0: a finished build's graph is not retained", s.GraphsCached)
+	}
+	kmer, _ := middleVertex(t, m, ids[0])
+	query := func(id string) {
+		t.Helper()
+		if res, err := m.Query(id, kmer); err != nil || !res.Present {
+			t.Fatalf("job %s: vertex %q: %+v, %v", id, kmer, res, err)
+		}
+	}
+	for _, id := range ids {
+		query(id)
+	}
+	s := m.Stats()
+	if s.GraphsCached != 2 {
+		t.Errorf("GraphsCached = %d, want 2", s.GraphsCached)
+	}
+	if s.GraphEvictions != 1 {
+		t.Errorf("GraphEvictions = %d, want 1", s.GraphEvictions)
+	}
+	if n := openFilesUnder(t, root); n != 2 {
+		t.Errorf("%d files open under the data root with 2 graphs cached", n)
 	}
 
-	// The first job's graph was evicted; querying it must reload from the
-	// published file without growing the cache past its bound.
-	g, err := m.loadGraph(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	kmer := g.Vertices[0].Kmer.String(g.K)
-	res, err := m.Query(ids[0], kmer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Present {
-		t.Fatalf("vertex %q missing from reloaded graph", kmer)
-	}
+	// The first job's file was closed; querying it reopens it without
+	// growing the cache past its bound.
+	query(ids[0])
 	s = m.Stats()
-	if s.GraphsCached > 2 {
-		t.Errorf("after reload GraphsCached = %d, want <= 2", s.GraphsCached)
+	if s.GraphsCached != 2 {
+		t.Errorf("after reopen GraphsCached = %d, want 2", s.GraphsCached)
 	}
-	if s.GraphEvictions < 2 {
-		t.Errorf("after reload GraphEvictions = %d, want >= 2", s.GraphEvictions)
+	if s.GraphEvictions != 2 {
+		t.Errorf("after reopen GraphEvictions = %d, want 2", s.GraphEvictions)
 	}
 
 	// The counters are part of the governance surface.
 	ts := httptest.NewServer(Handler(m))
-	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	var got Stats
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	ts.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got.GraphEvictions != s.GraphEvictions || got.GraphsCached != s.GraphsCached {
 		t.Fatalf("/v1/stats cache counters = %d/%d, want %d/%d",
 			got.GraphsCached, got.GraphEvictions, s.GraphsCached, s.GraphEvictions)
+	}
+
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFilesUnder(t, root); n != 0 {
+		t.Errorf("%d files still open under the data root after Drain", n)
+	}
+	// A drained manager still answers, from a handle it does not keep.
+	query(ids[1])
+	if s, n := m.Stats(), openFilesUnder(t, root); s.GraphsCached != 0 || n != 0 {
+		t.Errorf("after a post-Drain query: GraphsCached = %d, %d files open; want 0, 0", s.GraphsCached, n)
+	}
+}
+
+// TestGraphHandlesUnderConcurrentEviction thrashes the cache: eight
+// clients over four jobs at a bound of two, so handles are evicted while
+// other lookups are reading through them. No query may ever see a closed
+// file, every answer is the oracle's, and nothing stays open after Drain.
+func TestGraphHandlesUnderConcurrentEviction(t *testing.T) {
+	root := t.TempDir()
+	m, err := Open(Options{Root: root, Base: testBase(), GraphCacheSize: 2, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	ids := buildJobs(t, m, tinyFASTQ(t), 4)
+	kmer, want := middleVertex(t, m, ids[0])
+
+	const clients, queries = 8, 2000
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < queries; i += clients {
+				res, err := m.Query(ids[i%len(ids)], kmer)
+				if err != nil || !res.Present || res.Multiplicity != want.Multiplicity() || res.Degree != want.Degree() {
+					t.Errorf("query %d: %+v, %v", i, res, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	s := m.Stats()
+	if s.GraphsCached > 2 || s.GraphEvictions < 2 {
+		t.Errorf("GraphsCached = %d, GraphEvictions = %d; want at most 2 cached and the cache thrashed", s.GraphsCached, s.GraphEvictions)
+	}
+	if n := openFilesUnder(t, root); n > 2 {
+		t.Errorf("%d files open under the data root at a cache bound of 2 with no query in flight", n)
+	}
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFilesUnder(t, root); n != 0 {
+		t.Errorf("%d files still open under the data root after Drain", n)
+	}
+}
+
+// TestColdQueryAfterRestart: a restarted manager answers its first query
+// for a job it never built from the published file in place — one cached
+// handle, and no graph-sized allocation left behind.
+func TestColdQueryAfterRestart(t *testing.T) {
+	d, err := parahash.GenerateDataset(parahash.TinyProfile().Scale(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var input bytes.Buffer
+	if err := parahash.WriteFASTQ(&input, d.Reads); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Root: t.TempDir(), Base: testBase()}
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := buildJobs(t, m, input.Bytes(), 1)[0]
+	kmer, want := middleVertex(t, m, id)
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(m.GraphPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() < 1<<20 {
+		t.Fatalf("graph file is %d bytes; the test needs one over 1 MiB", st.Size())
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	res, err := m.Query(id, kmer)
+	if err != nil || !res.Present || res.Multiplicity != want.Multiplicity() || res.Degree != want.Degree() {
+		t.Fatalf("cold query: %+v, %v; want the vertex %+v", res, err, want)
+	}
+	if s := m.Stats(); s.GraphsCached != 1 {
+		t.Errorf("GraphsCached = %d, want 1", s.GraphsCached)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Errorf("live heap grew %d bytes across a cold query of a %d-byte graph: a decoded copy is retained", grew, st.Size())
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 type apiError struct {
 	Error string `json:"error"`
 	// Reason is a stable machine-readable discriminator: "queue_full",
-	// "draining", "unknown_job", "bad_request", "conflict", "internal".
+	// "draining", "unknown_job", "bad_request", "conflict", "graph_damaged",
+	// "internal".
 	Reason string `json:"reason"`
 }
 
@@ -94,12 +95,18 @@ func Handler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/query", func(w http.ResponseWriter, r *http.Request) {
 		res, err := m.Query(r.PathValue("id"), r.URL.Query().Get("kmer"))
 		switch {
+		case err == nil:
+			writeJSON(w, res)
 		case errors.Is(err, ErrUnknownJob):
 			writeError(w, http.StatusNotFound, "unknown_job", err)
-		case err != nil:
+		case errors.Is(err, ErrBadKmer):
+			writeError(w, http.StatusBadRequest, "bad_request", err)
+		case errors.Is(err, ErrJobNotDone):
 			writeError(w, http.StatusConflict, "conflict", err)
 		default:
-			writeJSON(w, res)
+			// The job is done and the question well-formed: its published
+			// graph file is unreadable or failed its checks.
+			writeError(w, http.StatusInternalServerError, "graph_damaged", err)
 		}
 	})
 

@@ -3,15 +3,20 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"parahash"
+	"parahash/internal/graph"
 )
 
 // httpJob decodes the JSON job record from a response body.
@@ -273,4 +278,71 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 	resp.Body.Close()
 	waitJobState(t, m, rec.ID, StateDone)
+}
+
+// TestHTTPQueryStatusCodes: a malformed k-mer is the client's fault (400,
+// and the graph file is never opened for it), a damaged graph file the
+// server's (500 graph_damaged, with a typed cause) — and neither a
+// truncated file nor a header claiming 2^36 vertices stops the daemon
+// answering for its other jobs.
+func TestHTTPQueryStatusCodes(t *testing.T) {
+	m, err := Open(Options{Root: t.TempDir(), Base: testBase(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	ts := httptest.NewServer(Handler(m))
+	defer ts.Close()
+	ids := buildJobs(t, m, tinyFASTQ(t), 2)
+	kmer, _ := middleVertex(t, m, ids[0])
+
+	expect := func(what, id, kmer string, status int, reason string) {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/query?kmer=%s", ts.URL, id, kmer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body apiError
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if resp.StatusCode != status || body.Reason != reason {
+			t.Errorf("%s: status %d reason %q (%s), want %d %q", what, resp.StatusCode, body.Reason, body.Error, status, reason)
+		}
+	}
+	expect("wrong length", ids[0], "ACGT", http.StatusBadRequest, "bad_request")
+	expect("non-ACGT base", ids[0], strings.Repeat("N", len(kmer)), http.StatusBadRequest, "bad_request")
+	expect("unknown job", "j9999", kmer, http.StatusNotFound, "unknown_job")
+	if s := m.Stats(); s.GraphsCached != 0 {
+		t.Errorf("GraphsCached = %d after only refused queries, want 0", s.GraphsCached)
+	}
+
+	image, err := os.ReadFile(m.GraphPath(ids[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hugeCount := bytes.Clone(image[:14])
+	binary.LittleEndian.PutUint64(hugeCount[6:], 1<<36)
+	for what, damaged := range map[string][]byte{
+		"truncated":           image[:len(image)-7],
+		"padded":              append(bytes.Clone(image), 0),
+		"2^36-vertex header":  hugeCount,
+		"2^36 count, body on": append(hugeCount, image[14:]...),
+	} {
+		if err := os.WriteFile(m.GraphPath(ids[0]), damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		expect(what, ids[0], kmer, http.StatusInternalServerError, "graph_damaged")
+		if _, err := m.Query(ids[0], kmer); !errors.Is(err, graph.ErrBadFormat) {
+			t.Errorf("%s: Query err = %v, want graph.ErrBadFormat", what, err)
+		}
+		expect(what+": the other job", ids[1], kmer, http.StatusOK, "")
+	}
+	if err := os.Remove(m.GraphPath(ids[0])); err != nil {
+		t.Fatal(err)
+	}
+	expect("missing file", ids[0], kmer, http.StatusInternalServerError, "graph_damaged")
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,7 +17,9 @@ import (
 	"parahash/internal/atomicfile"
 	"parahash/internal/core"
 	"parahash/internal/device"
+	"parahash/internal/dna"
 	"parahash/internal/fastq"
+	"parahash/internal/graph"
 	"parahash/internal/hashtable"
 	"parahash/internal/pipeline"
 	"parahash/internal/store"
@@ -37,6 +39,15 @@ var (
 
 // ErrUnknownJob reports a job id the journal has never seen.
 var ErrUnknownJob = errors.New("server: unknown job")
+
+// Typed query refusals; any other Query error means the job's published
+// graph file could not be read or failed its checks.
+var (
+	// ErrBadKmer reports a query k-mer of the wrong length or alphabet.
+	ErrBadKmer = errors.New("server: malformed query k-mer")
+	// ErrJobNotDone reports a query against a job with no finished graph.
+	ErrJobNotDone = errors.New("server: job is not done")
+)
 
 // errJobCanceled is the cancellation cause for a client DELETE.
 var errJobCanceled = errors.New("server: job canceled by client")
@@ -82,9 +93,11 @@ type Options struct {
 	RetrySeed   int64
 
 	// GraphCacheSize bounds the completed-graph query cache (LRU): a
-	// long-lived server answering queries over many finished jobs holds at
-	// most this many decoded graphs in memory, reloading evicted ones from
-	// their published files on demand. 0 selects 8.
+	// long-lived server answering queries over many finished jobs keeps at
+	// most this many published graph files open — one descriptor and the
+	// file's page keys (0.4 % of its size) each, never a decoded graph. An
+	// evicted file is reopened and order-checked again on its next query.
+	// 0 selects 8.
 	GraphCacheSize int
 
 	// JournalRetain bounds how many terminal job records the journal keeps
@@ -137,11 +150,11 @@ type Manager struct {
 	mu         sync.Mutex
 	seq        int
 	active     map[string]*jobRuntime
-	graphs     map[string]*parahash.Graph // completed-graph cache for queries (LRU)
-	graphLRU   []string                   // cache ids, least recently used first
-	graphEvict int64                      // graphs evicted from the cache
-	shed       int64                      // submissions rejected 429
-	jitter     *rand.Rand                 // retry-backoff jitter stream
+	graphs     map[string]*graphHandle // open, checked graph files for queries (LRU)
+	graphLRU   []string                // cache ids, least recently used first
+	graphEvict int64                   // graphs evicted from the cache
+	shed       int64                   // submissions rejected 429
+	jitter     *rand.Rand              // retry-backoff jitter stream
 	ready      bool
 	drained    bool
 
@@ -195,7 +208,7 @@ func Open(opts Options) (*Manager, error) {
 	m := &Manager{
 		opts:   opts,
 		active: make(map[string]*jobRuntime),
-		graphs: make(map[string]*parahash.Graph),
+		graphs: make(map[string]*graphHandle),
 	}
 	if opts.RetryJitter > 0 {
 		m.jitter = rand.New(rand.NewSource(opts.RetrySeed))
@@ -310,8 +323,8 @@ type Stats struct {
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
 	// GraphsCached and GraphEvictions describe the completed-graph query
-	// cache: how many decoded graphs are resident and how many have been
-	// evicted by its LRU bound since startup.
+	// cache: how many published graph files are held open and checked, and
+	// how many have been closed by its LRU bound since startup.
 	GraphsCached   int   `json:"graphs_cached"`
 	GraphEvictions int64 `json:"graph_evictions"`
 }
@@ -645,16 +658,16 @@ func (m *Manager) finishJob(ctx context.Context, id string, res *parahash.Result
 	now := m.opts.now().Unix()
 	switch {
 	case err == nil:
-		m.mu.Lock()
-		m.cacheGraphLocked(id, res.Graph)
-		m.mu.Unlock()
+		// res.Graph is not kept: queries are answered from the file just
+		// published, which the first of them opens.
+		vertices, edges := res.Graph.NumVertices(), res.Graph.NumEdges()
 		if jerr := m.journalState(id, func(jr *JobRecord) {
 			jr.State = StateDone
 			jr.FinishedUnix = now
-			jr.Vertices = int64(res.Graph.NumVertices())
-			jr.Edges = int64(res.Graph.NumEdges())
+			jr.Vertices = int64(vertices)
+			jr.Edges = int64(edges)
 		}); jerr == nil {
-			m.opts.Logf("server: job %s done (%d vertices, %d edges)", id, res.Graph.NumVertices(), res.Graph.NumEdges())
+			m.opts.Logf("server: job %s done (%d vertices, %d edges)", id, vertices, edges)
 		}
 	case m.isKilled():
 		// SIGKILL model: no terminal journalling, no cleanup. The journal
@@ -756,93 +769,177 @@ type QueryResult struct {
 	Degree       int `json:"degree"`
 }
 
-// Query looks a k-mer up in a completed job's graph.
+// Query looks a k-mer up in a completed job's graph. Graph vertices are
+// canonical k-mers, so a k-mer and its reverse complement get the same
+// answer — membership in the bi-directed graph. The k-mer is validated
+// before the graph file is touched.
 func (m *Manager) Query(id, kmer string) (QueryResult, error) {
 	rec, ok := m.journal.Get(id)
 	if !ok {
 		return QueryResult{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
 	if rec.State != StateDone {
-		return QueryResult{}, fmt.Errorf("server: job %s is %s, not done", id, rec.State)
+		return QueryResult{}, fmt.Errorf("%w: job %s is %s", ErrJobNotDone, id, rec.State)
 	}
-	cfg := m.jobConfig(id, rec.Spec)
-	if len(kmer) != cfg.K {
-		return QueryResult{}, fmt.Errorf("server: query k-mer length %d, want K=%d", len(kmer), cfg.K)
+	k := m.jobConfig(id, rec.Spec).K
+	if len(kmer) != k {
+		return QueryResult{}, fmt.Errorf("%w: length %d, want K=%d", ErrBadKmer, len(kmer), k)
 	}
-	g, err := m.loadGraph(id)
+	kmer = strings.ToUpper(kmer)
+	for _, c := range kmer {
+		if !strings.ContainsRune("ACGT", c) {
+			return QueryResult{}, fmt.Errorf("%w: non-ACGT base %q", ErrBadKmer, c)
+		}
+	}
+	h, err := m.acquireGraph(id)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	return lookupKmer(g, kmer, cfg.K)
+	defer m.releaseGraph(h)
+	canon, _ := dna.KmerFromString(kmer).Canonical(k)
+	res := QueryResult{Kmer: kmer, Canonical: canon.String(k)}
+	v, ok, err := h.graph.Lookup(canon)
+	if err != nil {
+		return QueryResult{}, fmt.Errorf("server: job %s graph: %w", id, err)
+	}
+	if ok {
+		res.Present = true
+		res.Multiplicity = v.Multiplicity()
+		res.Degree = v.Degree()
+	}
+	return res, nil
 }
 
-// loadGraph returns the completed graph for id, reading and caching the
-// published file on first use (a restarted server serves queries for jobs
-// it never built in this process).
-func (m *Manager) loadGraph(id string) (*parahash.Graph, error) {
-	m.mu.Lock()
-	g := m.graphs[id]
-	if g != nil {
-		m.touchGraphLocked(id)
-	}
-	m.mu.Unlock()
-	if g != nil {
-		return g, nil
-	}
-	data, err := os.ReadFile(m.graphPath(id))
+// graphHandle is one job's published graph file, open and order-checked.
+type graphHandle struct {
+	file  *os.File
+	graph *graph.File
+	// refs counts the query cache (one, while it holds the handle) plus the
+	// lookups in flight; whoever drops it to zero closes the file, so
+	// eviction never closes a file under a lookup. Guarded by Manager.mu
+	// once the handle is shared.
+	refs int
+}
+
+// openGraph opens id's published graph file, for a caller that holds the
+// one reference to the handle, and runs the checks every answer rests on: header, exact size, and — over the whole file, once —
+// strictly ascending k-mer order. Lookup binary-searches, and a published
+// graph is sorted: a file that is not has been damaged, and no answer is
+// served from it.
+func (m *Manager) openGraph(id string) (*graphHandle, error) {
+	f, err := os.Open(m.graphPath(id))
 	if err != nil {
-		return nil, fmt.Errorf("server: reading job graph: %w", err)
+		return nil, fmt.Errorf("server: opening job graph: %w", err)
 	}
-	g, err = parahash.ReadGraph(bytes.NewReader(data))
+	st, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("server: parsing job graph: %w", err)
+		f.Close()
+		return nil, fmt.Errorf("server: opening job graph: %w", err)
 	}
-	// Lookup binary-searches, and a published graph is sorted: a file that
-	// is not has been damaged, and re-sorting it would serve answers from a
-	// graph no build produced.
-	if err := g.CheckSorted(); err != nil {
+	g, err := graph.OpenFile(f, st.Size())
+	if err == nil {
+		err = g.CheckSorted()
+	}
+	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("server: job %s graph: %w", id, err)
 	}
-	m.mu.Lock()
-	m.cacheGraphLocked(id, g)
-	m.mu.Unlock()
-	return g, nil
+	return &graphHandle{file: f, graph: g, refs: 1}, nil
 }
 
-// cacheGraphLocked inserts a decoded graph into the LRU query cache,
-// evicting the least recently used entry past the bound. Evicted graphs
-// reload from their published file on the next query — the cache bounds
-// memory, never availability.
-func (m *Manager) cacheGraphLocked(id string, g *parahash.Graph) {
-	if _, ok := m.graphs[id]; ok {
-		m.graphs[id] = g
-		m.touchGraphLocked(id)
-		return
+// acquireGraph returns id's graph handle with a reference held for the
+// caller, opening and caching the published file on first use (a restarted
+// server serves queries for jobs it never built in this process). Past the
+// bound the least recently used handle is evicted and reopens on its next
+// query — the cache bounds open files, never availability.
+func (m *Manager) acquireGraph(id string) (*graphHandle, error) {
+	m.mu.Lock()
+	h := m.cachedGraphLocked(id)
+	m.mu.Unlock()
+	if h != nil {
+		return h, nil
 	}
-	m.graphs[id] = g
+	h, err := m.openGraph(id)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cached := m.cachedGraphLocked(id); cached != nil {
+		// A concurrent query opened it first: use that one.
+		h.file.Close()
+		return cached, nil
+	}
+	if m.drained || m.killed {
+		// Shut down: nothing would close a cached handle any more.
+		return h, nil
+	}
+	h.refs++
+	m.graphs[id] = h
 	m.graphLRU = append(m.graphLRU, id)
 	for len(m.graphLRU) > m.opts.GraphCacheSize {
-		victim := m.graphLRU[0]
-		m.graphLRU = m.graphLRU[1:]
-		delete(m.graphs, victim)
+		m.evictGraphLocked(m.graphLRU[0])
 		m.graphEvict++
 	}
+	return h, nil
 }
 
-// touchGraphLocked marks a cached graph most recently used.
-func (m *Manager) touchGraphLocked(id string) {
+// cachedGraphLocked returns id's cached handle, marked most recently used
+// and with a reference added for the caller, or nil.
+func (m *Manager) cachedGraphLocked(id string) *graphHandle {
+	h := m.graphs[id]
+	if h == nil {
+		return nil
+	}
+	h.refs++
 	for i, v := range m.graphLRU {
 		if v == id {
 			m.graphLRU = append(append(m.graphLRU[:i:i], m.graphLRU[i+1:]...), id)
-			return
+			break
 		}
+	}
+	return h
+}
+
+// releaseGraph drops one reference, closing the file with the last.
+func (m *Manager) releaseGraph(h *graphHandle) {
+	m.mu.Lock()
+	h.refs--
+	last := h.refs == 0
+	m.mu.Unlock()
+	if last {
+		h.file.Close()
 	}
 }
 
-// Drain gracefully shuts the manager down: stop admitting, cancel running
-// jobs with the drain cause (each checkpoints and is journalled back to
-// queued for the next process to resume), and wait for every lifecycle
-// goroutine to finish. It returns nil when the drain completed within ctx.
+// evictGraphLocked removes id's handle from the cache and drops the
+// cache's reference to it.
+func (m *Manager) evictGraphLocked(id string) {
+	h := m.graphs[id]
+	delete(m.graphs, id)
+	for i, v := range m.graphLRU {
+		if v == id {
+			m.graphLRU = append(m.graphLRU[:i], m.graphLRU[i+1:]...)
+			break
+		}
+	}
+	if h.refs--; h.refs == 0 {
+		h.file.Close()
+	}
+}
+
+// closeGraphsLocked empties the query cache at shutdown.
+func (m *Manager) closeGraphsLocked() {
+	for id := range m.graphs {
+		m.evictGraphLocked(id)
+	}
+}
+
+// Drain gracefully shuts the manager down: stop admitting, close the query
+// cache's graph files (a later query opens, checks and closes its own),
+// cancel running jobs with the drain cause (each checkpoints and is
+// journalled back to queued for the next process to resume), and wait for
+// every lifecycle goroutine to finish. It returns nil when the drain completed within ctx.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	if m.drained {
@@ -850,6 +947,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		return nil
 	}
 	m.drained = true
+	m.closeGraphsLocked()
 	actives := make([]*jobRuntime, 0, len(m.active))
 	for _, rt := range m.active {
 		actives = append(actives, rt)
@@ -878,6 +976,7 @@ func (m *Manager) Kill() {
 	// The flag must be visible before any worker wakes from cancellation,
 	// so no goroutine sneaks in a terminal journal write post-mortem.
 	m.killed = true
+	m.closeGraphsLocked()
 	actives := make([]*jobRuntime, 0, len(m.active))
 	for _, rt := range m.active {
 		actives = append(actives, rt)
@@ -887,16 +986,4 @@ func (m *Manager) Kill() {
 		rt.cancel(errors.New("server: killed"))
 	}
 	m.wg.Wait()
-}
-
-// lookupKmer canonicalizes and looks up one k-mer string.
-func lookupKmer(g *parahash.Graph, s string, k int) (QueryResult, error) {
-	for _, c := range s {
-		switch c {
-		case 'A', 'C', 'G', 'T', 'a', 'c', 'g', 't':
-		default:
-			return QueryResult{}, fmt.Errorf("server: query k-mer has non-ACGT base %q", c)
-		}
-	}
-	return lookupKmerDNA(g, s, k)
 }
