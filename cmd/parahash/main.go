@@ -102,7 +102,7 @@ func run(args []string, stdout io.Writer) error {
 		gpus       = fs.Int("gpus", 0, "number of simulated GPUs to co-process with")
 		noCPU      = fs.Bool("no-cpu", false, "disable the CPU processor (GPU-only)")
 		medium     = fs.String("medium", "mem", "IO medium model: mem (Case 1) or disk (Case 2)")
-		filterMin  = fs.Int("filter", 0, "drop vertices with edge multiplicity below this from the output")
+		filterMin  = fs.Int("filter", 0, "drop vertices with edge multiplicity below this from the published subgraphs and -out (part of the checkpoint's identity: -resume needs the same value)")
 		lambda     = fs.Float64("lambda", 2, "Property 1 λ: expected errors per read, for table sizing")
 		alpha      = fs.Float64("alpha", 0.65, "hash table load ratio α")
 		table      = fs.String("table", "statetransfer", "Step 2 hash-table backend: statetransfer, lockfree, sharded (all produce identical graphs)")
@@ -165,6 +165,12 @@ func run(args []string, stdout io.Writer) error {
 	cfg.Lambda = *lambda
 	cfg.Alpha = *alpha
 	cfg.TableBackend = *table
+	if *filterMin > 1 {
+		cfg.OutputFilterMin = *filterMin
+	}
+	// The CLI never holds the graph: -out streams it from the published
+	// subgraph files (Result.WriteGraph), the totals come from Stats.
+	cfg.KeepSubgraphs = false
 	cfg.Resilience.MaxAttempts = *maxAttempts
 	cfg.Resilience.QuarantineAfter = *quarantine
 	cfg.Resilience.PartitionDeadline = *partitionDeadline
@@ -205,9 +211,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 	if *checkpointDir != "" {
-		// -filter stays a post-hoc in-memory filter (it never changes the
-		// checkpointed partition bytes), so it does not join the manifest
-		// fingerprint here.
 		cfg.Checkpoint = parahash.CheckpointConfig{
 			Dir:        *checkpointDir,
 			Resume:     *resume,
@@ -262,6 +265,7 @@ func run(args []string, stdout io.Writer) error {
 			"-medium", *medium,
 			"-lambda", fmt.Sprint(*lambda), "-alpha", fmt.Sprint(*alpha),
 			"-table", *table, "-checkpoint-dir", *checkpointDir,
+			"-filter", strconv.Itoa(*filterMin),
 		}
 		if *noCPU {
 			wargs = append(wargs, "-no-cpu")
@@ -304,12 +308,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *filterMin > 1 {
-		removed := res.Graph.FilterByMultiplicity(*filterMin)
 		fmt.Fprintf(stdout, "filtered %d vertices below multiplicity %d; %d remain\n",
-			removed, *filterMin, res.Graph.NumVertices())
+			res.Stats.DistinctVertices-res.Stats.GraphVertices, *filterMin, res.Stats.GraphVertices)
 	}
 	if *outPath != "" {
-		if err := writeFileAtomicCtx(ctx, *outPath, res.Graph.Write); err != nil {
+		if err := writeFileAtomicCtx(ctx, *outPath, func(w io.Writer) error {
+			_, _, err := res.WriteGraph(w)
+			return err
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "graph written to %s\n", *outPath)
@@ -465,7 +471,7 @@ func printStats(w io.Writer, res *parahash.Result, cfg parahash.Config) {
 		cfg.K, cfg.P, cfg.NumPartitions)
 	fmt.Fprintf(w, "  distinct vertices:  %d\n", s.DistinctVertices)
 	fmt.Fprintf(w, "  duplicate vertices: %d\n", s.DuplicateVertices)
-	fmt.Fprintf(w, "  edges (directed):   %d\n", res.Graph.NumEdges())
+	fmt.Fprintf(w, "  edges (directed):   %d\n", s.GraphEdges)
 	fmt.Fprintf(w, "  peak memory:        %.1f MB\n", float64(s.PeakMemoryBytes)/(1<<20))
 	fmt.Fprintf(w, "virtual time (calibrated to the paper's hardware):\n")
 	fmt.Fprintf(w, "  step 1 (MSP partitioning):    %.4fs (pipelined; %.4fs unpipelined)\n",

@@ -117,7 +117,8 @@ func buildWithStore(ctx context.Context, src chunkSource, cfg Config, st store.P
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 2 (subgraph construction): %w", err))
 	}
 
-	res := &Result{Subgraphs: subgraphs}
+	res := newResult(cfg, st)
+	res.Subgraphs = subgraphs
 	res.Stats.Step1 = s1.stats
 	res.Stats.Step2 = step2Stats
 	res.Stats.TotalSeconds = s1.stats.Seconds + step2Stats.Seconds
@@ -201,7 +202,9 @@ func buildStep1(ctx context.Context, src chunkSource, cfg Config, st store.Parti
 func finishStats(st *Stats, works []step2Work, ck *checkpoint) {
 	st.PeakMemoryBytes = foldStep2Works(st, works)
 	if ck != nil {
-		st.DistinctVertices += ck.resumedDistinct()
+		for _, rec := range ck.step2Skip {
+			st.foldStep2Record(rec)
+		}
 		st.ResumedPartitions = ck.resumed
 		st.RebuiltPartitions = ck.rebuilt()
 	}

@@ -443,15 +443,5 @@ func (ck *checkpoint) clearSpillClaims(i int) error {
 	return ck.save()
 }
 
-// resumedDistinct sums the skipped partitions' constructed vertex counts,
-// folded into Stats.DistinctVertices alongside the re-executed partitions.
-func (ck *checkpoint) resumedDistinct() int64 {
-	var total int64
-	for _, rec := range ck.step2Skip {
-		total += rec.Distinct
-	}
-	return total
-}
-
 // rebuilt returns how many claimed partitions failed verification.
 func (ck *checkpoint) rebuilt() int { return len(ck.rebuiltSet) }

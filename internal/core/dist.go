@@ -52,6 +52,7 @@ type DistStats struct {
 // its only writer while the plan is open.
 type DistPlan struct {
 	cfg       Config
+	st        store.PartitionStore // the checkpoint store as the build sees it
 	ck        *checkpoint
 	partStats []msp.PartitionStats
 	step1     StepStats
@@ -93,7 +94,7 @@ func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Dis
 	for _, rec := range staleRuns {
 		_ = ck.ds.Remove(rec.Name) // best-effort; scrub sweeps leftovers
 	}
-	p := &DistPlan{cfg: cfg, ck: ck, partStats: s1.parts, step1: s1.stats}
+	p := &DistPlan{cfg: cfg, st: st, ck: ck, partStats: s1.parts, step1: s1.stats}
 	// So are any fenced orphans: results the dead fleet published but never
 	// reported. Nothing will ever promote them (their tokens are below the
 	// preserved high-water), so sweep them before leasing the space out.
@@ -215,21 +216,23 @@ func (p *DistPlan) Done() bool {
 
 // Finish assembles the run result after every partition is journalled,
 // folding the coordinator's distributed-governance counters into the
-// stats. With KeepSubgraphs the canonical subgraph files are re-read and
-// merged — the same artifacts a resume would trust.
+// stats; the graph's size comes from the journalled records. Only with
+// KeepSubgraphs are the canonical subgraph files re-read and merged — the
+// same artifacts a resume would trust; otherwise Result.WriteGraph streams
+// them when asked.
 func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 	if !p.Done() {
 		return nil, fmt.Errorf("core: distributed build incomplete: %d of %d partitions journalled",
 			len(p.ck.man.Step2), p.cfg.NumPartitions)
 	}
-	res := &Result{}
+	res := newResult(p.cfg, p.st)
 	res.Stats.Step1 = p.step1
 	res.Stats.Step2 = StepStats{Partitions: p.cfg.NumPartitions}
 	res.Stats.TotalSeconds = p.step1.Seconds
 	res.Stats.Superkmers = msp.SummarizeStats(p.partStats)
 	res.Stats.TotalKmers = res.Stats.Superkmers.TotalKmers
 	for _, rec := range p.ck.man.Step2 {
-		res.Stats.DistinctVertices += rec.Distinct
+		res.Stats.foldStep2Record(rec)
 	}
 	res.Stats.DuplicateVertices = res.Stats.TotalKmers - res.Stats.DistinctVertices
 	res.Stats.ResumedPartitions = p.ck.resumed
@@ -309,12 +312,15 @@ func NewDistWorker(cfg Config) (*DistWorker, error) {
 // either nothing or the complete fenced file.
 func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (DistOutput, error) {
 	cfg, st := w.cfg, w.st
-	part, err := loadPartition(st, superkmerFile(index))
-	if err != nil {
+	// The call's own from load to return, so it goes back on every path.
+	part := loadedPartitions.Get().(*loadedPartition)
+	defer loadedPartitions.Put(part)
+	if err := loadPartition(st, superkmerFile(index), part); err != nil {
 		return DistOutput{}, fmt.Errorf("core: loading partition %d: %w", index, err)
 	}
 	sks, kmers := part.Superkmers, part.NumKmers(cfg.K)
 	var out device.Step2Output
+	var err error
 	spilled := false
 	if predicted, ok := cfg.predictedTableBytes(kmers); ok {
 		if budget, auto := cfg.spillBudgetFor(predicted); budget > 0 {
@@ -335,18 +341,20 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 			return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 		}
 	}
-	toWrite, err := publishSubgraph(st.Create, outName, out.Graph, cfg.OutputFilterMin)
+	toWrite, err := publishSubgraph(st.Create, outName, out.Graph, cfg.OutputFilterMin, false)
 	if err != nil {
 		return DistOutput{}, err
 	}
-	return DistOutput{
+	res := DistOutput{
 		Name:     outName,
 		Bytes:    graph.SerializedSize(toWrite.NumVertices()),
 		Vertices: int64(toWrite.NumVertices()),
 		Edges:    int64(toWrite.NumEdges()),
 		Distinct: out.Distinct,
 		Kmers:    out.Kmers,
-	}, nil
+	}
+	graph.PutVertices(out.Graph.Vertices)
+	return res, nil
 }
 
 // distSpillStep2 is the worker side of an out-of-core partition: spill

@@ -168,33 +168,37 @@ func TestBuildMemoryBudgetRejectsNegative(t *testing.T) {
 // re-run the partition elsewhere, and the build must finish correctly.
 func TestWatchdogKillsHungProcessorAndRecovers(t *testing.T) {
 	reads := tinyReads(t)
-	cfg := tinyConfig()
-	cfg.NumGPUs = 1 // CPU (proc 0) + GPU0 (proc 1)
-	cfg.Resilience.MaxAttempts = 3
-	cfg.Resilience.QuarantineAfter = 2
-	cfg.Resilience.PartitionDeadline = 50 * time.Millisecond
+	want := serializeGraph(t, graph.BuildNaive(reads, tinyConfig().K))
+	for _, keep := range []bool{true, false} {
+		cfg := tinyConfig()
+		cfg.NumGPUs = 1 // CPU (proc 0) + GPU0 (proc 1)
+		cfg.KeepSubgraphs = keep
+		cfg.Resilience.MaxAttempts = 3
+		cfg.Resilience.QuarantineAfter = 2
+		cfg.Resilience.PartitionDeadline = 50 * time.Millisecond
 
-	plan := faultinject.Plan{
-		ProcessorFaults: []faultinject.ProcessorFault{
-			{Proc: 1, HangStep2Calls: []int{0}}, // GPU0's first partition wedges
-		},
-	}
-	cfg.ProcWrap = plan.WrapProcessors
+		plan := faultinject.Plan{
+			ProcessorFaults: []faultinject.ProcessorFault{
+				{Proc: 1, HangStep2Calls: []int{0}}, // GPU0's first partition wedges
+			},
+		}
+		cfg.ProcWrap = plan.WrapProcessors
 
-	res, err := Build(reads, cfg)
-	if err != nil {
-		t.Fatalf("build with hung processor failed: %v", err)
-	}
-	if got := res.Stats.Step2.WatchdogKills; got < 1 {
-		t.Fatalf("Step2.WatchdogKills = %d, want >= 1", got)
-	}
-	if got := res.Stats.TotalWatchdogKills(); got < 1 {
-		t.Fatalf("TotalWatchdogKills() = %d, want >= 1", got)
-	}
-	if res.Stats.TotalRetries() < 1 {
-		t.Fatal("hung partition was not retried")
-	}
-	if want := graph.BuildNaive(reads, cfg.K); !res.Graph.Equal(want) {
-		t.Fatal("recovered graph diverges from the naive reference")
+		res, err := Build(reads, cfg)
+		if err != nil {
+			t.Fatalf("keep=%v: build with hung processor failed: %v", keep, err)
+		}
+		if got := res.Stats.Step2.WatchdogKills; got < 1 {
+			t.Fatalf("keep=%v: Step2.WatchdogKills = %d, want >= 1", keep, got)
+		}
+		if got := res.Stats.TotalWatchdogKills(); got < 1 {
+			t.Fatalf("keep=%v: TotalWatchdogKills() = %d, want >= 1", keep, got)
+		}
+		if res.Stats.TotalRetries() < 1 {
+			t.Fatalf("keep=%v: hung partition was not retried", keep)
+		}
+		if !bytes.Equal(writtenGraph(t, res), want) {
+			t.Fatalf("keep=%v: recovered graph diverges from the naive reference", keep)
+		}
 	}
 }

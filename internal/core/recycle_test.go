@@ -89,40 +89,48 @@ func TestRecycledTablesMatchFreshTables(t *testing.T) {
 
 // TestAbandonedAttemptDoesNotDisturbRecycling wedges Step 2 calls of the
 // build's only processor until the watchdog abandons them. Each abandoned
-// kernel then winds down on the same device the retry is already running
-// on. Run under the race detector, this is the check that an abandoned
-// attempt never shares a table with, or hands one to, a live attempt; the
-// graph and the work counters must be those of an undisturbed build.
+// kernel then winds down on the same device — and over the same loaded
+// partition — the retry is already running on, while the write stage gives
+// vertex buffers and write blocks back for the partitions behind it. Run
+// under the race detector, this is the check that an abandoned attempt never
+// shares a table with, or hands one to, a live attempt, and that nothing it
+// may still read is recycled under it; the graph and the work counters must
+// be those of an undisturbed build, whether or not the graph is kept.
 func TestAbandonedAttemptDoesNotDisturbRecycling(t *testing.T) {
 	reads := tinyReads(t)
 	for _, backend := range hashtable.Backends() {
-		cfg := tinyConfig()
-		cfg.TableBackend = string(backend)
-		cfg.CPUThreads = 1
-		cfg.NumGPUs = 0
-		calm, err := Build(reads, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Resilience.MaxAttempts = 4
-		cfg.Resilience.QuarantineAfter = 0
-		cfg.Resilience.PartitionDeadline = 20 * time.Millisecond
-		plan := faultinject.Plan{ProcessorFaults: []faultinject.ProcessorFault{
-			{Proc: 0, HangStep2Calls: []int{1, 2, 7, 12}},
-		}}
-		cfg.ProcWrap = plan.WrapProcessors
-		wedged, err := Build(reads, cfg)
-		if err != nil {
-			t.Fatalf("%s: build with wedged attempts failed: %v", backend, err)
-		}
-		if got := wedged.Stats.Step2.WatchdogKills; got != 4 {
-			t.Fatalf("%s: %d watchdog kills, want 4", backend, got)
-		}
-		if !bytes.Equal(graphBytes(t, wedged), graphBytes(t, calm)) {
-			t.Fatalf("%s: graph differs after abandoned attempts", backend)
-		}
-		if wedged.Stats.Hash != calm.Stats.Hash {
-			t.Fatalf("%s: hash counters %+v after abandoned attempts, %+v without", backend, wedged.Stats.Hash, calm.Stats.Hash)
+		for _, keep := range []bool{true, false} {
+			cfg := tinyConfig()
+			cfg.TableBackend = string(backend)
+			cfg.CPUThreads = 1
+			cfg.NumGPUs = 0
+			cfg.KeepSubgraphs = keep
+			calm, err := Build(reads, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Resilience.MaxAttempts = 4
+			cfg.Resilience.QuarantineAfter = 0
+			// Long enough that no honest attempt outlives it on a loaded host
+			// under the race detector: exactly the wedged calls are killed.
+			cfg.Resilience.PartitionDeadline = 250 * time.Millisecond
+			plan := faultinject.Plan{ProcessorFaults: []faultinject.ProcessorFault{
+				{Proc: 0, HangStep2Calls: []int{1, 2, 7, 12}},
+			}}
+			cfg.ProcWrap = plan.WrapProcessors
+			wedged, err := Build(reads, cfg)
+			if err != nil {
+				t.Fatalf("%s keep=%v: build with wedged attempts failed: %v", backend, keep, err)
+			}
+			if got := wedged.Stats.Step2.WatchdogKills; got != 4 {
+				t.Fatalf("%s keep=%v: %d watchdog kills, want 4", backend, keep, got)
+			}
+			if !bytes.Equal(writtenGraph(t, wedged), writtenGraph(t, calm)) {
+				t.Fatalf("%s keep=%v: graph differs after abandoned attempts", backend, keep)
+			}
+			if wedged.Stats.Hash != calm.Stats.Hash {
+				t.Fatalf("%s keep=%v: hash counters %+v after abandoned attempts, %+v without", backend, keep, wedged.Stats.Hash, calm.Stats.Hash)
+			}
 		}
 	}
 }

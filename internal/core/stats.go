@@ -1,9 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"io"
+
 	"parahash/internal/graph"
+	"parahash/internal/manifest"
 	"parahash/internal/msp"
 	"parahash/internal/pipeline"
+	"parahash/internal/store"
 )
 
 // StepStats records one step's virtual-time performance and workload
@@ -182,6 +188,12 @@ type Stats struct {
 	DistinctVertices int64
 	// DuplicateVertices is total k-mer instances minus distinct (Table I).
 	DuplicateVertices int64
+	// GraphVertices and GraphEdges are the vertices and distinct directed
+	// edges of the graph as published — after OutputFilterMin, so
+	// GraphVertices is DistinctVertices less what the filter dropped — summed
+	// from the per-partition counts each subgraph was journalled with. They
+	// are what Result.WriteGraph writes.
+	GraphVertices, GraphEdges int64
 	// TotalKmers is N(L-K+1) summed over reads.
 	TotalKmers int64
 	// Superkmers summarises the Step 1 partition statistics.
@@ -208,6 +220,15 @@ type Stats struct {
 	// Dist carries the distributed-build fault-tolerance counters; nil for
 	// single-process builds.
 	Dist *DistStats
+}
+
+// foldStep2Record adds the graph-size counts a partition was journalled with:
+// how a partition this process did not construct — resumed, or built by a
+// -workers process — enters the run's totals.
+func (st *Stats) foldStep2Record(rec manifest.Step2Partition) {
+	st.DistinctVertices += rec.Distinct
+	st.GraphVertices += rec.Vertices
+	st.GraphEdges += rec.Edges
 }
 
 // TotalRetries sums both steps' retried partition attempts.
@@ -256,4 +277,65 @@ type Result struct {
 	Subgraphs []*graph.Subgraph
 	// Stats records the run's measurements.
 	Stats Stats
+
+	// What WriteGraph needs: the build's output filter, and for a build that
+	// kept no graph the store it published its subgraph files to — held only
+	// then, a kept graph's result must not pin the files' memory as well —
+	// with its K and partition count.
+	filterMin  int
+	published  store.PartitionStore
+	k          int
+	partitions int
+}
+
+// newResult returns the result of a build of cfg that published its
+// subgraphs to st.
+func newResult(cfg Config, st store.PartitionStore) *Result {
+	res := &Result{filterMin: cfg.OutputFilterMin, k: cfg.K, partitions: cfg.NumPartitions}
+	if !cfg.KeepSubgraphs {
+		res.published = st
+	}
+	return res
+}
+
+// WriteGraph writes the constructed graph as published — after the output
+// filter — in the serialised form Graph.Write produces, and returns its
+// vertex and distinct-edge counts (Stats.GraphVertices and GraphEdges). A
+// build that kept its graph serialises it. Any other streams a k-way merge
+// of the subgraph files it published (graph.MergeStreams) — from the
+// checkpoint directory, or from the build's in-memory store — so nothing
+// graph-sized is ever resident; the files must still be there, every one is
+// open for the whole merge (on disk: one descriptor per partition, all closed
+// on return), and each is held to its header, its order and its declared
+// size on the way: damage fails typed (graph.ErrBadFormat, graph.ErrUnsorted)
+// and leaves a prefix in w that the caller discards.
+func (r *Result) WriteGraph(w io.Writer) (vertices, edges int64, err error) {
+	if g := r.Graph; g != nil {
+		if r.filterMin > 1 {
+			g = &graph.Subgraph{K: g.K, Vertices: append([]graph.Vertex(nil), g.Vertices...)}
+			g.FilterByMultiplicity(r.filterMin)
+		}
+		return int64(g.NumVertices()), int64(g.NumEdges()), g.Write(w)
+	}
+	if r.published == nil {
+		return 0, 0, errors.New("core: the result holds no graph and no store to stream one from")
+	}
+	srcs := make([]io.Reader, 0, r.partitions)
+	for i := 0; i < r.partitions; i++ {
+		src, err := r.published.OpenStream(subgraphFile(i))
+		if err != nil {
+			return 0, 0, fmt.Errorf("core: opening subgraph %d of %d (the finish holds one open file per partition): %w", i, r.partitions, err)
+		}
+		defer src.Close()
+		srcs = append(srcs, src)
+	}
+	vertices, edges, err = graph.MergeStreams(r.k, srcs, w)
+	if err != nil {
+		return vertices, edges, fmt.Errorf("core: merging the published subgraphs: %w", err)
+	}
+	if vertices != r.Stats.GraphVertices || edges != r.Stats.GraphEdges {
+		return vertices, edges, fmt.Errorf("core: %w: the published subgraphs hold %d vertices and %d edges, the build journalled %d and %d",
+			graph.ErrBadFormat, vertices, edges, r.Stats.GraphVertices, r.Stats.GraphEdges)
+	}
+	return vertices, edges, nil
 }

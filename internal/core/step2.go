@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"parahash/internal/device"
 	"parahash/internal/faultinject"
@@ -34,6 +35,9 @@ type step2Work struct {
 	tableBytes int64
 	graphBytes int64
 	distinct   int64
+	// graphVertices and graphEdges count the subgraph as written, after the
+	// output filter.
+	graphVertices, graphEdges int64
 
 	// decodedBytes counts the encoded partition bytes the read stage
 	// actually consumed (retries included).
@@ -78,37 +82,59 @@ type spillPlan struct {
 
 // step2Input carries one partition's superkmers plus its routing decision
 // through the pipeline (workers receive no slot index, so the decision
-// rides with the data). kmers is the decoder's count for sks.
+// rides with the data). kmers is the decoder's count for sks, loaded is what
+// sks live in (nil for a merge-only input, which has none).
 type step2Input struct {
-	part  int
-	sks   []msp.Superkmer
-	kmers int64
-	spill *spillPlan
+	part   int
+	sks    []msp.Superkmer
+	kmers  int64
+	spill  *spillPlan
+	loaded *loadedPartition
 }
 
+// loadedPartition is the memory one superkmer partition is loaded into: its
+// file image and the records decoded from it. Step 2 loads partition after
+// partition, each into the memory an earlier one is done with.
+type loadedPartition struct {
+	image []byte
+	msp.DecodedPartition
+}
+
+// loadedPartitions recycles them. Ownership rule: whoever loaded a partition
+// puts it back, and only once nothing can still be reading its superkmers —
+// after the one construction that used them returned. Where a watchdog may
+// abandon a construction mid-flight (Resilience.PartitionDeadline), the
+// abandoned call keeps reading while the retry runs, nobody knows when it
+// stops, and the partition is left to the collector instead.
+var loadedPartitions = sync.Pool{New: func() any { return new(loadedPartition) }}
+
 // loadPartition reads a superkmer partition's image from the store and
-// decodes it whole. The decoder demands the integrity footer our own Step 1
-// always writes, so truncated or corrupted partition bytes fail with a
-// typed, retryable error instead of silently mis-decoding; the returned
-// partition's Bytes are the encoded bytes consumed either way.
-func loadPartition(st store.PartitionStore, name string) (msp.DecodedPartition, error) {
+// decodes it whole, into p's memory where that is large enough. The decoder
+// demands the integrity footer our own Step 1 always writes, so truncated or
+// corrupted partition bytes fail with a typed, retryable error instead of
+// silently mis-decoding; p.Bytes are the encoded bytes consumed either way.
+func loadPartition(st store.PartitionStore, name string, p *loadedPartition) error {
+	p.Bytes = 0
 	r, err := st.Open(name)
 	if err != nil {
-		return msp.DecodedPartition{}, err
+		return err
 	}
 	// Stores hand out snapshot readers that know their length; anything
 	// else is read to its end.
-	var image []byte
 	if sized, ok := r.(interface{ Len() int }); ok {
-		image = make([]byte, sized.Len())
-		_, err = io.ReadFull(r, image)
+		n := sized.Len()
+		if cap(p.image) < n {
+			p.image = make([]byte, n+n/4)
+		}
+		p.image = p.image[:n]
+		_, err = io.ReadFull(r, p.image)
 	} else {
-		image, err = io.ReadAll(r)
+		p.image, err = io.ReadAll(r)
 	}
 	if err != nil {
-		return msp.DecodedPartition{}, fmt.Errorf("%w: reading %q: %v", msp.ErrCorrupt, name, err)
+		return fmt.Errorf("%w: reading %q: %v", msp.ErrCorrupt, name, err)
 	}
-	return msp.DecodePartition(image)
+	return p.Decode(p.image)
 }
 
 // runStep2 executes the subgraph construction step: superkmer partitions
@@ -167,14 +193,21 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		}
 	}
 
+	// See loadedPartitions for when a loaded partition may be used again.
+	recycleLoaded := cfg.Resilience.PartitionDeadline == 0
 	workers := make([]pipeline.Worker[step2Input, device.Step2Output], len(procs))
 	for i, p := range procs {
-		p := p
-		workers[i] = func(ctx context.Context, in step2Input) (device.Step2Output, error) {
+		workers[i] = func(ctx context.Context, in step2Input) (out device.Step2Output, err error) {
 			if in.spill != nil {
-				return spillConstruct(ctx, in, cfg, st, ck)
+				out, err = spillConstruct(ctx, in, cfg, st, ck)
+			} else {
+				out, err = step2Construct(ctx, p, in.sks, in.kmers, cfg)
 			}
-			return step2Construct(ctx, p, in.sks, in.kmers, cfg)
+			// A failed construction is retried over the same input.
+			if err == nil && recycleLoaded && in.loaded != nil {
+				loadedPartitions.Put(in.loaded)
+			}
+			return out, err
 		}
 	}
 
@@ -218,13 +251,18 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			// merge needs, so the superkmer partition is not decoded at all.
 			return in, nil
 		}
-		part, err := loadPartition(st, superkmerFile(in.part))
+		in.loaded = loadedPartitions.Get().(*loadedPartition)
+		err := loadPartition(st, superkmerFile(in.part), in.loaded)
 		// Accumulate (not assign): a retried read re-decodes the partition
 		// and both passes cost real IO. The write closure fills the other
 		// fields; the pipeline's stage ordering makes the shared struct safe.
-		works[slot].decodedBytes += part.Bytes
-		in.sks, in.kmers = part.Superkmers, part.NumKmers(cfg.K)
-		return in, err
+		works[slot].decodedBytes += in.loaded.Bytes
+		if err != nil {
+			loadedPartitions.Put(in.loaded) // no construction ever saw it
+			return step2Input{}, err
+		}
+		in.sks, in.kmers = in.loaded.Superkmers, in.loaded.NumKmers(cfg.K)
+		return in, nil
 	}
 	write := func(slot int, out device.Step2Output) error {
 		i := pending[slot]
@@ -247,15 +285,22 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			w.spillBufferBytes = plan.budget
 		}
 		// Published, not durable: the committer flushes it with its group.
-		toWrite, err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin)
+		toWrite, err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin, cfg.KeepSubgraphs)
 		if err != nil {
 			return err
 		}
-		w.graphBytes = graph.SerializedSize(toWrite.NumVertices())
+		rec := step2Record(i, toWrite, out.Distinct)
+		w.graphBytes, w.graphVertices, w.graphEdges = rec.Bytes, rec.Vertices, rec.Edges
+		if err := committer.submit(rec); err != nil {
+			return err // retried: the subgraph is published again
+		}
 		if cfg.KeepSubgraphs {
 			subgraphs[i] = out.Graph
+		} else {
+			// Written and not kept: this was the last use of its vertices.
+			graph.PutVertices(out.Graph.Vertices)
 		}
-		return committer.submit(step2Record(i, toWrite, out.Distinct))
+		return nil
 	}
 
 	report, err := pipeline.RunResilientTraced(ctx, read, workers, write, pol, stepRecorder(cfg, "step2", procs))
@@ -278,10 +323,13 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 
 // publishSubgraph applies the output filter to g and publishes the result
 // under name through create — the store's volatile or durable writer —
-// returning the graph as written.
-func publishSubgraph(create func(string) (io.WriteCloser, error), name string, g *graph.Subgraph, filterMin int) (*graph.Subgraph, error) {
+// returning the graph as written. keep says the caller keeps g complete, so
+// the filter works on a copy; otherwise it filters g itself.
+func publishSubgraph(create func(string) (io.WriteCloser, error), name string, g *graph.Subgraph, filterMin int, keep bool) (*graph.Subgraph, error) {
 	if filterMin > 1 {
-		g = &graph.Subgraph{K: g.K, Vertices: append([]graph.Vertex(nil), g.Vertices...)}
+		if keep {
+			g = &graph.Subgraph{K: g.K, Vertices: append([]graph.Vertex(nil), g.Vertices...)}
+		}
 		g.FilterByMultiplicity(filterMin)
 	}
 	sink, err := create(name)
@@ -303,6 +351,8 @@ func foldStep2Works(st *Stats, works []step2Work) int64 {
 	var peak int64
 	for _, w := range works {
 		st.DistinctVertices += w.distinct
+		st.GraphVertices += w.graphVertices
+		st.GraphEdges += w.graphEdges
 		st.Hash.Inserts += w.inserts
 		st.Hash.Updates += w.updates
 		st.Hash.Probes += w.probes

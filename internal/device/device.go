@@ -566,11 +566,13 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 }
 
 // collectStep2 materialises the table into a sorted subgraph plus counters.
+// The vertex slice comes from graph.GetVertices; a caller that does not keep
+// the subgraph gives it back with graph.PutVertices once it is written.
 // The sort runs on up to sortWorkers goroutines, clamped to the physical
 // parallelism available, and the result is identical to the sequential
 // sort (vertex keys are unique).
 func collectStep2(table hashtable.KmerTable, k int, kmers int64, sortWorkers int) Step2Output {
-	sub := &graph.Subgraph{K: k, Vertices: make([]graph.Vertex, 0, table.Len())}
+	sub := &graph.Subgraph{K: k, Vertices: graph.GetVertices(table.Len())}
 	table.ForEach(func(e hashtable.Entry) {
 		sub.Vertices = append(sub.Vertices, graph.Vertex{Kmer: e.Kmer, Counts: e.Counts})
 	})

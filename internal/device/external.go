@@ -13,6 +13,7 @@ package device
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"parahash/internal/costmodel"
 	"parahash/internal/graph"
@@ -79,6 +80,12 @@ type SpillResult struct {
 	Kmers int64
 }
 
+// spillPair is SpillRuns' record buffer and the sort scratch beside it;
+// spillBufs recycles the pair from one spilled partition to the next.
+type spillPair struct{ buf, scratch []msp.SpillRecord }
+
+var spillBufs sync.Pool
+
 // SpillRuns scans a partition's superkmers into bounded sorted runs and
 // spills each through the store. Every published run is complete and
 // CRC-verified on read; none is durable until the caller Syncs it.
@@ -87,8 +94,17 @@ func SpillRuns(ctx context.Context, sks []msp.Superkmer, cfg ExternalConfig) (Sp
 	if capRecords < spillMinBufferRecords {
 		capRecords = spillMinBufferRecords
 	}
-	buf := make([]msp.SpillRecord, 0, capRecords)
-	scratch := make([]msp.SpillRecord, capRecords)
+	// The buffer pair is this call's alone from here to its return, whatever
+	// becomes of the attempt, so it goes back to the pool on every path.
+	pair, _ := spillBufs.Get().(*spillPair)
+	if pair == nil || cap(pair.buf) < capRecords || cap(pair.scratch) < capRecords {
+		pair = &spillPair{make([]msp.SpillRecord, capRecords), make([]msp.SpillRecord, capRecords)}
+	}
+	buf, scratch := pair.buf[:0], pair.scratch[:capRecords]
+	defer func() {
+		pair.buf, pair.scratch = buf, scratch // as grown, if they were
+		spillBufs.Put(pair)
+	}()
 	var res SpillResult
 
 	flush := func() error {
@@ -234,7 +250,7 @@ func MergeSpilled(ctx context.Context, runNames []string, cfg ExternalConfig) (S
 	if err != nil {
 		return Step2Output{}, passes, err
 	}
-	sub := &graph.Subgraph{K: cfg.K, Vertices: make([]graph.Vertex, 0, capacity)}
+	sub := &graph.Subgraph{K: cfg.K, Vertices: graph.GetVertices(capacity)}
 	emitted := 0
 	err = graph.MergeRuns(readers, func(v graph.Vertex) error {
 		if emitted%ctxCheckEvery == 0 && ctx.Err() != nil {

@@ -191,16 +191,56 @@ func (s *Store) Open(name string) (io.Reader, error) {
 	}
 	data, err := os.ReadFile(p)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %q", store.ErrNotFound, name)
-		}
-		return nil, fmt.Errorf("diskstore: reading %q: %w", name, err)
+		return nil, readErr(name, err)
 	}
 	s.mu.Lock()
 	s.bytesRead += int64(len(data))
 	s.mu.Unlock()
 	return bytes.NewReader(data), nil
 }
+
+// OpenStream returns a streaming reader over the published file: the open
+// descriptor pins the inode published at open time, so a later publish —
+// an atomic rename over the name — never disturbs it. Bytes are counted as
+// they are served; Close releases the descriptor.
+func (s *Store) OpenStream(name string) (io.ReadCloser, error) {
+	p, err := s.pathOf(name)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(p)
+	if err != nil {
+		return nil, readErr(name, err)
+	}
+	return &streamFile{store: s, f: f}, nil
+}
+
+// readErr types a failed open for reading: an absent file is
+// store.ErrNotFound.
+func readErr(name string, err error) error {
+	if os.IsNotExist(err) {
+		return fmt.Errorf("%w: %q", store.ErrNotFound, name)
+	}
+	return fmt.Errorf("diskstore: reading %q: %w", name, err)
+}
+
+// streamFile is OpenStream's reader.
+type streamFile struct {
+	store *Store
+	f     *os.File
+}
+
+func (r *streamFile) Read(p []byte) (int, error) {
+	n, err := r.f.Read(p)
+	if n > 0 {
+		r.store.mu.Lock()
+		r.store.bytesRead += int64(n)
+		r.store.mu.Unlock()
+	}
+	return n, err
+}
+
+func (r *streamFile) Close() error { return r.f.Close() }
 
 // Size returns a published file's byte size, or an error wrapping
 // store.ErrNotFound if absent.

@@ -197,6 +197,53 @@ func TestDistBuildFaultFree(t *testing.T) {
 	checkStoreClean(t, dir)
 }
 
+// TestDistFinishStreamsWhatItDoesNotKeep: a -workers build that keeps no
+// graph re-reads nothing at Finish — the result holds no graph, its totals
+// come from the journalled records — and WriteGraph streams the promoted
+// subgraph files into the bytes the graph-keeping build writes, under the
+// output filter too.
+func TestDistFinishStreamsWhatItDoesNotKeep(t *testing.T) {
+	reads, base := testData(t)
+	for _, filter := range []int{0, 2} {
+		base.OutputFilterMin = filter
+		written := func(keep bool) ([]byte, core.Stats) {
+			cfg := distConfig(base, t.TempDir())
+			cfg.KeepSubgraphs = keep
+			_, res, _, err := runDist(t, reads, cfg, &LocalTransport{Cfg: cfg}, Options{Workers: 2, LeaseMS: 5000})
+			if err != nil {
+				t.Fatalf("filter %d, keep=%v: %v", filter, keep, err)
+			}
+			if (res.Graph != nil) != keep {
+				t.Fatalf("filter %d, keep=%v: result graph = %v", filter, keep, res.Graph)
+			}
+			var buf bytes.Buffer
+			vertices, edges, err := res.WriteGraph(&buf)
+			if err != nil {
+				t.Fatalf("filter %d, keep=%v: WriteGraph: %v", filter, keep, err)
+			}
+			if vertices != res.Stats.GraphVertices || edges != res.Stats.GraphEdges {
+				t.Fatalf("filter %d, keep=%v: wrote %d vertices, %d edges; Stats says %d, %d",
+					filter, keep, vertices, edges, res.Stats.GraphVertices, res.Stats.GraphEdges)
+			}
+			return buf.Bytes(), res.Stats
+		}
+		kept, keptStats := written(true)
+		streamed, streamedStats := written(false)
+		if !bytes.Equal(kept, streamed) {
+			t.Fatalf("filter %d: the streamed graph differs from the kept one", filter)
+		}
+		if keptStats.GraphVertices != streamedStats.GraphVertices || keptStats.DistinctVertices != streamedStats.DistinctVertices {
+			t.Fatalf("filter %d: totals differ: %+v vs %+v", filter, keptStats, streamedStats)
+		}
+		if filter == 0 && !bytes.Equal(streamed, oracleBytes(t, reads, base)) {
+			t.Fatal("the streamed graph differs from the single-process oracle")
+		}
+		if filter > 1 && streamedStats.GraphVertices >= streamedStats.DistinctVertices {
+			t.Fatalf("filter %d dropped nothing: %d of %d vertices written", filter, streamedStats.GraphVertices, streamedStats.DistinctVertices)
+		}
+	}
+}
+
 // TestDistBuildSurvivesWorkerFaults drives the three process failure modes
 // at once — one worker SIGKILL'd with a result published but unreported,
 // one wedged mid-lease after its last heartbeat, one partitioned from the

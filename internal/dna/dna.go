@@ -131,9 +131,13 @@ func KmerFromBases(bases []Base, k int) Kmer {
 	if k > MaxK {
 		panic(fmt.Sprintf("dna: k=%d exceeds MaxK=%d", k, MaxK))
 	}
+	// k bases shifted into zero fill exactly the low 2k bits, so there is
+	// nothing to mask off — where AppendBase, which rolls a full window on,
+	// works the mask out and applies it for every base.
 	var km Kmer
-	for i := 0; i < k; i++ {
-		km = km.AppendBase(bases[i], k)
+	for _, b := range bases[:k] {
+		km.Hi = km.Hi<<2 | km.Lo>>62
+		km.Lo = km.Lo<<2 | uint64(b&3)
 	}
 	return km
 }

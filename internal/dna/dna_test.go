@@ -234,6 +234,26 @@ func TestKmerMaxKPanics(t *testing.T) {
 	KmerFromBases(make([]Base, 64), 64)
 }
 
+// TestKmerFromBasesMatchesRollingAppend: packing k bases directly is the
+// window AppendBase rolls to over the same bases, for every k, also when the
+// slice is longer than k or holds bytes above 3.
+func TestKmerFromBasesMatchesRollingAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for k := 1; k <= MaxK; k++ {
+		bases := make([]Base, k+rng.Intn(5))
+		for i := range bases {
+			bases[i] = Base(rng.Intn(256))
+		}
+		var want Kmer
+		for _, b := range bases[:k] {
+			want = want.AppendBase(b, k)
+		}
+		if got := KmerFromBases(bases, k); got != want {
+			t.Fatalf("k=%d: KmerFromBases = %v, rolling AppendBase = %v", k, got, want)
+		}
+	}
+}
+
 func TestQuickKmerOrderIsStringOrder(t *testing.T) {
 	f := func(a, b [27]uint8) bool {
 		sa := make([]byte, 27)

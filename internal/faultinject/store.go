@@ -210,30 +210,9 @@ func (s *Store) Sync(names ...string) error {
 // bit in the served copy, exactly like iosim, so integrity footers must
 // catch it downstream and a clean re-read recovers.
 func (s *Store) Open(name string) (io.Reader, error) {
-	s.mu.Lock()
-	delay, slow := s.slowReads[name].take()
-	if f := s.readFaults[name]; f.take() {
-		err := f.err
-		s.mu.Unlock()
-		if slow {
-			time.Sleep(delay)
-		}
-		return nil, fmt.Errorf("faultinject: reading %q: %w", name, err)
-	}
-	corrupt := false
-	if n := s.corruptions[name]; n != 0 {
-		corrupt = true
-		if n > 0 {
-			if n--; n == 0 {
-				delete(s.corruptions, name)
-			} else {
-				s.corruptions[name] = n
-			}
-		}
-	}
-	s.mu.Unlock()
-	if slow {
-		time.Sleep(delay)
+	corrupt, err := s.chargeOpen(name)
+	if err != nil {
+		return nil, err
 	}
 	r, err := s.inner.Open(name)
 	if err != nil || !corrupt {
@@ -247,6 +226,66 @@ func (s *Store) Open(name string) (io.Reader, error) {
 		data[len(data)/2] ^= 0x01
 	}
 	return bytes.NewReader(data), nil
+}
+
+// OpenStream serves the inner stream under the script Open runs, charged
+// once per open: a failed read fails the open, a corrupt one flips the same
+// bit — the middle byte's lowest — as it streams past.
+func (s *Store) OpenStream(name string) (io.ReadCloser, error) {
+	corrupt, err := s.chargeOpen(name)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.inner.OpenStream(name)
+	if err != nil || !corrupt {
+		return r, err
+	}
+	size, err := s.inner.Size(name)
+	if err != nil {
+		r.Close()
+		return nil, err
+	}
+	return &corruptStream{ReadCloser: r, flipAt: size / 2}, nil
+}
+
+// chargeOpen applies one open's worth of the read script for name — latency,
+// then a scripted failure — and reports whether the served bytes are to be
+// corrupted.
+func (s *Store) chargeOpen(name string) (corrupt bool, err error) {
+	s.mu.Lock()
+	delay, slow := s.slowReads[name].take()
+	if f := s.readFaults[name]; f.take() {
+		err = fmt.Errorf("faultinject: reading %q: %w", name, f.err)
+	} else if n := s.corruptions[name]; n != 0 {
+		corrupt = true
+		if n > 0 {
+			if n--; n == 0 {
+				delete(s.corruptions, name)
+			} else {
+				s.corruptions[name] = n
+			}
+		}
+	}
+	s.mu.Unlock()
+	if slow {
+		time.Sleep(delay)
+	}
+	return corrupt, err
+}
+
+// corruptStream flips the lowest bit of the byte at offset flipAt.
+type corruptStream struct {
+	io.ReadCloser
+	pos, flipAt int64
+}
+
+func (c *corruptStream) Read(p []byte) (int, error) {
+	n, err := c.ReadCloser.Read(p)
+	if i := c.flipAt - c.pos; i >= 0 && i < int64(n) {
+		p[i] ^= 0x01
+	}
+	c.pos += int64(n)
+	return n, err
 }
 
 // Size forwards to the inner store.

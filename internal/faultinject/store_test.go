@@ -1,9 +1,13 @@
 package faultinject
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"parahash/internal/store"
 	"parahash/internal/store/storetest"
@@ -50,5 +54,46 @@ func TestWrapStoreVolatileFaults(t *testing.T) {
 	}
 	if n, err := s.Size("run"); err != nil || n != 4 {
 		t.Fatalf("file after a failed Sync: size %d, err %v", n, err)
+	}
+}
+
+// TestWrapStoreFaultsReachOpenStream: the read script Open runs applies to a
+// streamed open too, charged once per open however many Reads follow — a
+// scripted failure fails the open, a corruption flips the bit Open flips.
+func TestWrapStoreFaultsReachOpenStream(t *testing.T) {
+	s := wrappedStore()
+	content := strings.Repeat("abcdefgh", 4096)
+	putFile(t, s, "subgraphs/0002", content)
+
+	s.FailReadsNTimes("subgraphs/0002", 1, ErrInjected)
+	if _, err := s.OpenStream("subgraphs/0002"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("OpenStream under a read fault: err = %v, want ErrInjected", err)
+	}
+	s.CorruptReadsNTimes("subgraphs/0002", 1)
+	r, err := s.Open("subgraphs/0002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, _ := io.ReadAll(r)
+	s.CorruptReadsNTimes("subgraphs/0002", 1)
+	rc, err := s.OpenStream("subgraphs/0002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Short reads, so the flipped byte falls inside a later one.
+	streamed, err := io.ReadAll(iotest.OneByteReader(rc))
+	if err != nil || rc.Close() != nil {
+		t.Fatal(err)
+	}
+	if string(streamed) == content || !bytes.Equal(streamed, whole) {
+		t.Fatal("a corrupted stream does not serve the bytes a corrupted Open serves")
+	}
+	rc, err = s.OpenStream("subgraphs/0002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if clean, _ := io.ReadAll(rc); string(clean) != content {
+		t.Fatal("the stream after the script drained is not the stored file")
 	}
 }

@@ -162,19 +162,67 @@ func cutRuns(runs []mergeRun, total, parts int) [][]int {
 	return cuts
 }
 
-// mergeCursor is the unread rest of one run's slice; key caches rest[0]'s
-// k-mer so tournament comparisons stay inside the cursors' own memory.
-type mergeCursor struct {
-	key  dna.Kmer
-	rest []Vertex
-}
-
-// merger is one worker's reusable tournament state.
-type merger struct {
-	runs    []mergeRun
-	cur     []mergeCursor
+// loserTree is the k-way merge tournament over the head k-mers of the live
+// cursors, keys[c] being cursor c's: node i of 1..m-1 holds the loser of the
+// match played there, the cursors are the leaves m..2m-1 (parent i/2), and
+// replacing the winner replays only its leaf-to-root path — one comparison
+// per level, half a binary heap's. What a head is the head of — a slice of
+// vertices for Merge, a window of a file for MergeStreams — stays with the
+// caller, indexed like keys; the heads sit apart from it so the comparisons
+// stay inside 16 bytes a cursor.
+type loserTree struct {
+	keys    []dna.Kmer
 	losers  []int
 	winners []int
+}
+
+// play plays the whole tournament over keys and returns the winning cursor:
+// at the start, and each time a cursor has run dry and left.
+func (t *loserTree) play() int {
+	m := len(t.keys)
+	if len(t.losers) < m {
+		t.losers, t.winners = make([]int, m), make([]int, 2*m)
+	}
+	keys, losers, winners := t.keys, t.losers, t.winners
+	for i := 2*m - 1; i >= 1; i-- {
+		if i >= m {
+			winners[i] = i - m
+			continue
+		}
+		a, b := winners[2*i], winners[2*i+1]
+		if keys[b].Less(keys[a]) {
+			a, b = b, a
+		}
+		winners[i], losers[i] = a, b
+	}
+	return winners[1]
+}
+
+// replay returns the winner once cursor w, the last one, has moved on to the
+// head now in keys[w]. Which of two random k-mers is smaller is a coin toss
+// no branch predictor wins, so the replay selects by mask: the 128-bit
+// subtraction borrows exactly when the stored loser beats the climbing
+// winner, and then the two trade places.
+func (t *loserTree) replay(w int) int {
+	keys, losers := t.keys, t.losers
+	for i := (w + len(keys)) / 2; i >= 1; i /= 2 {
+		l := losers[i]
+		lk, wk := keys[l], keys[w]
+		_, borrow := bits.Sub64(lk.Lo, wk.Lo, 0)
+		_, borrow = bits.Sub64(lk.Hi, wk.Hi, borrow)
+		swap := (w ^ l) & -int(borrow)
+		w ^= swap
+		losers[i] = l ^ swap
+	}
+	return w
+}
+
+// merger is one worker's reusable tournament state; rests[c] is the unread
+// rest of cursor c's slice, its head the tree's keys[c].
+type merger struct {
+	runs  []mergeRun
+	tree  loserTree
+	rests [][]Vertex
 }
 
 // mergeRange k-way merges vs[from[r]:to[r]] of every run into dst
@@ -186,13 +234,9 @@ type merger struct {
 // therefore check every adjacent pair of every input. The scan is also
 // what makes the merge fast: it streams each slice into cache one at a
 // time, so the tournament that follows never waits on memory.
-//
-// The tournament is a loser tree over the live cursors: node i of 1..m-1
-// holds the loser of the match played there, the cursors are the leaves
-// m..2m-1 (parent i/2), and replacing the winner replays only its
-// leaf-to-root path — one comparison per level, half a binary heap's.
 func (mg *merger) mergeRange(dst []Vertex, from, to []int) (int, error) {
-	cur := mg.cur[:0]
+	t := &mg.tree
+	keys, rests := t.keys[:0], mg.rests[:0]
 	for r, run := range mg.runs {
 		lo, hi := from[r], to[r]
 		if lo == hi {
@@ -201,68 +245,40 @@ func (mg *merger) mergeRange(dst []Vertex, from, to []int) (int, error) {
 		if unsortedAt(run.vs[max(lo-1, 0):hi]) >= 0 {
 			return 0, fmt.Errorf("graph: merge input %d: %w", run.input, ErrUnsorted)
 		}
-		cur = append(cur, mergeCursor{key: run.vs[lo].Kmer, rest: run.vs[lo:hi]})
+		keys, rests = append(keys, run.vs[lo].Kmer), append(rests, run.vs[lo:hi])
 	}
-	mg.cur = cur
-	if len(mg.losers) < len(cur) {
-		mg.losers, mg.winners = make([]int, len(cur)), make([]int, 2*len(cur))
-	}
-	losers, winners := mg.losers, mg.winners
 	n := 0
-	for len(cur) > 1 {
-		// (Re)play the whole tournament: at the start, and each time a
-		// cursor runs dry and leaves.
-		m := len(cur)
-		for i := 2*m - 1; i >= 1; i-- {
-			if i >= m {
-				winners[i] = i - m
-				continue
-			}
-			a, b := winners[2*i], winners[2*i+1]
-			if cur[b].key.Less(cur[a].key) {
-				a, b = b, a
-			}
-			winners[i], losers[i] = a, b
-		}
-		w := winners[1]
+	for len(keys) > 1 {
+		t.keys = keys
+		w := t.play()
 		for {
-			c := &cur[w]
-			v := &c.rest[0]
+			rest := rests[w]
+			v := &rest[0]
 			if n > 0 && dst[n-1].Kmer == v.Kmer {
 				dst[n-1].addCounts(v)
 			} else {
 				dst[n] = *v
 				n++
 			}
-			if len(c.rest) == 1 {
-				cur[w] = cur[m-1]
-				cur = cur[:m-1]
+			if len(rest) == 1 {
+				last := len(keys) - 1
+				keys[w], rests[w] = keys[last], rests[last]
+				keys, rests = keys[:last], rests[:last]
 				break
 			}
-			c.key, c.rest = c.rest[1].Kmer, c.rest[1:]
-			// Which of two random k-mers is smaller is a coin toss no
-			// branch predictor wins, so the replay selects by mask: the
-			// 128-bit subtraction borrows exactly when the stored loser
-			// beats the climbing winner, and then the two trade places.
-			for i := (w + m) / 2; i >= 1; i /= 2 {
-				l := losers[i]
-				lk, wk := cur[l].key, cur[w].key
-				_, borrow := bits.Sub64(lk.Lo, wk.Lo, 0)
-				_, borrow = bits.Sub64(lk.Hi, wk.Hi, borrow)
-				swap := (w ^ l) & -int(borrow)
-				w ^= swap
-				losers[i] = l ^ swap
-			}
+			keys[w], rests[w] = rest[1].Kmer, rest[1:]
+			w = t.replay(w)
 		}
 	}
-	if len(cur) == 1 {
+	if len(keys) == 1 {
 		// One run left: only its head can equal what was last written.
-		last := cur[0].rest
+		last := rests[0]
 		if n > 0 && dst[n-1].Kmer == last[0].Kmer {
 			dst[n-1].addCounts(&last[0])
 			last = last[1:]
 		}
 		n += copy(dst[n:], last)
 	}
+	t.keys, mg.rests = keys[:0], rests[:0]
 	return n, nil
 }

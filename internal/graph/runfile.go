@@ -8,6 +8,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Binary spill-run format (little-endian):
@@ -60,11 +61,26 @@ type RunWriter struct {
 	finished bool
 }
 
+// runBlockBytes sizes the block a RunWriter writes through and a RunReader
+// reads through.
+const runBlockBytes = 1 << 15
+
+// runWriteBlocks and runReadBlocks recycle those blocks: a spilled partition
+// writes and re-reads a dozen runs, each finished with its block before the
+// next begins. A block goes back when its run completed — Finish, or the
+// io.EOF that follows a verified footer — and is left to the collector
+// otherwise.
+var (
+	runWriteBlocks = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, runBlockBytes) }}
+	runReadBlocks  = sync.Pool{New: func() any { return new([runBlockBytes]byte) }}
+)
+
 // NewRunWriter writes the run header for a declared vertex count and
 // returns the writer.
 func NewRunWriter(w io.Writer, k int, count int64) (*RunWriter, error) {
 	rw := &RunWriter{crc: crc32.NewIEEE(), declared: uint64(count)}
-	rw.bw = bufio.NewWriterSize(io.MultiWriter(w, rw.crc), 1<<15)
+	rw.bw = runWriteBlocks.Get().(*bufio.Writer)
+	rw.bw.Reset(io.MultiWriter(w, rw.crc))
 	var head [runHeaderBytes]byte
 	copy(head[:4], runMagic[:])
 	head[4] = runFormatVersion
@@ -115,7 +131,11 @@ func (rw *RunWriter) Finish() error {
 		return err
 	}
 	rw.finished = true
-	return rw.bw.Flush()
+	err := rw.bw.Flush()
+	rw.bw.Reset(nil)
+	runWriteBlocks.Put(rw.bw)
+	rw.bw = nil
+	return err
 }
 
 // Sum32 returns the footer CRC after Finish — the value journalled in the
@@ -129,7 +149,7 @@ type RunReader struct {
 	// buf[pos:end] is read but not yet consumed. The checksum is taken over
 	// each block as it is read, not record by record: 48-byte writes would
 	// never reach crc32's vectorised kernel.
-	buf      []byte
+	buf      *[runBlockBytes]byte
 	pos, end int
 	crc      uint32
 	// unsummed counts the record bytes still to be read and checksummed;
@@ -161,7 +181,7 @@ func NewRunReader(r io.Reader) (*RunReader, error) {
 	}
 	rr.crc = crc32.ChecksumIEEE(head[:])
 	rr.unsummed = rr.count * VertexRecordBytes
-	rr.buf = make([]byte, 1<<15)
+	rr.buf = runReadBlocks.Get().(*[runBlockBytes]byte)
 	return rr, nil
 }
 
@@ -175,7 +195,7 @@ func (rr *RunReader) Count() int64 { return int64(rr.count) }
 // fewer are buffered. The slice is valid until the next call.
 func (rr *RunReader) take(n int) ([]byte, error) {
 	if rr.end-rr.pos < n {
-		rr.end = copy(rr.buf, rr.buf[rr.pos:rr.end])
+		rr.end = copy(rr.buf[:], rr.buf[rr.pos:rr.end])
 		rr.pos = 0
 		m, err := io.ReadAtLeast(rr.r, rr.buf[rr.end:], n-rr.end)
 		fresh := rr.buf[rr.end : rr.end+m]
@@ -210,6 +230,8 @@ func (rr *RunReader) Next() (Vertex, error) {
 			return Vertex{}, fmt.Errorf("%w: CRC mismatch", ErrCorruptRun)
 		}
 		rr.done = true
+		runReadBlocks.Put(rr.buf)
+		rr.buf = nil
 		return Vertex{}, io.EOF
 	}
 	rec, err := rr.take(VertexRecordBytes)

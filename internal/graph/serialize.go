@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Binary subgraph format (little-endian):
@@ -36,10 +37,27 @@ func SerializedSize(numVertices int) int64 {
 // headerBytes is the fixed PHDG header size.
 const headerBytes = 4 + 1 + 1 + 8
 
-// writeBlockRecords sizes Write's encode buffer: just over 1 MiB of
-// records, so a partition subgraph goes out in one Write call and the
-// final graph in a few dozen.
+// writeBlockRecords sizes the encode block of Write and MergeStreams: just
+// over 1 MiB of records, so a partition subgraph goes out in one Write call
+// and the final graph in a few dozen.
 const writeBlockRecords = 1<<20/VertexRecordBytes + 1
+
+// writeBlockBytes is the block's size: the header and the records.
+const writeBlockBytes = headerBytes + writeBlockRecords*VertexRecordBytes
+
+// writeBlocks recycles the encode block: a build writes one subgraph after
+// another, and a graph-sized buffer per file is most of what it would
+// otherwise allocate.
+var writeBlocks = sync.Pool{New: func() any { return new([writeBlockBytes]byte) }}
+
+// putHeader encodes the PHDG header of a count-vertex stream into
+// head[:headerBytes].
+func putHeader(head []byte, k int, count uint64) {
+	copy(head, magic[:])
+	head[4] = formatVersion
+	head[5] = byte(k)
+	binary.LittleEndian.PutUint64(head[6:], count)
+}
 
 // putVertex encodes v into rec[:VertexRecordBytes].
 func putVertex(rec []byte, v *Vertex) {
@@ -61,15 +79,13 @@ func getVertex(v *Vertex, rec []byte) {
 	}
 }
 
-// Write serialises the subgraph. Records are encoded into one large block
-// and handed to w a block at a time: the writers behind it (a file, a
+// Write serialises the subgraph. Records are encoded into one recycled
+// block and handed to w a block at a time: the writers behind it (a file, a
 // store's atomic temp file) are unbuffered, so each call is a syscall.
 func (g *Subgraph) Write(w io.Writer) error {
-	buf := make([]byte, headerBytes+min(len(g.Vertices), writeBlockRecords)*VertexRecordBytes)
-	copy(buf, magic[:])
-	buf[4] = formatVersion
-	buf[5] = byte(g.K)
-	binary.LittleEndian.PutUint64(buf[6:], uint64(len(g.Vertices)))
+	buf := writeBlocks.Get().(*[writeBlockBytes]byte)
+	defer writeBlocks.Put(buf)
+	putHeader(buf[:], g.K, uint64(len(g.Vertices)))
 	fill := headerBytes
 	for i := range g.Vertices {
 		if fill+VertexRecordBytes > len(buf) {

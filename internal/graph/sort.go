@@ -64,10 +64,36 @@ func unsortedAt(vs []Vertex) int {
 	return -1
 }
 
-// sortScratch recycles the scatter buffer between sorts, so a build that
-// sorts one partition after another holds one buffer, not one per
-// partition.
-var sortScratch sync.Pool
+// vertexBufs recycles partition-sized vertex slices — the buffer Step 2
+// extracts a table into, the sort's scatter buffer, a spill merge's output —
+// so a build that constructs one partition after another holds a few of
+// them, not one per partition.
+var vertexBufs sync.Pool
+
+// vertexSlackMax bounds the spare room GetVertices adds to a new slice
+// (3 MiB): the slack is for partition-sized buffers that are used again, not
+// for the one sort of a whole graph.
+const vertexSlackMax = 1 << 16
+
+// GetVertices returns an empty vertex slice with room for n, recycled when
+// the pool holds one large enough. A new one is made a quarter larger than
+// asked, up to vertexSlackMax: partitions differ in size by about that much,
+// and a slice that only just fit the last one would be dropped for the next.
+func GetVertices(n int) []Vertex {
+	if buf, _ := vertexBufs.Get().(*[]Vertex); buf != nil && cap(*buf) >= n {
+		return (*buf)[:0]
+	}
+	return make([]Vertex, 0, n+min(n/4, vertexSlackMax))
+}
+
+// PutVertices gives a slice back for GetVertices to hand out again. Nothing
+// may read or write the slice's array afterwards: only its one owner may
+// call this — for a subgraph, whoever constructed it and has not kept it.
+func PutVertices(vs []Vertex) {
+	if cap(vs) > 0 {
+		vertexBufs.Put(&vs)
+	}
+}
 
 // sortVertices sorts vs in place and reports whether any scatter pass ran
 // (tests pin that sorted input costs none). The key width comes from the
@@ -89,13 +115,8 @@ func sortVertices(vs []Vertex, workers int) (scattered bool) {
 	}
 	width := or.BitLen()
 
-	buf, _ := sortScratch.Get().(*[]Vertex)
-	if buf == nil || cap(*buf) < n {
-		b := make([]Vertex, n)
-		buf = &b
-	}
-	defer sortScratch.Put(buf)
-	tmp := (*buf)[:n]
+	tmp := GetVertices(n)[:n]
+	defer PutVertices(tmp)
 
 	if workers <= 1 || n < sortParallelMin || width <= 8 {
 		var hist radixHist

@@ -146,7 +146,13 @@ type Table struct {
 	keysLo []uint64
 	counts []uint32
 
+	// distinct is bumped on every first insert. The pads keep it on a cache
+	// line of its own: beside the fields above it would share the line every
+	// probe of every thread reads mask and the slice headers from, and beside
+	// metrics the line worker 0 counts on.
+	_        [64]byte
 	distinct atomic.Int64
+	_        [56]byte
 	metrics  Metrics
 }
 

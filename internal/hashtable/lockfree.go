@@ -48,7 +48,10 @@ type LockFreeTable struct {
 	ready  []uint32 // nil in compact mode
 	counts []uint32
 
+	// distinct is padded onto a cache line of its own, as in Table.
+	_        [64]byte
 	distinct atomic.Int64
+	_        [56]byte
 	metrics  Metrics
 }
 

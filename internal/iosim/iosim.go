@@ -97,6 +97,32 @@ func (s *Store) Sync(names ...string) error {
 // scripted read fault (FailReadsNTimes) charges its budget exactly once per
 // Open — never per Read call on the returned snapshot reader.
 func (s *Store) Open(name string) (io.Reader, error) {
+	data, err := s.snapshot(name, true)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.bytesRead += int64(len(data))
+	s.mu.Unlock()
+	return bytes.NewReader(data), nil
+}
+
+// OpenStream serves the published blob itself: a publish replaces the blob,
+// it never writes into it, so the version open at the time stays what the
+// reader sees. Scripted read faults apply as in Open, once per open; bytes
+// are counted as they are read.
+func (s *Store) OpenStream(name string) (io.ReadCloser, error) {
+	data, err := s.snapshot(name, false)
+	if err != nil {
+		return nil, err
+	}
+	return &streamReader{store: s, r: bytes.NewReader(data)}, nil
+}
+
+// snapshot charges one open of name against its scripted read faults and
+// returns the bytes to serve: the published blob, or a copy of it when the
+// caller wants its own or a scripted corruption is to flip a bit in it.
+func (s *Store) snapshot(name string, own bool) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f := s.readFaults[name]; f.take() {
@@ -106,9 +132,13 @@ func (s *Store) Open(name string) (io.Reader, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	data := make([]byte, buf.Len())
-	copy(data, buf.Bytes())
-	if n := s.corruptions[name]; n != 0 && len(data) > 0 {
+	data := buf.Bytes()
+	n := s.corruptions[name]
+	corrupt := n != 0 && len(data) > 0
+	if own || corrupt {
+		data = append([]byte(nil), data...)
+	}
+	if corrupt {
 		// Flip one bit in the middle of the served copy; the stored file
 		// stays intact, so a re-read after integrity detection recovers.
 		data[len(data)/2] ^= 0x01
@@ -120,9 +150,24 @@ func (s *Store) Open(name string) (io.Reader, error) {
 			}
 		}
 	}
-	s.bytesRead += int64(len(data))
-	return bytes.NewReader(data), nil
+	return data, nil
 }
+
+// streamReader is OpenStream's reader.
+type streamReader struct {
+	store *Store
+	r     *bytes.Reader
+}
+
+func (r *streamReader) Read(p []byte) (int, error) {
+	n, err := r.r.Read(p)
+	r.store.mu.Lock()
+	r.store.bytesRead += int64(n)
+	r.store.mu.Unlock()
+	return n, err
+}
+
+func (r *streamReader) Close() error { return nil }
 
 // Size returns a file's byte size, or an error if absent.
 func (s *Store) Size(name string) (int64, error) {

@@ -121,6 +121,9 @@ type DecodedPartition struct {
 	// bytes walked before the damage on failure (what Decoder.BytesRead
 	// reports for the same stream).
 	Bytes int64
+
+	// arena backs the Superkmers' Bases; Decode reuses it.
+	arena []dna.Base
 }
 
 // NumKmers returns the number of k-mers the partition's superkmers contain:
@@ -137,38 +140,34 @@ func (p DecodedPartition) NumKmers(k int) int64 {
 // many records it holds. Damage is reported with the sentinels Decoder.Next
 // uses (ErrCorrupt, ErrCorruptPartition).
 func DecodePartition(data []byte) (DecodedPartition, error) {
-	records, bases, pos := 0, 0, 0
-	for {
-		if pos == len(data) {
-			return DecodedPartition{Bytes: int64(pos)}, errNoFooter
-		}
-		if data[pos] == footerMarker {
-			n, err := checkFooter(crc32.ChecksumIEEE(data[:pos]), data[pos+1:])
-			if err != nil {
-				return DecodedPartition{Bytes: int64(pos + 1 + n)}, err
-			}
-			break
-		}
-		n, width, err := recordHeader(data[pos:])
-		pos += width
-		if err != nil {
-			return DecodedPartition{Bytes: int64(pos)}, err
-		}
-		if len(data)-pos < bodySize(n) {
-			return DecodedPartition{Bytes: int64(pos)}, fmt.Errorf("%w: truncated record (%d bases declared)", ErrCorrupt, n)
-		}
-		pos += bodySize(n)
-		records++
-		bases += n
-	}
+	var p DecodedPartition
+	err := p.Decode(data)
+	return p, err
+}
 
-	p := DecodedPartition{
-		Superkmers: make([]Superkmer, records),
-		Bases:      int64(bases),
-		Bytes:      int64(len(data)),
+// Decode is DecodePartition into p: the record slice and bases array p
+// holds from an earlier Decode are overwritten and, when large enough,
+// reused, so a caller that decodes one partition after another into the same
+// DecodedPartition allocates only for a partition larger than any before it.
+// The caller must be done with the records p held. After a failure p holds
+// no records.
+func (p *DecodedPartition) Decode(data []byte) error {
+	records, bases, walked, err := checkPartition(data)
+	p.Superkmers, p.Bases, p.Bytes = p.Superkmers[:0], 0, int64(walked)
+	if err != nil {
+		return err
 	}
-	arena := make([]dna.Base, bases)
-	pos = 0
+	// Grown a quarter past what this partition needs: the next is about the
+	// same size, and as often larger as smaller.
+	if cap(p.Superkmers) < records {
+		p.Superkmers = make([]Superkmer, records+records/4)
+	}
+	if cap(p.arena) < bases {
+		p.arena = make([]dna.Base, bases+bases/4)
+	}
+	p.Superkmers, p.Bases = p.Superkmers[:records], int64(bases)
+	arena := p.arena[:bases]
+	pos := 0
 	for i := range p.Superkmers {
 		n, width, _ := recordHeader(data[pos:])
 		pos += width
@@ -176,5 +175,32 @@ func DecodePartition(data []byte) (DecodedPartition, error) {
 		arena = arena[n:]
 		pos += bodySize(n)
 	}
-	return p, nil
+	return nil
+}
+
+// checkPartition walks a partition image's structure and verifies its
+// footer: the record and base counts when it is sound, and either way the
+// bytes walked — the whole image, or those before the damage.
+func checkPartition(data []byte) (records, bases, walked int, err error) {
+	pos := 0
+	for {
+		if pos == len(data) {
+			return 0, 0, pos, errNoFooter
+		}
+		if data[pos] == footerMarker {
+			n, err := checkFooter(crc32.ChecksumIEEE(data[:pos]), data[pos+1:])
+			return records, bases, pos + 1 + n, err
+		}
+		n, width, err := recordHeader(data[pos:])
+		pos += width
+		if err != nil {
+			return 0, 0, pos, err
+		}
+		if len(data)-pos < bodySize(n) {
+			return 0, 0, pos, fmt.Errorf("%w: truncated record (%d bases declared)", ErrCorrupt, n)
+		}
+		pos += bodySize(n)
+		records++
+		bases += n
+	}
 }

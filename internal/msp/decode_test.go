@@ -147,6 +147,52 @@ func TestDecodePartitionAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeReusesItsMemory decodes partitions of different sizes, and a
+// damaged one, into one DecodedPartition: each result is what a fresh
+// DecodePartition gives, nothing of an earlier partition shows through, and
+// once the largest has been seen decoding allocates nothing.
+func TestDecodeReusesItsMemory(t *testing.T) {
+	var p DecodedPartition
+	images := make([][]byte, 0, 4)
+	for _, n := range []int{1500, 20, 0, 900} {
+		data, want := encodeClosed(t, int64(n), n)
+		images = append(images, data)
+		if err := p.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := DecodePartition(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Bases != fresh.Bases || p.Bytes != fresh.Bytes || len(p.Superkmers) != len(want) {
+			t.Fatalf("%d records: reused decode gives %d bases, %d bytes, %d records; a fresh one %d, %d, %d",
+				n, p.Bases, p.Bytes, len(p.Superkmers), fresh.Bases, fresh.Bytes, len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(p.Superkmers[i], fresh.Superkmers[i]) {
+				t.Fatalf("%d records: record %d differs from a fresh decode's", n, i)
+			}
+		}
+		// Damage leaves no records behind and reports the bytes walked.
+		cut := data[:len(data)-1]
+		err = p.Decode(cut)
+		_, wantErr := DecodePartition(cut)
+		if err == nil || sentinelOf(err) != sentinelOf(wantErr) || len(p.Superkmers) != 0 || p.Bases != 0 {
+			t.Fatalf("%d records, cut short: err %v (fresh: %v), %d records left", n, err, wantErr, len(p.Superkmers))
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, data := range images {
+			if err := p.Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding into warmed memory made %.0f allocations, want none", allocs)
+	}
+}
+
 // FuzzDecodePartition holds the whole-partition decoder to the streaming
 // decoder's verdict on arbitrary bytes: same records and byte count, or the
 // same sentinel.

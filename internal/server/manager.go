@@ -408,41 +408,52 @@ func (m *Manager) Submit(spec JobSpec, input io.Reader) (JobRecord, error) {
 	id := fmt.Sprintf("j%04d", m.seq)
 	m.mu.Unlock()
 
-	reads, err := parahash.ParseReads(input)
-	if err != nil {
-		return JobRecord{}, fmt.Errorf("server: parsing input: %w", err)
-	}
-	if len(reads) == 0 {
-		return JobRecord{}, errors.New("server: input has no reads")
-	}
 	cfg := m.jobConfig(id, spec)
 	if err := cfg.Validate(); err != nil {
 		return JobRecord{}, fmt.Errorf("server: invalid job spec: %w", err)
+	}
+	backend, err := hashtable.ParseBackend(cfg.TableBackend)
+	if err != nil {
+		return JobRecord{}, fmt.Errorf("server: %w", err)
+	}
+	if err := os.MkdirAll(m.jobDir(id), 0o777); err != nil {
+		return JobRecord{}, fmt.Errorf("server: creating job directory: %w", err)
+	}
+	// The upload goes to disk as it arrives — as sent, gzip included — while
+	// one parser pass over the same bytes validates it and counts its
+	// k-mers: no read outlives its record. A malformed or read-less upload
+	// is refused here, before anything is journalled, and leaves no file.
+	var reads, totalKmers int64
+	err = atomicfile.WriteDurable(m.inputPath(id), func(w io.Writer) error {
+		tee := io.TeeReader(input, w)
+		fr, err := fastq.NewAutoReader(tee)
+		for err == nil {
+			var rd fastq.Read
+			if rd, err = fr.Next(); err == nil {
+				reads++
+				totalKmers += int64(max(len(rd.Bases)-cfg.K+1, 0))
+			}
+		}
+		if err != io.EOF {
+			return fmt.Errorf("parsing input: %w", err)
+		}
+		if reads == 0 {
+			return errors.New("input has no reads")
+		}
+		// Whatever the parser left unread behind its last record is stored too.
+		_, err = io.Copy(io.Discard, tee)
+		return err
+	})
+	if err != nil {
+		os.Remove(m.jobDir(id))
+		return JobRecord{}, fmt.Errorf("server: %w", err)
 	}
 
 	// The job's admission weight is the whole-graph Property-1 prediction:
 	// the same λ/(4α)·N_kmer table pre-sizing Step 2 applies per partition,
 	// charged for the full input, so the cross-job gate bounds exactly the
 	// bytes all of a job's concurrently resident tables could claim.
-	var totalKmers int64
-	for _, r := range reads {
-		if n := len(r.Bases) - cfg.K + 1; n > 0 {
-			totalKmers += int64(n)
-		}
-	}
-	weight, err := jobWeight(totalKmers, cfg)
-	if err != nil {
-		return JobRecord{}, err
-	}
-
-	if err := os.MkdirAll(m.jobDir(id), 0o777); err != nil {
-		return JobRecord{}, fmt.Errorf("server: creating job directory: %w", err)
-	}
-	if err := atomicfile.WriteDurable(m.inputPath(id), func(w io.Writer) error {
-		return parahash.WriteFASTQ(w, reads)
-	}); err != nil {
-		return JobRecord{}, fmt.Errorf("server: storing input: %w", err)
-	}
+	weight := jobWeight(totalKmers, backend, cfg)
 
 	rec := JobRecord{
 		ID:            id,
@@ -453,26 +464,23 @@ func (m *Manager) Submit(spec JobSpec, input io.Reader) (JobRecord, error) {
 		SubmittedUnix: m.opts.now().Unix(),
 	}
 	if err := m.journal.Put(rec); err != nil {
+		os.RemoveAll(m.jobDir(id)) // nothing journalled: leave no upload behind
 		return JobRecord{}, err
 	}
-	m.opts.Logf("server: job %s queued (%d reads, %d kmers, weight %d bytes)", id, len(reads), totalKmers, weight)
+	m.opts.Logf("server: job %s queued (%d reads, %d kmers, weight %d bytes)", id, reads, totalKmers, weight)
 	m.startJob(id, false)
 	return rec, nil
 }
 
 // jobWeight computes a job's admission weight from its k-mer count.
-func jobWeight(totalKmers int64, cfg parahash.Config) (int64, error) {
+func jobWeight(totalKmers int64, backend hashtable.Backend, cfg parahash.Config) int64 {
 	slots, err := hashtable.SizeForKmersChecked(totalKmers, cfg.Lambda, cfg.Alpha)
 	if err != nil {
 		// Oversized inputs still run (the gate clamps to the whole budget,
 		// so the job runs alone); per-partition sizing happens later.
-		return 1 << 62, nil
+		return 1 << 62
 	}
-	backend, err := hashtable.ParseBackend(cfg.TableBackend)
-	if err != nil {
-		return 0, fmt.Errorf("server: %w", err)
-	}
-	return hashtable.MemoryBytesForBackend(backend, cfg.K, slots), nil
+	return hashtable.MemoryBytesForBackend(backend, cfg.K, slots)
 }
 
 // jobConfig resolves a job's effective build configuration.
@@ -497,6 +505,10 @@ func (m *Manager) jobConfig(id string, spec JobSpec) parahash.Config {
 		Dir:        m.checkpointDir(id),
 		InputLabel: "job:" + id,
 	}
+	// The daemon never holds a job's graph: graph.dbg is streamed from the
+	// subgraph files the build published (Result.WriteGraph), queries are
+	// answered from graph.dbg, the journalled totals come from Stats.
+	cfg.KeepSubgraphs = false
 	if cfg.Resilience.PartitionDeadline == 0 && m.opts.JobDeadline > 0 {
 		cfg.Resilience.PartitionDeadline = m.opts.JobDeadline
 	}
@@ -658,14 +670,12 @@ func (m *Manager) finishJob(ctx context.Context, id string, res *parahash.Result
 	now := m.opts.now().Unix()
 	switch {
 	case err == nil:
-		// res.Graph is not kept: queries are answered from the file just
-		// published, which the first of them opens.
-		vertices, edges := res.Graph.NumVertices(), res.Graph.NumEdges()
+		vertices, edges := res.Stats.GraphVertices, res.Stats.GraphEdges
 		if jerr := m.journalState(id, func(jr *JobRecord) {
 			jr.State = StateDone
 			jr.FinishedUnix = now
-			jr.Vertices = int64(vertices)
-			jr.Edges = int64(edges)
+			jr.Vertices = vertices
+			jr.Edges = edges
 		}); jerr == nil {
 			m.opts.Logf("server: job %s done (%d vertices, %d edges)", id, vertices, edges)
 		}
@@ -699,11 +709,16 @@ func (m *Manager) finishJob(ctx context.Context, id string, res *parahash.Result
 	}
 }
 
-// publishOutputs atomically writes the completed graph and metrics files.
+// publishOutputs atomically writes the completed graph and metrics files. A
+// subgraph file that fails the merge's checks fails the job: graph.dbg is
+// published whole and checked, or not at all.
 func (m *Manager) publishOutputs(id string, res *parahash.Result) error {
 	rec, _ := m.journal.Get(id)
 	cfg := m.jobConfig(id, rec.Spec)
-	if err := atomicfile.WriteDurable(m.graphPath(id), res.Graph.Write); err != nil {
+	if err := atomicfile.WriteDurable(m.graphPath(id), func(w io.Writer) error {
+		_, _, err := res.WriteGraph(w)
+		return err
+	}); err != nil {
 		return fmt.Errorf("server: publishing graph: %w", err)
 	}
 	if err := atomicfile.WriteDurable(m.metricsPath(id), parahash.MetricsOf(res, cfg).WriteJSON); err != nil {

@@ -55,7 +55,16 @@ var ErrDiskFull = errors.New("store: disk full")
 //     open time: concurrent writers never disturb an open reader, and any
 //     scripted read fault (iosim's FailReadsNTimes) charges its fault budget
 //     exactly once per Open — never per Read call on the returned reader.
-//   - Size and Open return an error wrapping ErrNotFound for absent names.
+//   - OpenStream is Open for a reader that wants the file a piece at a time:
+//     the same snapshot of the version published at open time, the same
+//     once-per-open charge of a scripted read fault, but nothing file-sized
+//     is held — on disk an open descriptor on the published inode is the
+//     snapshot. Bytes are counted as read when they are served, and the
+//     caller must Close the reader on every path (on disk it is a
+//     descriptor, and a caller holding many at once — the finish stage holds
+//     one per partition — is bounded by the process's open-file limit).
+//   - Size, Open and OpenStream return an error wrapping ErrNotFound for
+//     absent names.
 //   - Remove deletes a file if present; removing an absent file is not an
 //     error.
 //   - List returns the published file names, sorted; in-flight (unpublished)
@@ -67,6 +76,7 @@ type PartitionStore interface {
 	CreateVolatile(name string) (io.WriteCloser, error)
 	Sync(names ...string) error
 	Open(name string) (io.Reader, error)
+	OpenStream(name string) (io.ReadCloser, error)
 	Size(name string) (int64, error)
 	Remove(name string) error
 	List() ([]string, error)

@@ -4,15 +4,19 @@
 // contract documented on the interface — publish-on-Close atomicity (durable
 // and volatile alike), Sync's ErrNotFound, snapshot reads, ErrNotFound
 // classification, idempotent Remove, sorted listing that hides in-flight
-// writes, cumulative byte accounting — is enforced identically on both media. A behavioural divergence between the
-// simulated and the real store would silently invalidate the virtual-time
-// experiments, so additions to the interface contract belong here first.
+// writes, cumulative byte accounting, streamed snapshot reads that give their
+// descriptor back — is enforced identically on both media. A behavioural
+// divergence between the simulated and the real store would silently
+// invalidate the virtual-time experiments, so additions to the interface
+// contract belong here first.
 package storetest
 
 import (
 	"errors"
 	"io"
+	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"parahash/internal/store"
@@ -42,6 +46,8 @@ func Run(t *testing.T, factory Factory) {
 		testPublishDuringConcurrentOpen(t, s, s.CreateVolatile)
 	})
 	t.Run("Sync", func(t *testing.T) { testSync(t, factory(t)) })
+	t.Run("OpenStream", func(t *testing.T) { testOpenStream(t, factory(t)) })
+	t.Run("OpenStreamSnapshot", func(t *testing.T) { testOpenStreamSnapshot(t, factory(t)) })
 	t.Run("ListDuringInflightWrites", func(t *testing.T) { testListDuringInflightWrites(t, factory(t)) })
 }
 
@@ -270,6 +276,113 @@ func testPublishDuringConcurrentOpen(t *testing.T, s store.PartitionStore, creat
 			return
 		default:
 		}
+	}
+}
+
+// testOpenStream pins the streaming reader's contract: the published bytes,
+// ErrNotFound for an absent or unpublished name, bytes counted as they are
+// served, and a Close that gives back whatever the open took — every reader
+// opened here is closed, and the process ends with the descriptors it began
+// with.
+func testOpenStream(t *testing.T, s store.PartitionStore) {
+	before := openDescriptors(t)
+	if _, err := s.OpenStream("absent"); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("OpenStream(absent) = %v, want ErrNotFound", err)
+	}
+	w, err := s.CreateVolatile("subgraphs/0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(w, "0123456789")
+	if _, err := s.OpenStream("subgraphs/0001"); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("unpublished file streams: err = %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := s.OpenStream("subgraphs/0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, 4)
+	if _, err := io.ReadFull(r, head); err != nil || string(head) != "0123" {
+		t.Fatalf("first four bytes = %q, %v", head, err)
+	}
+	if got := s.BytesRead(); got != 4 {
+		t.Errorf("BytesRead after serving 4 bytes = %d", got)
+	}
+	rest, err := io.ReadAll(r)
+	if err != nil || string(rest) != "456789" {
+		t.Fatalf("rest = %q, %v", rest, err)
+	}
+	if got := s.BytesRead(); got != 10 {
+		t.Errorf("BytesRead after serving the file = %d, want 10", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// A reader abandoned half-way is closed all the same.
+	for i := 0; i < 8; i++ {
+		r, err := s.OpenStream("subgraphs/0001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.ReadFull(r, head)
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close of a half-read stream: %v", err)
+		}
+	}
+	if after := openDescriptors(t); after != before {
+		t.Errorf("%d descriptors open before, %d after every stream was closed", before, after)
+	}
+}
+
+// openDescriptors counts the process's open file descriptors, or returns -1
+// where /proc does not say.
+func openDescriptors(t *testing.T) int {
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(entries)
+}
+
+// testOpenStreamSnapshot: a stream opened on one version serves that version
+// to its end however many publishes — durable or volatile — and even a
+// Remove land on the name while it is being read.
+func testOpenStreamSnapshot(t *testing.T, s store.PartitionStore) {
+	version := func(i int) string { return strings.Repeat(string(rune('a'+i)), 200_000) }
+	put(t, s, "f", version(0))
+	r, err := s.OpenStream("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var got []byte
+	buf := make([]byte, 30_000)
+	for i := 1; ; i++ {
+		n, err := r.Read(buf)
+		got = append(got, buf[:n]...)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch i % 3 {
+		case 0:
+			put(t, s, "f", version(i))
+		case 1:
+			putWith(t, s.CreateVolatile, "f", version(i))
+		case 2:
+			if err := s.Remove("f"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if string(got) != version(0) {
+		t.Fatalf("the stream served %d bytes that are not the version it was opened on", len(got))
 	}
 }
 
