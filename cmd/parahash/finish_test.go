@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -179,9 +180,10 @@ func TestFilterIsTheBuildsOutputFilter(t *testing.T) {
 }
 
 // TestDamagedSubgraphFailsTheFinish: a published subgraph file the finish
-// cannot trust — here one whose header names another k, which resume's own
-// verification does not look at — fails the run typed and leaves neither
-// -out nor its temporary file.
+// cannot trust — here one with an edge more than its claim journalled, which
+// resume's judgement of each file (form, k, order, size, vertex count) does
+// not look at — fails the run typed and leaves neither -out nor its
+// temporary file.
 func TestDamagedSubgraphFailsTheFinish(t *testing.T) {
 	dir := t.TempDir()
 	ck, out := filepath.Join(dir, "ck"), filepath.Join(dir, "g.dbg")
@@ -194,7 +196,17 @@ func TestDamagedSubgraphFailsTheFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img[5]++ // the header's k
+	// The first vertex's first zero edge counter (record bytes 16-47, after
+	// the 14-byte header) becomes an edge.
+	first := img[14 : 14+graph.VertexRecordBytes]
+	counter := 16
+	for counter < len(first) && binary.LittleEndian.Uint32(first[counter:]) != 0 {
+		counter += 4
+	}
+	if counter == len(first) {
+		t.Fatal("the first vertex has every edge")
+	}
+	first[counter] = 1
 	if err := os.WriteFile(victim, img, 0o644); err != nil {
 		t.Fatal(err)
 	}

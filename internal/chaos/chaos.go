@@ -41,7 +41,6 @@ import (
 	"parahash/internal/device"
 	"parahash/internal/fastq"
 	"parahash/internal/faultinject"
-	"parahash/internal/graph"
 	"parahash/internal/hashtable"
 	"parahash/internal/msp"
 	"parahash/internal/pipeline"
@@ -327,15 +326,18 @@ func NewEngine(prof Profile) (*Engine, error) {
 	cfg.NumPartitions = prof.Partitions
 	cfg.CPUThreads = prof.CPUThreads
 	cfg.NumGPUs = prof.NumGPUs
+	// Every build is judged by the bytes that ship: what WriteGraph streams
+	// from the published subgraph files, as the CLI and parahashd write it.
+	cfg.KeepSubgraphs = false
 	e := &Engine{prof: prof, reads: d.Reads, baseCfg: cfg}
 
 	oracle, err := core.Build(e.reads, e.baseCfg)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: fault-free oracle build failed: %w", err)
 	}
-	e.oracleBytes, err = serialize(oracle.Graph)
+	e.oracleBytes, err = written(oracle)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("chaos: fault-free oracle finish failed: %w", err)
 	}
 	return e, nil
 }
@@ -343,10 +345,11 @@ func NewEngine(prof Profile) (*Engine, error) {
 // OracleBytes returns the oracle graph's canonical serialisation.
 func (e *Engine) OracleBytes() []byte { return e.oracleBytes }
 
-func serialize(g *graph.Subgraph) ([]byte, error) {
+// written is the graph a finished build writes (Result.WriteGraph).
+func written(res *core.Result) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := g.Write(&buf); err != nil {
-		return nil, fmt.Errorf("chaos: serialising graph: %w", err)
+	if _, _, err := res.WriteGraph(&buf); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
 }
@@ -418,14 +421,17 @@ func (e *Engine) RunScenario(ctx context.Context, s Scenario, dir string) (rep R
 		timer.Stop()
 	}
 	cancel(nil)
+	// The finish reads through the faulted store too; its failure is the
+	// build's, judged the same way.
+	var got []byte
+	if err == nil {
+		got, err = written(res)
+	}
 
 	switch {
 	case err == nil:
 		rep.Outcome = "completed"
-		got, serr := serialize(res.Graph)
-		if serr != nil {
-			violate("byte-identical", "%v", serr)
-		} else if !bytes.Equal(got, e.oracleBytes) {
+		if !bytes.Equal(got, e.oracleBytes) {
 			violate("byte-identical", "faulted build completed with a graph that differs from the oracle (%d vs %d bytes)",
 				len(got), len(e.oracleBytes))
 		}
@@ -461,9 +467,9 @@ func (e *Engine) RunScenario(ctx context.Context, s Scenario, dir string) (rep R
 			break
 		}
 		rep.Resumed = true
-		got, serr2 := serialize(resumed.Graph)
-		if serr2 != nil {
-			violate("resume-converges", "%v", serr2)
+		got, werr := written(resumed)
+		if werr != nil {
+			violate("resume-converges", "fault-free resume's finish failed: %v", werr)
 		} else if !bytes.Equal(got, e.oracleBytes) {
 			violate("resume-converges", "resumed graph differs from the oracle (%d vs %d bytes)",
 				len(got), len(e.oracleBytes))

@@ -194,19 +194,16 @@ func (e *Engine) RunDistScenario(ctx context.Context, s DistScenario, dir string
 	}
 	tr := &dist.LocalTransport{Cfg: cfg, Faults: s.WorkerFaults}
 	stats, err := dist.Run(ctx, plan, tr, dist.Options{Workers: s.Workers, LeaseMS: s.LeaseMS})
+	// A failed finish is judged as a failed run.
+	var got []byte
+	if err == nil {
+		got, err = finished(plan, stats)
+	}
 
 	switch {
 	case err == nil:
 		rep.Outcome = "completed"
-		res, ferr := plan.Finish(stats)
-		if ferr != nil {
-			violate("dist-lifecycle", "finish: %v", ferr)
-			break
-		}
-		got, serr := serialize(res.Graph)
-		if serr != nil {
-			violate("byte-identical", "%v", serr)
-		} else if !bytes.Equal(got, e.oracleBytes) {
+		if !bytes.Equal(got, e.oracleBytes) {
 			violate("byte-identical", "distributed build completed with a graph that differs from the oracle (%d vs %d bytes)",
 				len(got), len(e.oracleBytes))
 		}
@@ -245,14 +242,9 @@ func (e *Engine) RunDistScenario(ctx context.Context, s DistScenario, dir string
 			break
 		}
 		rep.Resumed = true
-		resumed, ferr := plan2.Finish(stats2)
+		got, ferr := finished(plan2, stats2)
 		if ferr != nil {
 			violate("resume-converges", "finish: %v", ferr)
-			break
-		}
-		got, serr2 := serialize(resumed.Graph)
-		if serr2 != nil {
-			violate("resume-converges", "%v", serr2)
 		} else if !bytes.Equal(got, e.oracleBytes) {
 			violate("resume-converges", "resumed graph differs from the oracle (%d vs %d bytes)",
 				len(got), len(e.oracleBytes))
@@ -262,6 +254,16 @@ func (e *Engine) RunDistScenario(ctx context.Context, s DistScenario, dir string
 
 	checkGoroutines(violate, before)
 	return rep
+}
+
+// finished finishes a completed distributed build and returns the graph it
+// writes.
+func finished(plan *core.DistPlan, stats core.DistStats) ([]byte, error) {
+	res, err := plan.Finish(stats)
+	if err != nil {
+		return nil, err
+	}
+	return written(res)
 }
 
 // checkDistGovernance asserts a completed run's counters tell a coherent

@@ -7,7 +7,6 @@ import (
 
 	"parahash/internal/fastq"
 	"parahash/internal/faultinject"
-	"parahash/internal/graph"
 	"parahash/internal/iosim"
 	"parahash/internal/msp"
 	"parahash/internal/store"
@@ -112,13 +111,12 @@ func buildWithStore(ctx context.Context, src chunkSource, cfg Config, st store.P
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 1 (MSP partitioning): %w", err))
 	}
-	subgraphs, works, step2Stats, err := runStep2(ctx, s1.parts, cfg, st, ck)
+	works, step2Stats, err := runStep2(ctx, s1.parts, cfg, st, ck)
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 2 (subgraph construction): %w", err))
 	}
 
 	res := newResult(cfg, st)
-	res.Subgraphs = subgraphs
 	res.Stats.Step1 = s1.stats
 	res.Stats.Step2 = step2Stats
 	res.Stats.TotalSeconds = s1.stats.Seconds + step2Stats.Seconds
@@ -128,13 +126,8 @@ func buildWithStore(ctx context.Context, src chunkSource, cfg Config, st store.P
 	if s1.peakChunkBytes > res.Stats.PeakMemoryBytes {
 		res.Stats.PeakMemoryBytes = s1.peakChunkBytes
 	}
-
-	if cfg.KeepSubgraphs {
-		merged, err := graph.Merge(cfg.K, subgraphs...)
-		if err != nil {
-			return nil, err
-		}
-		res.Graph = merged
+	if err := res.finish(cfg); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

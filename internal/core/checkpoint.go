@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -56,9 +57,6 @@ type checkpoint struct {
 	// step2Skip holds the verified Step 2 completions; those partitions are
 	// not re-executed.
 	step2Skip map[int]manifest.Step2Partition
-	// subgraphs caches the resumed partitions' parsed subgraphs when the
-	// build keeps them (they were parsed for verification anyway).
-	subgraphs map[int]*graph.Subgraph
 	// spillReady maps partitions whose spill scan was claimed before the
 	// crash (spill-done journalled, every run file verified) to their run
 	// records in merge order. A resume that still routes the partition
@@ -128,7 +126,6 @@ func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
 		path:         filepath.Join(cfg.Checkpoint.Dir, "manifest.json"),
 		step1Rebuild: make(map[int]bool),
 		step2Skip:    make(map[int]manifest.Step2Partition),
-		subgraphs:    make(map[int]*graph.Subgraph),
 		spillReady:   make(map[int][]manifest.SpillRun),
 		rebuiltSet:   make(map[int]bool),
 	}
@@ -181,11 +178,8 @@ func (ck *checkpoint) assess(cfg Config) {
 	ck.step1Valid = true
 	for i := 0; i < m.Partitions; i++ {
 		if rec := m.Step2For(i); rec != nil {
-			if g, ok := ck.verifySubgraph(rec); ok {
+			if verifySubgraphFile(ck.ds, cfg.K, rec) {
 				ck.step2Skip[i] = *rec
-				if cfg.KeepSubgraphs {
-					ck.subgraphs[i] = g
-				}
 				ck.resumed++
 				continue
 			}
@@ -219,11 +213,6 @@ func (ck *checkpoint) verifyStep1(rec *manifest.Step1Partition) bool {
 	return verifyStep1File(ck.ds, rec)
 }
 
-// verifySubgraph checks a claimed subgraph file against the durable store.
-func (ck *checkpoint) verifySubgraph(rec *manifest.Step2Partition) (*graph.Subgraph, bool) {
-	return verifySubgraphFile(ck.ds, rec)
-}
-
 // verifyStep1File checks a claimed partition file: present, the recorded
 // size, and a full decode under RequireFooter whose record CRC matches the
 // manifest's independently recorded checksum. Resume assessment and the
@@ -252,27 +241,38 @@ func verifyStep1File(ds store.PartitionStore, rec *manifest.Step1Partition) bool
 	return dec.Sum32() == rec.CRC32
 }
 
-// verifySubgraphFile checks a claimed subgraph file: present, the recorded
-// size, parseable, carrying the recorded vertex count, and strictly
-// ascending — graph.Merge refuses anything else, so a mis-ordered file is
-// damage to rebuild from, not a claim to trust. On success it returns the
-// parsed graph so a KeepSubgraphs build reuses the verification parse.
-func verifySubgraphFile(ds store.PartitionStore, rec *manifest.Step2Partition) (*graph.Subgraph, bool) {
+// verifySubgraphFile checks a claimed subgraph file by checkSubgraphFile's
+// judgement, and that it is the file claimed: the recorded size and vertex
+// count. Resume assessment and Scrub share it, so a claim Scrub verifies
+// clean is by construction one a resume will trust.
+func verifySubgraphFile(ds store.PartitionStore, k int, rec *manifest.Step2Partition) bool {
 	if rec == nil {
-		return nil, false
+		return false
 	}
 	if sz, err := ds.Size(rec.Name); err != nil || sz != rec.Bytes {
-		return nil, false
+		return false
 	}
-	r, err := ds.Open(rec.Name)
+	vertices, _, err := checkSubgraphFile(ds, rec.Name, k)
+	return err == nil && vertices == rec.Vertices
+}
+
+// checkSubgraphFile is the one judgement a subgraph file must pass to be
+// trusted — by resume, by Scrub and by PromoteFenced: present, a header of
+// k (0, which Scrub passes knowing no k, accepts the header's), strictly
+// ascending, and exactly the records its header declares. It is the finish's
+// own check on the file alone: MergeStreams over one source. It returns the
+// file's vertex and edge counts.
+func checkSubgraphFile(ds store.PartitionStore, name string, k int) (vertices, edges int64, err error) {
+	r, err := ds.OpenStream(name)
 	if err != nil {
-		return nil, false
+		return 0, 0, err
 	}
-	g, err := graph.ReadSubgraph(r)
-	if err != nil || int64(g.NumVertices()) != rec.Vertices || g.CheckSorted() != nil {
-		return nil, false
+	defer r.Close()
+	br := bufio.NewReader(r)
+	if head, err := br.Peek(6); err == nil && k == 0 {
+		k = int(head[5]) // the PHDG header's k byte, after magic and version
 	}
-	return g, true
+	return graph.MergeStreams(k, []io.Reader{br}, io.Discard)
 }
 
 // verifySpillRuns checks every journalled run of a partition: present, the
@@ -353,16 +353,17 @@ func (ck *checkpoint) recordStep1(stats []msp.PartitionStats, infos []msp.FileIn
 	return ck.save()
 }
 
-// step2Record is partition i's Step 2 claim. written is the graph as written
-// (after any output filtering); distinct is the constructed pre-filter vertex
-// count, preserved so resumed runs keep exact graph-size accounting.
-func step2Record(i int, written *graph.Subgraph, distinct int64) manifest.Step2Partition {
+// step2Record is partition i's Step 2 claim. vertices and edges count the
+// subgraph as written (after any output filtering); distinct is the
+// constructed pre-filter vertex count, preserved so resumed runs keep exact
+// graph-size accounting.
+func step2Record(i int, vertices, edges, distinct int64) manifest.Step2Partition {
 	return manifest.Step2Partition{
 		Index:    i,
 		Name:     subgraphFile(i),
-		Bytes:    graph.SerializedSize(written.NumVertices()),
-		Vertices: int64(written.NumVertices()),
-		Edges:    int64(written.NumEdges()),
+		Bytes:    graph.SerializedSize(int(vertices)),
+		Vertices: vertices,
+		Edges:    edges,
 		Distinct: distinct,
 	}
 }

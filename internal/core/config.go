@@ -83,10 +83,9 @@ type Config struct {
 	P int
 	// NumPartitions is the superkmer partition count (the paper defaults
 	// to 512 for multi-gigabyte inputs, 960 for 100 GB or more; scaled
-	// datasets want proportionally fewer). A build that keeps no graph
-	// finishes with one open file per partition (Result.WriteGraph), so on
-	// disk the count must fit the process's open-file limit beside whatever
-	// else it holds open.
+	// datasets want proportionally fewer). The finish holds one open file
+	// per partition (Result.WriteGraph), so on disk the count must fit the
+	// process's open-file limit beside whatever else it holds open.
 	NumPartitions int
 
 	// Lambda is λ of Property 1 — expected sequencing errors per read —
@@ -120,13 +119,14 @@ type Config struct {
 	// Calibration supplies the virtual-time constants.
 	Calibration costmodel.Calibration
 
-	// KeepSubgraphs retains every constructed subgraph in the result and
-	// merges them into Result.Graph. It is for library callers that go on
-	// to use the graph in memory, and it costs that memory: the decoded
-	// subgraphs plus the merged copy, 2.6 times the graph file. Nothing
-	// that only wants the file needs it — cmd/parahash and parahashd build
-	// without it and write the graph with Result.WriteGraph, which streams
-	// it from the published subgraph files; size-only runs disable it too.
+	// KeepSubgraphs decodes the finished graph into Result.Graph: what
+	// Result.WriteGraph streams from the published subgraph files — the
+	// graph after OutputFilterMin — read back into memory once every
+	// partition is published. It is for library callers that go on to use
+	// the graph in memory, and it costs that memory, about the size of the
+	// graph file. Nothing that only wants the file needs it — cmd/parahash
+	// and parahashd build without it and call Result.WriteGraph; size-only
+	// runs disable it too. It changes nothing else about a build.
 	KeepSubgraphs bool
 
 	// ExcludeGraphOutput drops the Step 2 subgraph write-out from the
@@ -139,11 +139,12 @@ type Config struct {
 	// OutputFilterMin, when > 1, filters vertices with total edge
 	// multiplicity below it out of the written subgraph files — the
 	// paper's "invalid vertices filtered" output (its 92 GB Bumblebee
-	// input yields a ~20 GB graph file). A kept in-memory Result.Graph
-	// stays complete; the subgraph files, their IO accounting, what
-	// Result.WriteGraph writes and Stats.GraphVertices/GraphEdges shrink.
-	// This is the one output filter: the CLI's -filter and parahashd's
-	// FilterMin both set it, and it is part of the checkpoint fingerprint.
+	// input yields a ~20 GB graph file). The subgraph files, their IO
+	// accounting, what Result.WriteGraph writes, Result.Graph (a decode of
+	// it) and Stats.GraphVertices/GraphEdges all shrink; DistinctVertices
+	// counts the graph before the filter. This is the one output filter:
+	// the CLI's -filter and parahashd's FilterMin both set it, and it is
+	// part of the checkpoint fingerprint.
 	OutputFilterMin int
 
 	// Resilience tunes partition retries, processor quarantine,

@@ -141,29 +141,21 @@ func FencedName(i int, token int64) string {
 // PromoteFenced verifies a worker's fenced subgraph file, atomically
 // renames it to the canonical partition name and journals the Step 2
 // completion. distinct is the worker-reported pre-filter vertex count. The
-// caller must have checked the token is current; PromoteFenced checks the
-// bytes (parse + vertex count sanity) so a truncated or torn worker file
-// can never enter the manifest.
+// caller must have checked the token is current; PromoteFenced holds the
+// bytes to the judgement a resume applies (checkSubgraphFile: the build's k,
+// strict order, exactly the declared records), so a torn, mis-ordered or
+// foreign worker file is refused here — the partition goes back to the pool
+// — and never enters the manifest to fail the finish.
 func (p *DistPlan) PromoteFenced(i int, token int64, distinct int64) error {
 	name := FencedName(i, token)
-	r, err := p.ck.ds.Open(name)
+	vertices, edges, err := checkSubgraphFile(p.ck.ds, name, p.cfg.K)
 	if err != nil {
-		return fmt.Errorf("core: reading fenced subgraph %q: %w", name, err)
-	}
-	g, err := graph.ReadSubgraph(r)
-	if err != nil {
-		return fmt.Errorf("core: fenced subgraph %q is corrupt: %w", name, err)
+		return fmt.Errorf("core: refusing fenced subgraph %q: %w", name, err)
 	}
 	if err := p.ck.ds.Rename(name, subgraphFile(i)); err != nil {
 		return fmt.Errorf("core: promoting fenced subgraph %q: %w", name, err)
 	}
-	if err := p.ck.markStep2(step2Record(i, g, distinct)); err != nil {
-		return err
-	}
-	if p.cfg.KeepSubgraphs {
-		p.ck.subgraphs[i] = g
-	}
-	return nil
+	return p.ck.markStep2(step2Record(i, vertices, edges, distinct))
 }
 
 // DiscardFenced removes a stale worker result (a write fenced off by a
@@ -216,10 +208,9 @@ func (p *DistPlan) Done() bool {
 
 // Finish assembles the run result after every partition is journalled,
 // folding the coordinator's distributed-governance counters into the
-// stats; the graph's size comes from the journalled records. Only with
-// KeepSubgraphs are the canonical subgraph files re-read and merged — the
-// same artifacts a resume would trust; otherwise Result.WriteGraph streams
-// them when asked.
+// stats; the graph's size comes from the journalled records, and the graph
+// itself is streamed from the promoted subgraph files by Result.WriteGraph,
+// exactly as a single-process build's is.
 func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 	if !p.Done() {
 		return nil, fmt.Errorf("core: distributed build incomplete: %d of %d partitions journalled",
@@ -238,26 +229,8 @@ func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 	res.Stats.ResumedPartitions = p.ck.resumed
 	res.Stats.RebuiltPartitions = p.ck.rebuilt()
 	res.Stats.Dist = &dist
-	if p.cfg.KeepSubgraphs {
-		subgraphs := make([]*graph.Subgraph, p.cfg.NumPartitions)
-		for i := 0; i < p.cfg.NumPartitions; i++ {
-			if g, ok := p.ck.subgraphs[i]; ok {
-				subgraphs[i] = g
-				continue
-			}
-			rec := p.ck.man.Step2For(i)
-			g, ok := verifySubgraphFile(p.ck.ds, rec)
-			if !ok {
-				return nil, fmt.Errorf("core: journalled subgraph %d failed verification at finish", i)
-			}
-			subgraphs[i] = g
-		}
-		merged, err := graph.Merge(p.cfg.K, subgraphs...)
-		if err != nil {
-			return nil, err
-		}
-		res.Graph = merged
-		res.Subgraphs = subgraphs
+	if err := res.finish(p.cfg); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -341,15 +314,14 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 			return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 		}
 	}
-	toWrite, err := publishSubgraph(st.Create, outName, out.Graph, cfg.OutputFilterMin, false)
-	if err != nil {
+	if err := publishSubgraph(st.Create, outName, out.Graph, cfg.OutputFilterMin); err != nil {
 		return DistOutput{}, err
 	}
 	res := DistOutput{
 		Name:     outName,
-		Bytes:    graph.SerializedSize(toWrite.NumVertices()),
-		Vertices: int64(toWrite.NumVertices()),
-		Edges:    int64(toWrite.NumEdges()),
+		Bytes:    graph.SerializedSize(out.Graph.NumVertices()),
+		Vertices: int64(out.Graph.NumVertices()),
+		Edges:    int64(out.Graph.NumEdges()),
 		Distinct: out.Distinct,
 		Kmers:    out.Kmers,
 	}

@@ -11,14 +11,16 @@ import (
 	"syscall"
 	"testing"
 
+	"parahash/internal/fastq"
 	"parahash/internal/faultinject"
 	"parahash/internal/graph"
 	"parahash/internal/store"
 )
 
-// The finish stage under test: a build that kept no graph writes one by
-// streaming a merge of the subgraph files it published (Result.WriteGraph),
-// and that file is byte for byte what a build that kept its graph writes.
+// The finish stage under test: every build writes its graph by streaming a
+// merge of the subgraph files it published (Result.WriteGraph), and a build
+// that keeps its graph decodes that same stream into Result.Graph. Neither can
+// be the other's reference, so both are held to the naive construction.
 
 // writtenGraph is what res.WriteGraph writes, with the counts it returns
 // checked against the stats the build reported.
@@ -39,11 +41,50 @@ func writtenGraph(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
+// naiveReference is the finish's independent reference for reads built
+// under cfg: the naive construction, filtered by cfg's output filter and
+// serialised, with its vertex and edge counts and the unfiltered vertex
+// count.
+type naiveReference struct {
+	bytes                     []byte
+	vertices, edges, distinct int64
+}
+
+func newNaiveReference(t *testing.T, reads []fastq.Read, cfg Config) naiveReference {
+	t.Helper()
+	g := graph.BuildNaive(reads, cfg.K)
+	distinct := int64(g.NumVertices())
+	if cfg.OutputFilterMin > 1 {
+		g.FilterByMultiplicity(cfg.OutputFilterMin)
+	}
+	return naiveReference{serializeGraph(t, g), int64(g.NumVertices()), int64(g.NumEdges()), distinct}
+}
+
+// check holds a finished build to the reference: what WriteGraph writes, and
+// — kept or not as its config says — Result.Graph, and the totals.
+func (ref naiveReference) check(t *testing.T, res *Result, kept bool) {
+	t.Helper()
+	if got := writtenGraph(t, res); !bytes.Equal(got, ref.bytes) {
+		t.Fatal("WriteGraph differs from the naive graph, filtered and written")
+	}
+	if kept != (res.Graph != nil) {
+		t.Fatalf("KeepSubgraphs %v, Result.Graph %v", kept, res.Graph != nil)
+	}
+	if kept && !bytes.Equal(serializeGraph(t, res.Graph), ref.bytes) {
+		t.Fatal("Result.Graph differs from the naive graph, filtered and written")
+	}
+	if s := res.Stats; s.GraphVertices != ref.vertices || s.GraphEdges != ref.edges || s.DistinctVertices != ref.distinct {
+		t.Fatalf("Stats counts %d vertices, %d edges, %d distinct; the naive graph %d, %d, %d",
+			s.GraphVertices, s.GraphEdges, s.DistinctVertices, ref.vertices, ref.edges, ref.distinct)
+	}
+}
+
 // TestWriteGraphIdenticalWhetherGraphIsKept builds each shape of build with
-// KeepSubgraphs on and off: the written graph, its vertex and edge totals and
-// the distinct count must not depend on it — in core and spilled, on disk and
-// in the in-memory store, under the output filter, and resumed after a kill
-// at every step2.partition hit.
+// KeepSubgraphs on and off: what WriteGraph writes, the decoded Result.Graph
+// and the totals must be the naive graph's, filtered — in core and spilled,
+// on disk and in the in-memory store, under the output filter, and resumed
+// after a kill at every step2.partition hit. (The -workers shape is
+// internal/dist's TestDistFinishStreamsWhatItDoesNotKeep.)
 func TestWriteGraphIdenticalWhetherGraphIsKept(t *testing.T) {
 	reads := tinyReads(t)
 	shapes := map[string]func(t *testing.T) Config{
@@ -64,51 +105,18 @@ func TestWriteGraphIdenticalWhetherGraphIsKept(t *testing.T) {
 	}
 	for name, shape := range shapes {
 		t.Run(name, func(t *testing.T) {
-			kept, err := Build(reads, shape(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// What the CLI wrote while it still held the graph: the merged
-			// graph, filtered, serialised.
-			filtered := &graph.Subgraph{K: kept.Graph.K, Vertices: append([]graph.Vertex(nil), kept.Graph.Vertices...)}
-			dropped := 0
-			if min := shape(t).OutputFilterMin; min > 1 {
-				dropped = filtered.FilterByMultiplicity(min)
-			}
-			want := serializeGraph(t, filtered)
-			if got := writtenGraph(t, kept); !bytes.Equal(got, want) {
-				t.Fatal("with the graph kept, WriteGraph differs from the filtered merged graph's Write")
-			}
-			if int64(dropped) != kept.Stats.DistinctVertices-kept.Stats.GraphVertices {
-				t.Fatalf("the filter dropped %d vertices; DistinctVertices − GraphVertices = %d − %d",
-					dropped, kept.Stats.DistinctVertices, kept.Stats.GraphVertices)
-			}
-
-			cfg := shape(t)
-			cfg.KeepSubgraphs = false
-			streamed, err := Build(reads, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if streamed.Graph != nil || streamed.Subgraphs != nil {
-				t.Fatal("a graph was kept with KeepSubgraphs off")
-			}
-			if got := writtenGraph(t, streamed); !bytes.Equal(got, want) {
-				t.Fatal("the streamed graph differs from the kept one")
-			}
-			if got := writtenGraph(t, streamed); !bytes.Equal(got, want) {
-				t.Fatal("a second WriteGraph differs from the first")
-			}
-			// (Probe counts depend on the threads' interleaving.)
-			k, s := kept.Stats, streamed.Stats
-			if k.GraphVertices != s.GraphVertices || k.GraphEdges != s.GraphEdges || k.DistinctVertices != s.DistinctVertices ||
-				k.Hash.Inserts != s.Hash.Inserts || k.Hash.Updates != s.Hash.Updates {
-				t.Fatalf("stats differ: kept %d/%d/%d %+v, streamed %d/%d/%d %+v",
-					k.GraphVertices, k.GraphEdges, k.DistinctVertices, k.Hash, s.GraphVertices, s.GraphEdges, s.DistinctVertices, s.Hash)
-			}
-			if want := int64(filtered.NumEdges()); s.GraphEdges != want || s.GraphVertices != int64(filtered.NumVertices()) {
-				t.Fatalf("Stats counts %d vertices, %d edges; the graph has %d, %d",
-					s.GraphVertices, s.GraphEdges, filtered.NumVertices(), want)
+			ref := newNaiveReference(t, reads, shape(t))
+			for _, keep := range []bool{true, false} {
+				cfg := shape(t)
+				cfg.KeepSubgraphs = keep
+				res, err := Build(reads, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.check(t, res, keep)
+				if got := writtenGraph(t, res); !bytes.Equal(got, ref.bytes) {
+					t.Fatal("a second WriteGraph differs from the first")
+				}
 			}
 		})
 	}
@@ -117,11 +125,7 @@ func TestWriteGraphIdenticalWhetherGraphIsKept(t *testing.T) {
 		for _, filter := range []int{0, 2} {
 			cfg, _ := ckConfig(t)
 			cfg.OutputFilterMin = filter
-			kept, err := Build(reads, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := writtenGraph(t, kept)
+			ref := newNaiveReference(t, reads, cfg)
 			step := 1
 			if testing.Short() {
 				step = 5
@@ -129,7 +133,7 @@ func TestWriteGraphIdenticalWhetherGraphIsKept(t *testing.T) {
 			for hit := 1; hit <= cfg.NumPartitions; hit += step {
 				cfg, _ := ckConfig(t)
 				cfg.OutputFilterMin = filter
-				cfg.KeepSubgraphs = false
+				cfg.KeepSubgraphs = hit%2 == 0
 				ctx, cancel := killAt("step2.partition", hit)
 				_, err := BuildContext(ctx, reads, cfg)
 				cancel(nil)
@@ -137,6 +141,7 @@ func TestWriteGraphIdenticalWhetherGraphIsKept(t *testing.T) {
 					t.Fatalf("hit %d: err = %v, want the point's cancellation", hit, err)
 				}
 				cfg.Checkpoint.Resume = true
+				cfg.KeepSubgraphs = true
 				res, err := Build(reads, cfg)
 				if err != nil {
 					t.Fatalf("resume after hit %d: %v", hit, err)
@@ -144,12 +149,7 @@ func TestWriteGraphIdenticalWhetherGraphIsKept(t *testing.T) {
 				if res.Stats.ResumedPartitions < hit {
 					t.Fatalf("hit %d: %d partitions resumed", hit, res.Stats.ResumedPartitions)
 				}
-				if got := writtenGraph(t, res); !bytes.Equal(got, want) {
-					t.Fatalf("filter %d, resumed after hit %d: the streamed graph differs from the uninterrupted kept one", filter, hit)
-				}
-				if res.Stats.DistinctVertices != kept.Stats.DistinctVertices {
-					t.Fatalf("resumed after hit %d: %d distinct vertices, uninterrupted %d", hit, res.Stats.DistinctVertices, kept.Stats.DistinctVertices)
-				}
+				ref.check(t, res, true)
 			}
 		}
 	})

@@ -225,7 +225,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := committer.submit(step2Record(i, empty, 0)); err != nil {
+		if err := committer.submit(step2Record(i, 0, 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -138,7 +138,7 @@ func Scrub(dir string) (ScrubReport, error) {
 	}
 	for i := 0; i < m.Partitions; i++ {
 		if rec := m.Step2For(i); rec != nil {
-			if _, ok := verifySubgraphFile(ds, rec); ok {
+			if verifySubgraphFile(ds, 0, rec) {
 				rep.Step2Verified++
 			} else {
 				rep.Step2Damaged++

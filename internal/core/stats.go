@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -269,20 +268,18 @@ func (s Stats) PeakAdmittedBytes() int64 {
 	return s.Step2.PeakAdmittedBytes
 }
 
-// Result is a completed construction.
+// Result is a completed construction: its statistics, and the store holding
+// the subgraph files the build published, from which WriteGraph streams the
+// graph.
 type Result struct {
-	// Graph is the merged De Bruijn graph (nil unless KeepSubgraphs).
+	// Graph is what WriteGraph writes — the graph after OutputFilterMin —
+	// decoded into memory when the build finished; nil unless KeepSubgraphs.
 	Graph *graph.Subgraph
-	// Subgraphs holds the per-partition graphs (nil unless KeepSubgraphs).
-	Subgraphs []*graph.Subgraph
 	// Stats records the run's measurements.
 	Stats Stats
 
-	// What WriteGraph needs: the build's output filter, and for a build that
-	// kept no graph the store it published its subgraph files to — held only
-	// then, a kept graph's result must not pin the files' memory as well —
-	// with its K and partition count.
-	filterMin  int
+	// What WriteGraph needs: the store the build published its subgraph
+	// files to, with its K and partition count.
 	published  store.PartitionStore
 	k          int
 	partitions int
@@ -291,35 +288,47 @@ type Result struct {
 // newResult returns the result of a build of cfg that published its
 // subgraphs to st.
 func newResult(cfg Config, st store.PartitionStore) *Result {
-	res := &Result{filterMin: cfg.OutputFilterMin, k: cfg.K, partitions: cfg.NumPartitions}
+	return &Result{published: st, k: cfg.K, partitions: cfg.NumPartitions}
+}
+
+// finish ends a build whose stats are complete, and is the one place that
+// reads KeepSubgraphs: with it set, what WriteGraph streams is decoded into
+// Graph through a pipe, so the serialised graph is never whole in memory.
+func (r *Result) finish(cfg Config) error {
 	if !cfg.KeepSubgraphs {
-		res.published = st
+		return nil
 	}
-	return res
+	pr, pw := io.Pipe()
+	written := make(chan error, 1)
+	go func() {
+		_, _, err := r.WriteGraph(pw)
+		pw.CloseWithError(err)
+		written <- err
+	}()
+	g, err := graph.ReadSubgraph(pr)
+	pr.CloseWithError(err) // a writer the reader gave up on stops with its error
+	if werr := <-written; werr != nil {
+		return werr
+	}
+	if err != nil {
+		return err
+	}
+	r.Graph = g
+	return nil
 }
 
 // WriteGraph writes the constructed graph as published — after the output
 // filter — in the serialised form Graph.Write produces, and returns its
-// vertex and distinct-edge counts (Stats.GraphVertices and GraphEdges). A
-// build that kept its graph serialises it. Any other streams a k-way merge
-// of the subgraph files it published (graph.MergeStreams) — from the
-// checkpoint directory, or from the build's in-memory store — so nothing
-// graph-sized is ever resident; the files must still be there, every one is
-// open for the whole merge (on disk: one descriptor per partition, all closed
-// on return), and each is held to its header, its order and its declared
-// size on the way: damage fails typed (graph.ErrBadFormat, graph.ErrUnsorted)
-// and leaves a prefix in w that the caller discards.
+// vertex and distinct-edge counts (Stats.GraphVertices and GraphEdges). It
+// streams a k-way merge of the subgraph files the build published
+// (graph.MergeStreams) — from the checkpoint directory, or from the build's
+// in-memory store — so nothing graph-sized is ever resident; the files must
+// still be there, every one is open for the whole merge (on disk: one
+// descriptor per partition, all closed on return), and each is held to its
+// header, its order and its declared size on the way: damage fails typed
+// (graph.ErrBadFormat, graph.ErrUnsorted) and leaves a prefix in w that the
+// caller discards.
 func (r *Result) WriteGraph(w io.Writer) (vertices, edges int64, err error) {
-	if g := r.Graph; g != nil {
-		if r.filterMin > 1 {
-			g = &graph.Subgraph{K: g.K, Vertices: append([]graph.Vertex(nil), g.Vertices...)}
-			g.FilterByMultiplicity(r.filterMin)
-		}
-		return int64(g.NumVertices()), int64(g.NumEdges()), g.Write(w)
-	}
-	if r.published == nil {
-		return 0, 0, errors.New("core: the result holds no graph and no store to stream one from")
-	}
 	srcs := make([]io.Reader, 0, r.partitions)
 	for i := 0; i < r.partitions; i++ {
 		src, err := r.published.OpenStream(subgraphFile(i))

@@ -143,7 +143,7 @@ func loadPartition(st store.PartitionStore, name string, p *loadedPartition) err
 // partitions whose Step 2 completion already verified are skipped entirely,
 // and the freshly published subgraphs are made durable and claimed in the
 // manifest a group at a time (step2Committer).
-func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, st store.PartitionStore, ck *checkpoint) ([]*graph.Subgraph, []step2Work, StepStats, error) {
+func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, st store.PartitionStore, ck *checkpoint) ([]step2Work, StepStats, error) {
 	np := len(partStats)
 	procs := processors(cfg)
 	// pending maps pipeline slots to partition indices: only partitions not
@@ -155,15 +155,6 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		}
 	}
 	works := make([]step2Work, len(pending))
-	var subgraphs []*graph.Subgraph
-	if cfg.KeepSubgraphs {
-		subgraphs = make([]*graph.Subgraph, np)
-		if ck != nil {
-			for i, g := range ck.subgraphs {
-				subgraphs[i] = g
-			}
-		}
-	}
 
 	// Route each pending partition before the pipeline starts: in-core
 	// against its Property-1 predicted table, or out-of-core when the
@@ -215,7 +206,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	if cfg.MemoryBudgetBytes > 0 {
 		gate, err := pipeline.NewGate(cfg.MemoryBudgetBytes)
 		if err != nil {
-			return nil, nil, StepStats{}, err
+			return nil, StepStats{}, err
 		}
 		pol.Admission = gate
 		// A partition's admission weight is its Property-1 predicted hash
@@ -285,21 +276,16 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			w.spillBufferBytes = plan.budget
 		}
 		// Published, not durable: the committer flushes it with its group.
-		toWrite, err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin, cfg.KeepSubgraphs)
-		if err != nil {
+		if err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin); err != nil {
 			return err
 		}
-		rec := step2Record(i, toWrite, out.Distinct)
+		rec := step2Record(i, int64(out.Graph.NumVertices()), int64(out.Graph.NumEdges()), out.Distinct)
 		w.graphBytes, w.graphVertices, w.graphEdges = rec.Bytes, rec.Vertices, rec.Edges
 		if err := committer.submit(rec); err != nil {
 			return err // retried: the subgraph is published again
 		}
-		if cfg.KeepSubgraphs {
-			subgraphs[i] = out.Graph
-		} else {
-			// Written and not kept: this was the last use of its vertices.
-			graph.PutVertices(out.Graph.Vertices)
-		}
+		// Written: this was the last use of its vertices.
+		graph.PutVertices(out.Graph.Vertices)
 		return nil
 	}
 
@@ -310,37 +296,34 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		err = cerr
 	}
 	if err != nil {
-		return nil, nil, StepStats{}, err
+		return nil, StepStats{}, err
 	}
 
 	stats, err := scheduleStep2(works, cfg, procs)
 	if err != nil {
-		return nil, nil, StepStats{}, err
+		return nil, StepStats{}, err
 	}
 	applyReport(&stats, report, procs)
-	return subgraphs, works, stats, nil
+	return works, stats, nil
 }
 
-// publishSubgraph applies the output filter to g and publishes the result
-// under name through create — the store's volatile or durable writer —
-// returning the graph as written. keep says the caller keeps g complete, so
-// the filter works on a copy; otherwise it filters g itself.
-func publishSubgraph(create func(string) (io.WriteCloser, error), name string, g *graph.Subgraph, filterMin int, keep bool) (*graph.Subgraph, error) {
+// publishSubgraph applies the output filter to g in place and publishes it
+// under name through create — the store's volatile or durable writer.
+// Filtering twice drops nothing more, so a retried publish writes the same
+// bytes.
+func publishSubgraph(create func(string) (io.WriteCloser, error), name string, g *graph.Subgraph, filterMin int) error {
 	if filterMin > 1 {
-		if keep {
-			g = &graph.Subgraph{K: g.K, Vertices: append([]graph.Vertex(nil), g.Vertices...)}
-		}
 		g.FilterByMultiplicity(filterMin)
 	}
 	sink, err := create(name)
 	if err != nil {
-		return nil, fmt.Errorf("core: creating subgraph %q: %w", name, err)
+		return fmt.Errorf("core: creating subgraph %q: %w", name, err)
 	}
 	if err := g.Write(sink); err != nil {
 		sink.Close()
-		return nil, fmt.Errorf("core: writing subgraph %q: %w", name, err)
+		return fmt.Errorf("core: writing subgraph %q: %w", name, err)
 	}
-	return g, sink.Close()
+	return sink.Close()
 }
 
 // foldStep2Works accumulates the per-partition Step 2 measurements into the

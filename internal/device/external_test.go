@@ -128,29 +128,3 @@ func TestExternalStep2Canceled(t *testing.T) {
 		t.Fatal("canceled context not observed")
 	}
 }
-
-// TestSpillRunsPropagatesStoreErrors checks a failed run publication
-// surfaces instead of being journalled.
-func TestSpillRunsPropagatesStoreErrors(t *testing.T) {
-	reads := testReads(t)
-	k, p := 27, 11
-	sks := gatherSuperkmers(t, reads, k, p)
-	st := iosim.NewStore(costmodel.MediumMemCached)
-	cfg := externalTestConfig(st, k, 1<<12)
-	errBoom := fmt.Errorf("boom")
-	st.FailWritesNTimes("spill/0000/run-0002", 1, errBoom)
-	var journalled []string
-	cfg.OnRun = func(run int, name string, bytes int64, crc uint32, vertices int64) error {
-		journalled = append(journalled, name)
-		return nil
-	}
-	_, err := SpillRuns(context.Background(), sks, cfg)
-	if err == nil {
-		t.Skip("dataset produced fewer than 3 runs at this buffer size")
-	}
-	for _, name := range journalled {
-		if name == "spill/0000/run-0002" {
-			t.Error("failed run was journalled")
-		}
-	}
-}

@@ -197,16 +197,23 @@ func TestDistBuildFaultFree(t *testing.T) {
 	checkStoreClean(t, dir)
 }
 
-// TestDistFinishStreamsWhatItDoesNotKeep: a -workers build that keeps no
-// graph re-reads nothing at Finish — the result holds no graph, its totals
-// come from the journalled records — and WriteGraph streams the promoted
-// subgraph files into the bytes the graph-keeping build writes, under the
-// output filter too.
+// TestDistFinishStreamsWhatItDoesNotKeep: a -workers 2 build finishes the
+// way a single-process one does — its totals come from the journalled
+// records, WriteGraph streams the promoted subgraph files, and with
+// KeepSubgraphs Result.Graph is that stream decoded, without it nothing is
+// re-read at Finish — and all of it is the naive graph, filtered. This is
+// the -workers shape of internal/core's TestWriteGraphIdenticalWhetherGraphIsKept.
 func TestDistFinishStreamsWhatItDoesNotKeep(t *testing.T) {
 	reads, base := testData(t)
 	for _, filter := range []int{0, 2} {
 		base.OutputFilterMin = filter
-		written := func(keep bool) ([]byte, core.Stats) {
+		naive := graph.BuildNaive(reads, base.K)
+		distinct := int64(naive.NumVertices())
+		if filter > 1 {
+			naive.FilterByMultiplicity(filter)
+		}
+		want := serialize(t, naive)
+		for _, keep := range []bool{true, false} {
 			cfg := distConfig(base, t.TempDir())
 			cfg.KeepSubgraphs = keep
 			_, res, _, err := runDist(t, reads, cfg, &LocalTransport{Cfg: cfg}, Options{Workers: 2, LeaseMS: 5000})
@@ -216,30 +223,23 @@ func TestDistFinishStreamsWhatItDoesNotKeep(t *testing.T) {
 			if (res.Graph != nil) != keep {
 				t.Fatalf("filter %d, keep=%v: result graph = %v", filter, keep, res.Graph)
 			}
+			if keep && !bytes.Equal(serialize(t, res.Graph), want) {
+				t.Fatalf("filter %d: Result.Graph differs from the naive graph, filtered", filter)
+			}
 			var buf bytes.Buffer
 			vertices, edges, err := res.WriteGraph(&buf)
 			if err != nil {
 				t.Fatalf("filter %d, keep=%v: WriteGraph: %v", filter, keep, err)
 			}
-			if vertices != res.Stats.GraphVertices || edges != res.Stats.GraphEdges {
-				t.Fatalf("filter %d, keep=%v: wrote %d vertices, %d edges; Stats says %d, %d",
-					filter, keep, vertices, edges, res.Stats.GraphVertices, res.Stats.GraphEdges)
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("filter %d, keep=%v: WriteGraph differs from the naive graph, filtered", filter, keep)
 			}
-			return buf.Bytes(), res.Stats
-		}
-		kept, keptStats := written(true)
-		streamed, streamedStats := written(false)
-		if !bytes.Equal(kept, streamed) {
-			t.Fatalf("filter %d: the streamed graph differs from the kept one", filter)
-		}
-		if keptStats.GraphVertices != streamedStats.GraphVertices || keptStats.DistinctVertices != streamedStats.DistinctVertices {
-			t.Fatalf("filter %d: totals differ: %+v vs %+v", filter, keptStats, streamedStats)
-		}
-		if filter == 0 && !bytes.Equal(streamed, oracleBytes(t, reads, base)) {
-			t.Fatal("the streamed graph differs from the single-process oracle")
-		}
-		if filter > 1 && streamedStats.GraphVertices >= streamedStats.DistinctVertices {
-			t.Fatalf("filter %d dropped nothing: %d of %d vertices written", filter, streamedStats.GraphVertices, streamedStats.DistinctVertices)
+			s := res.Stats
+			if vertices != s.GraphVertices || edges != s.GraphEdges ||
+				s.GraphVertices != int64(naive.NumVertices()) || s.GraphEdges != int64(naive.NumEdges()) || s.DistinctVertices != distinct {
+				t.Fatalf("filter %d, keep=%v: wrote %d vertices, %d edges; Stats says %d, %d, %d distinct; the naive graph has %d, %d, %d",
+					filter, keep, vertices, edges, s.GraphVertices, s.GraphEdges, s.DistinctVertices, naive.NumVertices(), naive.NumEdges(), distinct)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package faultinject provides deterministic, scripted fault plans for
 // exercising the resilient pipeline: transient and persistent IO faults,
-// served-byte corruption, disk-full and slow-IO faults (via the store
-// hooks of iosim.Store or this package's Store wrapper), processor faults
+// served-byte corruption, disk-full and slow-IO faults (via this package's
+// Store wrapper, over any store), processor faults
 // — a device.Processor that drops out mid-run, fails or hangs a scripted
 // set of Step2 calls, modelling a GPU dying or wedging under load — and
 // plan-scoped stall/cancel points fired at named pipeline sites.
@@ -323,14 +323,11 @@ type SlowFault struct {
 type Plan struct {
 	// ReadFaults and WriteFaults script store-level IO faults.
 	ReadFaults, WriteFaults []StoreFault
-	// SlowReads and SlowWrites script store-level latency faults. They are
-	// honoured only by fault sinks that support latency (this package's
-	// Store wrapper); other sinks ignore them.
+	// SlowReads and SlowWrites script store-level latency faults.
 	SlowReads, SlowWrites []SlowFault
 	// CapacityBytes, when positive, models a nearly full device: once the
 	// store has accepted this many bytes, further writes fail with
-	// store.ErrDiskFull. Honoured only by capacity-aware sinks (this
-	// package's Store wrapper).
+	// store.ErrDiskFull.
 	CapacityBytes int64
 	// ProcessorFaults script compute-device faults.
 	ProcessorFaults []ProcessorFault
@@ -342,30 +339,8 @@ type Plan struct {
 	StallPoints, CancelPoints []PointFault
 }
 
-// IOFaultSink is the store-side fault surface a Plan scripts against.
-// Both iosim.Store and this package's Store wrapper implement it.
-type IOFaultSink interface {
-	FailReadsOn(name string, err error)
-	FailReadsNTimes(name string, n int, err error)
-	FailWritesOn(name string, err error)
-	FailWritesNTimes(name string, n int, err error)
-	CorruptReadsNTimes(name string, n int)
-}
-
-// slowSink is the optional latency-fault surface.
-type slowSink interface {
-	SlowReadsNTimes(name string, n int, d time.Duration)
-	SlowWritesNTimes(name string, n int, d time.Duration)
-}
-
-// capacitySink is the optional disk-capacity surface.
-type capacitySink interface {
-	SetCapacityBytes(n int64)
-}
-
-// ApplyStore installs the plan's IO faults on a store's fault sink. Slow
-// and capacity faults are applied only when the sink supports them.
-func (p Plan) ApplyStore(s IOFaultSink) {
+// ApplyStore installs the plan's IO faults on a fault layer (WrapStore).
+func (p Plan) ApplyStore(s *Store) {
 	for _, f := range p.ReadFaults {
 		if f.Corrupt {
 			s.CorruptReadsNTimes(f.File, f.Times)
@@ -384,16 +359,14 @@ func (p Plan) ApplyStore(s IOFaultSink) {
 			s.FailWritesNTimes(f.File, f.Times, errOf(f.Err))
 		}
 	}
-	if sl, ok := s.(slowSink); ok {
-		for _, f := range p.SlowReads {
-			sl.SlowReadsNTimes(f.File, f.Times, f.Delay)
-		}
-		for _, f := range p.SlowWrites {
-			sl.SlowWritesNTimes(f.File, f.Times, f.Delay)
-		}
+	for _, f := range p.SlowReads {
+		s.SlowReadsNTimes(f.File, f.Times, f.Delay)
 	}
-	if cs, ok := s.(capacitySink); ok && p.CapacityBytes > 0 {
-		cs.SetCapacityBytes(p.CapacityBytes)
+	for _, f := range p.SlowWrites {
+		s.SlowWritesNTimes(f.File, f.Times, f.Delay)
+	}
+	if p.CapacityBytes > 0 {
+		s.SetCapacityBytes(p.CapacityBytes)
 	}
 }
 

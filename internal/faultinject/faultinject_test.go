@@ -10,7 +10,6 @@ import (
 	"parahash/internal/device"
 	"parahash/internal/dna"
 	"parahash/internal/fastq"
-	"parahash/internal/iosim"
 	"parahash/internal/msp"
 )
 
@@ -35,7 +34,7 @@ func cpu() device.Processor {
 }
 
 func TestApplyStoreTransientAndPersistent(t *testing.T) {
-	s := iosim.NewStore(costmodel.MediumMemCached)
+	s := wrappedStore()
 	w, _ := s.Create("a")
 	if _, err := io.WriteString(w, "content"); err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func TestApplyStoreTransientAndPersistent(t *testing.T) {
 }
 
 func TestApplyStoreCorruption(t *testing.T) {
-	s := iosim.NewStore(costmodel.MediumMemCached)
+	s := wrappedStore()
 	w, _ := s.Create("p")
 	if _, err := io.WriteString(w, "partition bytes"); err != nil {
 		t.Fatal(err)

@@ -10,10 +10,9 @@ import (
 	"parahash/internal/store"
 )
 
-// Store wraps any store.PartitionStore with scripted IO faults, so the
-// same fault vocabulary iosim.Store offers in memory — fail-N-then-succeed
-// reads and writes, served-byte corruption — applies to the durable
-// diskstore too, plus two fault dimensions only the wrapper provides:
+// Store wraps any store.PartitionStore — the in-memory iosim store or the
+// durable diskstore alike — with scripted IO faults: fail-N-then-succeed
+// and persistent read, write and sync failures, served-byte corruption,
 // wall-clock IO latency (SlowReadsNTimes/SlowWritesNTimes) and a device
 // capacity budget (SetCapacityBytes) that turns further writes into
 // store.ErrDiskFull once exhausted, modelling ENOSPC deterministically.
@@ -37,14 +36,9 @@ type Store struct {
 	accepted    int64 // bytes charged against the capacity budget
 }
 
-var (
-	_ store.PartitionStore = (*Store)(nil)
-	_ IOFaultSink          = (*Store)(nil)
-	_ slowSink             = (*Store)(nil)
-	_ capacitySink         = (*Store)(nil)
-)
+var _ store.PartitionStore = (*Store)(nil)
 
-// storeFault mirrors iosim's scripted fault: remaining < 0 fires forever,
+// storeFault is one scripted fault: remaining < 0 fires forever,
 // remaining > 0 counts down a transient fault.
 type storeFault struct {
 	err       error
@@ -207,8 +201,8 @@ func (s *Store) Sync(names ...string) error {
 
 // Open serves the inner file, interposing read faults, latency and
 // corruption. Corruption reads the intact inner snapshot and flips one
-// bit in the served copy, exactly like iosim, so integrity footers must
-// catch it downstream and a clean re-read recovers.
+// bit in the served copy, so integrity footers must catch it downstream
+// and a clean re-read recovers.
 func (s *Store) Open(name string) (io.Reader, error) {
 	corrupt, err := s.chargeOpen(name)
 	if err != nil {

@@ -2,9 +2,7 @@ package graph
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"parahash/internal/dna"
@@ -81,128 +79,100 @@ func mergeCases(rng *rand.Rand, k int) map[string][]*Subgraph {
 	return cases
 }
 
-func TestMergeMatchesConcatSortOracle(t *testing.T) {
-	const k = 27
-	rng := rand.New(rand.NewSource(21))
-	for name, subs := range mergeCases(rng, k) {
-		want := mergeOracle(k, subs...)
-		for workers := 1; workers <= 8; workers++ {
-			// Fewer ranges than workers, as many, and many more.
-			for _, parts := range []int{1, workers, 5 * workers} {
-				got, err := mergeRanges(k, subs, parts, workers)
-				if err != nil {
-					t.Fatalf("%s parts=%d workers=%d: %v", name, parts, workers, err)
-				}
-				if i := equalVertices(got.Vertices, want.Vertices); i >= 0 {
-					t.Fatalf("%s parts=%d workers=%d: %d vertices, oracle %d, first difference at %d",
-						name, parts, workers, len(got.Vertices), len(want.Vertices), i)
-				}
+// unsortedCases damages one input of a sorted set in each way Merge must
+// refuse: a swapped pair, a k-mer repeated inside one input, and a k-mer
+// far out of place — at the head of an input, in its middle and at its tail.
+func unsortedCases(rng *rand.Rand, k int) map[string][]*Subgraph {
+	cases := map[string][]*Subgraph{}
+	for _, damage := range []string{"swapped", "duplicate", "out-of-place"} {
+		for _, where := range []string{"head", "middle", "tail"} {
+			var subs []*Subgraph
+			for r := 0; r < 5; r++ {
+				subs = append(subs, sortedRun(rng, k, 4000, 1<<40))
 			}
-		}
-		// The public entry point, at every GOMAXPROCS it may run under.
-		for procs := 1; procs <= 8; procs++ {
-			prev := runtime.GOMAXPROCS(procs)
-			got, err := Merge(k, subs...)
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				t.Fatalf("%s GOMAXPROCS=%d: %v", name, procs, err)
+			vs := subs[rng.Intn(len(subs))].Vertices
+			i := map[string]int{"head": 1, "middle": len(vs) / 2, "tail": len(vs) - 1}[where]
+			switch damage {
+			case "swapped":
+				vs[i-1], vs[i] = vs[i], vs[i-1]
+			case "duplicate":
+				vs[i].Kmer = vs[i-1].Kmer
+			case "out-of-place":
+				vs[i].Kmer = dna.Kmer{}
 			}
-			if i := equalVertices(got.Vertices, want.Vertices); i >= 0 {
-				t.Fatalf("%s GOMAXPROCS=%d: first difference at %d", name, procs, i)
-			}
+			cases["unsorted-"+damage+"-"+where] = subs
 		}
 	}
+	return cases
 }
 
-// TestMergeSumsStraddlingKmerOnce pins the splitter argument directly: one
-// k-mer present in every run, surrounded by enough others that it becomes
-// a splitter, must come out once with every run's counters added.
-func TestMergeSumsStraddlingKmerOnce(t *testing.T) {
-	const k, runs, each = 27, 8, 1000
-	shared := dna.Kmer{Lo: each / 2 * 10}
+// sharedKmerCase holds one k-mer in every input among a thousand others
+// each: it must come out once, with every input's counters added.
+func sharedKmerCase(k int) []*Subgraph {
+	const runs, each = 8, 1000
 	var subs []*Subgraph
 	for r := 0; r < runs; r++ {
 		s := &Subgraph{K: k}
 		for i := 0; i < each; i++ {
-			// Run r holds the multiples of 10 plus r, except the shared key.
+			// Input r holds the multiples of 10 plus r, except the shared key.
 			km := dna.Kmer{Lo: uint64(i*10 + r)}
 			if i == each/2 {
-				km = shared
+				km = dna.Kmer{Lo: each / 2 * 10}
 			}
 			s.Vertices = append(s.Vertices, Vertex{Kmer: km, Counts: [8]uint32{1, uint32(r)}})
 		}
 		subs = append(subs, s)
 	}
-	for parts := 1; parts <= 8; parts++ {
-		got, err := mergeRanges(k, subs, parts, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := len(got.Vertices); n != runs*each-(runs-1) {
-			t.Fatalf("parts=%d: %d vertices, want %d", parts, n, runs*each-(runs-1))
-		}
-		v, ok := got.Lookup(shared)
-		if !ok || v.Counts[0] != runs || v.Counts[1] != runs*(runs-1)/2 {
-			t.Fatalf("parts=%d: shared k-mer = %+v, %v", parts, v, ok)
-		}
-		if err := got.CheckSorted(); err != nil {
-			t.Fatalf("parts=%d: %v", parts, err)
-		}
-	}
+	return subs
 }
 
-// TestMergeRejectsUnsortedInput: every adjacent pair of every input is
-// checked by some range, so damage anywhere — the head of a run, a slice
-// boundary, the tail copied in bulk — fails typed for every range count.
-func TestMergeRejectsUnsortedInput(t *testing.T) {
+// TestMergeMatchesConcatSortOracle holds Merge to the concatenate, sort and
+// sum oracle on every input shape, and to ErrUnsorted on every damaged one.
+func TestMergeMatchesConcatSortOracle(t *testing.T) {
 	const k = 27
-	rng := rand.New(rand.NewSource(22))
-	fresh := func() []*Subgraph {
-		var subs []*Subgraph
-		for r := 0; r < 5; r++ {
-			subs = append(subs, sortedRun(rng, k, 4000, 1<<40))
-		}
-		return subs
-	}
-	for trial := 0; trial < 30; trial++ {
-		subs := fresh()
-		vs := subs[rng.Intn(len(subs))].Vertices
-		i := 1 + rng.Intn(len(vs)-1)
-		switch trial % 3 {
-		case 0:
-			vs[i-1], vs[i] = vs[i], vs[i-1]
-		case 1:
-			vs[i].Kmer = vs[i-1].Kmer // duplicate inside one run
-		case 2:
-			vs[i].Kmer = dna.Kmer{} // far out of place: derails the binary searches too
-		}
-		for parts := 1; parts <= 8; parts++ {
-			if _, err := mergeRanges(k, subs, parts, 1+parts%3); !errors.Is(err, ErrUnsorted) {
-				t.Fatalf("trial %d parts=%d damage at %d: err = %v, want ErrUnsorted", trial, parts, i, err)
+	rng := rand.New(rand.NewSource(21))
+	cases := mergeCases(rng, k)
+	cases["shared-kmer-in-every-input"] = sharedKmerCase(k)
+	for name, subs := range cases {
+		t.Run(name, func(t *testing.T) {
+			want := mergeOracle(k, subs...)
+			got, err := Merge(k, subs...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if i := equalVertices(got.Vertices, want.Vertices); i >= 0 {
+				t.Fatalf("%d vertices, oracle %d, first difference at %d", len(got.Vertices), len(want.Vertices), i)
+			}
+		})
+	}
+	for name, subs := range unsortedCases(rng, k) {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Merge(k, subs...); !errors.Is(err, ErrUnsorted) {
+				t.Fatalf("err = %v, want ErrUnsorted", err)
+			}
+		})
 	}
 }
 
 func FuzzMerge(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
-	seed := func(subs []*Subgraph, parts uint8) {
+	seed := func(subs []*Subgraph) {
 		var all []Vertex
 		var lens []byte
 		for _, s := range subs {
 			all = append(all, s.Vertices...)
 			lens = append(lens, byte(len(s.Vertices)))
 		}
-		f.Add(bytesFromVertices(all), lens, parts)
+		f.Add(bytesFromVertices(all), lens)
 	}
-	seed(nil, 1)
-	seed([]*Subgraph{{}, sortedRun(rng, 27, 40, 64), {}}, 3)
-	seed([]*Subgraph{sortedRun(rng, 27, 200, 1<<40), sortedRun(rng, 27, 2, 1<<40), sortedRun(rng, 27, 1, 1<<40)}, 4)
-	seed([]*Subgraph{sortedRun(rng, 27, 60, 64), sortedRun(rng, 27, 60, 64), sortedRun(rng, 27, 60, 64)}, 8)
+	seed(nil)
+	seed([]*Subgraph{{}, sortedRun(rng, 27, 40, 64), {}})
+	seed([]*Subgraph{sortedRun(rng, 27, 200, 1<<40), sortedRun(rng, 27, 2, 1<<40), sortedRun(rng, 27, 1, 1<<40)})
+	seed([]*Subgraph{sortedRun(rng, 27, 60, 64), sortedRun(rng, 27, 60, 64), sortedRun(rng, 27, 60, 64)})
 	// data is cut into runs of lens[i] (mod what is left) vertices; each run
 	// is sorted and deduplicated first unless its length byte is odd and it
 	// was unsorted, in which case Merge must refuse it.
-	f.Fuzz(func(t *testing.T, data, lens []byte, parts uint8) {
+	f.Fuzz(func(t *testing.T, data, lens []byte) {
 		const k = 27
 		all := verticesFromBytes(data, k)
 		var subs []*Subgraph
@@ -218,9 +188,7 @@ func FuzzMerge(f *testing.F) {
 			}
 			subs = append(subs, run)
 		}
-		// One worker keeps the coverage the fuzzer steers by deterministic;
-		// the ranges are what vary.
-		got, err := mergeRanges(k, subs, 1+int(parts)%8, 1)
+		got, err := Merge(k, subs...)
 		if damaged {
 			if !errors.Is(err, ErrUnsorted) {
 				t.Fatalf("unsorted input: err = %v, want ErrUnsorted", err)
@@ -246,16 +214,11 @@ func BenchmarkMerge(b *testing.B) {
 		subs[r] = &Subgraph{K: k, Vertices: all[r*each : (r+1)*each]}
 		subs[r].Sort()
 	}
-	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Merge(k, subs...); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(runs*each), "ns/vertex")
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Merge(k, subs...); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(runs*each), "ns/vertex")
 }

@@ -7,9 +7,20 @@ import (
 	"testing"
 
 	"parahash/internal/costmodel"
+	"parahash/internal/faultinject"
+	"parahash/internal/store"
 )
 
-func writeFile(t *testing.T, s *Store, name, content string) {
+// The store carries no faults of its own: tests script them with the
+// faultinject wrapper, which works over any store. These hold the wrapper,
+// over this store, to the fault semantics the build's retry logic assumes.
+
+// faulty is a fault layer over a fresh in-memory store.
+func faulty() *faultinject.Store {
+	return faultinject.WrapStore(NewStore(costmodel.MediumMemCached))
+}
+
+func writeFile(t *testing.T, s store.PartitionStore, name, content string) {
 	t.Helper()
 	w, err := s.Create(name)
 	if err != nil {
@@ -23,7 +34,7 @@ func writeFile(t *testing.T, s *Store, name, content string) {
 	}
 }
 
-func readFile(t *testing.T, s *Store, name string) []byte {
+func readFile(t *testing.T, s store.PartitionStore, name string) []byte {
 	t.Helper()
 	r, err := s.Open(name)
 	if err != nil {
@@ -47,7 +58,7 @@ func TestOpenMissingIsErrNotFound(t *testing.T) {
 }
 
 func TestFailReadsNTimesIsTransient(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faulty()
 	writeFile(t, s, "f", "payload")
 	boom := errors.New("flaky")
 	s.FailReadsNTimes("f", 2, boom)
@@ -64,7 +75,7 @@ func TestFailReadsNTimesIsTransient(t *testing.T) {
 }
 
 func TestFailReadsOnIsPersistent(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faulty()
 	writeFile(t, s, "f", "payload")
 	boom := errors.New("dead")
 	s.FailReadsOn("f", boom)
@@ -79,7 +90,7 @@ func TestFailReadsOnIsPersistent(t *testing.T) {
 }
 
 func TestFailWritesNTimesIsTransient(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faulty()
 	boom := errors.New("disk hiccup")
 	s.FailWritesNTimes("f", 1, boom)
 	w, _ := s.Create("f")
@@ -98,7 +109,8 @@ func TestFailWritesNTimesIsTransient(t *testing.T) {
 }
 
 func TestCorruptReadsNTimesServesFlippedCopy(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	inner := NewStore(costmodel.MediumMemCached)
+	s := faultinject.WrapStore(inner)
 	want := "some partition bytes"
 	writeFile(t, s, "f", want)
 	s.CorruptReadsNTimes("f", 1)
@@ -116,14 +128,18 @@ func TestCorruptReadsNTimesServesFlippedCopy(t *testing.T) {
 	if diff != 1 {
 		t.Fatalf("%d bytes differ, want exactly 1 flipped", diff)
 	}
-	// The stored file is untouched: the re-read recovers.
+	// The stored file is untouched: the store itself and a re-read through
+	// the fault layer serve it intact.
+	if got := readFile(t, inner, "f"); string(got) != want {
+		t.Fatalf("stored bytes = %q, want intact %q", got, want)
+	}
 	if got := readFile(t, s, "f"); string(got) != want {
 		t.Fatalf("re-read = %q, want intact %q", got, want)
 	}
 }
 
 func TestCorruptReadsPersistent(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faulty()
 	want := "bytes"
 	writeFile(t, s, "f", want)
 	s.CorruptReadsNTimes("f", -1)

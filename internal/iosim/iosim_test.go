@@ -155,7 +155,7 @@ func TestPublishOnCloseOnly(t *testing.T) {
 		t.Errorf("unpublished file listed: %v", names)
 	}
 	w.Close()
-	if got := string(readFileT(t, s, "f")); got != "partial" {
+	if got := string(readFile(t, s, "f")); got != "partial" {
 		t.Errorf("published content = %q", got)
 	}
 	// Close is idempotent: a second Close must not republish or clobber a
@@ -164,26 +164,13 @@ func TestPublishOnCloseOnly(t *testing.T) {
 	w2.Write([]byte("newer"))
 	w2.Close()
 	w.Close()
-	if got := string(readFileT(t, s, "f")); got != "newer" {
+	if got := string(readFile(t, s, "f")); got != "newer" {
 		t.Errorf("double Close clobbered newer version: %q", got)
 	}
 }
 
-func readFileT(t *testing.T, s *Store, name string) []byte {
-	t.Helper()
-	r, err := s.Open(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func TestFaultInjection(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := faulty()
 	boom := io.ErrClosedPipe
 	s.FailWritesOn("bad", boom)
 	w, _ := s.Create("bad")

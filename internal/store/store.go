@@ -52,9 +52,10 @@ var ErrDiskFull = errors.New("store: disk full")
 //     name is never synced. An absent name is an error wrapping ErrNotFound;
 //     a medium that runs out of space while flushing reports ErrDiskFull.
 //   - Open returns a reader over a snapshot of the file's content taken at
-//     open time: concurrent writers never disturb an open reader, and any
-//     scripted read fault (iosim's FailReadsNTimes) charges its fault budget
-//     exactly once per Open — never per Read call on the returned reader.
+//     open time: concurrent writers never disturb an open reader, and a
+//     fault layer over the store (faultinject.Store's FailReadsNTimes)
+//     charges its fault budget exactly once per Open — never per Read call
+//     on the returned reader.
 //   - OpenStream is Open for a reader that wants the file a piece at a time:
 //     the same snapshot of the version published at open time, the same
 //     once-per-open charge of a scripted read fault, but nothing file-sized

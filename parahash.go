@@ -52,8 +52,9 @@ var ErrCanceled = core.ErrCanceled
 // at least K bases long.
 var ErrNoUsableReads = core.ErrNoUsableReads
 
-// Result is a completed construction: the merged graph, the per-partition
-// subgraphs, and the run's statistics.
+// Result is a completed construction: the run's statistics, WriteGraph to
+// stream the graph from the published subgraph files, and — with
+// Config.KeepSubgraphs — that same graph decoded into Graph.
 type Result = core.Result
 
 // Stats aggregates a run's measurements (virtual-time performance, memory,
