@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"parahash/internal/faultinject"
 	"parahash/internal/graph"
 	"parahash/internal/iosim"
+	"parahash/internal/msp"
 	"parahash/internal/obs"
 	"parahash/internal/simulate"
 )
@@ -23,6 +25,25 @@ func tinyReads(t testing.TB) []fastq.Read {
 		t.Fatal(err)
 	}
 	return d.Reads
+}
+
+// distinctSuperkmerKmers counts the k-mers Step 2 walks: those of each
+// partition's distinct superkmers, a repeated one counted once.
+func distinctSuperkmerKmers(reads []fastq.Read, cfg Config) int64 {
+	sc := msp.Scanner{K: cfg.K, P: cfg.P, NumPartitions: cfg.NumPartitions}
+	seen := make(map[string]bool)
+	var kmers int64
+	var sks []msp.Superkmer
+	for _, rd := range reads {
+		sks = sc.Superkmers(sks[:0], rd.Bases)
+		for _, sk := range sks {
+			if key := fmt.Sprint(sk.Part, sk); !seen[key] {
+				seen[key] = true
+				kmers += int64(sk.NumKmers(cfg.K))
+			}
+		}
+	}
+	return kmers
 }
 
 func tinyConfig() Config {
@@ -411,18 +432,20 @@ func TestBuildObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hash counters must aggregate across partitions: every k-mer instance
-	// is either an insert or an update, and duplicates dominate on the tiny
-	// dataset (the paper's ~0.8 contention reduction).
+	// Hash counters must aggregate across partitions: every k-mer of a
+	// distinct superkmer is one table operation, an insert or an update;
+	// repeated superkmers are folded into a weight, not walked again. (The
+	// paper's ~0.8 contention reduction counts every k-mer instance; the
+	// contention experiment, fed unfolded Step 1 output, reproduces it.)
 	h := res.Stats.Hash
-	if h.Inserts+h.Updates != res.Stats.TotalKmers {
-		t.Errorf("inserts+updates = %d, want %d total k-mers", h.Inserts+h.Updates, res.Stats.TotalKmers)
+	if want := distinctSuperkmerKmers(reads, cfg); h.Inserts+h.Updates != want || want >= res.Stats.TotalKmers {
+		t.Errorf("inserts+updates = %d, want %d k-mers of distinct superkmers (of %d in all)", h.Inserts+h.Updates, want, res.Stats.TotalKmers)
 	}
 	if h.Inserts != res.Stats.DistinctVertices {
 		t.Errorf("inserts = %d, want %d distinct vertices", h.Inserts, res.Stats.DistinctVertices)
 	}
-	if cr := h.ContentionReduction(); cr <= 0.5 || cr >= 1 {
-		t.Errorf("contention reduction = %.2f, want in (0.5,1)", cr)
+	if cr := h.ContentionReduction(); cr <= 0 || cr >= 1 {
+		t.Errorf("contention reduction = %.2f, want in (0,1)", cr)
 	}
 	if h.Probes < h.Inserts+h.Updates {
 		t.Errorf("probes = %d below access count %d", h.Probes, h.Inserts+h.Updates)

@@ -31,11 +31,13 @@ import (
 // never synced at all. (The in-core half is in group_commit_test.go.)
 
 // spillDurabilityConfig spills every partition into enough runs (about twenty
-// each) that each needs a reduction pass, so merge intermediates exist.
+// each) that each needs a reduction pass, so merge intermediates exist. The
+// budget is set for the folded partitions Step 2 loads: one weighted record
+// per repeated k-mer, not one per copy.
 func spillDurabilityConfig(t *testing.T) (Config, string) {
 	cfg, dir := ckConfig(t)
 	cfg.NumPartitions = 2
-	cfg.PartitionMemoryBudgetBytes = 32 << 10
+	cfg.PartitionMemoryBudgetBytes = 16 << 10
 	return cfg, dir
 }
 

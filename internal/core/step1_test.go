@@ -172,28 +172,30 @@ func TestReaderBuildRecoversFaultedProcessorInStep1(t *testing.T) {
 	cfg.Checkpoint.Dir = t.TempDir()
 	cfg.Resilience.PartitionDeadline = 400 * time.Millisecond // far above a chunk or partition under -race
 	kernelFault := errors.New("kernel fault")
-	gpuStarted := make(chan struct{})
+	gpuWedged := make(chan struct{})
 	var once sync.Once
 	cfg.ProcWrap = func(procs []device.Processor) []device.Processor {
-		// The CPU's first chunk waits for GPU0 to have claimed one, so the
-		// script below runs however the two race for the queue.
+		// The CPU's first chunk waits until GPU0 has run one chunk, failed
+		// the next and wedged on a third — the only idle processor takes
+		// them all — so the script below runs however the two race for the
+		// queue and however the host schedules them.
 		cpu := &scriptedStep1{Processor: procs[0], script: func(ctx context.Context, call int) error {
 			if call == 0 {
 				select {
-				case <-gpuStarted:
+				case <-gpuWedged:
 				case <-ctx.Done():
 				}
 			}
 			return nil
 		}}
 		gpu := &scriptedStep1{Processor: procs[1], script: func(ctx context.Context, call int) error {
-			once.Do(func() { close(gpuStarted) })
 			switch call {
 			case 0:
 				return nil
 			case 1:
 				return kernelFault
 			}
+			once.Do(func() { close(gpuWedged) })
 			<-ctx.Done() // wedged from its third chunk on
 			return ctx.Err()
 		}}

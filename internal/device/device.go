@@ -253,12 +253,15 @@ const step2ChunkKmers = 1024
 // k-mers each (the last may be lighter) and returns each chunk's exclusive
 // end index and the partition's k-mer count. An index-striped split balances
 // record counts, not k-mer counts; skewed superkmer lengths then idle every
-// thread behind the one holding the long records.
+// thread behind the one holding the long records. The chunks are cut by the
+// k-mers walked — a folded superkmer is walked once whatever its Weight —
+// while the count is weighted: every k-mer the records hold, which is what
+// the virtual clock and the table sizing are stated in.
 func step2Chunks(sks []msp.Superkmer, k int) (ends []int, kmers int64) {
 	var acc int64
 	for i := range sks {
 		n := int64(sks[i].NumKmers(k))
-		kmers += n
+		kmers += n * int64(sks[i].Weight())
 		acc += n
 		if acc >= step2ChunkKmers {
 			ends = append(ends, i+1)
@@ -311,8 +314,9 @@ func (tc *tableCache) put(t hashtable.KmerTable) {
 // kmer-weighted chunk claiming: workers pull contiguous chunks of near-equal
 // k-mer weight from an atomic cursor, so skewed superkmer lengths cannot
 // idle threads the way an index-striped split would. Each worker updates
-// its own padded metrics shard via a per-worker table handle. The table is
-// the previous partition's when that one fits (see tableCache).
+// its own padded metrics shard via a per-worker table handle. A folded
+// superkmer is walked once, each of its k-mers one weighted table operation.
+// The table is the previous partition's when that one fits (see tableCache).
 func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int) (Step2Output, error) {
 	if c.Threads < 1 {
 		return Step2Output{}, fmt.Errorf("device: CPU threads %d must be positive", c.Threads)
@@ -350,11 +354,12 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 						errs[w] = ctx.Err()
 						return
 					}
+					weight := sks[i].Weight()
 					msp.ForEachKmerEdge(sks[i], k, func(e msp.KmerEdge) {
 						if insertErr != nil {
 							return
 						}
-						insertErr = ins.InsertEdge(e)
+						_, insertErr = ins.InsertEdgeN(e, weight)
 					})
 					if insertErr != nil {
 						errs[w] = insertErr
@@ -478,15 +483,25 @@ func (g *GPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 	}, nil
 }
 
+// encodedBytes is the encoded size of the records sks stand for, folded
+// copies included: the partition as its file holds it.
+func encodedBytes(sks []msp.Superkmer) int64 {
+	var n int64
+	for i := range sks {
+		n += int64(msp.EncodedSize(len(sks[i].Bases))) * int64(sks[i].Weight())
+	}
+	return n
+}
+
 // Step2 runs the hashing kernel in SIMT order: work items (k-mer edge
-// observations) are processed in warps of 32, and each warp's probe cost is
-// its slowest lane's, reproducing the thread-divergence penalty of §III-D.
+// observations, a folded superkmer's weighted once) are processed in warps
+// of 32, and each warp's probe cost is its slowest lane's, reproducing the
+// thread-divergence penalty of §III-D. The device-memory check and the
+// transfer charge count the partition as its file holds it, folded copies
+// included, so folding changes neither the verdict nor the virtual time.
 func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int) (Step2Output, error) {
+	partBytes := encodedBytes(sks)
 	if g.MemoryBytes > 0 {
-		var partBytes int64
-		for _, sk := range sks {
-			partBytes += int64(msp.EncodedSize(len(sk.Bases)))
-		}
 		if need := hashtable.MemoryBytesForBackend(g.Table, k, tableSlots) + partBytes; need > g.MemoryBytes {
 			return Step2Output{}, fmt.Errorf("%w: need %d bytes, have %d",
 				ErrDeviceMemory, need, g.MemoryBytes)
@@ -525,12 +540,13 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 		if i%ctxCheckEvery == 0 && ctx.Err() != nil {
 			return Step2Output{}, ctx.Err()
 		}
-		kmers += int64(sk.NumKmers(k))
+		weight := sk.Weight()
+		kmers += int64(sk.NumKmers(k)) * int64(weight)
 		msp.ForEachKmerEdge(sk, k, func(e msp.KmerEdge) {
 			if insertErr != nil {
 				return
 			}
-			probes, err := ins.InsertEdgeCounted(e)
+			probes, err := ins.InsertEdgeN(e, weight)
 			if err != nil {
 				insertErr = err
 				return
@@ -551,11 +567,7 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	out := collectStep2(table, k, kmers, runtime.GOMAXPROCS(0))
 	g.tables.put(table)
 	// Transfer: the encoded superkmer partition down, the subgraph up.
-	var skBytes int64
-	for _, sk := range sks {
-		skBytes += int64(msp.EncodedSize(len(sk.Bases)))
-	}
-	out.TransferBytes = skBytes + graph.SerializedSize(out.Graph.NumVertices())
+	out.TransferBytes = partBytes + graph.SerializedSize(out.Graph.NumVertices())
 	out.TransferSeconds = g.Cal.TransferSeconds(out.TransferBytes)
 	out.ComputeSeconds = g.Cal.GPUStep2Seconds(kmers, 0, out.TableBytes)
 	out.Seconds = out.ComputeSeconds + out.TransferSeconds

@@ -76,7 +76,8 @@ type SpillResult struct {
 	RunNames []string
 	// SpilledBytes is the total run file size.
 	SpilledBytes int64
-	// Kmers is the number of k-mer instances scanned.
+	// Kmers is the number of k-mer instances scanned, a folded superkmer's
+	// counted Weight times (its records are written once, weighted).
 	Kmers int64
 }
 
@@ -143,7 +144,7 @@ func SpillRuns(ctx context.Context, sks []msp.Superkmer, cfg ExternalConfig) (Sp
 		if i%ctxCheckEvery == 0 && ctx.Err() != nil {
 			return res, ctx.Err()
 		}
-		res.Kmers += int64(sks[i].NumKmers(cfg.K))
+		res.Kmers += int64(sks[i].NumKmers(cfg.K)) * int64(sks[i].Weight())
 		buf = msp.AppendSpillRecords(buf, sks[i], cfg.K)
 		if len(buf) >= capRecords {
 			if err := flush(); err != nil {
@@ -158,9 +159,9 @@ func SpillRuns(ctx context.Context, sks []msp.Superkmer, cfg ExternalConfig) (Sp
 }
 
 // writeSpillRun aggregates a sorted record buffer into a run file:
-// duplicate k-mers collapse into one vertex whose counters accumulate
-// exactly as hashtable.InsertEdge would have, so the spill path's vertex
-// values are bit-identical to the in-core table's.
+// duplicate k-mers collapse into one vertex whose counters accumulate each
+// record's weight exactly as hashtable.InsertEdgeN would have, so the spill
+// path's vertex values are bit-identical to the in-core table's.
 func writeSpillRun(st store.PartitionStore, name string, k int, recs []msp.SpillRecord) (crc uint32, vertices int64, err error) {
 	distinct := int64(0)
 	for i := range recs {
@@ -190,10 +191,10 @@ func writeSpillRun(st store.PartitionStore, name string, k int, recs []msp.Spill
 		}
 		left, right := msp.DecodeSpillEdge(rec.Edge)
 		if left != msp.NoBase {
-			cur.Counts[left]++
+			cur.Counts[left] += rec.Weight
 		}
 		if right != msp.NoBase {
-			cur.Counts[4+right]++
+			cur.Counts[4+right] += rec.Weight
 		}
 	}
 	if len(recs) > 0 {

@@ -16,9 +16,11 @@
 //
 //   - keys are canonical k-mers, compared by exact (Hi, Lo) value;
 //   - duplicate inserts are idempotent on the key set and additive on the
-//     edge counters (each observed (side, base) increments exactly once);
-//   - concurrent InsertEdge calls from any number of Inserter handles are
-//     linearizable with respect to the key set and counter totals;
+//     edge counters (each observed (side, base) increments exactly once, and
+//     a weighted InsertEdgeN by exactly its weight);
+//   - concurrent InsertEdge/InsertEdgeN calls from any number of Inserter
+//     handles are linearizable with respect to the key set and counter
+//     totals;
 //   - ForEach visits every entry exactly once in some arbitrary order —
 //     determinism of the output comes from the collector's post-sort, never
 //     from table iteration order;
@@ -78,10 +80,17 @@ func ParseBackend(name string) (Backend, error) {
 // workers never contend on metrics cache lines; any number of handles may
 // insert concurrently into the same table.
 type Inserter interface {
-	// InsertEdge records one canonical-oriented k-mer observation.
+	// InsertEdgeN records n identical canonical-oriented k-mer observations
+	// with one table operation: the vertex is inserted if absent and each
+	// counter the edge names grows by n (modulo 2^32, as n single adds
+	// would), so the entry ends exactly as after n InsertEdge calls. The
+	// call counts one insert or one update, whatever n; n = 0 records
+	// nothing. It returns the probe walk length, which the simulated GPU
+	// uses to model intra-warp divergence.
+	InsertEdgeN(e msp.KmerEdge, n uint32) (probes int, err error)
+	// InsertEdge is InsertEdgeN(e, 1) without the probe count.
 	InsertEdge(e msp.KmerEdge) error
-	// InsertEdgeCounted is InsertEdge returning the probe walk length,
-	// which the simulated GPU uses to model intra-warp divergence.
+	// InsertEdgeCounted is InsertEdgeN(e, 1).
 	InsertEdgeCounted(e msp.KmerEdge) (int, error)
 }
 

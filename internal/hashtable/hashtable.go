@@ -319,37 +319,56 @@ func (t *Table) InsertEdgeCounted(e msp.KmerEdge) (int, error) {
 
 // InsertEdge records one observation through the handle's counter shard.
 func (in tableInserter) InsertEdge(e msp.KmerEdge) error {
-	_, err := in.InsertEdgeCounted(e)
+	_, err := in.InsertEdgeN(e, 1)
 	return err
 }
 
 // InsertEdgeCounted is InsertEdge returning the probe walk length.
 func (in tableInserter) InsertEdgeCounted(e msp.KmerEdge) (int, error) {
-	return in.t.insertEdgeHashed(e.Canon.Hash(), e, in.sh)
+	return in.InsertEdgeN(e, 1)
 }
 
-// insertEdgeHashed performs one observation with the key hash already
+// InsertEdgeN records n identical observations through the handle's counter
+// shard.
+func (in tableInserter) InsertEdgeN(e msp.KmerEdge, n uint32) (int, error) {
+	if n == 0 {
+		return 0, nil
+	}
+	return in.t.insertEdgeHashed(e.Canon.Hash(), e, n, in.sh)
+}
+
+// insertEdgeHashed performs n observations (n ≥ 1) with the key hash already
 // computed: the sharded backend routes on the high hash bits and probes its
 // shard region with the same value, so the hash is taken exactly once per
 // edge on every path.
-func (t *Table) insertEdgeHashed(h uint64, e msp.KmerEdge, sh *metricsShard) (int, error) {
+func (t *Table) insertEdgeHashed(h uint64, e msp.KmerEdge, n uint32, sh *metricsShard) (int, error) {
 	slot, inserted, probes, err := t.findOrInsertHashed(h, e.Canon, sh)
 	if err != nil {
 		return probes, err
 	}
+	countInsert(sh, inserted)
+	addEdge(t.counts[slot*countersPerSlot:][:countersPerSlot], e, n)
+	return probes, nil
+}
+
+// countInsert accounts one table operation to a handle's shard: the insert
+// that created an entry, or an update of one that existed.
+func countInsert(sh *metricsShard, inserted bool) {
 	if inserted {
 		sh.inserts.Add(1)
 	} else {
 		sh.updates.Add(1)
 	}
-	base := slot * countersPerSlot
+}
+
+// addEdge adds n to each of an entry's counters that the edge names.
+func addEdge(counts []uint32, e msp.KmerEdge, n uint32) {
 	if e.Left != msp.NoBase {
-		atomic.AddUint32(&t.counts[base+int(e.Left)], 1)
+		atomic.AddUint32(&counts[e.Left], n)
 	}
 	if e.Right != msp.NoBase {
-		atomic.AddUint32(&t.counts[base+4+int(e.Right)], 1)
+		atomic.AddUint32(&counts[4+int(e.Right)], n)
 	}
-	return probes, nil
 }
 
 // findOrInsertHashed locates the slot holding km (whose hash is h), claiming

@@ -12,6 +12,7 @@ package hashtabletest
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -37,6 +38,9 @@ func Run(t *testing.T, factory Factory) {
 			t.Run("DuplicateInsertIdempotence", func(t *testing.T) { testDuplicates(t, factory, k) })
 			t.Run("CanonicalEquality", func(t *testing.T) { testCanonical(t, factory, k) })
 			t.Run("ConcurrentInserts", func(t *testing.T) { testConcurrent(t, factory, k) })
+			t.Run("WeightedInsertIsRepeatedInsert", func(t *testing.T) { testWeighted(t, factory, k) })
+			t.Run("WeightedInsertWrapsAround", func(t *testing.T) { testWeightedWraparound(t, factory, k) })
+			t.Run("ConcurrentWeightedInserts", func(t *testing.T) { testConcurrentWeighted(t, factory, k) })
 			t.Run("TableFull", func(t *testing.T) { testTableFull(t, factory, k) })
 			t.Run("Reset", func(t *testing.T) { testReset(t, factory, k) })
 			t.Run("ForEachVsLookup", func(t *testing.T) { testForEachVsLookup(t, factory, k) })
@@ -226,6 +230,141 @@ func testConcurrent(t *testing.T, factory Factory, k int) {
 	if m.Updates != int64(len(edges)-len(ref)) {
 		t.Errorf("Updates = %d, want %d", m.Updates, len(edges)-len(ref))
 	}
+}
+
+// randomWeights gives each edge a weight in [0, 6], zeros included: a
+// weight-0 call must record nothing.
+func randomWeights(seed int64, n int) []uint32 {
+	rng := rand.New(rand.NewSource(seed))
+	w := make([]uint32, n)
+	for i := range w {
+		w[i] = uint32(rng.Intn(7))
+	}
+	return w
+}
+
+// weightedRef is what a table must hold after InsertEdgeN(edges[i],
+// weights[i]) for every i, and how many calls record anything.
+func weightedRef(edges []msp.KmerEdge, weights []uint32) (map[dna.Kmer]*[8]uint32, int) {
+	ref := make(map[dna.Kmer]*[8]uint32)
+	calls := 0
+	for i, e := range edges {
+		if weights[i] == 0 {
+			continue
+		}
+		calls++
+		c := ref[e.Canon]
+		if c == nil {
+			c = &[8]uint32{}
+			ref[e.Canon] = c
+		}
+		if e.Left != msp.NoBase {
+			c[e.Left] += weights[i]
+		}
+		if e.Right != msp.NoBase {
+			c[4+e.Right] += weights[i]
+		}
+	}
+	return ref, calls
+}
+
+// checkOpsPerCall fails unless every call that recorded something counted
+// exactly one insert or update, an insert per distinct key.
+func checkOpsPerCall(t *testing.T, tab hashtable.KmerTable, distinct, calls int) {
+	t.Helper()
+	m := tab.Metrics().Snapshot()
+	if m.Inserts != int64(distinct) || m.Inserts+m.Updates != int64(calls) {
+		t.Fatalf("%d inserts + %d updates, want %d + %d (one operation per call)", m.Inserts, m.Updates, distinct, calls-distinct)
+	}
+}
+
+func testWeighted(t *testing.T, factory Factory, k int) {
+	// One InsertEdgeN(e, n) leaves the table exactly as n InsertEdge(e)
+	// calls do, while counting one operation.
+	edges, _ := randomEdges(159, 400, 3000, k)
+	weights := randomWeights(160, len(edges))
+	weighted, repeated := factory(t, k, 2048), factory(t, k, 2048)
+	ins := weighted.Inserter(0)
+	for i, e := range edges {
+		if _, err := ins.InsertEdgeN(e, weights[i]); err != nil {
+			t.Fatal(err)
+		}
+		for range weights[i] {
+			if err := repeated.InsertEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref, calls := weightedRef(edges, weights)
+	checkAgainstRef(t, weighted, ref)
+	checkAgainstRef(t, repeated, ref)
+	checkOpsPerCall(t, weighted, len(ref), calls)
+
+	empty := factory(t, k, 64)
+	if probes, err := empty.Inserter(0).InsertEdgeN(edges[0], 0); probes != 0 || err != nil || empty.Len() != 0 {
+		t.Fatalf("InsertEdgeN(e, 0) = (%d, %v) and Len %d, want no probe, no entry", probes, err, empty.Len())
+	}
+	if m := empty.Metrics().Snapshot(); m != (hashtable.Snapshot{}) {
+		t.Fatalf("InsertEdgeN(e, 0) counted %+v, want nothing", m)
+	}
+}
+
+func testWeightedWraparound(t *testing.T, factory Factory, k int) {
+	// Counters are uint32: a weight wraps them exactly as that many single
+	// adds would, and a left and a right counter wrap alike.
+	_, ref := randomEdges(161, 1, 1, k)
+	var canon dna.Kmer
+	for km := range ref {
+		canon = km
+	}
+	e := msp.KmerEdge{Canon: canon, Left: 1, Right: 2}
+	tab := factory(t, k, 64)
+	ins := tab.Inserter(3)
+	for _, n := range []uint32{math.MaxUint32, 2, 1 << 31, 1 << 31} {
+		if _, err := ins.InsertEdgeN(e, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.InsertEdge(e); err != nil {
+		t.Fatal(err)
+	}
+	// 2^32-1 + 2 + 2^31 + 2^31 + 1 = 2 mod 2^32.
+	got, ok := tab.Lookup(canon)
+	if want := [8]uint32{1: 2, 6: 2}; !ok || got.Counts != want {
+		t.Fatalf("counts %v (found %v), want %v", got.Counts, ok, want)
+	}
+	checkOpsPerCall(t, tab, 1, 5)
+}
+
+func testConcurrentWeighted(t *testing.T, factory Factory, k int) {
+	// Eight workers insert weighted observations of one key set through
+	// per-worker Inserters; under -race this is the linearizability check
+	// for the weighted adds.
+	edges, _ := randomEdges(162, 800, 20000, k)
+	weights := randomWeights(163, len(edges))
+	tab := factory(t, k, 4096)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			in := tab.Inserter(w)
+			for i := w; i < len(edges); i += workers {
+				if _, err := in.InsertEdgeN(edges[i], weights[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	ref, calls := weightedRef(edges, weights)
+	checkAgainstRef(t, tab, ref)
+	checkOpsPerCall(t, tab, len(ref), calls)
 }
 
 func testTableFull(t *testing.T, factory Factory, k int) {

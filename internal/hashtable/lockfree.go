@@ -140,30 +140,28 @@ func (t *LockFreeTable) InsertEdge(e msp.KmerEdge) error {
 
 // InsertEdge records one observation through the handle's counter shard.
 func (in lockFreeInserter) InsertEdge(e msp.KmerEdge) error {
-	_, err := in.InsertEdgeCounted(e)
+	_, err := in.InsertEdgeN(e, 1)
 	return err
 }
 
 // InsertEdgeCounted is InsertEdge returning the probe walk length.
 func (in lockFreeInserter) InsertEdgeCounted(e msp.KmerEdge) (int, error) {
+	return in.InsertEdgeN(e, 1)
+}
+
+// InsertEdgeN records n identical observations through the handle's counter
+// shard.
+func (in lockFreeInserter) InsertEdgeN(e msp.KmerEdge, n uint32) (int, error) {
+	if n == 0 {
+		return 0, nil
+	}
 	t := in.t
-	sh := in.sh
-	slot, inserted, probes, err := t.findOrInsert(e.Canon.Hash(), e.Canon, sh)
+	slot, inserted, probes, err := t.findOrInsert(e.Canon.Hash(), e.Canon, in.sh)
 	if err != nil {
 		return probes, err
 	}
-	if inserted {
-		sh.inserts.Add(1)
-	} else {
-		sh.updates.Add(1)
-	}
-	base := slot * countersPerSlot
-	if e.Left != msp.NoBase {
-		atomic.AddUint32(&t.counts[base+int(e.Left)], 1)
-	}
-	if e.Right != msp.NoBase {
-		atomic.AddUint32(&t.counts[base+4+int(e.Right)], 1)
-	}
+	countInsert(in.sh, inserted)
+	addEdge(t.counts[slot*countersPerSlot:][:countersPerSlot], e, n)
 	return probes, nil
 }
 

@@ -162,15 +162,24 @@ func (t *ShardedTable) InsertEdge(e msp.KmerEdge) error {
 
 // InsertEdge records one observation through the handle's counter shard.
 func (in shardedInserter) InsertEdge(e msp.KmerEdge) error {
-	_, err := in.InsertEdgeCounted(e)
+	_, err := in.InsertEdgeN(e, 1)
 	return err
 }
 
 // InsertEdgeCounted is InsertEdge returning the probe walk length (within
 // the key's shard region).
 func (in shardedInserter) InsertEdgeCounted(e msp.KmerEdge) (int, error) {
+	return in.InsertEdgeN(e, 1)
+}
+
+// InsertEdgeN records n identical observations through the handle's counter
+// shard.
+func (in shardedInserter) InsertEdgeN(e msp.KmerEdge, n uint32) (int, error) {
+	if n == 0 {
+		return 0, nil
+	}
 	h := e.Canon.Hash()
-	return in.t.shardOf(h).insertEdgeHashed(h, e, in.sh)
+	return in.t.shardOf(h).insertEdgeHashed(h, e, n, in.sh)
 }
 
 // Lookup returns the edge counters for a canonical k-mer, if present.

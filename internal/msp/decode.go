@@ -1,9 +1,12 @@
 package msp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
+	"math"
 
 	"parahash/internal/dna"
 )
@@ -110,72 +113,141 @@ func checkFooter(crc uint32, rest []byte) (int, error) {
 	return FooterSize - 1, nil
 }
 
-// DecodedPartition is one decoded superkmer partition.
+// DecodedPartition is one decoded superkmer partition, identical records
+// folded together.
 type DecodedPartition struct {
-	// Superkmers holds the records in file order. Their Bases share one
+	// Superkmers holds the partition's distinct records in order of first
+	// appearance. A record whose encoded bytes repeat an earlier one's is not
+	// listed again: it bumps that superkmer's Dup. Their Bases share one
 	// backing array; Minimizer and Part are not stored on disk and are zero.
 	Superkmers []Superkmer
-	// Bases is the total base count across the records.
+	// Records is the number of records in the image, folded ones included:
+	// the sum of Weight over Superkmers.
+	Records int64
+	// Bases is the total base count across the records, folded ones included.
 	Bases int64
 	// Bytes is the encoded size consumed: the whole image on success, the
 	// bytes walked before the damage on failure (what Decoder.BytesRead
 	// reports for the same stream).
 	Bytes int64
 
-	// arena backs the Superkmers' Bases; Decode reuses it.
-	arena []dna.Base
+	// arena backs the Superkmers' Bases; fold indexes them by their encoded
+	// bytes, and firsts holds where each one's first record starts in the
+	// image. Decode reuses all three.
+	arena  []dna.Base
+	fold   []foldSlot
+	firsts []int
 }
 
-// NumKmers returns the number of k-mers the partition's superkmers contain:
-// the sum of Superkmer.NumKmers without another walk over the records.
+// foldSlot is one slot of the decoder's open-addressed record index: the
+// hash of a distinct record's encoded bytes and 1 + its index in
+// Superkmers (0 marks an empty slot).
+type foldSlot struct {
+	hash  uint64
+	entry int
+}
+
+// foldSeed keys the record hash. Slot order never reaches the output, so a
+// per-process seed costs no determinism.
+var foldSeed = maphash.MakeSeed()
+
+// maxDup is the largest Superkmer.Dup the decoder builds, so that Weight
+// fits a uint32; a variable so tests can reach the overflow path.
+var maxDup uint32 = math.MaxUint32 - 1
+
+// NumKmers returns the number of k-mers the partition's records contain,
+// folded ones included: the sum of Superkmer.NumKmers × Weight without
+// another walk over the records.
 func (p DecodedPartition) NumKmers(k int) int64 {
-	return p.Bases - int64(len(p.Superkmers))*int64(k-1)
+	return p.Bases - p.Records*int64(k-1)
 }
 
 // DecodePartition decodes a whole partition image written by Encoder.Close.
 // The integrity footer is required, as with Decoder.RequireFooter: the
 // records are structure-checked in one walk, their CRC is verified in one
-// pass, and only then are they unpacked — into a single bases array and an
-// exactly sized record slice, so a partition costs two allocations however
-// many records it holds. Damage is reported with the sentinels Decoder.Next
-// uses (ErrCorrupt, ErrCorruptPartition).
+// pass, and only then are they folded and unpacked — into a single bases
+// array and a record slice sized from the walk, so a partition costs a fixed
+// number of allocations however many records it holds. Damage is reported
+// with the sentinels Decoder.Next uses (ErrCorrupt, ErrCorruptPartition).
 func DecodePartition(data []byte) (DecodedPartition, error) {
 	var p DecodedPartition
 	err := p.Decode(data)
 	return p, err
 }
 
-// Decode is DecodePartition into p: the record slice and bases array p
-// holds from an earlier Decode are overwritten and, when large enough,
-// reused, so a caller that decodes one partition after another into the same
-// DecodedPartition allocates only for a partition larger than any before it.
-// The caller must be done with the records p held. After a failure p holds
-// no records.
+// Decode is DecodePartition into p: the record slice, bases array and fold
+// index p holds from an earlier Decode are overwritten and, when large
+// enough, reused, so a caller that decodes one partition after another into
+// the same DecodedPartition allocates only for a partition larger than any
+// before it. The caller must be done with the records p held. After a
+// failure p holds no records.
+//
+// Records are folded on their encoded bytes — length, flags byte and packed
+// bases — which are exactly what ForEachKmerEdge reads: the bases and the
+// extension flags. Only the first copy of a record is unpacked; each later
+// copy bumps its Dup, until Dup reaches its cap and a new copy starts over.
 func (p *DecodedPartition) Decode(data []byte) error {
 	records, bases, walked, err := checkPartition(data)
-	p.Superkmers, p.Bases, p.Bytes = p.Superkmers[:0], 0, int64(walked)
+	p.Superkmers, p.Records, p.Bases, p.Bytes = p.Superkmers[:0], 0, 0, int64(walked)
 	if err != nil {
 		return err
 	}
 	// Grown a quarter past what this partition needs: the next is about the
 	// same size, and as often larger as smaller.
 	if cap(p.Superkmers) < records {
-		p.Superkmers = make([]Superkmer, records+records/4)
+		p.Superkmers = make([]Superkmer, 0, records+records/4)
+	}
+	if cap(p.firsts) < records {
+		p.firsts = make([]int, 0, records+records/4)
 	}
 	if cap(p.arena) < bases {
 		p.arena = make([]dna.Base, bases+bases/4)
 	}
-	p.Superkmers, p.Bases = p.Superkmers[:records], int64(bases)
-	arena := p.arena[:bases]
+	// A power of two at least twice the records, so the index is at most
+	// half full and a probe walk stays short.
+	slots := 8
+	for slots < 2*records {
+		slots *= 2
+	}
+	if cap(p.fold) < slots {
+		p.fold = make([]foldSlot, slots)
+	}
+	p.fold = p.fold[:slots]
+	clear(p.fold)
+	p.firsts = p.firsts[:0]
+
+	p.Records, p.Bases = int64(records), int64(bases)
+	arena := p.arena
 	pos := 0
-	for i := range p.Superkmers {
+	for range records {
 		n, width, _ := recordHeader(data[pos:])
-		pos += width
-		p.Superkmers[i] = unpackRecord(arena[:n:n], data[pos:pos+bodySize(n)])
-		arena = arena[n:]
-		pos += bodySize(n)
+		rec := data[pos : pos+width+bodySize(n)]
+		h := maphash.Bytes(foldSeed, rec)
+		if s := p.slotOf(h, rec, data); s.entry != 0 && p.Superkmers[s.entry-1].Dup < maxDup {
+			p.Superkmers[s.entry-1].Dup++
+		} else {
+			s.hash, s.entry = h, len(p.Superkmers)+1
+			p.Superkmers = append(p.Superkmers, unpackRecord(arena[:n:n], rec[width:]))
+			p.firsts = append(p.firsts, pos)
+			arena = arena[n:]
+		}
+		pos += len(rec)
 	}
 	return nil
+}
+
+// slotOf returns the fold index slot for rec, a record of data whose hash is
+// h: the slot of an earlier record with the same bytes, or else the empty
+// slot where rec goes. Comparing len(rec) bytes suffices: a record of any
+// other length already differs in its length varint.
+func (p *DecodedPartition) slotOf(h uint64, rec, data []byte) *foldSlot {
+	mask := uint64(len(p.fold) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &p.fold[i]
+		if s.entry == 0 || s.hash == h && bytes.Equal(data[p.firsts[s.entry-1]:][:len(rec)], rec) {
+			return s
+		}
+	}
 }
 
 // checkPartition walks a partition image's structure and verifies its

@@ -13,14 +13,15 @@ import (
 // (canonical k-mer, edge-bits) records, sorts them in bounded buffers and
 // spills the sorted runs to disk for a later streaming merge. The record
 // carries exactly the information hashtable.InsertEdge consumes — the
-// canonical vertex plus which (side, base) counters to bump — so the merge
-// reproduces the in-core table's counters bit for bit.
+// canonical vertex, which (side, base) counters to bump and by how much —
+// so the merge reproduces the in-core table's counters bit for bit.
 
 // SpillRecordBytes is the memory charged per buffered spill record: the
-// 16-byte packed k-mer, the edge byte, and struct padding.
+// 16-byte packed k-mer, the edge byte, padding and the weight.
 const SpillRecordBytes = 24
 
-// SpillRecord is one canonical k-mer observation in spill form.
+// SpillRecord is one canonical k-mer observation in spill form, standing
+// for Weight identical observations.
 type SpillRecord struct {
 	// Kmer is the canonical k-mer (the graph vertex).
 	Kmer dna.Kmer
@@ -29,6 +30,9 @@ type SpillRecord struct {
 	// and bits 4-5 the right base — the same flag layout the superkmer file
 	// format uses for its extension bases.
 	Edge uint8
+	// Weight is how many times the observation was made: the Weight of the
+	// superkmer it came from. A run adds it to each counter Edge names.
+	Weight uint32
 }
 
 const (
@@ -63,12 +67,14 @@ func DecodeSpillEdge(e uint8) (left, right int8) {
 }
 
 // AppendSpillRecords flattens every k-mer instance of the superkmer into
-// spill records appended to dst. It allocates only when dst's capacity is
-// exhausted, so a run buffer sized to the partition budget is filled with
-// zero allocations.
+// spill records appended to dst, each weighted by the superkmer's Weight:
+// a folded superkmer appends one record per k-mer, not one per copy. It
+// allocates only when dst's capacity is exhausted, so a run buffer sized to
+// the partition budget is filled with zero allocations.
 func AppendSpillRecords(dst []SpillRecord, sk Superkmer, k int) []SpillRecord {
+	w := sk.Weight()
 	ForEachKmerEdge(sk, k, func(e KmerEdge) {
-		dst = append(dst, SpillRecord{Kmer: e.Canon, Edge: EncodeSpillEdge(e.Left, e.Right)})
+		dst = append(dst, SpillRecord{Kmer: e.Canon, Edge: EncodeSpillEdge(e.Left, e.Right), Weight: w})
 	})
 	return dst
 }

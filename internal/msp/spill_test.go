@@ -26,9 +26,11 @@ func TestAppendSpillRecordsMatchesNaiveEnumeration(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		read := randomRead(rng, k+rng.Intn(60))
 		for _, sk := range SuperkmersFromRead(nil, read, k, p) {
+			// Folded superkmers stamp their weight on every record.
+			sk.Dup = uint32(trial % 3)
 			var want []SpillRecord
 			ForEachKmerEdgeNaive(sk, k, func(e KmerEdge) {
-				want = append(want, SpillRecord{Kmer: e.Canon, Edge: EncodeSpillEdge(e.Left, e.Right)})
+				want = append(want, SpillRecord{Kmer: e.Canon, Edge: EncodeSpillEdge(e.Left, e.Right), Weight: 1 + sk.Dup})
 			})
 			got := AppendSpillRecords(nil, sk, k)
 			if len(got) != len(want) {

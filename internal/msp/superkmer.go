@@ -41,10 +41,19 @@ type Superkmer struct {
 	Part int32
 	// PartValid reports whether Part holds a scan-time partition index.
 	PartValid bool
+	// Dup counts the further identical records folded into this one by the
+	// Step 2 decoder (DecodedPartition.Decode); it is 0 for Step 1 output and
+	// below math.MaxUint32, so Weight always fits a uint32. It sits in the
+	// struct's padding and is not part of the encoded record format.
+	Dup uint32
 }
 
 // NumKmers returns the number of k-mers contained in the superkmer.
 func (s Superkmer) NumKmers(k int) int { return len(s.Bases) - k + 1 }
+
+// Weight is how many records the superkmer stands for: itself plus the
+// identical ones folded into it. Every k-mer it contains counts that often.
+func (s Superkmer) Weight() uint32 { return 1 + s.Dup }
 
 // Partition returns the superkmer partition index for a minimizer value:
 // the hash of the minimizer modulo the number of partitions.

@@ -14,6 +14,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -124,8 +125,13 @@ type Journal struct {
 	maxSeq int
 }
 
+// ErrCorruptJournal reports a job journal file whose contents cannot be a
+// journal this server wrote: not JSON of the journal's shape, another
+// schema, a record without an id, or two records with one id.
+var ErrCorruptJournal = errors.New("server: corrupt job journal")
+
 // OpenJournal loads the journal at path, creating an empty one if the file
-// does not exist yet.
+// does not exist yet. A file it cannot trust fails with ErrCorruptJournal.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path, jobs: make(map[string]JobRecord)}
 	data, err := os.ReadFile(path)
@@ -137,17 +143,17 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	var doc journalFile
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("server: corrupt job journal %s: %w", path, err)
+		return nil, fmt.Errorf("%w %s: %v", ErrCorruptJournal, path, err)
 	}
 	if doc.Schema != JournalSchema {
-		return nil, fmt.Errorf("server: job journal %s has schema %q, want %q", path, doc.Schema, JournalSchema)
+		return nil, fmt.Errorf("%w %s: schema %q, want %q", ErrCorruptJournal, path, doc.Schema, JournalSchema)
 	}
 	for _, r := range doc.Jobs {
 		if r.ID == "" {
-			return nil, fmt.Errorf("server: job journal %s has a record without an id", path)
+			return nil, fmt.Errorf("%w %s: a record without an id", ErrCorruptJournal, path)
 		}
 		if _, dup := j.jobs[r.ID]; dup {
-			return nil, fmt.Errorf("server: job journal %s has duplicate id %q", path, r.ID)
+			return nil, fmt.Errorf("%w %s: duplicate id %q", ErrCorruptJournal, path, r.ID)
 		}
 		j.jobs[r.ID] = r
 		j.order = append(j.order, r.ID)
