@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"parahash/internal/core"
 	"parahash/internal/dist"
@@ -53,29 +59,19 @@ func TestDistE2E(t *testing.T) {
 	// environment exactly as they would be against the real binary.
 	orig := workerCommand
 	defer func() { workerCommand = orig }()
-	workerCommand = func(args []string) (*exec.Cmd, error) {
-		id := ""
-		for _, a := range args {
-			if s, ok := strings.CutPrefix(a, "-dist-worker="); ok {
-				id = s
-			}
-		}
-		cmd := exec.Command(os.Args[0], "-test.run", "^TestDistWorkerHelper$")
-		cmd.Env = append(os.Environ(),
-			"PARAHASH_E2E_HELPER=1",
-			"PARAHASH_E2E_ARGS="+strings.Join(args, "\x1f"))
+	workerCommand = helperWorkers(func(id string) []string {
 		switch id {
 		case "w1":
 			// SIGKILL after publishing its second fenced result, before
 			// reporting it.
-			cmd.Env = append(cmd.Env, faultinject.CrashEnv+"="+dist.CrashPoint+":2")
+			return []string{faultinject.CrashEnv + "=" + dist.CrashPoint + ":2"}
 		case "w2":
 			// Wedge mid-lease, right after the first heartbeat; only lease
 			// expiry reclaims it.
-			cmd.Env = append(cmd.Env, faultinject.StallEnv+"="+dist.CrashPoint+":1")
+			return []string{faultinject.StallEnv + "=" + dist.CrashPoint + ":1"}
 		}
-		return cmd, nil
-	}
+		return nil
+	})
 
 	buf.Reset()
 	err := run([]string{"-profile", "tiny", "-partitions", "16", "-threads", "4",
@@ -130,6 +126,126 @@ func TestDistE2E(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Fatalf("post-build checkpoint not scrub-clean: %+v", rep)
+	}
+}
+
+// helperWorkers is a workerCommand that re-executes this test binary into
+// TestDistWorkerHelper. env, if set, adds a worker's own environment by id;
+// the fault points armed for the calling process are not inherited, so a
+// coordinator armed to crash never arms its workers.
+func helperWorkers(env func(id string) []string) func(args []string) (*exec.Cmd, error) {
+	return func(args []string) (*exec.Cmd, error) {
+		id := ""
+		for _, a := range args {
+			if s, ok := strings.CutPrefix(a, "-dist-worker="); ok {
+				id = s
+			}
+		}
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestDistWorkerHelper$")
+		for _, kv := range os.Environ() {
+			if key, _, _ := strings.Cut(kv, "="); key != faultinject.CrashEnv && key != faultinject.StallEnv &&
+				key != "PARAHASH_E2E_HELPER" && key != "PARAHASH_E2E_ARGS" {
+				cmd.Env = append(cmd.Env, kv)
+			}
+		}
+		cmd.Env = append(cmd.Env, "PARAHASH_E2E_HELPER=1", "PARAHASH_E2E_ARGS="+strings.Join(args, "\x1f"))
+		if env != nil {
+			cmd.Env = append(cmd.Env, env(id)...)
+		}
+		return cmd, nil
+	}
+}
+
+// TestDistCoordinatorCrashResume kills the -workers coordinator at its own
+// crash point, step2.partition:N — fired once per partition its group
+// committer claims, after the claiming save — for the first, an early and
+// the last partition, then resumes with -resume -workers 2. Every resume
+// must be byte-identical to a single-process build and leave no fenced
+// ".t<token>" file behind.
+func TestDistCoordinatorCrashResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec e2e skipped in -short")
+	}
+	dir := t.TempDir()
+	const np = 64
+	buildArgs := func(out, ck string, workers int) []string {
+		args := []string{"-profile", "tiny", "-partitions", strconv.Itoa(np), "-threads", "1",
+			"-checkpoint-dir", ck, "-out", out}
+		if workers > 0 {
+			args = append(args, "-workers", strconv.Itoa(workers))
+		}
+		return args
+	}
+	cleanOut := filepath.Join(dir, "clean.dbg")
+	var buf bytes.Buffer
+	if err := run(buildArgs(cleanOut, filepath.Join(dir, "ck-clean"), 0), &buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(cleanOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	orig := workerCommand
+	defer func() { workerCommand = orig }()
+	workerCommand = helperWorkers(nil)
+	fenced := regexp.MustCompile(`\.t\d+$`)
+	for _, n := range []int{1, 8, np} {
+		ck := filepath.Join(dir, fmt.Sprintf("ck%d", n))
+		out := filepath.Join(dir, fmt.Sprintf("out%d.dbg", n))
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestDistCoordinatorHelper$")
+		cmd.Env = append(os.Environ(),
+			"PARAHASH_E2E_HELPER=1",
+			"PARAHASH_E2E_ARGS="+strings.Join(buildArgs(out, ck, 2), "\x1f"),
+			fmt.Sprintf("%s=step2.partition:%d", faultinject.CrashEnv, n))
+		cmd.WaitDelay = 10 * time.Second // orphaned workers still hold stderr
+		outBytes, err := cmd.CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != -1 {
+			t.Fatalf("step2.partition:%d: the coordinator was not killed by signal: %v\n%s", n, err, outBytes)
+		}
+		m, err := manifest.Load(filepath.Join(ck, "manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Step2) < n {
+			t.Fatalf("step2.partition:%d: the manifest claims %d partitions", n, len(m.Step2))
+		}
+		t.Logf("step2.partition:%d: killed with %d partitions claimed", n, len(m.Step2))
+
+		buf.Reset()
+		if err := run(append(buildArgs(out, ck, 2), "-resume"), &buf); err != nil {
+			t.Fatalf("step2.partition:%d: resume: %v\n%s", n, err, buf.String())
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("step2.partition:%d: the resumed graph differs from the single-process build's", n)
+		}
+		err = filepath.WalkDir(filepath.Join(ck, "data"), func(p string, d fs.DirEntry, err error) error {
+			if err == nil && fenced.MatchString(d.Name()) {
+				t.Errorf("step2.partition:%d: fenced file %s left behind", n, p)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDistCoordinatorHelper is the re-exec target of
+// TestDistCoordinatorCrashResume: a -workers coordinator whose own workers
+// are helper processes too. A no-op in a normal test run.
+func TestDistCoordinatorHelper(t *testing.T) {
+	if os.Getenv("PARAHASH_E2E_HELPER") != "1" {
+		t.Skip("helper for TestDistCoordinatorCrashResume")
+	}
+	workerCommand = helperWorkers(nil)
+	if err := run(strings.Split(os.Getenv("PARAHASH_E2E_ARGS"), "\x1f"), io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -45,6 +45,7 @@ func TestMemoryHelper(t *testing.T) {
 	if os.Getenv("PARAHASH_E2E_HELPER") != "1" {
 		t.Skip("helper for buildChild")
 	}
+	workerCommand = helperWorkers(nil)
 	if err := run(strings.Split(os.Getenv("PARAHASH_E2E_ARGS"), "\x1f"), io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -69,21 +70,7 @@ func TestBuildMemoryFollowsPartitionsNotGraph(t *testing.T) {
 	dir := t.TempDir()
 	var rss, graphBytes [2]int64
 	for i, scale := range []float64{0.1, 0.4} {
-		ds, err := parahash.GenerateDataset(parahash.BumblebeeProfile().Scale(scale))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := filepath.Join(dir, fmt.Sprintf("reads%d.fq", i))
-		f, err := os.Create(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := parahash.WriteFASTQ(f, ds.Reads); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+		in := writeReads(t, filepath.Join(dir, fmt.Sprint(i)), parahash.BumblebeeProfile().Scale(scale))
 		out := filepath.Join(dir, fmt.Sprintf("g%d.dbg", i))
 		rss[i] = buildChild(t, []string{"-in", in, "-k", "27", "-p", "19", "-partitions", "64", "-threads", "2",
 			"-checkpoint-dir", filepath.Join(dir, fmt.Sprintf("ck%d", i)), "-out", out})
@@ -103,6 +90,62 @@ func TestBuildMemoryFollowsPartitionsNotGraph(t *testing.T) {
 	}
 	if grew, graphGrew := rss[1]-rss[0], graphBytes[1]-graphBytes[0]; grew > graphGrew {
 		t.Errorf("peak memory grew by %d MB while the graph grew by %d MB", grew/mb, graphGrew/mb)
+	}
+}
+
+// writeReads writes a generated dataset as FASTQ to dir/reads.fq and
+// returns the path.
+func writeReads(t *testing.T, dir string, profile parahash.Profile) string {
+	t.Helper()
+	ds, err := parahash.GenerateDataset(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(dir, "reads.fq")
+	f, err := os.Create(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parahash.WriteFASTQ(f, ds.Reads); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestDistCoordinatorStreamsItsInput builds two inputs four times apart in
+// size with -workers 2: the coordinator streams its Step 1 chunk by chunk, as
+// a single-process build does, so its peak memory grows by less than the
+// input did. Holding the parsed read set grows it by more than that.
+func TestDistCoordinatorStreamsItsInput(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("two child builds of real size, measured without the race detector's shadow memory")
+	}
+	dir := t.TempDir()
+	var rss, inBytes [2]int64
+	for i, scale := range []float64{0.1, 0.4} {
+		sub := filepath.Join(dir, fmt.Sprint(i))
+		in := writeReads(t, sub, parahash.BumblebeeProfile().Scale(scale))
+		st, err := os.Stat(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inBytes[i] = st.Size()
+		rss[i] = buildChild(t, []string{"-in", in, "-k", "27", "-p", "19", "-partitions", "64", "-threads", "1",
+			"-workers", "2", "-checkpoint-dir", filepath.Join(sub, "ck"), "-out", filepath.Join(sub, "g.dbg")})
+	}
+	const mb = 1 << 20
+	t.Logf("coordinator peak %d MB for a %d MB input, %d MB for a %d MB input", rss[0]/mb, inBytes[0]/mb, rss[1]/mb, inBytes[1]/mb)
+	if inBytes[1] < 3*inBytes[0] {
+		t.Fatalf("inputs of %d and %d bytes are not four times apart", inBytes[0], inBytes[1])
+	}
+	if grew, inGrew := rss[1]-rss[0], inBytes[1]-inBytes[0]; grew >= inGrew {
+		t.Errorf("the coordinator's peak grew by %d MB while the input grew by %d MB", grew/mb, inGrew/mb)
 	}
 }
 

@@ -37,14 +37,30 @@ var workerCommand = func(args []string) (*exec.Cmd, error) {
 	return exec.Command(exe, args...), nil
 }
 
-// runDistributed fans Step 2 out to n worker subprocesses re-executing
-// this binary in -dist-worker mode, with leases journalled in the
-// checkpoint manifest.
-func runDistributed(ctx context.Context, stdout io.Writer, reads []parahash.Read, cfg parahash.Config, n int, leaseMS int64, wargs []string) (*parahash.Result, error) {
-	plan, err := parahash.PrepareDistBuild(ctx, reads, cfg)
+// prepareDistributed runs a distributed build's Step 1 in this process: a
+// file input streams chunk by chunk, as a single-process build's does, and a
+// -profile's generated reads are partitioned from memory. Workers only ever
+// share partition files with the coordinator, never reads.
+func prepareDistributed(ctx context.Context, inPath, profile string, scale float64, cfg parahash.Config) (*parahash.DistPlan, error) {
+	if inPath != "" && profile == "" {
+		f, err := os.Open(inPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return parahash.PrepareDistBuildFromReader(ctx, f, cfg)
+	}
+	reads, err := loadReads(inPath, profile, scale)
 	if err != nil {
 		return nil, err
 	}
+	return parahash.PrepareDistBuild(ctx, reads, cfg)
+}
+
+// runDistributed fans the plan's Step 2 out to n worker subprocesses
+// re-executing this binary in -dist-worker mode, with leases journalled in
+// the checkpoint manifest.
+func runDistributed(ctx context.Context, plan *parahash.DistPlan, n int, leaseMS int64, wargs []string) (*parahash.Result, error) {
 	tr := &dist.ProcTransport{Command: func(id string) (*exec.Cmd, error) {
 		return workerCommand(append(append([]string(nil), wargs...), "-dist-worker="+id))
 	}}
@@ -59,21 +75,6 @@ func runDistributed(ctx context.Context, stdout io.Writer, reads []parahash.Read
 		return nil, err
 	}
 	return plan.Finish(stats)
-}
-
-// loadDistReads loads the whole input into memory — distributed Step 1
-// runs in the coordinator, which then only shares partition files with the
-// workers, never raw reads.
-func loadDistReads(inPath, profile string, scale float64) ([]parahash.Read, error) {
-	if inPath != "" && profile == "" {
-		f, err := os.Open(inPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return parahash.ParseReads(f)
-	}
-	return loadReads(inPath, profile, scale)
 }
 
 func main() {
@@ -252,7 +253,7 @@ func run(args []string, stdout io.Writer) error {
 		if *checkpointDir == "" {
 			return fmt.Errorf("-workers requires -checkpoint-dir (the store the worker processes share)")
 		}
-		reads, err := loadDistReads(*inPath, *profile, *scale)
+		plan, err := prepareDistributed(ctx, *inPath, *profile, *scale, cfg)
 		if err != nil {
 			return err
 		}
@@ -278,7 +279,7 @@ func run(args []string, stdout io.Writer) error {
 			// coordinator would, so the budgets travel with them.
 			wargs = append(wargs, "-partition-mem-budget", *partMemBudget)
 		}
-		if res, err = runDistributed(ctx, stdout, reads, cfg, *workers, *distLeaseMS, wargs); err != nil {
+		if res, err = runDistributed(ctx, plan, *workers, *distLeaseMS, wargs); err != nil {
 			return err
 		}
 	} else if *inPath != "" && *profile == "" {

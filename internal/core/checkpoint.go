@@ -396,8 +396,9 @@ func (ck *checkpoint) markStep2(group ...manifest.Step2Partition) error {
 
 // sweepSpill best-effort removes everything under the partitions' spill
 // directories — journalled runs and the merge intermediates that continue
-// their ordinals unjournalled — with one listing of the store. Called only
-// once the partitions' subgraphs are claimed and the runs prove nothing.
+// their ordinals unjournalled — with one listing of the store and one
+// removal, which flushes each directory once. Called only once the
+// partitions' subgraphs are claimed and the runs prove nothing.
 func sweepSpill(st store.PartitionStore, parts []int) {
 	names, err := st.List()
 	if err != nil {
@@ -407,11 +408,13 @@ func sweepSpill(st store.PartitionStore, parts []int) {
 	for _, part := range parts {
 		dirs[path.Dir(spillRunFile(part, 0))] = true
 	}
+	var runs []string
 	for _, name := range names {
 		if dirs[path.Dir(name)] {
-			_ = st.Remove(name)
+			runs = append(runs, name)
 		}
 	}
+	_ = st.Remove(runs...)
 }
 
 // journalSpillScan claims a partition's completed run scan — every run it

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 
@@ -18,8 +20,8 @@ import (
 // This file is the core side of the distributed Step 2 path (internal/dist):
 // the coordinator prepares a checkpointed build up to the end of Step 1,
 // hands partition assignment to the dist coordinator, and folds fenced
-// worker results back into the manifest through the same atomic
-// verify-then-journal discipline the single-process build uses.
+// worker results back into the manifest through the same publish-volatile,
+// sync-once, claim-in-groups discipline the single-process build uses.
 
 // DistStats aggregates the distributed-build fault-tolerance counters the
 // coordinator accumulates over a run. All zero on a fault-free fleet.
@@ -48,22 +50,46 @@ type DistStats struct {
 
 // DistPlan is a checkpointed build prepared for distributed Step 2: Step 1
 // has run (or resumed) and every remaining partition is ready to be leased
-// to worker processes. The plan owns the manifest; the dist coordinator is
-// its only writer while the plan is open.
+// to worker processes. The plan owns the manifest: the dist coordinator
+// mutates it only through the plan's methods, which take the lock the
+// plan's group committer claims under, so a lease save and a claim never
+// interleave.
 type DistPlan struct {
 	cfg       Config
 	st        store.PartitionStore // the checkpoint store as the build sees it
 	ck        *checkpoint
 	partStats []msp.PartitionStats
 	step1     StepStats
+	// commits claims promoted subgraphs a group at a time. The first
+	// promotion after a Flush starts it; only the coordinator's goroutine
+	// promotes and flushes.
+	commits *step2Committer
 }
 
+// ErrFencedRefused marks a worker result PromoteFenced would not promote:
+// the fenced file failed verification or could not be moved into place. The
+// partition goes back to the pool. Any other promotion error is the plan's
+// own journal failing, which ends the build.
+var ErrFencedRefused = errors.New("core: fenced subgraph refused")
+
 // PrepareDistBuild validates the configuration, opens the checkpoint
-// (fresh or resumed) and runs Step 1 exactly as a single-process build
-// would, returning the plan for distributed Step 2. A checkpoint directory
-// is required: the durable store is the only channel worker processes
-// share.
+// (fresh or resumed) and runs Step 1 over the reads exactly as a
+// single-process build would, returning the plan for distributed Step 2. A
+// checkpoint directory is required: the durable store is the only channel
+// worker processes share.
 func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*DistPlan, error) {
+	return prepareDistBuild(ctx, sliceSource(reads, cfg), cfg)
+}
+
+// PrepareDistBuildFromReader is PrepareDistBuild over a plain or gzipped
+// FASTA/FASTQ stream, read DefaultStreamChunkBases at a time as
+// BuildFromReader reads it: the coordinator never holds the read set. A
+// checkpoint whose Step 1 fully resumes does not read the stream at all.
+func PrepareDistBuildFromReader(ctx context.Context, r io.Reader, cfg Config) (*DistPlan, error) {
+	return prepareDistBuild(ctx, readerSource(r, 0), cfg)
+}
+
+func prepareDistBuild(ctx context.Context, src chunkSource, cfg Config) (*DistPlan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,7 +100,7 @@ func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Dis
 	if err != nil {
 		return nil, err
 	}
-	s1, err := buildStep1(ctx, sliceSource(reads, cfg), cfg, st, ck)
+	s1, err := buildStep1(ctx, src, cfg, st, ck)
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 1 (MSP partitioning): %w", err))
 	}
@@ -84,16 +110,20 @@ func PrepareDistBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Dis
 	// workers spill under their own fenced names instead of reading the
 	// manifest, so nothing will ever merge them — drop the claims in the
 	// same save, then remove the files.
+	ck.mu.Lock()
 	ck.man.ClearLeases()
-	staleRuns := append([]manifest.SpillRun(nil), ck.man.SpillRuns...)
+	var staleRuns []string
+	for _, rec := range ck.man.SpillRuns {
+		staleRuns = append(staleRuns, rec.Name)
+	}
 	ck.man.SpillRuns, ck.man.SpillDone = nil, nil
 	ck.spillReady = map[int][]manifest.SpillRun{}
-	if err := ck.man.Save(ck.path); err != nil {
+	err = ck.save()
+	ck.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	for _, rec := range staleRuns {
-		_ = ck.ds.Remove(rec.Name) // best-effort; scrub sweeps leftovers
-	}
+	_ = ck.ds.Remove(staleRuns...) // best-effort; scrub sweeps leftovers
 	p := &DistPlan{cfg: cfg, st: st, ck: ck, partStats: s1.parts, step1: s1.stats}
 	// So are any fenced orphans: results the dead fleet published but never
 	// reported. Nothing will ever promote them (their tokens are below the
@@ -122,12 +152,35 @@ func (p *DistPlan) Pending() []int {
 // KmersOf returns a partition's k-mer count (the Step 2 work weight).
 func (p *DistPlan) KmersOf(i int) int64 { return p.partStats[i].Kmers }
 
-// Manifest exposes the live manifest for lease journalling. The caller must
-// persist every mutation with SaveManifest before acting on it.
+// Manifest exposes the manifest for inspection while no Run is in flight; a
+// running coordinator changes it only through the methods below.
 func (p *DistPlan) Manifest() *manifest.Manifest { return p.ck.man }
 
-// SaveManifest atomically persists the manifest.
-func (p *DistPlan) SaveManifest() error { return p.ck.man.Save(p.ck.path) }
+// Leases applies fn — minting a lease token, recording, renewing or
+// dropping a lease — to the manifest in memory, under the lock the group
+// committer saves under. The next SaveManifest or group claim persists it.
+func (p *DistPlan) Leases(fn func(*manifest.Manifest)) {
+	p.ck.mu.Lock()
+	defer p.ck.mu.Unlock()
+	fn(p.ck.man)
+}
+
+// SaveManifest atomically persists the manifest — lease records, token
+// high-water and every claim so far.
+func (p *DistPlan) SaveManifest() error {
+	p.ck.mu.Lock()
+	defer p.ck.mu.Unlock()
+	return p.ck.save()
+}
+
+// ObserveSaves hands fn each manifest the plan is about to save, lease
+// saves and group claims alike, under the lock the save holds. For tests:
+// it lets them check what was durable when a claim went out.
+func (p *DistPlan) ObserveSaves(fn func(*manifest.Manifest)) {
+	p.ck.mu.Lock()
+	defer p.ck.mu.Unlock()
+	p.ck.onSave = fn
+}
 
 // FencedName returns the store name a worker holding the given fencing
 // token must publish partition i's subgraph under. Workers never write the
@@ -138,24 +191,45 @@ func FencedName(i int, token int64) string {
 	return fmt.Sprintf("%s.t%d", subgraphFile(i), token)
 }
 
-// PromoteFenced verifies a worker's fenced subgraph file, atomically
-// renames it to the canonical partition name and journals the Step 2
-// completion. distinct is the worker-reported pre-filter vertex count. The
-// caller must have checked the token is current; PromoteFenced holds the
-// bytes to the judgement a resume applies (checkSubgraphFile: the build's k,
-// strict order, exactly the declared records), so a torn, mis-ordered or
-// foreign worker file is refused here — the partition goes back to the pool
-// — and never enters the manifest to fail the finish.
-func (p *DistPlan) PromoteFenced(i int, token int64, distinct int64) error {
+// PromoteFenced verifies a worker's fenced subgraph file, renames it to the
+// canonical partition name and hands its Step 2 record to the plan's group
+// committer; the claim lands once Flush returns. distinct is the
+// worker-reported pre-filter vertex count. The caller must have checked the
+// token is current. The bytes are held to the judgement a resume applies
+// (checkSubgraphFile: the build's k, strict order, exactly the declared
+// records), so a torn, mis-ordered or foreign worker file is refused with
+// ErrFencedRefused and never enters the manifest to fail the finish.
+//
+// Nothing here is flushed: the worker published the file volatile, and the
+// rename is volatile too. The committer's covering Sync of the canonical
+// names flushes each file and its directory — the rename with it — before
+// the one save that claims the group, so a claim still names only synced
+// bytes, and what a crash takes back first is an unclaimed orphan that the
+// resume rebuilds.
+func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, distinct int64) error {
 	name := FencedName(i, token)
 	vertices, edges, err := checkSubgraphFile(p.ck.ds, name, p.cfg.K)
 	if err != nil {
-		return fmt.Errorf("core: refusing fenced subgraph %q: %w", name, err)
+		return fmt.Errorf("%w: %q: %w", ErrFencedRefused, name, err)
 	}
-	if err := p.ck.ds.Rename(name, subgraphFile(i)); err != nil {
-		return fmt.Errorf("core: promoting fenced subgraph %q: %w", name, err)
+	if err := p.ck.ds.RenameVolatile(name, subgraphFile(i)); err != nil {
+		return fmt.Errorf("%w: promoting %q: %w", ErrFencedRefused, name, err)
 	}
-	return p.ck.markStep2(step2Record(i, vertices, edges, distinct))
+	if p.commits == nil {
+		p.commits = startStep2Committer(ctx, p.cfg, p.st, p.ck)
+	}
+	return p.commits.submit(step2Record(i, vertices, edges, distinct))
+}
+
+// Flush waits until every promotion so far is claimed and returns the first
+// commit failure, if any. A later promotion starts a new group committer.
+func (p *DistPlan) Flush() error {
+	if p.commits == nil {
+		return nil
+	}
+	err := p.commits.drain()
+	p.commits = nil
+	return err
 }
 
 // DiscardFenced removes a stale worker result (a write fenced off by a
@@ -167,9 +241,9 @@ func (p *DistPlan) DiscardFenced(i int, token int64) error {
 // SweepFenced removes every fenced file still in the store — the orphans of
 // revoked leases whose workers published after losing their claim: fenced
 // subgraphs, and the fenced spill runs of workers killed mid-merge on an
-// out-of-core partition. Returns the swept names. Run after the build
-// completes so the checkpoint directory holds exactly the canonical
-// artifacts.
+// out-of-core partition — with one directory flush per directory. Returns
+// the swept names. Run after the build completes so the checkpoint directory
+// holds exactly the canonical artifacts.
 func (p *DistPlan) SweepFenced() ([]string, error) {
 	names, err := p.ck.ds.List()
 	if err != nil {
@@ -179,25 +253,22 @@ func (p *DistPlan) SweepFenced() ([]string, error) {
 	for _, name := range names {
 		var idx, run int
 		var token int64
-		fenced := false
 		if n, _ := fmt.Sscanf(name, "subgraphs/%04d.t%d", &idx, &token); n == 2 {
-			fenced = true
+			swept = append(swept, name)
 		} else if n, _ := fmt.Sscanf(name, "spill/%04d/run-%04d.t%d", &idx, &run, &token); n == 3 {
-			fenced = true
+			swept = append(swept, name)
 		}
-		if !fenced {
-			continue
-		}
-		if err := p.ck.ds.Remove(name); err != nil {
-			return swept, err
-		}
-		swept = append(swept, name)
+	}
+	if err := p.ck.ds.Remove(swept...); err != nil {
+		return nil, err
 	}
 	return swept, nil
 }
 
 // Done reports whether every partition's Step 2 completion is journalled.
 func (p *DistPlan) Done() bool {
+	p.ck.mu.Lock()
+	defer p.ck.mu.Unlock()
 	for i := 0; i < p.cfg.NumPartitions; i++ {
 		if p.ck.man.Step2For(i) == nil {
 			return false
@@ -206,12 +277,16 @@ func (p *DistPlan) Done() bool {
 	return true
 }
 
-// Finish assembles the run result after every partition is journalled,
-// folding the coordinator's distributed-governance counters into the
-// stats; the graph's size comes from the journalled records, and the graph
-// itself is streamed from the promoted subgraph files by Result.WriteGraph,
-// exactly as a single-process build's is.
+// Finish assembles the run result once every partition is journalled
+// (waiting out the claims still in flight), folding the coordinator's
+// distributed-governance counters into the stats; the graph's size comes
+// from the journalled records, and the graph itself is streamed from the
+// promoted subgraph files by Result.WriteGraph, exactly as a
+// single-process build's is.
 func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
+	if err := p.Flush(); err != nil {
+		return nil, err
+	}
 	if !p.Done() {
 		return nil, fmt.Errorf("core: distributed build incomplete: %d of %d partitions journalled",
 			len(p.ck.man.Step2), p.cfg.NumPartitions)
@@ -281,8 +356,10 @@ func NewDistWorker(cfg Config) (*DistWorker, error) {
 // store, constructs its subgraph on the worker's first configured processor,
 // applies the output filter, and publishes the result under the fenced name
 // outName (never the canonical one — promotion is the coordinator's job).
-// The store's atomic publish means a worker killed at any point leaves
-// either nothing or the complete fenced file.
+// The publish is atomic and volatile: a worker killed at any point leaves
+// either nothing or the complete fenced file, and the worker never flushes
+// it — the coordinator's covering Sync does, after promotion, for the files
+// it is about to claim.
 func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (DistOutput, error) {
 	cfg, st := w.cfg, w.st
 	// The call's own from load to return, so it goes back on every path.
@@ -314,7 +391,7 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 			return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 		}
 	}
-	if err := publishSubgraph(st.Create, outName, out.Graph, cfg.OutputFilterMin); err != nil {
+	if err := publishSubgraph(st.CreateVolatile, outName, out.Graph, cfg.OutputFilterMin); err != nil {
 		return DistOutput{}, err
 	}
 	res := DistOutput{
@@ -365,14 +442,16 @@ func distSpillStep2(ctx context.Context, cfg Config, index int, outName string, 
 	}
 	// Best-effort cleanup of this attempt's runs, merge intermediates
 	// included (they continue the ordinal sequence under the same fenced
-	// suffix); failures leave orphans for SweepFenced.
+	// suffix), in one removal; failures leave orphans for SweepFenced.
 	if names, err := st.List(); err == nil {
 		prefix := fmt.Sprintf("spill/%04d/", index)
+		var runs []string
 		for _, name := range names {
 			if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, runSuffix) {
-				_ = st.Remove(name)
+				runs = append(runs, name)
 			}
 		}
+		_ = st.Remove(runs...)
 	}
 	return out, nil
 }

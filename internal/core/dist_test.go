@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 			continue
 		}
 		_, out := construct(i)
-		if err := plan.PromoteFenced(i, token, out.Distinct); err != nil {
+		if err := plan.PromoteFenced(ctx, i, token, out.Distinct); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,11 +86,14 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 			if err := os.WriteFile(path, damage(img), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.PromoteFenced(victim, token, out.Distinct); err == nil {
-				t.Error("promoted")
+			if err := plan.PromoteFenced(ctx, victim, token, out.Distinct); !errors.Is(err, ErrFencedRefused) {
+				t.Errorf("err = %v, want ErrFencedRefused", err)
 			}
 			if _, err := os.Stat(dataFile(dir, subgraphFile(victim))); !os.IsNotExist(err) {
 				t.Fatalf("a canonical file is there (%v)", err)
+			}
+			if err := plan.Flush(); err != nil {
+				t.Fatal(err)
 			}
 			if plan.Manifest().Step2For(victim) != nil || plan.Done() {
 				t.Fatal("the partition is claimed")
@@ -98,7 +102,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 	}
 
 	_, out := construct(victim)
-	if err := plan.PromoteFenced(victim, token, out.Distinct); err != nil {
+	if err := plan.PromoteFenced(ctx, victim, token, out.Distinct); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plan.SweepFenced(); err != nil {

@@ -145,22 +145,22 @@ func TestInCoreClaimsOnlySyncedFiles(t *testing.T) {
 	}
 	checkOrdering(t, clean, nil)
 	checkNoLitter(t, dir)
-	groups := clean.rec.subgraphSyncs
-	if groups < 1 || groups > np || clean.step2Saves != groups {
-		t.Errorf("%d Step 2 saves for %d commit groups over %d partitions", clean.step2Saves, groups, np)
+	groups := clean.Rec.SubgraphSyncs
+	if groups < 1 || groups > np || clean.Step2Saves != groups {
+		t.Errorf("%d Step 2 saves for %d commit groups over %d partitions", clean.Step2Saves, groups, np)
 	}
 	// With the fresh manifest openCheckpoint wrote before the observer
 	// existed: 2 + groups saves per build.
-	if wantSaves := 1 + groups; clean.saves != wantSaves {
-		t.Errorf("%d manifest saves observed, want the roster's and one per group: %d", clean.saves, wantSaves)
+	if wantSaves := 1 + groups; clean.Saves != wantSaves {
+		t.Errorf("%d manifest saves observed, want the roster's and one per group: %d", clean.Saves, wantSaves)
 	}
-	if clean.rec.syncCalls != 1+groups {
-		t.Errorf("%d Sync calls, want the roster's and one per group: %d", clean.rec.syncCalls, 1+groups)
+	if clean.Rec.SyncCalls != 1+groups {
+		t.Errorf("%d Sync calls, want the roster's and one per group: %d", clean.Rec.SyncCalls, 1+groups)
 	}
-	if len(clean.rec.synced) != 2*np {
-		t.Errorf("%d files synced, want the %d partition files and %d subgraphs", len(clean.rec.synced), np, np)
+	if len(clean.Rec.Synced) != 2*np {
+		t.Errorf("%d files synced, want the %d partition files and %d subgraphs", len(clean.Rec.Synced), np, np)
 	}
-	for name, n := range clean.rec.synced {
+	for name, n := range clean.Rec.Synced {
 		if n != 1 {
 			t.Errorf("%q synced %d times, want once", name, n)
 		}
@@ -212,11 +212,11 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	gate.holdFirstSync = func(int) bool { return handedOver }
 	w := watchCheckpoint(gate, ck)
 
-	committer := startStep2Committer(context.Background(), cfg, w.rec, ck)
+	committer := startStep2Committer(context.Background(), cfg, w.Rec, ck)
 	empty := &graph.Subgraph{K: cfg.K}
 	publish := func(i int) {
 		t.Helper()
-		sink, err := w.rec.CreateVolatile(subgraphFile(i))
+		sink, err := w.Rec.CreateVolatile(subgraphFile(i))
 		if err == nil {
 			if err = empty.Write(sink); err == nil {
 				err = sink.Close()
@@ -239,14 +239,14 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err := committer.drain(); err != nil {
 		t.Fatal(err)
 	}
-	if w.step2Saves != 2 || w.rec.subgraphSyncs != 2 {
-		t.Errorf("%d Step 2 saves over %d covering syncs for %d partitions, want exactly 2 of each", w.step2Saves, w.rec.subgraphSyncs, np)
+	if w.Step2Saves != 2 || w.Rec.SubgraphSyncs != 2 {
+		t.Errorf("%d Step 2 saves over %d covering syncs for %d partitions, want exactly 2 of each", w.Step2Saves, w.Rec.SubgraphSyncs, np)
 	}
-	if len(w.unsynced) > 0 {
-		t.Errorf("claims journalled before their files were synced: %v", w.unsynced)
+	if len(w.Unsynced) > 0 {
+		t.Errorf("claims journalled before their files were synced: %v", w.Unsynced)
 	}
-	if len(w.completions) != np {
-		t.Errorf("the saves claimed %d subgraphs, want all %d", len(w.completions), np)
+	if len(w.Completions) != np {
+		t.Errorf("the saves claimed %d subgraphs, want all %d", len(w.Completions), np)
 	}
 }
 
@@ -269,8 +269,8 @@ func TestGroupSizeIsEmergent(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOrdering(t, w, nil)
-	if np := cfg.NumPartitions; w.step2Saves != np || w.rec.subgraphSyncs != np {
-		t.Errorf("%d Step 2 saves over %d covering syncs, want %d of each", w.step2Saves, w.rec.subgraphSyncs, np)
+	if np := cfg.NumPartitions; w.Step2Saves != np || w.Rec.SubgraphSyncs != np {
+		t.Errorf("%d Step 2 saves over %d covering syncs, want %d of each", w.Step2Saves, w.Rec.SubgraphSyncs, np)
 	}
 	if !bytes.Equal(serializeGraph(t, res.Graph), inCoreGraph(t, reads, cfg)) {
 		t.Error("graph differs from the uncheckpointed build's")

@@ -45,116 +45,10 @@ func spillDurabilityConfig(t *testing.T) (Config, string) {
 // ".t<token>" run does not.
 var scannedRun = regexp.MustCompile(`^spill/(\d{4})/run-(\d{4})$`)
 
-// syncRecorder is the recording store: which names were published durably,
-// which volatile, how often a successful Sync has covered each name, how many
-// Sync calls succeeded and how many of them named a subgraph (one per Step 2
-// commit group).
-type syncRecorder struct {
-	store.PartitionStore
-	mu            sync.Mutex
-	durable       map[string]bool
-	volatile      map[string]bool
-	synced        map[string]int
-	syncCalls     int
-	subgraphSyncs int
-}
-
-func newSyncRecorder(inner store.PartitionStore) *syncRecorder {
-	return &syncRecorder{PartitionStore: inner, durable: map[string]bool{}, volatile: map[string]bool{}, synced: map[string]int{}}
-}
-
-func (r *syncRecorder) Create(name string) (io.WriteCloser, error) {
-	r.mu.Lock()
-	r.durable[name] = true
-	r.mu.Unlock()
-	return r.PartitionStore.Create(name)
-}
-
-func (r *syncRecorder) CreateVolatile(name string) (io.WriteCloser, error) {
-	r.mu.Lock()
-	r.volatile[name] = true
-	r.mu.Unlock()
-	return r.PartitionStore.CreateVolatile(name)
-}
-
-func (r *syncRecorder) Sync(names ...string) error {
-	if err := r.PartitionStore.Sync(names...); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.syncCalls++
-	group := false
-	for _, name := range names {
-		r.synced[name]++
-		group = group || strings.HasPrefix(name, "subgraphs/")
-	}
-	if group {
-		r.subgraphSyncs++
-	}
-	r.mu.Unlock()
-	return nil
-}
-
-// journalWatch is the manifest-save observer of one build.
-type journalWatch struct {
-	rec *syncRecorder
-	// saves counts every save observed, step2Saves those that claimed at
-	// least one more subgraph; scanRuns is each partition's run count as
-	// claimed; claims and completions count, per partition, the saves that
-	// claimed its scan and that journalled its subgraph.
-	saves       int
-	step2Saves  int
-	scanRuns    map[int]int
-	claims      map[int]int
-	completions map[int]int
-	// unsynced lists claimed names no Sync had covered when the save began.
-	unsynced []string
-}
-
-// observe runs inside checkpoint.save, under the checkpoint's lock.
-func (w *journalWatch) observe(m *manifest.Manifest) {
-	w.saves++
-	var claimed []string
-	for _, rec := range m.Step1 {
-		claimed = append(claimed, rec.Name)
-	}
-	for _, rec := range m.Step2 {
-		claimed = append(claimed, rec.Name)
-	}
-	for _, run := range m.SpillRuns {
-		claimed = append(claimed, run.Name)
-	}
-	w.rec.mu.Lock()
-	for _, name := range claimed {
-		if w.rec.synced[name] == 0 {
-			w.unsynced = append(w.unsynced, name)
-		}
-	}
-	w.rec.mu.Unlock()
-	// One save carries one mutation: a partition's scan newly claimed, or a
-	// group of partitions newly complete.
-	for _, p := range m.SpillDone {
-		if runs := len(m.SpillRunsFor(p)); w.scanRuns[p] != runs {
-			w.scanRuns[p] = runs
-			w.claims[p]++
-		}
-	}
-	grew := false
-	for _, rec := range m.Step2 {
-		if w.completions[rec.Index] == 0 {
-			w.completions[rec.Index] = 1
-			grew = true
-		}
-	}
-	if grew {
-		w.step2Saves++
-	}
-}
-
 // watchedBuild runs a checkpointed build the way BuildContext does, with the
 // recording store between the pipeline and the disk and the observer on the
 // checkpoint.
-func watchedBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Result, *journalWatch, error) {
+func watchedBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Result, *storetest.JournalWatch, error) {
 	st, ck, err := openCheckpoint(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -165,16 +59,16 @@ func watchedBuild(ctx context.Context, reads []fastq.Read, cfg Config) (*Result,
 
 // watchedBuildOver is watchedBuild over an already opened checkpoint, for
 // tests that put a store of their own under the recorder.
-func watchedBuildOver(ctx context.Context, reads []fastq.Read, cfg Config, st store.PartitionStore, ck *checkpoint) (*Result, *journalWatch, error) {
+func watchedBuildOver(ctx context.Context, reads []fastq.Read, cfg Config, st store.PartitionStore, ck *checkpoint) (*Result, *storetest.JournalWatch, error) {
 	w := watchCheckpoint(st, ck)
-	res, err := buildWithStore(ctx, sliceSource(reads, cfg), cfg, w.rec, ck)
+	res, err := buildWithStore(ctx, sliceSource(reads, cfg), cfg, w.Rec, ck)
 	return res, w, err
 }
 
 // watchCheckpoint puts the recording store over st and the observer on ck.
-func watchCheckpoint(st store.PartitionStore, ck *checkpoint) *journalWatch {
-	w := &journalWatch{rec: newSyncRecorder(st), scanRuns: map[int]int{}, claims: map[int]int{}, completions: map[int]int{}}
-	ck.onSave = w.observe
+func watchCheckpoint(st store.PartitionStore, ck *checkpoint) *storetest.JournalWatch {
+	w := storetest.NewJournalWatch(storetest.NewRecorder(st))
+	ck.onSave = w.Observe
 	return w
 }
 
@@ -184,12 +78,12 @@ func watchCheckpoint(st store.PartitionStore, ck *checkpoint) *journalWatch {
 // scan count — was ever synced; and nothing the single-process build writes
 // was published through the durable Create. scanRuns is the uninterrupted
 // build's run count per partition (run boundaries are deterministic).
-func checkOrdering(t *testing.T, w *journalWatch, scanRuns map[int]int) {
+func checkOrdering(t *testing.T, w *storetest.JournalWatch, scanRuns map[int]int) {
 	t.Helper()
-	if len(w.unsynced) > 0 {
-		t.Errorf("claims journalled before their files were synced: %v", w.unsynced)
+	if len(w.Unsynced) > 0 {
+		t.Errorf("claims journalled before their files were synced: %v", w.Unsynced)
 	}
-	for name := range w.rec.synced {
+	for name := range w.Rec.Synced {
 		if strings.HasPrefix(name, "superkmers/") || strings.HasPrefix(name, "subgraphs/") {
 			continue
 		}
@@ -203,12 +97,12 @@ func checkOrdering(t *testing.T, w *journalWatch, scanRuns map[int]int) {
 			t.Errorf("synced %q: a merge intermediate (partition %d scanned %d runs)", name, part, scanRuns[part])
 		}
 	}
-	for name := range w.rec.durable {
+	for name := range w.Rec.Durable {
 		t.Errorf("%q was published with its own fsyncs", name)
 	}
-	for p, n := range w.claims {
-		if n+w.completions[p] > 2 {
-			t.Errorf("partition %d caused %d manifest saves, want at most 2", p, n+w.completions[p])
+	for p, n := range w.Claims {
+		if n+w.Completions[p] > 2 {
+			t.Errorf("partition %d caused %d manifest saves, want at most 2", p, n+w.Completions[p])
 		}
 	}
 }
@@ -316,32 +210,32 @@ func TestSpillClaimsOnlySyncedRuns(t *testing.T) {
 	if res.Stats.Spill.Partitions != np {
 		t.Fatalf("%d of %d partitions spilled; the config must spill all", res.Stats.Spill.Partitions, np)
 	}
-	checkOrdering(t, clean, clean.scanRuns)
+	checkOrdering(t, clean, clean.ScanRuns)
 	checkNoLitter(t, dir)
 	totalRuns := 0
 	for p := 0; p < np; p++ {
-		if clean.claims[p] != 1 || clean.completions[p] != 1 {
-			t.Errorf("partition %d: %d scan claims, %d completions, want one of each", p, clean.claims[p], clean.completions[p])
+		if clean.Claims[p] != 1 || clean.Completions[p] != 1 {
+			t.Errorf("partition %d: %d scan claims, %d completions, want one of each", p, clean.Claims[p], clean.Completions[p])
 		}
-		totalRuns += clean.scanRuns[p]
+		totalRuns += clean.ScanRuns[p]
 	}
 	if int64(totalRuns) != res.Stats.Spill.Runs {
 		t.Errorf("claimed %d runs, the build spilled %d", totalRuns, res.Stats.Spill.Runs)
 	}
 	// Step 1's record, one scan claim per spilled partition, one save per
 	// commit group.
-	if clean.step2Saves < 1 || clean.step2Saves > np || clean.step2Saves != clean.rec.subgraphSyncs {
-		t.Errorf("%d Step 2 saves for %d commit groups over %d partitions", clean.step2Saves, clean.rec.subgraphSyncs, np)
+	if clean.Step2Saves < 1 || clean.Step2Saves > np || clean.Step2Saves != clean.Rec.SubgraphSyncs {
+		t.Errorf("%d Step 2 saves for %d commit groups over %d partitions", clean.Step2Saves, clean.Rec.SubgraphSyncs, np)
 	}
-	if wantSaves := 1 + np + clean.step2Saves; clean.saves != wantSaves {
-		t.Errorf("%d manifest saves observed, want %d", clean.saves, wantSaves)
+	if wantSaves := 1 + np + clean.Step2Saves; clean.Saves != wantSaves {
+		t.Errorf("%d manifest saves observed, want %d", clean.Saves, wantSaves)
 	}
-	if want := 2*np + totalRuns; len(clean.rec.synced) != want {
-		t.Errorf("%d files synced, want %d: the partition files, the subgraphs and the claimed runs", len(clean.rec.synced), want)
+	if want := 2*np + totalRuns; len(clean.Rec.Synced) != want {
+		t.Errorf("%d files synced, want %d: the partition files, the subgraphs and the claimed runs", len(clean.Rec.Synced), want)
 	}
 	intermediates := 0
-	for name := range clean.rec.volatile {
-		if clean.rec.synced[name] == 0 {
+	for name := range clean.Rec.Volatile {
+		if clean.Rec.Synced[name] == 0 {
 			intermediates++
 		}
 	}
@@ -358,7 +252,7 @@ func TestSpillClaimsOnlySyncedRuns(t *testing.T) {
 		if !errors.Is(err, faultinject.ErrPointCanceled) {
 			t.Fatalf("%s hit %d: err = %v, want ErrPointCanceled", point, hit, err)
 		}
-		checkOrdering(t, w, clean.scanRuns)
+		checkOrdering(t, w, clean.ScanRuns)
 		resumeAndCheck(t, reads, cfg, dir, want)
 	}
 	step := 1
@@ -424,46 +318,75 @@ func TestResumeDropsMidScanClaims(t *testing.T) {
 	}
 }
 
-// TestDistWorkerNeverSyncs: a dist worker's runs are fenced by name and no
-// manifest ever names them, so a worker process pays no Sync at all — its
-// one durable file is the fenced subgraph it publishes through Create.
+// TestDistWorkerNeverSyncs: a dist worker's files are fenced by name and no
+// manifest ever names them, so a worker process pays no Sync and no durable
+// Create at all — its runs and its fenced subgraph are all published
+// volatile. The coordinator's promotions are claimed a group at a time, and
+// every Step 2 record in every manifest it saves names a canonical file a
+// covering Sync flushed before that save began.
 func TestDistWorkerNeverSyncs(t *testing.T) {
 	reads := tinyReads(t)
 	cfg, _ := spillDurabilityConfig(t)
-	plan, err := PrepareDistBuild(context.Background(), reads, cfg)
+	coord := storetest.NewRecorder(nil)
+	ccfg := cfg
+	ccfg.StoreWrap = func(st store.PartitionStore) store.PartitionStore {
+		coord.PartitionStore = st
+		return coord
+	}
+	ctx := context.Background()
+	plan, err := PrepareDistBuild(ctx, reads, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec *syncRecorder
+	watch := storetest.NewJournalWatch(coord)
+	plan.ObserveSaves(watch.Observe)
+	var rec *storetest.Recorder
 	wcfg := cfg
 	wcfg.StoreWrap = func(st store.PartitionStore) store.PartitionStore {
-		rec = newSyncRecorder(st)
+		rec = storetest.NewRecorder(st)
 		return rec
 	}
 	worker, err := NewDistWorker(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := worker.Construct(context.Background(), 0, FencedName(0, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.volatile) < device.DefaultMergeFanIn {
-		t.Fatalf("worker published %d runs; the partition must spill past one merge pass", len(rec.volatile))
-	}
-	for name := range rec.volatile {
-		if !strings.HasSuffix(name, ".t7") {
-			t.Errorf("worker run %q is not fenced", name)
+	for _, i := range plan.Pending() {
+		out, err := worker.Construct(ctx, i, FencedName(i, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.PromoteFenced(ctx, i, 7, out.Distinct); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(rec.synced) != 0 {
-		t.Errorf("dist worker synced %v", rec.synced)
-	}
-	if len(rec.durable) != 1 || !rec.durable[FencedName(0, 7)] {
-		t.Errorf("dist worker published %v durably, want only its fenced subgraph", rec.durable)
-	}
-	if err := plan.PromoteFenced(0, 7, out.Distinct); err != nil {
+	if err := plan.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if len(rec.Volatile) < device.DefaultMergeFanIn {
+		t.Fatalf("worker published %d files; the partitions must spill past one merge pass", len(rec.Volatile))
+	}
+	for name := range rec.Volatile {
+		if !strings.HasSuffix(name, ".t7") {
+			t.Errorf("worker file %q is not fenced", name)
+		}
+	}
+	if len(rec.Synced) != 0 || len(rec.Durable) != 0 {
+		t.Errorf("dist worker synced %v and published %v durably, want nothing of either", rec.Synced, rec.Durable)
+	}
+
+	if !plan.Done() {
+		t.Fatal("the flushed promotions are not all claimed")
+	}
+	if len(watch.Unsynced) > 0 {
+		t.Errorf("claims saved before their files were synced: %v", watch.Unsynced)
+	}
+	if groups := coord.SubgraphSyncs; groups < 1 || watch.Saves != groups || watch.Step2Saves != groups {
+		t.Errorf("%d saves (%d claiming subgraphs) for %d covering syncs, want one save per group", watch.Saves, watch.Step2Saves, groups)
+	}
+	for i := 0; i < cfg.NumPartitions; i++ {
+		if n := coord.Synced[subgraphFile(i)]; n != 1 {
+			t.Errorf("%s synced %d times, want once", subgraphFile(i), n)
+		}
 	}
 }
 

@@ -38,17 +38,22 @@ func BuildFromReaderContext(ctx context.Context, r io.Reader, cfg Config, chunkB
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if chunkBases <= 0 {
-		chunkBases = DefaultStreamChunkBases
-	}
 	st, ck, err := openCheckpoint(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer ck.close()
+	return buildWithStore(ctx, readerSource(r, chunkBases), cfg, st, ck)
+}
 
-	// Opened by the first read, so a build that resumes past Step 1 leaves
-	// the stream untouched.
+// readerSource is the chunk source over a plain or gzipped FASTA/FASTQ
+// stream, chunkBases bases at a time (0 selects DefaultStreamChunkBases).
+// The stream is opened by the first read, so a build that resumes past
+// Step 1 leaves it untouched.
+func readerSource(r io.Reader, chunkBases int) chunkSource {
+	if chunkBases <= 0 {
+		chunkBases = DefaultStreamChunkBases
+	}
 	var fr *fastq.Reader
 	next := func() (fastq.Read, error) {
 		if fr == nil {
@@ -59,5 +64,5 @@ func BuildFromReaderContext(ctx context.Context, r io.Reader, cfg Config, chunkB
 		}
 		return fr.Next()
 	}
-	return buildWithStore(ctx, chunkedSource(next, chunkBases), cfg, st, ck)
+	return chunkedSource(next, chunkBases)
 }

@@ -46,8 +46,10 @@ type Store struct {
 	// live counts the open writers (Create to Close) of each .tmp path:
 	// what tells an in-flight file from a crashed writer's orphan.
 	live map[string]int
-	// fsync flushes one open file; tests replace it to surface flush errors.
-	fsync func(*os.File) error
+	// fsync flushes one open file and syncDir one directory; tests replace
+	// them to surface flush errors and to count flushes.
+	fsync   func(*os.File) error
+	syncDir func(dir string)
 }
 
 var _ store.PartitionStore = (*Store)(nil)
@@ -60,7 +62,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("diskstore: creating root: %w", err)
 	}
-	return &Store{root: dir, live: make(map[string]int), fsync: (*os.File).Sync}, nil
+	return &Store{root: dir, live: make(map[string]int), fsync: (*os.File).Sync, syncDir: syncDir}, nil
 }
 
 // Root returns the store's root directory.
@@ -142,7 +144,7 @@ func (s *Store) Sync(names ...string) error {
 		}
 		if !synced[dirs[i]] {
 			synced[dirs[i]] = true
-			syncDir(dirs[i])
+			s.syncDir(dirs[i])
 		}
 	}
 	return nil
@@ -259,32 +261,42 @@ func (s *Store) Size(name string) (int64, error) {
 	return st.Size(), nil
 }
 
-// Remove deletes a published file if present. The parent directory is
-// fsynced after the unlink, so a deletion is durable with the same
-// guarantee as Close's publication rename: after Remove returns, a crash
-// or power loss can never resurrect the deleted file.
-func (s *Store) Remove(name string) error {
-	p, err := s.pathOf(name)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil {
-		if os.IsNotExist(err) {
-			return nil
+// Remove deletes the named files that are present, then fsyncs each distinct
+// parent directory once, so deletions are durable with the same guarantee as
+// Close's publication rename — after Remove returns, a crash or power loss
+// can never resurrect a deleted file — at one directory flush however many
+// files a directory loses. An invalid name or a failed unlink stops the
+// removal; what was unlinked before it is flushed all the same.
+func (s *Store) Remove(names ...string) error {
+	dirs := make(map[string]bool)
+	var err error
+	for _, name := range names {
+		var p string
+		if p, err = s.pathOf(name); err != nil {
+			break
 		}
-		return fmt.Errorf("diskstore: removing %q: %w", name, err)
+		if rerr := os.Remove(p); rerr == nil {
+			dirs[filepath.Dir(p)] = true
+		} else if !os.IsNotExist(rerr) {
+			err = fmt.Errorf("diskstore: removing %q: %w", name, rerr)
+			break
+		}
 	}
-	return syncDir(filepath.Dir(p))
+	for dir := range dirs {
+		s.syncDir(dir)
+	}
+	return err
 }
 
-// Rename atomically moves a published file from oldName to newName,
-// overwriting any previous file under newName, then fsyncs the affected
-// parent directories. The distributed coordinator uses it to promote a
-// verified fenced worker result (e.g. "subgraphs/0003.t7") to its canonical
-// name: promotion carries the same crash guarantee as Create's publication
-// rename — after a crash the canonical name holds either the previous
-// content or the complete promoted file, never a mix.
-func (s *Store) Rename(oldName, newName string) error {
+// RenameVolatile atomically moves a published file from oldName to newName,
+// overwriting any previous file under newName, and flushes nothing: after a
+// crash newName holds its previous content or the complete moved file, never
+// a mix, but the move itself is durable only once a Sync names newName —
+// which flushes the file and then its directory, and with it a rename within
+// that directory. The distributed coordinator promotes a verified fenced
+// worker result ("subgraphs/0003.t7") to its canonical name this way, and
+// claims it only after its commit group's covering Sync.
+func (s *Store) RenameVolatile(oldName, newName string) error {
 	from, err := s.pathOf(oldName)
 	if err != nil {
 		return err
@@ -301,12 +313,6 @@ func (s *Store) Rename(oldName, newName string) error {
 			return fmt.Errorf("%w: %q", store.ErrNotFound, oldName)
 		}
 		return fmt.Errorf("diskstore: renaming %q to %q: %w", oldName, newName, err)
-	}
-	if err := syncDir(filepath.Dir(to)); err != nil {
-		return err
-	}
-	if filepath.Dir(from) != filepath.Dir(to) {
-		return syncDir(filepath.Dir(from))
 	}
 	return nil
 }
@@ -377,7 +383,8 @@ func (s *Store) Reset() error {
 			return fmt.Errorf("diskstore: resetting: %w", err)
 		}
 	}
-	return syncDir(s.root)
+	s.syncDir(s.root)
+	return nil
 }
 
 // SweepTmp removes every orphaned ".tmp" file under the root — the
@@ -419,9 +426,7 @@ func (s *Store) SweepTmp() ([]string, error) {
 		return nil, fmt.Errorf("diskstore: sweeping tmp files: %w", err)
 	}
 	for dir := range dirs {
-		if err := syncDir(dir); err != nil {
-			return nil, err
-		}
+		s.syncDir(dir)
 	}
 	sort.Strings(swept)
 	return swept, nil
@@ -480,10 +485,10 @@ func (a *atomicFile) Close() error {
 		os.Remove(a.tmp)
 		return fmt.Errorf("diskstore: publishing %q: %w", a.final, err)
 	}
-	if a.volatile {
-		return nil
+	if !a.volatile {
+		a.store.syncDir(filepath.Dir(a.final))
 	}
-	return syncDir(filepath.Dir(a.final))
+	return nil
 }
 
 // classify maps raw filesystem errors onto the store package's typed
@@ -501,12 +506,11 @@ func classify(err error) error {
 // syncDir fsyncs a directory so a just-renamed entry survives power loss.
 // Filesystems that refuse directory fsync (some network mounts) are
 // tolerated: the rename is still atomic, just not yet durable.
-func syncDir(dir string) error {
+func syncDir(dir string) {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return
 	}
 	defer d.Close()
 	_ = d.Sync()
-	return nil
 }

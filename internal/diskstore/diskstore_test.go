@@ -134,18 +134,20 @@ func TestResetKeepsRoot(t *testing.T) {
 	}
 }
 
-// TestInvalidNames checks that names escaping the root, empty names, and
-// names colliding with the .tmp publishing convention are rejected on every
-// entry point.
 // TestRename covers fenced-file promotion: a published token-suffixed file
 // moves atomically to its canonical name, replacing any previous content,
-// and the source name stops resolving.
+// and the source name stops resolving. The move flushes nothing; the Sync
+// that names the canonical file flushes it and its directory once.
 func TestRename(t *testing.T) {
 	s := open(t)
 	put(t, s, "subgraphs/0003.t7", "fenced")
 	put(t, s, "subgraphs/0003", "stale")
-	if err := s.Rename("subgraphs/0003.t7", "subgraphs/0003"); err != nil {
+	files, dirs := countFlushes(s)
+	if err := s.RenameVolatile("subgraphs/0003.t7", "subgraphs/0003"); err != nil {
 		t.Fatal(err)
+	}
+	if *files != 0 || *dirs != 0 {
+		t.Fatalf("the rename flushed %d files and %d directories, want none", *files, *dirs)
 	}
 	r, err := s.Open("subgraphs/0003")
 	if err != nil {
@@ -158,27 +160,77 @@ func TestRename(t *testing.T) {
 	if _, err := s.Open("subgraphs/0003.t7"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("source still readable after rename: %v", err)
 	}
+	if err := s.Sync("subgraphs/0003"); err != nil {
+		t.Fatal(err)
+	}
+	if *files != 1 || *dirs != 1 {
+		t.Fatalf("the covering Sync flushed %d files and %d directories, want 1 and 1", *files, *dirs)
+	}
 	// Renaming a missing source is the typed not-found, not a raw os error.
-	if err := s.Rename("subgraphs/absent", "subgraphs/0004"); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("Rename(absent) = %v, want store.ErrNotFound", err)
+	if err := s.RenameVolatile("subgraphs/absent", "subgraphs/0004"); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("RenameVolatile(absent) = %v, want store.ErrNotFound", err)
 	}
 	// Rename across directories creates the destination directory.
 	put(t, s, "a/x", "move-me")
-	if err := s.Rename("a/x", "b/deep/y"); err != nil {
+	if err := s.RenameVolatile("a/x", "b/deep/y"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Size("b/deep/y"); err != nil {
 		t.Fatalf("cross-directory rename target missing: %v", err)
 	}
 	// Invalid names are rejected on both sides.
-	if err := s.Rename("../escape", "ok"); err == nil {
-		t.Fatal("Rename accepted an escaping source name")
+	if err := s.RenameVolatile("../escape", "ok"); err == nil {
+		t.Fatal("RenameVolatile accepted an escaping source name")
 	}
-	if err := s.Rename("ok", "x.tmp"); err == nil {
-		t.Fatal("Rename accepted a .tmp destination name")
+	if err := s.RenameVolatile("ok", "x.tmp"); err == nil {
+		t.Fatal("RenameVolatile accepted a .tmp destination name")
 	}
 }
 
+// countFlushes counts the store's file and directory fsyncs from here on.
+func countFlushes(s *Store) (files, dirs *int) {
+	files, dirs = new(int), new(int)
+	var mu sync.Mutex // Sync flushes several files at once
+	s.fsync = func(f *os.File) error {
+		mu.Lock()
+		*files++
+		mu.Unlock()
+		return f.Sync()
+	}
+	s.syncDir = func(dir string) {
+		*dirs++
+		syncDir(dir)
+	}
+	return files, dirs
+}
+
+// TestRemoveFlushesEachDirectoryOnce: removing many files costs one
+// directory flush per directory that lost one — not one per file, and none
+// for a directory whose names were all absent.
+func TestRemoveFlushesEachDirectoryOnce(t *testing.T) {
+	s := open(t)
+	names := []string{"spill/0001/run-0000.t3", "spill/0001/run-0001.t3", "spill/0001/run-0002.t3", "subgraphs/0001.t3"}
+	for _, name := range names {
+		put(t, s, name, name)
+	}
+	_, dirs := countFlushes(s)
+	if err := s.Remove(append(names, "spill/0002/run-0000.t3")...); err != nil {
+		t.Fatal(err)
+	}
+	if *dirs != 2 {
+		t.Errorf("removing files from 2 directories flushed %d directories", *dirs)
+	}
+	if left, _ := s.List(); len(left) != 0 {
+		t.Errorf("Remove left %v", left)
+	}
+	if err := s.Remove("ok", "../escape", "also-ok"); err == nil {
+		t.Error("Remove accepted an escaping name")
+	}
+}
+
+// TestInvalidNames checks that names escaping the root, empty names, and
+// names colliding with the .tmp publishing convention are rejected on every
+// entry point.
 func TestInvalidNames(t *testing.T) {
 	s := open(t)
 	for _, name := range []string{

@@ -107,6 +107,7 @@ type event struct {
 
 // coordinator runs one distributed Step 2.
 type coordinator struct {
+	ctx     context.Context
 	plan    *core.DistPlan
 	opts    Options
 	stats   core.DistStats
@@ -120,11 +121,13 @@ type coordinator struct {
 }
 
 // Run executes distributed Step 2 for a prepared plan: start opts.Workers
-// workers through the transport, lease partition ranges (journalled in the
-// manifest before the worker hears about them), promote verified fenced
-// results, and survive worker death, hangs and partitions by lease expiry
-// plus re-assignment. On success every partition is journalled, fenced
-// orphans are swept and no leases remain outstanding.
+// workers through the transport, lease partition ranges (each grant saved
+// with its token before the worker hears about it), promote verified fenced
+// results into the plan's group commit, and survive worker death, hangs and
+// partitions by lease expiry plus re-assignment. On success every partition
+// is journalled, fenced orphans are swept and no leases remain outstanding.
+// On every path the plan's committer is drained first: when Run returns,
+// each promoted partition is claimed or never will be.
 func Run(ctx context.Context, plan *core.DistPlan, tr Transport, opts Options) (core.DistStats, error) {
 	if opts.Workers < 1 {
 		return core.DistStats{}, fmt.Errorf("dist: at least one worker required")
@@ -132,6 +135,7 @@ func Run(ctx context.Context, plan *core.DistPlan, tr Transport, opts Options) (
 	pending := plan.Pending()
 	opts = opts.withDefaults(len(pending))
 	c := &coordinator{
+		ctx:       ctx,
 		plan:      plan,
 		opts:      opts,
 		stats:     core.DistStats{Workers: opts.Workers},
@@ -141,6 +145,9 @@ func Run(ctx context.Context, plan *core.DistPlan, tr Transport, opts Options) (
 		remaining: len(pending),
 	}
 	err := c.run(ctx, tr)
+	if ferr := plan.Flush(); err == nil {
+		err = ferr
+	}
 	return c.stats, err
 }
 
@@ -192,6 +199,9 @@ func (c *coordinator) run(ctx context.Context, tr Transport) error {
 		}
 	}
 	c.shutdown(true)
+	if err := c.plan.Flush(); err != nil {
+		return err
+	}
 	swept, err := c.plan.SweepFenced()
 	if err != nil {
 		return fmt.Errorf("dist: sweeping fenced orphans: %w", err)
@@ -199,7 +209,7 @@ func (c *coordinator) run(ctx context.Context, tr Transport) error {
 	if len(swept) > 0 {
 		c.opts.Logf("dist: swept %d fenced orphan(s): %v", len(swept), swept)
 	}
-	c.plan.Manifest().ClearLeases()
+	c.plan.Leases((*manifest.Manifest).ClearLeases)
 	return c.plan.SaveManifest()
 }
 
@@ -229,9 +239,9 @@ func (c *coordinator) handle(e event) error {
 		return c.grant(w)
 	case TypeHeartbeat:
 		if w.lease != nil && w.lease.token == e.msg.Token {
+			// Renewed here only, never saved: lease records are advisory,
+			// and a restarted coordinator clears them before leasing anything.
 			w.lease.expiry = c.opts.now().Add(c.leaseDur())
-			c.plan.Manifest().SetLease(c.leaseRecord(w))
-			return c.plan.SaveManifest()
 		}
 	case TypeDone:
 		return c.handleDone(w, e.msg)
@@ -258,7 +268,10 @@ func (c *coordinator) handleDone(w *workerState, m Message) error {
 		c.opts.Logf("dist: worker %s reported partition %d outside its lease", w.id, m.Partition)
 		return c.strike(w)
 	}
-	if err := c.plan.PromoteFenced(m.Partition, m.Token, m.Distinct); err != nil {
+	if err := c.plan.PromoteFenced(c.ctx, m.Partition, m.Token, m.Distinct); err != nil {
+		if !errors.Is(err, core.ErrFencedRefused) {
+			return err // the group commit failed: nothing more can be claimed
+		}
 		// The fenced bytes did not verify — the worker is lying or its
 		// storage is bad. The partition goes back in the pool.
 		c.opts.Logf("dist: promoting partition %d from %s failed: %v", m.Partition, w.id, err)
@@ -267,11 +280,9 @@ func (c *coordinator) handleDone(w *workerState, m Message) error {
 	w.lease.done[m.Partition] = true
 	c.remaining--
 	if len(w.lease.unfinished()) == 0 {
-		c.plan.Manifest().DropLease(w.lease.token)
-		if err := c.plan.SaveManifest(); err != nil {
-			return err
-		}
-		w.lease = nil
+		// The drop rides on the next save: this worker's next grant, or a
+		// group claim.
+		c.dropLease(w)
 		return c.grant(w)
 	}
 	return nil
@@ -325,11 +336,15 @@ func (c *coordinator) revoke(w *workerState) {
 	c.stats.Reassignments += int64(len(unfinished))
 	c.queue = append(c.queue, unfinished...)
 	sort.Ints(c.queue)
-	c.plan.Manifest().DropLease(w.lease.token)
-	// Persist best-effort: a failed save here surfaces on the next lease
-	// grant's save, and the stale record is advisory either way (a fresh
-	// coordinator clears all leases).
-	_ = c.plan.SaveManifest()
+	// Dropped in memory; the next save persists it. The stale record is
+	// advisory either way: a fresh coordinator clears all leases.
+	c.dropLease(w)
+}
+
+// dropLease forgets w's lease, in memory: the next save persists the drop.
+func (c *coordinator) dropLease(w *workerState) {
+	token := w.lease.token
+	c.plan.Leases(func(m *manifest.Manifest) { m.DropLease(token) })
 	w.lease = nil
 }
 
@@ -347,8 +362,9 @@ func (c *coordinator) grantIdle() error {
 
 // grant leases the next contiguous chunk of queued partitions to w. The
 // lease is journalled in the manifest — fencing token minted, expiry
-// stamped — strictly before the assign message is sent, so a coordinator
-// crash can never leave a worker acting on an unjournalled token.
+// stamped — and saved strictly before the assign message is sent: the one
+// lease save safety needs, because a worker must never act on a token above
+// the durable high-water, or a restarted coordinator could mint it again.
 func (c *coordinator) grant(w *workerState) error {
 	if len(c.queue) == 0 || !w.alive || w.lease != nil {
 		return nil
@@ -361,15 +377,19 @@ func (c *coordinator) grant(w *workerState) error {
 				ErrAttemptsExhausted, p, c.attempts[p]-1)
 		}
 	}
-	man := c.plan.Manifest()
-	token := man.NextLeaseToken()
+	expiry := c.opts.now().Add(c.leaseDur())
+	var token int64
+	c.plan.Leases(func(m *manifest.Manifest) {
+		token = m.NextLeaseToken()
+		m.SetLease(manifest.Lease{Start: chunk[0], Count: len(chunk), Worker: w.id,
+			Token: token, ExpiryUnixMS: expiry.UnixMilli()})
+	})
 	w.lease = &leaseState{
 		token:  token,
 		parts:  chunk,
 		done:   make(map[int]bool, len(chunk)),
-		expiry: c.opts.now().Add(c.leaseDur()),
+		expiry: expiry,
 	}
-	man.SetLease(c.leaseRecord(w))
 	if err := c.plan.SaveManifest(); err != nil {
 		return err
 	}
@@ -398,17 +418,6 @@ func (c *coordinator) nextChunk() []int {
 
 func (c *coordinator) leaseDur() time.Duration {
 	return time.Duration(c.opts.LeaseMS) * time.Millisecond
-}
-
-// leaseRecord converts a worker's in-memory lease to its manifest record.
-func (c *coordinator) leaseRecord(w *workerState) manifest.Lease {
-	return manifest.Lease{
-		Start:        w.lease.parts[0],
-		Count:        len(w.lease.parts),
-		Worker:       w.id,
-		Token:        w.lease.token,
-		ExpiryUnixMS: w.lease.expiry.UnixMilli(),
-	}
 }
 
 func (c *coordinator) countAlive() int {

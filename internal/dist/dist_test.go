@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -114,16 +115,19 @@ func checkStoreClean(t *testing.T, dir string) {
 	}
 }
 
+// protocolSamples holds one message of every type.
+var protocolSamples = []Message{
+	{Type: TypeHello, Worker: "w0"},
+	{Type: TypeAssign, Token: 3, Partitions: []int{4, 5, 6}, LeaseMS: 2000},
+	{Type: TypeHeartbeat, Worker: "w0", Token: 3},
+	{Type: TypeDone, Worker: "w0", Token: 3, Partition: 4, Name: "subgraphs/0004.t3",
+		Bytes: 128, Vertices: 7, Edges: 9, Distinct: 7, Kmers: 40},
+	{Type: TypeError, Worker: "w0", Token: 3, Partition: 5, Error: "device lost"},
+	{Type: TypeShutdown},
+}
+
 func TestProtocolRoundTrip(t *testing.T) {
-	msgs := []Message{
-		{Type: TypeHello, Worker: "w0"},
-		{Type: TypeAssign, Token: 3, Partitions: []int{4, 5, 6}, LeaseMS: 2000},
-		{Type: TypeHeartbeat, Worker: "w0", Token: 3},
-		{Type: TypeDone, Worker: "w0", Token: 3, Partition: 4, Name: "subgraphs/0004.t3",
-			Bytes: 128, Vertices: 7, Edges: 9, Distinct: 7, Kmers: 40},
-		{Type: TypeError, Worker: "w0", Token: 3, Partition: 5, Error: "device lost"},
-		{Type: TypeShutdown},
-	}
+	msgs := protocolSamples
 	var buf bytes.Buffer
 	for _, m := range msgs {
 		if err := WriteMessage(&buf, m); err != nil {
@@ -146,8 +150,8 @@ func TestProtocolRoundTrip(t *testing.T) {
 func TestReadMessagesMalformedLine(t *testing.T) {
 	out := make(chan Message, 4)
 	err := ReadMessages(strings.NewReader("{\"type\":\"hello\"}\ngarbage\n"), out)
-	if err == nil {
-		t.Fatal("malformed line did not terminate the stream with an error")
+	if !errors.Is(err, ErrMalformedMessage) {
+		t.Fatalf("malformed line: err = %v, want ErrMalformedMessage", err)
 	}
 	if m, ok := <-out; !ok || m.Type != TypeHello {
 		t.Fatalf("valid prefix not delivered: %+v ok=%v", m, ok)
@@ -155,6 +159,59 @@ func TestReadMessagesMalformedLine(t *testing.T) {
 	if _, ok := <-out; ok {
 		t.Fatal("channel not closed after decode error")
 	}
+}
+
+// TestMalformedMessageQuotesAPrefix: the error for a garbled line of up to
+// the scanner's 1 MiB quotes only its first bytes.
+func TestMalformedMessageQuotesAPrefix(t *testing.T) {
+	line := strings.Repeat("x", 1<<19) + "\n"
+	err := ReadMessages(strings.NewReader(line), make(chan Message, 1))
+	if !errors.Is(err, ErrMalformedMessage) {
+		t.Fatalf("err = %v, want ErrMalformedMessage", err)
+	}
+	if n := len(err.Error()); n > 4*maxQuotedBytes+100 {
+		t.Fatalf("the error for one garbled line is %d bytes long", n)
+	}
+}
+
+// FuzzReadMessages: whatever bytes arrive on a worker pipe, ReadMessages
+// either yields messages that survive a WriteMessage round trip unchanged,
+// or stops with ErrMalformedMessage or bufio.ErrTooLong — and never panics.
+func FuzzReadMessages(f *testing.F) {
+	var frames bytes.Buffer
+	for _, m := range protocolSamples {
+		if err := WriteMessage(&frames, m); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(frames.Bytes())
+	f.Add([]byte("{\"type\":\"hello\"}\ngarbage\n"))
+	f.Add([]byte("\n\n{}\r\n{\"type\":\"assign\",\"partitions\":[]}"))
+	f.Add([]byte(`{"type":"done","token":-1,"partition":1e3}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out := make(chan Message, bytes.Count(data, []byte("\n"))+1)
+		err := ReadMessages(bytes.NewReader(data), out)
+		if err != nil && !errors.Is(err, ErrMalformedMessage) && !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		for m := range out {
+			var buf bytes.Buffer
+			if err := WriteMessage(&buf, m); err != nil {
+				t.Fatalf("re-encoding %+v: %v", m, err)
+			}
+			back := make(chan Message, 1)
+			if err := ReadMessages(&buf, back); err != nil {
+				t.Fatalf("decoding the re-encoded %+v: %v", m, err)
+			}
+			got := <-back
+			if len(m.Partitions) == 0 {
+				m.Partitions = nil // an empty list is omitted on the wire
+			}
+			if !reflect.DeepEqual(got, m) {
+				t.Fatalf("round trip changed the message:\n got %+v\nwant %+v", got, m)
+			}
+		}
+	})
 }
 
 func TestRunRequiresWorkers(t *testing.T) {

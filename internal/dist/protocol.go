@@ -19,6 +19,7 @@ package dist
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -38,7 +39,7 @@ const (
 	TypeHello = "hello"
 	// TypeHeartbeat renews the worker's current lease.
 	TypeHeartbeat = "heartbeat"
-	// TypeDone reports one partition's fenced subgraph durably published.
+	// TypeDone reports one partition's fenced subgraph published.
 	TypeDone = "done"
 	// TypeError reports a partition attempt that failed; the lease is
 	// returned for reassignment.
@@ -81,9 +82,18 @@ func WriteMessage(w io.Writer, m Message) error {
 	return nil
 }
 
+// ErrMalformedMessage reports a protocol line that does not decode as a
+// Message.
+var ErrMalformedMessage = errors.New("dist: malformed message")
+
+// maxQuotedBytes bounds how much of a malformed line its error quotes: the
+// line itself may be up to the scanner's 1 MiB.
+const maxQuotedBytes = 128
+
 // ReadMessages decodes JSON-line messages from r into out until EOF or a
-// decode error, then closes out. Malformed lines terminate the stream —
-// a garbled pipe means the peer is not trustworthy anymore.
+// decode error, then closes out. Malformed lines terminate the stream with
+// ErrMalformedMessage — a garbled pipe means the peer is not trustworthy
+// anymore — and a line over 1 MiB with bufio.ErrTooLong.
 func ReadMessages(r io.Reader, out chan<- Message) error {
 	defer close(out)
 	sc := bufio.NewScanner(r)
@@ -95,7 +105,8 @@ func ReadMessages(r io.Reader, out chan<- Message) error {
 		}
 		var m Message
 		if err := json.Unmarshal(line, &m); err != nil {
-			return fmt.Errorf("dist: malformed message %q: %w", line, err)
+			quoted := line[:min(len(line), maxQuotedBytes)]
+			return fmt.Errorf("%w: %q (%d bytes): %v", ErrMalformedMessage, quoted, len(line), err)
 		}
 		out <- m
 	}

@@ -76,9 +76,9 @@ func serveLease(ctx context.Context, id string, w *core.DistWorker, lease Messag
 			return send(Message{Type: TypeError, Worker: id, Token: lease.Token,
 				Partition: p, Error: err.Error()})
 		}
-		// The fenced file is durably published; a kill here models a worker
-		// dying with its result on disk but unreported — the replacement
-		// redoes the partition under a new token and the orphan is swept.
+		// The fenced file is published; a kill here models a worker dying
+		// with its result on disk but unreported — the replacement redoes
+		// the partition under a new token and the orphan is swept.
 		faultinject.MaybeCrash(CrashPoint)
 		if err := send(Message{Type: TypeDone, Worker: id, Token: lease.Token,
 			Partition: p, Name: out.Name, Bytes: out.Bytes, Vertices: out.Vertices,

@@ -286,7 +286,7 @@ func (c *corruptStream) Read(p []byte) (int, error) {
 func (s *Store) Size(name string) (int64, error) { return s.inner.Size(name) }
 
 // Remove forwards to the inner store.
-func (s *Store) Remove(name string) error { return s.inner.Remove(name) }
+func (s *Store) Remove(names ...string) error { return s.inner.Remove(names...) }
 
 // List forwards to the inner store.
 func (s *Store) List() ([]string, error) { return s.inner.List() }

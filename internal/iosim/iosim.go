@@ -122,12 +122,14 @@ func (s *Store) Size(name string) (int64, error) {
 	return int64(buf.Len()), nil
 }
 
-// Remove deletes a file if present; removing an absent file is not an
-// error.
-func (s *Store) Remove(name string) error {
+// Remove deletes the named files that are present; removing an absent file
+// is not an error.
+func (s *Store) Remove(names ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.files, name)
+	for _, name := range names {
+		delete(s.files, name)
+	}
 	return nil
 }
 

@@ -99,8 +99,10 @@ type SpillRun struct {
 // (the manifest's LeaseToken is the high-water mark), so after a partition
 // is re-assigned, results carrying the old token are provably stale and are
 // discarded instead of published. ExpiryUnixMS is the wall-clock deadline
-// (Unix milliseconds) by which the holder must have renewed via heartbeat;
-// a lease past expiry is treated as abandoned and its range re-assigned.
+// (Unix milliseconds) by which the holder must have renewed via heartbeat,
+// as of the last save: the coordinator renews and drops leases in memory
+// and persists them with its next save, because nothing reads a lease back
+// after a restart.
 type Lease struct {
 	Start        int    `json:"start"`
 	Count        int    `json:"count"`
@@ -133,8 +135,8 @@ type Manifest struct {
 	SpillRuns []SpillRun `json:"spill_runs,omitempty"`
 	SpillDone []int      `json:"spill_done,omitempty"`
 	// LeaseToken is the high-water fencing token: every granted lease's
-	// Token lies in (0, LeaseToken]. Journalling the high-water mark with
-	// the leases themselves guarantees tokens never repeat across a
+	// Token lies in (0, LeaseToken]. The coordinator saves it before a
+	// worker hears of a new token, so tokens never repeat across a
 	// coordinator crash/restart.
 	LeaseToken int64 `json:"lease_token,omitempty"`
 	// Leases are the currently outstanding worker claims on Step 2

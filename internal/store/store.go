@@ -66,8 +66,10 @@ var ErrDiskFull = errors.New("store: disk full")
 //     one per partition — is bounded by the process's open-file limit).
 //   - Size, Open and OpenStream return an error wrapping ErrNotFound for
 //     absent names.
-//   - Remove deletes a file if present; removing an absent file is not an
-//     error.
+//   - Remove deletes the named files that are present; removing an absent
+//     file is not an error. Durable implementations make the unlinks durable
+//     before returning, with one directory flush per distinct directory
+//     however many names share it.
 //   - List returns the published file names, sorted; in-flight (unpublished)
 //     writes are not listed.
 //   - BytesRead / BytesWritten are cumulative transfer counters for IO
@@ -79,7 +81,7 @@ type PartitionStore interface {
 	Open(name string) (io.Reader, error)
 	OpenStream(name string) (io.ReadCloser, error)
 	Size(name string) (int64, error)
-	Remove(name string) error
+	Remove(names ...string) error
 	List() ([]string, error)
 	TotalBytes() int64
 	BytesRead() int64

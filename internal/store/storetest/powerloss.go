@@ -68,11 +68,24 @@ func (p *PowerLoss) Sync(names ...string) error {
 }
 
 // Remove forwards; a removed file has nothing left to lose.
-func (p *PowerLoss) Remove(name string) error {
+func (p *PowerLoss) Remove(names ...string) error {
 	p.mu.Lock()
-	delete(p.unsynced, name)
+	for _, name := range names {
+		delete(p.unsynced, name)
+	}
 	p.mu.Unlock()
-	return p.PartitionStore.Remove(name)
+	return p.PartitionStore.Remove(names...)
+}
+
+// Risk puts names at risk as if they had been published volatile through
+// the wrapper: files that reached the inner store some other way, such as a
+// rename on the raw store or a copy of a live checkpoint.
+func (p *PowerLoss) Risk(names ...string) {
+	p.mu.Lock()
+	for _, name := range names {
+		p.unsynced[name] = true
+	}
+	p.mu.Unlock()
 }
 
 // Cut is the power cut: every file still at risk is dropped, or — with

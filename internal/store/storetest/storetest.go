@@ -3,9 +3,9 @@
 // durable directory) runs the same suite from its own test file, so the
 // contract documented on the interface — publish-on-Close atomicity (durable
 // and volatile alike), Sync's ErrNotFound, snapshot reads, ErrNotFound
-// classification, idempotent Remove, sorted listing that hides in-flight
-// writes, cumulative byte accounting, streamed snapshot reads that give their
-// descriptor back — is enforced identically on both media. A behavioural
+// classification, idempotent and batched Remove, sorted listing that hides
+// in-flight writes, cumulative byte accounting, streamed snapshot reads that
+// give their descriptor back — is enforced identically on both media. A behavioural
 // divergence between the simulated and the real store would silently
 // invalidate the virtual-time experiments, so additions to the interface
 // contract belong here first.
@@ -38,6 +38,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("SnapshotRead", func(t *testing.T) { testSnapshotRead(t, factory(t)) })
 	t.Run("CloseIdempotent", func(t *testing.T) { testCloseIdempotent(t, factory(t)) })
 	t.Run("RemoveIdempotent", func(t *testing.T) { testRemoveIdempotent(t, factory(t)) })
+	t.Run("RemoveMany", func(t *testing.T) { testRemoveMany(t, factory(t)) })
 	t.Run("ListSorted", func(t *testing.T) { testListSorted(t, factory(t)) })
 	t.Run("ByteAccounting", func(t *testing.T) { testByteAccounting(t, factory(t)) })
 	t.Run("PublishDuringConcurrentOpen", func(t *testing.T) { s := factory(t); testPublishDuringConcurrentOpen(t, s, s.Create) })
@@ -202,6 +203,27 @@ func testRemoveIdempotent(t *testing.T, s store.PartitionStore) {
 	}
 	if err := s.Remove("f"); err != nil {
 		t.Errorf("removing absent file: %v", err)
+	}
+}
+
+// testRemoveMany: one call removes every named file it finds, across
+// directories, skips absent names, and leaves everything it was not given.
+func testRemoveMany(t *testing.T, s store.PartitionStore) {
+	for _, name := range []string{"spill/0001/run-0000", "spill/0001/run-0001", "subgraphs/0001.t4", "subgraphs/0001"} {
+		put(t, s, name, name)
+	}
+	if err := s.Remove("spill/0001/run-0000", "spill/0001/absent", "spill/0001/run-0001", "subgraphs/0001.t4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove(); err != nil {
+		t.Fatalf("removing nothing: %v", err)
+	}
+	names, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || names[0] != "subgraphs/0001" {
+		t.Fatalf("after removing three of four files List = %v, want [subgraphs/0001]", names)
 	}
 }
 

@@ -194,6 +194,13 @@ func PrepareDistBuild(ctx context.Context, reads []Read, cfg Config) (*DistPlan,
 	return core.PrepareDistBuild(ctx, reads, cfg)
 }
 
+// PrepareDistBuildFromReader is PrepareDistBuild over a plain or
+// gzip-compressed FASTA/FASTQ stream, read a few chunks at a time as
+// BuildFromReader reads it, so the coordinator never holds the read set.
+func PrepareDistBuildFromReader(ctx context.Context, r io.Reader, cfg Config) (*DistPlan, error) {
+	return core.PrepareDistBuildFromReader(ctx, r, cfg)
+}
+
 // RunDistributed executes the plan's Step 2 across a worker fleet started
 // through the transport, surviving worker crashes, hangs and partitions by
 // lease expiry, fencing and reassignment. Call plan.Finish with the
