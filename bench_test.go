@@ -147,7 +147,7 @@ func BenchmarkAblationPresize(b *testing.B) {
 	edges := benchEdges(b, reads, 27, 11)
 
 	insertAll := func(b *testing.B, startSlots int) {
-		table, err := hashtable.NewBackend(hashtable.BackendStateTransfer, 27, startSlots)
+		table, err := hashtable.New(27, startSlots)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,6 +33,51 @@ func TestRunWorkersRequireCheckpointDir(t *testing.T) {
 	}
 }
 
+// TestDistWorkerAcceptsRetiredTableFlag runs a -workers build whose workers
+// get the argument list benchmark/layers.go gives them, the retired
+// "-table statetransfer" included: it must still parse, and the build must
+// match a single-process one byte for byte.
+func TestDistWorkerAcceptsRetiredTableFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec e2e skipped in -short")
+	}
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "ck")
+	cleanOut := filepath.Join(dir, "clean.dbg")
+	distOut := filepath.Join(dir, "dist.dbg")
+	var buf bytes.Buffer
+	if err := run([]string{"-profile", "tiny", "-partitions", "16", "-threads", "2",
+		"-checkpoint-dir", filepath.Join(dir, "ck-clean"), "-out", cleanOut}, &buf); err != nil {
+		t.Fatal(err)
+	}
+
+	orig := workerCommand
+	defer func() { workerCommand = orig }()
+	helper := helperWorkers(nil)
+	workerCommand = func(args []string) (*exec.Cmd, error) {
+		// args ends in -dist-worker=<id>; the rest is what layers.go passes.
+		return helper([]string{"-k", "27", "-p", "11", "-partitions", "16",
+			"-threads", "2", "-gpus", "0", "-medium", "mem",
+			"-lambda", "2", "-alpha", "0.65",
+			"-table", "statetransfer", "-checkpoint-dir", ck, args[len(args)-1]})
+	}
+	if err := run([]string{"-profile", "tiny", "-partitions", "16", "-threads", "2",
+		"-checkpoint-dir", ck, "-out", distOut, "-workers", "2"}, &buf); err != nil {
+		t.Fatalf("distributed build failed: %v\n%s", err, buf.String())
+	}
+	a, err := os.ReadFile(cleanOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(distOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("distributed output differs from single-process build")
+	}
+}
+
 // TestDistE2E is the distributed end-to-end fault drill from the issue: a
 // 4-worker build where worker w1 is SIGKILL'd mid-Step-2 (result published
 // but unreported) and worker w2 hangs past its lease, which must still

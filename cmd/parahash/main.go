@@ -106,7 +106,7 @@ func run(args []string, stdout io.Writer) error {
 		filterMin  = fs.Int("filter", 0, "drop vertices with edge multiplicity below this from the published subgraphs and -out (part of the checkpoint's identity: -resume needs the same value)")
 		lambda     = fs.Float64("lambda", 2, "Property 1 λ: expected errors per read, for table sizing")
 		alpha      = fs.Float64("alpha", 0.65, "hash table load ratio α")
-		table      = fs.String("table", "statetransfer", "Step 2 hash-table backend: statetransfer, lockfree, sharded (all produce identical graphs)")
+		_          = fs.String("table", "", "deprecated and ignored: Step 2 always uses the paper's state-transfer hash table")
 		hostCal    = fs.Bool("host-calibration", false, "measure this machine's kernel throughput so virtual times predict local wall-clock instead of the paper's hardware")
 
 		maxAttempts   = fs.Int("max-attempts", 3, "per-partition attempt budget per pipeline stage (1 = fail fast)")
@@ -165,7 +165,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg.UseCPU = !*noCPU
 	cfg.Lambda = *lambda
 	cfg.Alpha = *alpha
-	cfg.TableBackend = *table
 	if *filterMin > 1 {
 		cfg.OutputFilterMin = *filterMin
 	}
@@ -265,7 +264,7 @@ func run(args []string, stdout io.Writer) error {
 			"-threads", strconv.Itoa(*threads), "-gpus", strconv.Itoa(*gpus),
 			"-medium", *medium,
 			"-lambda", fmt.Sprint(*lambda), "-alpha", fmt.Sprint(*alpha),
-			"-table", *table, "-checkpoint-dir", *checkpointDir,
+			"-checkpoint-dir", *checkpointDir,
 			"-filter", strconv.Itoa(*filterMin),
 		}
 		if *noCPU {

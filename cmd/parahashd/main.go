@@ -54,7 +54,6 @@ func run(args []string, stdout io.Writer) error {
 		p          = fs.Int("p", 11, "default minimizer length")
 		partitions = fs.Int("partitions", 64, "default superkmer partition count")
 		threads    = fs.Int("threads", 8, "CPU worker threads per job")
-		table      = fs.String("table", "statetransfer", "default Step 2 hash-table backend")
 
 		memBudget   = fs.String("mem-budget", "", "cross-job memory budget, e.g. 512M: summed Property-1 job footprints queue under this bound (empty = none)")
 		maxQueue    = fs.Int("max-queue", 16, "max queued+running jobs before submissions are shed with 429")
@@ -88,7 +87,6 @@ func run(args []string, stdout io.Writer) error {
 	base.NumPartitions = *partitions
 	base.CPUThreads = *threads
 	base.NumGPUs = 0
-	base.TableBackend = *table
 	base.Resilience.BackoffJitter = *backoffJitter
 	base.Resilience.BackoffJitterSeed = seed
 

@@ -41,7 +41,6 @@ import (
 	"parahash/internal/device"
 	"parahash/internal/fastq"
 	"parahash/internal/faultinject"
-	"parahash/internal/hashtable"
 	"parahash/internal/msp"
 	"parahash/internal/pipeline"
 	"parahash/internal/simulate"
@@ -104,12 +103,6 @@ type Scenario struct {
 	// after it starts — the operator-interrupt dimension, and the release
 	// mechanism for armed stall points.
 	CancelAfter time.Duration
-	// TableBackend selects the Step 2 hash-table backend for the faulted
-	// build. The oracle always uses the state-transfer reference, so every
-	// completed run doubles as a cross-backend differential check: the
-	// faulted build's graph must match the oracle byte for byte no matter
-	// which table constructed it.
-	TableBackend string
 	// Faults describes the schedule for the report.
 	Faults []string
 }
@@ -234,14 +227,10 @@ func GenerateScenario(seed int64, prof Profile) Scenario {
 		s.CancelAfter = time.Duration(50+rng.Intn(100)) * time.Millisecond
 		note("stall at step2.partition hit %d, cancel after %v", hit, s.CancelAfter)
 	}
-	// The backend draw sits deliberately after every fault dimension above:
-	// it consumes its rng draw after them, so pinned seeds replay the exact
-	// fault schedules they produced before backends existed.
-	backends := hashtable.Backends()
-	s.TableBackend = string(backends[rng.Intn(len(backends))])
+	rng.Intn(3) // the retired table-backend draw: pinned seeds keep their schedules
 
-	// The out-of-core dimension's draws come after the backend's, by the
-	// same pinned-seed reasoning: a tight per-partition budget forces every
+	// The out-of-core dimension draws last, so pinned seeds replay what they
+	// drew before it existed: a tight per-partition budget forces every
 	// partition through the sort-merge spill path, optionally stacked with
 	// faulted spill IO and crashes at the spill-specific points (mid-scan,
 	// with some runs journalled; and between scan and merge, the merge-only
@@ -268,7 +257,6 @@ func GenerateScenario(seed int64, prof Profile) Scenario {
 	if len(s.Faults) == 0 {
 		note("fault-free baseline")
 	}
-	note("table backend %s", s.TableBackend)
 	return s
 }
 
@@ -363,7 +351,6 @@ func (e *Engine) scenarioConfig(s Scenario, dir string) core.Config {
 	cfg.Checkpoint = core.CheckpointConfig{Dir: dir, InputLabel: e.inputLabel()}
 	cfg.MemoryBudgetBytes = s.MemoryBudgetBytes
 	cfg.PartitionMemoryBudgetBytes = s.PartitionMemoryBudgetBytes
-	cfg.TableBackend = s.TableBackend
 	// Seeded in-build retry jitter: decorrelates partition retries without
 	// consuming any scenario rng draws, so pinned seeds keep replaying the
 	// exact fault schedules they produced before jitter existed. Jitter

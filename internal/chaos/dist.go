@@ -39,7 +39,6 @@ import (
 	"parahash/internal/core"
 	"parahash/internal/diskstore"
 	"parahash/internal/dist"
-	"parahash/internal/hashtable"
 )
 
 // DistScenario is one dist-mode run's materialised schedule, a
@@ -54,10 +53,6 @@ type DistScenario struct {
 	LeaseMS int64
 	// WorkerFaults scripts each worker's failure mode, keyed by worker id.
 	WorkerFaults map[string]dist.Fault
-	// TableBackend selects the Step 2 hash table; the oracle always used
-	// the state-transfer reference, so completed runs double as
-	// cross-backend differential checks.
-	TableBackend string
 	// PartitionMemoryBudgetBytes, when positive, routes every partition
 	// through the out-of-core path on the workers, who spill runs under
 	// their own fencing tokens; killed workers' orphaned runs must be swept
@@ -117,14 +112,9 @@ func GenerateDistScenario(seed int64, prof Profile) DistScenario {
 	if !faulted {
 		note("fault-free fleet")
 	}
-	// The backend draw sits deliberately last, matching GenerateScenario's
-	// convention: pinned seeds keep replaying their original schedules if
-	// earlier dimensions never change order.
-	backends := hashtable.Backends()
-	s.TableBackend = string(backends[rng.Intn(len(backends))])
-	note("table backend %s", s.TableBackend)
-	// The out-of-core draw comes after the backend's, preserving pinned
-	// seeds again: a tight per-partition budget makes every worker construct
+	rng.Intn(3) // the retired table-backend draw: pinned seeds keep their schedules
+	// The out-of-core draw comes last, so pinned seeds replay what they drew
+	// before it existed: a tight per-partition budget makes every worker construct
 	// out-of-core under its fencing token, stacking the spill lifecycle on
 	// whatever process faults were drawn above.
 	if pick(0.3) {
@@ -162,7 +152,6 @@ func (e *Engine) RunDistOne(ctx context.Context, run int, seed int64, dir string
 func (e *Engine) distScenarioConfig(s DistScenario, dir string) core.Config {
 	cfg := e.baseCfg
 	cfg.Checkpoint = core.CheckpointConfig{Dir: dir, InputLabel: e.inputLabel()}
-	cfg.TableBackend = s.TableBackend
 	cfg.PartitionMemoryBudgetBytes = s.PartitionMemoryBudgetBytes
 	cfg.Resilience.BackoffJitter = 0.5
 	cfg.Resilience.BackoffJitterSeed = s.Seed

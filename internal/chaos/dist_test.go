@@ -118,8 +118,7 @@ func TestDistFleetDeathScenario(t *testing.T) {
 			"w0": {KillAfter: 1},
 			"w1": {Hang: true, HangAfter: 1},
 		},
-		TableBackend: "statetransfer",
-		Faults:       []string{"2 workers, 400ms leases", "worker w0 killed at done 1", "worker w1 wedges after done 1"},
+		Faults: []string{"2 workers, 400ms leases", "worker w0 killed at done 1", "worker w1 wedges after done 1"},
 	}
 	rep := e.RunDistScenario(context.Background(), s, t.TempDir())
 	for _, v := range rep.Violations {
@@ -146,8 +145,7 @@ func TestDistZombieDelayScenario(t *testing.T) {
 		WorkerFaults: map[string]dist.Fault{
 			"w1": {DelayMS: 60},
 		},
-		TableBackend: "statetransfer",
-		Faults:       []string{"2 workers, 300ms leases", "worker w1 link delay 60ms"},
+		Faults: []string{"2 workers, 300ms leases", "worker w1 link delay 60ms"},
 	}
 	rep := e.RunDistScenario(context.Background(), s, t.TempDir())
 	for _, v := range rep.Violations {

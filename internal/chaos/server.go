@@ -39,7 +39,6 @@ import (
 	"parahash/internal/fastq"
 	"parahash/internal/faultinject"
 	"parahash/internal/graph"
-	"parahash/internal/hashtable"
 	"parahash/internal/manifest"
 	"parahash/internal/server"
 	"parahash/internal/store"
@@ -70,10 +69,6 @@ type ServerScenario struct {
 	StallHit int
 	// Plans carries per-job store-fault plans, keyed by job id.
 	Plans map[string]faultinject.Plan
-	// TableBackend selects the Step 2 hash table; the oracle always used
-	// the state-transfer reference, so completed runs double as
-	// cross-backend differential checks.
-	TableBackend string
 	// Faults describes the schedule for the report.
 	Faults []string
 }
@@ -148,13 +143,6 @@ func GenerateServerScenario(seed int64, prof Profile) ServerScenario {
 	} else {
 		note("no disruption")
 	}
-
-	// The backend draw sits deliberately last, matching GenerateScenario's
-	// convention: pinned seeds keep replaying their original schedules if
-	// earlier dimensions never change order.
-	backends := hashtable.Backends()
-	s.TableBackend = string(backends[rng.Intn(len(backends))])
-	note("table backend %s", s.TableBackend)
 	return s
 }
 
@@ -180,7 +168,6 @@ func (e *Engine) serverInput() ([]byte, error) {
 // mirroring build mode's fault-free resume.
 func (e *Engine) serverOptions(s ServerScenario, dir string) server.Options {
 	base := e.baseCfg
-	base.TableBackend = s.TableBackend
 	// Seeded in-build retry jitter, scenario-derived without consuming any
 	// scenario rng draws (see scenarioConfig).
 	base.Resilience.BackoffJitter = 0.5

@@ -110,12 +110,11 @@ func TestServerCampaignPinnedSeed(t *testing.T) {
 func TestServerKillScenario(t *testing.T) {
 	e := smallEngine(t)
 	s := ServerScenario{
-		Seed:         3,
-		Jobs:         2,
-		Disrupt:      "kill",
-		StallHit:     3,
-		TableBackend: "statetransfer",
-		Faults:       []string{"2 jobs", "kill once j0001 journals 3 step 2 claims"},
+		Seed:     3,
+		Jobs:     2,
+		Disrupt:  "kill",
+		StallHit: 3,
+		Faults:   []string{"2 jobs", "kill once j0001 journals 3 step 2 claims"},
 	}
 	rep := e.RunServerScenario(context.Background(), s, t.TempDir())
 	if len(rep.Violations) != 0 {
@@ -132,12 +131,11 @@ func TestServerKillScenario(t *testing.T) {
 func TestServerDrainScenario(t *testing.T) {
 	e := smallEngine(t)
 	s := ServerScenario{
-		Seed:         4,
-		Jobs:         1,
-		Disrupt:      "drain",
-		StallHit:     2,
-		TableBackend: "statetransfer",
-		Faults:       []string{"1 jobs", "drain once j0001 journals 2 step 2 claims"},
+		Seed:     4,
+		Jobs:     1,
+		Disrupt:  "drain",
+		StallHit: 2,
+		Faults:   []string{"1 jobs", "drain once j0001 journals 2 step 2 claims"},
 	}
 	rep := e.RunServerScenario(context.Background(), s, t.TempDir())
 	if len(rep.Violations) != 0 {

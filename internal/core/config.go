@@ -19,7 +19,6 @@ import (
 	"parahash/internal/costmodel"
 	"parahash/internal/device"
 	"parahash/internal/dna"
-	"parahash/internal/hashtable"
 	"parahash/internal/manifest"
 	"parahash/internal/obs"
 	"parahash/internal/pipeline"
@@ -104,14 +103,6 @@ type Config struct {
 	// paper's K40m has 12 GB). Partitions whose hash table plus input
 	// exceed it fail with device.ErrDeviceMemory — increase NumPartitions.
 	GPUMemoryBytes int64
-
-	// TableBackend selects the Step 2 hash-table implementation:
-	// "statetransfer" (the paper's §III-C table, the default), "lockfree"
-	// (CAS insertion per Górniak & Nowak) or "sharded" (hash-partitioned
-	// regions per Tripathy & Green). Every backend produces a
-	// byte-identical final graph; they differ in contention behaviour and
-	// memory layout. Empty selects the state-transfer reference.
-	TableBackend string
 
 	// Medium selects the IO device timing: mem-cached (Case 1) or disk
 	// (Case 2).
@@ -266,20 +257,7 @@ func (c Config) Validate() error {
 	case c.Checkpoint.Resume && c.Checkpoint.Dir == "":
 		return fmt.Errorf("core: Checkpoint.Resume requires Checkpoint.Dir")
 	}
-	if _, err := hashtable.ParseBackend(c.TableBackend); err != nil {
-		return fmt.Errorf("core: TableBackend: %w", err)
-	}
 	return c.Calibration.Validate()
-}
-
-// tableBackend resolves the configured backend, defaulting to the paper's
-// state-transfer table. Validate has already rejected unknown names.
-func (c Config) tableBackend() hashtable.Backend {
-	b, err := hashtable.ParseBackend(c.TableBackend)
-	if err != nil {
-		return hashtable.BackendStateTransfer
-	}
-	return b
 }
 
 // logf emits a warning-level build log line through Logf, if set.

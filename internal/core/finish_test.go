@@ -82,15 +82,21 @@ func (ref naiveReference) check(t *testing.T, res *Result, kept bool) {
 // TestWriteGraphIdenticalWhetherGraphIsKept builds each shape of build with
 // KeepSubgraphs on and off: what WriteGraph writes, the decoded Result.Graph
 // and the totals must be the naive graph's, filtered — in core and spilled,
-// on disk and in the in-memory store, under the output filter, and resumed
-// after a kill at every step2.partition hit. (The -workers shape is
+// on the CPU and on the GPU kernel alone, on disk and in the in-memory
+// store, under the output filter, and resumed after a kill at every
+// step2.partition hit. (The -workers shape is
 // internal/dist's TestDistFinishStreamsWhatItDoesNotKeep.)
 func TestWriteGraphIdenticalWhetherGraphIsKept(t *testing.T) {
 	reads := tinyReads(t)
 	shapes := map[string]func(t *testing.T) Config{
 		"in-core":       func(t *testing.T) Config { cfg, _ := ckConfig(t); return cfg },
 		"no-checkpoint": func(t *testing.T) Config { return tinyConfig() },
-		"spilled":       func(t *testing.T) Config { cfg, _ := spillDurabilityConfig(t); return cfg },
+		"gpu-only": func(t *testing.T) Config {
+			cfg := tinyConfig()
+			cfg.UseCPU, cfg.NumGPUs = false, 1
+			return cfg
+		},
+		"spilled": func(t *testing.T) Config { cfg, _ := spillDurabilityConfig(t); return cfg },
 		"filter-2": func(t *testing.T) Config {
 			cfg, _ := ckConfig(t)
 			cfg.OutputFilterMin = 2

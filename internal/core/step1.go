@@ -68,13 +68,11 @@ func (nopSink) Close() error                { return nil }
 // device slice.
 func processors(cfg Config) []device.Processor {
 	procs := make([]device.Processor, 0, cfg.NumProcessors())
-	backend := cfg.tableBackend()
 	if cfg.UseCPU {
 		procs = append(procs, &device.CPU{
 			Threads:    cfg.CPUThreads,
 			Cal:        cfg.Calibration,
 			Partitions: cfg.NumPartitions,
-			Table:      backend,
 		})
 	}
 	for g := 0; g < cfg.NumGPUs; g++ {
@@ -83,7 +81,6 @@ func processors(cfg Config) []device.Processor {
 			Cal:         cfg.Calibration,
 			MemoryBytes: cfg.GPUMemoryBytes,
 			Partitions:  cfg.NumPartitions,
-			Table:       backend,
 		})
 	}
 	if cfg.ProcWrap != nil {

@@ -351,15 +351,14 @@ func foldStep2Works(st *Stats, works []step2Work) int64 {
 }
 
 // predictedTableBytes is the Property-1 predicted hash-table footprint for
-// a partition holding the given k-mer count, under the configured backend.
-// ok is false when sizing itself fails (the in-core worker then surfaces the
-// proper typed error).
+// a partition holding the given k-mer count. ok is false when sizing itself
+// fails (the in-core worker then surfaces the proper typed error).
 func (c Config) predictedTableBytes(kmers int64) (predicted int64, ok bool) {
 	slots, err := hashtable.SizeForKmersChecked(kmers, c.Lambda, c.Alpha)
 	if err != nil {
 		return 0, false
 	}
-	return hashtable.MemoryBytesForBackend(c.tableBackend(), c.K, slots), true
+	return hashtable.MemoryBytesFor(slots), true
 }
 
 // spillBudgetFor decides whether a partition with the given predicted table

@@ -148,9 +148,6 @@ type CPU struct {
 	// index (msp.Scanner.NumPartitions), moving the routing hash off the
 	// sequential output stage.
 	Partitions int
-	// Table selects the Step 2 hash-table backend; the zero value is the
-	// paper's state-transfer table.
-	Table hashtable.Backend
 
 	// Per-worker Step 1 scratch, held by one kernel at a time (step1):
 	// scanners keep their minimizer/p-mer/deque buffers warm, skBufs keep the
@@ -281,29 +278,28 @@ func step2Chunks(sks []msp.Superkmer, k int) (ends []int, kmers int64) {
 // attempt the pipeline's watchdog has abandoned but which has not returned.
 type tableCache struct {
 	mu   sync.Mutex
-	held hashtable.KmerTable
+	held *hashtable.Table
 }
 
-// take returns an empty table for (backend, k, slots): the held one, Reset,
-// when hashtable.Reusable says a new one would be no different, else a new
-// one — the held table is let go first either way, so a processor never
-// holds two.
-func (tc *tableCache) take(backend hashtable.Backend, k, slots int) (hashtable.KmerTable, error) {
+// take returns an empty table for (k, slots): the held one, Reset, when
+// hashtable.Reusable says a new one would be no different, else a new one —
+// the held table is let go first either way, so a processor never holds two.
+func (tc *tableCache) take(k, slots int) (*hashtable.Table, error) {
 	tc.mu.Lock()
 	t := tc.held
 	tc.held = nil
 	tc.mu.Unlock()
-	if hashtable.Reusable(t, backend, k, slots) {
+	if hashtable.Reusable(t, k, slots) {
 		t.Reset()
 		return t, nil
 	}
-	return hashtable.NewBackend(backend, k, slots)
+	return hashtable.New(k, slots)
 }
 
 // put hands a table back for the next partition. Only a kernel that has
 // joined all its workers and whose context is still live may call it: an
 // abandoned attempt may still be writing to its table.
-func (tc *tableCache) put(t hashtable.KmerTable) {
+func (tc *tableCache) put(t *hashtable.Table) {
 	tc.mu.Lock()
 	tc.held = t
 	tc.mu.Unlock()
@@ -321,7 +317,7 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	if c.Threads < 1 {
 		return Step2Output{}, fmt.Errorf("device: CPU threads %d must be positive", c.Threads)
 	}
-	table, err := c.tables.take(c.Table, k, tableSlots)
+	table, err := c.tables.take(k, tableSlots)
 	if err != nil {
 		return Step2Output{}, err
 	}
@@ -392,7 +388,7 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 // counterOnlyOutput reports a failed Step 2 attempt's hash-table work
 // counters without a graph, so retried attempts (the bounded resize loop)
 // keep their metrics monotonic and honest.
-func counterOnlyOutput(table hashtable.KmerTable) Step2Output {
+func counterOnlyOutput(table *hashtable.Table) Step2Output {
 	m := table.Metrics().Snapshot()
 	return Step2Output{
 		LockedInserts:   m.Inserts,
@@ -432,8 +428,6 @@ type GPU struct {
 	MemoryBytes int64
 	// Partitions mirrors CPU.Partitions: scan-time partition stamping.
 	Partitions int
-	// Table mirrors CPU.Table: the Step 2 hash-table backend.
-	Table hashtable.Backend
 
 	// scan is the persistent Step 1 scanner (warm minimizer buffers); step1
 	// serialises the kernels that share it, as on the CPU.
@@ -502,12 +496,12 @@ func encodedBytes(sks []msp.Superkmer) int64 {
 func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int) (Step2Output, error) {
 	partBytes := encodedBytes(sks)
 	if g.MemoryBytes > 0 {
-		if need := hashtable.MemoryBytesForBackend(g.Table, k, tableSlots) + partBytes; need > g.MemoryBytes {
+		if need := hashtable.MemoryBytesFor(tableSlots) + partBytes; need > g.MemoryBytes {
 			return Step2Output{}, fmt.Errorf("%w: need %d bytes, have %d",
 				ErrDeviceMemory, need, g.MemoryBytes)
 		}
 	}
-	table, err := g.tables.take(g.Table, k, tableSlots)
+	table, err := g.tables.take(k, tableSlots)
 	if err != nil {
 		return Step2Output{}, err
 	}
@@ -583,7 +577,7 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 // The sort runs on up to sortWorkers goroutines, clamped to the physical
 // parallelism available, and the result is identical to the sequential
 // sort (vertex keys are unique).
-func collectStep2(table hashtable.KmerTable, k int, kmers int64, sortWorkers int) Step2Output {
+func collectStep2(table *hashtable.Table, k int, kmers int64, sortWorkers int) Step2Output {
 	sub := &graph.Subgraph{K: k, Vertices: graph.GetVertices(table.Len())}
 	table.ForEach(func(e hashtable.Entry) {
 		sub.Vertices = append(sub.Vertices, graph.Vertex{Kmer: e.Kmer, Counts: e.Counts})

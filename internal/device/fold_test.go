@@ -102,7 +102,7 @@ func TestGPUStep2ChargesFoldedPartitionInFull(t *testing.T) {
 	for _, sk := range expanded {
 		partBytes += int64(msp.EncodedSize(len(sk.Bases)))
 	}
-	fits := hashtable.MemoryBytesForBackend("", k, slots) + partBytes
+	fits := hashtable.MemoryBytesFor(slots) + partBytes
 	for _, memory := range []int64{fits - 1, fits, 0} {
 		var outs [2]Step2Output
 		var errs [2]error

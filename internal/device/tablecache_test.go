@@ -31,50 +31,48 @@ func slotsFor(sks []msp.Superkmer) int {
 
 // TestTableReuseMatchesFreshTable builds a run of partitions on one processor
 // (recycling its table) and each on a new processor (a fresh table): the
-// subgraphs and every per-partition counter must be identical, on every
-// backend and both processor kinds. Single-threaded, so probe counts are a
-// function of the table alone.
+// subgraphs and every per-partition counter must be identical, on both
+// processor kinds. Single-threaded, so probe counts are a function of the
+// table alone.
 func TestTableReuseMatchesFreshTable(t *testing.T) {
 	parts := recycleParts(t)
 	cal := costmodel.DefaultCalibration()
 	ctx := context.Background()
-	for _, backend := range hashtable.Backends() {
-		procs := map[string]func() Processor{
-			"CPU": func() Processor { return &CPU{Threads: 1, Cal: cal, Table: backend} },
-			"GPU": func() Processor { return &GPU{Cal: cal, Table: backend} },
+	procs := map[string]func() Processor{
+		"CPU": func() Processor { return &CPU{Threads: 1, Cal: cal} },
+		"GPU": func() Processor { return &GPU{Cal: cal} },
+	}
+	for name, fresh := range procs {
+		kept := fresh()
+		reused := 0
+		for i, sks := range parts {
+			var before *hashtable.Table
+			switch p := kept.(type) {
+			case *CPU:
+				before = p.tables.held
+			case *GPU:
+				before = p.tables.held
+			}
+			got, err := kept.Step2(ctx, sks, 27, slotsFor(sks))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh().Step2(ctx, sks, 27, slotsFor(sks))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				gotCounters, wantCounters := got, want
+				gotCounters.Graph, wantCounters.Graph = nil, nil
+				t.Fatalf("%s partition %d: recycled table gave %+v (%d vertices), fresh table %+v (%d vertices)",
+					name, i, gotCounters, got.Graph.NumVertices(), wantCounters, want.Graph.NumVertices())
+			}
+			if hashtable.Reusable(before, 27, slotsFor(sks)) {
+				reused++
+			}
 		}
-		for name, fresh := range procs {
-			kept := fresh()
-			reused := 0
-			for i, sks := range parts {
-				var before hashtable.KmerTable
-				switch p := kept.(type) {
-				case *CPU:
-					before = p.tables.held
-				case *GPU:
-					before = p.tables.held
-				}
-				got, err := kept.Step2(ctx, sks, 27, slotsFor(sks))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fresh().Step2(ctx, sks, 27, slotsFor(sks))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					gotCounters, wantCounters := got, want
-					gotCounters.Graph, wantCounters.Graph = nil, nil
-					t.Fatalf("%s/%s partition %d: recycled table gave %+v (%d vertices), fresh table %+v (%d vertices)",
-						backend, name, i, gotCounters, got.Graph.NumVertices(), wantCounters, want.Graph.NumVertices())
-				}
-				if hashtable.Reusable(before, backend, 27, slotsFor(sks)) {
-					reused++
-				}
-			}
-			if reused == 0 || reused == len(parts)-1 {
-				t.Fatalf("%s/%s: %d of %d partitions met a reusable table; the test wants both cases", backend, name, reused, len(parts))
-			}
+		if reused == 0 || reused == len(parts)-1 {
+			t.Fatalf("%s: %d of %d partitions met a reusable table; the test wants both cases", name, reused, len(parts))
 		}
 	}
 }
@@ -84,7 +82,7 @@ func TestTableReuseMatchesFreshTable(t *testing.T) {
 // a mismatched one is dropped.
 func TestTableCacheHoldsAtMostOne(t *testing.T) {
 	var tc tableCache
-	first, err := tc.take(hashtable.BackendStateTransfer, 27, 1000)
+	first, err := tc.take(27, 1000)
 	if err != nil || tc.held != nil {
 		t.Fatalf("take from an empty cache: table %v, err %v, still holding %v", first, err, tc.held)
 	}
@@ -92,7 +90,7 @@ func TestTableCacheHoldsAtMostOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc.put(first)
-	again, err := tc.take(hashtable.BackendStateTransfer, 27, 900) // rounds to the same 1024 slots
+	again, err := tc.take(27, 900) // rounds to the same 1024 slots
 	if err != nil || again != first || tc.held != nil {
 		t.Fatalf("matching take: got %p, want the held table %p back and the cache empty (held %v, err %v)", again, first, tc.held, err)
 	}
@@ -100,11 +98,10 @@ func TestTableCacheHoldsAtMostOne(t *testing.T) {
 		t.Fatalf("recycled table not clean: %d entries, counters %+v", again.Len(), again.Metrics().Snapshot())
 	}
 	tc.put(again)
-	for what, take := range map[string]func() (hashtable.KmerTable, error){
-		"larger":        func() (hashtable.KmerTable, error) { return tc.take(hashtable.BackendStateTransfer, 27, 5000) },
-		"other backend": func() (hashtable.KmerTable, error) { return tc.take(hashtable.BackendLockFree, 27, 1000) },
-		"other k":       func() (hashtable.KmerTable, error) { return tc.take(hashtable.BackendStateTransfer, 31, 1000) },
-		"invalid size":  func() (hashtable.KmerTable, error) { return tc.take(hashtable.BackendStateTransfer, 27, 0) },
+	for what, take := range map[string]func() (*hashtable.Table, error){
+		"larger":       func() (*hashtable.Table, error) { return tc.take(27, 5000) },
+		"other k":      func() (*hashtable.Table, error) { return tc.take(31, 1000) },
+		"invalid size": func() (*hashtable.Table, error) { return tc.take(27, 0) },
 	} {
 		got, err := take()
 		if got == again || tc.held != nil {
@@ -140,32 +137,30 @@ func TestAbandonedKernelKeepsItsTable(t *testing.T) {
 	parts := recycleParts(t)
 	sks := parts[len(parts)-1]
 	cal := costmodel.DefaultCalibration()
-	for _, backend := range hashtable.Backends() {
-		cpu := &CPU{Threads: 3, Cal: cal, Table: backend}
-		gpu := &GPU{Cal: cal, Table: backend}
-		for _, p := range []Processor{cpu, gpu} {
-			if _, err := p.Step2(context.Background(), sks, 27, slotsFor(sks)); err != nil {
-				t.Fatal(err)
-			}
+	cpu := &CPU{Threads: 3, Cal: cal}
+	gpu := &GPU{Cal: cal}
+	for _, p := range []Processor{cpu, gpu} {
+		if _, err := p.Step2(context.Background(), sks, 27, slotsFor(sks)); err != nil {
+			t.Fatal(err)
 		}
-		if cpu.tables.held == nil || gpu.tables.held == nil {
-			t.Fatalf("%s: a completed kernel did not hand its table on", backend)
+	}
+	if cpu.tables.held == nil || gpu.tables.held == nil {
+		t.Fatal("a completed kernel did not hand its table on")
+	}
+	for _, p := range []Processor{cpu, gpu} {
+		dying := &dyingContext{Context: context.Background()}
+		dying.left.Store(3)
+		if _, err := p.Step2(dying, sks, 27, slotsFor(sks)); err == nil {
+			t.Fatalf("%s: kernel outlived its context", p.Name())
 		}
-		for _, p := range []Processor{cpu, gpu} {
-			dying := &dyingContext{Context: context.Background()}
-			dying.left.Store(3)
-			if _, err := p.Step2(dying, sks, 27, slotsFor(sks)); err == nil {
-				t.Fatalf("%s/%s: kernel outlived its context", backend, p.Name())
-			}
-		}
-		if cpu.tables.held != nil || gpu.tables.held != nil {
-			t.Fatalf("%s: a cancelled kernel handed its table on (CPU %v, GPU %v)", backend, cpu.tables.held, gpu.tables.held)
-		}
-		// And the processor still works, from a fresh table.
-		for _, p := range []Processor{cpu, gpu} {
-			if _, err := p.Step2(context.Background(), sks, 27, slotsFor(sks)); err != nil {
-				t.Fatal(err)
-			}
+	}
+	if cpu.tables.held != nil || gpu.tables.held != nil {
+		t.Fatalf("a cancelled kernel handed its table on (CPU %v, GPU %v)", cpu.tables.held, gpu.tables.held)
+	}
+	// And the processor still works, from a fresh table.
+	for _, p := range []Processor{cpu, gpu} {
+		if _, err := p.Step2(context.Background(), sks, 27, slotsFor(sks)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -130,7 +130,7 @@ func AblationPresize(opts Options) (Report, error) {
 		return Report{}, err
 	}
 	insertAll := func(startSlots int) (time.Duration, int, error) {
-		table, err := hashtable.NewBackend(hashtable.BackendStateTransfer, 27, startSlots)
+		table, err := hashtable.New(27, startSlots)
 		if err != nil {
 			return 0, 0, err
 		}

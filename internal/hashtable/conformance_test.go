@@ -7,58 +7,18 @@ import (
 	"parahash/internal/hashtable/hashtabletest"
 )
 
-// TestKmerTableConformance runs the shared KmerTable contract suite over
-// every backend. CI runs this under the race detector; the suite's
-// concurrent-insert subtest is the linearizability check for the lock-free
-// and sharded paths.
+// TestKmerTableConformance runs the table contract suite over the
+// state-transfer table. CI runs this under the race detector; the suite's
+// concurrent-insert subtests, plain and weighted, are the linearizability
+// check.
 func TestKmerTableConformance(t *testing.T) {
-	for _, b := range hashtable.Backends() {
-		b := b
-		t.Run(string(b), func(t *testing.T) {
-			hashtabletest.Run(t, func(t *testing.T, k, capacity int) hashtable.KmerTable {
-				tab, err := hashtable.NewBackend(b, k, capacity)
-				if err != nil {
-					t.Fatalf("NewBackend(%s, %d, %d): %v", b, k, capacity, err)
-				}
-				return tab
-			})
-		})
-	}
-}
-
-// TestParseBackend pins the CLI surface: every listed backend round-trips,
-// the empty string selects the state-transfer reference, and unknown names
-// are rejected with the valid set in the message.
-func TestParseBackend(t *testing.T) {
-	for _, b := range hashtable.Backends() {
-		got, err := hashtable.ParseBackend(string(b))
-		if err != nil || got != b {
-			t.Errorf("ParseBackend(%q) = %v, %v", b, got, err)
-		}
-	}
-	if got, err := hashtable.ParseBackend(""); err != nil || got != hashtable.BackendStateTransfer {
-		t.Errorf("ParseBackend(\"\") = %v, %v, want statetransfer", got, err)
-	}
-	if _, err := hashtable.ParseBackend("cuckoo"); err == nil {
-		t.Error("ParseBackend accepted unknown backend")
-	}
-}
-
-// TestMemoryBytesForBackend checks each backend's admission-weight predictor
-// agrees with what a freshly built table actually reports — the Step 2
-// memory gate admits partitions by the prediction, so a divergence would
-// let real residency exceed the budget.
-func TestMemoryBytesForBackend(t *testing.T) {
-	for _, b := range hashtable.Backends() {
-		for _, k := range []int{27, 33} {
-			tab, err := hashtable.NewBackend(b, k, 1<<14)
+	t.Run("statetransfer", func(t *testing.T) {
+		hashtabletest.Run(t, func(t *testing.T, k, capacity int) *hashtable.Table {
+			tab, err := hashtable.New(k, capacity)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("New(%d, %d): %v", k, capacity, err)
 			}
-			predicted := hashtable.MemoryBytesForBackend(b, k, 1<<14)
-			if got := tab.MemoryBytes(); got != predicted {
-				t.Errorf("%s k=%d: MemoryBytes() = %d, predictor says %d", b, k, got, predicted)
-			}
-		}
-	}
+			return tab
+		})
+	})
 }

@@ -11,6 +11,11 @@
 // "one-insertion, multiple-updates" pattern eliminates about 80% of the
 // locking a per-access lock would incur, which the paper reports in §III
 // and which the Contention method exposes for the reproduction benchmarks.
+//
+// The table keys on the canonical k-mer exactly as given, and insertions
+// only add to counters, so the final counts do not depend on insertion
+// order; a subgraph is deterministic because Step 2 sorts what ForEach
+// yields, never because of iteration order.
 package hashtable
 
 import (
@@ -136,8 +141,9 @@ func (m *Metrics) add(s Snapshot) {
 	sh.casFailures.Add(s.CASFailures)
 }
 
-// Table is the concurrent De Bruijn subgraph hash table. All methods are
-// safe for concurrent use by any number of goroutines.
+// Table is the concurrent De Bruijn subgraph hash table. Inserts and
+// Lookups are safe for concurrent use by any number of goroutines; ForEach,
+// Reset and Grow must not run concurrently with writers.
 type Table struct {
 	k      int
 	mask   uint64
@@ -146,13 +152,8 @@ type Table struct {
 	keysLo []uint64
 	counts []uint32
 
-	// distinct is bumped on every first insert. The pads keep it on a cache
-	// line of its own: beside the fields above it would share the line every
-	// probe of every thread reads mask and the slice headers from, and beside
-	// metrics the line worker 0 counts on.
-	_        [64]byte
+	// distinct counts first inserts.
 	distinct atomic.Int64
-	_        [56]byte
 	metrics  Metrics
 }
 
@@ -167,10 +168,7 @@ func New(k, capacity int) (*Table, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("hashtable: capacity %d must be positive", capacity)
 	}
-	n := 1 << bits.Len64(uint64(capacity-1))
-	if n < 8 {
-		n = 8
-	}
+	n := int(roundedSlots(capacity))
 	return &Table{
 		k:      k,
 		mask:   uint64(n - 1),
@@ -273,8 +271,8 @@ func MemoryBytesFor(capacity int) int64 {
 }
 
 // roundedSlots is the constructor's slot rounding: the next power of two,
-// at least 8. Every backend's memory predictor uses it so predicted and
-// allocated footprints can never diverge.
+// at least 8. New and MemoryBytesFor both use it so predicted and allocated
+// footprints can never diverge.
 func roundedSlots(capacity int) int64 {
 	n := int64(1) << bits.Len64(uint64(capacity-1))
 	if n < 8 {
@@ -283,13 +281,13 @@ func roundedSlots(capacity int) int64 {
 	return n
 }
 
-// tableInserter is the Table's per-worker insertion handle: it performs
-// exactly the same table operations as Table.InsertEdge but accounts its
-// work into one padded counter shard, so concurrent workers using distinct
-// handles never contend on metrics cache lines. Handles are cheap values; a
-// worker typically obtains one per partition. Any number of handles may run
-// concurrently (including alongside Table.InsertEdge, which is handle 0).
-type tableInserter struct {
+// Inserter is a per-worker insertion handle: it performs exactly the same
+// table operations as Table.InsertEdge but accounts its work into one padded
+// counter shard, so concurrent workers using distinct handles never contend
+// on metrics cache lines. Handles are cheap values; a worker typically
+// obtains one per partition. Any number of handles may run concurrently
+// (including alongside Table.InsertEdge, which is handle 0).
+type Inserter struct {
 	t  *Table
 	sh *metricsShard
 }
@@ -297,7 +295,7 @@ type tableInserter struct {
 // Inserter returns the insertion handle for a worker index. Indexes beyond
 // the shard count fold together (still correct, marginally more contended).
 func (t *Table) Inserter(worker int) Inserter {
-	return tableInserter{t: t, sh: t.metrics.handleShard(worker)}
+	return Inserter{t: t, sh: t.metrics.handleShard(worker)}
 }
 
 // InsertEdge records one canonical-oriented k-mer observation: the vertex
@@ -306,59 +304,37 @@ func (t *Table) Inserter(worker int) Inserter {
 // lookup / insertion / update of §III-C2, with the state-transfer partial
 // locking of §III-C3.
 func (t *Table) InsertEdge(e msp.KmerEdge) error {
-	_, err := t.Inserter(0).InsertEdgeCounted(e)
-	return err
-}
-
-// InsertEdgeCounted is InsertEdge returning the number of slots probed,
-// which the simulated GPU uses to account for intra-warp divergence (lanes
-// in a warp diverge to different probe walk lengths, §III-D).
-func (t *Table) InsertEdgeCounted(e msp.KmerEdge) (int, error) {
-	return t.Inserter(0).InsertEdgeCounted(e)
+	return t.Inserter(0).InsertEdge(e)
 }
 
 // InsertEdge records one observation through the handle's counter shard.
-func (in tableInserter) InsertEdge(e msp.KmerEdge) error {
+func (in Inserter) InsertEdge(e msp.KmerEdge) error {
 	_, err := in.InsertEdgeN(e, 1)
 	return err
 }
 
-// InsertEdgeCounted is InsertEdge returning the probe walk length.
-func (in tableInserter) InsertEdgeCounted(e msp.KmerEdge) (int, error) {
-	return in.InsertEdgeN(e, 1)
-}
-
-// InsertEdgeN records n identical observations through the handle's counter
-// shard.
-func (in tableInserter) InsertEdgeN(e msp.KmerEdge, n uint32) (int, error) {
+// InsertEdgeN records n identical canonical-oriented k-mer observations
+// with one table operation: the vertex is inserted if absent and each
+// counter the edge names grows by n (modulo 2^32, as n single adds would),
+// so the entry ends exactly as after n InsertEdge calls. The call counts one
+// insert or one update, whatever n; n = 0 records nothing. It returns the
+// probe walk length, which the simulated GPU uses to model intra-warp
+// divergence (lanes in a warp diverge to different walk lengths, §III-D).
+func (in Inserter) InsertEdgeN(e msp.KmerEdge, n uint32) (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	return in.t.insertEdgeHashed(e.Canon.Hash(), e, n, in.sh)
-}
-
-// insertEdgeHashed performs n observations (n ≥ 1) with the key hash already
-// computed: the sharded backend routes on the high hash bits and probes its
-// shard region with the same value, so the hash is taken exactly once per
-// edge on every path.
-func (t *Table) insertEdgeHashed(h uint64, e msp.KmerEdge, n uint32, sh *metricsShard) (int, error) {
-	slot, inserted, probes, err := t.findOrInsertHashed(h, e.Canon, sh)
+	slot, inserted, probes, err := in.t.findOrInsert(e.Canon, in.sh)
 	if err != nil {
 		return probes, err
 	}
-	countInsert(sh, inserted)
-	addEdge(t.counts[slot*countersPerSlot:][:countersPerSlot], e, n)
-	return probes, nil
-}
-
-// countInsert accounts one table operation to a handle's shard: the insert
-// that created an entry, or an update of one that existed.
-func countInsert(sh *metricsShard, inserted bool) {
 	if inserted {
-		sh.inserts.Add(1)
+		in.sh.inserts.Add(1)
 	} else {
-		sh.updates.Add(1)
+		in.sh.updates.Add(1)
 	}
+	addEdge(in.t.counts[slot*countersPerSlot:][:countersPerSlot], e, n)
+	return probes, nil
 }
 
 // addEdge adds n to each of an entry's counters that the edge names.
@@ -371,11 +347,11 @@ func addEdge(counts []uint32, e msp.KmerEdge, n uint32) {
 	}
 }
 
-// findOrInsertHashed locates the slot holding km (whose hash is h), claiming
-// an empty slot when the key is new. It reports whether this call performed
-// the insertion and how many slots it probed; probe-walk work is accounted
-// to the caller's shard.
-func (t *Table) findOrInsertHashed(h uint64, km dna.Kmer, sh *metricsShard) (slot int, inserted bool, probes int, err error) {
+// findOrInsert locates the slot holding km, claiming an empty slot when the
+// key is new. It reports whether this call performed the insertion and how
+// many slots it probed; probe-walk work is accounted to the caller's shard.
+func (t *Table) findOrInsert(km dna.Kmer, sh *metricsShard) (slot int, inserted bool, probes int, err error) {
+	h := km.Hash()
 	for i := uint64(0); i <= t.mask; i++ {
 		idx := (h + i) & t.mask
 		probes++
@@ -502,11 +478,18 @@ func (t *Table) Reset() {
 	t.metrics.Reset()
 }
 
+// Reusable reports whether t, once Reset, is indistinguishable from what
+// New(k, capacity) would build: the same k-mer length and rounded slot
+// count, hence the same probe sequences and counters. A nil t is not.
+func Reusable(t *Table, k, capacity int) bool {
+	return t != nil && capacity >= 1 && t.k == k && int64(len(t.states)) == roundedSlots(capacity)
+}
+
 // Grow returns a table with twice the capacity containing all current
 // entries. It is the resizing fallback the paper's Property 1 sizing is
 // designed to avoid; the resizing ablation uses it deliberately.
 // It must not run concurrently with writers.
-func (t *Table) Grow() (KmerTable, error) {
+func (t *Table) Grow() (*Table, error) {
 	bigger, err := New(t.k, 2*t.Capacity())
 	if err != nil {
 		return nil, err
@@ -517,7 +500,7 @@ func (t *Table) Grow() (KmerTable, error) {
 		if growErr != nil {
 			return
 		}
-		slot, _, _, err := bigger.findOrInsertHashed(e.Kmer.Hash(), e.Kmer, rehash)
+		slot, _, _, err := bigger.findOrInsert(e.Kmer, rehash)
 		if err != nil {
 			growErr = err
 			return

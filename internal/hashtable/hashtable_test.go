@@ -175,7 +175,6 @@ func TestTableFull(t *testing.T) {
 
 func TestTableGrow(t *testing.T) {
 	edges, ref := randomEdges(53, 300, 2000, 27)
-	var tab KmerTable
 	tab, err := New(27, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -332,8 +331,8 @@ func TestNewValidation(t *testing.T) {
 	if tab.K() != 27 {
 		t.Errorf("K() = %d", tab.K())
 	}
-	if tab.MemoryBytes() <= 0 {
-		t.Error("MemoryBytes not positive")
+	if tab.MemoryBytes() <= 0 || tab.MemoryBytes() != MemoryBytesFor(100) {
+		t.Errorf("MemoryBytes() = %d, MemoryBytesFor(100) = %d", tab.MemoryBytes(), MemoryBytesFor(100))
 	}
 }
 

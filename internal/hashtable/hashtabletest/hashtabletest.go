@@ -1,13 +1,9 @@
-// Package hashtabletest is the conformance suite for hashtable.KmerTable
-// implementations. Every backend — the paper's state-transfer table, the
-// lock-free CAS table, the sharded table — runs the same suite from its own
-// subtest, so the contract documented on the interface (canonical-key
-// merging, duplicate idempotence, concurrent linearizability, typed
-// ErrTableFull, Reset reuse, ForEach/Lookup agreement, Grow carrying both
-// entries and metrics) is enforced identically everywhere. Step 2 treats
-// backends as interchangeable; a behavioural divergence here would show up
-// as partition-dependent graphs, so additions to the interface contract
-// belong in this suite first.
+// Package hashtabletest is the contract suite for the Step 2 hash table,
+// hashtable.Table: canonical-key merging, duplicate idempotence, concurrent
+// linearizability, weighted inserts, typed ErrTableFull, Reset reuse,
+// ForEach/Lookup agreement, and Grow carrying both entries and metrics. A
+// divergence here would show up as partition-dependent graphs, so additions
+// to the table's contract belong in this suite first.
 package hashtabletest
 
 import (
@@ -22,14 +18,12 @@ import (
 	"parahash/internal/msp"
 )
 
-// Factory returns a fresh table for one subtest. Each subtest gets its own
-// table at the requested size, so implementations are free to share nothing.
-type Factory func(t *testing.T, k, capacity int) hashtable.KmerTable
+// Factory returns a fresh table for one subtest at the requested size.
+type Factory func(t *testing.T, k, capacity int) *hashtable.Table
 
-// Run exercises the full KmerTable contract against tables produced by the
+// Run exercises the full table contract against tables produced by the
 // factory. It runs the whole suite twice: once at k=27 (the paper's default,
-// where keys pack into a single word) and once at k=33 (multi-word keys), so
-// backends with k-dependent layouts prove both paths.
+// where keys pack into a single word) and once at k=33 (multi-word keys).
 func Run(t *testing.T, factory Factory) {
 	for _, k := range []int{27, 33} {
 		k := k
@@ -98,7 +92,7 @@ func randomEdges(seed int64, distinct, total, k int) ([]msp.KmerEdge, map[dna.Km
 	return edges, ref
 }
 
-func checkAgainstRef(t *testing.T, tab hashtable.KmerTable, ref map[dna.Kmer]*[8]uint32) {
+func checkAgainstRef(t *testing.T, tab *hashtable.Table, ref map[dna.Kmer]*[8]uint32) {
 	t.Helper()
 	if tab.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d distinct", tab.Len(), len(ref))
@@ -270,7 +264,7 @@ func weightedRef(edges []msp.KmerEdge, weights []uint32) (map[dna.Kmer]*[8]uint3
 
 // checkOpsPerCall fails unless every call that recorded something counted
 // exactly one insert or update, an insert per distinct key.
-func checkOpsPerCall(t *testing.T, tab hashtable.KmerTable, distinct, calls int) {
+func checkOpsPerCall(t *testing.T, tab *hashtable.Table, distinct, calls int) {
 	t.Helper()
 	m := tab.Metrics().Snapshot()
 	if m.Inserts != int64(distinct) || m.Inserts+m.Updates != int64(calls) {

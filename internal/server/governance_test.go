@@ -128,6 +128,70 @@ func TestStartupCompactionPreservesRecovery(t *testing.T) {
 	waitJobState(t, m, rec.ID, StateDone)
 }
 
+// TestRecoveryIgnoresRetiredBackendSpec recovers a journal written when a
+// job spec could still name a Step 2 table backend: the queued job's
+// "table_backend" is ignored, and the job finishes byte-identical to a fresh
+// submission of the same input and spec.
+func TestRecoveryIgnoresRetiredBackendSpec(t *testing.T) {
+	input := tinyFASTQ(t)
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "jobs", "j0001"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "jobs", "j0001", "input.fastq"), input, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	// Written by the journal of a server that still had the spec field.
+	journal := `{
+  "schema": "parahash.jobs/v1",
+  "max_seq": 1,
+  "jobs": [
+    {
+      "id": "j0001",
+      "state": "queued",
+      "spec": {
+        "k": 27,
+        "p": 19,
+        "table_backend": "sharded"
+      },
+      "total_kmers": 1,
+      "weight_bytes": 1,
+      "submitted_unix": 1700000000
+    }
+  ]
+}`
+	if err := os.WriteFile(filepath.Join(root, "jobs.json"), []byte(journal), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := Open(Options{Root: root, Base: testBase(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	if rep := m.Recovery(); len(rep.Requeued) != 1 || rep.Requeued[0] != "j0001" {
+		t.Fatalf("Requeued = %v, want [j0001]", rep.Requeued)
+	}
+	waitJobState(t, m, "j0001", StateDone)
+	fresh, err := m.Submit(JobSpec{K: 27, P: 19}, bytes.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJobState(t, m, fresh.ID, StateDone)
+
+	recovered, err := os.ReadFile(m.GraphPath("j0001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(m.GraphPath(fresh.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recovered, want) {
+		t.Fatalf("recovered job's graph (%d bytes) differs from a fresh job's (%d bytes)", len(recovered), len(want))
+	}
+}
+
 // buildJobs submits n copies of input and waits for each to finish.
 func buildJobs(t *testing.T, m *Manager, input []byte, n int) []string {
 	t.Helper()

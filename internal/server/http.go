@@ -161,7 +161,6 @@ func specFromQuery(r *http.Request) (JobSpec, error) {
 			*f.dst = n
 		}
 	}
-	spec.TableBackend = q.Get("table")
 	if v := q.Get("deadline_secs"); v != "" {
 		d, err := strconv.ParseFloat(v, 64)
 		if err != nil || d <= 0 {

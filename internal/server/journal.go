@@ -56,12 +56,13 @@ func (s State) Terminal() bool {
 }
 
 // JobSpec is the client-supplied build parameterisation. Zero fields take
-// the server's defaults.
+// the server's defaults. Journals written while a spec could name a Step 2
+// table backend carry "table_backend" too; decoding ignores it, so those
+// jobs recover and build in the one table.
 type JobSpec struct {
 	K            int     `json:"k,omitempty"`
 	P            int     `json:"p,omitempty"`
 	Partitions   int     `json:"partitions,omitempty"`
-	TableBackend string  `json:"table_backend,omitempty"`
 	FilterMin    int     `json:"filter_min,omitempty"`
 	DeadlineSecs float64 `json:"deadline_secs,omitempty"`
 }

@@ -78,7 +78,7 @@ func FuzzOpenJournal(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, r := range []JobRecord{
-		{ID: "j0001", State: StateDone, Spec: JobSpec{K: 27, P: 19, TableBackend: "sharded", DeadlineSecs: 1.5}, Vertices: 9, Edges: 12},
+		{ID: "j0001", State: StateDone, Spec: JobSpec{K: 27, P: 19, DeadlineSecs: 1.5}, Vertices: 9, Edges: 12},
 		{ID: "j0007", State: StateRunning, Attempts: 2, Resumed: true, TotalKmers: 1 << 40},
 		{ID: "x", State: StateFailed, Error: "boomé"},
 	} {
@@ -92,6 +92,8 @@ func FuzzOpenJournal(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add(data[:len(data)/2])
+	// A journal from before specs lost their table backend field.
+	f.Add([]byte(`{"schema":"parahash.jobs/v1","max_seq":1,"jobs":[{"id":"j0001","state":"queued","spec":{"k":27,"table_backend":"sharded"}}]}`))
 	f.Add([]byte(`{"schema":"parahash.jobs/v1","max_seq":12,"jobs":null}`))
 	f.Add([]byte(`{"schema":"parahash.jobs/v1","max_seq":-3,"jobs":[{"id":"j5"},{"ID":"j+6","state":"queued"}]}`))
 	f.Add([]byte(`{"SCHEMA":"parahash.jobs/v1","jobs":[{"id":"j99999999999999999999"}]}`))

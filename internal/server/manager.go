@@ -59,7 +59,7 @@ type Options struct {
 	Root string
 
 	// Base is the build configuration jobs inherit; per-job spec fields
-	// override K/P/Partitions/TableBackend/FilterMin. Zero value selects
+	// override K/P/Partitions/FilterMin. Zero value selects
 	// parahash.DefaultConfig.
 	Base parahash.Config
 
@@ -412,10 +412,6 @@ func (m *Manager) Submit(spec JobSpec, input io.Reader) (JobRecord, error) {
 	if err := cfg.Validate(); err != nil {
 		return JobRecord{}, fmt.Errorf("server: invalid job spec: %w", err)
 	}
-	backend, err := hashtable.ParseBackend(cfg.TableBackend)
-	if err != nil {
-		return JobRecord{}, fmt.Errorf("server: %w", err)
-	}
 	if err := os.MkdirAll(m.jobDir(id), 0o777); err != nil {
 		return JobRecord{}, fmt.Errorf("server: creating job directory: %w", err)
 	}
@@ -424,7 +420,7 @@ func (m *Manager) Submit(spec JobSpec, input io.Reader) (JobRecord, error) {
 	// k-mers: no read outlives its record. A malformed or read-less upload
 	// is refused here, before anything is journalled, and leaves no file.
 	var reads, totalKmers int64
-	err = atomicfile.WriteDurable(m.inputPath(id), func(w io.Writer) error {
+	err := atomicfile.WriteDurable(m.inputPath(id), func(w io.Writer) error {
 		tee := io.TeeReader(input, w)
 		fr, err := fastq.NewAutoReader(tee)
 		for err == nil {
@@ -453,7 +449,7 @@ func (m *Manager) Submit(spec JobSpec, input io.Reader) (JobRecord, error) {
 	// the same λ/(4α)·N_kmer table pre-sizing Step 2 applies per partition,
 	// charged for the full input, so the cross-job gate bounds exactly the
 	// bytes all of a job's concurrently resident tables could claim.
-	weight := jobWeight(totalKmers, backend, cfg)
+	weight := jobWeight(totalKmers, cfg)
 
 	rec := JobRecord{
 		ID:            id,
@@ -473,14 +469,14 @@ func (m *Manager) Submit(spec JobSpec, input io.Reader) (JobRecord, error) {
 }
 
 // jobWeight computes a job's admission weight from its k-mer count.
-func jobWeight(totalKmers int64, backend hashtable.Backend, cfg parahash.Config) int64 {
+func jobWeight(totalKmers int64, cfg parahash.Config) int64 {
 	slots, err := hashtable.SizeForKmersChecked(totalKmers, cfg.Lambda, cfg.Alpha)
 	if err != nil {
 		// Oversized inputs still run (the gate clamps to the whole budget,
 		// so the job runs alone); per-partition sizing happens later.
 		return 1 << 62
 	}
-	return hashtable.MemoryBytesForBackend(backend, cfg.K, slots)
+	return hashtable.MemoryBytesFor(slots)
 }
 
 // jobConfig resolves a job's effective build configuration.
@@ -494,9 +490,6 @@ func (m *Manager) jobConfig(id string, spec JobSpec) parahash.Config {
 	}
 	if spec.Partitions > 0 {
 		cfg.NumPartitions = spec.Partitions
-	}
-	if spec.TableBackend != "" {
-		cfg.TableBackend = spec.TableBackend
 	}
 	if spec.FilterMin > 0 {
 		cfg.OutputFilterMin = spec.FilterMin

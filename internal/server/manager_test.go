@@ -193,7 +193,7 @@ func TestConcurrentAdmissionSerializes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weight := hashtable.MemoryBytesForBackend(hashtable.BackendStateTransfer, base.K, slots)
+	weight := hashtable.MemoryBytesFor(slots)
 	budget := weight + weight/2
 
 	m, err := Open(Options{Root: t.TempDir(), Base: base, MemoryBudgetBytes: budget, Logf: t.Logf})
