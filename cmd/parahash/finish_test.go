@@ -10,20 +10,32 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"parahash"
 	"parahash/internal/graph"
 )
 
+// childMemory is what a child build reports of its own memory.
+type childMemory struct {
+	// peak is the resident high-water mark (VmHWM) in bytes, as the child
+	// read it from its own /proc/self/status when the build was done.
+	// (wait4's ru_maxrss will not do: a vfork'd child inherits the parent's
+	// high-water mark, so it reads no lower than this test process's own.)
+	peak int64
+	// live is the largest live heap any garbage collection during the build
+	// found, in bytes: what the build held, without the slack the collector
+	// lets the heap grow by between collections.
+	live int64
+}
+
 // buildChild runs the CLI in a child process — this test binary re-executed
-// into TestMemoryHelper — and returns the child's peak resident set in bytes
-// as the child read it from its own /proc/self/status when the build was
-// done. (wait4's ru_maxrss will not do: a vfork'd child inherits the parent's
-// high-water mark, so it reads no lower than this test process's own.)
-func buildChild(t *testing.T, args []string) int64 {
+// into TestMemoryHelper — and returns what it reports of its memory.
+func buildChild(t *testing.T, args []string) childMemory {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestMemoryHelper$")
 	cmd.Env = append(os.Environ(), "PARAHASH_E2E_HELPER=1", "PARAHASH_E2E_ARGS="+strings.Join(args, "\x1f"))
@@ -36,7 +48,12 @@ func buildChild(t *testing.T, args []string) int64 {
 		t.Skipf("the child reported no VmHWM (no /proc here?):\n%s", out)
 	}
 	kb, _ := strconv.ParseInt(string(m[1]), 10, 64)
-	return kb << 10
+	l := regexp.MustCompile(`(?m)^live heap peak: (\d+)$`).FindSubmatch(out)
+	if l == nil {
+		t.Fatalf("the child reported no live heap peak:\n%s", out)
+	}
+	live, _ := strconv.ParseInt(string(l[1]), 10, 64)
+	return childMemory{peak: kb << 10, live: live}
 }
 
 // TestMemoryHelper is the re-exec target of buildChild; a no-op in a normal
@@ -46,9 +63,32 @@ func TestMemoryHelper(t *testing.T) {
 		t.Skip("helper for buildChild")
 	}
 	workerCommand = helperWorkers(nil)
-	if err := run(strings.Split(os.Getenv("PARAHASH_E2E_ARGS"), "\x1f"), io.Discard); err != nil {
+	// Each collection leaves the live heap it found in this metric; polling
+	// it far more often than the build collects keeps the largest.
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	var livePeak uint64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			metrics.Read(sample)
+			livePeak = max(livePeak, sample[0].Value.Uint64())
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	err := run(strings.Split(os.Getenv("PARAHASH_E2E_ARGS"), "\x1f"), io.Discard)
+	close(stop)
+	<-sampled
+	if err != nil {
 		t.Fatal(err)
 	}
+	fmt.Printf("live heap peak: %d\n", livePeak)
 	status, _ := os.ReadFile("/proc/self/status")
 	for _, line := range strings.Split(string(status), "\n") {
 		if strings.HasPrefix(line, "VmHWM:") {
@@ -73,7 +113,7 @@ func TestBuildMemoryFollowsPartitionsNotGraph(t *testing.T) {
 		in := writeReads(t, filepath.Join(dir, fmt.Sprint(i)), parahash.BumblebeeProfile().Scale(scale))
 		out := filepath.Join(dir, fmt.Sprintf("g%d.dbg", i))
 		rss[i] = buildChild(t, []string{"-in", in, "-k", "27", "-p", "19", "-partitions", "64", "-threads", "2",
-			"-checkpoint-dir", filepath.Join(dir, fmt.Sprintf("ck%d", i)), "-out", out})
+			"-checkpoint-dir", filepath.Join(dir, fmt.Sprintf("ck%d", i)), "-out", out}).peak
 		st, err := os.Stat(out)
 		if err != nil {
 			t.Fatal(err)
@@ -120,14 +160,18 @@ func writeReads(t *testing.T, dir string, profile parahash.Profile) string {
 
 // TestDistCoordinatorStreamsItsInput builds two inputs four times apart in
 // size with -workers 2: the coordinator streams its Step 1 chunk by chunk, as
-// a single-process build does, so its peak memory grows by less than the
-// input did. Holding the parsed read set grows it by more than that.
+// a single-process build does, so the largest live heap a collection finds in
+// it stays below twice the smaller build's. A coordinator that parses the
+// whole input first holds the read set, which triples it. The live heap,
+// not the resident peak, is what is compared: how far the collector lets
+// the heap grow past it between collections moves the resident peak by
+// about as much as the input grows.
 func TestDistCoordinatorStreamsItsInput(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("two child builds of real size, measured without the race detector's shadow memory")
 	}
 	dir := t.TempDir()
-	var rss, inBytes [2]int64
+	var live, inBytes [2]int64
 	for i, scale := range []float64{0.1, 0.4} {
 		sub := filepath.Join(dir, fmt.Sprint(i))
 		in := writeReads(t, sub, parahash.BumblebeeProfile().Scale(scale))
@@ -136,16 +180,16 @@ func TestDistCoordinatorStreamsItsInput(t *testing.T) {
 			t.Fatal(err)
 		}
 		inBytes[i] = st.Size()
-		rss[i] = buildChild(t, []string{"-in", in, "-k", "27", "-p", "19", "-partitions", "64", "-threads", "1",
-			"-workers", "2", "-checkpoint-dir", filepath.Join(sub, "ck"), "-out", filepath.Join(sub, "g.dbg")})
+		live[i] = buildChild(t, []string{"-in", in, "-k", "27", "-p", "19", "-partitions", "64", "-threads", "1",
+			"-workers", "2", "-checkpoint-dir", filepath.Join(sub, "ck"), "-out", filepath.Join(sub, "g.dbg")}).live
 	}
 	const mb = 1 << 20
-	t.Logf("coordinator peak %d MB for a %d MB input, %d MB for a %d MB input", rss[0]/mb, inBytes[0]/mb, rss[1]/mb, inBytes[1]/mb)
+	t.Logf("coordinator live heap peak %d MB for a %d MB input, %d MB for a %d MB input", live[0]/mb, inBytes[0]/mb, live[1]/mb, inBytes[1]/mb)
 	if inBytes[1] < 3*inBytes[0] {
 		t.Fatalf("inputs of %d and %d bytes are not four times apart", inBytes[0], inBytes[1])
 	}
-	if grew, inGrew := rss[1]-rss[0], inBytes[1]-inBytes[0]; grew >= inGrew {
-		t.Errorf("the coordinator's peak grew by %d MB while the input grew by %d MB", grew/mb, inGrew/mb)
+	if live[1] >= 2*live[0] {
+		t.Errorf("the coordinator's live heap peaked at %d MB for four times the input, at least twice the %d MB it peaked at for one", live[1]/mb, live[0]/mb)
 	}
 }
 

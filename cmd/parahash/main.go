@@ -99,7 +99,7 @@ func run(args []string, stdout io.Writer) error {
 		k          = fs.Int("k", 27, "k-mer length (vertex size), 2..63")
 		p          = fs.Int("p", 11, "minimizer length, 1..k")
 		partitions = fs.Int("partitions", 64, "number of superkmer partitions")
-		threads    = fs.Int("threads", 20, "CPU worker threads")
+		threads    = fs.Int("threads", 20, "CPU worker threads: at most this many hash, extract or sort at once, also while the CPU keeps two Step 2 partitions in flight")
 		gpus       = fs.Int("gpus", 0, "number of simulated GPUs to co-process with")
 		noCPU      = fs.Bool("no-cpu", false, "disable the CPU processor (GPU-only)")
 		medium     = fs.String("medium", "mem", "IO medium model: mem (Case 1) or disk (Case 2)")

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -146,6 +147,43 @@ func TestBuildMemoryBudgetBelowDemandStillCompletes(t *testing.T) {
 	}
 	if res.Stats.PeakAdmittedBytes() != s.PeakAdmittedBytes {
 		t.Fatal("Stats.PeakAdmittedBytes() does not surface the Step 2 peak")
+	}
+}
+
+// TestTwoInFlightStayUnderAOneTableBudget gives a build whose CPU keeps two
+// partitions in flight a memory budget that fits one table, the largest
+// partition's: the second partition in flight must queue for admission, so
+// the admitted bytes never pass the budget, and the graph is the unbudgeted
+// build's.
+func TestTwoInFlightStayUnderAOneTableBudget(t *testing.T) {
+	reads := tinyReads(t)
+	cfg := tinyConfig()
+	baseline, err := Build(reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slots := step2Slots(cfg, processors(cfg)); slots[0] != 2 && runtime.GOMAXPROCS(0) > 1 {
+		t.Fatalf("the CPU runs %d partitions at once, want 2", slots[0])
+	}
+	largest, ok := cfg.predictedTableBytes(baseline.Stats.Superkmers.MaxKmers)
+	if !ok {
+		t.Fatal("the largest partition's table cannot be sized")
+	}
+	budgeted := cfg
+	budgeted.MemoryBudgetBytes = largest
+	res, err := Build(reads, budgeted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Graph.Equal(baseline.Graph) {
+		t.Fatal("the graph under a one-table budget differs from the unbudgeted one")
+	}
+	s := res.Stats.Step2
+	if s.PeakAdmittedBytes > largest || s.PeakAdmittedBytes == 0 {
+		t.Fatalf("PeakAdmittedBytes = %d, want within the one-table budget %d", s.PeakAdmittedBytes, largest)
+	}
+	if s.Admissions != int64(cfg.NumPartitions) || s.AdmissionBalanceBytes != 0 {
+		t.Fatalf("%d admissions, %d bytes left admitted; want one per partition, none left", s.Admissions, s.AdmissionBalanceBytes)
 	}
 }
 

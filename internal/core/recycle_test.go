@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -125,6 +126,47 @@ func TestAbandonedAttemptDoesNotDisturbRecycling(t *testing.T) {
 		if wedged.Stats.Hash != calm.Stats.Hash {
 			t.Fatalf("keep=%v: hash counters %+v after abandoned attempts, %+v without", keep, wedged.Stats.Hash, calm.Stats.Hash)
 		}
+	}
+}
+
+// TestAbandonedAttemptBesideTheOtherSlot wedges Step 2 calls of a CPU that
+// keeps two partitions in flight: while the watchdog waits out a wedged call,
+// the CPU's other slot hashes on, in the table the wedged call will not give
+// back, and the abandoned kernel then winds down beside the retry and the
+// other slot's kernel. The graph and the table work must be an undisturbed
+// build's. (Probe and contention counters depend on how two threads
+// interleave, so only the insert and update counts are compared.)
+func TestAbandonedAttemptBesideTheOtherSlot(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a CPU keeps one partition in flight on one core")
+	}
+	reads := tinyReads(t)
+	cfg := tinyConfig()
+	cfg.CPUThreads = 2
+	cfg.NumGPUs = 0
+	calm, err := Build(reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Resilience.MaxAttempts = 4
+	cfg.Resilience.QuarantineAfter = 0
+	cfg.Resilience.PartitionDeadline = 250 * time.Millisecond
+	plan := faultinject.Plan{ProcessorFaults: []faultinject.ProcessorFault{
+		{Proc: 0, HangStep2Calls: []int{0, 3, 4, 9}},
+	}}
+	cfg.ProcWrap = plan.WrapProcessors
+	wedged, err := Build(reads, cfg)
+	if err != nil {
+		t.Fatalf("build with wedged attempts failed: %v", err)
+	}
+	if got := wedged.Stats.Step2.WatchdogKills; got != 4 {
+		t.Fatalf("%d watchdog kills, want 4", got)
+	}
+	if !bytes.Equal(writtenGraph(t, wedged), writtenGraph(t, calm)) {
+		t.Fatal("graph differs after abandoned attempts")
+	}
+	if w, c := wedged.Stats.Hash, calm.Stats.Hash; w.Inserts != c.Inserts || w.Updates != c.Updates {
+		t.Fatalf("%d inserts, %d updates after abandoned attempts; %d, %d without", w.Inserts, w.Updates, c.Inserts, c.Updates)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
 	"parahash/internal/device"
@@ -92,13 +93,16 @@ type step2Input struct {
 	loaded *loadedPartition
 }
 
-// loadedPartition is the memory one superkmer partition is loaded into: its
-// file image and the records decoded from it. Step 2 loads partition after
+// loadedPartition is the memory one superkmer partition is loaded into: the
+// records decoded from its file image. Step 2 loads partition after
 // partition, each into the memory an earlier one is done with.
-type loadedPartition struct {
-	image []byte
-	msp.DecodedPartition
-}
+type loadedPartition = msp.DecodedPartition
+
+// partitionImages recycles the buffers partition files are read into. An
+// image is needed only while it is decoded — the records are unpacked out of
+// it — so the few partitions Step 2 holds decoded share these instead of
+// keeping one each.
+var partitionImages = sync.Pool{New: func() any { return new([]byte) }}
 
 // loadedPartitions recycles them. Ownership rule: whoever loaded a partition
 // puts it back, and only once nothing can still be reading its superkmers —
@@ -115,6 +119,8 @@ var loadedPartitions = sync.Pool{New: func() any { return new(loadedPartition) }
 // silently mis-decoding; p.Bytes are the encoded bytes consumed either way.
 func loadPartition(st store.PartitionStore, name string, p *loadedPartition) error {
 	p.Bytes = 0
+	img := partitionImages.Get().(*[]byte)
+	defer partitionImages.Put(img)
 	r, err := st.Open(name)
 	if err != nil {
 		return err
@@ -123,18 +129,18 @@ func loadPartition(st store.PartitionStore, name string, p *loadedPartition) err
 	// else is read to its end.
 	if sized, ok := r.(interface{ Len() int }); ok {
 		n := sized.Len()
-		if cap(p.image) < n {
-			p.image = make([]byte, n+n/4)
+		if cap(*img) < n {
+			*img = make([]byte, n+n/4)
 		}
-		p.image = p.image[:n]
-		_, err = io.ReadFull(r, p.image)
+		*img = (*img)[:n]
+		_, err = io.ReadFull(r, *img)
 	} else {
-		p.image, err = io.ReadAll(r)
+		*img, err = io.ReadAll(r)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: reading %q: %v", msp.ErrCorrupt, name, err)
 	}
-	return p.Decode(p.image)
+	return p.Decode(*img)
 }
 
 // runStep2 executes the subgraph construction step: superkmer partitions
@@ -203,6 +209,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	}
 
 	pol := cfg.resiliencePolicy()
+	pol.Slots = step2Slots(cfg, procs)
 	if cfg.MemoryBudgetBytes > 0 {
 		gate, err := pipeline.NewGate(cfg.MemoryBudgetBytes)
 		if err != nil {
@@ -305,6 +312,21 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	}
 	applyReport(&stats, report, procs)
 	return works, stats, nil
+}
+
+// step2Slots gives a multi-threaded CPU two partitions in flight, so its
+// threads hash the next partition while the last one's tail chunks, extract
+// and sort run on fewer of them than it has (device.CPU shares its Threads
+// between the two). One core has nothing idle to fill, and a GPU, a
+// single-threaded CPU and Step 1 stay at one.
+func step2Slots(cfg Config, procs []device.Processor) []int {
+	slots := make([]int, len(procs)) // 0: one at a time
+	for i, p := range procs {
+		if p.Kind() == device.KindCPU && cfg.CPUThreads > 1 && runtime.GOMAXPROCS(0) > 1 {
+			slots[i] = 2
+		}
+	}
+	return slots
 }
 
 // publishSubgraph applies the output filter to g in place and publishes it

@@ -135,9 +135,11 @@ const ctxCheckEvery = 256
 // so a CPU value runs one Step 1 kernel at a time (step1 serialises them):
 // the pipeline drives a processor from one worker goroutine, but an attempt
 // its watchdog abandoned may still be winding down when the retry arrives.
-// Step 2 shares nothing between calls but the recycled table, handed over
-// under a lock, so an attempt the watchdog abandoned may still be winding
-// down while the processor's next attempt runs.
+// Step 2 is re-entrant: concurrent calls share only the recycled tables,
+// handed over under a lock, and the pool of Threads tokens their goroutines
+// hash, extract and sort under, so the pipeline may keep two partitions in
+// flight on one CPU — and an attempt the watchdog abandoned may still be
+// winding down while the processor's next attempts run.
 type CPU struct {
 	// Threads is the worker count (the paper machine runs 20).
 	Threads int
@@ -156,11 +158,66 @@ type CPU struct {
 	step1    sync.Mutex
 	scanners []msp.Scanner
 	skBufs   [][]msp.Superkmer
-	// tables recycles the previous partition's Step 2 hash table.
+	// tables recycles the Step 2 hash tables of earlier partitions.
 	tables tableCache
+	// tokens bounds the Step 2 work running at once to Threads goroutines,
+	// however many partitions are in flight.
+	tokens threadTokens
 }
 
 var _ Processor = (*CPU)(nil)
+
+// cpuTablesKept is how many Step 2 tables a CPU keeps for the partitions
+// after: one per partition the pipeline keeps in flight on it (two, see
+// core.step2Slots). Driven one partition at a time it never holds more than
+// one, as tableCache.take lets one go whenever it hands one out.
+const cpuTablesKept = 2
+
+// threadTokens is a CPU's pool of Threads tokens. A Step 2 goroutine holds
+// one for every chunk it hashes and for the extract and sort of its
+// partition, so Threads still bounds the hashing work of the CPU when two
+// partitions are in flight: the second partition's goroutines take the
+// tokens the first one's tail leaves idle.
+type threadTokens struct {
+	once sync.Once
+	free chan struct{}
+}
+
+// pool returns the token channel, sized to n the first time it is asked for.
+func (tt *threadTokens) pool(n int) chan struct{} {
+	tt.once.Do(func() { tt.free = make(chan struct{}, n) })
+	return tt.free
+}
+
+// acquire takes one of n tokens, waiting for one to be returned if need be.
+func (tt *threadTokens) acquire(ctx context.Context, n int) error {
+	select {
+	case tt.pool(n) <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// tryAcquire takes up to limit more of n tokens without waiting and returns
+// how many it took.
+func (tt *threadTokens) tryAcquire(n, limit int) int {
+	for got := 0; got < limit; got++ {
+		select {
+		case tt.pool(n) <- struct{}{}:
+		default:
+			return got
+		}
+	}
+	return limit
+}
+
+// release returns held tokens.
+func (tt *threadTokens) release(held int) {
+	for ; held > 0; held-- {
+		<-tt.free
+	}
+}
 
 // Name implements Processor.
 func (c *CPU) Name() string { return "CPU" }
@@ -271,37 +328,64 @@ func step2Chunks(sks []msp.Superkmer, k int) (ends []int, kmers int64) {
 	return ends, kmers
 }
 
-// tableCache lets a processor build each partition in the table it built
-// the previous one in. Allocating a table means zeroing megabytes the
-// collector must then trace and free; Reset clears only the words a new
-// table needs clear. The mutex orders the hand-over even against an
-// attempt the pipeline's watchdog has abandoned but which has not returned.
+// tableCache lets a processor build each partition in a table it built an
+// earlier one in. Allocating a table means zeroing megabytes the collector
+// must then trace and free; ResetTo clears only the words a new table needs
+// clear, and a table serves every partition whose table would be no larger,
+// so partitions on both sides of a power-of-two boundary share it. The
+// mutex orders the hand-over between partitions in flight on one processor
+// at once, and against an attempt the pipeline's watchdog has abandoned but
+// which has not returned.
 type tableCache struct {
 	mu   sync.Mutex
-	held *hashtable.Table
+	held []*hashtable.Table // oldest first
 }
 
-// take returns an empty table for (k, slots): the held one, Reset, when
+// take returns an empty table for (k, slots): a held one, ResetTo slots, when
 // hashtable.Reusable says a new one would be no different, else a new one —
-// the held table is let go first either way, so a processor never holds two.
+// the oldest held table is let go first, so the tables a processor holds
+// never outnumber what put keeps plus its kernels running.
 func (tc *tableCache) take(k, slots int) (*hashtable.Table, error) {
 	tc.mu.Lock()
-	t := tc.held
-	tc.held = nil
+	var t *hashtable.Table
+	for i, h := range tc.held {
+		if hashtable.Reusable(h, k, slots) {
+			t = tc.removeLocked(i)
+			break
+		}
+	}
+	if t == nil && len(tc.held) > 0 {
+		tc.removeLocked(0)
+	}
 	tc.mu.Unlock()
-	if hashtable.Reusable(t, k, slots) {
-		t.Reset()
+	if t != nil {
+		t.ResetTo(slots)
 		return t, nil
 	}
 	return hashtable.New(k, slots)
 }
 
-// put hands a table back for the next partition. Only a kernel that has
-// joined all its workers and whose context is still live may call it: an
-// abandoned attempt may still be writing to its table.
-func (tc *tableCache) put(t *hashtable.Table) {
+// removeLocked takes held table i out of the cache, leaving no reference to
+// it behind.
+func (tc *tableCache) removeLocked(i int) *hashtable.Table {
+	t := tc.held[i]
+	last := len(tc.held) - 1
+	copy(tc.held[i:], tc.held[i+1:])
+	tc.held[last] = nil
+	tc.held = tc.held[:last]
+	return t
+}
+
+// put hands a table back for the partitions after, keeping at most keep
+// tables (the oldest go first). Only a kernel that has joined all its
+// workers and whose context is still live may call it: an abandoned attempt
+// may still be writing to its table.
+func (tc *tableCache) put(t *hashtable.Table, keep int) {
 	tc.mu.Lock()
-	tc.held = t
+	tc.held = append(tc.held, t)
+	for len(tc.held) > keep {
+		tc.removeLocked(0)
+	}
 	tc.mu.Unlock()
 }
 
@@ -312,7 +396,9 @@ func (tc *tableCache) put(t *hashtable.Table) {
 // idle threads the way an index-striped split would. Each worker updates
 // its own padded metrics shard via a per-worker table handle. A folded
 // superkmer is walked once, each of its k-mers one weighted table operation.
-// The table is the previous partition's when that one fits (see tableCache).
+// The table is an earlier partition's when that one fits (see tableCache).
+// Every chunk, and the extract and sort, runs under one of the CPU's Threads
+// tokens, so concurrent calls share the threads instead of multiplying them.
 func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int) (Step2Output, error) {
 	if c.Threads < 1 {
 		return Step2Output{}, fmt.Errorf("device: CPU threads %d must be positive", c.Threads)
@@ -331,24 +417,18 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 		go func(w int) {
 			defer wg.Done()
 			ins := table.Inserter(w)
-			var insertErr error
-			for {
-				ci := int(cursor.Add(1)) - 1
-				if ci >= len(ends) {
-					return
-				}
-				if ctx.Err() != nil {
-					errs[w] = ctx.Err()
-					return
+			hashChunk := func(ci int) error {
+				if err := ctx.Err(); err != nil {
+					return err
 				}
 				start := 0
 				if ci > 0 {
 					start = ends[ci-1]
 				}
+				var insertErr error
 				for i, step := start, 0; i < ends[ci]; i, step = i+1, step+1 {
 					if step%ctxCheckEvery == 0 && step > 0 && ctx.Err() != nil {
-						errs[w] = ctx.Err()
-						return
+						return ctx.Err()
 					}
 					weight := sks[i].Weight()
 					msp.ForEachKmerEdge(sks[i], k, func(e msp.KmerEdge) {
@@ -358,9 +438,31 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 						_, insertErr = ins.InsertEdgeN(e, weight)
 					})
 					if insertErr != nil {
-						errs[w] = insertErr
-						return
+						return insertErr
 					}
+				}
+				return nil
+			}
+			for {
+				// The token first, then the chunk: a goroutine waiting for a
+				// token holds back no work its partition's running ones
+				// could do.
+				if err := c.tokens.acquire(ctx, c.Threads); err != nil {
+					errs[w] = err
+					return
+				}
+				ci := int(cursor.Add(1)) - 1
+				var err error
+				if ci < len(ends) {
+					err = hashChunk(ci)
+				}
+				c.tokens.release(1)
+				if ci >= len(ends) {
+					return
+				}
+				if err != nil {
+					errs[w] = err
+					return
 				}
 			}
 		}(w)
@@ -378,8 +480,18 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 			return counterOnlyOutput(table), fmt.Errorf("device: CPU hashing: %w", err)
 		}
 	}
-	out := collectStep2(table, k, kmers, c.Threads)
-	c.tables.put(table)
+	if err := c.tokens.acquire(ctx, c.Threads); err != nil {
+		return Step2Output{}, err
+	}
+	// A sort too small to fan out runs on the one token; a larger one takes
+	// what the other partition in flight leaves free.
+	held := 1
+	if table.Len() >= graph.SortParallelMin {
+		held += c.tokens.tryAcquire(c.Threads, c.Threads-1)
+	}
+	out := collectStep2(table, k, kmers, held)
+	c.tokens.release(held)
+	c.tables.put(table, cpuTablesKept)
 	out.Seconds = c.Cal.CPUStep2Seconds(kmers, c.Threads, out.TableBytes)
 	out.ComputeSeconds = out.Seconds
 	return out, nil
@@ -559,7 +671,7 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	flushWarp()
 
 	out := collectStep2(table, k, kmers, runtime.GOMAXPROCS(0))
-	g.tables.put(table)
+	g.tables.put(table, 1)
 	// Transfer: the encoded superkmer partition down, the subgraph up.
 	out.TransferBytes = partBytes + graph.SerializedSize(out.Graph.NumVertices())
 	out.TransferSeconds = g.Cal.TransferSeconds(out.TransferBytes)

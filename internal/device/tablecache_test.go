@@ -46,12 +46,22 @@ func TestTableReuseMatchesFreshTable(t *testing.T) {
 		kept := fresh()
 		reused := 0
 		for i, sks := range parts {
-			var before *hashtable.Table
+			var held []*hashtable.Table
 			switch p := kept.(type) {
 			case *CPU:
-				before = p.tables.held
+				held = p.tables.held
 			case *GPU:
-				before = p.tables.held
+				held = p.tables.held
+			}
+			// Driven one partition at a time, a processor holds at most
+			// the table it built the partition before in.
+			var before *hashtable.Table
+			switch len(held) {
+			case 0:
+			case 1:
+				before = held[0]
+			default:
+				t.Fatalf("%s partition %d: holding %d tables between partitions", name, i, len(held))
 			}
 			got, err := kept.Step2(ctx, sks, 27, slotsFor(sks))
 			if err != nil {
@@ -77,40 +87,104 @@ func TestTableReuseMatchesFreshTable(t *testing.T) {
 	}
 }
 
-// TestTableCacheHoldsAtMostOne checks the hand-over itself: take empties the
-// cache before anything is allocated, a matching table comes back Reset, and
-// a mismatched one is dropped.
+// TestTableCacheHoldsAtMostOne checks the hand-over of a one-slot cache (a
+// GPU's): take empties the cache before anything is allocated, a matching
+// table comes back Reset, and a mismatched one is dropped.
 func TestTableCacheHoldsAtMostOne(t *testing.T) {
 	var tc tableCache
 	first, err := tc.take(27, 1000)
-	if err != nil || tc.held != nil {
+	if err != nil || len(tc.held) != 0 {
 		t.Fatalf("take from an empty cache: table %v, err %v, still holding %v", first, err, tc.held)
 	}
 	if err := first.InsertEdge(msp.KmerEdge{Left: msp.NoBase, Right: 2}); err != nil {
 		t.Fatal(err)
 	}
-	tc.put(first)
+	tc.put(first, 1)
 	again, err := tc.take(27, 900) // rounds to the same 1024 slots
-	if err != nil || again != first || tc.held != nil {
+	if err != nil || again != first || len(tc.held) != 0 {
 		t.Fatalf("matching take: got %p, want the held table %p back and the cache empty (held %v, err %v)", again, first, tc.held, err)
 	}
 	if again.Len() != 0 || again.Metrics().Snapshot() != (hashtable.Snapshot{}) {
 		t.Fatalf("recycled table not clean: %d entries, counters %+v", again.Len(), again.Metrics().Snapshot())
 	}
-	tc.put(again)
+	tc.put(again, 1)
 	for what, take := range map[string]func() (*hashtable.Table, error){
 		"larger":       func() (*hashtable.Table, error) { return tc.take(27, 5000) },
 		"other k":      func() (*hashtable.Table, error) { return tc.take(31, 1000) },
 		"invalid size": func() (*hashtable.Table, error) { return tc.take(27, 0) },
 	} {
 		got, err := take()
-		if got == again || tc.held != nil {
+		if got == again || len(tc.held) != 0 {
 			t.Fatalf("%s: take returned the held table or left it in the cache", what)
 		}
 		if (err != nil) != (what == "invalid size") {
 			t.Fatalf("%s: err %v", what, err)
 		}
-		tc.put(again)
+		tc.put(again, 1)
+		if err == nil {
+			tc.put(got, 1)
+			if len(tc.held) != 1 || tc.held[0] != got {
+				t.Fatalf("%s: a one-slot cache holds %v after two puts, want only the last", what, tc.held)
+			}
+			tc.put(again, 1)
+		}
+	}
+}
+
+// TestTableCacheKeepsOnePerPartitionInFlight checks the two-slot cache a CPU
+// keeps while two partitions are in flight on it: both tables come back,
+// each to the partition that fits it, a third put lets the oldest go, a take
+// that fits none lets the oldest go before it allocates — and a slot that
+// lets a table go keeps no reference to it.
+func TestTableCacheKeepsOnePerPartitionInFlight(t *testing.T) {
+	var tc tableCache
+	small, err := tc.take(27, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := tc.take(27, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.put(small, 2)
+	tc.put(large, 2)
+	if len(tc.held) != 2 {
+		t.Fatalf("holding %d tables after two partitions in flight returned theirs, want 2", len(tc.held))
+	}
+	if got, err := tc.take(27, 6000); err != nil || got != large || len(tc.held) != 1 || tc.held[0] != small {
+		t.Fatalf("take of the larger size: got %p (err %v), held %v; want %p back and %p kept", got, err, tc.held, large, small)
+	}
+	if got, err := tc.take(27, 900); err != nil || got != small || len(tc.held) != 0 {
+		t.Fatalf("take of the smaller size: got %p (err %v), held %v; want %p back", got, err, tc.held, small)
+	}
+	third, err := tc.take(27, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range []*hashtable.Table{small, large, third} {
+		tc.put(tb, 2)
+	}
+	if len(tc.held) != 2 || tc.held[0] != large || tc.held[1] != third {
+		t.Fatalf("three puts into two slots kept %v, want [%p %p]", tc.held, large, third)
+	}
+	if got, err := tc.take(31, 1000); err != nil || got == large || got == third || len(tc.held) != 1 || tc.held[0] != third {
+		t.Fatalf("a take that fits neither: got %p (err %v), held %v; want a new table and %p kept", got, err, tc.held, third)
+	}
+	for i, tb := range tc.held[:cap(tc.held)] {
+		if i >= len(tc.held) && tb != nil {
+			t.Fatalf("a table let go is still referenced from the cache's spare capacity (slot %d)", i)
+		}
+	}
+	// Driven one partition at a time, the two-slot cache holds one table.
+	for i, slots := range []int{1000, 5000, 900, 100, 5000} {
+		tb, err := tc.take(27, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tc.held) != 0 {
+			t.Fatalf("serial take %d left %d tables held beside the one in use", i, len(tc.held))
+		}
+		tc.put(tb, 2)
 	}
 }
 
@@ -144,7 +218,7 @@ func TestAbandonedKernelKeepsItsTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cpu.tables.held == nil || gpu.tables.held == nil {
+	if len(cpu.tables.held) == 0 || len(gpu.tables.held) == 0 {
 		t.Fatal("a completed kernel did not hand its table on")
 	}
 	for _, p := range []Processor{cpu, gpu} {
@@ -154,7 +228,7 @@ func TestAbandonedKernelKeepsItsTable(t *testing.T) {
 			t.Fatalf("%s: kernel outlived its context", p.Name())
 		}
 	}
-	if cpu.tables.held != nil || gpu.tables.held != nil {
+	if len(cpu.tables.held) != 0 || len(gpu.tables.held) != 0 {
 		t.Fatalf("a cancelled kernel handed its table on (CPU %v, GPU %v)", cpu.tables.held, gpu.tables.held)
 	}
 	// And the processor still works, from a fresh table.

@@ -18,10 +18,10 @@ import (
 // radix histograms.
 const sortSmall = 32
 
-// sortParallelMin is the vertex count below which SortParallel stays on one
+// SortParallelMin is the vertex count below which SortParallel stays on one
 // goroutine: a single-thread radix sort of a few thousand vertices is
 // shorter than the fan-out that would split it.
-const sortParallelMin = 1 << 15
+const SortParallelMin = 1 << 15
 
 // keyBytes is the width of a packed k-mer.
 const keyBytes = 16
@@ -118,7 +118,7 @@ func sortVertices(vs []Vertex, workers int) (scattered bool) {
 	tmp := GetVertices(n)[:n]
 	defer PutVertices(tmp)
 
-	if workers <= 1 || n < sortParallelMin || width <= 8 {
+	if workers <= 1 || n < SortParallelMin || width <= 8 {
 		var hist radixHist
 		scatters := radixSort(vs, tmp, width, &hist)
 		if scatters%2 == 1 {

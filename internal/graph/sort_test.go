@@ -107,7 +107,7 @@ func TestSortMatchesComparisonSort(t *testing.T) {
 				want := append([]Vertex(nil), vs...)
 				sortOracle(want)
 				workers := []int{1}
-				if n >= sortParallelMin {
+				if n >= SortParallelMin {
 					workers = append(workers, 3) // below it SortParallel is Sort
 				}
 				for _, w := range workers {
@@ -127,7 +127,7 @@ func TestSortMatchesComparisonSort(t *testing.T) {
 // bits in Lo, across the Hi/Lo boundary, and in Hi.
 func TestSortParallelMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{sortParallelMin - 1, sortParallelMin, sortParallelMin + 4097} {
+	for _, n := range []int{SortParallelMin - 1, SortParallelMin, SortParallelMin + 4097} {
 		for _, k := range []int{5, 27, 34, 35, 36, 63} {
 			vs := shapedVertices(rng, "random", n, k)
 			want := &Subgraph{K: k, Vertices: append([]Vertex(nil), vs...)}

@@ -478,11 +478,26 @@ func (t *Table) Reset() {
 	t.metrics.Reset()
 }
 
-// Reusable reports whether t, once Reset, is indistinguishable from what
-// New(k, capacity) would build: the same k-mer length and rounded slot
-// count, hence the same probe sequences and counters. A nil t is not.
+// Reusable reports whether t, once ResetTo(capacity), is indistinguishable
+// from what New(k, capacity) would build: the same k-mer length, and an
+// allocation with room for the rounded slot count, which ResetTo then uses
+// exactly — hence the same probe sequences, counters and MemoryBytes. A
+// table is reusable at its own size and at every smaller one, so a recycled
+// table serves partitions on both sides of a power-of-two boundary. A nil t
+// is not.
 func Reusable(t *Table, k, capacity int) bool {
-	return t != nil && capacity >= 1 && t.k == k && int64(len(t.states)) == roundedSlots(capacity)
+	return t != nil && capacity >= 1 && t.k == k && int64(cap(t.states)) >= roundedSlots(capacity)
+}
+
+// ResetTo is Reset at the slot count New(k, capacity) would build, within
+// t's allocation; t must be Reusable for capacity. It must not run
+// concurrently with other operations.
+func (t *Table) ResetTo(capacity int) {
+	n := int(roundedSlots(capacity))
+	t.mask = uint64(n - 1)
+	t.states, t.keysHi, t.keysLo = t.states[:n], t.keysHi[:n], t.keysLo[:n]
+	t.counts = t.counts[:n*countersPerSlot]
+	t.Reset()
 }
 
 // Grow returns a table with twice the capacity containing all current

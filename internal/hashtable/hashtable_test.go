@@ -224,6 +224,51 @@ func TestTableReset(t *testing.T) {
 	checkAgainstRef(t, tab, ref2)
 }
 
+// TestResetToMatchesNew recycles one table across sizes — down to a smaller
+// slot count, back up to its own, never beyond its allocation — and holds
+// each round to a new table of the asked size fed the same edges: the same
+// capacity, footprint, entries and every counter, probes included.
+func TestResetToMatchesNew(t *testing.T) {
+	tab, err := New(27, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, capacity := range []int{900, 5000, 100, 4096} {
+		if !Reusable(tab, 27, capacity) {
+			t.Fatalf("round %d: a %d-slot table is not reusable at capacity %d", round, tab.Capacity(), capacity)
+		}
+		edges, ref := randomEdges(int64(60+round), capacity/8, capacity/2, 27)
+		tab.ResetTo(capacity)
+		fresh, err := New(27, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range edges {
+			if err := tab.InsertEdge(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.InsertEdge(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tab.Capacity() != fresh.Capacity() || tab.MemoryBytes() != fresh.MemoryBytes() {
+			t.Fatalf("round %d: recycled table has %d slots, %d bytes; a new one %d, %d",
+				round, tab.Capacity(), tab.MemoryBytes(), fresh.Capacity(), fresh.MemoryBytes())
+		}
+		if got, want := tab.Metrics().Snapshot(), fresh.Metrics().Snapshot(); got != want {
+			t.Fatalf("round %d: recycled table counters %+v, a new one's %+v", round, got, want)
+		}
+		checkAgainstRef(t, tab, ref)
+	}
+	for _, tc := range []struct {
+		k, capacity int
+	}{{27, 8193}, {31, 100}, {27, 0}} {
+		if Reusable(tab, tc.k, tc.capacity) {
+			t.Fatalf("an 8192-slot k=27 table is reusable for k=%d, capacity %d", tc.k, tc.capacity)
+		}
+	}
+}
+
 func TestResetClearsMetrics(t *testing.T) {
 	edges, _ := randomEdges(56, 50, 300, 27)
 	tab, err := New(27, 1024)

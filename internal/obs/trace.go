@@ -181,9 +181,51 @@ func laneOf(s Span) int {
 	}
 }
 
+// rowStride separates the rows of one lane (laneOf) within a step's block of
+// thread ids: row r of a lane is lane + r*rowStride. A lane needs a second row
+// only where one worker runs several attempts at once, so rows stay far below
+// the 1000/rowStride a step's block has room for.
+const rowStride = 100
+
+// rowsOf assigns each span a row within its lane, so that spans on one row
+// never overlap: a worker running two partitions at once gets two rows, side
+// by side, instead of one row of intervals stacked out of order. Rows are
+// assigned greedily in start order (ties by partition), the lowest free row
+// first, so the assignment is a function of the spans alone.
+func rowsOf[K comparable](spans []Span, laneKey func(Span) K) []int {
+	order := make([]int, len(spans))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		x, y := spans[order[a]], spans[order[b]]
+		if x.Start != y.Start {
+			return x.Start < y.Start
+		}
+		return x.Partition < y.Partition
+	})
+	rows := make([]int, len(spans))
+	ends := map[K][]float64{} // per lane, the end of each row's last span
+	for _, i := range order {
+		key := laneKey(spans[i])
+		r := 0
+		for r < len(ends[key]) && ends[key][r] > spans[i].Start {
+			r++
+		}
+		if r == len(ends[key]) {
+			ends[key] = append(ends[key], 0)
+		}
+		ends[key][r] = spans[i].End
+		rows[i] = r
+	}
+	return rows
+}
+
 // WriteChromeJSON exports the trace as Chrome trace-event JSON. Events are
 // emitted in a deterministic order (metadata first, then spans sorted by
-// process, thread and start time) so the output is golden-testable.
+// process, thread and start time) so the output is golden-testable. Spans of
+// one lane that overlap in time — the partitions a worker runs at once — go
+// on rows of their own (rowsOf).
 func (t *Trace) WriteChromeJSON(w io.Writer) error {
 	spans := t.Spans()
 
@@ -202,12 +244,24 @@ func (t *Trace) WriteChromeJSON(w io.Writer) error {
 	for i, s := range steps {
 		stepBase[s] = 1000 * i
 	}
-	tidOf := func(s Span) int { return stepBase[s.Step] + laneOf(s) }
 	pidOf := func(s Span) int {
 		if s.Clock == ClockVirtual {
 			return pidVirtual
 		}
 		return pidWall
+	}
+	type laneID struct {
+		pid, lane int
+		step      string
+	}
+	spanRows := rowsOf(spans, func(s Span) laneID { return laneID{pidOf(s), laneOf(s), s.Step} })
+	type placed struct {
+		Span
+		row, tid int
+	}
+	ps := make([]placed, len(spans))
+	for i, s := range spans {
+		ps[i] = placed{s, spanRows[i], stepBase[s.Step] + laneOf(s) + spanRows[i]*rowStride}
 	}
 
 	var events []chromeEvent
@@ -233,8 +287,8 @@ func (t *Trace) WriteChromeJSON(w io.Writer) error {
 	// Thread metadata: name each (pid, tid) row after its step and lane.
 	type row struct{ pid, tid int }
 	rowNames := map[row]string{}
-	for _, s := range spans {
-		r := row{pidOf(s), tidOf(s)}
+	for _, s := range ps {
+		r := row{pidOf(s.Span), s.tid}
 		if _, ok := rowNames[r]; ok {
 			continue
 		}
@@ -249,6 +303,9 @@ func (t *Trace) WriteChromeJSON(w io.Writer) error {
 			if lane == "" {
 				lane = fmt.Sprintf("worker%d", s.Worker)
 			}
+		}
+		if s.row > 0 {
+			lane += fmt.Sprintf(" #%d", s.row+1)
 		}
 		rowNames[r] = s.Step + " " + lane
 	}
@@ -270,21 +327,21 @@ func (t *Trace) WriteChromeJSON(w io.Writer) error {
 	}
 
 	// Span events, deterministically ordered.
-	sort.SliceStable(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
-		if pidOf(a) != pidOf(b) {
-			return pidOf(a) < pidOf(b)
+	sort.SliceStable(ps, func(i, j int) bool {
+		a, b := ps[i], ps[j]
+		if pidOf(a.Span) != pidOf(b.Span) {
+			return pidOf(a.Span) < pidOf(b.Span)
 		}
-		if tidOf(a) != tidOf(b) {
-			return tidOf(a) < tidOf(b)
+		if a.tid != b.tid {
+			return a.tid < b.tid
 		}
 		if a.Start != b.Start {
 			return a.Start < b.Start
 		}
 		return a.Partition < b.Partition
 	})
-	for _, s := range spans {
-		s := s
+	for _, p := range ps {
+		s := p.Span
 		dur := (s.End - s.Start) * 1e6
 		if dur < 0 {
 			dur = 0
@@ -296,7 +353,7 @@ func (t *Trace) WriteChromeJSON(w io.Writer) error {
 			Ts:   s.Start * 1e6,
 			Dur:  &dur,
 			Pid:  pidOf(s),
-			Tid:  tidOf(s),
+			Tid:  p.tid,
 			Args: chromeArgs{
 				Partition: &s.Partition,
 				Stage:     s.Stage,

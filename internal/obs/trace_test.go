@@ -149,3 +149,69 @@ func TestTraceScheduleAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteChromeJSONOverlappingSpansGetRows records a worker running two
+// partitions at once: its overlapping compute spans go on two rows, named
+// apart, with no two spans of one row overlapping, and a span that starts
+// when another ends reuses that one's row.
+func TestWriteChromeJSONOverlappingSpansGetRows(t *testing.T) {
+	epoch := time.Date(2025, 1, 2, 3, 4, 5, 0, time.UTC)
+	tr := NewTraceAt(epoch)
+	st := &StepTracer{T: tr, Step: "step2", Workers: []string{"CPU"}}
+	at := func(ms int) time.Time { return epoch.Add(time.Duration(ms) * time.Millisecond) }
+	st.StageSpan(pipeline.StageCompute, 0, 0, at(0), at(50))
+	st.StageSpan(pipeline.StageCompute, 1, 0, at(10), at(40))
+	st.StageSpan(pipeline.StageCompute, 2, 0, at(50), at(60))
+	st.StageSpan(pipeline.StageCompute, 3, 0, at(45), at(70))
+	st.StageSpan(pipeline.StageWrite, 0, -1, at(50), at(55))
+
+	var buf bytes.Buffer
+	if err := tr.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			Tid  int     `json:"tid"`
+			Args struct {
+				Name      string `json:"name"`
+				Partition *int   `json:"partition"`
+				Stage     string `json:"stage"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	tidOf := map[int]int{}
+	rowName := map[int]string{}
+	type span struct{ start, end float64 }
+	byTid := map[int][]span{}
+	for _, e := range decoded.TraceEvents {
+		switch {
+		case e.Ph == "M" && e.Name == "thread_name":
+			rowName[e.Tid] = e.Args.Name
+		case e.Ph == "X" && e.Args.Stage == pipeline.StageCompute:
+			tidOf[*e.Args.Partition] = e.Tid
+			byTid[e.Tid] = append(byTid[e.Tid], span{e.Ts, e.Ts + e.Dur})
+		}
+	}
+	if tidOf[0] != tidOf[2] || tidOf[1] != tidOf[3] || tidOf[0] == tidOf[1] {
+		t.Fatalf("compute rows by partition %v, want partitions 0 and 2 on one row, 1 and 3 on another", tidOf)
+	}
+	if rowName[tidOf[0]] != "step2 CPU" || rowName[tidOf[1]] != "step2 CPU #2" {
+		t.Fatalf("rows named %q and %q", rowName[tidOf[0]], rowName[tidOf[1]])
+	}
+	for tid, spans := range byTid {
+		for i := range spans {
+			for j := range spans {
+				if i != j && spans[i].start < spans[j].end && spans[j].start < spans[i].end {
+					t.Fatalf("row %d holds overlapping spans %v and %v", tid, spans[i], spans[j])
+				}
+			}
+		}
+	}
+}

@@ -32,9 +32,10 @@
 //   - admission control: Policy.Admission gates each partition's predicted
 //     working-set bytes through a weighted semaphore, so concurrent
 //     residency queues under a memory budget instead of OOMing;
-//   - bounded residency: the input stage reads at most len(workers)+1
-//     partitions ahead of the workers and stops while the output stage is
-//     that far behind them; a partition's input is let go the moment it is
+//   - bounded residency: the input stage reads at most one partition more
+//     than the workers' attempts in flight (len(workers), or the sum of
+//     Policy.Slots) ahead of them and stops while the output stage is that
+//     far behind them; a partition's input is let go the moment it is
 //     produced or permanently failed, its output the moment the output stage
 //     takes it — so a run holds a constant number of partitions in memory
 //     however many it processes.
@@ -69,7 +70,8 @@ type SpanRecorder interface {
 
 // Worker consumes one input partition and produces one output partition.
 // A Worker models a processor in the consuming-and-producing stage; a run
-// invokes each worker from its own goroutine only, so workers may keep
+// invokes each worker from its own goroutine only — from Policy.Slots[w] at
+// once where that asks for more — so a worker run in one slot may keep
 // unsynchronised internal state. The context carries the run's (and, under
 // the watchdog, the attempt's) cancellation: workers doing long compute must
 // check it periodically and return its error.

@@ -68,6 +68,12 @@ type Policy struct {
 	// permanently failed). Reads are sequential, so admission order equals
 	// write order and the gate can never deadlock the in-order writer.
 	Admission *Gate
+	// Slots is the number of attempts each worker runs at once: Slots[w]
+	// claim loops drive workers[w], each taking the next queued partition as
+	// soon as its last attempt is done. nil, or 0 for a worker, means 1. A
+	// worker given more than one must be safe for concurrent use. Quarantine,
+	// the consecutive-failure count and Report.Assignment stay per worker.
+	Slots []int
 	// AdmissionWeight returns a partition's admission weight in bytes
 	// (typically its Property-1 predicted hash table footprint); a weight of
 	// 0 or less passes without consulting the gate. It is also asked about
@@ -316,14 +322,18 @@ func (st *runState[I, O]) abandonLocked(cause error) {
 //   - a worker whose consecutive-failure count reaches pol.QuarantineAfter
 //     is quarantined — it stops claiming work and its partition is
 //     re-queued for free, so the build degrades gracefully onto the
-//     surviving processors and still succeeds with >= 1 healthy worker;
+//     surviving processors and still succeeds with >= 1 healthy worker; a
+//     worker running several attempts (pol.Slots) is quarantined once, and
+//     each of its attempts still running re-queues its partition for free
+//     if it fails too;
 //   - each partition of positive weight passes pol.Admission (when set)
 //     before its read stage, bounding concurrent working-set bytes under the
 //     memory budget;
-//   - the read stage stays at most len(workers)+1 partitions ahead of the
-//     work stage (read but neither produced nor permanently failed), with or
-//     without an admission gate, and stops reading while more than
-//     len(workers) outputs wait for the output stage; inputs and outputs are
+//   - the read stage stays at most S+1 partitions ahead of the work stage
+//     (read but neither produced nor permanently failed), with or without an
+//     admission gate, and stops reading while more than S outputs wait for
+//     the output stage, S being the attempts the workers run at once — the
+//     sum of pol.Slots, len(workers) without it; inputs and outputs are
 //     dropped as soon as the next stage is done with them;
 //   - permanently failed partitions do not abort the run: the remaining
 //     partitions are still processed and written in order, and all
@@ -357,6 +367,18 @@ func RunResilientTraced[I, O any](ctx context.Context, read func(i int) (I, erro
 	weigh := pol.AdmissionWeight
 	if weigh == nil {
 		weigh = func(int) int64 { return 1 }
+	}
+	// claimants has one entry per attempt the workers run at once: the
+	// worker it drives.
+	var claimants []int
+	for w := range workers {
+		n := 1
+		if w < len(pol.Slots) && pol.Slots[w] > 1 {
+			n = pol.Slots[w]
+		}
+		for ; n > 0; n-- {
+			claimants = append(claimants, w)
+		}
 	}
 
 	st := &runState[I, O]{
@@ -419,7 +441,7 @@ func RunResilientTraced[I, O any](ctx context.Context, read func(i int) (I, erro
 			st.mu.Lock()
 			// Park on the read-ahead bound before asking for admission, so a
 			// parked reader holds no grant.
-			for (st.unproduced > len(workers) || st.backlog > len(workers)) && !st.abandoned && !st.canceled {
+			for (st.unproduced > len(claimants) || st.backlog > len(claimants)) && !st.abandoned && !st.canceled {
 				st.cond.Wait()
 			}
 			if st.abandoned || st.canceled {
@@ -519,11 +541,11 @@ func RunResilientTraced[I, O any](ctx context.Context, read func(i int) (I, erro
 		}
 	}()
 
-	// Stage 2: workers. Each claims queued partitions until quarantined or
-	// the run completes. Failures re-queue the partition; crossing the
-	// quarantine threshold retires the worker; the watchdog abandons
-	// attempts that outlive pol.AttemptTimeout.
-	for w := range workers {
+	// Stage 2: workers. Each claimant claims queued partitions for its worker
+	// until the worker is quarantined or the run completes. Failures re-queue
+	// the partition; crossing the quarantine threshold retires the worker;
+	// the watchdog abandons attempts that outlive pol.AttemptTimeout.
+	for _, w := range claimants {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -570,6 +592,17 @@ func RunResilientTraced[I, O any](ctx context.Context, read func(i int) (I, erro
 					PartitionError{Partition: id, Stage: "work", Worker: w, Attempt: attempt, Err: err})
 				if errors.Is(err, ErrAttemptTimeout) {
 					st.rep.WatchdogKills++
+				}
+				if st.quarantined[w] {
+					// Another of the worker's attempts has retired it: this
+					// partition goes back for free, as that one's did.
+					if !st.abandoned {
+						st.rep.Requeues++
+						st.queue = append(st.queue, id)
+						st.cond.Broadcast()
+					}
+					st.mu.Unlock()
+					return
 				}
 				st.consec[w]++
 				if st.pol.QuarantineAfter > 0 && st.consec[w] >= st.pol.QuarantineAfter {
