@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"parahash/internal/core"
 	"parahash/internal/dna"
@@ -117,6 +118,13 @@ func cmdLookup(w io.Writer, path, kmerStr string) error {
 	k := g.K()
 	if len(kmerStr) != k {
 		return fmt.Errorf("k-mer %q has length %d, graph K is %d", kmerStr, len(kmerStr), k)
+	}
+	// KmerFromString reads any other byte as A: refuse it rather than answer
+	// for another k-mer, as parahashd's query does.
+	for i := 0; i < len(kmerStr); i++ {
+		if !strings.ContainsRune("ACGTacgt", rune(kmerStr[i])) {
+			return fmt.Errorf("k-mer %q has non-ACGT base %q at position %d", kmerStr, kmerStr[i], i+1)
+		}
 	}
 	km := dna.KmerFromString(kmerStr)
 	canon, fwd := km.Canonical(k)

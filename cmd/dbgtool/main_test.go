@@ -102,6 +102,27 @@ func TestLookup(t *testing.T) {
 	if _, err := lookup(path, "ACGT"); err == nil || err.Error() != `k-mer "ACGT" has length 4, graph K is 27` {
 		t.Errorf("wrong-length k-mer: err = %v", err)
 	}
+	// A base outside ACGT is refused and named — N would otherwise be read
+	// as A and answered for another k-mer — while lower case is the same
+	// k-mer as upper case.
+	for _, c := range []byte{'N', 'n', 'X', '-', ' '} {
+		for _, at := range []int{0, 13, 26} {
+			kmer := []byte(probe)
+			kmer[at] = c
+			if out, err := lookup(path, string(kmer)); err == nil ||
+				err.Error() != fmt.Sprintf("k-mer %q has non-ACGT base %q at position %d", kmer, c, at+1) {
+				t.Errorf("k-mer with %q at %d: %q, err = %v", c, at, out, err)
+			}
+		}
+	}
+	upper, err := lookup(path, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lower, err := lookup(path, strings.ToLower(probe)); err != nil ||
+		strings.Replace(lower, strings.ToLower(probe), probe, 1) != upper {
+		t.Errorf("lower-case lookup:\n%s(%v)\nupper-case:\n%s", lower, err, upper)
+	}
 
 	// A damaged file is refused by the header and exact-size checks, before
 	// anything is sized from its vertex count.

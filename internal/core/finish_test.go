@@ -8,12 +8,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 
 	"parahash/internal/fastq"
 	"parahash/internal/faultinject"
 	"parahash/internal/graph"
+	"parahash/internal/simulate"
 	"parahash/internal/store"
 )
 
@@ -336,6 +339,51 @@ func TestWriteGraphHoldsOneDescriptorPerPartition(t *testing.T) {
 	}
 	if after := descriptors(t); after != before {
 		t.Fatalf("%d descriptors open before WriteGraph, %d after", before, after)
+	}
+}
+
+// TestWriteGraphToAFileInKeyRanges: a graph large enough to split, written
+// into a file — an io.WriterAt, which the finish fills in key ranges at once
+// when it has the processors (here four) — is the graph the one-range merge
+// writes into a buffer, from disk and from the in-memory store, and the
+// finish gives back every descriptor it took.
+func TestWriteGraphToAFileInKeyRanges(t *testing.T) {
+	d, err := simulate.Generate(simulate.TinyProfile().Scale(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, disk := range []bool{false, true} {
+		cfg := tinyConfig()
+		if disk {
+			cfg, _ = ckConfig(t)
+		}
+		cfg.KeepSubgraphs = false
+		res, err := Build(d.Reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.GraphVertices < 4<<14 {
+			t.Fatalf("%d vertices: too few for four key ranges, the case tests nothing", res.Stats.GraphVertices)
+		}
+		want := writtenGraph(t, res)
+		f, err := os.Create(filepath.Join(t.TempDir(), "graph.dbg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := descriptors(t)
+		vertices, edges, err := res.WriteGraph(f)
+		after := descriptors(t)
+		f.Close()
+		if err != nil || vertices != res.Stats.GraphVertices || edges != res.Stats.GraphEdges {
+			t.Fatalf("disk=%v: WriteGraph into a file: %d vertices, %d edges, %v", disk, vertices, edges, err)
+		}
+		if got, err := os.ReadFile(f.Name()); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("disk=%v: the file written in key ranges differs from the buffer written in one (%v)", disk, err)
+		}
+		if after != before {
+			t.Fatalf("disk=%v: %d descriptors open before WriteGraph, %d after", disk, before, after)
+		}
 	}
 }
 

@@ -320,16 +320,18 @@ func (r *Result) finish(cfg Config) error {
 // WriteGraph writes the constructed graph as published — after the output
 // filter — in the serialised form Graph.Write produces, and returns its
 // vertex and distinct-edge counts (Stats.GraphVertices and GraphEdges). It
-// streams a k-way merge of the subgraph files the build published
-// (graph.MergeStreams) — from the checkpoint directory, or from the build's
+// writes a k-way merge of the subgraph files the build published
+// (graph.MergeFiles) — from the checkpoint directory, or from the build's
 // in-memory store — so nothing graph-sized is ever resident; the files must
 // still be there, every one is open for the whole merge (on disk: one
-// descriptor per partition, all closed on return), and each is held to its
-// header, its order and its declared size on the way: damage fails typed
-// (graph.ErrBadFormat, graph.ErrUnsorted) and leaves a prefix in w that the
-// caller discards.
+// descriptor per partition, shared by every key range, all closed on
+// return), and each is held to its header, its order and its declared size
+// on the way: damage fails typed (graph.ErrBadFormat, graph.ErrUnsorted) and
+// leaves part of a graph in w that the caller discards. A w that is an
+// io.WriterAt — a file — is written at offsets from 0 by one merge per key
+// range at once; any other gets the one merge, in order.
 func (r *Result) WriteGraph(w io.Writer) (vertices, edges int64, err error) {
-	srcs := make([]io.Reader, 0, r.partitions)
+	srcs := make([]graph.Source, 0, r.partitions)
 	for i := 0; i < r.partitions; i++ {
 		src, err := r.published.OpenStream(subgraphFile(i))
 		if err != nil {
@@ -338,7 +340,7 @@ func (r *Result) WriteGraph(w io.Writer) (vertices, edges int64, err error) {
 		defer src.Close()
 		srcs = append(srcs, src)
 	}
-	vertices, edges, err = graph.MergeStreams(r.k, srcs, w)
+	vertices, edges, err = graph.MergeFiles(r.k, srcs, w)
 	if err != nil {
 		return vertices, edges, fmt.Errorf("core: merging the published subgraphs: %w", err)
 	}

@@ -203,9 +203,10 @@ func (s *Store) Open(name string) (io.Reader, error) {
 
 // OpenStream returns a streaming reader over the published file: the open
 // descriptor pins the inode published at open time, so a later publish —
-// an atomic rename over the name — never disturbs it. Bytes are counted as
-// they are served; Close releases the descriptor.
-func (s *Store) OpenStream(name string) (io.ReadCloser, error) {
+// an atomic rename over the name — never disturbs it, and its size is that
+// inode's. Bytes are counted as they are served; Close releases the
+// descriptor.
+func (s *Store) OpenStream(name string) (store.Stream, error) {
 	p, err := s.pathOf(name)
 	if err != nil {
 		return nil, err
@@ -214,7 +215,12 @@ func (s *Store) OpenStream(name string) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, readErr(name, err)
 	}
-	return &streamFile{store: s, f: f}, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("diskstore: %q: %w", name, err)
+	}
+	return &streamFile{store: s, f: f, size: st.Size()}, nil
 }
 
 // readErr types a failed open for reading: an absent file is
@@ -230,10 +236,15 @@ func readErr(name string, err error) error {
 type streamFile struct {
 	store *Store
 	f     *os.File
+	size  int64
 }
 
-func (r *streamFile) Read(p []byte) (int, error) {
-	n, err := r.f.Read(p)
+func (r *streamFile) Read(p []byte) (int, error) { return r.served(r.f.Read(p)) }
+
+func (r *streamFile) ReadAt(p []byte, off int64) (int, error) { return r.served(r.f.ReadAt(p, off)) }
+
+// served counts n bytes as read.
+func (r *streamFile) served(n int, err error) (int, error) {
 	if n > 0 {
 		r.store.mu.Lock()
 		r.store.bytesRead += int64(n)
@@ -241,6 +252,8 @@ func (r *streamFile) Read(p []byte) (int, error) {
 	}
 	return n, err
 }
+
+func (r *streamFile) Size() int64 { return r.size }
 
 func (r *streamFile) Close() error { return r.f.Close() }
 

@@ -7,8 +7,12 @@ import (
 )
 
 // testOpts keeps experiment tests fast while exercising the real pipeline;
-// the dataset cache is shared across tests in the package.
+// the dataset cache is shared across tests in the package. Under -short the
+// datasets shrink to shortScale: every experiment still runs its whole grid
+// of configurations, over fewer than half the reads.
 var testOpts = Options{Scale: 0.15}
+
+const shortScale = 0.07
 
 // cellFloat parses a numeric report cell.
 func cellFloat(t *testing.T, s string) float64 {
@@ -22,7 +26,11 @@ func cellFloat(t *testing.T, s string) float64 {
 
 func runExp(t *testing.T, id string) Report {
 	t.Helper()
-	rep, err := Run(id, testOpts)
+	opts := testOpts
+	if testing.Short() {
+		opts.Scale = shortScale
+	}
+	rep, err := Run(id, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

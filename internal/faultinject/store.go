@@ -224,8 +224,8 @@ func (s *Store) Open(name string) (io.Reader, error) {
 
 // OpenStream serves the inner stream under the script Open runs, charged
 // once per open: a failed read fails the open, a corrupt one flips the same
-// bit — the middle byte's lowest — as it streams past.
-func (s *Store) OpenStream(name string) (io.ReadCloser, error) {
+// bit — the middle byte's lowest — wherever it is served, by Read or ReadAt.
+func (s *Store) OpenStream(name string) (store.Stream, error) {
 	corrupt, err := s.chargeOpen(name)
 	if err != nil {
 		return nil, err
@@ -234,12 +234,7 @@ func (s *Store) OpenStream(name string) (io.ReadCloser, error) {
 	if err != nil || !corrupt {
 		return r, err
 	}
-	size, err := s.inner.Size(name)
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	return &corruptStream{ReadCloser: r, flipAt: size / 2}, nil
+	return &corruptStream{Stream: r, flipAt: r.Size() / 2}, nil
 }
 
 // chargeOpen applies one open's worth of the read script for name — latency,
@@ -269,17 +264,28 @@ func (s *Store) chargeOpen(name string) (corrupt bool, err error) {
 
 // corruptStream flips the lowest bit of the byte at offset flipAt.
 type corruptStream struct {
-	io.ReadCloser
+	store.Stream
 	pos, flipAt int64
 }
 
 func (c *corruptStream) Read(p []byte) (int, error) {
-	n, err := c.ReadCloser.Read(p)
-	if i := c.flipAt - c.pos; i >= 0 && i < int64(n) {
-		p[i] ^= 0x01
-	}
+	n, err := c.Stream.Read(p)
+	c.flip(p[:n], c.pos)
 	c.pos += int64(n)
 	return n, err
+}
+
+func (c *corruptStream) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.Stream.ReadAt(p, off)
+	c.flip(p[:n], off)
+	return n, err
+}
+
+// flip corrupts p, the bytes served from offset off, if flipAt is among them.
+func (c *corruptStream) flip(p []byte, off int64) {
+	if i := c.flipAt - off; i >= 0 && i < int64(len(p)) {
+		p[i] ^= 0x01
+	}
 }
 
 // Size forwards to the inner store.

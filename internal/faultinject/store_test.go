@@ -59,7 +59,8 @@ func TestWrapStoreVolatileFaults(t *testing.T) {
 
 // TestWrapStoreFaultsReachOpenStream: the read script Open runs applies to a
 // streamed open too, charged once per open however many Reads follow — a
-// scripted failure fails the open, a corruption flips the bit Open flips.
+// scripted failure fails the open, a corruption flips the bit Open flips,
+// read in order or at offsets.
 func TestWrapStoreFaultsReachOpenStream(t *testing.T) {
 	s := wrappedStore()
 	content := strings.Repeat("abcdefgh", 4096)
@@ -87,6 +88,22 @@ func TestWrapStoreFaultsReachOpenStream(t *testing.T) {
 	}
 	if string(streamed) == content || !bytes.Equal(streamed, whole) {
 		t.Fatal("a corrupted stream does not serve the bytes a corrupted Open serves")
+	}
+	// Read at offsets, the flip lands at the same byte: inside a read that
+	// covers it, and in none that does not.
+	s.CorruptReadsNTimes("subgraphs/0002", 1)
+	if rc, err = s.OpenStream("subgraphs/0002"); err != nil {
+		t.Fatal(err)
+	}
+	mid := int64(len(content) / 2)
+	for _, off := range []int64{0, mid - 3, mid, mid + 1, mid - 100} {
+		p := make([]byte, 100)
+		if n, err := rc.ReadAt(p, off); n != len(p) || err != nil || !bytes.Equal(p, whole[off:off+100]) {
+			t.Fatalf("ReadAt(%d) = %d, %v: not the corrupted Open's bytes", off, n, err)
+		}
+	}
+	if rc.Size() != int64(len(content)) || rc.Close() != nil {
+		t.Fatalf("corrupted stream: size %d, want %d", rc.Size(), len(content))
 	}
 	rc, err = s.OpenStream("subgraphs/0002")
 	if err != nil {

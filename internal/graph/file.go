@@ -18,7 +18,8 @@ const pageRecords = 4096 / VertexRecordBytes
 const pageBytes = pageRecords * VertexRecordBytes
 
 // checkBlockPages sizes CheckSorted's read buffer: whole pages, just under
-// 1 MiB, so every page's first record starts a known offset into a block.
+// 1 MiB in all, so every page's first record starts a known offset into a
+// block however the ranges of a split check share it out.
 const checkBlockPages = 1 << 20 / pageBytes
 
 // File answers k-mer lookups from a serialised subgraph in place: the
@@ -95,8 +96,8 @@ func (f *File) readKmer(i int) (dna.Kmer, error) {
 	return recordKmer(key[:]), nil
 }
 
-// pageBufs recycles Lookup's page buffer: handed to ReadAt it would
-// otherwise be a 4 KiB heap allocation per lookup.
+// pageBufs recycles the page buffer of Lookup and lowerBound: handed to
+// ReadAt it would otherwise be a 4 KiB heap allocation per lookup.
 var pageBufs = sync.Pool{New: func() any { return new([pageBytes]byte) }}
 
 // Lookup finds a vertex by canonical k-mer, like Subgraph.Lookup. On a
@@ -106,18 +107,41 @@ var pageBufs = sync.Pool{New: func() any { return new([pageBytes]byte) }}
 // file that is not sorted the answer is unspecified, as it is for
 // Subgraph.Lookup.
 func (f *File) Lookup(km dna.Kmer) (Vertex, bool, error) {
+	buf := pageBufs.Get().(*[pageBytes]byte)
+	defer pageBufs.Put(buf)
+	_, recs, i, err := f.search(km, buf)
+	if err != nil || i == len(recs)/VertexRecordBytes || recordKmer(recs[i*VertexRecordBytes:]) != km {
+		return Vertex{}, false, err
+	}
+	var v Vertex
+	getVertex(&v, recs[i*VertexRecordBytes:])
+	return v, true, nil
+}
+
+// lowerBound returns the index of the first vertex whose k-mer is not below
+// km — NumVertices if there is none — at Lookup's cost. On a file that is
+// not sorted the index is unspecified.
+func (f *File) lowerBound(km dna.Kmer) (int, error) {
+	buf := pageBufs.Get().(*[pageBytes]byte)
+	defer pageBufs.Put(buf)
+	first, _, i, err := f.search(km, buf)
+	return first + i, err
+}
+
+// search reads into buf the records of the page km belongs in — the last
+// page whose first k-mer is not above it — and returns the page's first
+// vertex index, its records and the position in them of the first k-mer not
+// below km (len(recs)/VertexRecordBytes if there is none).
+func (f *File) search(km dna.Kmer, buf *[pageBytes]byte) (first int, recs []byte, i int, err error) {
 	pages := f.pages()
 	if pages == 0 {
-		return Vertex{}, false, nil
+		return 0, nil, 0, nil
 	}
-	// The vertex, if present, is in the last page whose first k-mer is not
-	// above km; page 0 needs no probe, a km below its first k-mer simply is
-	// not found in it.
+	// Page 0 needs no probe: a km below its first k-mer belongs in it.
 	var page int
 	if f.pageKeys != nil {
 		page = sort.Search(pages-1, func(p int) bool { return km.Less(f.pageKeys[p+1]) })
 	} else {
-		var err error
 		page = sort.Search(pages-1, func(p int) bool {
 			if err != nil {
 				return true
@@ -127,52 +151,70 @@ func (f *File) Lookup(km dna.Kmer) (Vertex, bool, error) {
 			return km.Less(first)
 		})
 		if err != nil {
-			return Vertex{}, false, err
+			return 0, nil, 0, err
 		}
 	}
-	first := page * pageRecords
+	first = page * pageRecords
 	n := min(pageRecords, f.count-first)
-	buf := pageBufs.Get().(*[pageBytes]byte)
-	defer pageBufs.Put(buf)
-	recs := buf[:n*VertexRecordBytes]
+	recs = buf[:n*VertexRecordBytes]
 	if err := readFullAt(f.r, recs, SerializedSize(first)); err != nil {
-		return Vertex{}, false, fmt.Errorf("%w: vertices %d-%d: %v", ErrBadFormat, first, first+n-1, err)
+		return 0, nil, 0, fmt.Errorf("%w: vertices %d-%d: %v", ErrBadFormat, first, first+n-1, err)
 	}
-	i := sort.Search(n, func(i int) bool { return !recordKmer(recs[i*VertexRecordBytes:]).Less(km) })
-	if i == n || recordKmer(recs[i*VertexRecordBytes:]) != km {
-		return Vertex{}, false, nil
-	}
-	var v Vertex
-	getVertex(&v, recs[i*VertexRecordBytes:])
-	return v, true, nil
+	i = sort.Search(n, func(i int) bool { return !recordKmer(recs[i*VertexRecordBytes:]).Less(km) })
+	return first, recs, i, nil
 }
 
-// CheckSorted streams the file once and returns an error wrapping
-// ErrUnsorted — at the vertex index Subgraph.CheckSorted reports — unless
-// every k-mer is strictly above its predecessor: the whole-file check that
-// makes Lookup's answers those of the graph a build published. Nothing is
-// decoded or kept but the page keys, and those only when the check passes.
-func (f *File) CheckSorted() error {
+// CheckSorted reads the file once and returns an error wrapping ErrUnsorted
+// — at the vertex index Subgraph.CheckSorted reports — unless every k-mer is
+// strictly above its predecessor: the whole-file check that makes Lookup's
+// answers those of the graph a build published. Nothing is decoded or kept
+// but the page keys, and those only when the check passes. A file of more
+// than one range's worth of records is checked as contiguous page ranges at
+// once (rangesFor), the 1 MiB read buffer shared out among them.
+func (f *File) CheckSorted() error { return f.checkSorted(rangesFor(f.count)) }
+
+// checkSorted is CheckSorted over ranges page ranges. Each range checks its
+// first k-mer against the one before it, the last of the range below, so the
+// ranges together make every comparison a serial pass makes, and the lowest
+// range's failure is the first that pass would meet.
+func (f *File) checkSorted(ranges int) error {
 	pages := f.pages()
-	keys := make([]dna.Kmer, 0, pages)
-	buf := make([]byte, min(pages, checkBlockPages)*pageBytes)
-	var prev dna.Kmer
-	for first := 0; first < f.count; first += checkBlockPages * pageRecords {
-		n := min(checkBlockPages*pageRecords, f.count-first)
-		recs := buf[:n*VertexRecordBytes]
-		if err := readFullAt(f.r, recs, SerializedSize(first)); err != nil {
-			return fmt.Errorf("%w: vertices %d-%d: %v", ErrBadFormat, first, first+n-1, err)
-		}
-		for i := 0; i < n; i++ {
-			km := recordKmer(recs[i*VertexRecordBytes:])
-			if first+i > 0 && !prev.Less(km) {
-				return fmt.Errorf("%w: vertex %d", ErrUnsorted, first+i)
+	ranges = max(1, min(ranges, pages, checkBlockPages))
+	blockPages := min(checkBlockPages/ranges, (pages+ranges-1)/ranges)
+	blockRecords := blockPages * pageRecords
+	buf := make([]byte, ranges*blockPages*pageBytes)
+	keys := make([]dna.Kmer, pages)
+	err := eachRange(ranges, func(r int) error {
+		block := buf[r*blockPages*pageBytes : (r+1)*blockPages*pageBytes]
+		start, end := pages*r/ranges*pageRecords, min(pages*(r+1)/ranges*pageRecords, f.count)
+		var prev dna.Kmer
+		if start > 0 {
+			var err error
+			if prev, err = f.readKmer(start - 1); err != nil {
+				return err
 			}
-			if i%pageRecords == 0 {
-				keys = append(keys, km)
-			}
-			prev = km
 		}
+		for first := start; first < end; first += blockRecords {
+			n := min(blockRecords, end-first)
+			recs := block[:n*VertexRecordBytes]
+			if err := readFullAt(f.r, recs, SerializedSize(first)); err != nil {
+				return fmt.Errorf("%w: vertices %d-%d: %v", ErrBadFormat, first, first+n-1, err)
+			}
+			for i := 0; i < n; i++ {
+				km := recordKmer(recs[i*VertexRecordBytes:])
+				if first+i > 0 && !prev.Less(km) {
+					return fmt.Errorf("%w: vertex %d", ErrUnsorted, first+i)
+				}
+				if i%pageRecords == 0 {
+					keys[(first+i)/pageRecords] = km
+				}
+				prev = km
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	f.pageKeys = keys
 	return nil

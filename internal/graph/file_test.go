@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/bits"
 	"runtime"
+	"sync"
 	"testing"
 
 	"parahash/internal/dna"
@@ -27,9 +28,10 @@ func sortedImage(t testing.TB, seed int64, n, k int) (*Subgraph, []byte) {
 }
 
 // countingReaderAt counts ReadAt calls and fails the failAt-th (1-based;
-// 0 never fails).
+// 0 never fails). The ranges of a split check call it at once.
 type countingReaderAt struct {
 	r      io.ReaderAt
+	mu     sync.Mutex
 	calls  int
 	failAt int
 }
@@ -37,8 +39,11 @@ type countingReaderAt struct {
 var errInjectedRead = errors.New("injected read failure")
 
 func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.mu.Lock()
 	c.calls++
-	if c.calls == c.failAt {
+	fail := c.calls == c.failAt
+	c.mu.Unlock()
+	if fail {
 		return 0, errInjectedRead
 	}
 	return c.r.ReadAt(p, off)
@@ -224,68 +229,116 @@ func TestFileReadFailures(t *testing.T) {
 // overBlock is a vertex count just past one CheckSorted block.
 const overBlock = checkBlockPages*pageRecords + 10
 
-// TestFileCheckSortedIndex: the streamed check reports disorder — equal
-// neighbours included — at the vertex index the decoded check reports, also
-// when the pair straddles a page or a block boundary, and keeps no index of
-// a file it refused.
+// TestFileCheckSortedIndex: the check reports disorder — equal neighbours
+// included — at the vertex index the decoded check reports, also when the
+// pair straddles a page boundary, a block boundary or the boundary between
+// two of the ranges checked at once, at every range count from 1 to 8; and
+// it keeps no index of a file it refused.
 func TestFileCheckSortedIndex(t *testing.T) {
-	g, _ := sortedImage(t, 10, overBlock, 27)
-	block := checkBlockPages * pageRecords
-	for _, i := range []int{1, 2, pageRecords, pageRecords + 1, block, block + 1, overBlock - 1} {
-		for _, duplicate := range []bool{false, true} {
-			vs := append([]Vertex(nil), g.Vertices...)
-			if duplicate {
-				vs[i].Kmer = vs[i-1].Kmer
-			} else {
-				vs[i-1], vs[i] = vs[i], vs[i-1]
+	const n = 2*checkBlockPages*pageRecords + 100 // two blocks and more in one range
+	g, image := sortedImage(t, 10, n, 27)
+	pages := (n + pageRecords - 1) / pageRecords
+	key := func(i int) []byte { return image[SerializedSize(i) : SerializedSize(i)+16] }
+	for ranges := 1; ranges <= 8; ranges++ {
+		at := map[int]bool{1: true, 2: true, pageRecords: true, pageRecords + 1: true, n - 1: true}
+		for r := 0; r < ranges; r++ {
+			start, end := pages*r/ranges*pageRecords, pages*(r+1)/ranges*pageRecords
+			for first := start; first < min(end, n); first += checkBlockPages / ranges * pageRecords {
+				at[first], at[first+1] = true, true
 			}
-			damaged := &Subgraph{K: g.K, Vertices: vs}
-			var buf bytes.Buffer
-			if err := damaged.Write(&buf); err != nil {
-				t.Fatal(err)
+		}
+		delete(at, 0)
+		for i := range at {
+			for _, duplicate := range []bool{false, true} {
+				vs, was := g.Vertices, [2]dna.Kmer{g.Vertices[i-1].Kmer, g.Vertices[i].Kmer}
+				prev, this := bytes.Clone(key(i-1)), bytes.Clone(key(i))
+				if duplicate {
+					vs[i].Kmer = vs[i-1].Kmer
+					copy(key(i), prev)
+				} else {
+					vs[i-1].Kmer, vs[i].Kmer = vs[i].Kmer, vs[i-1].Kmer
+					copy(key(i-1), this)
+					copy(key(i), prev)
+				}
+				f, err := OpenFile(bytes.NewReader(image), int64(len(image)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := g.CheckSorted()
+				got := f.checkSorted(ranges)
+				if !errors.Is(got, ErrUnsorted) || got.Error() != want.Error() {
+					t.Errorf("%d ranges, disorder at %d (duplicate=%v): File.CheckSorted = %v, Subgraph.CheckSorted = %v", ranges, i, duplicate, got, want)
+				}
+				if f.pageKeys != nil {
+					t.Errorf("%d ranges, disorder at %d: a refused file kept page keys", ranges, i)
+				}
+				vs[i-1].Kmer, vs[i].Kmer = was[0], was[1]
+				copy(key(i-1), prev)
+				copy(key(i), this)
 			}
-			f, err := OpenFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		}
+		// Disorder in every range at once is reported at the lowest index.
+		if ranges > 1 {
+			bad := bytes.Clone(image)
+			for r := ranges - 1; r >= 1; r-- {
+				i := pages*r/ranges*pageRecords + r
+				copy(bad[SerializedSize(i):SerializedSize(i)+16], key(i-1))
+			}
+			f, err := OpenFile(bytes.NewReader(bad), int64(len(bad)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := damaged.CheckSorted()
-			got := f.CheckSorted()
-			if !errors.Is(got, ErrUnsorted) || got.Error() != want.Error() {
-				t.Errorf("disorder at %d (duplicate=%v): File.CheckSorted = %v, Subgraph.CheckSorted = %v", i, duplicate, got, want)
+			first := pages/ranges*pageRecords + 1
+			if err := f.checkSorted(ranges); !errors.Is(err, ErrUnsorted) || err.Error() != fmt.Sprintf("%v: vertex %d", ErrUnsorted, first) {
+				t.Errorf("%d ranges, disorder in each: err = %v, want vertex %d", ranges, err, first)
 			}
-			if f.pageKeys != nil {
-				t.Errorf("disorder at %d: a refused file kept page keys", i)
+		}
+		// The intact file passes with every page's first k-mer indexed.
+		f, err := OpenFile(bytes.NewReader(image), int64(len(image)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.checkSorted(ranges); err != nil {
+			t.Fatalf("%d ranges: %v", ranges, err)
+		}
+		if len(f.pageKeys) != pages {
+			t.Fatalf("%d ranges: %d page keys for %d pages", ranges, len(f.pageKeys), pages)
+		}
+		for p, km := range f.pageKeys {
+			if km != g.Vertices[p*pageRecords].Kmer {
+				t.Fatalf("%d ranges: page %d indexed under %v, its first k-mer is %v", ranges, p, km, g.Vertices[p*pageRecords].Kmer)
 			}
 		}
 	}
 }
 
 // FuzzOpenFile holds the two readers of the PHDG format to each other on
-// arbitrary images: what the in-place reader accepts the decoding reader
+// arbitrary images, the in-place reader's order check split into 1 to 8
+// page ranges as the input says: what the in-place reader accepts the decoding reader
 // accepts and answers identically; what only the decoding reader accepts has
 // trailing bytes (the one deliberate difference); and neither sizes an
 // allocation from the header alone.
 func FuzzOpenFile(f *testing.F) {
 	for _, n := range []int{0, 1, 85, 86, 300} {
 		_, image := sortedImage(f, int64(n), n, 33)
-		f.Add(image)
-		f.Add(image[:len(image)/2])
-		f.Add(append(bytes.Clone(image), 1, 2, 3))
+		f.Add(image, uint8(n))
+		f.Add(image[:len(image)/2], uint8(1))
+		f.Add(append(bytes.Clone(image), 1, 2, 3), uint8(2))
 		if n > 1 {
 			swapped := bytes.Clone(image)
 			copy(swapped[headerBytes:], image[headerBytes+VertexRecordBytes:headerBytes+2*VertexRecordBytes])
 			copy(swapped[headerBytes+VertexRecordBytes:], image[headerBytes:headerBytes+VertexRecordBytes])
-			f.Add(swapped)
+			f.Add(swapped, uint8(n))
 		}
 	}
 	huge := []byte("PHDG\x01\x1b\x00\x00\x00\x00\x10\x00\x00\x00")
-	f.Add(huge)
-	f.Fuzz(func(t *testing.T, image []byte) {
+	f.Add(huge, uint8(3))
+	f.Fuzz(func(t *testing.T, image []byte, ranges uint8) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		file, fileErr := OpenFile(bytes.NewReader(image), int64(len(image)))
 		if fileErr == nil {
-			fileErr = file.CheckSorted()
+			fileErr = file.checkSorted(1 + int(ranges%8))
 		}
 		g, readErr := ReadSubgraph(bytes.NewReader(image))
 		if readErr == nil {
@@ -314,4 +367,24 @@ func FuzzOpenFile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkFileCheckSorted checks a 23.5 MB graph, parahashd's cold open of
+// a serve-sized job, in 1, 2 and 4 page ranges at once.
+func BenchmarkFileCheckSorted(b *testing.B) {
+	_, image := sortedImage(b, 11, 490_000, 27)
+	for _, ranges := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("ranges=%d", ranges), func(b *testing.B) {
+			b.SetBytes(int64(len(image)))
+			for i := 0; i < b.N; i++ {
+				f, err := OpenFile(bytes.NewReader(image), int64(len(image)))
+				if err == nil {
+					err = f.checkSorted(ranges)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 
 	"parahash/internal/dna"
 )
@@ -77,7 +78,6 @@ func recordDegree(rec []byte) int64 {
 // hide that. A failed read surfaces wrapped in ErrBadFormat beside its cause.
 // On any error w holds a prefix of a graph that the caller must discard.
 func MergeStreams(k int, srcs []io.Reader, w io.Writer) (vertices, edges int64, err error) {
-	var t loserTree
 	cur := make([]streamCursor, 0, len(srcs))
 	var total uint64
 	for i, r := range srcs {
@@ -95,20 +95,36 @@ func MergeStreams(k int, srcs []io.Reader, w io.Writer) (vertices, edges int64, 
 		total += count
 		c := streamCursor{src: i, r: r, unread: count,
 			window: make([]byte, max(min(count, streamWindowRecords), 1)*VertexRecordBytes)}
-		more, err := c.refill()
-		if err != nil {
+		if cur, err = c.start(cur); err != nil {
 			return 0, 0, err
 		}
-		if more {
-			cur = append(cur, c)
-			t.keys = append(t.keys, recordKmer(c.recs))
-		}
 	}
-
 	block := writeBlocks.Get().(*[writeBlockBytes]byte)
 	defer writeBlocks.Put(block)
 	putHeader(block[:], k, total)
-	fill := headerBytes
+	return mergeCursors(k, cur, block[:], headerBytes, w)
+}
+
+// start reads the cursor's first window and appends it to cur if the source
+// holds any record.
+func (c streamCursor) start(cur []streamCursor) ([]streamCursor, error) {
+	more, err := c.refill()
+	if more {
+		cur = append(cur, c)
+	}
+	return cur, err
+}
+
+// mergeCursors is the one merge loop, of MergeStreams and of every range of
+// MergeFiles: it writes the cursors' records to w in ascending k-mer order
+// through block, whose first fill bytes are already taken, and returns the
+// vertices and distinct edges it wrote. Each cursor is checked to ascend as
+// it advances, and a k-mer at the head of two cursors is ErrUnsorted.
+func mergeCursors(k int, cur []streamCursor, block []byte, fill int, w io.Writer) (vertices, edges int64, err error) {
+	var t loserTree
+	for i := range cur {
+		t.keys = append(t.keys, recordKmer(cur[i].recs))
+	}
 	var last dna.Kmer // the k-mer last written, from source lastSrc
 	var lastSrc int
 	for len(t.keys) > 0 {
@@ -157,4 +173,184 @@ func MergeStreams(k int, srcs []io.Reader, w io.Writer) (vertices, edges int64, 
 	}
 	_, err = w.Write(block[:fill])
 	return vertices, edges, err
+}
+
+// Source is a serialised subgraph that can be read at any offset, and its
+// size: a published subgraph file (store.Stream is one).
+type Source interface {
+	io.ReaderAt
+	Size() int64
+}
+
+// MergeFiles is MergeStreams over sources read in place. Each source is
+// opened with OpenFile — header, k and exact size — and held to every check
+// MergeStreams makes. When w is an io.WriterAt and the sources hold more than
+// one range's worth of records (rangesFor), the merge splits by key: it picks
+// splitters from the sources' quantile k-mers, finds each in every source by
+// binary search, and merges each key range on its own goroutine into that
+// range's offset of the output, computed from the counts below the splitters;
+// any other writer gets one range. The bytes written are MergeStreams's
+// either way — an io.WriterAt gets them at offsets from 0 — and the header
+// is written first. The 64 KiB read window of a source and the write block
+// are shared out among the ranges, so the merge holds what MergeStreams holds
+// however many ranges run. On any error w holds parts of a graph that the
+// caller must discard, and the error is the lowest failing range's.
+func MergeFiles(k int, srcs []Source, w io.Writer) (vertices, edges int64, err error) {
+	return mergeFiles(k, srcs, w, 0)
+}
+
+// mergeFiles is MergeFiles in ranges key ranges, or rangesFor's count if
+// ranges is 0; a writer that is not an io.WriterAt always gets one.
+func mergeFiles(k int, srcs []Source, w io.Writer, ranges int) (vertices, edges int64, err error) {
+	files := make([]*File, len(srcs))
+	var total int
+	for i, src := range srcs {
+		f, err := OpenFile(src, src.Size())
+		if err != nil {
+			return 0, 0, fmt.Errorf("source %d: %w", i, err)
+		}
+		if f.k != k {
+			return 0, 0, fmt.Errorf("%w: source %d: k=%d, want %d", ErrBadFormat, i, f.k, k)
+		}
+		files[i], total = f, total+f.count
+	}
+	wa, ok := w.(io.WriterAt)
+	switch {
+	case !ok:
+		ranges = 1
+	case ranges == 0:
+		ranges = rangesFor(total)
+	}
+	ranges = max(1, min(ranges, total, maxRanges))
+
+	// cuts[i][r] is the index of source i's first vertex in range r; range r
+	// of source i ends where range r+1 begins.
+	splitters, err := pickSplitters(files, ranges)
+	if err != nil {
+		return 0, 0, err
+	}
+	cuts := make([][]int, len(files))
+	offsets := make([]int64, ranges+1) // offsets[r]: where range r's records go
+	offsets[0] = headerBytes
+	for i, f := range files {
+		if cuts[i], err = f.cutAt(i, splitters); err != nil {
+			return 0, 0, err
+		}
+		for r := 0; r < ranges; r++ {
+			offsets[r+1] += int64(cuts[i][r+1]-cuts[i][r]) * VertexRecordBytes
+		}
+	}
+	for r := 1; r <= ranges; r++ {
+		offsets[r] += offsets[r-1]
+	}
+
+	windows := make([][]byte, len(files))
+	for i, f := range files {
+		windows[i] = make([]byte, max(min(f.count, streamWindowRecords), ranges)*VertexRecordBytes)
+	}
+	block := writeBlocks.Get().(*[writeBlockBytes]byte)
+	defer writeBlocks.Put(block)
+	putHeader(block[:], k, uint64(total))
+	if ranges > 1 { // the header goes out first, before any range starts
+		if _, err := wa.WriteAt(block[:headerBytes], 0); err != nil {
+			return 0, 0, err
+		}
+	}
+	counts := make([][2]int64, ranges)
+	err = eachRange(ranges, func(r int) error {
+		var cur []streamCursor
+		for i, f := range files {
+			first, n := cuts[i][r], cuts[i][r+1]-cuts[i][r]
+			share := len(windows[i]) / VertexRecordBytes / ranges * VertexRecordBytes
+			c := streamCursor{src: i, index: uint64(first), unread: uint64(n),
+				r:      io.NewSectionReader(f.r, SerializedSize(first), int64(n)*VertexRecordBytes),
+				window: windows[i][r*share : (r+1)*share]}
+			var err error
+			if cur, err = c.start(cur); err != nil {
+				return err
+			}
+		}
+		part := block[r*writeBlockBytes/ranges : (r+1)*writeBlockBytes/ranges]
+		fill, dst := 0, w
+		if ranges == 1 {
+			fill = headerBytes // the header leads the one range's first block
+		} else {
+			dst = io.NewOffsetWriter(wa, offsets[r])
+		}
+		var err error
+		counts[r][0], counts[r][1], err = mergeCursors(k, cur, part, fill, dst)
+		return err
+	})
+	for _, c := range counts {
+		vertices, edges = vertices+c[0], edges+c[1]
+	}
+	return vertices, edges, err
+}
+
+// pickSplitters returns the ranges-1 k-mers that cut the files' vertices
+// into ranges key ranges of about equal size: each file offers the k-mers at
+// its ranges-quantiles, weighted by its vertex count, and the r-th splitter
+// is the offered k-mer at which the weights summed in key order pass r
+// ranges' share.
+func pickSplitters(files []*File, ranges int) ([]dna.Kmer, error) {
+	if ranges == 1 {
+		return nil, nil
+	}
+	type offer struct {
+		km     dna.Kmer
+		weight int
+	}
+	var offers []offer
+	var total int
+	for i, f := range files {
+		for q := 1; q < ranges && f.count > 0; q++ {
+			km, err := f.readKmer(f.count * q / ranges)
+			if err != nil {
+				return nil, fmt.Errorf("source %d: %w", i, err)
+			}
+			offers = append(offers, offer{km, f.count})
+			total += f.count
+		}
+	}
+	sort.Slice(offers, func(a, b int) bool { return offers[a].km.Less(offers[b].km) })
+	splitters := make([]dna.Kmer, 0, ranges-1)
+	sum := 0
+	for _, o := range offers {
+		sum += o.weight
+		for len(splitters) < ranges-1 && sum*ranges >= total*(len(splitters)+1) {
+			splitters = append(splitters, o.km)
+		}
+	}
+	return splitters, nil
+}
+
+// cutAt returns where the file, source src of a merge, splits at the
+// ascending splitters: 0, the lower bound of each splitter, and the vertex
+// count. It checks the invariant the ranges rest on — every k-mer before a
+// cut is below its splitter and the one at the cut is not — so a range's
+// k-mers all lie between its two splitters, and a file that ascends inside
+// every range ascends as a whole; anything else is ErrUnsorted.
+func (f *File) cutAt(src int, splitters []dna.Kmer) ([]int, error) {
+	cuts := make([]int, 0, len(splitters)+2)
+	cuts = append(cuts, 0)
+	for _, s := range splitters {
+		pos, err := f.lowerBound(s)
+		if err != nil {
+			return nil, fmt.Errorf("source %d: %w", src, err)
+		}
+		if pos < cuts[len(cuts)-1] {
+			return nil, fmt.Errorf("%w: source %d: vertex %d", ErrUnsorted, src, pos)
+		}
+		for i := max(pos-1, 0); i <= pos && i < f.count; i++ { // key[pos-1] < s ≤ key[pos]
+			km, err := f.readKmer(i)
+			if err != nil {
+				return nil, fmt.Errorf("source %d: %w", src, err)
+			}
+			if km.Less(s) != (i < pos) {
+				return nil, fmt.Errorf("%w: source %d: vertex %d", ErrUnsorted, src, i)
+			}
+		}
+		cuts = append(cuts, pos)
+	}
+	return append(cuts, f.count), nil
 }

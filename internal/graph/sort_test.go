@@ -96,11 +96,13 @@ func equalVertices(a, b []Vertex) int {
 
 func TestSortMatchesComparisonSort(t *testing.T) {
 	sizes := []int{0, 1, 2, 63, 64, 65, 8191, 8192, 100_000}
+	ks := []int{1, 4, 27, 31, 32, 33, 63}
 	if testing.Short() {
 		sizes = sizes[:len(sizes)-1]
+		ks = []int{1, 27, 33, 63} // one key width in Lo, at the Hi/Lo boundary, in Hi
 	}
 	rng := rand.New(rand.NewSource(1))
-	for _, k := range []int{1, 4, 27, 31, 32, 33, 63} {
+	for _, k := range ks {
 		for _, n := range sizes {
 			for _, shape := range sortShapes {
 				vs := shapedVertices(rng, shape, n, k)
@@ -127,8 +129,12 @@ func TestSortMatchesComparisonSort(t *testing.T) {
 // bits in Lo, across the Hi/Lo boundary, and in Hi.
 func TestSortParallelMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	ks := []int{5, 27, 34, 35, 36, 63}
+	if testing.Short() {
+		ks = []int{5, 35, 63} // top byte in Lo, across the boundary, in Hi
+	}
 	for _, n := range []int{SortParallelMin - 1, SortParallelMin, SortParallelMin + 4097} {
-		for _, k := range []int{5, 27, 34, 35, 36, 63} {
+		for _, k := range ks {
 			vs := shapedVertices(rng, "random", n, k)
 			want := &Subgraph{K: k, Vertices: append([]Vertex(nil), vs...)}
 			want.Sort()

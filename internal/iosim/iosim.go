@@ -85,7 +85,7 @@ func (s *Store) Open(name string) (io.Reader, error) {
 // OpenStream serves the published blob itself: a publish replaces the blob,
 // it never writes into it, so the version open at the time stays what the
 // reader sees. Bytes are counted as they are read.
-func (s *Store) OpenStream(name string) (io.ReadCloser, error) {
+func (s *Store) OpenStream(name string) (store.Stream, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	buf, ok := s.files[name]
@@ -101,13 +101,19 @@ type streamReader struct {
 	r     *bytes.Reader
 }
 
-func (r *streamReader) Read(p []byte) (int, error) {
-	n, err := r.r.Read(p)
+func (r *streamReader) Read(p []byte) (int, error) { return r.served(r.r.Read(p)) }
+
+func (r *streamReader) ReadAt(p []byte, off int64) (int, error) { return r.served(r.r.ReadAt(p, off)) }
+
+// served counts n bytes as read.
+func (r *streamReader) served(n int, err error) (int, error) {
 	r.store.mu.Lock()
 	r.store.bytesRead += int64(n)
 	r.store.mu.Unlock()
 	return n, err
 }
+
+func (r *streamReader) Size() int64 { return r.r.Size() }
 
 func (r *streamReader) Close() error { return nil }
 

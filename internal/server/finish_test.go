@@ -195,7 +195,7 @@ type wrongKStore struct {
 	name string
 }
 
-func (s wrongKStore) OpenStream(name string) (io.ReadCloser, error) {
+func (s wrongKStore) OpenStream(name string) (store.Stream, error) {
 	r, err := s.PartitionStore.OpenStream(name)
 	if err != nil || name != s.name {
 		return r, err
@@ -206,8 +206,13 @@ func (s wrongKStore) OpenStream(name string) (io.ReadCloser, error) {
 		return nil, err
 	}
 	img[5]++
-	return io.NopCloser(bytes.NewReader(img)), nil
+	return imageStream{bytes.NewReader(img)}, nil
 }
+
+// imageStream serves an in-memory image as a store.Stream.
+type imageStream struct{ *bytes.Reader }
+
+func (imageStream) Close() error { return nil }
 
 // TestDamagedSubgraphFailsTheJob: a subgraph file that fails the finish's
 // checks makes a failed job with the typed cause in its record — never a

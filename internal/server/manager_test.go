@@ -196,7 +196,20 @@ func TestConcurrentAdmissionSerializes(t *testing.T) {
 	weight := hashtable.MemoryBytesFor(slots)
 	budget := weight + weight/2
 
-	m, err := Open(Options{Root: t.TempDir(), Base: base, MemoryBudgetBytes: budget, Logf: t.Logf})
+	// A job holds its admission from Acquire until it finishes, and its
+	// build attempt starts inside it: the admitted job stalls there until the
+	// other one has queued at the gate, so a first job that would finish
+	// before the second Submit returns cannot pass the test without the
+	// gate ever making anyone wait. The hold gives up after a while — the
+	// Waits assertion then fails, it never hangs.
+	var m *Manager
+	hold := func(_ string, ctx context.Context, _ context.CancelCauseFunc) context.Context {
+		for deadline := time.Now().Add(10 * time.Second); m.Stats().Gate.Waits < 1 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return ctx
+	}
+	m, err = Open(Options{Root: t.TempDir(), Base: base, MemoryBudgetBytes: budget, Logf: t.Logf, WrapJobCtx: hold})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,11 @@ var ErrDiskFull = errors.New("store: disk full")
 //     snapshot. Bytes are counted as read when they are served, and the
 //     caller must Close the reader on every path (on disk it is a
 //     descriptor, and a caller holding many at once — the finish stage holds
-//     one per partition — is bounded by the process's open-file limit).
+//     one per partition — is bounded by the process's open-file limit). The
+//     stream also reads at any offset (ReadAt, safe to call from several
+//     goroutines at once, counted like Read) and reports the size of the
+//     version it opened (Size), so one open serves readers of several parts
+//     of the file.
 //   - Size, Open and OpenStream return an error wrapping ErrNotFound for
 //     absent names.
 //   - Remove deletes the named files that are present; removing an absent
@@ -79,11 +83,19 @@ type PartitionStore interface {
 	CreateVolatile(name string) (io.WriteCloser, error)
 	Sync(names ...string) error
 	Open(name string) (io.Reader, error)
-	OpenStream(name string) (io.ReadCloser, error)
+	OpenStream(name string) (Stream, error)
 	Size(name string) (int64, error)
 	Remove(names ...string) error
 	List() ([]string, error)
 	TotalBytes() int64
 	BytesRead() int64
 	BytesWritten() int64
+}
+
+// Stream is what OpenStream returns: the version of a file published at open
+// time, read in order (Read) or at any offset (ReadAt), and its size.
+type Stream interface {
+	io.ReadCloser
+	io.ReaderAt
+	Size() int64
 }

@@ -5,7 +5,8 @@
 // and volatile alike), Sync's ErrNotFound, snapshot reads, ErrNotFound
 // classification, idempotent and batched Remove, sorted listing that hides
 // in-flight writes, cumulative byte accounting, streamed snapshot reads that
-// give their descriptor back — is enforced identically on both media. A behavioural
+// give their descriptor back and read any offset of the version they opened
+// — is enforced identically on both media. A behavioural
 // divergence between the simulated and the real store would silently
 // invalidate the virtual-time experiments, so additions to the interface
 // contract belong here first.
@@ -13,10 +14,12 @@ package storetest
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"parahash/internal/store"
@@ -49,6 +52,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("Sync", func(t *testing.T) { testSync(t, factory(t)) })
 	t.Run("OpenStream", func(t *testing.T) { testOpenStream(t, factory(t)) })
 	t.Run("OpenStreamSnapshot", func(t *testing.T) { testOpenStreamSnapshot(t, factory(t)) })
+	t.Run("OpenStreamReadAt", func(t *testing.T) { testOpenStreamReadAt(t, factory(t)) })
 	t.Run("ListDuringInflightWrites", func(t *testing.T) { testListDuringInflightWrites(t, factory(t)) })
 }
 
@@ -405,6 +409,68 @@ func testOpenStreamSnapshot(t *testing.T, s store.PartitionStore) {
 	}
 	if string(got) != version(0) {
 		t.Fatalf("the stream served %d bytes that are not the version it was opened on", len(got))
+	}
+}
+
+// testOpenStreamReadAt: a stream reads the version it was opened on at any
+// offset, from several goroutines at once, and reports that version's size,
+// however many publishes — durable or volatile — and even a Remove land on
+// the name; every byte ReadAt serves is counted, and a stream opened later
+// reports the size of the version then published.
+func testOpenStreamReadAt(t *testing.T, s store.PartitionStore) {
+	version := func(i int) string { return strings.Repeat(string(rune('a'+i)), 100_000+1000*i) }
+	put(t, s, "f", version(0))
+	r, err := s.OpenStream("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	size := int64(len(version(0)))
+	served := s.BytesRead()
+	for i := 1; i <= 3; i++ {
+		switch i {
+		case 1:
+			put(t, s, "f", version(i))
+		case 2:
+			putWith(t, s.CreateVolatile, "f", version(i))
+			if later, err := s.OpenStream("f"); err != nil || later.Size() != int64(len(version(i))) {
+				t.Fatalf("a stream opened on version %d: %v", i, err)
+			} else {
+				later.Close()
+			}
+		case 3:
+			if err := s.Remove("f"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := r.Size(); got != size {
+			t.Fatalf("after change %d the stream reports %d bytes, opened on %d", i, got, size)
+		}
+		var wg sync.WaitGroup
+		bad := make(chan string, 4)
+		for g := int64(0); g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				buf := make([]byte, 5000)
+				if n, err := r.ReadAt(buf, g*20_000+int64(i)); n != len(buf) || err != nil ||
+					strings.Trim(string(buf), "a") != "" {
+					bad <- fmt.Sprintf("ReadAt(%d) = %d, %v", g*20_000+int64(i), n, err)
+				}
+			}()
+		}
+		wg.Wait()
+		close(bad)
+		for msg := range bad {
+			t.Fatalf("after change %d: %s, not the opened version's bytes", i, msg)
+		}
+		tail := make([]byte, 10)
+		if n, err := r.ReadAt(tail, size-4); n != 4 || err != io.EOF || string(tail[:n]) != "aaaa" {
+			t.Fatalf("ReadAt over the end = %d %q, %v; want 4 bytes and io.EOF", n, tail[:n], err)
+		}
+	}
+	if got := s.BytesRead() - served; got != 3*(4*5000+4) {
+		t.Errorf("BytesRead grew by %d while ReadAt served %d bytes", got, 3*(4*5000+4))
 	}
 }
 
