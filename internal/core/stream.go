@@ -19,8 +19,8 @@ import (
 // Step 1 chunk. Chunks are the unit the pipeline's parse, scan and encode
 // stages hand each other, so they should be small enough that the stages overlap from
 // the first few milliseconds on and large enough that a hand-over costs
-// nothing beside the work; the CHANGES.md entry of PR 14 records the sweep
-// this value was picked from.
+// nothing beside the work; DESIGN.md §11 ("One Step 1, on the work-stealing
+// pipeline") records the sweeps this value was picked from.
 const DefaultStreamChunkBases = 1 << 19
 
 // BuildFromReader constructs the De Bruijn graph from a plain or gzipped

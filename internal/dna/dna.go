@@ -11,6 +11,7 @@ package dna
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -32,23 +33,19 @@ const MaxK = 63
 // baseChars maps encoded values back to upper-case base characters.
 var baseChars = [4]byte{'A', 'C', 'G', 'T'}
 
+// baseCodes maps every byte to its 2-bit encoding: A, C, G and T in either
+// case to their codes, everything else to A.
+var baseCodes = func() (t [256]Base) {
+	t['C'], t['c'] = C, C
+	t['G'], t['g'] = G, G
+	t['T'], t['t'] = T, T
+	return t
+}()
+
 // EncodeBase converts a base character to its 2-bit encoding.
 // Lower-case characters are accepted; every character outside {A,C,G,T}
 // is treated as 'A', matching standard assembler behaviour for 'N'.
-func EncodeBase(c byte) Base {
-	switch c {
-	case 'A', 'a':
-		return A
-	case 'C', 'c':
-		return C
-	case 'G', 'g':
-		return G
-	case 'T', 't':
-		return T
-	default:
-		return A
-	}
-}
+func EncodeBase(c byte) Base { return baseCodes[c] }
 
 // Char returns the upper-case character for the base.
 func (b Base) Char() byte { return baseChars[b&3] }
@@ -61,14 +58,18 @@ func (b Base) String() string { return string(baseChars[b&3]) }
 
 // EncodeSeq encodes a character sequence into 2-bit bases.
 // The result is appended to dst and returned.
-func EncodeSeq(dst []Base, seq string) []Base {
-	if cap(dst)-len(dst) < len(seq) {
-		grown := make([]Base, len(dst), len(dst)+len(seq))
-		copy(grown, dst)
-		dst = grown
-	}
+func EncodeSeq(dst []Base, seq string) []Base { return encode(dst, seq) }
+
+// EncodeBytes is EncodeSeq over a byte slice, so a parser can encode a line
+// in place without first copying it into a string.
+func EncodeBytes(dst []Base, seq []byte) []Base { return encode(dst, seq) }
+
+func encode[S ~string | ~[]byte](dst []Base, seq S) []Base {
+	n := len(dst)
+	dst = slices.Grow(dst, len(seq))[:n+len(seq)]
+	out := dst[n:][:len(seq)]
 	for i := 0; i < len(seq); i++ {
-		dst = append(dst, EncodeBase(seq[i]))
+		out[i] = baseCodes[seq[i]]
 	}
 	return dst
 }

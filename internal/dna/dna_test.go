@@ -42,6 +42,38 @@ func TestEncodeBase(t *testing.T) {
 	}
 }
 
+// encodeBaseSwitch is the branchy decode the 256-entry table replaced, kept
+// as its oracle.
+func encodeBaseSwitch(c byte) Base {
+	switch c {
+	case 'A', 'a':
+		return A
+	case 'C', 'c':
+		return C
+	case 'G', 'g':
+		return G
+	case 'T', 't':
+		return T
+	default:
+		return A
+	}
+}
+
+func TestEncodeBaseTableMatchesSwitch(t *testing.T) {
+	var all []byte
+	for c := 0; c < 256; c++ {
+		if got, want := EncodeBase(byte(c)), encodeBaseSwitch(byte(c)); got != want {
+			t.Errorf("EncodeBase(%#x) = %v, want %v", c, got, want)
+		}
+		all = append(all, byte(c))
+	}
+	fromBytes := EncodeBytes(EncodeSeq(nil, "GT"), all)
+	fromString := EncodeSeq(EncodeSeq(nil, "GT"), string(all))
+	if DecodeSeq(fromBytes) != DecodeSeq(fromString) || len(fromBytes) != 258 {
+		t.Fatalf("EncodeBytes and EncodeSeq disagree")
+	}
+}
+
 func TestBaseComplement(t *testing.T) {
 	pairs := map[Base]Base{A: T, C: G, G: C, T: A}
 	for b, want := range pairs {

@@ -1,5 +1,7 @@
 package dna
 
+import "slices"
+
 // This file implements P-minimum-substrings (Definition 1 of the paper) and
 // the per-k-mer minimizer values used by the Minimum Substring Partitioning
 // step. A minimizer is represented as the packed 2-bit value of its P bases
@@ -27,50 +29,49 @@ func CanonicalPmers(dst []uint64, read []Base, p int) []uint64 {
 	if n <= 0 {
 		return dst
 	}
-	if cap(dst)-len(dst) < n {
-		grown := make([]uint64, len(dst), len(dst)+n)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, n)
 	mask := PmerMask(p)
 	rcShift := uint(2 * (p - 1))
 	var fwd, rc uint64
-	for j := 0; j < len(read); j++ {
-		b := uint64(read[j] & 3)
-		fwd = (fwd<<2 | b) & mask
-		rc = rc>>2 | (b^3)<<rcShift
-		if j >= p-1 {
-			if rc < fwd {
-				dst = append(dst, rc)
-			} else {
-				dst = append(dst, fwd)
-			}
-		}
+	for _, b := range read[:p-1] {
+		fwd = fwd<<2 | uint64(b&3)
+		rc = rc>>2 | uint64(b&3^3)<<rcShift
 	}
-	return dst
+	src := read[p-1:]
+	out := dst[len(dst) : len(dst)+n][:len(src)]
+	for j, b := range src {
+		fwd = (fwd<<2 | uint64(b&3)) & mask
+		rc = rc>>2 | uint64(b&3^3)<<rcShift
+		out[j] = min(fwd, rc)
+	}
+	return dst[:len(dst)+n]
 }
 
 // Minimizers computes the minimizer (the canonical P-minimum-substring
 // value) of every k-mer in the read: result[i] is the minimum canonical
 // p-mer value over offsets i..i+k-p. The result is appended to dst.
 //
-// The computation uses a monotonic-deque sliding-window minimum, so a read
-// of length L costs O(L) rather than the O(L*K*P) naive rescan. This
-// convenience form allocates fresh scratch per call; hot loops should hold a
-// MinimizerBuf (msp.Scanner does) so repeated reads cost zero allocations.
+// The sliding-window minimum is van Herk/Gil-Werman's: the p-mers are cut
+// into blocks of the window's width w, and a window, which spans at most two
+// blocks, takes the smaller of its first p-mer's suffix minimum and its last
+// p-mer's prefix minimum. That is three branch-free linear passes whatever w
+// is, so a read of length L costs O(L) rather than the O(L*K*P) naive
+// rescan. This convenience form allocates fresh scratch per call; hot loops
+// should hold a MinimizerBuf (msp.Scanner does) so repeated reads cost zero
+// allocations.
 func Minimizers(dst []uint64, read []Base, k, p int) []uint64 {
 	var mb MinimizerBuf
 	return mb.Minimizers(dst, read, k, p)
 }
 
 // MinimizerBuf holds the reusable scratch of the minimizer computation: the
-// per-position canonical p-mer values and the monotonic deque of the
-// sliding-window minimum. After warming up on the longest read, Minimizers
-// performs zero allocations per call. A MinimizerBuf is not safe for
-// concurrent use; each worker owns one.
+// per-position canonical p-mer values, which become the block suffix minima
+// in place, and the block prefix minima. After warming up on the longest
+// read, Minimizers performs zero allocations per call. A MinimizerBuf is not
+// safe for concurrent use; each worker owns one.
 type MinimizerBuf struct {
 	pmers []uint64
-	deque []int32
+	pre   []uint64
 }
 
 // Minimizers is the scratch-reusing form of the package-level Minimizers;
@@ -84,35 +85,37 @@ func (mb *MinimizerBuf) Minimizers(dst []uint64, read []Base, k, p int) []uint64
 		return dst
 	}
 	mb.pmers = CanonicalPmers(mb.pmers[:0], read, p)
-	pmers := mb.pmers
+	suf := mb.pmers
+	if cap(mb.pre) < len(suf) {
+		mb.pre = make([]uint64, len(suf))
+	}
+	pre := mb.pre[:len(suf)]
 	w := k - p + 1 // window: each k-mer spans w consecutive p-mers
-
-	// The deque holds indices into pmers with non-decreasing values. The
-	// front is tracked with an index rather than re-slicing so the buffer's
-	// full capacity survives reuse across calls.
-	if cap(mb.deque) < len(pmers) {
-		mb.deque = make([]int32, 0, len(pmers))
-	}
-	deque := mb.deque[:0]
-	head := 0
-	for j := 0; j < len(pmers); j++ {
-		for len(deque) > head && pmers[deque[len(deque)-1]] > pmers[j] {
-			deque = deque[:len(deque)-1]
+	for lo := 0; lo < len(suf); lo += w {
+		blk := suf[lo:min(lo+w, len(suf))]
+		blkPre := pre[lo:][:len(blk)]
+		run := blk[0]
+		for j, v := range blk {
+			run = min(run, v)
+			blkPre[j] = run
 		}
-		deque = append(deque, int32(j))
-		if start := j - w + 1; start >= 0 {
-			if int(deque[head]) < start {
-				head++
-			}
-			dst = append(dst, pmers[deque[head]])
+		run = blk[len(blk)-1]
+		for j := len(blk) - 1; j >= 0; j-- {
+			run = min(run, blk[j])
+			blk[j] = run
 		}
 	}
-	mb.deque = deque[:0]
-	return dst
+	dst = slices.Grow(dst, nk)
+	out := dst[len(dst) : len(dst)+nk]
+	first, last := suf[:len(out)], pre[w-1:][:len(out)]
+	for i := range out {
+		out[i] = min(first[i], last[i])
+	}
+	return dst[:len(dst)+nk]
 }
 
 // MinimizersNaive is the direct O(L*K) re-scan implementation of Minimizers,
-// kept as a test oracle for the deque version.
+// kept as a test oracle for the block-minima version.
 func MinimizersNaive(dst []uint64, read []Base, k, p int) []uint64 {
 	nk := len(read) - k + 1
 	if nk <= 0 {

@@ -80,6 +80,64 @@ func TestMinimizersMatchesNaive(t *testing.T) {
 	}
 }
 
+// minimizersDeque is the monotonic-deque sliding-window minimum the block
+// minima replaced, kept as a second oracle beside MinimizersNaive.
+func minimizersDeque(dst []uint64, read []Base, k, p int) []uint64 {
+	if len(read)-k+1 <= 0 {
+		return dst
+	}
+	pmers := CanonicalPmers(nil, read, p)
+	w := k - p + 1
+	var deque []int
+	head := 0
+	for j := range pmers {
+		for len(deque) > head && pmers[deque[len(deque)-1]] > pmers[j] {
+			deque = deque[:len(deque)-1]
+		}
+		deque = append(deque, j)
+		if start := j - w + 1; start >= 0 {
+			if deque[head] < start {
+				head++
+			}
+			dst = append(dst, pmers[deque[head]])
+		}
+	}
+	return dst
+}
+
+// TestMinimizersEveryKP holds the block minima to both oracles for every
+// 1 <= p <= k <= MaxK (p <= MaxP) on reads of length k-1 … 3k, so every
+// window width meets every shape of partial last block. One warm
+// MinimizerBuf serves them all. A prefix's minimizers are the first ones of
+// the whole read's, so the naive rescan runs once per (k, p).
+func TestMinimizersEveryKP(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var mb MinimizerBuf
+	var got []uint64
+	for k := 1; k <= MaxK; k++ {
+		read := make([]Base, 3*k)
+		for i := range read {
+			read[i] = Base(rng.Intn(4))
+		}
+		for p := 1; p <= min(k, MaxP); p++ {
+			naive := MinimizersNaive(nil, read, k, p)
+			for l := k - 1; l <= 3*k; l++ {
+				got = mb.Minimizers(got[:0], read[:l], k, p)
+				deque := minimizersDeque(nil, read[:l], k, p)
+				if len(got) != max(l-k+1, 0) || len(deque) != len(got) {
+					t.Fatalf("k=%d p=%d len=%d: %d minimizers, deque %d", k, p, l, len(got), len(deque))
+				}
+				for i := range got {
+					if got[i] != naive[i] || deque[i] != naive[i] {
+						t.Fatalf("k=%d p=%d len=%d i=%d: block %d, deque %d, naive %d",
+							k, p, l, i, got[i], deque[i], naive[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMinimizersCount(t *testing.T) {
 	read := make([]Base, 101)
 	got := Minimizers(nil, read, 27, 11)

@@ -64,8 +64,18 @@ var ErrRecordTooLarge = errors.New("fastq: record exceeds size cap")
 // chromosome-scale FASTA lines, while still bounding a hostile stream.
 const DefaultMaxRecordBytes = 64 << 20
 
+// slabBlock is the size in bases of the blocks a Reader decodes reads into.
+const slabBlock = 64 << 10
+
 // Reader streams reads from a FASTA or FASTQ source. The format is sniffed
 // from the first record marker.
+//
+// Lines are taken in place from the bufio buffer and decoded straight into
+// the Reader's slab: 64 KiB blocks that successive reads take
+// capacity-limited sub-slices of, so a warm Reader allocates about one ID
+// string per record. A block is never reused — a read keeps its block alive
+// for as long as the caller holds it — and a read longer than a block gets
+// its own array.
 type Reader struct {
 	br     *bufio.Reader
 	format Format
@@ -76,6 +86,9 @@ type Reader struct {
 	// NewReader sets DefaultMaxRecordBytes; non-positive values select the
 	// default.
 	MaxRecordBytes int
+
+	free []dna.Base // the unused tail of the current slab block, len 0
+	long []byte     // scratch for a line longer than the bufio buffer
 }
 
 // NewReader wraps r in a streaming FASTA/FASTQ parser.
@@ -115,25 +128,73 @@ func (r *Reader) sniff() error {
 	}
 }
 
-// readLine returns the next line without the trailing newline or CR,
-// accumulating buffer-sized fragments so an unterminated line can never grow
-// past the record cap.
-func (r *Reader) readLine() (string, error) {
-	var buf []byte
-	for {
-		frag, err := r.br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if len(buf) > r.maxRecordBytes() {
-			return "", fmt.Errorf("%w: line longer than %d bytes", ErrRecordTooLarge, r.maxRecordBytes())
+// readLine returns the next line without its trailing newlines and CRs. The
+// line aliases the bufio buffer (or, for a line longer than it, r.long) and
+// is valid only until the next read. The cap counts the newline, and an
+// unterminated line can never grow past it.
+func (r *Reader) readLine() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		r.long = append(r.long[:0], line...)
+		for err == bufio.ErrBufferFull && len(r.long) <= r.maxRecordBytes() {
+			line, err = r.br.ReadSlice('\n')
+			r.long = append(r.long, line...)
 		}
-		if err == bufio.ErrBufferFull {
+		line = r.long
+	}
+	if len(line) > r.maxRecordBytes() {
+		return nil, fmt.Errorf("%w: line longer than %d bytes", ErrRecordTooLarge, r.maxRecordBytes())
+	}
+	if err != nil && (len(line) == 0 || err != io.EOF) {
+		return nil, err
+	}
+	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
+		line = line[:len(line)-1]
+	}
+	return line, nil
+}
+
+// headerLine returns the next non-empty line, which must start with marker.
+func (r *Reader) headerLine(marker byte) ([]byte, error) {
+	for {
+		line, err := r.readLine()
+		if err != nil {
+			return nil, err
+		}
+		if len(line) == 0 {
 			continue
 		}
-		if err != nil && (len(buf) == 0 || err != io.EOF) {
-			return "", err
+		if line[0] != marker {
+			return nil, fmt.Errorf("%w: record %d header %q", ErrBadRecord, r.n, line)
 		}
-		return strings.TrimRight(string(buf), "\r\n"), nil
+		return line, nil
 	}
+}
+
+// grow returns b with room for need bases: b itself when it has it,
+// otherwise b copied to the front of a fresh slab block, or past a block's
+// size to an array of its own, which is therefore always larger than a
+// block.
+func (r *Reader) grow(b []dna.Base, need int) []dna.Base {
+	if need <= cap(b) {
+		return b
+	}
+	if need > slabBlock {
+		return append(make([]dna.Base, 0, max(need, 2*len(b))), b...)
+	}
+	r.free = make([]dna.Base, 0, slabBlock)
+	return append(r.free, b...)
+}
+
+// take finishes a read's bases, which grow placed either at the front of
+// the current block — its free tail then moves past them — or in an array
+// of their own. The returned slice's capacity ends at its length, so
+// appending to one read can never overwrite the next.
+func (r *Reader) take(b []dna.Base) []dna.Base {
+	if cap(b) == cap(r.free) {
+		r.free = r.free[len(b):len(b)]
+	}
+	return b[:len(b):len(b)]
 }
 
 // Next returns the next read, or io.EOF at end of input.
@@ -152,18 +213,11 @@ func (r *Reader) Next() (Read, error) {
 }
 
 func (r *Reader) nextFASTQ() (Read, error) {
-	header, err := r.readLine()
+	header, err := r.headerLine('@')
 	if err != nil {
 		return Read{}, err
 	}
-	for header == "" {
-		if header, err = r.readLine(); err != nil {
-			return Read{}, err
-		}
-	}
-	if !strings.HasPrefix(header, "@") {
-		return Read{}, fmt.Errorf("%w: record %d header %q", ErrBadRecord, r.n, header)
-	}
+	id := string(header[1:])
 	seq, err := r.readLine()
 	if err != nil {
 		if errors.Is(err, ErrRecordTooLarge) {
@@ -171,37 +225,36 @@ func (r *Reader) nextFASTQ() (Read, error) {
 		}
 		return Read{}, fmt.Errorf("%w: record %d truncated after header", ErrBadRecord, r.n)
 	}
+	bases := dna.EncodeBytes(r.grow(r.free, len(seq)), seq)
 	plus, err := r.readLine()
-	if err != nil || !strings.HasPrefix(plus, "+") {
+	if err != nil || len(plus) == 0 || plus[0] != '+' {
 		if errors.Is(err, ErrRecordTooLarge) {
 			return Read{}, fmt.Errorf("record %d: %w", r.n, err)
 		}
 		return Read{}, fmt.Errorf("%w: record %d missing '+' separator", ErrBadRecord, r.n)
 	}
-	if _, err := r.readLine(); err != nil { // quality line, discarded
+	qual, err := r.readLine()
+	if err != nil {
 		if errors.Is(err, ErrRecordTooLarge) {
 			return Read{}, fmt.Errorf("record %d: %w", r.n, err)
 		}
 		return Read{}, fmt.Errorf("%w: record %d missing quality line", ErrBadRecord, r.n)
 	}
+	if len(qual) != len(bases) {
+		return Read{}, fmt.Errorf("%w: record %d %q has %d quality values for %d bases",
+			ErrBadRecord, r.n, id, len(qual), len(bases))
+	}
 	r.n++
-	return Read{ID: header[1:], Bases: dna.EncodeSeq(nil, seq)}, nil
+	return Read{ID: id, Bases: r.take(bases)}, nil
 }
 
 func (r *Reader) nextFASTA() (Read, error) {
-	header, err := r.readLine()
+	header, err := r.headerLine('>')
 	if err != nil {
 		return Read{}, err
 	}
-	for header == "" {
-		if header, err = r.readLine(); err != nil {
-			return Read{}, err
-		}
-	}
-	if !strings.HasPrefix(header, ">") {
-		return Read{}, fmt.Errorf("%w: record %d header %q", ErrBadRecord, r.n, header)
-	}
-	var bases []dna.Base
+	id := string(header[1:])
+	bases := r.free
 	for {
 		peek, err := r.br.Peek(1)
 		if err == io.EOF {
@@ -217,7 +270,7 @@ func (r *Reader) nextFASTA() (Read, error) {
 		if err != nil {
 			return Read{}, err
 		}
-		bases = dna.EncodeSeq(bases, line)
+		bases = dna.EncodeBytes(r.grow(bases, len(bases)+len(line)), line)
 		if len(bases) > r.maxRecordBytes() {
 			return Read{}, fmt.Errorf("%w: record %d sequence longer than %d bases",
 				ErrRecordTooLarge, r.n, r.maxRecordBytes())
@@ -227,7 +280,7 @@ func (r *Reader) nextFASTA() (Read, error) {
 		return Read{}, fmt.Errorf("%w: record %d has empty sequence", ErrBadRecord, r.n)
 	}
 	r.n++
-	return Read{ID: header[1:], Bases: bases}, nil
+	return Read{ID: id, Bases: r.take(bases)}, nil
 }
 
 // ReadAll consumes the reader and returns every read.

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -548,6 +549,13 @@ func (m *Manager) runJob(ctx context.Context, id string, resume bool) {
 		}
 		defer m.gate.Release(rec.WeightBytes)
 	}
+
+	// Collect before building. By default Go starts its next collection
+	// when the heap reaches twice what the last one found live; without
+	// this, that is what the previous job's Step 2 held, and this job's
+	// garbage piles up to it before anything is freed. Collected here, the
+	// build is paced from the daemon's idle heap.
+	runtime.GC()
 
 	var res *parahash.Result
 	var err error
