@@ -14,6 +14,7 @@ import (
 	"parahash/internal/core"
 	"parahash/internal/dna"
 	"parahash/internal/graph"
+	"parahash/internal/graph/graphtest"
 )
 
 // writeTestGraph builds a small graph file and returns its path plus one
@@ -132,7 +133,7 @@ func TestLookup(t *testing.T) {
 		"truncated":                   image[:len(image)-1],
 		"padded":                      append(bytes.Clone(image), 0),
 		"2^36-vertex count":           hugeCount,
-		"2^36-vertex header, no body": hugeCount[:14],
+		"2^36-vertex header, no body": hugeCount[:15],
 	} {
 		bad := filepath.Join(t.TempDir(), "bad.dbg")
 		if err := os.WriteFile(bad, damaged, 0o644); err != nil {
@@ -147,6 +148,71 @@ func TestLookup(t *testing.T) {
 			var out, errw bytes.Buffer
 			if err := run([]string{"stats", bad}, &out, &errw); !errors.Is(err, graph.ErrBadFormat) {
 				t.Errorf("stats on %s: err = %v, want graph.ErrBadFormat", what, err)
+			}
+		}
+	}
+}
+
+// TestVersion1Graph: a graph an older binary wrote, three times the size,
+// reads as the same graph — every subcommand prints what it prints for the
+// version-2 file.
+func TestVersion1Graph(t *testing.T) {
+	path, probe := writeTestGraph(t)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadSubgraph(bytes.NewReader(image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "v1.dbg")
+	if err := os.WriteFile(old, graphtest.Version1(g), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"stats"}, {"spectrum"}, {"contigs"}, {"lookup", "", probe}} {
+		var want, got, errw bytes.Buffer
+		newArgs := append([]string{args[0], path}, args[min(2, len(args)):]...)
+		oldArgs := append([]string{args[0], old}, args[min(2, len(args)):]...)
+		if err := run(newArgs, &want, &errw); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(oldArgs, &got, &errw); err != nil {
+			t.Fatalf("%s on a version-1 graph: %v", args[0], err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s on a version-1 graph:\n%s\nversion 2:\n%s", args[0], got.String(), want.String())
+		}
+	}
+}
+
+// TestHeaderKOutOfRange: a graph whose header says k is 0 or above 63 is a
+// typed error to every subcommand — lookup included, which would otherwise
+// hand that k to the k-mer code and panic.
+func TestHeaderKOutOfRange(t *testing.T) {
+	g := &graph.Subgraph{K: 27, Vertices: []graph.Vertex{{Kmer: dna.Kmer{Lo: 1}}, {Kmer: dna.Kmer{Lo: 2}}, {Kmer: dna.Kmer{Lo: 3}}}}
+	var img bytes.Buffer
+	if err := g.Write(&img); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, k := range []byte{0, 64, 200} {
+		for version, image := range map[int][]byte{1: graphtest.Version1(g), 2: img.Bytes()} {
+			bad := filepath.Join(dir, fmt.Sprintf("k%d-v%d.dbg", k, version))
+			image = bytes.Clone(image)
+			image[5] = k
+			if err := os.WriteFile(bad, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, args := range [][]string{
+				{"lookup", bad, strings.Repeat("A", max(int(k), 1))},
+				{"stats", bad}, {"spectrum", bad}, {"contigs", bad},
+				{"gfa", bad, filepath.Join(dir, "out.gfa")}, {"dot", bad, filepath.Join(dir, "out.dot")},
+			} {
+				var out, errw bytes.Buffer
+				if err := run(args, &out, &errw); !errors.Is(err, graph.ErrBadFormat) || !strings.Contains(err.Error(), "bad subgraph format") {
+					t.Errorf("version %d k=%d: %s: err = %v, want graph.ErrBadFormat", version, k, args[0], err)
+				}
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -99,10 +98,12 @@ func TestMemoryHelper(t *testing.T) {
 
 // TestBuildMemoryFollowsPartitionsNotGraph builds two inputs four times apart
 // in size at the same partition count: the build's peak memory may grow with
-// a partition, never with the graph. The larger graph must not fit in the
-// memory its build peaked at, and between the two builds the peak may grow by
-// no more than the graph did — a build that holds its graph grows by the
-// decoded subgraphs plus the merged copy, 2.7 times that.
+// a partition, never with the graph. The graph is sized at 48 bytes a vertex
+// (graph.ModelBytes, a little over a decoded vertex's 40), not at its file's
+// narrower records. The larger graph must not fit in the memory its build
+// peaked at, and between the two builds the peak may grow by no more than
+// the graph did — a build that holds its graph grows by the decoded
+// subgraphs plus the merged copy, 2.7 times that.
 func TestBuildMemoryFollowsPartitionsNotGraph(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("two child builds of real size, measured without the race detector's shadow memory")
@@ -114,11 +115,7 @@ func TestBuildMemoryFollowsPartitionsNotGraph(t *testing.T) {
 		out := filepath.Join(dir, fmt.Sprintf("g%d.dbg", i))
 		rss[i] = buildChild(t, []string{"-in", in, "-k", "27", "-p", "19", "-partitions", "64", "-threads", "2",
 			"-checkpoint-dir", filepath.Join(dir, fmt.Sprintf("ck%d", i)), "-out", out}).peak
-		st, err := os.Stat(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphBytes[i] = st.Size()
+		graphBytes[i] = graph.ModelBytes(graphVertices(t, out))
 	}
 	const mb = 1 << 20
 	t.Logf("peak %d MB for a %d MB graph, %d MB for a %d MB graph", rss[0]/mb, graphBytes[0]/mb, rss[1]/mb, graphBytes[1]/mb)
@@ -131,6 +128,25 @@ func TestBuildMemoryFollowsPartitionsNotGraph(t *testing.T) {
 	if grew, graphGrew := rss[1]-rss[0], graphBytes[1]-graphBytes[0]; grew > graphGrew {
 		t.Errorf("peak memory grew by %d MB while the graph grew by %d MB", grew/mb, graphGrew/mb)
 	}
+}
+
+// graphVertices returns the vertex count of the graph file at path.
+func graphVertices(t *testing.T, path string) int {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.OpenFile(f, st.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.NumVertices()
 }
 
 // writeReads writes a generated dataset as FASTQ to dir/reads.fq and
@@ -251,7 +267,7 @@ func TestFilterIsTheBuildsOutputFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vertices += (st.Size() - graph.SerializedSize(0)) / graph.VertexRecordBytes
+		vertices += (st.Size() - 15) / 16 // version 2, k=27, every count below 256
 	}
 	if vertices != int64(remain) {
 		t.Fatalf("the subgraph files hold %d vertices, -out %d", vertices, remain)
@@ -283,12 +299,15 @@ func TestDamagedSubgraphFailsTheFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first vertex's first zero edge counter (record bytes 16-47, after
-	// the 14-byte header) becomes an edge.
-	first := img[14 : 14+graph.VertexRecordBytes]
-	counter := 16
-	for counter < len(first) && binary.LittleEndian.Uint32(first[counter:]) != 0 {
-		counter += 4
+	// The first vertex's first zero edge counter (record bytes 8-15, after
+	// the 15-byte header: k=27, every count below 256) becomes an edge.
+	if img[14] != 1 {
+		t.Fatalf("counts %d bytes wide, want 1", img[14])
+	}
+	first := img[15 : 15+16]
+	counter := 8
+	for counter < len(first) && first[counter] != 0 {
+		counter++
 	}
 	if counter == len(first) {
 		t.Fatal("the first vertex has every edge")

@@ -252,7 +252,7 @@ func verifySubgraphFile(ds store.PartitionStore, k int, rec *manifest.Step2Parti
 	if sz, err := ds.Size(rec.Name); err != nil || sz != rec.Bytes {
 		return false
 	}
-	vertices, _, err := checkSubgraphFile(ds, rec.Name, k)
+	vertices, _, _, err := checkSubgraphFile(ds, rec.Name, k)
 	return err == nil && vertices == rec.Vertices
 }
 
@@ -261,18 +261,19 @@ func verifySubgraphFile(ds store.PartitionStore, k int, rec *manifest.Step2Parti
 // k (0, which Scrub passes knowing no k, accepts the header's), strictly
 // ascending, and exactly the records its header declares. It is the finish's
 // own check on the file alone: MergeStreams over one source. It returns the
-// file's vertex and edge counts.
-func checkSubgraphFile(ds store.PartitionStore, name string, k int) (vertices, edges int64, err error) {
+// file's vertex and edge counts and its size.
+func checkSubgraphFile(ds store.PartitionStore, name string, k int) (vertices, edges, size int64, err error) {
 	r, err := ds.OpenStream(name)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer r.Close()
 	br := bufio.NewReader(r)
 	if head, err := br.Peek(6); err == nil && k == 0 {
 		k = int(head[5]) // the PHDG header's k byte, after magic and version
 	}
-	return graph.MergeStreams(k, []io.Reader{br}, io.Discard)
+	vertices, edges, err = graph.MergeStreams(k, []io.Reader{br}, io.Discard)
+	return vertices, edges, r.Size(), err
 }
 
 // verifySpillRuns checks every journalled run of a partition: present, the
@@ -353,15 +354,15 @@ func (ck *checkpoint) recordStep1(stats []msp.PartitionStats, infos []msp.FileIn
 	return ck.save()
 }
 
-// step2Record is partition i's Step 2 claim. vertices and edges count the
-// subgraph as written (after any output filtering); distinct is the
-// constructed pre-filter vertex count, preserved so resumed runs keep exact
-// graph-size accounting.
-func step2Record(i int, vertices, edges, distinct int64) manifest.Step2Partition {
+// step2Record is partition i's Step 2 claim. size is the subgraph file's,
+// vertices and edges count the subgraph as written (after any output
+// filtering); distinct is the constructed pre-filter vertex count, preserved
+// so resumed runs keep exact graph-size accounting.
+func step2Record(i int, size, vertices, edges, distinct int64) manifest.Step2Partition {
 	return manifest.Step2Partition{
 		Index:    i,
 		Name:     subgraphFile(i),
-		Bytes:    graph.SerializedSize(int(vertices)),
+		Bytes:    size,
 		Vertices: vertices,
 		Edges:    edges,
 		Distinct: distinct,

@@ -208,7 +208,7 @@ func FencedName(i int, token int64) string {
 // resume rebuilds.
 func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, distinct int64) error {
 	name := FencedName(i, token)
-	vertices, edges, err := checkSubgraphFile(p.ck.ds, name, p.cfg.K)
+	vertices, edges, size, err := checkSubgraphFile(p.ck.ds, name, p.cfg.K)
 	if err != nil {
 		return fmt.Errorf("%w: %q: %w", ErrFencedRefused, name, err)
 	}
@@ -218,7 +218,7 @@ func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, distin
 	if p.commits == nil {
 		p.commits = startStep2Committer(ctx, p.cfg, p.st, p.ck)
 	}
-	return p.commits.submit(step2Record(i, vertices, edges, distinct))
+	return p.commits.submit(step2Record(i, size, vertices, edges, distinct))
 }
 
 // Flush waits until every promotion so far is claimed and returns the first
@@ -391,12 +391,13 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 			return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 		}
 	}
-	if err := publishSubgraph(st.CreateVolatile, outName, out.Graph, cfg.OutputFilterMin); err != nil {
+	size, err := publishSubgraph(st.CreateVolatile, outName, out.Graph, cfg.OutputFilterMin)
+	if err != nil {
 		return DistOutput{}, err
 	}
 	res := DistOutput{
 		Name:     outName,
-		Bytes:    graph.SerializedSize(out.Graph.NumVertices()),
+		Bytes:    size,
 		Vertices: int64(out.Graph.NumVertices()),
 		Edges:    int64(out.Graph.NumEdges()),
 		Distinct: out.Distinct,

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"os"
 	"testing"
-
-	"parahash/internal/graph"
 )
 
 // TestPromoteFencedRefusesDamagedFiles damages a worker's fenced subgraph in
@@ -59,7 +57,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 		}
 	}
 
-	const rec, head = graph.VertexRecordBytes, 14
+	const head, rec = 15, 16 // version 2, k=27, every count below 256
 	damages := map[string]func(img []byte) []byte{
 		"unsorted": func(img []byte) []byte {
 			a, b := img[head:head+rec], img[head+rec:head+2*rec]
@@ -68,7 +66,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 			copy(b, tmp)
 			return img
 		},
-		"duplicate k-mer":   func(img []byte) []byte { copy(img[head+rec:head+rec+16], img[head:head+16]); return img },
+		"duplicate k-mer":   func(img []byte) []byte { copy(img[head+rec:head+rec+8], img[head:head+8]); return img },
 		"wrong k":           func(img []byte) []byte { img[5]++; return img },
 		"one trailing byte": func(img []byte) []byte { return append(img, 0) },
 		"one record short":  func(img []byte) []byte { return img[:len(img)-rec] },
@@ -80,7 +78,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(img) < head+2*rec {
+			if phdgHead, phdgRec := phdgLayout(t, img); phdgHead != head || phdgRec != rec || len(img) < head+2*rec {
 				t.Fatalf("partition %d's subgraph has %d bytes, too few to damage", victim, len(img))
 			}
 			if err := os.WriteFile(path, damage(img), 0o644); err != nil {

@@ -38,10 +38,21 @@ func writtenGraph(t *testing.T, res *Result) []byte {
 		t.Fatalf("WriteGraph wrote %d vertices, %d edges; Stats says %d, %d",
 			vertices, edges, res.Stats.GraphVertices, res.Stats.GraphEdges)
 	}
-	if int64(buf.Len()) != graph.SerializedSize(int(vertices)) {
+	if head, rec := phdgLayout(t, buf.Bytes()); int64(buf.Len()) != int64(head)+int64(rec)*vertices {
 		t.Fatalf("WriteGraph wrote %d bytes for %d vertices", buf.Len(), vertices)
 	}
 	return buf.Bytes()
+}
+
+// phdgLayout returns the header and record sizes of a version-2 PHDG image
+// at k ≤ 32: 15 bytes, and the 8-byte key and eight counts of the width in
+// header byte 14.
+func phdgLayout(t *testing.T, img []byte) (head, rec int) {
+	t.Helper()
+	if len(img) < 15 || img[4] != 2 || img[5] > 32 {
+		t.Fatalf("not a version-2 k ≤ 32 PHDG image: % x", img[:min(len(img), 15)])
+	}
+	return 15, 8 + 8*int(img[14])
 }
 
 // naiveReference is the finish's independent reference for reads built
@@ -176,7 +187,6 @@ func TestWriteGraphRefusesDamagedSubgraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := writtenGraph(t, res)
-	const rec, head = graph.VertexRecordBytes, 14
 	victim, other := dataFile(dir, subgraphFile(3)), dataFile(dir, subgraphFile(4))
 	intact, err := os.ReadFile(victim)
 	if err != nil {
@@ -185,6 +195,10 @@ func TestWriteGraphRefusesDamagedSubgraphs(t *testing.T) {
 	donor, err := os.ReadFile(other)
 	if err != nil {
 		t.Fatal(err)
+	}
+	head, rec := phdgLayout(t, intact)
+	if _, donorRec := phdgLayout(t, donor); donorRec != rec {
+		t.Fatalf("subgraphs of %d- and %d-byte records: no record to splice", rec, donorRec)
 	}
 	if len(intact) < head+3*rec || len(donor) < head+rec {
 		t.Fatalf("subgraphs of %d and %d bytes are too small to damage", len(intact), len(donor))
@@ -249,10 +263,7 @@ func TestWriteGraphRefusesDamagedSubgraphs(t *testing.T) {
 
 // kmerKey is a record's k-mer as bytes that compare in k-mer order.
 func kmerKey(rec []byte) []byte {
-	var key [16]byte
-	binary.BigEndian.PutUint64(key[0:], binary.LittleEndian.Uint64(rec[0:]))
-	binary.BigEndian.PutUint64(key[8:], binary.LittleEndian.Uint64(rec[8:]))
-	return key[:]
+	return binary.BigEndian.AppendUint64(nil, binary.LittleEndian.Uint64(rec))
 }
 
 // TestWriteGraphClosesEveryStream: the finish closes each subgraph stream it

@@ -216,16 +216,11 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	empty := &graph.Subgraph{K: cfg.K}
 	publish := func(i int) {
 		t.Helper()
-		sink, err := w.Rec.CreateVolatile(subgraphFile(i))
-		if err == nil {
-			if err = empty.Write(sink); err == nil {
-				err = sink.Close()
-			}
-		}
+		size, err := publishSubgraph(w.Rec.CreateVolatile, subgraphFile(i), empty, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := committer.submit(step2Record(i, 0, 0, 0)); err != nil {
+		if err := committer.submit(step2Record(i, size, 0, 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}

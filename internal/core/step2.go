@@ -283,11 +283,12 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			w.spillBufferBytes = plan.budget
 		}
 		// Published, not durable: the committer flushes it with its group.
-		if err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin); err != nil {
+		size, err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin)
+		if err != nil {
 			return err
 		}
-		rec := step2Record(i, int64(out.Graph.NumVertices()), int64(out.Graph.NumEdges()), out.Distinct)
-		w.graphBytes, w.graphVertices, w.graphEdges = rec.Bytes, rec.Vertices, rec.Edges
+		rec := step2Record(i, size, int64(out.Graph.NumVertices()), int64(out.Graph.NumEdges()), out.Distinct)
+		w.graphBytes, w.graphVertices, w.graphEdges = graph.ModelBytes(out.Graph.NumVertices()), rec.Vertices, rec.Edges
 		if err := committer.submit(rec); err != nil {
 			return err // retried: the subgraph is published again
 		}
@@ -329,29 +330,42 @@ func step2Slots(cfg Config, procs []device.Processor) []int {
 	return slots
 }
 
-// publishSubgraph applies the output filter to g in place and publishes it
-// under name through create — the store's volatile or durable writer.
-// Filtering twice drops nothing more, so a retried publish writes the same
-// bytes.
-func publishSubgraph(create func(string) (io.WriteCloser, error), name string, g *graph.Subgraph, filterMin int) error {
+// publishSubgraph applies the output filter to g in place, publishes it
+// under name through create — the store's volatile or durable writer — and
+// returns the file's size. Filtering twice drops nothing more, so a retried
+// publish writes the same bytes.
+func publishSubgraph(create func(string) (io.WriteCloser, error), name string, g *graph.Subgraph, filterMin int) (int64, error) {
 	if filterMin > 1 {
 		g.FilterByMultiplicity(filterMin)
 	}
 	sink, err := create(name)
 	if err != nil {
-		return fmt.Errorf("core: creating subgraph %q: %w", name, err)
+		return 0, fmt.Errorf("core: creating subgraph %q: %w", name, err)
 	}
-	if err := g.Write(sink); err != nil {
+	counted := &byteCount{w: sink}
+	if err := g.Write(counted); err != nil {
 		sink.Close()
-		return fmt.Errorf("core: writing subgraph %q: %w", name, err)
+		return 0, fmt.Errorf("core: writing subgraph %q: %w", name, err)
 	}
-	return sink.Close()
+	return counted.n, sink.Close()
+}
+
+// byteCount counts the bytes written to w through it.
+type byteCount struct {
+	w io.Writer
+	n int64
+}
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // foldStep2Works accumulates the per-partition Step 2 measurements into the
 // run stats — distinct vertices, hash table work counters, decoded bytes —
 // and returns the largest single-partition residency (table + encoded input
-// + graph) for the peak-memory estimate.
+// + graph, the graph at the model's width) for the peak-memory estimate.
 func foldStep2Works(st *Stats, works []step2Work) int64 {
 	var peak int64
 	for _, w := range works {

@@ -673,7 +673,7 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	out := collectStep2(table, k, kmers, runtime.GOMAXPROCS(0))
 	g.tables.put(table, 1)
 	// Transfer: the encoded superkmer partition down, the subgraph up.
-	out.TransferBytes = partBytes + graph.SerializedSize(out.Graph.NumVertices())
+	out.TransferBytes = partBytes + graph.ModelBytes(out.Graph.NumVertices())
 	out.TransferSeconds = g.Cal.TransferSeconds(out.TransferBytes)
 	out.ComputeSeconds = g.Cal.GPUStep2Seconds(kmers, 0, out.TableBytes)
 	out.Seconds = out.ComputeSeconds + out.TransferSeconds

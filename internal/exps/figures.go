@@ -7,6 +7,7 @@ import (
 
 	"parahash/internal/core"
 	"parahash/internal/costmodel"
+	"parahash/internal/graph"
 	"parahash/internal/hashtable"
 	"parahash/internal/msp"
 	"parahash/internal/simulate"
@@ -119,7 +120,7 @@ func runHashingSweep(opts Options, p simulate.Profile, np int) (hashingSweepRow,
 		row.sumDistinct += distinct
 		row.totalKmers += kmers
 
-		graphBytes := int64(14 + 48*distinct)
+		graphBytes := graph.ModelBytes(int(distinct))
 		transfer := encBytes + graphBytes
 		row.transferByte += transfer
 		row.cpuSeconds += cal.CPUStep2Seconds(kmers, cal.CPUThreads, tableBytes)

@@ -84,45 +84,70 @@ func assertSameLookups(t testing.TB, f *File, g *Subgraph, keys []dna.Kmer) {
 	}
 }
 
-// TestFileLookupMatchesSubgraph: for sizes around every page and block
-// boundary, checked and unchecked, the in-place reader answers exactly as
-// the decoded graph does — for every present k-mer, its neighbours, keys
-// outside the graph's range and keys with a non-zero high word (k > 32) —
-// within the documented number of reads.
+// geometry returns how many records a page holds and how many pages a
+// CheckSorted block holds in a file of k-mers of length k whose counts fit
+// in a byte, as sortedImage writes them.
+func geometry(t testing.TB, k int) (pageRecords, blockPages int) {
+	_, image := sortedImage(t, 1, 1, k)
+	f := openImages(t, [][]byte{image})[0]
+	return f.pageRecords, checkBlockBytes / (f.pageRecords * f.layout.size())
+}
+
+// TestFileLookupMatchesSubgraph: for sizes around every page boundary (85
+// records of 48 bytes, 170 of 24, 256 of 16) and past two check blocks (of
+// 24-byte records; of 16-byte ones too without -short), at
+// one key word and at two, checked and unchecked, the in-place reader
+// answers exactly as the decoded graph does — for every present k-mer, its
+// neighbours, keys outside the graph's range and keys with a non-zero high
+// word — within the documented number of reads.
 func TestFileLookupMatchesSubgraph(t *testing.T) {
-	overTwoBlocks := 2*checkBlockPages*pageRecords + 100
-	for _, n := range []int{0, 1, 2, 84, 85, 86, 170, 171, 5000, overTwoBlocks} {
-		g, image := sortedImage(t, int64(n)+1, n, 40)
-		keys := probesFor(g)
-		pages := (n + pageRecords - 1) / pageRecords
+	for _, n := range []int{0, 1, 2, 84, 85, 86, 170, 171, 255, 256, 257, 5000, 43790, 131172} {
+		if n > 43790 && testing.Short() {
+			continue // past two blocks of 16-byte records: ≈ 2 s of lookups
+		}
+		var graphs [2]*Subgraph
+		var images [2][]byte
+		for i, k := range []int{27, 40} {
+			graphs[i], images[i] = sortedImage(t, int64(n)+1, n, k)
+		}
 		for _, checked := range []bool{false, true} {
 			t.Run(fmt.Sprintf("n=%d/checked=%v", n, checked), func(t *testing.T) {
-				cr := &countingReaderAt{r: bytes.NewReader(image)}
-				f, err := OpenFile(cr, int64(len(image)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.K() != g.K || f.NumVertices() != n {
-					t.Fatalf("K, NumVertices = %d, %d; want %d, %d", f.K(), f.NumVertices(), g.K, n)
-				}
-				maxReads := 0
-				if pages > 0 {
-					maxReads = bits.Len(uint(pages-1)) + 1 // ⌈log2 pages⌉ probes + the page
-				}
-				if checked {
-					if err := f.CheckSorted(); err != nil {
-						t.Fatal(err)
-					}
-					maxReads = min(pages, 1)
-				}
-				for _, km := range keys {
-					before := cr.calls
-					assertSameLookups(t, f, g, []dna.Kmer{km})
-					if reads := cr.calls - before; reads > maxReads || (checked && reads != maxReads) {
-						t.Fatalf("Lookup(%v) made %d reads, want at most %d", km, reads, maxReads)
-					}
+				for i := range graphs {
+					testFileLookup(t, graphs[i], images[i], checked)
 				}
 			})
+		}
+	}
+}
+
+// testFileLookup is TestFileLookupMatchesSubgraph over one image of g.
+func testFileLookup(t *testing.T, g *Subgraph, image []byte, checked bool) {
+	n, k := g.NumVertices(), g.K
+	cr := &countingReaderAt{r: bytes.NewReader(image)}
+	f, err := OpenFile(cr, int64(len(image)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.K() != g.K || f.NumVertices() != n {
+		t.Fatalf("K, NumVertices = %d, %d; want %d, %d", f.K(), f.NumVertices(), g.K, n)
+	}
+	pages := f.pages()
+	maxReads := 0
+	if pages > 0 {
+		maxReads = bits.Len(uint(pages-1)) + 1 // ⌈log2 pages⌉ probes + the page
+	}
+	if checked {
+		if err := f.CheckSorted(); err != nil {
+			t.Fatal(err)
+		}
+		maxReads = min(pages, 1)
+	}
+	keys := probesFor(g)
+	for _, km := range keys {
+		before := cr.calls
+		assertSameLookups(t, f, g, []dna.Kmer{km})
+		if reads := cr.calls - before; reads > maxReads || (checked && reads != maxReads) {
+			t.Fatalf("k=%d: Lookup(%v) made %d reads, want at most %d", k, km, reads, maxReads)
 		}
 	}
 }
@@ -131,6 +156,7 @@ func TestFileLookupMatchesSubgraph(t *testing.T) {
 // damaged image before anything is sized from its count.
 func TestOpenFileRejectsDamage(t *testing.T) {
 	_, image := sortedImage(t, 7, 200, 27)
+	rec := (len(image) - headerBytes) / 200
 	mutate := func(fn func(b []byte) []byte) []byte { return fn(bytes.Clone(image)) }
 	huge := bytes.Clone(image[:headerBytes])
 	binary.LittleEndian.PutUint64(huge[6:], 1<<36)
@@ -138,11 +164,19 @@ func TestOpenFileRejectsDamage(t *testing.T) {
 		"empty":                nil,
 		"short header":         image[:headerBytes-1],
 		"bad magic":            mutate(func(b []byte) []byte { b[0] = 'Q'; return b }),
-		"bad version":          mutate(func(b []byte) []byte { b[4] = 2; return b }),
+		"bad version":          mutate(func(b []byte) []byte { b[4] = 3; return b }),
+		"k=0":                  mutate(func(b []byte) []byte { b[5] = 0; return b }),
+		"k=64":                 mutate(func(b []byte) []byte { b[5] = 64; return b }),
+		"k=200":                mutate(func(b []byte) []byte { b[5] = 200; return b }),
+		"count width 0":        mutate(func(b []byte) []byte { b[14] = 0; return b }),
+		"count width 3":        mutate(func(b []byte) []byte { b[14] = 3; return b }),
+		"count width 8":        mutate(func(b []byte) []byte { b[14] = 8; return b }),
+		"wider counts":         mutate(func(b []byte) []byte { b[14] = 2; return b }),
+		"version 1":            mutate(func(b []byte) []byte { b[4] = 1; return b }),
 		"truncated one byte":   image[:len(image)-1],
-		"truncated one record": image[:len(image)-VertexRecordBytes],
+		"truncated one record": image[:len(image)-rec],
 		"padded one byte":      append(bytes.Clone(image), 0),
-		"padded one record":    append(bytes.Clone(image), make([]byte, VertexRecordBytes)...),
+		"padded one record":    append(bytes.Clone(image), make([]byte, rec)...),
 		"count 2^36":           huge,
 		"count 2^63":           mutate(func(b []byte) []byte { b[13] = 0x80; return b }),
 	}
@@ -176,14 +210,15 @@ func TestOpenFileRejectsDamage(t *testing.T) {
 // body is a typed error after a bounded allocation — not the runtime's
 // unrecoverable out-of-memory a make([]Vertex, count) would be.
 func TestReadSubgraphHugeCount(t *testing.T) {
-	_, image := sortedImage(t, 8, 3*writeBlockRecords, 27)
+	_, image := sortedImage(t, 8, 3*readBlockRecords, 27)
+	rec := (len(image) - headerBytes) / (3 * readBlockRecords)
 	binary.LittleEndian.PutUint64(image[6:], 1<<36)
 	for _, in := range [][]byte{image[:headerBytes], image} {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		_, err := ReadSubgraph(bytes.NewReader(in))
 		runtime.ReadMemStats(&m1)
-		wantErr := fmt.Sprintf("vertex %d", (len(in)-headerBytes)/VertexRecordBytes)
+		wantErr := fmt.Sprintf("vertex %d", (len(in)-headerBytes)/rec)
 		if !errors.Is(err, ErrBadFormat) || !bytes.Contains([]byte(err.Error()), []byte(wantErr)) {
 			t.Errorf("%d-byte image: err = %v, want ErrBadFormat at %s", len(in), err, wantErr)
 		}
@@ -196,7 +231,8 @@ func TestReadSubgraphHugeCount(t *testing.T) {
 // TestFileReadFailures: a ReaderAt that fails mid-probe or mid-check gives a
 // typed error, and a failed check leaves no partial page index behind.
 func TestFileReadFailures(t *testing.T) {
-	g, image := sortedImage(t, 9, overBlock, 27)
+	pageRecords, blockPages := geometry(t, 27)
+	g, image := sortedImage(t, 9, blockPages*pageRecords+10, 27) // just past one block
 	last := g.Vertices[len(g.Vertices)-1].Kmer
 
 	cr := &countingReaderAt{r: bytes.NewReader(image)}
@@ -226,20 +262,28 @@ func TestFileReadFailures(t *testing.T) {
 	}
 }
 
-// overBlock is a vertex count just past one CheckSorted block.
-const overBlock = checkBlockPages*pageRecords + 10
-
 // TestFileCheckSortedIndex: the check reports disorder — equal neighbours
 // included — at the vertex index the decoded check reports, also when the
 // pair straddles a page boundary, a block boundary or the boundary between
-// two of the ranges checked at once, at every range count from 1 to 8; and
-// it keeps no index of a file it refused.
+// two of the ranges checked at once, at every range count from 1 to 8 for
+// one-word keys and at 1, 2 and 5 for two-word keys; and it keeps no index
+// of a file it refused.
 func TestFileCheckSortedIndex(t *testing.T) {
-	const n = 2*checkBlockPages*pageRecords + 100 // two blocks and more in one range
-	g, image := sortedImage(t, 10, n, 27)
+	testFileCheckSortedIndex(t, 27, []int{1, 2, 3, 4, 5, 6, 7, 8})
+	testFileCheckSortedIndex(t, 40, []int{1, 2, 5}) // two key words
+}
+
+// testFileCheckSortedIndex is TestFileCheckSortedIndex at one k, over the
+// given range counts.
+func testFileCheckSortedIndex(t *testing.T, k int, rangeCounts []int) {
+	pageRecords, checkBlockPages := geometry(t, k)
+	n := 2*checkBlockPages*pageRecords + 100 // two blocks and more in one range
+	g, image := sortedImage(t, 10, n, k)
 	pages := (n + pageRecords - 1) / pageRecords
-	key := func(i int) []byte { return image[SerializedSize(i) : SerializedSize(i)+16] }
-	for ranges := 1; ranges <= 8; ranges++ {
+	rec, keyBytes := (len(image)-headerBytes)/n, 8*(1+k/33)
+	off := func(i int) int { return headerBytes + i*rec }
+	key := func(i int) []byte { return image[off(i) : off(i)+keyBytes] }
+	for _, ranges := range rangeCounts {
 		at := map[int]bool{1: true, 2: true, pageRecords: true, pageRecords + 1: true, n - 1: true}
 		for r := 0; r < ranges; r++ {
 			start, end := pages*r/ranges*pageRecords, pages*(r+1)/ranges*pageRecords
@@ -282,7 +326,7 @@ func TestFileCheckSortedIndex(t *testing.T) {
 			bad := bytes.Clone(image)
 			for r := ranges - 1; r >= 1; r-- {
 				i := pages*r/ranges*pageRecords + r
-				copy(bad[SerializedSize(i):SerializedSize(i)+16], key(i-1))
+				copy(bad[off(i):off(i)+keyBytes], key(i-1))
 			}
 			f, err := OpenFile(bytes.NewReader(bad), int64(len(bad)))
 			if err != nil {
@@ -313,8 +357,8 @@ func TestFileCheckSortedIndex(t *testing.T) {
 }
 
 // FuzzOpenFile holds the two readers of the PHDG format to each other on
-// arbitrary images, the in-place reader's order check split into 1 to 8
-// page ranges as the input says: what the in-place reader accepts the decoding reader
+// arbitrary images of either version, the in-place reader's order check
+// split into 1 to 8 page ranges as the input says: what the in-place reader accepts the decoding reader
 // accepts and answers identically; what only the decoding reader accepts has
 // trailing bytes (the one deliberate difference); and neither sizes an
 // allocation from the header alone.
@@ -325,14 +369,18 @@ func FuzzOpenFile(f *testing.F) {
 		f.Add(image[:len(image)/2], uint8(1))
 		f.Add(append(bytes.Clone(image), 1, 2, 3), uint8(2))
 		if n > 1 {
+			rec := (len(image) - headerBytes) / n
 			swapped := bytes.Clone(image)
-			copy(swapped[headerBytes:], image[headerBytes+VertexRecordBytes:headerBytes+2*VertexRecordBytes])
-			copy(swapped[headerBytes+VertexRecordBytes:], image[headerBytes:headerBytes+VertexRecordBytes])
+			copy(swapped[headerBytes:], image[headerBytes+rec:headerBytes+2*rec])
+			copy(swapped[headerBytes+rec:], image[headerBytes:headerBytes+rec])
 			f.Add(swapped, uint8(n))
 		}
 	}
 	huge := []byte("PHDG\x01\x1b\x00\x00\x00\x00\x10\x00\x00\x00")
 	f.Add(huge, uint8(3))
+	for i, img := range formatImages(f) {
+		f.Add(img, uint8(i))
+	}
 	f.Fuzz(func(t *testing.T, image []byte, ranges uint8) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -362,7 +410,7 @@ func FuzzOpenFile(f *testing.F) {
 			}
 			assertSameLookups(t, unchecked, g, probesFor(g))
 		case readErr == nil:
-			if int64(len(image)) == SerializedSize(g.NumVertices()) {
+			if int64(len(image)) == imageSize(image, g.NumVertices()) {
 				t.Fatalf("ReadSubgraph+CheckSorted accept an exact-size image OpenFile+CheckSorted refuse: %v", fileErr)
 			}
 		}

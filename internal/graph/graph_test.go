@@ -246,8 +246,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err := g.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if int64(buf.Len()) != SerializedSize(g.NumVertices()) {
-		t.Errorf("serialized %d bytes, SerializedSize says %d", buf.Len(), SerializedSize(g.NumVertices()))
+	if want := headerBytes + 16*g.NumVertices(); buf.Len() != want { // k=27, counts below 256
+		t.Errorf("serialized %d bytes, want %d", buf.Len(), want)
 	}
 	got, err := ReadSubgraph(&buf)
 	if err != nil {
@@ -271,32 +271,51 @@ func (c *callSizes) Write(p []byte) (int, error) {
 
 // TestWriteBlocks: Write hands the (unbuffered) writer blocks of at least
 // 1 MiB — one call for a partition-sized subgraph — and the bytes are the
-// record-at-a-time encoding, whatever the block boundaries.
+// record-at-a-time encoding, whatever the block boundaries: 16-byte records
+// at k=27 with counts below 256, 48-byte ones at k=40 with full-width
+// counts.
 func TestWriteBlocks(t *testing.T) {
-	for _, n := range []int{0, 1, writeBlockRecords - 1, writeBlockRecords, writeBlockRecords + 1, 3*writeBlockRecords + 7} {
-		g := &Subgraph{K: 27, Vertices: make([]Vertex, n)}
-		for i := range g.Vertices {
-			g.Vertices[i] = Vertex{Kmer: dna.Kmer{Hi: uint64(i) >> 3, Lo: uint64(i) * 0x9e3779b97f4a7c15}, Counts: [8]uint32{uint32(i), 1, 2, 3, 4, 5, 6, ^uint32(i)}}
-		}
-		want := append([]byte("PHDG"), formatVersion, 27)
-		want = binary.LittleEndian.AppendUint64(want, uint64(n))
-		for _, v := range g.Vertices {
-			want = binary.LittleEndian.AppendUint64(want, v.Kmer.Hi)
-			want = binary.LittleEndian.AppendUint64(want, v.Kmer.Lo)
-			for _, c := range v.Counts {
-				want = binary.LittleEndian.AppendUint32(want, c)
+	for _, c := range []struct{ k, rec, width int }{{27, 16, 1}, {40, 48, 4}} {
+		block := writeBlockBytes / c.rec
+		for _, n := range []int{0, 1, block - 1, block, block + 1, 3*block + 7} {
+			g := &Subgraph{K: c.k, Vertices: make([]Vertex, n)}
+			for i := range g.Vertices {
+				v := &g.Vertices[i]
+				v.Kmer = dna.Kmer{Lo: uint64(i) * 0x9e3779b97f4a7c15}
+				v.Counts = [8]uint32{uint32(i), 1, 2, 3, 4, 5, 6, ^uint32(i)}
+				if c.width == 1 {
+					v.Counts[0], v.Counts[7] = uint32(i)&0xff, 255
+				} else {
+					v.Kmer.Hi = uint64(i) >> 3
+				}
 			}
-		}
-		var got callSizes
-		if err := g.Write(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("n=%d: serialized bytes differ from the per-record encoding", n)
-		}
-		for i, size := range got.sizes[:len(got.sizes)-1] {
-			if size < 1<<20 {
-				t.Errorf("n=%d: Write call %d of %d carried %d bytes, want >= 1 MiB", n, i, len(got.sizes), size)
+			want := append([]byte("PHDG"), formatVersion, byte(c.k))
+			want = binary.LittleEndian.AppendUint64(want, uint64(n))
+			if n == 0 {
+				want = append(want, 1) // an empty graph is 1 wide
+			} else {
+				want = append(want, byte(c.width))
+			}
+			for _, v := range g.Vertices {
+				if c.k > 32 {
+					want = binary.LittleEndian.AppendUint64(want, v.Kmer.Hi)
+				}
+				want = binary.LittleEndian.AppendUint64(want, v.Kmer.Lo)
+				for _, n := range v.Counts {
+					want = binary.LittleEndian.AppendUint32(want, n)[:len(want)+c.width]
+				}
+			}
+			var got callSizes
+			if err := g.Write(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("k=%d n=%d: serialized bytes differ from the per-record encoding", c.k, n)
+			}
+			for i, size := range got.sizes[:len(got.sizes)-1] {
+				if size < 1<<20 {
+					t.Errorf("k=%d n=%d: Write call %d of %d carried %d bytes, want >= 1 MiB", c.k, n, i, len(got.sizes), size)
+				}
 			}
 		}
 	}
@@ -306,8 +325,13 @@ func TestReadSubgraphErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("nope"),
-		[]byte("PHDG\x02\x05\x00\x00\x00\x00\x00\x00\x00\x00"), // bad version
-		[]byte("PHDG\x01\x05\x01\x00\x00\x00\x00\x00\x00\x00"), // truncated vertex
+		[]byte("PHDG\x03\x05\x00\x00\x00\x00\x00\x00\x00\x00"),     // bad version
+		[]byte("PHDG\x01\x05\x01\x00\x00\x00\x00\x00\x00\x00"),     // truncated vertex
+		[]byte("PHDG\x02\x05\x00\x00\x00\x00\x00\x00\x00\x00"),     // no width byte
+		[]byte("PHDG\x02\x05\x00\x00\x00\x00\x00\x00\x00\x00\x03"), // width 3
+		[]byte("PHDG\x02\x05\x01\x00\x00\x00\x00\x00\x00\x00\x01"), // truncated vertex
+		[]byte("PHDG\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01"), // k=0
+		[]byte("PHDG\x01\x40\x00\x00\x00\x00\x00\x00\x00\x00"),     // k=64
 	}
 	for i, in := range cases {
 		if _, err := ReadSubgraph(bytes.NewReader(in)); !errors.Is(err, ErrBadFormat) {

@@ -65,31 +65,32 @@ func mergeStreamsOf(k int, images [][]byte) ([]byte, int64, int64, error) {
 // NumEdges count, for source counts around and far above a typical build's,
 // empty sources, and sizes straddling the read window and the write block.
 func TestMergeStreamsMatchesMerge(t *testing.T) {
-	const w, b = streamWindowRecords, writeBlockRecords
-	shapes := map[string][]int{
-		"no-sources":    {},
-		"one-empty":     {0},
-		"one":           {700},
-		"two":           {0, 900},
-		"window-edges":  {w - 1, w, w + 1, 2 * w, 2*w + 1, 1},
-		"block-edges":   {b - 1, 0, 1},
-		"block-edges+1": {b, 2},
-	}
 	rng := rand.New(rand.NewSource(31))
 	counts := []int{64, 257}
 	if testing.Short() {
 		counts = counts[:1] // a typical build's count
 	}
-	for _, n := range counts {
-		sizes := make([]int, n)
-		for i := range sizes {
-			if i%7 != 3 { // a few sources stay empty
-				sizes[i] = rng.Intn(400)
-			}
-		}
-		shapes[fmt.Sprintf("%d-sources", n)] = sizes
-	}
 	for _, k := range []int{27, 40} {
+		rec := layoutFor(k, 6).size() // randomVertices' counts are below 7
+		w, b := streamWindowBytes/rec, writeBlockBytes/rec
+		shapes := map[string][]int{
+			"no-sources":    {},
+			"one-empty":     {0},
+			"one":           {700},
+			"two":           {0, 900},
+			"window-edges":  {w - 1, w, w + 1, 2 * w, 2*w + 1, 1},
+			"block-edges":   {b - 1, 0, 1},
+			"block-edges+1": {b, 2},
+		}
+		for _, n := range counts {
+			sizes := make([]int, n)
+			for i := range sizes {
+				if i%7 != 3 { // a few sources stay empty
+					sizes[i] = rng.Intn(400)
+				}
+			}
+			shapes[fmt.Sprintf("%d-sources", n)] = sizes
+		}
 		for name, sizes := range shapes {
 			total := 0
 			for _, n := range sizes {
@@ -150,8 +151,9 @@ type damageCase struct {
 
 // damageCases lists the damage a source of each records of k can take.
 func damageCases(k, each int) []damageCase {
+	rec := layoutFor(k, 6).size()
 	record := func(img []byte, i int) []byte {
-		return img[headerBytes+i*VertexRecordBytes : headerBytes+(i+1)*VertexRecordBytes]
+		return img[headerBytes+i*rec : headerBytes+(i+1)*rec]
 	}
 	swap := func(img []byte, i, j int) {
 		tmp := bytes.Clone(record(img, i))
@@ -165,16 +167,18 @@ func damageCases(k, each int) []damageCase {
 		{"bad magic", func(img []byte) []byte { img[0] ^= 1; return img }, ErrBadFormat, false},
 		{"bad version", func(img []byte) []byte { img[4] = 9; return img }, ErrBadFormat, false},
 		{"wrong k", func(img []byte) []byte { img[5] = byte(k + 1); return img }, ErrBadFormat, false},
+		{"k out of range", func(img []byte) []byte { img[5] = 64; return img }, ErrBadFormat, false},
+		{"bad count width", func(img []byte) []byte { img[14] = 3; return img }, ErrBadFormat, false},
 		{"header cut short", func(img []byte) []byte { return img[:headerBytes-1] }, ErrBadFormat, false},
 		{"truncated by a byte", func(img []byte) []byte { return img[:len(img)-1] }, ErrBadFormat, true},
-		{"truncated by a record", func(img []byte) []byte { return img[:len(img)-VertexRecordBytes] }, ErrBadFormat, true},
+		{"truncated by a record", func(img []byte) []byte { return img[:len(img)-rec] }, ErrBadFormat, true},
 		{"a byte appended", func(img []byte) []byte { return append(img, 0) }, ErrBadFormat, true},
 		{"a record appended", func(img []byte) []byte { return append(img, record(img, each-1)...) }, ErrBadFormat, true},
 		{"count one too high", func(img []byte) []byte { recount(img, +1); return img }, ErrBadFormat, false},
 		{"count one too low", func(img []byte) []byte { recount(img, -1); return img }, ErrBadFormat, false},
 		{"swapped inside a window", func(img []byte) []byte { swap(img, 10, 11); return img }, ErrUnsorted, true},
 		{"swapped across a refill", func(img []byte) []byte {
-			swap(img, streamWindowRecords-1, streamWindowRecords)
+			swap(img, streamWindowBytes/rec-1, streamWindowBytes/rec)
 			return img
 		}, ErrUnsorted, true},
 		{"repeated inside a source", func(img []byte) []byte {
@@ -190,7 +194,8 @@ func damageCases(k, each int) []damageCase {
 // published subgraph file can be wrong: each is a typed error, and what
 // reached the writer by then is at most a prefix of the graph.
 func TestMergeStreamsRefusesDamage(t *testing.T) {
-	const k, each = 27, 2*streamWindowRecords + 100
+	const k = 27
+	each := 2*streamWindowBytes/layoutFor(k, 6).size() + 100
 	rng := rand.New(rand.NewSource(32))
 	subs := dealVertices(rng, k, randomVertices(33, 3*each, k), []int{each, each, each})
 	clean := func() [][]byte {
@@ -227,7 +232,7 @@ func TestMergeStreamsRefusesDamage(t *testing.T) {
 
 	// A reader that fails in the header, inside the first window, at a
 	// refill and inside a later window.
-	for _, after := range []int{5, headerBytes + 100, headerBytes + streamWindowRecords*VertexRecordBytes, len(good) / 4} {
+	for _, after := range []int{5, headerBytes + 100, headerBytes + streamWindowBytes, len(good) / 4} {
 		images := clean()
 		srcs := []io.Reader{bytes.NewReader(images[0]), &failingReader{data: images[1], n: after}, bytes.NewReader(images[2])}
 		var out bytes.Buffer
@@ -252,10 +257,11 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestMergeStreamsMemoryFollowsSources: merging 64 sources of 1 MiB each
-// allocates a window per source and a write block, not the graph.
+// TestMergeStreamsMemoryFollowsSources: merging 64 sources of 21 846
+// vertices each allocates a window per source and a write block, not the
+// graph.
 func TestMergeStreamsMemoryFollowsSources(t *testing.T) {
-	const k, sources, each = 27, 64, 1 << 20 / VertexRecordBytes
+	const k, sources, each = 27, 64, 1 << 20 / v1RecordBytes
 	images := make([][]byte, sources)
 	for s := range images {
 		g := &Subgraph{K: k, Vertices: make([]Vertex, each)}
@@ -279,7 +285,7 @@ func TestMergeStreamsMemoryFollowsSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vertices != sources*each || edges != 2*sources*each || written != SerializedSize(sources*each) {
+		if vertices != sources*each || edges != 2*sources*each || written != headerBytes+16*sources*each {
 			t.Fatalf("merged %d vertices, %d edges into %d bytes", vertices, edges, written)
 		}
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 8<<20 {
@@ -352,7 +358,7 @@ func rangeCounts() []int {
 // bytes and counts — into a file at offsets, and in one range into a plain
 // writer.
 func TestMergeFilesMatchesMergeStreams(t *testing.T) {
-	const w = streamWindowRecords
+	const w = streamWindowBytes / 16
 	shapes := map[string][]int{
 		"no-sources":        {},
 		"empty-sources":     {0, 0, 0},
@@ -421,7 +427,9 @@ func (r failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // does a k-mer in two sources that is exactly a splitter, a source whose
 // reads fail and a writer that fails.
 func TestMergeFilesRefusesDamage(t *testing.T) {
-	const k, each = 27, 2*streamWindowRecords + 100
+	const k = 27
+	rec := layoutFor(k, 6).size()
+	each := 2*streamWindowBytes/rec + 100
 	rng := rand.New(rand.NewSource(42))
 	subs := dealVertices(rng, k, randomVertices(43, 3*each, k), []int{each, each, each})
 	clean := func() [][]byte {
@@ -461,7 +469,7 @@ func TestMergeFilesRefusesDamage(t *testing.T) {
 				}
 				images := clean()
 				record := func(j int) []byte {
-					return images[i][headerBytes+j*VertexRecordBytes : headerBytes+(j+1)*VertexRecordBytes]
+					return images[i][headerBytes+j*rec : headerBytes+(j+1)*rec]
 				}
 				swapped := bytes.Clone(record(at - 1))
 				copy(record(at-1), record(at))
@@ -549,8 +557,12 @@ func TestMergeFilesRefusesDamage(t *testing.T) {
 // below and above every vertex, checked and unchecked — and a file that is
 // out of order right at a cut, where neither range sees it, is ErrUnsorted.
 func TestCutAtFindsAndChecksTheBoundaries(t *testing.T) {
-	const k, n = 27, 5*pageRecords + 7
+	const k = 27
+	pageRecords, _ := geometry(t, k)
+	n := 5*pageRecords + 7
 	g, img := sortedImage(t, 44, n, k)
+	rec := layoutFor(k, 6).size()
+	off := func(i int) int { return headerBytes + i*rec }
 	keys := probesFor(g)
 	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
 	for _, checked := range []bool{false, true} {
@@ -579,7 +591,7 @@ func TestCutAtFindsAndChecksTheBoundaries(t *testing.T) {
 	// record before it sees the repeat.
 	for _, at := range []int{pageRecords, 3 * pageRecords} {
 		bad := bytes.Clone(img)
-		copy(bad[SerializedSize(at-1):SerializedSize(at)], bad[SerializedSize(at):SerializedSize(at+1)])
+		copy(bad[off(at-1):off(at)], bad[off(at):off(at+1)])
 		f := openImages(t, [][]byte{bad})[0]
 		if _, err := f.cutAt(0, []dna.Kmer{g.Vertices[at].Kmer}); !errors.Is(err, ErrUnsorted) {
 			t.Fatalf("a repeat across the cut at %d: err = %v, want ErrUnsorted", at, err)
@@ -593,11 +605,11 @@ type writerAtFunc func([]byte, int64) (int, error)
 func (f writerAtFunc) WriteAt(p []byte, off int64) (int, error) { return f(p, off) }
 func (f writerAtFunc) Write(p []byte) (int, error)              { return f(p, 0) }
 
-// TestMergeFilesMemoryFollowsSources: merging 64 sources of 1 MiB each in 4
-// key ranges allocates what the one-range merge does — a window per source,
+// TestMergeFilesMemoryFollowsSources: merging 64 sources of 21 846 vertices
+// each in 4 key ranges allocates what the one-range merge does — a window per source,
 // shared out among the ranges, and one write block — not the graph.
 func TestMergeFilesMemoryFollowsSources(t *testing.T) {
-	const k, sources, each = 27, 64, 1 << 20 / VertexRecordBytes
+	const k, sources, each = 27, 64, 1 << 20 / v1RecordBytes
 	images := make([][]byte, sources)
 	for s := range images {
 		g := &Subgraph{K: k, Vertices: make([]Vertex, each)}
@@ -618,7 +630,7 @@ func TestMergeFilesMemoryFollowsSources(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vertices != sources*each || edges != 2*sources*each || written.Load() != SerializedSize(sources*each) {
+		if vertices != sources*each || edges != 2*sources*each || written.Load() != headerBytes+16*sources*each {
 			t.Fatalf("merged %d vertices, %d edges into %d bytes", vertices, edges, written.Load())
 		}
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 8<<20 {
@@ -645,35 +657,68 @@ func cutSources(data, cuts []byte) [][]byte {
 
 // FuzzMergeStreams holds MergeStreams to Merge, and the range merge, in 1
 // to 8 ranges as the input says, to both: an arbitrary image is cut into
-// sources, and whenever every source is one ReadSubgraph and CheckSorted
-// accept, of exactly the size its header declares, and no k-mer is in two of
-// them, both merges write Merge's bytes and counts; anything else is a typed
-// error from each.
+// sources of the k the first one's header names (27 if there is none), and
+// whenever every source is one ReadSubgraph and CheckSorted accept, of
+// exactly the size its header declares, and no k-mer is in two of them, the
+// range merge writes Merge's bytes, MergeStreams writes them too unless a
+// source is version 1 (it then writes Merge's graph at count width 4), and
+// both count Merge's vertices and edges; anything else is a typed error from
+// each. A version-2 source whose count width is wider than its counts need
+// widens both outputs, so they are then held to Merge's graph, not its bytes.
 func FuzzMergeStreams(f *testing.F) {
-	const k = 27
 	rng := rand.New(rand.NewSource(34))
-	seed := func(subs []*Subgraph, tail []byte) {
+	add := func(images [][]byte, tail []byte) {
 		var data, cuts []byte
-		for _, s := range subs {
-			img := image(f, s)
+		for _, img := range images {
 			data = append(data, img...)
 			cuts = binary.LittleEndian.AppendUint16(cuts, uint16(len(img)))
 		}
-		f.Add(append(data, tail...), cuts, uint8(len(subs)))
+		f.Add(append(data, tail...), cuts, uint8(len(images)))
+	}
+	seed := func(subs []*Subgraph, tail []byte) {
+		images := make([][]byte, len(subs))
+		for i, s := range subs {
+			images[i] = image(f, s)
+		}
+		add(images, tail)
 	}
 	seed(nil, nil)
-	seed(dealVertices(rng, k, randomVertices(35, 300, k), []int{100, 0, 150, 50}), nil)
-	seed(dealVertices(rng, k, randomVertices(36, 90, k), []int{40, 50}), []byte{1})
-	seed([]*Subgraph{sortedRun(rng, k, 60, 64), sortedRun(rng, k, 60, 64)}, nil) // shared k-mers
-	seed([]*Subgraph{{K: k + 1, Vertices: randomVertices(37, 5, k)}}, nil)
+	seed(dealVertices(rng, 27, randomVertices(35, 300, 27), []int{100, 0, 150, 50}), nil)
+	seed(dealVertices(rng, 27, randomVertices(36, 90, 27), []int{40, 50}), []byte{1})
+	seed([]*Subgraph{sortedRun(rng, 27, 60, 64), sortedRun(rng, 27, 60, 64)}, nil) // shared k-mers
+	seed([]*Subgraph{{K: 28, Vertices: randomVertices(37, 5, 27)}}, nil)
+	for _, img := range formatImages(f) {
+		add([][]byte{img}, nil)
+	}
+	for _, k := range []int{27, 33} { // counts narrower than the width they were written at
+		for _, w := range widths[1:] {
+			g := widened(&Subgraph{K: k, Vertices: randomVertices(39, 12, k)}, w.max)
+			img := image(f, g)
+			l := recordLayout{keyWords: keyWords(k), countBytes: w.bytes}
+			c := headerBytes + len(g.Vertices)/2*l.size() + 8*l.keyWords + 3*w.bytes
+			clear(img[c+1 : c+w.bytes]) // the widened count is now 255
+			add([][]byte{img}, nil)
+		}
+	}
+	for _, k := range []int{27, 33} { // version 1 and 2 side by side, at every width
+		for _, w := range widths {
+			subs := dealVertices(rng, k, randomVertices(38, 30, k), []int{10, 10, 10})
+			widened(subs[1], w.max)
+			add([][]byte{image(f, subs[0]), writeV1(subs[1]), image(f, subs[2])}, nil)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data, cuts []byte, ranges uint8) {
 		images := cutSources(data, cuts)
+		k := 27
+		if len(images) > 0 && len(images[0]) > 5 {
+			k = int(images[0][5])
+		}
 		subs := make([]*Subgraph, len(images))
 		seen := make(map[dna.Kmer]bool)
-		valid := true
+		valid, v1, wide := true, false, false
 		for i, img := range images {
 			g, err := ReadSubgraph(bytes.NewReader(img))
-			if err != nil || g.K != k || g.CheckSorted() != nil || int64(len(img)) != SerializedSize(g.NumVertices()) {
+			if err != nil || g.K != k || g.CheckSorted() != nil || int64(len(img)) != imageSize(img, g.NumVertices()) {
 				valid = false
 				break
 			}
@@ -683,7 +728,8 @@ func FuzzMergeStreams(f *testing.F) {
 				}
 				seen[v.Kmer] = true
 			}
-			subs[i] = g
+			subs[i], v1 = g, v1 || img[4] == 1
+			wide = wide || (img[4] == 2 && int(img[14]) != countWidth(largestCount(g.Vertices)))
 		}
 		got, vertices, edges, err := mergeStreamsOf(k, images)
 		r := 1 + int(ranges%8)
@@ -700,15 +746,21 @@ func FuzzMergeStreams(f *testing.F) {
 		if err != nil || rangeErr != nil {
 			t.Fatalf("valid disjoint sources: %v; in %d ranges: %v", err, r, rangeErr)
 		}
-		if !bytes.Equal(inRanges, got) || rangeV != vertices || rangeE != edges {
-			t.Fatalf("in %d ranges: %d bytes, %d vertices, %d edges; MergeStreams %d, %d, %d", r, len(inRanges), rangeV, rangeE, len(got), vertices, edges)
-		}
 		merged, err := Merge(k, subs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, image(t, merged)) {
+		want := image(t, merged)
+		if (!wide && !bytes.Equal(inRanges, want)) || rangeV != vertices || rangeE != edges {
+			t.Fatalf("in %d ranges: %d bytes, %d vertices, %d edges; Merge + Write %d bytes, MergeStreams %d, %d", r, len(inRanges), rangeV, rangeE, len(want), vertices, edges)
+		}
+		if !v1 && !wide && !bytes.Equal(got, want) {
 			t.Fatal("MergeStreams bytes differ from Merge + Write")
+		}
+		for name, out := range map[string][]byte{"MergeStreams": got, "the range merge": inRanges} {
+			if g, err := ReadSubgraph(bytes.NewReader(out)); err != nil || !g.Equal(merged) {
+				t.Fatalf("%s wrote another graph: %v", name, err)
+			}
 		}
 		if vertices != int64(merged.NumVertices()) || edges != int64(merged.NumEdges()) {
 			t.Fatalf("counted %d vertices, %d edges; the graph has %d, %d", vertices, edges, merged.NumVertices(), merged.NumEdges())

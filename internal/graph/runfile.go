@@ -9,6 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
+
+	"parahash/internal/dna"
 )
 
 // Binary spill-run format (little-endian):
@@ -17,7 +19,7 @@ import (
 //	version 1             1 byte
 //	k                     1 byte
 //	count                 8 bytes
-//	vertex records        count × 48 bytes (same layout as the PHDG format)
+//	vertex records        count × 48 bytes (the version-1 PHDG record, v1Layout)
 //	footer  CRC32-IEEE    4 bytes, over header + records
 //
 // A run is one sorted, locally-aggregated slice of a partition's vertex
@@ -43,7 +45,7 @@ var ErrCorruptRun = errors.New("graph: corrupt spill run")
 
 // RunSerializedSize returns the exact byte size of a run holding n vertices.
 func RunSerializedSize(n int) int64 {
-	return runHeaderBytes + int64(n)*VertexRecordBytes + runFooterBytes
+	return runHeaderBytes + int64(n)*v1RecordBytes + runFooterBytes
 }
 
 // RunWriter streams sorted, pre-aggregated vertices into the run format.
@@ -102,8 +104,8 @@ func (rw *RunWriter) Add(v Vertex) error {
 	if rw.written > 0 && !rw.last.Kmer.Less(v.Kmer) {
 		return fmt.Errorf("graph: run writer: vertex %d out of order", rw.written)
 	}
-	var buf [VertexRecordBytes]byte
-	putVertex(buf[:], &v)
+	var buf [v1RecordBytes]byte
+	v1Layout.put(buf[:], &v)
 	if _, err := rw.bw.Write(buf[:]); err != nil {
 		return err
 	}
@@ -175,12 +177,15 @@ func NewRunReader(r io.Reader) (*RunReader, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptRun, head[4])
 	}
 	rr.k = int(head[5])
+	if rr.k < 1 || rr.k > dna.MaxK {
+		return nil, fmt.Errorf("%w: k=%d outside 1..%d", ErrCorruptRun, rr.k, dna.MaxK)
+	}
 	rr.count = binary.LittleEndian.Uint64(head[6:])
 	if rr.count > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible vertex count %d", ErrCorruptRun, rr.count)
 	}
 	rr.crc = crc32.ChecksumIEEE(head[:])
-	rr.unsummed = rr.count * VertexRecordBytes
+	rr.unsummed = rr.count * v1RecordBytes
 	rr.buf = runReadBlocks.Get().(*[runBlockBytes]byte)
 	return rr, nil
 }
@@ -234,12 +239,12 @@ func (rr *RunReader) Next() (Vertex, error) {
 		rr.buf = nil
 		return Vertex{}, io.EOF
 	}
-	rec, err := rr.take(VertexRecordBytes)
+	rec, err := rr.take(v1RecordBytes)
 	if err != nil {
 		return Vertex{}, fmt.Errorf("%w: vertex %d: %v", ErrCorruptRun, rr.read, err)
 	}
 	var v Vertex
-	getVertex(&v, rec)
+	v1Layout.get(&v, rec)
 	rr.read++
 	return v, nil
 }

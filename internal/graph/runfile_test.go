@@ -240,10 +240,10 @@ func verifyRunReference(data []byte, k int) (int64, uint32, bool) {
 		return 0, 0, false
 	}
 	count := binary.LittleEndian.Uint64(data[6:])
-	if count > 1<<40 || (k > 0 && int(data[5]) != k) {
+	if count > 1<<40 || data[5] < 1 || data[5] > dna.MaxK || (k > 0 && int(data[5]) != k) {
 		return 0, 0, false
 	}
-	body := runHeaderBytes + count*VertexRecordBytes
+	body := runHeaderBytes + count*v1RecordBytes
 	if uint64(len(data)) < body+runFooterBytes {
 		return 0, 0, false
 	}
@@ -254,7 +254,7 @@ func verifyRunReference(data []byte, k int) (int64, uint32, bool) {
 	var prev Vertex
 	for i := uint64(0); i < count; i++ {
 		var v Vertex
-		getVertex(&v, data[runHeaderBytes+i*VertexRecordBytes:])
+		v1Layout.get(&v, data[runHeaderBytes+i*v1RecordBytes:])
 		if i > 0 && !prev.Kmer.Less(v.Kmer) {
 			return 0, 0, false
 		}
@@ -301,4 +301,21 @@ func FuzzVerifyRun(f *testing.F) {
 			t.Fatalf("VerifyRun = %d, %08x, %v; reference %d, %08x", n, crc, err, wantN, wantCRC)
 		}
 	})
+}
+
+// TestRunReaderKOutOfRange: a run header whose k is 0 or above dna.MaxK is
+// ErrCorruptRun, whatever k the caller asks for.
+func TestRunReaderKOutOfRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	data, _ := writeRun(t, 27, randomRunVertices(rng, 3, 1<<40))
+	for _, k := range []byte{0, 64, 200} {
+		bad := bytes.Clone(data)
+		bad[5] = k
+		if _, err := NewRunReader(bytes.NewReader(bad)); !errors.Is(err, ErrCorruptRun) {
+			t.Errorf("k=%d: NewRunReader err = %v, want ErrCorruptRun", k, err)
+		}
+		if _, _, err := VerifyRun(bytes.NewReader(bad), 0); !errors.Is(err, ErrCorruptRun) {
+			t.Errorf("k=%d: VerifyRun err = %v, want ErrCorruptRun", k, err)
+		}
+	}
 }

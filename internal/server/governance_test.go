@@ -17,6 +17,7 @@ import (
 
 	"parahash"
 	"parahash/internal/graph"
+	"parahash/internal/graph/graphtest"
 )
 
 // TestJournalCompact exercises the compaction contract at the journal
@@ -366,11 +367,48 @@ func TestGraphHandlesUnderConcurrentEviction(t *testing.T) {
 	}
 }
 
+// TestQueryReadsVersion1Graph: a job whose graph an older binary wrote — a
+// version-1 file, three times the size — answers a restarted manager's
+// queries as the version-2 file did.
+func TestQueryReadsVersion1Graph(t *testing.T) {
+	input := tinyFASTQ(t)
+	opts := Options{Root: t.TempDir(), Base: testBase()}
+	m, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := buildJobs(t, m, input, 1)[0]
+	kmer, want := middleVertex(t, m, id)
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(m.GraphPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadSubgraph(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(m.GraphPath(id), graphtest.Version1(g), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	res, err := m.Query(id, kmer)
+	if err != nil || !res.Present || res.Multiplicity != want.Multiplicity() || res.Degree != want.Degree() {
+		t.Fatalf("query of a version-1 graph: %+v, %v; want the vertex %+v", res, err, want)
+	}
+}
+
 // TestColdQueryAfterRestart: a restarted manager answers its first query
 // for a job it never built from the published file in place — one cached
 // handle, and no graph-sized allocation left behind.
 func TestColdQueryAfterRestart(t *testing.T) {
-	d, err := parahash.GenerateDataset(parahash.TinyProfile().Scale(4))
+	d, err := parahash.GenerateDataset(parahash.TinyProfile().Scale(12))
 	if err != nil {
 		t.Fatal(err)
 	}
