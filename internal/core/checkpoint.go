@@ -35,8 +35,11 @@ type checkpoint struct {
 	// journalled by the step's one committer goroutine, but completed spill
 	// scans are claimed from concurrent compute workers.
 	mu sync.Mutex
-	// superseded lists partitions whose spill claims a Step 2 claim dropped
-	// and whose run files are still to be removed once that claim is saved.
+	// spilled holds the partitions this build spilled runs for, claimed or
+	// not, whose Step 2 claims are still to come; superseded lists those a
+	// Step 2 claim covered and whose run files are still to be removed once
+	// that claim is saved.
+	spilled    map[int]bool
 	superseded []int
 	// closed is set when the build returns. An attempt the watchdog
 	// abandoned, or one still unwinding from a cancellation, outlives the
@@ -127,6 +130,7 @@ func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
 		step1Rebuild: make(map[int]bool),
 		step2Skip:    make(map[int]manifest.Step2Partition),
 		spillReady:   make(map[int][]manifest.SpillRun),
+		spilled:      make(map[int]bool),
 		rebuiltSet:   make(map[int]bool),
 	}
 	fp := cfg.fingerprint()
@@ -372,13 +376,15 @@ func step2Record(i int, size, vertices, edges, distinct int64) manifest.Step2Par
 // markStep2 journals a group of Step 2 completions in one save; the caller
 // has made the subgraph files they name durable. Any spill claims the
 // partitions accumulated are dropped in the same atomic save — a subgraph
-// supersedes its runs — and the run files removed afterwards (a crash in
-// between leaves orphans, swept by Scrub). Safe to repeat after a failed save.
+// supersedes its runs — and the run files of every partition that spilled,
+// claimed or not, removed afterwards (a crash in between leaves orphans,
+// swept by Scrub). Safe to repeat after a failed save.
 func (ck *checkpoint) markStep2(group ...manifest.Step2Partition) error {
 	ck.mu.Lock()
 	for _, rec := range group {
-		if len(ck.man.SpillRunsFor(rec.Index)) > 0 {
+		if ck.spilled[rec.Index] || len(ck.man.SpillRunsFor(rec.Index)) > 0 {
 			ck.superseded = append(ck.superseded, rec.Index)
+			delete(ck.spilled, rec.Index)
 		}
 		ck.man.DropSpill(rec.Index)
 		ck.man.SetStep2(rec)
@@ -420,9 +426,10 @@ func sweepSpill(st store.PartitionStore, parts []int) {
 
 // journalSpillScan claims a partition's completed run scan — every run it
 // spilled plus the spill-done mark — in one save, so a crash from here on
-// resumes at the merge. The caller has Sync'd the files the records name.
-// Runs are not claimed one by one: resume uses a partition's runs only if
-// its scan completed.
+// resumes at the merge. The caller has Sync'd the files the records name,
+// and claims only a scan whose merge needs a reduction pass. Runs are not
+// claimed one by one: resume uses a partition's runs only if its scan
+// completed.
 func (ck *checkpoint) journalSpillScan(i int, runs []manifest.SpillRun) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
@@ -433,14 +440,15 @@ func (ck *checkpoint) journalSpillScan(i int, runs []manifest.SpillRun) error {
 	return ck.save()
 }
 
-// clearSpillClaims drops a partition's claimed scan before a fresh spill
-// attempt — a retry after a failed merge, the only way an attempt finds a
-// claim already there. Files are left in place: the retry overwrites the
-// same deterministic names, and anything beyond its run count becomes an
-// unclaimed orphan.
-func (ck *checkpoint) clearSpillClaims(i int) error {
+// beginSpill notes that partition i spills, so that its Step 2 claim sweeps
+// its runs, and drops its claimed scan before the fresh spill attempt — a
+// retry after a failed merge, the only way an attempt finds a claim already
+// there. Files are left in place: the retry overwrites the same
+// deterministic names, and anything beyond its run count is swept with them.
+func (ck *checkpoint) beginSpill(i int) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
+	ck.spilled[i] = true
 	if !ck.man.IsSpillDone(i) {
 		return nil
 	}

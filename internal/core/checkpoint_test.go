@@ -250,8 +250,8 @@ func TestClosedCheckpointJournalsNothing(t *testing.T) {
 	if err := ck.journalSpillScan(1, []manifest.SpillRun{run}); !errors.Is(err, errCheckpointClosed) {
 		t.Errorf("journalSpillScan after close: err = %v, want errCheckpointClosed", err)
 	}
-	if err := ck.clearSpillClaims(0); !errors.Is(err, errCheckpointClosed) {
-		t.Errorf("clearSpillClaims after close: err = %v, want errCheckpointClosed", err)
+	if err := ck.beginSpill(0); !errors.Is(err, errCheckpointClosed) {
+		t.Errorf("beginSpill after close: err = %v, want errCheckpointClosed", err)
 	}
 	after, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -17,6 +19,8 @@ import (
 	"parahash/internal/device"
 	"parahash/internal/fastq"
 	"parahash/internal/faultinject"
+	"parahash/internal/graph"
+	"parahash/internal/graph/graphtest"
 	"parahash/internal/manifest"
 	"parahash/internal/store"
 	"parahash/internal/store/storetest"
@@ -266,6 +270,143 @@ func TestSpillClaimsOnlySyncedRuns(t *testing.T) {
 	for hit := 1; hit <= np; hit++ {
 		kill("step2.spill.merge", hit)
 		kill("step2.partition", hit)
+	}
+}
+
+// TestSinglePassSpillIsNotClaimed: a spilled partition whose runs one merge
+// pass reads is not worth a claim. A checkpointed build of such partitions
+// syncs no run and journals no scan — Step 1's record and one save per commit
+// group are all its saves — and a kill at every step2.spill.merge hit
+// resumes by re-scanning the partition's superkmer file, to the same graph.
+func TestSinglePassSpillIsNotClaimed(t *testing.T) {
+	reads := tinyReads(t)
+	singlePass := func(t *testing.T) (Config, string) {
+		cfg, dir := spillDurabilityConfig(t)
+		cfg.PartitionMemoryBudgetBytes *= 4
+		return cfg, dir
+	}
+	cfg, dir := singlePass(t)
+	res, clean, err := watchedBuild(context.Background(), reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serializeGraph(t, res.Graph)
+	np := cfg.NumPartitions
+	sp := res.Stats.Spill
+	if sp.Partitions != np || sp.MergePasses != int64(np) || sp.Runs <= int64(np) {
+		t.Fatalf("spill %+v: every partition must spill several runs and merge them in one pass", sp)
+	}
+	checkOrdering(t, clean, nil)
+	checkNoLitter(t, dir)
+	if len(clean.Claims) != 0 {
+		t.Errorf("scans claimed: %v", clean.Claims)
+	}
+	for name := range clean.Rec.Synced {
+		if strings.HasPrefix(name, "spill/") {
+			t.Errorf("synced %q", name)
+		}
+	}
+	if clean.Step2Saves < 1 || clean.Step2Saves > np || clean.Step2Saves != clean.Rec.SubgraphSyncs {
+		t.Errorf("%d Step 2 saves for %d commit groups over %d partitions", clean.Step2Saves, clean.Rec.SubgraphSyncs, np)
+	}
+	if wantSaves := 1 + clean.Step2Saves; clean.Saves != wantSaves {
+		t.Errorf("%d manifest saves observed, want %d", clean.Saves, wantSaves)
+	}
+
+	for hit := 1; hit <= np; hit++ {
+		cfg, dir := singlePass(t)
+		ctx, cancel := killAt("step2.spill.merge", hit)
+		_, w, err := watchedBuild(ctx, reads, cfg)
+		cancel(nil)
+		if !errors.Is(err, faultinject.ErrPointCanceled) {
+			t.Fatalf("hit %d: err = %v, want ErrPointCanceled", hit, err)
+		}
+		checkOrdering(t, w, nil)
+		man, err := manifest.Load(filepath.Join(dir, "manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(man.SpillRuns) != 0 || len(man.SpillDone) != 0 {
+			t.Fatalf("hit %d: the killed build claimed a scan", hit)
+		}
+		opened := resumeAndCheck(t, reads, cfg, dir, want)
+		rescanned := 0
+		for p := 0; p < np; p++ {
+			if man.Step2For(p) != nil {
+				continue
+			}
+			rescanned++
+			if !opened[superkmerFile(p)] {
+				t.Errorf("hit %d: partition %d resumed without re-opening its superkmer file", hit, p)
+			}
+		}
+		if rescanned == 0 {
+			t.Errorf("hit %d: every partition was claimed before the kill", hit)
+		}
+	}
+}
+
+// TestResumeMergesVersion1Runs: an older build wrote its runs in PHSR
+// version 1. A checkpoint it left with a claimed scan resumes merge-only from
+// those runs — no superkmer file of a claimed partition re-opened — to the
+// uninterrupted build's graph.
+func TestResumeMergesVersion1Runs(t *testing.T) {
+	reads := tinyReads(t)
+	want := uninterruptedGraph(t, reads)
+	cfg, dir := spillDurabilityConfig(t)
+	ctx, cancel := killAt("step2.spill.merge", 1)
+	_, err := BuildContext(ctx, reads, cfg)
+	cancel(nil)
+	if !errors.Is(err, faultinject.ErrPointCanceled) {
+		t.Fatalf("err = %v, want ErrPointCanceled", err)
+	}
+	manPath := filepath.Join(dir, "manifest.json")
+	man, err := manifest.Load(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.SpillDone) == 0 {
+		t.Fatal("no scan was claimed before the kill")
+	}
+	for i, run := range man.SpillRuns {
+		path := dataFile(dir, run.Name)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := graph.NewRunReader(bytes.NewReader(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := &graph.Subgraph{K: rr.K()}
+		for {
+			v, err := rr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Vertices = append(g.Vertices, v)
+		}
+		old := graphtest.RunVersion1(g)
+		if len(old) <= len(img) {
+			t.Fatalf("%s: the version-1 run is %d bytes, the version-2 one %d", run.Name, len(old), len(img))
+		}
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man.SpillRuns[i].Bytes = int64(len(old))
+		man.SpillRuns[i].CRC32 = binary.LittleEndian.Uint32(old[len(old)-4:])
+	}
+	if err := man.Save(manPath); err != nil {
+		t.Fatal(err)
+	}
+	opened := resumeAndCheck(t, reads, cfg, dir, want)
+	for _, p := range man.SpillDone {
+		if opened[superkmerFile(p)] {
+			t.Errorf("partition %d re-scanned instead of merging its version-1 runs", p)
+		}
 	}
 }
 

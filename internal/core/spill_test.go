@@ -167,20 +167,20 @@ func TestOutOfCoreAutoRoute(t *testing.T) {
 
 // TestOutOfCoreMergeOnlyResume crashes a checkpointed out-of-core build at
 // the merge fault point — after at least one partition journalled all its
-// runs and claimed spill-done — then resumes with the same budget. The
-// resume must take the merge-only path (runs verified, scan skipped) and
-// converge byte-identically to the in-core oracle.
+// runs and claimed spill-done, which it does only when its merge needs a
+// reduction pass — then resumes with the same budget. The resume must take
+// the merge-only path (runs verified, scan skipped) and converge
+// byte-identically to the in-core oracle.
 func TestOutOfCoreMergeOnlyResume(t *testing.T) {
 	reads := tinyReads(t)
+	cfg, dir := spillDurabilityConfig(t)
 	oracleCfg := tinyConfig()
+	oracleCfg.NumPartitions = cfg.NumPartitions
 	oracle, err := Build(reads, oracleCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantBytes := serializeGraph(t, oracle.Graph)
-
-	cfg, dir := ckConfig(t)
-	cfg.PartitionMemoryBudgetBytes = 2048
 
 	plan := faultinject.Plan{
 		CancelPoints: []faultinject.PointFault{{Point: "step2.spill.merge", Hit: 1}},
@@ -207,9 +207,19 @@ func TestOutOfCoreMergeOnlyResume(t *testing.T) {
 
 	resumeCfg := cfg
 	resumeCfg.Checkpoint.Resume = true
+	opened := &openRecorder{opened: map[string]bool{}}
+	resumeCfg.StoreWrap = func(st store.PartitionStore) store.PartitionStore {
+		opened.PartitionStore = st
+		return opened
+	}
 	res := buildCheckpointed(t, reads, resumeCfg)
 	if got := serializeGraph(t, res.Graph); !bytes.Equal(got, wantBytes) {
 		t.Fatal("resumed out-of-core build is not byte-identical to the oracle")
+	}
+	for _, p := range man.SpillDone {
+		if opened.opened[superkmerFile(p)] {
+			t.Errorf("partition %d's scan was claimed, yet the resume re-scanned it", p)
+		}
 	}
 	if res.Stats.Spill.Partitions == 0 {
 		t.Fatal("resume reports no spilled partitions")

@@ -417,10 +417,12 @@ func (c Config) spillBudgetFor(predicted int64) (budget int64, auto bool) {
 // spillConstruct builds one oversized partition out-of-core: scan its
 // superkmers into budget-bounded sorted runs spilled through the store, then
 // k-way merge-dedup the runs into the final sorted subgraph. Runs are
-// published without an fsync; with a checkpoint, the completed scan is made
-// durable by one covering Sync and claimed by one manifest save, so a crash
-// from then on resumes at the merge. A merge-only input skips the scan and
-// merges the claimed runs a crashed build left behind.
+// published without an fsync. With a checkpoint, a scan whose merge needs a
+// reduction pass is made durable by one covering Sync and claimed by one
+// manifest save, so a crash from then on resumes at the merge; a scan the
+// merge reads once is not worth that, and a crash re-scans it. A merge-only
+// input skips the scan and merges the claimed runs a crashed build left
+// behind.
 func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.PartitionStore, ck *checkpoint) (device.Step2Output, error) {
 	threads := cfg.CPUThreads
 	if threads < 1 {
@@ -449,7 +451,8 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 			// A retry after a failed merge owns the partition's spill
 			// namespace again: drop the failed attempt's claim before its
 			// files are overwritten in place (run names are deterministic).
-			if err := ck.clearSpillClaims(in.part); err != nil {
+			// Whatever it spills is swept once its subgraph is claimed.
+			if err := ck.beginSpill(in.part); err != nil {
 				return device.Step2Output{}, err
 			}
 			ecfg.OnRun = func(run int, name string, bytes int64, crc uint32, vertices int64) error {
@@ -469,10 +472,14 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 		if err != nil {
 			return device.Step2Output{}, fmt.Errorf("core: spilling partition %d: %w", in.part, err)
 		}
-		if ck != nil {
+		// Only a merge with a reduction pass is worth a claim: it reads the
+		// runs more than once, and a claim lets a resume skip the re-scan.
+		// A single-pass merge costs no more than that re-scan, so its runs
+		// stay volatile and unclaimed, as they are without a checkpoint.
+		// (ecfg leaves the merge at its default fan-in.)
+		if ck != nil && len(spill.RunNames) > device.DefaultMergeFanIn {
 			// The claim may name only durable files, so the runs are flushed
-			// first. Without a checkpoint nothing will ever claim them and
-			// they are never flushed at all.
+			// first.
 			if err := st.Sync(spill.RunNames...); err != nil {
 				return device.Step2Output{}, fmt.Errorf("core: syncing partition %d's spill runs: %w", in.part, err)
 			}
@@ -484,8 +491,9 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 		kmers = spill.Kmers
 		spilledBytes = spill.SpilledBytes
 	}
-	// A kill here models a crash between the claimed scan and the merge;
-	// resume verifies the claimed runs and goes straight back to merging.
+	// A kill here models a crash between the scan and the merge: resume
+	// verifies claimed runs and goes straight back to merging, and re-scans
+	// a partition whose runs were not claimed.
 	faultinject.MaybeCrash("step2.spill.merge")
 	if err := faultinject.MaybeStall(ctx, "step2.spill.merge"); err != nil {
 		return device.Step2Output{}, err

@@ -13,6 +13,7 @@ package device
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"parahash/internal/costmodel"
@@ -41,10 +42,14 @@ type ExternalConfig struct {
 	BufferBytes int64
 	// SortWorkers bounds the run sorter's goroutines.
 	SortWorkers int
-	// Store is where runs spill. Runs and merge intermediates are published
-	// volatile — complete and atomic, but not flushed: they can be rebuilt
-	// from the partition's superkmer file, so only a caller about to journal
-	// a claim over them pays for a Sync.
+	// Store is where runs spill, PHSR version 2 at the narrowest count
+	// width each run's counts fit. Runs and merge intermediates are
+	// published volatile — complete and atomic, but not flushed: they can
+	// be rebuilt from the partition's superkmer file, so only a caller
+	// about to journal a claim over them pays for a Sync. A checkpointed
+	// build claims a scan only when its runs outnumber the fan-in, so that
+	// the merge reads them more than once; a scan one pass merges stays
+	// unflushed, and a resume re-scans it.
 	Store store.PartitionStore
 	// RunName maps a run ordinal onto a store name. Merge passes continue
 	// the ordinal sequence for their intermediate runs, so every spill
@@ -126,11 +131,10 @@ func SpillRuns(ctx context.Context, sks []msp.Superkmer, cfg ExternalConfig) (Sp
 		msp.SortSpillRecords(buf, scratch, cfg.SortWorkers)
 		run := len(res.RunNames)
 		name := cfg.RunName(run)
-		crc, vertices, err := writeSpillRun(cfg.Store, name, cfg.K, buf)
+		crc, vertices, bytes, err := writeSpillRun(cfg.Store, name, cfg.K, buf)
 		if err != nil {
 			return fmt.Errorf("device: spilling run %q: %w", name, err)
 		}
-		bytes := graph.RunSerializedSize(int(vertices))
 		res.RunNames = append(res.RunNames, name)
 		res.SpilledBytes += bytes
 		buf = buf[:0]
@@ -158,33 +162,50 @@ func SpillRuns(ctx context.Context, sks []msp.Superkmer, cfg ExternalConfig) (Sp
 	return res, nil
 }
 
-// writeSpillRun aggregates a sorted record buffer into a run file:
-// duplicate k-mers collapse into one vertex whose counters accumulate each
-// record's weight exactly as hashtable.InsertEdgeN would have, so the spill
-// path's vertex values are bit-identical to the in-core table's.
-func writeSpillRun(st store.PartitionStore, name string, k int, recs []msp.SpillRecord) (crc uint32, vertices int64, err error) {
-	distinct := int64(0)
-	for i := range recs {
-		if i == 0 || recs[i].Kmer != recs[i-1].Kmer {
-			distinct++
-		}
-	}
+// writeSpillRun aggregates a sorted record buffer into a run file and
+// returns its checksum, vertex count and size: duplicate k-mers collapse into
+// one vertex whose counters accumulate each record's weight exactly as
+// hashtable.InsertEdgeN would have, so the spill path's vertex values are
+// bit-identical to the in-core table's. The buffer is aggregated twice — once
+// for the vertex count and the largest count the run header declares, once
+// to write.
+func writeSpillRun(st store.PartitionStore, name string, k int, recs []msp.SpillRecord) (crc uint32, vertices, size int64, err error) {
+	var largest uint32
+	aggregateSpill(recs, func(v *graph.Vertex) error {
+		vertices++
+		largest = max(largest, slices.Max(v.Counts[:]))
+		return nil
+	})
 	sink, err := st.CreateVolatile(name)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	rw, err := graph.NewRunWriter(sink, k, distinct)
+	rw, err := graph.NewNarrowRunWriter(sink, k, vertices, largest)
+	if err == nil {
+		err = aggregateSpill(recs, func(v *graph.Vertex) error { return rw.Add(*v) })
+	}
+	if err == nil {
+		err = rw.Finish()
+	}
 	if err != nil {
 		sink.Close()
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
+	if err := sink.Close(); err != nil {
+		return 0, 0, 0, err
+	}
+	return rw.Sum32(), vertices, rw.Size(), nil
+}
+
+// aggregateSpill hands emit each vertex of a sorted record buffer in order,
+// its counters the sum of its records' weights by edge.
+func aggregateSpill(recs []msp.SpillRecord, emit func(*graph.Vertex) error) error {
 	var cur graph.Vertex
 	for i, rec := range recs {
 		if i == 0 || rec.Kmer != cur.Kmer {
 			if i > 0 {
-				if err := rw.Add(cur); err != nil {
-					sink.Close()
-					return 0, 0, err
+				if err := emit(&cur); err != nil {
+					return err
 				}
 			}
 			cur = graph.Vertex{Kmer: rec.Kmer}
@@ -197,20 +218,10 @@ func writeSpillRun(st store.PartitionStore, name string, k int, recs []msp.Spill
 			cur.Counts[4+right] += rec.Weight
 		}
 	}
-	if len(recs) > 0 {
-		if err := rw.Add(cur); err != nil {
-			sink.Close()
-			return 0, 0, err
-		}
+	if len(recs) == 0 {
+		return nil
 	}
-	if err := rw.Finish(); err != nil {
-		sink.Close()
-		return 0, 0, err
-	}
-	if err := sink.Close(); err != nil {
-		return 0, 0, err
-	}
-	return rw.Sum32(), distinct, nil
+	return emit(&cur)
 }
 
 // MergeSpilled k-way merges the named runs into the final sorted subgraph,
@@ -296,20 +307,22 @@ func openRuns(cfg ExternalConfig, names []string) ([]*graph.RunReader, int, erro
 }
 
 // mergeRunsToRun merges a group of runs into one intermediate run file.
-// The run format declares its vertex count up front, so the group is
-// merged twice: a counting pass, then a writing pass — the classic
-// external-memory trade of extra sequential IO for bounded memory.
+// The run format declares its vertex count and largest count up front, so
+// the group is merged twice: a counting pass, then a writing pass — the
+// classic external-memory trade of extra sequential IO for bounded memory.
 func mergeRunsToRun(ctx context.Context, cfg ExternalConfig, names []string, outName string) error {
 	readers, _, err := openRuns(cfg, names)
 	if err != nil {
 		return err
 	}
 	distinct := int64(0)
+	var largest uint32
 	err = graph.MergeRuns(readers, func(v graph.Vertex) error {
 		if distinct%ctxCheckEvery == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		distinct++
+		largest = max(largest, slices.Max(v.Counts[:]))
 		return nil
 	})
 	if err != nil {
@@ -324,7 +337,7 @@ func mergeRunsToRun(ctx context.Context, cfg ExternalConfig, names []string, out
 	if err != nil {
 		return fmt.Errorf("device: creating merge run %q: %w", outName, err)
 	}
-	rw, err := graph.NewRunWriter(sink, cfg.K, distinct)
+	rw, err := graph.NewNarrowRunWriter(sink, cfg.K, distinct, largest)
 	if err != nil {
 		sink.Close()
 		return err

@@ -4,6 +4,7 @@ package graphtest
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 
 	"parahash/internal/graph"
 )
@@ -21,4 +22,12 @@ func Version1(g *graph.Subgraph) []byte {
 		}
 	}
 	return out
+}
+
+// RunVersion1 is the PHSR spill run an older binary wrote for g's sorted
+// vertices: Version1's image under the run magic, then the CRC-32 of it.
+func RunVersion1(g *graph.Subgraph) []byte {
+	out := Version1(g)
+	copy(out, "PHSR")
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }

@@ -8,19 +8,30 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 	"sync"
 
 	"parahash/internal/dna"
 )
 
-// Binary spill-run format (little-endian):
+// Binary spill-run format (little-endian), version 2:
 //
 //	magic   "PHSR"        4 bytes
-//	version 1             1 byte
-//	k                     1 byte
+//	version 2             1 byte
+//	k                     1 byte, 1 to dna.MaxK
 //	count                 8 bytes
-//	vertex records        count × 48 bytes (the version-1 PHDG record, v1Layout)
+//	width                 1 byte: the bytes of one edge count, 1, 2 or 4
+//	vertex records        count × (key 8 or 16 + counts 8×width)
 //	footer  CRC32-IEEE    4 bytes, over header + records
+//
+// Header and records are PHDG version 2's (serialize.go) under the run's own
+// magic: a record's key is the k-mer's Lo word, preceded by its Hi word when
+// k > 32, and the width is the smallest that holds the largest count in the
+// run, which the writer is told up front. So at the paper's k and coverage a
+// record is 16 bytes. Version 1, still read because a checkpoint an older
+// build left may claim its runs, has no width byte and 48-byte records: the
+// version-1 PHDG record, v1Layout.
 //
 // A run is one sorted, locally-aggregated slice of a partition's vertex
 // multiset, written by the out-of-core Step 2 backend when the partition's
@@ -32,35 +43,30 @@ import (
 
 var runMagic = [4]byte{'P', 'H', 'S', 'R'}
 
-const runFormatVersion = 1
-
-// runHeaderBytes is the fixed header size, runFooterBytes the CRC footer.
-const (
-	runHeaderBytes = 4 + 1 + 1 + 8
-	runFooterBytes = 4
-)
+// runFooterBytes is the CRC footer.
+const runFooterBytes = 4
 
 // ErrCorruptRun reports an unreadable or integrity-failed spill run file.
 var ErrCorruptRun = errors.New("graph: corrupt spill run")
 
-// RunSerializedSize returns the exact byte size of a run holding n vertices.
-func RunSerializedSize(n int) int64 {
-	return runHeaderBytes + int64(n)*v1RecordBytes + runFooterBytes
-}
-
 // RunWriter streams sorted, pre-aggregated vertices into the run format.
-// The vertex count is declared up front (the spill path counts distinct
-// k-mers in a linear scan over its sorted buffer before writing) so the
-// header is written once and never patched — a requirement of the
+// The vertex count and the largest count are declared up front (the spill
+// path finds both in a linear scan over its sorted buffer before writing) so
+// the header is written once and never patched — a requirement of the
 // append-only atomic store underneath.
 type RunWriter struct {
 	bw       *bufio.Writer
 	crc      hash.Hash32
+	layout   recordLayout
+	largest  uint32
 	declared uint64
 	written  uint64
 	last     Vertex
 	sum      uint32
 	finished bool
+	// rec is where Add encodes: a local array would escape into the
+	// writer underneath, one allocation per vertex.
+	rec [v1RecordBytes]byte
 }
 
 // runBlockBytes sizes the block a RunWriter writes through and a RunReader
@@ -77,26 +83,42 @@ var (
 	runReadBlocks  = sync.Pool{New: func() any { return new([runBlockBytes]byte) }}
 )
 
-// NewRunWriter writes the run header for a declared vertex count and
-// returns the writer.
+// NewRunWriter writes the header of a run of count vertices whose counts
+// may take any value, so at the 4-byte width, and returns the writer.
 func NewRunWriter(w io.Writer, k int, count int64) (*RunWriter, error) {
-	rw := &RunWriter{crc: crc32.NewIEEE(), declared: uint64(count)}
+	return NewNarrowRunWriter(w, k, count, math.MaxUint32)
+}
+
+// NewNarrowRunWriter writes the header of a run of count vertices whose
+// counts are all at most largest, at the narrowest width that holds them,
+// and returns the writer.
+func NewNarrowRunWriter(w io.Writer, k int, count int64, largest uint32) (*RunWriter, error) {
+	if k < 1 || k > dna.MaxK {
+		return nil, fmt.Errorf("graph: run writer: k=%d outside 1..%d", k, dna.MaxK)
+	}
+	l := layoutFor(k, largest)
+	rw := &RunWriter{crc: crc32.NewIEEE(), layout: l, largest: largest, declared: uint64(count)}
 	rw.bw = runWriteBlocks.Get().(*bufio.Writer)
 	rw.bw.Reset(io.MultiWriter(w, rw.crc))
-	var head [runHeaderBytes]byte
+	// A run's header is the PHDG version-2 header under the run magic.
+	var head [headerBytes]byte
+	putHeader(head[:], k, uint64(count), l)
 	copy(head[:4], runMagic[:])
-	head[4] = runFormatVersion
-	head[5] = byte(k)
-	binary.LittleEndian.PutUint64(head[6:], uint64(count))
 	if _, err := rw.bw.Write(head[:]); err != nil {
 		return nil, err
 	}
 	return rw, nil
 }
 
+// Size is the byte size of the finished run.
+func (rw *RunWriter) Size() int64 {
+	return headerBytes + int64(rw.declared)*int64(rw.layout.size()) + runFooterBytes
+}
+
 // Add appends one vertex. Vertices must arrive in strictly ascending k-mer
 // order — the writer enforces it, because a mis-sorted run would silently
-// break the streaming merge.
+// break the streaming merge — and fit the header: no count above the
+// declared largest, no high word at k ≤ 32.
 func (rw *RunWriter) Add(v Vertex) error {
 	if rw.written >= rw.declared {
 		return fmt.Errorf("graph: run writer: vertex %d exceeds declared count %d", rw.written, rw.declared)
@@ -104,9 +126,14 @@ func (rw *RunWriter) Add(v Vertex) error {
 	if rw.written > 0 && !rw.last.Kmer.Less(v.Kmer) {
 		return fmt.Errorf("graph: run writer: vertex %d out of order", rw.written)
 	}
-	var buf [v1RecordBytes]byte
-	v1Layout.put(buf[:], &v)
-	if _, err := rw.bw.Write(buf[:]); err != nil {
+	if v.Kmer.Hi != 0 && rw.layout.keyWords == 1 {
+		return fmt.Errorf("graph: run writer: vertex %d has its high word set at k ≤ 32", rw.written)
+	}
+	if c := slices.Max(v.Counts[:]); c > rw.largest {
+		return fmt.Errorf("graph: run writer: vertex %d has count %d, above the declared %d", rw.written, c, rw.largest)
+	}
+	rw.layout.put(rw.rec[:], &v)
+	if _, err := rw.bw.Write(rw.rec[:rw.layout.size()]); err != nil {
 		return err
 	}
 	rw.written++
@@ -144,12 +171,12 @@ func (rw *RunWriter) Finish() error {
 // manifest so a resume can verify the run without trusting the file alone.
 func (rw *RunWriter) Sum32() uint32 { return rw.sum }
 
-// RunReader streams a run file one vertex at a time, verifying the CRC
-// footer when the last vertex has been consumed.
+// RunReader streams a run file of either version one vertex at a time,
+// verifying the CRC footer when the last vertex has been consumed.
 type RunReader struct {
 	r io.Reader
 	// buf[pos:end] is read but not yet consumed. The checksum is taken over
-	// each block as it is read, not record by record: 48-byte writes would
+	// each block as it is read, not record by record: 16-byte writes would
 	// never reach crc32's vectorised kernel.
 	buf      *[runBlockBytes]byte
 	pos, end int
@@ -158,6 +185,7 @@ type RunReader struct {
 	// whatever follows them is the footer.
 	unsummed uint64
 	k        int
+	layout   recordLayout
 	count    uint64
 	read     uint64
 	done     bool
@@ -165,27 +193,13 @@ type RunReader struct {
 
 // NewRunReader parses the run header.
 func NewRunReader(r io.Reader) (*RunReader, error) {
-	rr := &RunReader{r: r}
-	var head [runHeaderBytes]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCorruptRun, err)
+	sum := crc32.NewIEEE()
+	h, err := readHeaderAs(io.TeeReader(r, sum), runMagic, ErrCorruptRun)
+	if err != nil {
+		return nil, err
 	}
-	if [4]byte(head[:4]) != runMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorruptRun)
-	}
-	if head[4] != runFormatVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptRun, head[4])
-	}
-	rr.k = int(head[5])
-	if rr.k < 1 || rr.k > dna.MaxK {
-		return nil, fmt.Errorf("%w: k=%d outside 1..%d", ErrCorruptRun, rr.k, dna.MaxK)
-	}
-	rr.count = binary.LittleEndian.Uint64(head[6:])
-	if rr.count > 1<<40 {
-		return nil, fmt.Errorf("%w: implausible vertex count %d", ErrCorruptRun, rr.count)
-	}
-	rr.crc = crc32.ChecksumIEEE(head[:])
-	rr.unsummed = rr.count * v1RecordBytes
+	rr := &RunReader{r: r, crc: sum.Sum32(), k: h.k, layout: h.layout, count: h.count}
+	rr.unsummed = rr.count * uint64(h.layout.size())
 	rr.buf = runReadBlocks.Get().(*[runBlockBytes]byte)
 	return rr, nil
 }
@@ -239,12 +253,12 @@ func (rr *RunReader) Next() (Vertex, error) {
 		rr.buf = nil
 		return Vertex{}, io.EOF
 	}
-	rec, err := rr.take(v1RecordBytes)
+	rec, err := rr.take(rr.layout.size())
 	if err != nil {
 		return Vertex{}, fmt.Errorf("%w: vertex %d: %v", ErrCorruptRun, rr.read, err)
 	}
 	var v Vertex
-	v1Layout.get(&v, rec)
+	rr.layout.get(&v, rec)
 	rr.read++
 	return v, nil
 }

@@ -34,8 +34,7 @@ var magic = [4]byte{'P', 'H', 'D', 'G'}
 
 const formatVersion = 2
 
-// v1RecordBytes is the size of a version-1 record, which is also the
-// PHSR spill-run record.
+// v1RecordBytes is the size of a version-1 record, PHDG's and PHSR's.
 const v1RecordBytes = 48
 
 // ErrBadFormat reports an unreadable subgraph stream.
@@ -209,35 +208,40 @@ type header struct {
 }
 
 // readHeader reads and validates a PHDG header of either version from r.
-func readHeader(r io.Reader) (header, error) {
+func readHeader(r io.Reader) (header, error) { return readHeaderAs(r, magic, ErrBadFormat) }
+
+// readHeaderAs reads and validates a header of either version with the magic
+// want — PHDG's, or PHSR's, whose headers have the same shape — refusing it
+// as bad.
+func readHeaderAs(r io.Reader, want [4]byte, bad error) (header, error) {
 	var head [headerBytes]byte
 	if _, err := io.ReadFull(r, head[:v1HeaderBytes]); err != nil {
-		return header{}, fmt.Errorf("%w: header: %w", ErrBadFormat, err)
+		return header{}, fmt.Errorf("%w: header: %w", bad, err)
 	}
-	if [4]byte(head[:4]) != magic {
-		return header{}, fmt.Errorf("%w: bad magic", ErrBadFormat)
+	if [4]byte(head[:4]) != want {
+		return header{}, fmt.Errorf("%w: bad magic", bad)
 	}
 	h := header{k: int(head[5]), count: binary.LittleEndian.Uint64(head[6:14])}
 	if h.k < 1 || h.k > dna.MaxK {
-		return header{}, fmt.Errorf("%w: k=%d outside 1..%d", ErrBadFormat, h.k, dna.MaxK)
+		return header{}, fmt.Errorf("%w: k=%d outside 1..%d", bad, h.k, dna.MaxK)
 	}
 	if h.count > 1<<40 {
-		return header{}, fmt.Errorf("%w: implausible vertex count %d", ErrBadFormat, h.count)
+		return header{}, fmt.Errorf("%w: implausible vertex count %d", bad, h.count)
 	}
 	switch head[4] {
 	case 1:
 		h.layout, h.bytes = v1Layout, v1HeaderBytes
 	case formatVersion:
 		if _, err := io.ReadFull(r, head[v1HeaderBytes:]); err != nil {
-			return header{}, fmt.Errorf("%w: header: %w", ErrBadFormat, err)
+			return header{}, fmt.Errorf("%w: header: %w", bad, err)
 		}
 		w := int(head[v1HeaderBytes])
 		if w != 1 && w != 2 && w != 4 {
-			return header{}, fmt.Errorf("%w: count width %d", ErrBadFormat, w)
+			return header{}, fmt.Errorf("%w: count width %d", bad, w)
 		}
 		h.layout, h.bytes = recordLayout{keyWords: keyWords(h.k), countBytes: w}, headerBytes
 	default:
-		return header{}, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, head[4])
+		return header{}, fmt.Errorf("%w: unsupported version %d", bad, head[4])
 	}
 	return h, nil
 }
