@@ -24,7 +24,6 @@ import (
 	"parahash"
 	"parahash/internal/device"
 	"parahash/internal/dist"
-	"parahash/internal/obs"
 )
 
 // workerCommand builds the subprocess for one distributed worker. Tests
@@ -137,7 +136,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *pprofAddr != "" {
-		bound, stop, err := obs.ServePprof(*pprofAddr)
+		bound, stop, err := servePprof(*pprofAddr)
 		if err != nil {
 			return fmt.Errorf("starting pprof server: %w", err)
 		}
@@ -145,7 +144,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "pprof server listening on http://%s/debug/pprof/\n", bound)
 	}
 	if *cpuProfile != "" {
-		stop, err := obs.StartCPUProfile(*cpuProfile)
+		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
 			return fmt.Errorf("starting CPU profile: %w", err)
 		}
@@ -334,7 +333,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "trace written to %s\n", *traceOut)
 	}
 	if *memProfile != "" {
-		if err := obs.WriteHeapProfile(*memProfile); err != nil {
+		if err := writeHeapProfile(*memProfile); err != nil {
 			return fmt.Errorf("writing heap profile: %w", err)
 		}
 		fmt.Fprintf(stdout, "heap profile written to %s\n", *memProfile)

@@ -89,12 +89,14 @@ func TestRunObservabilityOutputs(t *testing.T) {
 	metricsPath := filepath.Join(dir, "metrics.json")
 	tracePath := filepath.Join(dir, "trace.json")
 	memPath := filepath.Join(dir, "mem.pprof")
+	cpuPath := filepath.Join(dir, "cpu.pprof")
 	var buf bytes.Buffer
 	err := run([]string{"-profile", "tiny", "-partitions", "8", "-threads", "4",
 		"-gpus", "1",
 		"-metrics-json", metricsPath,
 		"-trace-out", tracePath,
-		"-memprofile", memPath}, &buf)
+		"-memprofile", memPath,
+		"-cpuprofile", cpuPath}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +199,10 @@ func TestRunObservabilityOutputs(t *testing.T) {
 
 	if st, err := os.Stat(memPath); err != nil || st.Size() == 0 {
 		t.Errorf("heap profile missing or empty: %v", err)
+	}
+	// The CPU profile is finalised when run returns: a gzip-framed protobuf.
+	if cpu, err := os.ReadFile(cpuPath); err != nil || len(cpu) < 2 || cpu[0] != 0x1f || cpu[1] != 0x8b {
+		t.Errorf("CPU profile missing, empty or not gzip-framed (err %v, %d bytes)", err, len(cpu))
 	}
 }
 

@@ -1,4 +1,4 @@
-package obs
+package main
 
 import (
 	"fmt"
@@ -10,11 +10,11 @@ import (
 	"runtime/pprof"
 )
 
-// ServePprof starts an HTTP server exposing the net/http/pprof handlers at
+// servePprof starts an HTTP server exposing the net/http/pprof handlers at
 // /debug/pprof/ on addr (e.g. "localhost:6060"; use ":0" for an ephemeral
 // port). It returns the bound address and a shutdown function. The server
 // uses its own mux so enabling profiling never touches http.DefaultServeMux.
-func ServePprof(addr string) (string, func() error, error) {
+func servePprof(addr string) (string, func() error, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", netpprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
@@ -31,9 +31,9 @@ func ServePprof(addr string) (string, func() error, error) {
 	return ln.Addr().String(), srv.Close, nil
 }
 
-// StartCPUProfile begins writing a CPU profile to path and returns the stop
+// startCPUProfile begins writing a CPU profile to path and returns the stop
 // function that finalises and closes the file.
-func StartCPUProfile(path string) (func() error, error) {
+func startCPUProfile(path string) (func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
@@ -48,8 +48,8 @@ func StartCPUProfile(path string) (func() error, error) {
 	}, nil
 }
 
-// WriteHeapProfile writes a garbage-collected heap profile to path.
-func WriteHeapProfile(path string) error {
+// writeHeapProfile writes a garbage-collected heap profile to path.
+func writeHeapProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -180,11 +180,13 @@ func (ck *checkpoint) assess(cfg Config) {
 		return
 	}
 	ck.step1Valid = true
+	var claimed []int
 	for i := 0; i < m.Partitions; i++ {
 		if rec := m.Step2For(i); rec != nil {
 			if verifySubgraphFile(ck.ds, cfg.K, rec) {
 				ck.step2Skip[i] = *rec
 				ck.resumed++
+				claimed = append(claimed, i)
 				continue
 			}
 			m.DropStep2(i)
@@ -209,6 +211,11 @@ func (ck *checkpoint) assess(cfg Config) {
 			ck.step1Rebuild[i] = true
 			ck.rebuiltSet[i] = true
 		}
+	}
+	// A kill between a commit group's save and its sweep leaves the claimed
+	// partitions' spill files behind, and this run skips those partitions.
+	if len(claimed) > 0 {
+		sweepSpill(ck.ds, claimed)
 	}
 }
 
@@ -378,7 +385,8 @@ func step2Record(i int, size, vertices, edges, distinct int64) manifest.Step2Par
 // partitions accumulated are dropped in the same atomic save — a subgraph
 // supersedes its runs — and the run files of every partition that spilled,
 // claimed or not, removed afterwards (a crash in between leaves orphans,
-// swept by Scrub). Safe to repeat after a failed save.
+// swept by the next resume's assess or by Scrub). Safe to repeat after a
+// failed save.
 func (ck *checkpoint) markStep2(group ...manifest.Step2Partition) error {
 	ck.mu.Lock()
 	for _, rec := range group {

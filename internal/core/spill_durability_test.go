@@ -346,6 +346,62 @@ func TestSinglePassSpillIsNotClaimed(t *testing.T) {
 	}
 }
 
+// TestResumeSweepsClaimedSpill: a kill between a commit group's save and its
+// spill sweep leaves run files under partitions the manifest already claims,
+// which a resume skips. The resume's assessment sweeps them: a run planted
+// under a claimed partition of a finished spill build is gone after the
+// resume, the graph is byte-identical, and the sweep costs no manifest save.
+func TestResumeSweepsClaimedSpill(t *testing.T) {
+	reads := tinyReads(t)
+	cfg, dir := spillDurabilityConfig(t)
+	cfg.NumPartitions = 4
+	res, err := Build(reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Spill.Partitions != cfg.NumPartitions {
+		t.Fatalf("spill %+v: every partition must spill", res.Stats.Spill)
+	}
+	want := writtenGraph(t, res)
+	cfg.Checkpoint.Resume = true
+	resume := func() (*storetest.JournalWatch, []byte) {
+		t.Helper()
+		st, ck, err := openCheckpoint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ck.close()
+		res, w, err := watchedBuildOver(context.Background(), reads, cfg, st, ck)
+		if err != nil {
+			t.Fatalf("resume: %v", err)
+		}
+		if res.Stats.ResumedPartitions != cfg.NumPartitions {
+			t.Fatalf("resumed %d of %d partitions", res.Stats.ResumedPartitions, cfg.NumPartitions)
+		}
+		return w, writtenGraph(t, res)
+	}
+	control, _ := resume()
+
+	planted := dataFile(dir, spillRunFile(3, 0))
+	if err := os.MkdirAll(filepath.Dir(planted), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(planted, []byte("left by a kill before the sweep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, got := resume()
+	if _, err := os.Stat(planted); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("%s survived the resume: %v", spillRunFile(3, 0), err)
+	}
+	checkNoLitter(t, dir)
+	if !bytes.Equal(got, want) {
+		t.Error("resumed graph is not byte-identical to the finished build's")
+	}
+	if w.Saves != control.Saves {
+		t.Errorf("the sweep cost %d manifest saves, a resume with nothing to sweep %d", w.Saves, control.Saves)
+	}
+}
+
 // TestResumeMergesVersion1Runs: an older build wrote its runs in PHSR
 // version 1. A checkpoint it left with a claimed scan resumes merge-only from
 // those runs — no superkmer file of a claimed partition re-opened — to the

@@ -97,21 +97,36 @@ func (s *Store) create(name string, volatile bool) (io.WriteCloser, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return nil, fmt.Errorf("diskstore: creating %q: %w", name, err)
-	}
 	// Registered before the file exists and under the lock SweepTmp removes
 	// under, so a sweep sees either no file or a live one.
 	tmp := final + tmpSuffix
 	s.mu.Lock()
 	s.live[tmp]++
 	s.mu.Unlock()
-	f, err := os.Create(tmp)
+	var f *os.File
+	err = inParent(tmp, func() (err error) {
+		f, err = os.Create(tmp)
+		return err
+	})
 	if err != nil {
 		s.release(tmp)
 		return nil, fmt.Errorf("diskstore: creating %q: %w", name, err)
 	}
 	return &atomicFile{store: s, f: f, tmp: tmp, final: final, volatile: volatile}, nil
+}
+
+// inParent runs op, which makes an entry at p, and when it fails because
+// p's directory is missing makes the directory and runs op once more. Most
+// files land in a directory that already exists, so they pay no stat for it.
+func inParent(p string, op func() error) error {
+	err := op()
+	if errors.Is(err, fs.ErrNotExist) {
+		if merr := os.MkdirAll(filepath.Dir(p), 0o755); merr != nil {
+			return merr
+		}
+		err = op()
+	}
+	return err
 }
 
 // syncParallelism is how many files Sync flushes at once. An fsync is time
@@ -318,10 +333,7 @@ func (s *Store) RenameVolatile(oldName, newName string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(to), 0o755); err != nil {
-		return fmt.Errorf("diskstore: renaming %q: %w", oldName, err)
-	}
-	if err := os.Rename(from, to); err != nil {
+	if err := inParent(to, func() error { return os.Rename(from, to) }); err != nil {
 		if os.IsNotExist(err) {
 			return fmt.Errorf("%w: %q", store.ErrNotFound, oldName)
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"syscall"
@@ -131,6 +132,37 @@ func TestResetKeepsRoot(t *testing.T) {
 	put(t, s, "fresh", "z")
 	if n, err := s.Size("fresh"); err != nil || n != 1 {
 		t.Errorf("store unusable after Reset: n=%d err=%v", n, err)
+	}
+}
+
+// TestCreateMakesMissingDirectories: a nested name publishes into a fresh
+// store, whose directories Create makes only on finding them missing, and
+// again after Reset has removed them; a volatile create and a rename into a
+// removed directory do the same.
+func TestCreateMakesMissingDirectories(t *testing.T) {
+	s := open(t)
+	for round := 0; round < 2; round++ {
+		put(t, s, "spill/0003/run-0000", "run")
+		w, err := s.CreateVolatile("subgraphs/deep/0001.t2")
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := s.RenameVolatile("subgraphs/deep/0001.t2", "promoted/0001"); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		names, err := s.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"promoted/0001", "spill/0003/run-0000"}; !slices.Equal(names, want) {
+			t.Fatalf("round %d: List = %v, want %v", round, names, want)
+		}
+		if err := s.Reset(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -4,12 +4,12 @@
 // (§III-E, Fig. 11), MSP encoding effectiveness (§III-B), and the Eq. 1–2
 // performance-model predictions of §IV — plus a schedule tracer that
 // exports per-partition pipeline stage spans as Chrome trace-event JSON
-// (viewable in Perfetto or chrome://tracing), and pprof hooks for live
-// profiling of real runs.
+// (viewable in Perfetto or chrome://tracing).
 //
 // The package is a leaf: it depends only on the pipeline package (for
 // virtual-schedule conversion) so every other layer can feed it without
-// import cycles. All encoders emit fields in a fixed order, making outputs
+// import cycles. It imports neither net/http nor runtime/pprof: the query
+// path links it, so live-profiling hooks belong in a command. All encoders emit fields in a fixed order, making outputs
 // golden-testable and diff-friendly.
 package obs
 
