@@ -353,13 +353,15 @@ func NewDistWorker(cfg Config) (*DistWorker, error) {
 }
 
 // Construct decodes one superkmer partition from the shared checkpoint
-// store, constructs its subgraph on the worker's first configured processor,
-// applies the output filter, and publishes the result under the fenced name
-// outName (never the canonical one — promotion is the coordinator's job).
-// The publish is atomic and volatile: a worker killed at any point leaves
-// either nothing or the complete fenced file, and the worker never flushes
-// it — the coordinator's covering Sync does, after promotion, for the files
-// it is about to claim.
+// store, constructs its subgraph, applies the output filter, and publishes
+// the result under the fenced name outName (never the canonical one —
+// promotion is the coordinator's job). The publish is atomic and volatile:
+// a worker killed at any point leaves either nothing or the complete fenced
+// file, and the worker never flushes it — the coordinator's covering Sync
+// does, after promotion, for the files it is about to claim. A spilled
+// partition's runs carry outName's token and are never claimed: they go
+// once the subgraph is published, and a worker killed first leaves fenced
+// orphans that SweepFenced removes.
 func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (DistOutput, error) {
 	cfg, st := w.cfg, w.st
 	// The call's own from load to return, so it goes back on every path.
@@ -368,32 +370,25 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 	if err := loadPartition(st, superkmerFile(index), part); err != nil {
 		return DistOutput{}, fmt.Errorf("core: loading partition %d: %w", index, err)
 	}
-	sks, kmers := part.Superkmers, part.NumKmers(cfg.K)
+	in := step2Input{part: index, sks: part.Superkmers, kmers: part.NumKmers(cfg.K)}
+	in.spill = cfg.spillRoute(index, in.kmers)
 	var out device.Step2Output
 	var err error
-	spilled := false
-	if predicted, ok := cfg.predictedTableBytes(kmers); ok {
-		if budget, auto := cfg.spillBudgetFor(predicted); budget > 0 {
-			if auto {
-				cfg.logf("core: worker: partition %d predicted %d table bytes, over the %d-byte memory budget; auto-routing out-of-core",
-					index, predicted, cfg.MemoryBudgetBytes)
-			}
-			out, err = distSpillStep2(ctx, cfg, index, outName, sks, st, budget)
-			if err != nil {
-				return DistOutput{}, fmt.Errorf("core: constructing partition %d out-of-core: %w", index, err)
-			}
-			spilled = true
-		}
+	if in.spill != nil {
+		in.spill.fence = strings.TrimPrefix(outName, subgraphFile(index))
+		out, err = spillConstruct(ctx, in, cfg, st, nil)
+	} else {
+		out, err = step2Construct(ctx, w.proc, in.sks, in.kmers, cfg)
 	}
-	if !spilled {
-		out, err = step2Construct(ctx, w.proc, sks, kmers, cfg)
-		if err != nil {
-			return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
-		}
+	if err != nil {
+		return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 	}
 	size, err := publishSubgraph(st.CreateVolatile, outName, out.Graph, cfg.OutputFilterMin)
 	if err != nil {
 		return DistOutput{}, err
+	}
+	if len(out.SpillFiles) > 0 {
+		_ = st.Remove(out.SpillFiles...)
 	}
 	res := DistOutput{
 		Name:     outName,
@@ -405,54 +400,4 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 	}
 	graph.PutVertices(out.Graph.Vertices)
 	return res, nil
-}
-
-// distSpillStep2 is the worker side of an out-of-core partition: spill
-// budget-bounded sorted runs, merge them into the subgraph, then remove the
-// runs — the merged graph is in memory and the fenced subgraph publish below
-// is the only artifact the coordinator will ever trust. Workers never touch
-// the manifest, so runs are fenced by name instead of journalled — and,
-// since no claim ever names them, never fsync'd: the worker's fencing token
-// (parsed from its assigned output name) suffixes every run, keeping a
-// zombie holding a revoked lease out of the current holder's in-flight
-// files. A worker killed at any point leaves only fenced orphans, which
-// SweepFenced removes.
-func distSpillStep2(ctx context.Context, cfg Config, index int, outName string, sks []msp.Superkmer, st store.PartitionStore, budget int64) (device.Step2Output, error) {
-	threads := cfg.CPUThreads
-	if threads < 1 {
-		threads = 1
-	}
-	runSuffix := ""
-	var subIdx int
-	var token int64
-	if n, _ := fmt.Sscanf(outName, "subgraphs/%04d.t%d", &subIdx, &token); n == 2 {
-		runSuffix = fmt.Sprintf(".t%d", token)
-	}
-	ecfg := device.ExternalConfig{
-		K:           cfg.K,
-		BufferBytes: budget,
-		SortWorkers: threads,
-		Store:       st,
-		RunName:     func(run int) string { return spillRunFile(index, run) + runSuffix },
-		Cal:         cfg.Calibration,
-		Threads:     threads,
-	}
-	out, _, _, err := device.ExternalStep2(ctx, sks, ecfg)
-	if err != nil {
-		return device.Step2Output{}, err
-	}
-	// Best-effort cleanup of this attempt's runs, merge intermediates
-	// included (they continue the ordinal sequence under the same fenced
-	// suffix), in one removal; failures leave orphans for SweepFenced.
-	if names, err := st.List(); err == nil {
-		prefix := fmt.Sprintf("spill/%04d/", index)
-		var runs []string
-		for _, name := range names {
-			if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, runSuffix) {
-				runs = append(runs, name)
-			}
-		}
-		_ = st.Remove(runs...)
-	}
-	return out, nil
 }

@@ -115,6 +115,82 @@ func TestOutOfCoreCheckpointedArtifacts(t *testing.T) {
 	}
 }
 
+// TestUnclaimedSpillRunsAreRemoved: without a checkpoint nothing will ever
+// claim a spilled partition's runs, so they go — merge intermediates
+// included — once its subgraph is published, and the build's store keeps
+// only what the finish reads.
+func TestUnclaimedSpillRunsAreRemoved(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.PartitionMemoryBudgetBytes = 2048
+	res, err := Build(tinyReads(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := res.Stats.Spill; sp.Runs == 0 || sp.MergePasses <= int64(sp.Partitions) {
+		t.Fatalf("spill %+v: the build must spill, with merge intermediates", sp)
+	}
+	names, err := res.published.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, name := range names {
+		if strings.HasPrefix(name, "spill/") {
+			left = append(left, name)
+		}
+	}
+	if len(left) > 0 {
+		t.Fatalf("%d spill files kept in the build's store, e.g. %q", len(left), left[0])
+	}
+}
+
+// TestSpillLeavesNoDirectories: a finished checkpointed spill build, one
+// process or -workers workers, leaves no spill directory behind — the run
+// files go, and so do the directories that held them.
+func TestSpillLeavesNoDirectories(t *testing.T) {
+	reads := tinyReads(t)
+	noSpillDir := func(t *testing.T, dir string) {
+		t.Helper()
+		if _, err := os.Stat(dataFile(dir, "spill")); !os.IsNotExist(err) {
+			t.Errorf("spill directory left behind: %v", err)
+		}
+	}
+	t.Run("single", func(t *testing.T) {
+		cfg, dir := ckConfig(t)
+		cfg.PartitionMemoryBudgetBytes = 2048
+		if res := buildCheckpointed(t, reads, cfg); res.Stats.Spill.Partitions == 0 {
+			t.Fatal("no partition spilled")
+		}
+		noSpillDir(t, dir)
+	})
+	t.Run("workers", func(t *testing.T) {
+		cfg, dir := ckConfig(t)
+		cfg.PartitionMemoryBudgetBytes = 2048
+		ctx := context.Background()
+		plan, err := PrepareDistBuild(ctx, reads, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worker, err := NewDistWorker(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range plan.Pending() {
+			out, err := worker.Construct(ctx, i, FencedName(i, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plan.PromoteFenced(ctx, i, 1, out.Distinct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := plan.Finish(DistStats{}); err != nil {
+			t.Fatal(err)
+		}
+		noSpillDir(t, dir)
+	})
+}
+
 // TestOutOfCoreAutoRoute covers the clamp-to-run-alone replacement: with no
 // per-partition budget, a partition whose predicted table exceeds the whole
 // build's memory budget is routed out-of-core with a logged warning instead

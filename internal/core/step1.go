@@ -71,14 +71,12 @@ func processors(cfg Config) []device.Processor {
 	if cfg.UseCPU {
 		procs = append(procs, &device.CPU{
 			Threads:    cfg.CPUThreads,
-			Cal:        cfg.Calibration,
 			Partitions: cfg.NumPartitions,
 		})
 	}
 	for g := 0; g < cfg.NumGPUs; g++ {
 		procs = append(procs, &device.GPU{
 			Index:       g,
-			Cal:         cfg.Calibration,
 			MemoryBytes: cfg.GPUMemoryBytes,
 			Partitions:  cfg.NumPartitions,
 		})

@@ -76,9 +76,13 @@ type spillPlan struct {
 	// worker merges them directly without re-reading superkmers.
 	mergeOnly []manifest.SpillRun
 	// mergeKmers is the partition's k-mer count from the Step 1 manifest
-	// statistics, charged for virtual time on the merge-only path (the scan
-	// that would have counted them is skipped).
+	// statistics, reported on the merge-only path (the scan that would have
+	// counted them is skipped).
 	mergeKmers int64
+	// fence suffixes every run name: a -workers worker's lease token (".t7"),
+	// as on its subgraph, so a zombie holding a revoked lease never writes
+	// the current holder's runs. Empty in a single-process build.
+	fence string
 }
 
 // step2Input carries one partition's superkmers plus its routing decision
@@ -162,31 +166,16 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	}
 	works := make([]step2Work, len(pending))
 
-	// Route each pending partition before the pipeline starts: in-core
-	// against its Property-1 predicted table, or out-of-core when the
-	// prediction exceeds the partition memory budget.
+	// Route each pending partition before the pipeline starts.
 	plans := make([]*spillPlan, len(pending))
 	for slot, i := range pending {
-		predicted, ok := cfg.predictedTableBytes(partStats[i].Kmers)
-		if !ok {
-			// Sizing itself will fail in the worker with a proper error;
-			// leave the partition on the in-core path so it gets there.
+		plans[slot] = cfg.spillRoute(i, partStats[i].Kmers)
+		if plans[slot] == nil || ck == nil {
 			continue
 		}
-		budget, auto := cfg.spillBudgetFor(predicted)
-		if budget == 0 {
-			continue
-		}
-		plans[slot] = &spillPlan{budget: budget, auto: auto}
-		if auto {
-			cfg.logf("core: partition %d predicted %d table bytes, over the %d-byte memory budget; auto-routing out-of-core",
-				i, predicted, cfg.MemoryBudgetBytes)
-		}
-		if ck != nil {
-			if runs, ok := ck.spillReady[i]; ok {
-				plans[slot].mergeOnly = runs
-				plans[slot].mergeKmers = partStats[i].Kmers
-			}
+		if runs, ok := ck.spillReady[i]; ok {
+			plans[slot].mergeOnly = runs
+			plans[slot].mergeKmers = partStats[i].Kmers
 		}
 	}
 
@@ -286,6 +275,11 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		size, err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin)
 		if err != nil {
 			return err
+		}
+		if ck == nil && len(out.SpillFiles) > 0 {
+			// Nothing will claim these runs, and this is the attempt being
+			// published, not one the watchdog may have abandoned.
+			_ = st.Remove(out.SpillFiles...)
 		}
 		rec := step2Record(i, size, int64(out.Graph.NumVertices()), int64(out.Graph.NumEdges()), out.Distinct)
 		w.graphBytes, w.graphVertices, w.graphEdges = graph.ModelBytes(out.Graph.NumVertices()), rec.Vertices, rec.Edges
@@ -397,21 +391,29 @@ func (c Config) predictedTableBytes(kmers int64) (predicted int64, ok bool) {
 	return hashtable.MemoryBytesFor(slots), true
 }
 
-// spillBudgetFor decides whether a partition with the given predicted table
-// footprint goes out-of-core, returning its run-buffer budget (0 = stay
-// in-core). auto reports the fallback route: no per-partition budget is
-// configured but the prediction alone exceeds the whole build's memory
-// budget, which used to run in-core anyway — alone, with its admission
-// weight clamped to the budget; an honest scheduler but a dishonest memory
-// bound.
-func (c Config) spillBudgetFor(predicted int64) (budget int64, auto bool) {
+// spillRoute is the one in-core-or-spill decision, a single-process build's
+// and a -workers worker's: nil keeps partition part in-core, else the plan
+// holds its run-buffer budget. A partition goes out-of-core when its
+// Property-1 predicted table exceeds the per-partition budget or, with none
+// configured, the whole build's memory budget. That second route is auto and
+// logged: it used to run in-core anyway — alone, with its admission weight
+// clamped to the budget; an honest scheduler but a dishonest memory bound.
+func (c Config) spillRoute(part int, kmers int64) *spillPlan {
+	predicted, ok := c.predictedTableBytes(kmers)
+	if !ok {
+		// Sizing itself will fail in-core with a proper error; leave the
+		// partition on that path so it gets there.
+		return nil
+	}
 	switch {
 	case c.PartitionMemoryBudgetBytes > 0 && predicted > c.PartitionMemoryBudgetBytes:
-		return c.PartitionMemoryBudgetBytes, false
+		return &spillPlan{budget: c.PartitionMemoryBudgetBytes}
 	case c.PartitionMemoryBudgetBytes == 0 && c.MemoryBudgetBytes > 0 && predicted > c.MemoryBudgetBytes:
-		return c.MemoryBudgetBytes, true
+		c.logf("core: partition %d predicted %d table bytes, over the %d-byte memory budget; auto-routing out-of-core",
+			part, predicted, c.MemoryBudgetBytes)
+		return &spillPlan{budget: c.MemoryBudgetBytes, auto: true}
 	}
-	return 0, false
+	return nil
 }
 
 // spillConstruct builds one oversized partition out-of-core: scan its
@@ -422,20 +424,16 @@ func (c Config) spillBudgetFor(predicted int64) (budget int64, auto bool) {
 // manifest save, so a crash from then on resumes at the merge; a scan the
 // merge reads once is not worth that, and a crash re-scans it. A merge-only
 // input skips the scan and merges the claimed runs a crashed build left
-// behind.
+// behind. Without a checkpoint (ck == nil: no checkpoint directory, or a
+// -workers worker) nothing is claimed, and the caller removes the output's
+// SpillFiles once the subgraph is published.
 func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.PartitionStore, ck *checkpoint) (device.Step2Output, error) {
-	threads := cfg.CPUThreads
-	if threads < 1 {
-		threads = 1
-	}
 	ecfg := device.ExternalConfig{
 		K:           cfg.K,
 		BufferBytes: in.spill.budget,
-		SortWorkers: threads,
+		SortWorkers: max(cfg.CPUThreads, 1),
 		Store:       st,
-		RunName:     func(run int) string { return spillRunFile(in.part, run) },
-		Cal:         cfg.Calibration,
-		Threads:     threads,
+		RunName:     func(run int) string { return spillRunFile(in.part, run) + in.spill.fence },
 	}
 	var runNames []string
 	var kmers, spilledBytes int64
@@ -476,7 +474,6 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 		// runs more than once, and a claim lets a resume skip the re-scan.
 		// A single-pass merge costs no more than that re-scan, so its runs
 		// stay volatile and unclaimed, as they are without a checkpoint.
-		// (ecfg leaves the merge at its default fan-in.)
 		if ck != nil && len(spill.RunNames) > device.DefaultMergeFanIn {
 			// The claim may name only durable files, so the runs are flushed
 			// first.
@@ -503,8 +500,6 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 		return device.Step2Output{}, fmt.Errorf("core: merging partition %d: %w", in.part, err)
 	}
 	out.Kmers = kmers
-	out.Seconds = cfg.Calibration.CPUStep2Seconds(kmers, threads, 0)
-	out.ComputeSeconds = out.Seconds
 	out.SpillRuns = int64(len(runNames))
 	out.SpillBytes = spilledBytes
 	out.MergePasses = passes

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"parahash/internal/costmodel"
 )
 
 // step2Result is what a Step 2 call must give whoever runs it and whatever
@@ -19,7 +17,6 @@ type step2Result struct {
 	graph                          []byte
 	kmers, distinct, tableBytes    int64
 	lockedInserts, lockFreeUpdates int64
-	seconds                        float64
 	vertices                       int
 }
 
@@ -32,23 +29,22 @@ func resultOf(t *testing.T, out Step2Output) step2Result {
 	return step2Result{
 		graph: buf.Bytes(), kmers: out.Kmers, distinct: out.Distinct, tableBytes: out.TableBytes,
 		lockedInserts: out.LockedInserts, lockFreeUpdates: out.LockFreeUpdates,
-		seconds: out.Seconds, vertices: out.Graph.NumVertices(),
+		vertices: out.Graph.NumVertices(),
 	}
 }
 
 func sameResult(a, b step2Result) bool {
 	return bytes.Equal(a.graph, b.graph) && a.kmers == b.kmers && a.distinct == b.distinct &&
 		a.tableBytes == b.tableBytes && a.lockedInserts == b.lockedInserts &&
-		a.lockFreeUpdates == b.lockFreeUpdates && a.seconds == b.seconds
+		a.lockFreeUpdates == b.lockFreeUpdates
 }
 
 // serialResults builds each partition alone on a fresh CPU.
 func serialResults(t *testing.T, threads int) []step2Result {
 	t.Helper()
-	cal := costmodel.DefaultCalibration()
 	var want []step2Result
 	for _, sks := range recycleParts(t) {
-		out, err := (&CPU{Threads: threads, Cal: cal}).Step2(context.Background(), sks, 27, slotsFor(sks))
+		out, err := (&CPU{Threads: threads}).Step2(context.Background(), sks, 27, slotsFor(sks))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +62,7 @@ func TestConcurrentStep2MatchesSerial(t *testing.T) {
 	const threads = 3
 	parts := recycleParts(t)
 	want := serialResults(t, threads)
-	cpu := &CPU{Threads: threads, Cal: costmodel.DefaultCalibration()}
+	cpu := &CPU{Threads: threads}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -122,7 +118,7 @@ func TestStep2HashesOnlyUnderAThreadToken(t *testing.T) {
 	const threads = 2
 	parts := recycleParts(t)
 	want := serialResults(t, threads)
-	cpu := &CPU{Threads: threads, Cal: costmodel.DefaultCalibration()}
+	cpu := &CPU{Threads: threads}
 	ctx := &polledContext{Context: context.Background()}
 	for i := 0; i < threads; i++ {
 		if err := cpu.tokens.acquire(ctx, threads); err != nil {

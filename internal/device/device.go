@@ -4,11 +4,12 @@
 // The GPU is simulated (see DESIGN.md): it executes the same kernels as the
 // CPU — identical hash table layout, identical state machine — but in a
 // SIMT-structured sweep (warps of 32 work items whose cost is the slowest
-// lane's, reproducing divergence), and its elapsed time is charged from the
-// costmodel calibration including explicit host<->device transfer, which
-// the paper does not overlap with device compute. Results are therefore
-// bit-identical across processors while timing reproduces the paper's
-// CPU-vs-GPU shape.
+// lane's, reproducing divergence). Results are therefore bit-identical
+// across processors. Kernels charge no time: they return counts — bases,
+// k-mers, table bytes, host<->device transfer bytes — and core's step1Cost
+// and step2Cost turn those into the virtual seconds of the paper's Eq. 1–2
+// model, a GPU's transfer included, which the paper does not overlap with
+// device compute.
 package device
 
 import (
@@ -19,7 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/fastq"
 	"parahash/internal/graph"
 	"parahash/internal/hashtable"
@@ -56,11 +56,6 @@ type Step1Output struct {
 	Superkmers []msp.Superkmer
 	// Bases is the number of input bases scanned.
 	Bases int64
-	// Seconds is the virtual compute time charged (including transfer for
-	// GPUs).
-	Seconds float64
-	// TransferSeconds is the host<->device share of Seconds (zero on CPU).
-	TransferSeconds float64
 	// TransferBytes is the host<->device traffic (zero on CPU).
 	TransferBytes int64
 }
@@ -71,12 +66,6 @@ type Step2Output struct {
 	Graph *graph.Subgraph
 	// Kmers is the number of k-mer instances hashed.
 	Kmers int64
-	// Seconds is the virtual time charged (including transfer for GPUs).
-	Seconds float64
-	// ComputeSeconds is Seconds minus transfer.
-	ComputeSeconds float64
-	// TransferSeconds is the host<->device share (zero on CPU).
-	TransferSeconds float64
 	// TransferBytes is the host<->device traffic (zero on CPU).
 	TransferBytes int64
 	// TableBytes is the hash table footprint used.
@@ -102,6 +91,10 @@ type Step2Output struct {
 	SpillRuns   int64
 	SpillBytes  int64
 	MergePasses int64
+	// SpillFiles names every run file the out-of-core construction read or
+	// wrote — the scanned runs, then the merge intermediates. They are the
+	// caller's to remove once nothing can claim them.
+	SpillFiles []string
 }
 
 // Processor abstracts a compute device for the work-stealing pipeline.
@@ -128,8 +121,7 @@ type Processor interface {
 const ctxCheckEvery = 256
 
 // CPU is the multi-threaded host processor. Its kernels use real goroutine
-// concurrency over the shared state-transfer hash table; charged time comes
-// from the calibration so experiments are host-independent.
+// concurrency over the shared state-transfer hash table.
 //
 // A CPU carries per-worker Step 1 scratch reused across kernel invocations,
 // so a CPU value runs one Step 1 kernel at a time (step1 serialises them):
@@ -143,8 +135,6 @@ const ctxCheckEvery = 256
 type CPU struct {
 	// Threads is the worker count (the paper machine runs 20).
 	Threads int
-	// Cal is the timing calibration.
-	Cal costmodel.Calibration
 	// Partitions, when positive, is propagated to the Step 1 scanners so
 	// every superkmer leaves the scan already stamped with its partition
 	// index (msp.Scanner.NumPartitions), moving the routing hash off the
@@ -292,7 +282,6 @@ func (c *CPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 	return Step1Output{
 		Superkmers: all,
 		Bases:      bases,
-		Seconds:    c.Cal.CPUStep1Seconds(bases, c.Threads),
 	}, nil
 }
 
@@ -310,7 +299,7 @@ const step2ChunkKmers = 1024
 // thread behind the one holding the long records. The chunks are cut by the
 // k-mers walked — a folded superkmer is walked once whatever its Weight —
 // while the count is weighted: every k-mer the records hold, which is what
-// the virtual clock and the table sizing are stated in.
+// the cost model and the table sizing are stated in.
 func step2Chunks(sks []msp.Superkmer, k int) (ends []int, kmers int64) {
 	var acc int64
 	for i := range sks {
@@ -492,8 +481,6 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	out := collectStep2(table, k, kmers, held)
 	c.tokens.release(held)
 	c.tables.put(table, cpuTablesKept)
-	out.Seconds = c.Cal.CPUStep2Seconds(kmers, c.Threads, out.TableBytes)
-	out.ComputeSeconds = out.Seconds
 	return out, nil
 }
 
@@ -533,8 +520,6 @@ var ErrDeviceMemory = errors.New("device: partition exceeds GPU memory; increase
 type GPU struct {
 	// Index distinguishes multiple devices ("GPU0", "GPU1").
 	Index int
-	// Cal is the timing calibration.
-	Cal costmodel.Calibration
 	// MemoryBytes bounds the device working set (hash table + resident
 	// partition). Zero means unlimited; the paper's K40m has 12 GB.
 	MemoryBytes int64
@@ -578,14 +563,10 @@ func (g *GPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 		}
 		all = sc.Superkmers(all, rd.Bases)
 	}
-	transfer := Step1TransferBytes(bases, int64(len(all)))
-	seconds := g.Cal.GPUStep1Seconds(bases, transfer)
 	return Step1Output{
-		Superkmers:      all,
-		Bases:           bases,
-		Seconds:         seconds,
-		TransferSeconds: g.Cal.TransferSeconds(transfer),
-		TransferBytes:   transfer,
+		Superkmers:    all,
+		Bases:         bases,
+		TransferBytes: Step1TransferBytes(bases, int64(len(all))),
 	}, nil
 }
 
@@ -603,8 +584,8 @@ func encodedBytes(sks []msp.Superkmer) int64 {
 // observations, a folded superkmer's weighted once) are processed in warps
 // of 32, and each warp's probe cost is its slowest lane's, reproducing the
 // thread-divergence penalty of §III-D. The device-memory check and the
-// transfer charge count the partition as its file holds it, folded copies
-// included, so folding changes neither the verdict nor the virtual time.
+// transfer count take the partition as its file holds it, folded copies
+// included, so folding changes neither the verdict nor the transfer.
 func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int) (Step2Output, error) {
 	partBytes := encodedBytes(sks)
 	if g.MemoryBytes > 0 {
@@ -674,9 +655,6 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 	g.tables.put(table, 1)
 	// Transfer: the encoded superkmer partition down, the subgraph up.
 	out.TransferBytes = partBytes + graph.ModelBytes(out.Graph.NumVertices())
-	out.TransferSeconds = g.Cal.TransferSeconds(out.TransferBytes)
-	out.ComputeSeconds = g.Cal.GPUStep2Seconds(kmers, 0, out.TableBytes)
-	out.Seconds = out.ComputeSeconds + out.TransferSeconds
 	if warps > 0 && warpMeanSum > 0 {
 		out.WarpDivergence = warpMaxSum / warpMeanSum
 	}

@@ -16,7 +16,6 @@ import (
 	"slices"
 	"sync"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/graph"
 	"parahash/internal/msp"
 	"parahash/internal/store"
@@ -60,19 +59,11 @@ type ExternalConfig struct {
 	// the record a checkpoint would claim it by. It is not called for merge
 	// intermediates, which are reconstructible from the scanned runs.
 	OnRun func(run int, name string, bytes int64, crc uint32, vertices int64) error
-	// MaxFanIn caps runs per merge pass; zero means DefaultMergeFanIn.
-	MaxFanIn int
-	// Cal charges virtual time for the construction.
-	Cal costmodel.Calibration
-	// Threads is the CPU thread count the virtual-time charge assumes.
+	// Threads is ignored: the construction charges no time.
+	//
+	// Deprecated: benchmark/layers.go still sets it; it goes when that
+	// harness stops replaying the pipeline.
 	Threads int
-}
-
-func (cfg ExternalConfig) fanIn() int {
-	if cfg.MaxFanIn > 0 {
-		return cfg.MaxFanIn
-	}
-	return DefaultMergeFanIn
 }
 
 // SpillResult reports one partition's scan-and-spill phase.
@@ -225,21 +216,22 @@ func aggregateSpill(recs []msp.SpillRecord, emit func(*graph.Vertex) error) erro
 }
 
 // MergeSpilled k-way merges the named runs into the final sorted subgraph,
-// reducing wide run sets in fan-in-bounded passes whose intermediate runs
-// go back through the store under continued ordinals. It returns the
-// constructed output plus the number of merge passes (the final
-// merge-into-graph pass included). Input run files are left in place — the
+// reducing more than DefaultMergeFanIn runs in fan-in-bounded passes whose
+// intermediate runs go back through the store under continued ordinals. It
+// returns the constructed output, whose SpillFiles name the input runs and
+// the intermediates, plus the number of merge passes (the final
+// merge-into-graph pass included). Every run file is left in place — the
 // caller owns their lifecycle, because journalled runs must survive until
 // the partition's subgraph is durably published.
 func MergeSpilled(ctx context.Context, runNames []string, cfg ExternalConfig) (Step2Output, int64, error) {
-	fanIn := cfg.fanIn()
+	files := slices.Clip(runNames)
 	next := runNames
 	nextOrdinal := len(runNames)
 	passes := int64(0)
-	for len(next) > fanIn {
+	for len(next) > DefaultMergeFanIn {
 		var reduced []string
-		for lo := 0; lo < len(next); lo += fanIn {
-			hi := lo + fanIn
+		for lo := 0; lo < len(next); lo += DefaultMergeFanIn {
+			hi := lo + DefaultMergeFanIn
 			if hi > len(next) {
 				hi = len(next)
 			}
@@ -249,6 +241,7 @@ func MergeSpilled(ctx context.Context, runNames []string, cfg ExternalConfig) (S
 			}
 			name := cfg.RunName(nextOrdinal)
 			nextOrdinal++
+			files = append(files, name)
 			if err := mergeRunsToRun(ctx, cfg, next[lo:hi], name); err != nil {
 				return Step2Output{}, passes, err
 			}
@@ -277,8 +270,9 @@ func MergeSpilled(ctx context.Context, runNames []string, cfg ExternalConfig) (S
 	}
 	passes++
 	return Step2Output{
-		Graph:    sub,
-		Distinct: int64(len(sub.Vertices)),
+		Graph:      sub,
+		Distinct:   int64(len(sub.Vertices)),
+		SpillFiles: files,
 	}, passes, nil
 }
 
@@ -359,27 +353,4 @@ func mergeRunsToRun(ctx context.Context, cfg ExternalConfig, names []string, out
 		return err
 	}
 	return sink.Close()
-}
-
-// ExternalStep2 runs the complete out-of-core construction of one
-// partition: spill sorted runs, then merge them into the sorted subgraph.
-// The Step2Output mirrors the in-core kernels' shape with TableBytes zero
-// (there is no table) and the table-contention counters zero; virtual time
-// is charged from the CPU Step 2 calibration over the scanned k-mers.
-func ExternalStep2(ctx context.Context, sks []msp.Superkmer, cfg ExternalConfig) (Step2Output, SpillResult, int64, error) {
-	spill, err := SpillRuns(ctx, sks, cfg)
-	if err != nil {
-		return Step2Output{}, spill, 0, err
-	}
-	out, passes, err := MergeSpilled(ctx, spill.RunNames, cfg)
-	if err != nil {
-		return Step2Output{}, spill, passes, err
-	}
-	out.Kmers = spill.Kmers
-	out.Seconds = cfg.Cal.CPUStep2Seconds(spill.Kmers, cfg.Threads, 0)
-	out.ComputeSeconds = out.Seconds
-	out.SpillRuns = int64(len(spill.RunNames))
-	out.SpillBytes = spill.SpilledBytes
-	out.MergePasses = passes
-	return out, spill, passes, nil
 }

@@ -35,8 +35,6 @@ func TestSpillRunsPropagatesStoreErrors(t *testing.T) {
 		SortWorkers: 2,
 		Store:       st,
 		RunName:     func(run int) string { return fmt.Sprintf("spill/0000/run-%04d", run) },
-		Cal:         costmodel.DefaultCalibration(),
-		Threads:     4,
 		OnRun: func(run int, name string, bytes int64, crc uint32, vertices int64) error {
 			journalled = append(journalled, name)
 			return nil

@@ -67,9 +67,8 @@ func serialized(t *testing.T, g *graph.Subgraph) []byte {
 func TestStep2FoldedMatchesExpanded(t *testing.T) {
 	const k = 27
 	folded, expanded := foldedAndExpanded(t)
-	cal := costmodel.DefaultCalibration()
 	slots := hashtable.SizeForKmers(int64(len(expanded)*80), 2, 0.65)
-	for _, p := range []Processor{&CPU{Threads: 1, Cal: cal}, &CPU{Threads: 4, Cal: cal}, &GPU{Cal: cal}} {
+	for _, p := range []Processor{&CPU{Threads: 1}, &CPU{Threads: 4}, &GPU{}} {
 		want, err := p.Step2(context.Background(), expanded, k, slots)
 		if err != nil {
 			t.Fatal(err)
@@ -81,9 +80,9 @@ func TestStep2FoldedMatchesExpanded(t *testing.T) {
 		if !bytes.Equal(serialized(t, got.Graph), serialized(t, want.Graph)) {
 			t.Fatalf("%s: folded partition builds a different graph", p.Name())
 		}
-		if got.Kmers != want.Kmers || got.Seconds != want.Seconds || got.TransferBytes != want.TransferBytes {
-			t.Fatalf("%s: folded kmers/seconds/transfer %d/%g/%d, expanded %d/%g/%d", p.Name(),
-				got.Kmers, got.Seconds, got.TransferBytes, want.Kmers, want.Seconds, want.TransferBytes)
+		if got.Kmers != want.Kmers || got.TableBytes != want.TableBytes || got.TransferBytes != want.TransferBytes {
+			t.Fatalf("%s: folded kmers/table/transfer %d/%d/%d, expanded %d/%d/%d", p.Name(),
+				got.Kmers, got.TableBytes, got.TransferBytes, want.Kmers, want.TableBytes, want.TransferBytes)
 		}
 		if got.LockedInserts != want.LockedInserts || got.LockedInserts+got.LockFreeUpdates != walkedKmers(folded, k) {
 			t.Fatalf("%s: %d inserts + %d updates, want %d inserts and %d operations in all", p.Name(),
@@ -94,7 +93,8 @@ func TestStep2FoldedMatchesExpanded(t *testing.T) {
 
 // TestGPUStep2ChargesFoldedPartitionInFull: the device holds and receives
 // the partition as its file holds it, so a folded partition gets the same
-// device-memory verdict, transfer and virtual time as its expanded form.
+// device-memory verdict and transfer as its expanded form — and, since
+// core's step2Cost charges from these counts alone, the same virtual time.
 func TestGPUStep2ChargesFoldedPartitionInFull(t *testing.T) {
 	const k, slots = 27, 1 << 16
 	folded, expanded := foldedAndExpanded(t)
@@ -107,7 +107,7 @@ func TestGPUStep2ChargesFoldedPartitionInFull(t *testing.T) {
 		var outs [2]Step2Output
 		var errs [2]error
 		for i, sks := range [][]msp.Superkmer{expanded, folded} {
-			gpu := &GPU{Cal: costmodel.DefaultCalibration(), MemoryBytes: memory}
+			gpu := &GPU{MemoryBytes: memory}
 			outs[i], errs[i] = gpu.Step2(context.Background(), sks, k, slots)
 		}
 		if errors.Is(errs[0], ErrDeviceMemory) != (memory == fits-1) || errors.Is(errs[1], ErrDeviceMemory) != errors.Is(errs[0], ErrDeviceMemory) {
@@ -116,9 +116,9 @@ func TestGPUStep2ChargesFoldedPartitionInFull(t *testing.T) {
 		if errs[0] != nil {
 			continue
 		}
-		if outs[1].TransferBytes != outs[0].TransferBytes || outs[1].Seconds != outs[0].Seconds {
-			t.Fatalf("memory %d: folded transfer %d B in %g s, expanded %d B in %g s",
-				memory, outs[1].TransferBytes, outs[1].Seconds, outs[0].TransferBytes, outs[0].Seconds)
+		if outs[1].TransferBytes != outs[0].TransferBytes || outs[1].Kmers != outs[0].Kmers || outs[1].TableBytes != outs[0].TableBytes {
+			t.Fatalf("memory %d: folded transfer/kmers/table %d/%d/%d, expanded %d/%d/%d", memory,
+				outs[1].TransferBytes, outs[1].Kmers, outs[1].TableBytes, outs[0].TransferBytes, outs[0].Kmers, outs[0].TableBytes)
 		}
 	}
 }
@@ -130,7 +130,7 @@ func TestSpillFoldedMatchesInCoreAndUnfolded(t *testing.T) {
 	const k = 27
 	folded, expanded := foldedAndExpanded(t)
 	slots := hashtable.SizeForKmers(int64(len(expanded)*80), 2, 0.65)
-	inCore, err := (&CPU{Threads: 2, Cal: costmodel.DefaultCalibration()}).Step2(context.Background(), expanded, k, slots)
+	inCore, err := (&CPU{Threads: 2}).Step2(context.Background(), expanded, k, slots)
 	if err != nil {
 		t.Fatal(err)
 	}

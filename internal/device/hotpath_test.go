@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/msp"
 )
 
@@ -16,11 +15,10 @@ import (
 
 func TestStep1PartitionStamps(t *testing.T) {
 	reads := testReads(t)
-	cal := costmodel.DefaultCalibration()
 	const np = 64
 	for _, proc := range []Processor{
-		&CPU{Threads: 4, Cal: cal, Partitions: np},
-		&GPU{Cal: cal, Partitions: np},
+		&CPU{Threads: 4, Partitions: np},
+		&GPU{Partitions: np},
 	} {
 		out, err := proc.Step1(context.Background(), reads, 27, 11)
 		if err != nil {
@@ -43,10 +41,9 @@ func TestStep1PartitionStamps(t *testing.T) {
 // -race, to not touching the other's scanners).
 func TestStep1KernelsOnOneDeviceDoNotShareScratch(t *testing.T) {
 	reads := testReads(t)
-	cal := costmodel.DefaultCalibration()
 	for _, mk := range []func() Processor{
-		func() Processor { return &CPU{Threads: 3, Cal: cal, Partitions: 16} },
-		func() Processor { return &GPU{Cal: cal, Partitions: 16} },
+		func() Processor { return &CPU{Threads: 3, Partitions: 16} },
+		func() Processor { return &GPU{Partitions: 16} },
 	} {
 		want, err := mk().Step1(context.Background(), reads, 27, 11)
 		if err != nil {
@@ -76,14 +73,13 @@ func TestCPUStep1ScratchReuseDeterministic(t *testing.T) {
 	// One CPU value reused across chunks — the pipeline's usage — must keep
 	// producing the same output as a fresh device.
 	reads := testReads(t)
-	cal := costmodel.DefaultCalibration()
-	reused := &CPU{Threads: 4, Cal: cal, Partitions: 16}
+	reused := &CPU{Threads: 4, Partitions: 16}
 	for round := 0; round < 3; round++ {
 		got, err := reused.Step1(context.Background(), reads, 27, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := (&CPU{Threads: 4, Cal: cal, Partitions: 16}).Step1(context.Background(), reads, 27, 11)
+		want, err := (&CPU{Threads: 4, Partitions: 16}).Step1(context.Background(), reads, 27, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +101,7 @@ func TestStep1TransferBytesShared(t *testing.T) {
 	}
 	// The GPU's reported transfer must use the shared formula.
 	reads := testReads(t)
-	gpu := &GPU{Cal: costmodel.DefaultCalibration()}
+	gpu := &GPU{}
 	out, err := gpu.Step1(context.Background(), reads, 27, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +151,7 @@ func BenchmarkStep1Scan(b *testing.B) {
 	for _, rd := range reads {
 		bases += int64(len(rd.Bases))
 	}
-	cpu := &CPU{Threads: 1, Cal: costmodel.DefaultCalibration(), Partitions: 64}
+	cpu := &CPU{Threads: 1, Partitions: 64}
 	ctx := context.Background()
 	if _, err := cpu.Step1(ctx, reads, 27, 11); err != nil { // warm scratch
 		b.Fatal(err)
@@ -173,7 +169,7 @@ func BenchmarkStep1Scan(b *testing.B) {
 func BenchmarkCPUStep2(b *testing.B) {
 	reads := testReads(b)
 	sks := gatherSuperkmers(b, reads, 27, 11)
-	cpu := &CPU{Threads: 8, Cal: costmodel.DefaultCalibration()}
+	cpu := &CPU{Threads: 8}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/hashtable"
 	"parahash/internal/msp"
 )
@@ -36,11 +35,10 @@ func slotsFor(sks []msp.Superkmer) int {
 // table alone.
 func TestTableReuseMatchesFreshTable(t *testing.T) {
 	parts := recycleParts(t)
-	cal := costmodel.DefaultCalibration()
 	ctx := context.Background()
 	procs := map[string]func() Processor{
-		"CPU": func() Processor { return &CPU{Threads: 1, Cal: cal} },
-		"GPU": func() Processor { return &GPU{Cal: cal} },
+		"CPU": func() Processor { return &CPU{Threads: 1} },
+		"GPU": func() Processor { return &GPU{} },
 	}
 	for name, fresh := range procs {
 		kept := fresh()
@@ -210,9 +208,8 @@ func (c *dyingContext) Deadline() (time.Time, bool) { return time.Time{}, false 
 func TestAbandonedKernelKeepsItsTable(t *testing.T) {
 	parts := recycleParts(t)
 	sks := parts[len(parts)-1]
-	cal := costmodel.DefaultCalibration()
-	cpu := &CPU{Threads: 3, Cal: cal}
-	gpu := &GPU{Cal: cal}
+	cpu := &CPU{Threads: 3}
+	gpu := &GPU{}
 	for _, p := range []Processor{cpu, gpu} {
 		if _, err := p.Step2(context.Background(), sks, 27, slotsFor(sks)); err != nil {
 			t.Fatal(err)

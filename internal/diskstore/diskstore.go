@@ -50,6 +50,10 @@ type Store struct {
 	// them to surface flush errors and to count flushes.
 	fsync   func(*os.File) error
 	syncDir func(dir string)
+	// dirs orders Remove taking emptied directories away against creates
+	// that found their directory missing and make it, so in one process
+	// neither undoes the other mid-way.
+	dirs sync.Mutex
 }
 
 var _ store.PartitionStore = (*Store)(nil)
@@ -104,7 +108,7 @@ func (s *Store) create(name string, volatile bool) (io.WriteCloser, error) {
 	s.live[tmp]++
 	s.mu.Unlock()
 	var f *os.File
-	err = inParent(tmp, func() (err error) {
+	err = s.inParent(tmp, func() (err error) {
 		f, err = os.Create(tmp)
 		return err
 	})
@@ -116,15 +120,22 @@ func (s *Store) create(name string, volatile bool) (io.WriteCloser, error) {
 }
 
 // inParent runs op, which makes an entry at p, and when it fails because
-// p's directory is missing makes the directory and runs op once more. Most
-// files land in a directory that already exists, so they pay no stat for it.
-func inParent(p string, op func() error) error {
+// p's directory is missing makes the directory and runs op again; most
+// files land in a directory that exists and pay no stat for it. A Remove
+// may take an emptied directory away in between: s.dirs orders this
+// Store's, and a few tries cover another process's, whose rmdir inside
+// MkdirAll reads as the directory missing, or as existing after all.
+func (s *Store) inParent(p string, op func() error) error {
 	err := op()
-	if errors.Is(err, fs.ErrNotExist) {
-		if merr := os.MkdirAll(filepath.Dir(p), 0o755); merr != nil {
-			return merr
+	if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	s.dirs.Lock()
+	defer s.dirs.Unlock()
+	for try := 0; try < 4 && errors.Is(err, fs.ErrNotExist); try++ {
+		if err = os.MkdirAll(filepath.Dir(p), 0o755); err == nil || errors.Is(err, fs.ErrExist) {
+			err = op()
 		}
-		err = op()
 	}
 	return err
 }
@@ -289,12 +300,13 @@ func (s *Store) Size(name string) (int64, error) {
 	return st.Size(), nil
 }
 
-// Remove deletes the named files that are present, then fsyncs each distinct
-// parent directory once, so deletions are durable with the same guarantee as
-// Close's publication rename — after Remove returns, a crash or power loss
-// can never resurrect a deleted file — at one directory flush however many
-// files a directory loses. An invalid name or a failed unlink stops the
-// removal; what was unlinked before it is flushed all the same.
+// Remove deletes the named files that are present and every directory
+// below the root this leaves empty, then fsyncs once each directory that
+// lost an entry and remains, so deletions are durable with the same
+// guarantee as Close's publication rename — after Remove returns, a crash
+// or power loss can never resurrect a deleted file. An invalid name or a
+// failed unlink stops the removal; what was unlinked before it is flushed
+// all the same.
 func (s *Store) Remove(names ...string) error {
 	dirs := make(map[string]bool)
 	var err error
@@ -310,8 +322,23 @@ func (s *Store) Remove(names ...string) error {
 			break
 		}
 	}
+	// Only an empty directory goes, and then its parent if that is left
+	// empty too.
+	root := filepath.Clean(s.root)
+	gone, flush := make(map[string]bool), make(map[string]bool)
+	s.dirs.Lock()
 	for dir := range dirs {
-		s.syncDir(dir)
+		for dir != root && os.Remove(dir) == nil {
+			gone[dir] = true
+			dir = filepath.Dir(dir)
+		}
+		flush[dir] = true
+	}
+	s.dirs.Unlock()
+	for dir := range flush {
+		if !gone[dir] {
+			s.syncDir(dir)
+		}
 	}
 	return err
 }
@@ -333,7 +360,7 @@ func (s *Store) RenameVolatile(oldName, newName string) error {
 	if err != nil {
 		return err
 	}
-	if err := inParent(to, func() error { return os.Rename(from, to) }); err != nil {
+	if err := s.inParent(to, func() error { return os.Rename(from, to) }); err != nil {
 		if os.IsNotExist(err) {
 			return fmt.Errorf("%w: %q", store.ErrNotFound, oldName)
 		}
@@ -347,6 +374,9 @@ func (s *Store) RenameVolatile(oldName, newName string) error {
 func (s *Store) List() ([]string, error) {
 	var names []string
 	err := filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
+		if p != s.root && errors.Is(err, fs.ErrNotExist) {
+			return nil // a directory a concurrent Remove emptied and took away
+		}
 		if err != nil || d.IsDir() || strings.HasSuffix(p, tmpSuffix) {
 			return err
 		}

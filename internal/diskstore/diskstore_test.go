@@ -2,6 +2,7 @@ package diskstore
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -242,7 +243,8 @@ func countFlushes(s *Store) (files, dirs *int) {
 func TestRemoveFlushesEachDirectoryOnce(t *testing.T) {
 	s := open(t)
 	names := []string{"spill/0001/run-0000.t3", "spill/0001/run-0001.t3", "spill/0001/run-0002.t3", "subgraphs/0001.t3"}
-	for _, name := range names {
+	kept := []string{"spill/0001/run-0003.t4", "subgraphs/0002.t3"} // the directories stay
+	for _, name := range append(names, kept...) {
 		put(t, s, name, name)
 	}
 	_, dirs := countFlushes(s)
@@ -252,11 +254,90 @@ func TestRemoveFlushesEachDirectoryOnce(t *testing.T) {
 	if *dirs != 2 {
 		t.Errorf("removing files from 2 directories flushed %d directories", *dirs)
 	}
-	if left, _ := s.List(); len(left) != 0 {
-		t.Errorf("Remove left %v", left)
+	if left, _ := s.List(); !slices.Equal(left, kept) {
+		t.Errorf("Remove left %v, want %v", left, kept)
 	}
 	if err := s.Remove("ok", "../escape", "also-ok"); err == nil {
 		t.Error("Remove accepted an escaping name")
+	}
+}
+
+// TestRemoveTakesEmptiedDirectories: a Remove that empties a directory
+// removes it, and its parent if that is left empty too, flushing what
+// remains once; a directory that still holds a file stays. Creates racing
+// the removals still land, in a directory made again, and listings racing
+// them still succeed.
+func TestRemoveTakesEmptiedDirectories(t *testing.T) {
+	s := open(t)
+	runs := []string{"spill/0000/run-0000", "spill/0001/run-0000", "spill/0001/run-0001"}
+	for _, name := range append(runs, "subgraphs/0000") {
+		put(t, s, name, name)
+	}
+	_, dirs := countFlushes(s)
+	if err := s.Remove(runs...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Root(), "spill")); !os.IsNotExist(err) {
+		t.Errorf("emptied spill directories left behind: %v", err)
+	}
+	if *dirs != 1 {
+		t.Errorf("flushed %d directories, want the root once", *dirs)
+	}
+	if left, _ := s.List(); !slices.Equal(left, []string{"subgraphs/0000"}) {
+		t.Errorf("Remove left %v", left)
+	}
+
+	s, err := Open(s.Root()) // without the single-threaded flush counter
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() { // a listing never fails on a directory taken mid-walk
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := s.List(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 50; i++ {
+				// Its own partition directory, the spill directory shared.
+				name := fmt.Sprintf("spill/%04d/run-%04d", w, i)
+				f, err := s.CreateVolatile(name)
+				if err == nil {
+					err = f.Close()
+				}
+				if err == nil {
+					err = s.Remove(name)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(done)
+	wg.Wait()
+	if left, err := s.List(); err != nil || !slices.Equal(left, []string{"subgraphs/0000"}) {
+		t.Errorf("after racing creates and removes: %v, %v", left, err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Root(), "spill")); !os.IsNotExist(err) {
+		t.Errorf("emptied spill directories left behind: %v", err)
 	}
 }
 

@@ -241,7 +241,6 @@ func AblationDivergence(opts Options) (Report, error) {
 		Title:  "GPU warp divergence in hashing (slowest lane / mean lane per warp)",
 		Header: []string{"NP", "Warp divergence", "Distinct/kmers"},
 	}
-	cal := experimentConfig(p, opts).Calibration
 	for _, np := range []int{16, 64, 256} {
 		cfg := experimentConfig(p, opts)
 		cfg.NumPartitions = np
@@ -249,7 +248,7 @@ func AblationDivergence(opts Options) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		gpu := &device.GPU{Cal: cal}
+		gpu := &device.GPU{}
 		var divSum float64
 		var divN int
 		var kmers, distinct int64

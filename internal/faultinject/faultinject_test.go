@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/device"
 	"parahash/internal/dna"
 	"parahash/internal/fastq"
@@ -30,7 +29,7 @@ func testSuperkmers() []msp.Superkmer {
 }
 
 func cpu() device.Processor {
-	return &device.CPU{Threads: 1, Cal: costmodel.DefaultCalibration()}
+	return &device.CPU{Threads: 1}
 }
 
 func TestApplyStoreTransientAndPersistent(t *testing.T) {
