@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -236,10 +237,14 @@ func cmdExport(errw io.Writer, g *graph.Subgraph, format, outPath string) error 
 		return err
 	}
 	defer f.Close()
+	bw := bufio.NewWriter(f)
 	if format == "gfa" {
-		err = cg.WriteGFA(f)
+		err = cg.WriteGFA(bw)
 	} else {
-		err = cg.WriteDOT(f)
+		err = cg.WriteDOT(bw)
+	}
+	if err == nil {
+		err = bw.Flush()
 	}
 	if err != nil {
 		return err

@@ -108,10 +108,8 @@ func run(args []string, stdout io.Writer) error {
 		_          = fs.String("table", "", "deprecated and ignored: Step 2 always uses the paper's state-transfer hash table")
 		hostCal    = fs.Bool("host-calibration", false, "measure this machine's kernel throughput so virtual times predict local wall-clock instead of the paper's hardware")
 
-		maxAttempts   = fs.Int("max-attempts", 3, "per-partition attempt budget per pipeline stage (1 = fail fast)")
-		quarantine    = fs.Int("quarantine-after", 2, "consecutive failures before a processor is quarantined (0 = never)")
-		backoffJitter = fs.Float64("backoff-jitter", 0, "retry backoff jitter factor in [0,1]: each backoff is scaled by a seeded random factor in [1-j, 1+j] to de-synchronize retry storms (0 = deterministic backoff)")
-		backoffSeed   = fs.Int64("backoff-jitter-seed", 1, "seed for the -backoff-jitter random stream (same seed = same backoff schedule)")
+		maxAttempts = fs.Int("max-attempts", 3, "per-partition attempt budget per pipeline stage (1 = fail fast)")
+		quarantine  = fs.Int("quarantine-after", 2, "consecutive failures before a processor is quarantined (0 = never)")
 
 		timeout           = fs.Duration("timeout", 0, "cancel the whole build after this wall-clock duration (0 = none)")
 		partitionDeadline = fs.Duration("partition-deadline", 0, "watchdog deadline per partition attempt; expiry counts as a processor fault (0 = none)")
@@ -173,8 +171,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg.Resilience.MaxAttempts = *maxAttempts
 	cfg.Resilience.QuarantineAfter = *quarantine
 	cfg.Resilience.PartitionDeadline = *partitionDeadline
-	cfg.Resilience.BackoffJitter = *backoffJitter
-	cfg.Resilience.BackoffJitterSeed = *backoffSeed
 	if *memBudget != "" {
 		budget, err := parseBytes(*memBudget)
 		if err != nil {

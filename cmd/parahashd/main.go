@@ -62,11 +62,10 @@ func run(args []string, stdout io.Writer) error {
 		graphCache    = fs.Int("graph-cache", 8, "completed jobs' graph files kept open for queries (LRU; a descriptor and 0.4% of the file each); an evicted file is reopened and re-checked on its next query")
 		journalRetain = fs.Int("journal-retain", 64, "terminal job records kept through startup journal compaction; queued/running records are always kept")
 
-		retryMax      = fs.Int("retry-max", 2, "retries per job after a transient build failure (resuming from its checkpoint)")
-		retryBackoff  = fs.Duration("retry-backoff", 50*time.Millisecond, "base retry backoff, doubling per retry")
-		retryJitter   = fs.Float64("retry-jitter", 0.5, "uniform retry-backoff jitter factor in [0,1]; decorrelates jobs retrying a shared fault")
-		backoffJitter = fs.Float64("backoff-jitter", 0.5, "within-build virtual-time backoff jitter factor in [0,1]")
-		jitterSeed    = fs.Int64("jitter-seed", 0, "seed for both jitter streams (0 = time-based)")
+		retryMax     = fs.Int("retry-max", 2, "retries per job after a transient build failure (resuming from its checkpoint)")
+		retryBackoff = fs.Duration("retry-backoff", 50*time.Millisecond, "base retry backoff, doubling per retry")
+		retryJitter  = fs.Float64("retry-jitter", 0.5, "uniform retry-backoff jitter factor in [0,1]; decorrelates jobs retrying a shared fault")
+		jitterSeed   = fs.Int64("jitter-seed", 0, "seed for the retry jitter stream (0 = time-based)")
 
 		drainTimeout = fs.Duration("drain-timeout", time.Minute, "max time to wait for running jobs to checkpoint on SIGTERM")
 	)
@@ -87,8 +86,6 @@ func run(args []string, stdout io.Writer) error {
 	base.NumPartitions = *partitions
 	base.CPUThreads = *threads
 	base.NumGPUs = 0
-	base.Resilience.BackoffJitter = *backoffJitter
-	base.Resilience.BackoffJitterSeed = seed
 
 	opts := server.Options{
 		Root:           *dataDir,

@@ -69,7 +69,7 @@ func Build(reads []fastq.Read, cfg Config) (*graph.Subgraph, Stats, error) {
 	if cfg.Threads < 1 {
 		return nil, Stats{}, fmt.Errorf("bcalmlike: threads=%d must be positive", cfg.Threads)
 	}
-	store := iosim.NewStore(cfg.Medium)
+	store := iosim.NewStore()
 
 	// Pass 1: minimizer partitioning (sequential scan; bcalm2's
 	// partitioning is not the bottleneck so a single charged pass
@@ -104,9 +104,15 @@ func Build(reads []fastq.Read, cfg Config) (*graph.Subgraph, Stats, error) {
 
 	// Pass 2: per-partition sort-merge construction.
 	subs := make([]*graph.Subgraph, cfg.NumPartitions)
-	var peak int64
+	var peak, partBytes int64
 	for i := 0; i < cfg.NumPartitions; i++ {
-		sks, err := readPartition(store, fmt.Sprintf("part/%04d", i))
+		name := fmt.Sprintf("part/%04d", i)
+		size, err := store.Size(name)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		partBytes += size
+		sks, err := readPartition(store, name)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -128,7 +134,6 @@ func Build(reads []fastq.Read, cfg Config) (*graph.Subgraph, Stats, error) {
 	// IO passes: reading the raw input, the initial partition write + read,
 	// plus BcalmExtraIOPasses full traversals of the partition data for
 	// compaction and MPHF hashing of junction k-mers (Table III note).
-	partBytes := store.TotalBytes()
 	passes := 2 + cfg.Cal.BcalmExtraIOPasses
 	st.IOSeconds = cfg.Cal.ReadSeconds(cfg.Medium, fastq.ApproxFASTQBytes(reads)) +
 		float64(passes)*(cfg.Cal.ReadSeconds(cfg.Medium, partBytes)+

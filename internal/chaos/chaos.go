@@ -351,12 +351,6 @@ func (e *Engine) scenarioConfig(s Scenario, dir string) core.Config {
 	cfg.Checkpoint = core.CheckpointConfig{Dir: dir, InputLabel: e.inputLabel()}
 	cfg.MemoryBudgetBytes = s.MemoryBudgetBytes
 	cfg.PartitionMemoryBudgetBytes = s.PartitionMemoryBudgetBytes
-	// Seeded in-build retry jitter: decorrelates partition retries without
-	// consuming any scenario rng draws, so pinned seeds keep replaying the
-	// exact fault schedules they produced before jitter existed. Jitter
-	// shifts only virtual-time backoff charges, never results.
-	cfg.Resilience.BackoffJitter = 0.5
-	cfg.Resilience.BackoffJitterSeed = s.Seed
 	if s.PartitionDeadline > 0 {
 		cfg.Resilience.PartitionDeadline = s.PartitionDeadline
 	}

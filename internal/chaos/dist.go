@@ -153,8 +153,6 @@ func (e *Engine) distScenarioConfig(s DistScenario, dir string) core.Config {
 	cfg := e.baseCfg
 	cfg.Checkpoint = core.CheckpointConfig{Dir: dir, InputLabel: e.inputLabel()}
 	cfg.PartitionMemoryBudgetBytes = s.PartitionMemoryBudgetBytes
-	cfg.Resilience.BackoffJitter = 0.5
-	cfg.Resilience.BackoffJitterSeed = s.Seed
 	return cfg
 }
 

@@ -167,14 +167,9 @@ func (e *Engine) serverInput() ([]byte, error) {
 // installed by the caller (phase 1 only); phase 2 is always fault-free,
 // mirroring build mode's fault-free resume.
 func (e *Engine) serverOptions(s ServerScenario, dir string) server.Options {
-	base := e.baseCfg
-	// Seeded in-build retry jitter, scenario-derived without consuming any
-	// scenario rng draws (see scenarioConfig).
-	base.Resilience.BackoffJitter = 0.5
-	base.Resilience.BackoffJitterSeed = s.Seed
 	return server.Options{
 		Root:              dir,
-		Base:              base,
+		Base:              e.baseCfg,
 		MemoryBudgetBytes: s.MemoryBudgetBytes,
 		RetryMax:          2,
 		RetryBackoff:      2 * time.Millisecond,

@@ -47,13 +47,9 @@ func PartitionOnly(reads []fastq.Read, cfg Config) ([]msp.PartitionStats, StepSt
 	if err := cfg.Validate(); err != nil {
 		return nil, StepStats{}, err
 	}
-	s1, err := runStep1(context.Background(), sliceSource(reads, cfg), cfg, storeSinks(newSimStore(cfg), nil))
+	s1, err := runStep1(context.Background(), sliceSource(reads, cfg), cfg, storeSinks(iosim.NewStore(), nil))
 	return s1.parts, s1.stats, err
 }
-
-// newSimStore creates the in-memory simulated store a checkpoint-less build
-// runs against.
-func newSimStore(cfg Config) store.PartitionStore { return iosim.NewStore(cfg.Medium) }
 
 // PartitionSuperkmers scans the reads and groups their superkmers into
 // cfg.NumPartitions in-memory partitions by minimizer hash — the Step 1

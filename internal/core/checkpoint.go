@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +11,7 @@ import (
 
 	"parahash/internal/diskstore"
 	"parahash/internal/graph"
+	"parahash/internal/iosim"
 	"parahash/internal/manifest"
 	"parahash/internal/msp"
 	"parahash/internal/store"
@@ -118,7 +118,7 @@ func wrapBuildStore(cfg Config, st store.PartitionStore) store.PartitionStore {
 // loads (or initialises) the manifest, and on resume assesses every claim.
 func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
 	if cfg.Checkpoint.Dir == "" {
-		return wrapBuildStore(cfg, newSimStore(cfg)), nil, nil
+		return wrapBuildStore(cfg, iosim.NewStore()), nil, nil
 	}
 	ds, err := diskstore.Open(filepath.Join(cfg.Checkpoint.Dir, "data"))
 	if err != nil {
@@ -271,7 +271,7 @@ func verifySubgraphFile(ds store.PartitionStore, k int, rec *manifest.Step2Parti
 // trusted — by resume, by Scrub and by PromoteFenced: present, a header of
 // k (0, which Scrub passes knowing no k, accepts the header's), strictly
 // ascending, and exactly the records its header declares. It is the finish's
-// own check on the file alone: MergeStreams over one source. It returns the
+// own check on the file alone: MergeFiles over one source. It returns the
 // file's vertex and edge counts and its size.
 func checkSubgraphFile(ds store.PartitionStore, name string, k int) (vertices, edges, size int64, err error) {
 	r, err := ds.OpenStream(name)
@@ -279,11 +279,11 @@ func checkSubgraphFile(ds store.PartitionStore, name string, k int) (vertices, e
 		return 0, 0, 0, err
 	}
 	defer r.Close()
-	br := bufio.NewReader(r)
-	if head, err := br.Peek(6); err == nil && k == 0 {
+	var head [6]byte
+	if _, err := r.ReadAt(head[:], 0); err == nil && k == 0 {
 		k = int(head[5]) // the PHDG header's k byte, after magic and version
 	}
-	vertices, edges, err = graph.MergeStreams(k, []io.Reader{br}, io.Discard)
+	vertices, edges, err = graph.MergeFiles(k, []graph.Source{r}, io.Discard)
 	return vertices, edges, r.Size(), err
 }
 

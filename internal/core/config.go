@@ -39,14 +39,6 @@ type ResilienceConfig struct {
 	// BackoffSeconds is the virtual-time backoff base charged per retry
 	// (doubling per attempt); it is accounting only, never a real sleep.
 	BackoffSeconds float64
-	// BackoffJitter spreads each retry's backoff by a uniform factor in
-	// [1-j, 1+j], decorrelating concurrent builds that would otherwise
-	// retry a shared-store fault in lockstep. Must be in [0, 1]; 0 keeps
-	// the exact exponential schedule.
-	BackoffJitter float64
-	// BackoffJitterSeed seeds the jitter stream so a run's charged backoff
-	// is reproducible; concurrent builds should use distinct seeds.
-	BackoffJitterSeed int64
 	// PartitionDeadline is the watchdog's wall-clock bound on one partition
 	// attempt (compute stage). An attempt that outlives it is abandoned and
 	// charged as an ordinary processor fault, feeding the retry/quarantine
@@ -246,8 +238,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Resilience.QuarantineAfter=%d must be non-negative", c.Resilience.QuarantineAfter)
 	case c.Resilience.BackoffSeconds < 0:
 		return fmt.Errorf("core: Resilience.BackoffSeconds=%g must be non-negative", c.Resilience.BackoffSeconds)
-	case c.Resilience.BackoffJitter < 0 || c.Resilience.BackoffJitter > 1:
-		return fmt.Errorf("core: Resilience.BackoffJitter=%g out of range [0,1]", c.Resilience.BackoffJitter)
 	case c.Resilience.PartitionDeadline < 0:
 		return fmt.Errorf("core: Resilience.PartitionDeadline=%v must be non-negative", c.Resilience.PartitionDeadline)
 	case c.MemoryBudgetBytes < 0:
@@ -288,13 +278,11 @@ func (c Config) fingerprint() string {
 // resiliencePolicy maps the resilience config onto the pipeline policy.
 func (c Config) resiliencePolicy() pipeline.Policy {
 	return pipeline.Policy{
-		MaxAttempts:       c.Resilience.MaxAttempts,
-		QuarantineAfter:   c.Resilience.QuarantineAfter,
-		BackoffSeconds:    c.Resilience.BackoffSeconds,
-		BackoffJitter:     c.Resilience.BackoffJitter,
-		BackoffJitterSeed: c.Resilience.BackoffJitterSeed,
-		Retryable:         retryableIOFault,
-		AttemptTimeout:    c.Resilience.PartitionDeadline,
+		MaxAttempts:     c.Resilience.MaxAttempts,
+		QuarantineAfter: c.Resilience.QuarantineAfter,
+		BackoffSeconds:  c.Resilience.BackoffSeconds,
+		Retryable:       retryableIOFault,
+		AttemptTimeout:  c.Resilience.PartitionDeadline,
 	}
 }
 

@@ -393,7 +393,7 @@ func TestBuildFromReaderBadConfig(t *testing.T) {
 func TestBuildSurfacesWriteFaults(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := faultinject.WrapStore(iosim.NewStore(cfg.Medium))
+	store := faultinject.WrapStore(iosim.NewStore())
 	boom := errors.New("injected write failure")
 	store.FailWritesOn(superkmerFile(3), boom)
 	if _, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil); !errors.Is(err, boom) {
@@ -404,7 +404,7 @@ func TestBuildSurfacesWriteFaults(t *testing.T) {
 func TestBuildSurfacesReadFaults(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := faultinject.WrapStore(iosim.NewStore(cfg.Medium))
+	store := faultinject.WrapStore(iosim.NewStore())
 	boom := errors.New("injected read failure")
 	store.FailReadsOn(superkmerFile(5), boom)
 	if _, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil); !errors.Is(err, boom) {
@@ -415,7 +415,7 @@ func TestBuildSurfacesReadFaults(t *testing.T) {
 func TestBuildSurfacesSubgraphWriteFaults(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := faultinject.WrapStore(iosim.NewStore(cfg.Medium))
+	store := faultinject.WrapStore(iosim.NewStore())
 	boom := errors.New("injected subgraph write failure")
 	store.FailWritesOn(subgraphFile(2), boom)
 	if _, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil); !errors.Is(err, boom) {

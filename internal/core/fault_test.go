@@ -52,7 +52,7 @@ func TestBuildDegradedMatchesFaultFree(t *testing.T) {
 	}
 	faulty := cfg
 	faulty.ProcWrap = plan.WrapProcessors
-	store := faultinject.WrapStore(iosim.NewStore(faulty.Medium))
+	store := faultinject.WrapStore(iosim.NewStore())
 	plan.ApplyStore(store)
 
 	res, err := buildWithStore(context.Background(), sliceSource(reads, faulty), faulty, store, nil)
@@ -94,7 +94,7 @@ func TestBuildDegradedMatchesFaultFree(t *testing.T) {
 	}
 
 	// Determinism of the degraded run itself: same plan, same graph.
-	store2 := faultinject.WrapStore(iosim.NewStore(faulty.Medium))
+	store2 := faultinject.WrapStore(iosim.NewStore())
 	plan.ApplyStore(store2)
 	res2, err := buildWithStore(context.Background(), sliceSource(reads, faulty), faulty, store2, nil)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestBuildRecoversTransientWriteFault(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := faultinject.WrapStore(iosim.NewStore(cfg.Medium))
+	store := faultinject.WrapStore(iosim.NewStore())
 	boom := errors.New("transient subgraph write failure")
 	// Subgraph writes are idempotent (Create truncates), so a transient
 	// write fault must be absorbed by a retry.
@@ -138,7 +138,7 @@ func TestBuildRecoversCorruptPartitionRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store := faultinject.WrapStore(iosim.NewStore(cfg.Medium))
+	store := faultinject.WrapStore(iosim.NewStore())
 	// The first read of partition 1 serves bit-flipped bytes. The CRC32
 	// footer must catch the corruption and the retry — served from the
 	// intact stored bytes — must recover, end to end.
@@ -158,7 +158,7 @@ func TestBuildRecoversCorruptPartitionRead(t *testing.T) {
 func TestBuildPersistentCorruptionSurfacesTyped(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := faultinject.WrapStore(iosim.NewStore(cfg.Medium))
+	store := faultinject.WrapStore(iosim.NewStore())
 	store.CorruptReadsNTimes(superkmerFile(4), -1) // every read corrupt
 	_, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store, nil)
 	if !errors.Is(err, msp.ErrCorruptPartition) {
@@ -178,7 +178,7 @@ func TestBuildAllProcessorsDead(t *testing.T) {
 		},
 	}
 	cfg.ProcWrap = plan.WrapProcessors
-	_, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, iosim.NewStore(cfg.Medium), nil)
+	_, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, iosim.NewStore(), nil)
 	if !errors.Is(err, pipeline.ErrNoHealthyWorkers) {
 		t.Fatalf("expected ErrNoHealthyWorkers, got: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestBuildAllProcessorsDead(t *testing.T) {
 func TestBuildMissingPartitionFailsFast(t *testing.T) {
 	reads := tinyReads(t)
 	cfg := tinyConfig()
-	store := iosim.NewStore(cfg.Medium)
+	store := iosim.NewStore()
 	// Deleting a partition between the steps models an unrecoverable
 	// loss: ErrNotFound is classified non-retryable, so the build must
 	// not burn its attempt budget re-reading a file that cannot appear.
@@ -198,7 +198,7 @@ func TestBuildMissingPartitionFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store2 := faultinject.WrapStore(iosim.NewStore(cfg.Medium))
+	store2 := faultinject.WrapStore(iosim.NewStore())
 	store2.FailReadsOn(superkmerFile(0), iosim.ErrNotFound)
 	if _, err := buildWithStore(context.Background(), sliceSource(reads, cfg), cfg, store2, nil); !errors.Is(err, iosim.ErrNotFound) {
 		t.Fatalf("missing partition not surfaced: %v", err)

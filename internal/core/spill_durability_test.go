@@ -435,15 +435,11 @@ func TestResumeMergesVersion1Runs(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := &graph.Subgraph{K: rr.K()}
-		for {
-			v, err := rr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
+		if err := graph.MergeRuns([]*graph.RunReader{rr}, func(v graph.Vertex) error {
 			g.Vertices = append(g.Vertices, v)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		old := graphtest.RunVersion1(g)
 		if len(old) <= len(img) {

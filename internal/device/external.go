@@ -251,10 +251,11 @@ func MergeSpilled(ctx context.Context, runNames []string, cfg ExternalConfig) (S
 		passes++
 	}
 
-	readers, capacity, err := openRuns(cfg, next)
+	readers, capacity, closeRuns, err := openRuns(cfg, next)
 	if err != nil {
 		return Step2Output{}, passes, err
 	}
+	defer closeRuns()
 	sub := &graph.Subgraph{K: cfg.K, Vertices: graph.GetVertices(capacity)}
 	emitted := 0
 	err = graph.MergeRuns(readers, func(v graph.Vertex) error {
@@ -277,27 +278,38 @@ func MergeSpilled(ctx context.Context, runNames []string, cfg ExternalConfig) (S
 }
 
 // openRuns opens streaming readers over the named runs, validating their
-// headers, and returns the summed vertex-count capacity hint.
-func openRuns(cfg ExternalConfig, names []string) ([]*graph.RunReader, int, error) {
+// headers, and returns them, the summed vertex-count capacity hint, and the
+// function that closes the store streams under them. A stream holds a
+// window of its run, not the run: a merge's memory is its fan-in's windows.
+// On an error every stream opened is closed already.
+func openRuns(cfg ExternalConfig, names []string) ([]*graph.RunReader, int, func(), error) {
 	readers := make([]*graph.RunReader, 0, len(names))
+	streams := make([]store.Stream, 0, len(names))
+	closeRuns := func() {
+		for _, s := range streams {
+			s.Close()
+		}
+	}
 	capacity := 0
 	for _, name := range names {
-		src, err := cfg.Store.Open(name)
+		src, err := cfg.Store.OpenStream(name)
 		if err != nil {
-			return nil, 0, fmt.Errorf("device: opening spill run %q: %w", name, err)
+			closeRuns()
+			return nil, 0, nil, fmt.Errorf("device: opening spill run %q: %w", name, err)
 		}
+		streams = append(streams, src)
 		rr, err := graph.NewRunReader(src)
-		if err != nil {
-			return nil, 0, fmt.Errorf("device: spill run %q: %w", name, err)
+		if err == nil && rr.K() != cfg.K {
+			err = fmt.Errorf("%w: k=%d, want %d", graph.ErrCorruptRun, rr.K(), cfg.K)
 		}
-		if rr.K() != cfg.K {
-			return nil, 0, fmt.Errorf("device: spill run %q: %w: k=%d, want %d",
-				name, graph.ErrCorruptRun, rr.K(), cfg.K)
+		if err != nil {
+			closeRuns()
+			return nil, 0, nil, fmt.Errorf("device: spill run %q: %w", name, err)
 		}
 		readers = append(readers, rr)
 		capacity += int(rr.Count())
 	}
-	return readers, capacity, nil
+	return readers, capacity, closeRuns, nil
 }
 
 // mergeRunsToRun merges a group of runs into one intermediate run file.
@@ -305,7 +317,7 @@ func openRuns(cfg ExternalConfig, names []string) ([]*graph.RunReader, int, erro
 // the group is merged twice: a counting pass, then a writing pass — the
 // classic external-memory trade of extra sequential IO for bounded memory.
 func mergeRunsToRun(ctx context.Context, cfg ExternalConfig, names []string, outName string) error {
-	readers, _, err := openRuns(cfg, names)
+	readers, _, closeRuns, err := openRuns(cfg, names)
 	if err != nil {
 		return err
 	}
@@ -319,14 +331,16 @@ func mergeRunsToRun(ctx context.Context, cfg ExternalConfig, names []string, out
 		largest = max(largest, slices.Max(v.Counts[:]))
 		return nil
 	})
+	closeRuns()
 	if err != nil {
 		return fmt.Errorf("device: counting merge %q: %w", outName, err)
 	}
 
-	readers, _, err = openRuns(cfg, names)
+	readers, _, closeRuns, err = openRuns(cfg, names)
 	if err != nil {
 		return err
 	}
+	defer closeRuns()
 	sink, err := cfg.Store.CreateVolatile(outName)
 	if err != nil {
 		return fmt.Errorf("device: creating merge run %q: %w", outName, err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/device"
 	"parahash/internal/faultinject"
 	"parahash/internal/iosim"
@@ -25,7 +24,7 @@ func TestSpillRunsPropagatesStoreErrors(t *testing.T) {
 	for _, rd := range d.Reads {
 		sks = msp.SuperkmersFromRead(sks, rd.Bases, 27, 11)
 	}
-	st := faultinject.WrapStore(iosim.NewStore(costmodel.MediumMemCached))
+	st := faultinject.WrapStore(iosim.NewStore())
 	errBoom := fmt.Errorf("boom")
 	st.FailWritesNTimes("spill/0000/run-0002", 1, errBoom)
 	var journalled []string

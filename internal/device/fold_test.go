@@ -6,7 +6,6 @@ import (
 	"errors"
 	"testing"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/graph"
 	"parahash/internal/hashtable"
 	"parahash/internal/iosim"
@@ -138,7 +137,7 @@ func TestSpillFoldedMatchesInCoreAndUnfolded(t *testing.T) {
 	for _, bufferBytes := range []int64{1 << 30, 1 << 16, 1 << 11} {
 		var runs [2]int
 		for i, sks := range [][]msp.Superkmer{expanded, folded} {
-			cfg := externalTestConfig(iosim.NewStore(costmodel.MediumMemCached), k, bufferBytes)
+			cfg := externalTestConfig(iosim.NewStore(), k, bufferBytes)
 			spill, err := SpillRuns(context.Background(), sks, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -34,15 +34,11 @@ import (
 const tmpSuffix = ".tmp"
 
 // Store is a PartitionStore rooted at a directory. All methods are safe for
-// concurrent use; the byte counters are cumulative across the Store's
-// lifetime (they restart at zero when a new Store is opened over an
-// existing directory).
+// concurrent use.
 type Store struct {
 	root string
 
-	mu           sync.Mutex
-	bytesRead    int64
-	bytesWritten int64
+	mu sync.Mutex
 	// live counts the open writers (Create to Close) of each .tmp path:
 	// what tells an in-flight file from a crashed writer's orphan.
 	live map[string]int
@@ -208,8 +204,7 @@ func (s *Store) release(tmp string) {
 
 // Open returns a reader over a snapshot of the file's published content.
 // The whole file is read at open time — mirroring iosim.Store's snapshot
-// semantics, so one Open charges one full read regardless of how the
-// returned reader is consumed. The reader knows what it holds (Len), so a
+// semantics. The reader knows what it holds (Len), so a
 // loader that wants the whole image sizes its buffer once instead of
 // growing it.
 func (s *Store) Open(name string) (io.Reader, error) {
@@ -221,17 +216,13 @@ func (s *Store) Open(name string) (io.Reader, error) {
 	if err != nil {
 		return nil, readErr(name, err)
 	}
-	s.mu.Lock()
-	s.bytesRead += int64(len(data))
-	s.mu.Unlock()
 	return bytes.NewReader(data), nil
 }
 
 // OpenStream returns a streaming reader over the published file: the open
 // descriptor pins the inode published at open time, so a later publish —
 // an atomic rename over the name — never disturbs it, and its size is that
-// inode's. Bytes are counted as they are served; Close releases the
-// descriptor.
+// inode's. Close releases the descriptor.
 func (s *Store) OpenStream(name string) (store.Stream, error) {
 	p, err := s.pathOf(name)
 	if err != nil {
@@ -246,7 +237,7 @@ func (s *Store) OpenStream(name string) (store.Stream, error) {
 		f.Close()
 		return nil, fmt.Errorf("diskstore: %q: %w", name, err)
 	}
-	return &streamFile{store: s, f: f, size: st.Size()}, nil
+	return &streamFile{File: f, size: st.Size()}, nil
 }
 
 // readErr types a failed open for reading: an absent file is
@@ -258,30 +249,14 @@ func readErr(name string, err error) error {
 	return fmt.Errorf("diskstore: reading %q: %w", name, err)
 }
 
-// streamFile is OpenStream's reader.
+// streamFile is OpenStream's reader: the open file, and the size of the
+// version it pins.
 type streamFile struct {
-	store *Store
-	f     *os.File
-	size  int64
-}
-
-func (r *streamFile) Read(p []byte) (int, error) { return r.served(r.f.Read(p)) }
-
-func (r *streamFile) ReadAt(p []byte, off int64) (int, error) { return r.served(r.f.ReadAt(p, off)) }
-
-// served counts n bytes as read.
-func (r *streamFile) served(n int, err error) (int, error) {
-	if n > 0 {
-		r.store.mu.Lock()
-		r.store.bytesRead += int64(n)
-		r.store.mu.Unlock()
-	}
-	return n, err
+	*os.File
+	size int64
 }
 
 func (r *streamFile) Size() int64 { return r.size }
-
-func (r *streamFile) Close() error { return r.f.Close() }
 
 // Size returns a published file's byte size, or an error wrapping
 // store.ErrNotFound if absent.
@@ -394,35 +369,6 @@ func (s *Store) List() ([]string, error) {
 	return names, nil
 }
 
-// TotalBytes returns the sum of all published file sizes.
-func (s *Store) TotalBytes() int64 {
-	var total int64
-	_ = filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || strings.HasSuffix(p, tmpSuffix) {
-			return err
-		}
-		if info, err := d.Info(); err == nil {
-			total += info.Size()
-		}
-		return nil
-	})
-	return total
-}
-
-// BytesRead returns the cumulative bytes served to readers by this Store.
-func (s *Store) BytesRead() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesRead
-}
-
-// BytesWritten returns the cumulative bytes accepted from writers.
-func (s *Store) BytesWritten() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesWritten
-}
-
 // Reset removes every file under the root — published and in-flight alike —
 // keeping the root directory itself. A fresh checkpointed build uses it to
 // sweep the remains of an abandoned earlier build. The root is fsynced
@@ -496,17 +442,11 @@ type atomicFile struct {
 	done       bool
 }
 
-// Write appends to the in-flight temporary file, counting accepted bytes.
-// Errors carry the package's usual context (operation plus file name) and
+// Write appends to the in-flight temporary file. Errors carry the package's usual context (operation plus file name) and
 // classify ENOSPC as store.ErrDiskFull, so callers never see a raw
 // *os.File error with no provenance.
 func (a *atomicFile) Write(p []byte) (int, error) {
 	n, err := a.f.Write(p)
-	if n > 0 {
-		a.store.mu.Lock()
-		a.store.bytesWritten += int64(n)
-		a.store.mu.Unlock()
-	}
 	if err != nil {
 		err = fmt.Errorf("diskstore: writing %q: %w", a.final, classify(err))
 	}

@@ -368,10 +368,25 @@ func TestContentionShape(t *testing.T) {
 func TestAblationLocking(t *testing.T) {
 	rep := runExp(t, "ablation-locking")
 	// State transfer must lock on far fewer accesses than the mutex table.
-	st := cellFloat(t, rep.Rows[0][3])
-	mx := cellFloat(t, rep.Rows[1][3])
+	st := cellFloat(t, rep.Rows[0][2])
+	mx := cellFloat(t, rep.Rows[1][2])
 	if st >= 0.5 || mx < 1 {
 		t.Errorf("locks/access: state-transfer %.3f, mutex %.3f", st, mx)
+	}
+}
+
+// TestWallClockAblationsCSVRepeats: the two ablations that time the host
+// write the same CSV on every run — the wall times live in the notes,
+// which -csv leaves out.
+func TestWallClockAblationsCSVRepeats(t *testing.T) {
+	for _, id := range []string{"ablation-locking", "ablation-presize"} {
+		first, second := runExp(t, id), runExp(t, id)
+		if first.CSV() != second.CSV() {
+			t.Errorf("%s: two runs wrote different CSV:\n%s\n%s", id, first.CSV(), second.CSV())
+		}
+		if !strings.Contains(strings.Join(first.Notes, "\n"), "host wall-clock") {
+			t.Errorf("%s: no wall-clock note: %q", id, first.Notes)
+		}
 	}
 }
 
@@ -390,10 +405,10 @@ func TestAblationEncoding(t *testing.T) {
 
 func TestAblationPresize(t *testing.T) {
 	rep := runExp(t, "ablation-presize")
-	if rep.Rows[0][2] != "0" {
-		t.Errorf("pre-sized table rebuilt %s times", rep.Rows[0][2])
+	if rep.Rows[0][1] != "0" {
+		t.Errorf("pre-sized table rebuilt %s times", rep.Rows[0][1])
 	}
-	if rep.Rows[1][2] == "0" {
+	if rep.Rows[1][1] == "0" {
 		t.Error("grow-from-small should rebuild")
 	}
 }

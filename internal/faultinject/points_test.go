@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/iosim"
 	"parahash/internal/store"
 )
@@ -90,7 +89,7 @@ func TestPointsAreScopedPerPlanApplication(t *testing.T) {
 }
 
 func wrappedStore() *Store {
-	return WrapStore(iosim.NewStore(costmodel.MediumMemCached))
+	return WrapStore(iosim.NewStore())
 }
 
 func putFile(t *testing.T, s store.PartitionStore, name, content string) {

@@ -297,15 +297,6 @@ func (s *Store) Remove(names ...string) error { return s.inner.Remove(names...) 
 // List forwards to the inner store.
 func (s *Store) List() ([]string, error) { return s.inner.List() }
 
-// TotalBytes forwards to the inner store.
-func (s *Store) TotalBytes() int64 { return s.inner.TotalBytes() }
-
-// BytesRead forwards to the inner store.
-func (s *Store) BytesRead() int64 { return s.inner.BytesRead() }
-
-// BytesWritten forwards to the inner store.
-func (s *Store) BytesWritten() int64 { return s.inner.BytesWritten() }
-
 // faultyWriter interposes the wrapper's write faults on one Create stream.
 type faultyWriter struct {
 	store *Store

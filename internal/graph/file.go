@@ -44,7 +44,7 @@ type File struct {
 // vertex count implies — a truncated or padded file is ErrBadFormat here,
 // before anything is sized from that count.
 func OpenFile(r io.ReaderAt, size int64) (*File, error) {
-	h, err := readHeader(io.NewSectionReader(r, 0, size))
+	h, err := readHeader(io.NewSectionReader(r, 0, size), subgraphFile)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func (f *File) checkRecords(recs []byte, first int, prev dna.Kmer) (dna.Kmer, er
 	i := 0
 	if first == 0 { // the first vertex has nothing below it
 		km := f.layout.key(recs)
-		if err := checkKmer(f.k, km); err != nil {
+		if err := subgraphFile.checkKmer(f.k, km); err != nil {
 			return prev, fmt.Errorf("vertex 0: %w", err)
 		}
 		prev, i = km, 1
@@ -242,7 +242,7 @@ func (f *File) checkRecords(recs []byte, first int, prev dna.Kmer) (dna.Kmer, er
 	}
 	for ; i < n; i++ {
 		km := f.layout.key(recs[i*size:])
-		if err := checkKmer(f.k, km); err != nil {
+		if err := subgraphFile.checkKmer(f.k, km); err != nil {
 			return prev, fmt.Errorf("vertex %d: %w", first+i, err)
 		}
 		if !prev.Less(km) {

@@ -210,8 +210,8 @@ func TestOpenFileRejectsDamage(t *testing.T) {
 // body is a typed error after a bounded allocation — not the runtime's
 // unrecoverable out-of-memory a make([]Vertex, count) would be.
 func TestReadSubgraphHugeCount(t *testing.T) {
-	_, image := sortedImage(t, 8, 3*readBlockRecords, 27)
-	rec := (len(image) - headerBytes) / (3 * readBlockRecords)
+	_, image := sortedImage(t, 8, 3*readStartVertices, 27)
+	rec := (len(image) - headerBytes) / (3 * readStartVertices)
 	binary.LittleEndian.PutUint64(image[6:], 1<<36)
 	for _, in := range [][]byte{image[:headerBytes], image} {
 		var m0, m1 runtime.MemStats

@@ -31,7 +31,7 @@ func writeV1(g *Subgraph) []byte {
 
 // imageSize is the exact size of an image of n vertices with image's header.
 func imageSize(image []byte, n int) int64 {
-	h, err := readHeader(bytes.NewReader(image))
+	h, err := readHeader(bytes.NewReader(image), subgraphFile)
 	if err != nil {
 		return -1
 	}
@@ -129,9 +129,7 @@ func TestVersion1ReadsLikeVersion2(t *testing.T) {
 // TestMergeFilesMixedVersions: over four disjoint sources, any of them
 // version 1, at every count width and both key widths and in one to three
 // ranges, MergeFiles writes the bytes of an all-version-2 merge, which are
-// Merge + Write's. MergeStreams, which cannot read a stream twice, writes a
-// version-1 source's counts 4 bytes wide: the same graph, and the same bytes
-// when no source is version 1.
+// Merge + Write's.
 func TestMergeFilesMixedVersions(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, k := range []int{27, 40} {
@@ -157,16 +155,6 @@ func TestMergeFilesMixedVersions(t *testing.T) {
 						t.Fatalf("%s, %d ranges: %v, or the bytes are not Merge + Write's", name, ranges, err)
 					}
 				}
-				streamed, _, _, err := mergeStreamsOf(k, images)
-				if err != nil {
-					t.Fatalf("%s: MergeStreams: %v", name, err)
-				}
-				if g, err := ReadSubgraph(bytes.NewReader(streamed)); err != nil || !g.Equal(whole) {
-					t.Fatalf("%s: MergeStreams wrote another graph: %v", name, err)
-				}
-				if wantWidth := max(w.bytes, 4*min(mask, 1)); int(streamed[14]) != wantWidth {
-					t.Fatalf("%s: MergeStreams wrote width %d, want %d", name, streamed[14], wantWidth)
-				}
 			}
 		}
 	}
@@ -185,8 +173,8 @@ func TestHeaderKOutOfRange(t *testing.T) {
 			if _, err := OpenFile(bytes.NewReader(img), int64(len(img))); !errors.Is(err, ErrBadFormat) {
 				t.Errorf("version %d k=%d: OpenFile err = %v", version, k, err)
 			}
-			if _, _, err := MergeStreams(int(k), []io.Reader{bytes.NewReader(img)}, io.Discard); !errors.Is(err, ErrBadFormat) {
-				t.Errorf("version %d k=%d: MergeStreams err = %v", version, k, err)
+			if _, _, err := MergeFiles(int(k), []Source{bytes.NewReader(img)}, io.Discard); !errors.Is(err, ErrBadFormat) {
+				t.Errorf("version %d k=%d: MergeFiles err = %v", version, k, err)
 			}
 		}
 	}
@@ -210,9 +198,6 @@ func TestVersion1HighWordRefused(t *testing.T) {
 		}
 		if err := f.CheckSorted(); !errors.Is(err, ErrBadFormat) {
 			t.Errorf("vertex %d: CheckSorted err = %v", at, err)
-		}
-		if _, _, _, err := mergeStreamsOf(27, [][]byte{img}); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("vertex %d: MergeStreams err = %v", at, err)
 		}
 		for ranges := 1; ranges <= 3; ranges++ {
 			if _, _, _, err := mergeFilesOf(27, [][]byte{img}, ranges); !errors.Is(err, ErrBadFormat) && !errors.Is(err, ErrUnsorted) {

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -195,48 +194,45 @@ func orientChar(fwd bool) byte {
 
 // WriteGFA serialises the compacted graph as GFA 1.0: one S line per
 // unitig (with a KC k-mer-coverage tag) and one L line per link with CIGAR
-// overlap (K-1)M.
+// overlap (K-1)M. Each line is one Write: a caller writing to a file
+// buffers w.
 func (cg *CompactedGraph) WriteGFA(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<15)
-	if _, err := fmt.Fprintf(bw, "H\tVN:Z:1.0\n"); err != nil {
+	if _, err := fmt.Fprintf(w, "H\tVN:Z:1.0\n"); err != nil {
 		return err
 	}
 	for _, u := range cg.Unitigs {
 		kc := int(u.Coverage * float64(len(u.Seq)-cg.K+1))
-		if _, err := fmt.Fprintf(bw, "S\tu%d\t%s\tKC:i:%d\n", u.ID, u.Seq, kc); err != nil {
+		if _, err := fmt.Fprintf(w, "S\tu%d\t%s\tKC:i:%d\n", u.ID, u.Seq, kc); err != nil {
 			return err
 		}
 	}
 	for _, l := range cg.Links {
-		if _, err := fmt.Fprintf(bw, "L\tu%d\t%c\tu%d\t%c\t%dM\n",
+		if _, err := fmt.Fprintf(w, "L\tu%d\t%c\tu%d\t%c\t%dM\n",
 			l.From, orientChar(l.FromFwd), l.To, orientChar(l.ToFwd), cg.K-1); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // WriteDOT serialises the compacted graph as Graphviz DOT for quick visual
-// inspection of small graphs.
+// inspection of small graphs. Each line is one Write, as in WriteGFA.
 func (cg *CompactedGraph) WriteDOT(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<15)
-	if _, err := fmt.Fprintln(bw, "digraph dbg {"); err != nil {
+	if _, err := fmt.Fprintln(w, "digraph dbg {"); err != nil {
 		return err
 	}
 	for _, u := range cg.Unitigs {
-		if _, err := fmt.Fprintf(bw, "  u%d [label=\"u%d (%dbp, %.1fx)\"];\n",
+		if _, err := fmt.Fprintf(w, "  u%d [label=\"u%d (%dbp, %.1fx)\"];\n",
 			u.ID, u.ID, len(u.Seq), u.Coverage); err != nil {
 			return err
 		}
 	}
 	for _, l := range cg.Links {
-		if _, err := fmt.Fprintf(bw, "  u%d -> u%d [taillabel=\"%c\" headlabel=\"%c\"];\n",
+		if _, err := fmt.Fprintf(w, "  u%d -> u%d [taillabel=\"%c\" headlabel=\"%c\"];\n",
 			l.From, l.To, orientChar(l.FromFwd), orientChar(l.ToFwd)); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintln(bw, "}"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := fmt.Fprintln(w, "}")
+	return err
 }

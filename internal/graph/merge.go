@@ -15,8 +15,8 @@ import (
 // Every input must be strictly ascending by k-mer — what Step 2, the spill
 // merge and ReadSubgraph of a published file all produce; anything else
 // fails with an error wrapping ErrUnsorted. It is the serial in-memory
-// reference for MergeStreams, which is how a build finishes: one k-way
-// merge over the whole inputs on the same loser tree.
+// reference for MergeFiles, which is how a build finishes: a k-way merge
+// over the files on the same loser tree.
 func Merge(k int, subs ...*Subgraph) (*Subgraph, error) {
 	var t loserTree
 	var rests [][]Vertex // rests[c] is cursor c's unread input, its head t.keys[c]
@@ -62,7 +62,7 @@ func Merge(k int, subs ...*Subgraph) (*Subgraph, error) {
 // match played there, the cursors are the leaves m..2m-1 (parent i/2), and
 // replacing the winner replays only its leaf-to-root path — one comparison
 // per level, half a binary heap's. What a head is the head of — a slice of
-// vertices for Merge, a window of a file for MergeStreams — stays with the
+// vertices for Merge, a window of a file for a cursorMerge — stays with the
 // caller, indexed like keys; the heads sit apart from it so the comparisons
 // stay inside 16 bytes a cursor.
 type loserTree struct {

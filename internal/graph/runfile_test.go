@@ -72,21 +72,23 @@ func writeRunV1(g *Subgraph) []byte {
 // readRun reads every vertex of a run image, requiring the footer to verify.
 func readRun(t testing.TB, data []byte) []Vertex {
 	t.Helper()
-	rr, err := NewRunReader(bytes.NewReader(data))
+	got, err := mergeOne(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Vertex
-	for {
-		v, err := rr.Next()
-		if err == io.EOF {
-			return got
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, v)
+	return got
+}
+
+// mergeOne is MergeRuns over the one run r holds: its vertices, and nil
+// only once the footer has verified.
+func mergeOne(r io.Reader) ([]Vertex, error) {
+	rr, err := NewRunReader(r)
+	if err != nil {
+		return nil, err
 	}
+	var got []Vertex
+	err = MergeRuns([]*RunReader{rr}, func(v Vertex) error { got = append(got, v); return nil })
+	return got, err
 }
 
 func TestRunRoundTrip(t *testing.T) {
@@ -314,16 +316,17 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestRunReaderChecksumsByBlock: the reader checksums whole blocks as it
+// TestRunReaderChecksumsByBlock: the reader checksums whole windows as it
 // reads them, not records as it hands them out, so the contract is pinned
-// across block boundaries and short reads — every vertex back, io.EOF only
-// once the footer has verified, and VerifyRun's CRC equal to the writer's.
+// across window boundaries and short reads — every vertex back, success
+// only once the footer has verified, and VerifyRun's CRC equal to the
+// writer's.
 func TestRunReaderChecksumsByBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	const k = 27
 	data, agg := writeRun(t, k, randomRunVertices(rng, 10000, 1<<40))
 	rr, err := NewRunReader(bytes.NewReader(data))
-	if err != nil || rr.layout.size() != 16 {
+	if err != nil || rr.c.layout.size() != 16 {
 		t.Fatalf("the test needs 16-byte version-2 records; err = %v", err)
 	}
 	// runImage held the writer's Sum32 to the footer.
@@ -332,18 +335,9 @@ func TestRunReaderChecksumsByBlock(t *testing.T) {
 		t.Fatalf("run is %d bytes; the test needs several 32 KiB blocks", len(data))
 	}
 	for _, chunk := range []int{1, 15, 16, 17, 47, 48, 49, 1 << 15, 1<<15 + 1, len(data)} {
-		rr, err := NewRunReader(&chunkReader{data: data, n: chunk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, want := range agg.Vertices {
-			got, err := rr.Next()
-			if err != nil || got != want {
-				t.Fatalf("chunk %d: vertex %d = %+v, %v", chunk, i, got, err)
-			}
-		}
-		if _, err := rr.Next(); err != io.EOF {
-			t.Fatalf("chunk %d: after the last vertex err = %v, want io.EOF", chunk, err)
+		got, err := mergeOne(&chunkReader{data: data, n: chunk})
+		if err != nil || !slices.Equal(got, agg.Vertices) {
+			t.Fatalf("chunk %d: %d of %d vertices back, %v", chunk, len(got), len(agg.Vertices), err)
 		}
 		n, crc, err := VerifyRun(&chunkReader{data: data, n: chunk}, k)
 		if err != nil || n != int64(len(agg.Vertices)) || crc != writerSum {
@@ -364,7 +358,7 @@ func TestRunReaderChecksumsByBlock(t *testing.T) {
 
 // verifyRunReference is VerifyRun over a whole buffer: the header of either
 // version, one checksum over header and records, one linear pass for the
-// order.
+// order and for a version-1 high word at k ≤ 32.
 func verifyRunReference(data []byte, k int) (int64, uint32, bool) {
 	if len(data) < v1HeaderBytes || [4]byte(data[:4]) != runMagic {
 		return 0, 0, false
@@ -397,7 +391,7 @@ func verifyRunReference(data []byte, k int) (int64, uint32, bool) {
 	for i := uint64(0); i < count; i++ {
 		var v Vertex
 		l.get(&v, data[head+i*size:])
-		if i > 0 && !prev.Kmer.Less(v.Kmer) {
+		if (i > 0 && !prev.Kmer.Less(v.Kmer)) || (v.Kmer.Hi != 0 && data[5] <= 32) {
 			return 0, 0, false
 		}
 		prev = v
@@ -502,16 +496,8 @@ func BenchmarkRunWriteRead(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.SetBytes(rw.Size())
-				rr, err := NewRunReader(bytes.NewReader(buf.Bytes()))
-				if err != nil {
+				if _, err := mergeOne(bytes.NewReader(buf.Bytes())); err != nil {
 					b.Fatal(err)
-				}
-				for {
-					if _, err := rr.Next(); err == io.EOF {
-						break
-					} else if err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 			b.ReportMetric(float64(buf.Len())/float64(len(g.Vertices)), "B/vertex")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 
 	"parahash/internal/dna"
 )
@@ -164,35 +163,14 @@ func (l recordLayout) degree(rec []byte) int64 {
 	return d
 }
 
-// checkKmer refuses a k-mer that k's key words cannot hold: a high word set
-// at k ≤ 32, which only a version-1 record has room for and which a
-// version-2 file would silently drop.
-func checkKmer(k int, km dna.Kmer) error {
-	if km.Hi != 0 && k <= 32 {
-		return fmt.Errorf("%w: a k=%d k-mer with its high word set", ErrBadFormat, k)
-	}
-	return nil
-}
+// readStartVertices is the capacity ReadSubgraph starts its vertex slice
+// at: 1 MiB of version-1 records, whatever the layout.
+const readStartVertices = 1<<20/v1RecordBytes + 1
 
-// readBlockRecords sizes the block ReadSubgraph reads records into: 1 MiB of
-// version-1 records, whatever the layout, so the vertices it decodes a
-// block into stay a constant size.
-const readBlockRecords = 1<<20/v1RecordBytes + 1
-
-// writeBlockBytes sizes the encode block of Write and the merges: every
-// write they make but the last carries at least 1 MiB, so a partition
-// subgraph goes out in one Write call and the final graph in a few.
-const writeBlockBytes = 1<<20 + v1RecordBytes
-
-// writeBlocks recycles the encode block: a build writes one subgraph after
-// another, and a graph-sized buffer per file is most of what it would
-// otherwise allocate.
-var writeBlocks = sync.Pool{New: func() any { return new([writeBlockBytes]byte) }}
-
-// putHeader encodes the version-2 header of a count-vertex stream of layout
-// l into head[:headerBytes].
-func putHeader(head []byte, k int, count uint64, l recordLayout) {
-	copy(head, magic[:])
+// putHeader encodes the version-2 header of a kind file of count records
+// of layout l into head[:headerBytes].
+func putHeader(head []byte, kind *fileKind, k int, count uint64, l recordLayout) {
+	copy(head, kind.magic[:])
 	head[4] = formatVersion
 	head[5] = byte(k)
 	binary.LittleEndian.PutUint64(head[6:], count)
@@ -207,18 +185,16 @@ type header struct {
 	bytes  int64 // the header's own size, where the records start
 }
 
-// readHeader reads and validates a PHDG header of either version from r.
-func readHeader(r io.Reader) (header, error) { return readHeaderAs(r, magic, ErrBadFormat) }
-
-// readHeaderAs reads and validates a header of either version with the magic
-// want — PHDG's, or PHSR's, whose headers have the same shape — refusing it
-// as bad.
-func readHeaderAs(r io.Reader, want [4]byte, bad error) (header, error) {
+// readHeader reads and validates a header of either version with kind's
+// magic — PHDG's, or PHSR's, whose headers have the same shape — refusing it
+// as kind's bad error.
+func readHeader(r io.Reader, kind *fileKind) (header, error) {
+	bad := kind.bad
 	var head [headerBytes]byte
 	if _, err := io.ReadFull(r, head[:v1HeaderBytes]); err != nil {
 		return header{}, fmt.Errorf("%w: header: %w", bad, err)
 	}
-	if [4]byte(head[:4]) != want {
+	if [4]byte(head[:4]) != kind.magic {
 		return header{}, fmt.Errorf("%w: bad magic", bad)
 	}
 	h := header{k: int(head[5]), count: binary.LittleEndian.Uint64(head[6:14])}
@@ -248,9 +224,7 @@ func readHeaderAs(r io.Reader, want [4]byte, bad error) (header, error) {
 
 // Write serialises the subgraph at the narrowest layout that holds it. Its
 // k must be 1 to dna.MaxK, and at k ≤ 32 no k-mer may have its high word
-// set. Records are encoded into one recycled block and handed to w a block
-// at a time: the writers behind it (a file, a store's atomic temp file) are
-// unbuffered, so each call is a syscall.
+// set. Records go to w through a blockWriter.
 func (g *Subgraph) Write(w io.Writer) error {
 	var counts uint32
 	var hi uint64
@@ -265,58 +239,45 @@ func (g *Subgraph) Write(w io.Writer) error {
 		return fmt.Errorf("graph: cannot write a k=%d subgraph: k outside 1..%d or a k-mer wider than k", g.K, dna.MaxK)
 	}
 	l := layoutFor(g.K, counts)
-	size := l.size()
-	buf := writeBlocks.Get().(*[writeBlockBytes]byte)
-	defer writeBlocks.Put(buf)
-	putHeader(buf[:], g.K, uint64(len(g.Vertices)), l)
-	fill := headerBytes
+	bw := newFileWriter(w, subgraphFile, g.K, uint64(len(g.Vertices)), l)
 	for i := range g.Vertices {
-		if fill+size > len(buf) {
-			if _, err := w.Write(buf[:fill]); err != nil {
-				return err
-			}
-			fill = 0
+		rec, err := bw.next(l.size())
+		if err != nil {
+			return err
 		}
-		l.put(buf[fill:], &g.Vertices[i])
-		fill += size
+		l.put(rec, &g.Vertices[i])
 	}
-	_, err := w.Write(buf[:fill])
+	_, err := bw.finish()
 	return err
 }
 
-// ReadSubgraph parses a serialised subgraph of either version.
+// ReadSubgraph parses a serialised subgraph of either version. Records are
+// read through a streamCursor, and the vertex slice follows the records
+// that have arrived, not the header: readStartVertices to start, four times
+// the size whenever it is full, never past the count. A damaged count
+// cannot ask for more than a constant factor of what the stream delivered;
+// an honest one costs a third of the graph in copies.
 func ReadSubgraph(r io.Reader) (*Subgraph, error) {
-	h, err := readHeader(r)
+	c, count, err := openCursor(r, subgraphFile)
 	if err != nil {
 		return nil, err
 	}
-	// Records are read a block at a time, and the vertex slice follows the
-	// blocks that have arrived, not the header: one block to start, four
-	// times the size whenever it is full, never past the count. A damaged
-	// count cannot ask for more than a constant factor of what the stream
-	// delivered; an honest one costs a third of the graph in copies.
-	count, size := h.count, h.layout.size()
-	block := int(min(count, readBlockRecords))
-	g := &Subgraph{K: h.k, Vertices: make([]Vertex, 0, block)}
-	buf := make([]byte, block*size)
-	for uint64(len(g.Vertices)) < count {
-		done := len(g.Vertices)
-		if done == cap(g.Vertices) {
-			g.Vertices = append(make([]Vertex, 0, min(count, 4*uint64(done))), g.Vertices...)
+	g := &Subgraph{K: c.k, Vertices: make([]Vertex, 0, min(count, readStartVertices))}
+	more, err := c.refill()
+	for ; more; more, err = c.pop() {
+		n := len(g.Vertices)
+		if n == cap(g.Vertices) {
+			g.Vertices = append(make([]Vertex, 0, min(count, 4*uint64(n))), g.Vertices...)
 		}
-		n := int(min(count-uint64(done), readBlockRecords))
-		got, err := io.ReadFull(r, buf[:n*size])
-		if err != nil {
-			return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, done+got/size, err)
+		g.Vertices = g.Vertices[:n+1]
+		v := &g.Vertices[n]
+		c.layout.get(v, c.recs)
+		if err := c.kind.checkKmer(c.k, v.Kmer); err != nil {
+			return nil, fmt.Errorf("%s: %w", c.at(c.index), err)
 		}
-		g.Vertices = g.Vertices[:done+n]
-		for i := 0; i < n; i++ {
-			v := &g.Vertices[done+i]
-			h.layout.get(v, buf[i*size:])
-			if err := checkKmer(h.k, v.Kmer); err != nil {
-				return nil, fmt.Errorf("vertex %d: %w", done+i, err)
-			}
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return g, nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/store"
 	"parahash/internal/store/storetest"
 )
@@ -14,7 +13,7 @@ import (
 // in-memory store, so iosim and diskstore are held to identical semantics.
 func TestConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) store.PartitionStore {
-		return NewStore(costmodel.MediumMemCached)
+		return NewStore()
 	})
 }
 

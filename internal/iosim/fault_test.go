@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/faultinject"
 	"parahash/internal/store"
 )
@@ -17,7 +16,7 @@ import (
 
 // faulty is a fault layer over a fresh in-memory store.
 func faulty() *faultinject.Store {
-	return faultinject.WrapStore(NewStore(costmodel.MediumMemCached))
+	return faultinject.WrapStore(NewStore())
 }
 
 func writeFile(t *testing.T, s store.PartitionStore, name, content string) {
@@ -48,7 +47,7 @@ func readFile(t *testing.T, s store.PartitionStore, name string) []byte {
 }
 
 func TestOpenMissingIsErrNotFound(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := NewStore()
 	if _, err := s.Open("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -109,7 +108,7 @@ func TestFailWritesNTimesIsTransient(t *testing.T) {
 }
 
 func TestCorruptReadsNTimesServesFlippedCopy(t *testing.T) {
-	inner := NewStore(costmodel.MediumMemCached)
+	inner := NewStore()
 	s := faultinject.WrapStore(inner)
 	want := "some partition bytes"
 	writeFile(t, s, "f", want)

@@ -1,7 +1,7 @@
-// Package iosim provides an in-memory partition store with exact byte
-// accounting, standing in for the disk and memory-cached files of the
-// paper's evaluation. Experiments charge IO time against the store's byte
-// counters using costmodel bandwidths, so the Case 1 (memory-cached,
+// Package iosim provides an in-memory partition store, standing in for the
+// disk and memory-cached files of the paper's evaluation in a build without
+// a checkpoint directory. It charges no time: a build's IO seconds come from
+// the byte counts core hands the cost model, so the Case 1 (memory-cached,
 // IO ≪ compute) and Case 2 (disk, IO > compute) regimes of §IV-B reproduce
 // deterministically on any host.
 package iosim
@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/store"
 )
 
@@ -23,24 +22,18 @@ import (
 // resilient pipeline treats it as non-retryable.
 var ErrNotFound = store.ErrNotFound
 
-// Store is a named collection of in-memory files with byte accounting,
-// implementing store.PartitionStore. All methods are safe for concurrent
-// use.
+// Store is a named collection of in-memory files, implementing
+// store.PartitionStore. All methods are safe for concurrent use.
 type Store struct {
-	// Medium tags the store with the IO device it models.
-	Medium costmodel.Medium
-
-	mu           sync.Mutex
-	files        map[string]*bytes.Buffer
-	bytesRead    int64
-	bytesWritten int64
+	mu    sync.Mutex
+	files map[string]*bytes.Buffer
 }
 
 var _ store.PartitionStore = (*Store)(nil)
 
-// NewStore creates an empty store modelling the given medium.
-func NewStore(m costmodel.Medium) *Store {
-	return &Store{Medium: m, files: make(map[string]*bytes.Buffer)}
+// NewStore creates an empty store.
+func NewStore() *Store {
+	return &Store{files: make(map[string]*bytes.Buffer)}
 }
 
 // Create opens a new version of a named file for writing. Matching the
@@ -50,7 +43,7 @@ func NewStore(m costmodel.Medium) *Store {
 // Create itself never fails for the in-memory store; the error return
 // satisfies the interface, whose durable implementations can fail here.
 func (s *Store) Create(name string) (io.WriteCloser, error) {
-	return &countingWriter{store: s, buf: &bytes.Buffer{}, name: name}, nil
+	return &pendingWriter{store: s, buf: &bytes.Buffer{}, name: name}, nil
 }
 
 // CreateVolatile is Create: memory has no flush to defer.
@@ -78,13 +71,12 @@ func (s *Store) Open(name string) (io.Reader, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	s.bytesRead += int64(buf.Len())
 	return bytes.NewReader(bytes.Clone(buf.Bytes())), nil
 }
 
 // OpenStream serves the published blob itself: a publish replaces the blob,
 // it never writes into it, so the version open at the time stays what the
-// reader sees. Bytes are counted as they are read.
+// reader sees.
 func (s *Store) OpenStream(name string) (store.Stream, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,30 +84,14 @@ func (s *Store) OpenStream(name string) (store.Stream, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return &streamReader{store: s, r: bytes.NewReader(buf.Bytes())}, nil
+	return streamReader{bytes.NewReader(buf.Bytes())}, nil
 }
 
-// streamReader is OpenStream's reader.
-type streamReader struct {
-	store *Store
-	r     *bytes.Reader
-}
+// streamReader is OpenStream's reader: the blob's reader, which has nothing
+// to release.
+type streamReader struct{ *bytes.Reader }
 
-func (r *streamReader) Read(p []byte) (int, error) { return r.served(r.r.Read(p)) }
-
-func (r *streamReader) ReadAt(p []byte, off int64) (int, error) { return r.served(r.r.ReadAt(p, off)) }
-
-// served counts n bytes as read.
-func (r *streamReader) served(n int, err error) (int, error) {
-	r.store.mu.Lock()
-	r.store.bytesRead += int64(n)
-	r.store.mu.Unlock()
-	return n, err
-}
-
-func (r *streamReader) Size() int64 { return r.r.Size() }
-
-func (r *streamReader) Close() error { return nil }
+func (streamReader) Close() error { return nil }
 
 // Size returns a file's byte size, or an error if absent.
 func (s *Store) Size(name string) (int64, error) {
@@ -151,42 +127,7 @@ func (s *Store) List() ([]string, error) {
 	return names, nil
 }
 
-// TotalBytes returns the sum of all file sizes.
-func (s *Store) TotalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	for _, buf := range s.files {
-		total += int64(buf.Len())
-	}
-	return total
-}
-
-// BytesRead returns the cumulative bytes served to readers.
-func (s *Store) BytesRead() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesRead
-}
-
-// BytesWritten returns the cumulative bytes accepted from writers.
-func (s *Store) BytesWritten() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesWritten
-}
-
-// ReadSeconds charges the given byte volume as a read on this medium.
-func (s *Store) ReadSeconds(cal costmodel.Calibration, bytes int64) float64 {
-	return cal.ReadSeconds(s.Medium, bytes)
-}
-
-// WriteSeconds charges the given byte volume as a write on this medium.
-func (s *Store) WriteSeconds(cal costmodel.Calibration, bytes int64) float64 {
-	return cal.WriteSeconds(s.Medium, bytes)
-}
-
-type countingWriter struct {
+type pendingWriter struct {
 	store  *Store
 	buf    *bytes.Buffer
 	name   string
@@ -194,18 +135,16 @@ type countingWriter struct {
 }
 
 // Write appends to the in-flight (unpublished) buffer under the store lock.
-func (w *countingWriter) Write(p []byte) (int, error) {
+func (w *pendingWriter) Write(p []byte) (int, error) {
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
-	n, err := w.buf.Write(p)
-	w.store.bytesWritten += int64(n)
-	return n, err
+	return w.buf.Write(p)
 }
 
 // Close publishes the written bytes under the file's name, atomically
 // replacing any previous content — the in-memory analogue of diskstore's
 // fsync-and-rename. Closing twice is a no-op.
-func (w *countingWriter) Close() error {
+func (w *pendingWriter) Close() error {
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
 	if w.closed {

@@ -4,12 +4,10 @@ import (
 	"io"
 	"sync"
 	"testing"
-
-	"parahash/internal/costmodel"
 )
 
 func TestCreateWriteOpenRead(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := NewStore()
 	w, _ := s.Create("a/b")
 	if _, err := w.Write([]byte("hello")); err != nil {
 		t.Fatal(err)
@@ -34,13 +32,10 @@ func TestCreateWriteOpenRead(t *testing.T) {
 	if got, _ := s.Size("a/b"); got != 11 {
 		t.Errorf("size = %d", got)
 	}
-	if s.BytesWritten() != 11 || s.BytesRead() != 11 {
-		t.Errorf("accounting: w=%d r=%d", s.BytesWritten(), s.BytesRead())
-	}
 }
 
 func TestOpenMissing(t *testing.T) {
-	s := NewStore(costmodel.MediumDisk)
+	s := NewStore()
 	if _, err := s.Open("nope"); err == nil {
 		t.Error("missing file opened")
 	}
@@ -50,7 +45,7 @@ func TestOpenMissing(t *testing.T) {
 }
 
 func TestCreateTruncates(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := NewStore()
 	w, _ := s.Create("f")
 	w.Write([]byte("old content"))
 	w.Close()
@@ -63,7 +58,7 @@ func TestCreateTruncates(t *testing.T) {
 }
 
 func TestListAndRemoveAndTotal(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := NewStore()
 	for _, name := range []string{"z", "a", "m"} {
 		w, _ := s.Create(name)
 		w.Write([]byte(name))
@@ -76,8 +71,16 @@ func TestListAndRemoveAndTotal(t *testing.T) {
 	if len(names) != 3 || names[0] != "a" || names[2] != "z" {
 		t.Errorf("List = %v", names)
 	}
-	if s.TotalBytes() != 3 {
-		t.Errorf("TotalBytes = %d", s.TotalBytes())
+	var total int64
+	for _, name := range names {
+		n, err := s.Size(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	if total != 3 {
+		t.Errorf("listed files total %d bytes, want 3", total)
 	}
 	if err := s.Remove("m"); err != nil {
 		t.Fatal(err)
@@ -91,7 +94,7 @@ func TestListAndRemoveAndTotal(t *testing.T) {
 }
 
 func TestConcurrentWriters(t *testing.T) {
-	s := NewStore(costmodel.MediumMemCached)
+	s := NewStore()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -105,27 +108,17 @@ func TestConcurrentWriters(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if s.BytesWritten() != 800 {
-		t.Errorf("BytesWritten = %d, want 800", s.BytesWritten())
-	}
-}
-
-func TestCostCharging(t *testing.T) {
-	cal := costmodel.DefaultCalibration()
-	disk := NewStore(costmodel.MediumDisk)
-	mem := NewStore(costmodel.MediumMemCached)
-	if disk.ReadSeconds(cal, 1<<30) <= mem.ReadSeconds(cal, 1<<30) {
-		t.Error("disk read should cost more than mem-cached")
-	}
-	if disk.WriteSeconds(cal, 1<<30) <= mem.WriteSeconds(cal, 1<<30) {
-		t.Error("disk write should cost more than mem-cached")
+	for i := 0; i < 8; i++ {
+		if n, err := s.Size(string(rune('a' + i))); err != nil || n != 100 {
+			t.Errorf("file %c: %d bytes, %v; want 100", 'a'+i, n, err)
+		}
 	}
 }
 
 func TestSnapshotIsolation(t *testing.T) {
 	// A reader opened before a later version publishes sees the content at
 	// open time.
-	s := NewStore(costmodel.MediumMemCached)
+	s := NewStore()
 	w, _ := s.Create("f")
 	w.Write([]byte("v1"))
 	w.Close()
@@ -145,7 +138,7 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestPublishOnCloseOnly(t *testing.T) {
 	// In-flight writes are invisible until Close — the in-memory analogue
 	// of the durable store's atomic publication.
-	s := NewStore(costmodel.MediumMemCached)
+	s := NewStore()
 	w, _ := s.Create("f")
 	w.Write([]byte("partial"))
 	if _, err := s.Open("f"); err == nil {

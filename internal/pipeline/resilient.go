@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -38,18 +37,6 @@ type Policy struct {
 	// a partition: BackoffSeconds * 2^(k-1). It is accounting only — no
 	// goroutine sleeps — so runs stay deterministic and host-independent.
 	BackoffSeconds float64
-	// BackoffJitter spreads each retry's backoff by a uniformly drawn
-	// factor in [1-BackoffJitter, 1+BackoffJitter]. Without jitter, N
-	// concurrent builds retrying a shared-store fault back off in lockstep
-	// and re-collide as a thundering herd; with it their retry schedules
-	// decorrelate. Must be in [0, 1]; 0 keeps the exact exponential
-	// schedule. Draws come from a generator seeded by BackoffJitterSeed, so
-	// a given (seed, fault sequence) charges a reproducible backoff total.
-	BackoffJitter float64
-	// BackoffJitterSeed seeds the jitter stream; two runs with the same
-	// seed and fault sequence charge identical backoff, two runs with
-	// different seeds decorrelate.
-	BackoffJitterSeed int64
 	// Retryable classifies read- and write-stage errors; a non-retryable
 	// error fails the partition immediately without burning retries.
 	// Worker errors are always eligible for retry because another
@@ -213,20 +200,14 @@ type runState[I, O any] struct {
 
 	pol         Policy
 	maxAttempts int
-	jitter      *rand.Rand // nil when BackoffJitter == 0
 	rep         *Report
 }
 
 // chargeRetryLocked books one retried attempt and its exponential virtual
-// backoff, spread by the seeded jitter factor when the policy asks for one.
-// attempt is the 1-based attempt that just failed.
+// backoff. attempt is the 1-based attempt that just failed.
 func (st *runState[I, O]) chargeRetryLocked(attempt int) {
 	st.rep.Retries++
-	backoff := st.pol.BackoffSeconds * float64(int64(1)<<uint(attempt-1))
-	if st.jitter != nil {
-		backoff *= 1 + st.pol.BackoffJitter*(2*st.jitter.Float64()-1)
-	}
-	st.rep.BackoffSeconds += backoff
+	st.rep.BackoffSeconds += st.pol.BackoffSeconds * float64(int64(1)<<uint(attempt-1))
 }
 
 // failLocked marks an item permanently failed (first failure wins) and
@@ -357,9 +338,6 @@ func RunResilientTraced[I, O any](ctx context.Context, read func(i int) (I, erro
 	if pol.MaxAttempts < 1 {
 		pol.MaxAttempts = 1
 	}
-	if pol.BackoffJitter < 0 || pol.BackoffJitter > 1 {
-		return rep, fmt.Errorf("pipeline: BackoffJitter=%g out of range [0,1]", pol.BackoffJitter)
-	}
 	retryable := pol.Retryable
 	if retryable == nil {
 		retryable = func(error) bool { return true }
@@ -389,12 +367,6 @@ func RunResilientTraced[I, O any](ctx context.Context, read func(i int) (I, erro
 		pol:         pol,
 		maxAttempts: pol.MaxAttempts,
 		rep:         &rep,
-	}
-	if pol.BackoffJitter > 0 {
-		// One seeded stream per run, consumed in retry order under st.mu, so
-		// the charged total is a deterministic function of (seed, fault
-		// sequence) while distinct seeds decorrelate concurrent builds.
-		st.jitter = rand.New(rand.NewSource(pol.BackoffJitterSeed))
 	}
 	st.cond = sync.NewCond(&st.mu)
 

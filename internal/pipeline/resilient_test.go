@@ -75,70 +75,6 @@ func TestRunResilientRetriesTransientRead(t *testing.T) {
 	}
 }
 
-// jitteredBackoffRun performs a run with scripted transient read faults on
-// three partitions and returns the reported (virtual-time) backoff total.
-func jitteredBackoffRun(t *testing.T, jitter float64, seed int64) float64 {
-	t.Helper()
-	var failures [10]atomic.Int64
-	rep, err := runN(context.Background(), 10,
-		func(i int) (int, error) {
-			if i%3 == 0 && failures[i].Add(1) <= 2 {
-				return 0, errors.New("flaky disk")
-			}
-			return i, nil
-		},
-		[]Worker[int, int]{okWorker},
-		func(i, o int) error { return nil },
-		Policy{MaxAttempts: 3, BackoffSeconds: 0.5,
-			BackoffJitter: jitter, BackoffJitterSeed: seed})
-	if err != nil {
-		t.Fatalf("transient faults not recovered: %v", err)
-	}
-	return rep.BackoffSeconds
-}
-
-func TestRunResilientBackoffJitter(t *testing.T) {
-	// Four partitions (0,3,6,9) each retry twice: unjittered total is
-	// 4 * (0.5 + 1.0) = 6.0 virtual seconds.
-	const base = 6.0
-	if got := jitteredBackoffRun(t, 0, 7); got != base {
-		t.Fatalf("zero jitter changed backoff: got %v, want %v", got, base)
-	}
-
-	a := jitteredBackoffRun(t, 0.5, 1)
-	b := jitteredBackoffRun(t, 0.5, 1)
-	c := jitteredBackoffRun(t, 0.5, 2)
-	if a != b {
-		t.Errorf("same seed produced different backoff: %v vs %v", a, b)
-	}
-	if a == c {
-		t.Errorf("different seeds produced identical backoff %v; jitter is not seeded", a)
-	}
-	// Every per-retry charge is scaled by a factor in [1-j, 1+j], so the
-	// total must sit inside the same envelope around the deterministic sum.
-	for _, got := range []float64{a, c} {
-		if got < base*0.5 || got > base*1.5 {
-			t.Errorf("jittered backoff %v outside envelope [%v, %v]", got, base*0.5, base*1.5)
-		}
-	}
-	if a == base {
-		t.Errorf("jitter 0.5 left backoff exactly at the deterministic total %v", base)
-	}
-}
-
-func TestRunResilientBackoffJitterValidation(t *testing.T) {
-	for _, j := range []float64{-0.1, 1.5} {
-		_, err := runN(context.Background(), 1,
-			func(i int) (int, error) { return i, nil },
-			[]Worker[int, int]{okWorker},
-			func(i, o int) error { return nil },
-			Policy{MaxAttempts: 2, BackoffJitter: j})
-		if err == nil {
-			t.Errorf("BackoffJitter=%g accepted, want validation error", j)
-		}
-	}
-}
-
 func TestRunResilientReadRetriesExhausted(t *testing.T) {
 	boom := errors.New("dead disk")
 	rep, err := runN(context.Background(), 10,

@@ -1,7 +1,7 @@
 // Package store defines the PartitionStore interface: the contract between
 // the ParaHash pipeline and the byte stores its partitions live in. Two
-// implementations exist — iosim.Store, the in-memory store with virtual-time
-// byte accounting used for deterministic experiments, and diskstore.Store,
+// implementations exist — iosim.Store, the in-memory store a build without a
+// checkpoint directory runs against, and diskstore.Store,
 // a real directory with crash-safe atomic publication used for durable
 // checkpointed builds. The pipeline (internal/core, internal/pipeline) is
 // written against this interface only, so any build can be pointed at either
@@ -27,8 +27,7 @@ var ErrNotFound = errors.New("store: no such file")
 // ready for a -resume once space is reclaimed.
 var ErrDiskFull = errors.New("store: disk full")
 
-// PartitionStore is a named collection of partition files with byte
-// accounting. Names are slash-separated relative paths ("superkmers/0004").
+// PartitionStore is a named collection of partition files. Names are slash-separated relative paths ("superkmers/0004").
 // All methods must be safe for concurrent use.
 //
 // Contract, shared by every implementation (the conformance suite in
@@ -60,12 +59,11 @@ var ErrDiskFull = errors.New("store: disk full")
 //     the same snapshot of the version published at open time, the same
 //     once-per-open charge of a scripted read fault, but nothing file-sized
 //     is held — on disk an open descriptor on the published inode is the
-//     snapshot. Bytes are counted as read when they are served, and the
-//     caller must Close the reader on every path (on disk it is a
+//     snapshot. The caller must Close the reader on every path (on disk it is a
 //     descriptor, and a caller holding many at once — the finish stage holds
 //     one per partition — is bounded by the process's open-file limit). The
 //     stream also reads at any offset (ReadAt, safe to call from several
-//     goroutines at once, counted like Read) and reports the size of the
+//     goroutines at once) and reports the size of the
 //     version it opened (Size), so one open serves readers of several parts
 //     of the file.
 //   - Size, Open and OpenStream return an error wrapping ErrNotFound for
@@ -76,8 +74,6 @@ var ErrDiskFull = errors.New("store: disk full")
 //     however many names share it.
 //   - List returns the published file names, sorted; in-flight (unpublished)
 //     writes are not listed.
-//   - BytesRead / BytesWritten are cumulative transfer counters for IO
-//     accounting; TotalBytes is the current sum of published file sizes.
 type PartitionStore interface {
 	Create(name string) (io.WriteCloser, error)
 	CreateVolatile(name string) (io.WriteCloser, error)
@@ -87,9 +83,6 @@ type PartitionStore interface {
 	Size(name string) (int64, error)
 	Remove(names ...string) error
 	List() ([]string, error)
-	TotalBytes() int64
-	BytesRead() int64
-	BytesWritten() int64
 }
 
 // Stream is what OpenStream returns: the version of a file published at open

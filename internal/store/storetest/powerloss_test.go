@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"parahash/internal/costmodel"
 	"parahash/internal/iosim"
 	"parahash/internal/store"
 	"parahash/internal/store/storetest"
@@ -15,7 +14,7 @@ import (
 // wraps: a build must not be able to tell it from the store underneath.
 func TestPowerLossConformance(t *testing.T) {
 	storetest.Run(t, func(t *testing.T) store.PartitionStore {
-		return storetest.NewPowerLoss(iosim.NewStore(costmodel.MediumMemCached))
+		return storetest.NewPowerLoss(iosim.NewStore())
 	})
 }
 
@@ -23,7 +22,7 @@ func TestPowerLossConformance(t *testing.T) {
 // volatile and not synced since.
 func TestPowerLossCut(t *testing.T) {
 	for _, truncate := range []bool{false, true} {
-		inner := iosim.NewStore(costmodel.MediumMemCached)
+		inner := iosim.NewStore()
 		p := storetest.NewPowerLoss(inner)
 		write := func(create func(string) (io.WriteCloser, error), name string) {
 			t.Helper()

@@ -4,7 +4,7 @@
 // contract documented on the interface — publish-on-Close atomicity (durable
 // and volatile alike), Sync's ErrNotFound, snapshot reads, ErrNotFound
 // classification, idempotent and batched Remove, sorted listing that hides
-// in-flight writes, cumulative byte accounting, streamed snapshot reads that
+// in-flight writes, streamed snapshot reads that
 // give their descriptor back and read any offset of the version they opened
 // — is enforced identically on both media. A behavioural
 // divergence between the simulated and the real store would silently
@@ -43,7 +43,6 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("RemoveIdempotent", func(t *testing.T) { testRemoveIdempotent(t, factory(t)) })
 	t.Run("RemoveMany", func(t *testing.T) { testRemoveMany(t, factory(t)) })
 	t.Run("ListSorted", func(t *testing.T) { testListSorted(t, factory(t)) })
-	t.Run("ByteAccounting", func(t *testing.T) { testByteAccounting(t, factory(t)) })
 	t.Run("PublishDuringConcurrentOpen", func(t *testing.T) { s := factory(t); testPublishDuringConcurrentOpen(t, s, s.Create) })
 	t.Run("VolatilePublishDuringConcurrentOpen", func(t *testing.T) {
 		s := factory(t)
@@ -335,15 +334,9 @@ func testOpenStream(t *testing.T, s store.PartitionStore) {
 	if _, err := io.ReadFull(r, head); err != nil || string(head) != "0123" {
 		t.Fatalf("first four bytes = %q, %v", head, err)
 	}
-	if got := s.BytesRead(); got != 4 {
-		t.Errorf("BytesRead after serving 4 bytes = %d", got)
-	}
 	rest, err := io.ReadAll(r)
 	if err != nil || string(rest) != "456789" {
 		t.Fatalf("rest = %q, %v", rest, err)
-	}
-	if got := s.BytesRead(); got != 10 {
-		t.Errorf("BytesRead after serving the file = %d, want 10", got)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -426,7 +419,6 @@ func testOpenStreamReadAt(t *testing.T, s store.PartitionStore) {
 	}
 	defer r.Close()
 	size := int64(len(version(0)))
-	served := s.BytesRead()
 	for i := 1; i <= 3; i++ {
 		switch i {
 		case 1:
@@ -468,9 +460,6 @@ func testOpenStreamReadAt(t *testing.T, s store.PartitionStore) {
 		if n, err := r.ReadAt(tail, size-4); n != 4 || err != io.EOF || string(tail[:n]) != "aaaa" {
 			t.Fatalf("ReadAt over the end = %d %q, %v; want 4 bytes and io.EOF", n, tail[:n], err)
 		}
-	}
-	if got := s.BytesRead() - served; got != 3*(4*5000+4) {
-		t.Errorf("BytesRead grew by %d while ReadAt served %d bytes", got, 3*(4*5000+4))
 	}
 }
 
@@ -560,29 +549,5 @@ func testListDuringInflightWrites(t *testing.T, s store.PartitionStore) {
 	}
 	if names, _ = s.List(); len(names) != 3 {
 		t.Fatalf("List after second Close = %v, want 3 files", names)
-	}
-}
-
-func testByteAccounting(t *testing.T, s store.PartitionStore) {
-	put(t, s, "a", "12345")
-	put(t, s, "b", "123")
-	if got := s.BytesWritten(); got != 8 {
-		t.Errorf("BytesWritten = %d, want 8", got)
-	}
-	if got := s.TotalBytes(); got != 8 {
-		t.Errorf("TotalBytes = %d, want 8", got)
-	}
-	get(t, s, "a")
-	get(t, s, "a")
-	if got := s.BytesRead(); got != 10 {
-		t.Errorf("BytesRead = %d, want 10 (two full snapshot reads)", got)
-	}
-	// Replacing shrinks TotalBytes but the write counter stays cumulative.
-	put(t, s, "a", "1")
-	if got := s.TotalBytes(); got != 4 {
-		t.Errorf("TotalBytes after replace = %d, want 4", got)
-	}
-	if got := s.BytesWritten(); got != 9 {
-		t.Errorf("BytesWritten after replace = %d, want 9 (cumulative)", got)
 	}
 }
