@@ -101,7 +101,7 @@ func BenchmarkAblationLocking(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(table.ContentionReduction()*100, "lock-reduction-%")
+			b.ReportMetric(table.Metrics().Snapshot().ContentionReduction()*100, "lock-reduction-%")
 		}
 	})
 	b.Run("whole-entry-mutex", func(b *testing.B) {

@@ -492,8 +492,7 @@ func printStats(w io.Writer, res *parahash.Result, cfg parahash.Config) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "hash table: %d inserts, %d updates (contention reduction %.2f), %.2f probes/access\n",
-		s.Hash.Inserts, s.Hash.Updates, s.Hash.ContentionReduction(),
-		probesPerAccess(s.Hash))
+		s.Hash.Inserts, s.Hash.Updates, s.Hash.ContentionReduction(), s.Hash.ProbesPerAccess())
 	if s.Superkmers.TotalPlain > 0 {
 		fmt.Fprintf(w, "msp encoding: %d superkmers, %.1f MB encoded (%.0f%% of plain), %.1f MB decoded in step 2\n",
 			s.Superkmers.TotalSuperkmers,
@@ -525,11 +524,4 @@ func printStats(w io.Writer, res *parahash.Result, cfg parahash.Config) {
 		fmt.Fprintf(w, "out-of-core: %d partitions spilled (%d auto-routed), %d runs, %.1f MB spilled, %d merge passes\n",
 			sp.Partitions, sp.AutoRouted, sp.Runs, float64(sp.SpilledBytes)/(1<<20), sp.MergePasses)
 	}
-}
-
-func probesPerAccess(h parahash.HashStats) float64 {
-	if h.Inserts+h.Updates == 0 {
-		return 0
-	}
-	return float64(h.Probes) / float64(h.Inserts+h.Updates)
 }

@@ -121,8 +121,17 @@ func TestRunObservabilityOutputs(t *testing.T) {
 	if m.Schema != "parahash.metrics/v1" {
 		t.Errorf("schema = %q", m.Schema)
 	}
-	if m.HashTable.ContentionReduction <= 0 || m.HashTable.ContentionReduction >= 1 {
-		t.Errorf("contention reduction = %g, want in (0,1)", m.HashTable.ContentionReduction)
+	// The document renders the ratio; decoding reads the counters back.
+	var rendered struct {
+		HashTable struct {
+			ContentionReduction float64 `json:"contention_reduction"`
+		} `json:"hash_table"`
+	}
+	if err := json.Unmarshal(raw, &rendered); err != nil {
+		t.Fatal(err)
+	}
+	if cr := rendered.HashTable.ContentionReduction; cr <= 0 || cr >= 1 || cr != m.HashTable.ContentionReduction() {
+		t.Errorf("contention reduction = %g, want in (0,1) and %g from the counters", cr, m.HashTable.ContentionReduction())
 	}
 	if len(m.Steps) != 2 {
 		t.Fatalf("steps = %d, want 2", len(m.Steps))

@@ -494,11 +494,11 @@ func TestBuildObservability(t *testing.T) {
 	}
 
 	m := MetricsOf(res, cfg)
-	if m.Schema != obs.MetricsSchema {
+	if m.Schema != MetricsSchema {
 		t.Errorf("schema = %q", m.Schema)
 	}
-	if m.HashTable.ContentionReduction != h.ContentionReduction() {
-		t.Error("registry contention reduction disagrees with stats")
+	if m.HashTable != h {
+		t.Error("document hash counters disagree with stats")
 	}
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {

@@ -24,28 +24,30 @@ import (
 // sync-once, claim-in-groups discipline the single-process build uses.
 
 // DistStats aggregates the distributed-build fault-tolerance counters the
-// coordinator accumulates over a run. All zero on a fault-free fleet.
+// coordinator accumulates over a run — the dist object of
+// parahash.metrics/v1, present only on -workers runs. A fault-free fleet
+// counts only workers, spawns and lease grants.
 type DistStats struct {
 	// Workers is the configured fleet size; Spawned counts worker
 	// processes actually started, replacements included.
-	Workers int
-	Spawned int
+	Workers int `json:"workers"`
+	Spawned int `json:"spawned"`
 	// LeaseGrants counts partition-range leases granted (initial
 	// assignments plus reassignments).
-	LeaseGrants int64
+	LeaseGrants int64 `json:"lease_grants"`
 	// LeaseExpiries counts leases that passed their heartbeat deadline and
 	// were revoked.
-	LeaseExpiries int64
+	LeaseExpiries int64 `json:"lease_expiries"`
 	// Reassignments counts partitions handed to a different worker after
 	// their original lease was revoked.
-	Reassignments int64
+	Reassignments int64 `json:"reassignments"`
 	// FencedWrites counts results rejected because they carried a stale
 	// fencing token — the zombie writes that would have corrupted a
 	// re-assigned partition without fencing.
-	FencedWrites int64
+	FencedWrites int64 `json:"fenced_writes"`
 	// WorkerQuarantines counts workers removed from the fleet after
 	// exhausting their failure budget.
-	WorkerQuarantines int64
+	WorkerQuarantines int64 `json:"worker_quarantines"`
 }
 
 // DistPlan is a checkpointed build prepared for distributed Step 2: Step 1

@@ -86,3 +86,17 @@ func mustBuild(t *testing.T, reads []fastq.Read, cfg Config) *Result {
 	}
 	return res
 }
+
+// TestModelErrorPct holds the one definition of the Eq. 1 model error — the
+// figure the CLI prints and the document's steps[].model_error_pct — to
+// (measured−predicted)/predicted · 100, 0 without a prediction.
+func TestModelErrorPct(t *testing.T) {
+	for _, c := range []struct{ predicted, measured, want float64 }{
+		{0, 5, 0}, {10, 11, 10}, {10, 9, -10},
+	} {
+		st := StepStats{PredictedSeconds: c.predicted, Seconds: c.measured}
+		if got := st.ModelErrorPct(); got != c.want {
+			t.Errorf("predicted %g, measured %g: error = %g%%, want %g%%", c.predicted, c.measured, got, c.want)
+		}
+	}
+}

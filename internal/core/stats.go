@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"parahash/internal/device"
 	"parahash/internal/graph"
+	"parahash/internal/hashtable"
 	"parahash/internal/manifest"
 	"parahash/internal/msp"
 	"parahash/internal/pipeline"
@@ -124,54 +126,41 @@ func (s StepStats) ModelErrorPct() float64 {
 	return (s.Seconds - s.PredictedSeconds) / s.PredictedSeconds * 100
 }
 
-// HashStats aggregates the Step 2 state-transfer hash table counters
-// (§III-C3) across every partition of a run.
-type HashStats struct {
-	// Inserts counts first-time key insertions (each takes the slot lock
-	// once); Updates counts lock-free duplicate-key visits.
-	Inserts, Updates int64
-	// Probes is the total slots examined across all accesses.
-	Probes int64
-	// LockWaits counts spins on a locked slot; CASFailures counts lost
-	// empty→locked races.
-	LockWaits, CASFailures int64
-}
+// HashStats is the Step 2 state-transfer hash table counters (§III-C3): one
+// partition's as its kernel returned them, a run's summed with Add.
+type HashStats = hashtable.Snapshot
 
-// ContentionReduction is Updates/(Inserts+Updates): the fraction of key
-// accesses that avoided locking (≈0.8 on the paper's datasets).
-func (h HashStats) ContentionReduction() float64 {
-	if h.Inserts+h.Updates == 0 {
-		return 0
-	}
-	return float64(h.Updates) / float64(h.Inserts+h.Updates)
-}
-
-// SpillStats aggregates the out-of-core Step 2 path's work across a run:
-// partitions whose Property-1 table prediction exceeded their memory
-// budget and were constructed by sort-merge spill instead of a hash table.
+// SpillStats is a run's out-of-core Step 2 record, the spill object of
+// parahash.metrics/v1: the partitions whose Property-1 table prediction
+// exceeded their memory budget and were constructed by sort-merge spill
+// instead of a hash table, their summed work, and the budget they ran under.
 type SpillStats struct {
 	// Partitions counts partitions constructed out-of-core; AutoRouted is
 	// the subset routed automatically because their prediction exceeded the
 	// whole build's MemoryBudgetBytes with no per-partition budget set.
-	Partitions, AutoRouted int
-	// Runs and SpilledBytes are the sorted run files spilled and their
-	// total serialized size; MergePasses counts merge passes performed
-	// (final streaming merges included).
-	Runs, SpilledBytes, MergePasses int64
+	Partitions int `json:"spilled_partitions"`
+	AutoRouted int `json:"auto_routed"`
+	device.SpillCounts
+	// PartitionMemoryBudgetBytes echoes Config.PartitionMemoryBudgetBytes
+	// (0 = auto-routing against the build budget only).
+	PartitionMemoryBudgetBytes int64 `json:"partition_memory_budget_bytes"`
 }
 
-// fold accumulates one partition's spill accounting.
-func (sp *SpillStats) fold(w step2Work) {
-	if !w.spilled {
-		return
-	}
-	sp.Partitions++
-	if w.autoRouted {
-		sp.AutoRouted++
-	}
-	sp.Runs += w.spillRuns
-	sp.SpilledBytes += w.spillBytes
-	sp.MergePasses += w.mergePasses
+// Step2Counters is what one partition's Step 2 adds to a run's Hash, Spill
+// and DecodedBytes — a single-process build's partition and a -workers
+// worker's alike, folded the same way (Stats.foldCounters).
+type Step2Counters struct {
+	// Hash is the table's work, failed resize attempts included; zero for
+	// a partition built out-of-core.
+	Hash HashStats `json:"hash"`
+	// DecodedBytes counts the encoded partition bytes the read stage
+	// consumed (retries included).
+	DecodedBytes int64 `json:"decoded_bytes"`
+	// Spilled marks a partition constructed out-of-core, and AutoRouted one
+	// routed there by the build's memory budget; Spill is that path's work.
+	Spilled    bool               `json:"spilled,omitempty"`
+	AutoRouted bool               `json:"auto_routed,omitempty"`
+	Spill      device.SpillCounts `json:"spill"`
 }
 
 // Stats aggregates a full ParaHash run.
@@ -202,8 +191,8 @@ type Stats struct {
 	// DecodedBytes is the total encoded partition bytes Step 2 decoded
 	// (retried reads included), the mirror of Superkmers.TotalEncoded.
 	DecodedBytes int64
-	// Spill aggregates the out-of-core Step 2 path's work, all zero when
-	// every partition fit its budget in-core.
+	// Spill aggregates the out-of-core Step 2 path's work, all zero but the
+	// budget when every partition fit in-core.
 	Spill SpillStats
 
 	// Checkpoint/resume accounting, both zero without a resumed checkpoint.
@@ -219,6 +208,19 @@ type Stats struct {
 	// Dist carries the distributed-build fault-tolerance counters; nil for
 	// single-process builds.
 	Dist *DistStats
+}
+
+// foldCounters adds one partition's Step 2 work counters.
+func (st *Stats) foldCounters(c Step2Counters) {
+	st.Hash.Add(c.Hash)
+	st.DecodedBytes += c.DecodedBytes
+	if c.Spilled {
+		st.Spill.Partitions++
+		if c.AutoRouted {
+			st.Spill.AutoRouted++
+		}
+		st.Spill.Add(c.Spill)
+	}
 }
 
 // foldStep2Record adds the graph-size counts a partition was journalled with:
@@ -288,7 +290,9 @@ type Result struct {
 // newResult returns the result of a build of cfg that published its
 // subgraphs to st.
 func newResult(cfg Config, st store.PartitionStore) *Result {
-	return &Result{published: st, k: cfg.K, partitions: cfg.NumPartitions}
+	r := &Result{published: st, k: cfg.K, partitions: cfg.NumPartitions}
+	r.Stats.Spill.PartitionMemoryBudgetBytes = cfg.PartitionMemoryBudgetBytes
+	return r
 }
 
 // finish ends a build whose stats are complete, and is the one place that

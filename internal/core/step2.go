@@ -40,25 +40,12 @@ type step2Work struct {
 	// output filter.
 	graphVertices, graphEdges int64
 
-	// decodedBytes counts the encoded partition bytes the read stage
-	// actually consumed (retries included).
-	decodedBytes int64
-
-	// Hash table work counters copied from the processor's Step2Output.
-	inserts, updates       int64
-	probes                 int64
-	lockWaits, casFailures int64
-
-	// Out-of-core accounting: set when the partition was constructed by
-	// the sort-merge spill path instead of a hash table. spillBufferBytes
-	// is the admitted run-buffer residency (the partition budget), counted
-	// toward the peak-memory estimate in place of a table.
-	spilled          bool
-	autoRouted       bool
-	spillRuns        int64
-	spillBytes       int64
-	mergePasses      int64
+	// spillBufferBytes is a spilled partition's admitted run-buffer
+	// residency (the partition budget), counted toward the peak-memory
+	// estimate in place of a table.
 	spillBufferBytes int64
+
+	counters Step2Counters
 }
 
 // spillPlan is one partition's out-of-core routing decision, made before
@@ -243,7 +230,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		// Accumulate (not assign): a retried read re-decodes the partition
 		// and both passes cost real IO. The write closure fills the other
 		// fields; the pipeline's stage ordering makes the shared struct safe.
-		works[slot].decodedBytes += in.loaded.Bytes
+		works[slot].counters.DecodedBytes += in.loaded.Bytes
 		if err != nil {
 			loadedPartitions.Put(in.loaded) // no construction ever saw it
 			return step2Input{}, err
@@ -258,17 +245,9 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		w.fileBytes = partStats[i].EncodedBytes
 		w.tableBytes = out.TableBytes
 		w.distinct = out.Distinct
-		w.inserts = out.LockedInserts
-		w.updates = out.LockFreeUpdates
-		w.probes = out.Probes
-		w.lockWaits = out.LockWaits
-		w.casFailures = out.CASFailures
+		w.counters.Hash, w.counters.Spill = out.Hash, out.Spill
 		if plan := plans[slot]; plan != nil {
-			w.spilled = true
-			w.autoRouted = plan.auto
-			w.spillRuns = out.SpillRuns
-			w.spillBytes = out.SpillBytes
-			w.mergePasses = out.MergePasses
+			w.counters.Spilled, w.counters.AutoRouted = true, plan.auto
 			w.spillBufferBytes = plan.budget
 		}
 		// Published, not durable: the committer flushes it with its group.
@@ -357,8 +336,7 @@ func (c *byteCount) Write(p []byte) (int, error) {
 }
 
 // foldStep2Works accumulates the per-partition Step 2 measurements into the
-// run stats — distinct vertices, hash table work counters, decoded bytes —
-// and returns the largest single-partition residency (table + encoded input
+// run stats — graph sizes and work counters — and returns the largest single-partition residency (table + encoded input
 // + graph, the graph at the model's width) for the peak-memory estimate.
 func foldStep2Works(st *Stats, works []step2Work) int64 {
 	var peak int64
@@ -366,13 +344,7 @@ func foldStep2Works(st *Stats, works []step2Work) int64 {
 		st.DistinctVertices += w.distinct
 		st.GraphVertices += w.graphVertices
 		st.GraphEdges += w.graphEdges
-		st.Hash.Inserts += w.inserts
-		st.Hash.Updates += w.updates
-		st.Hash.Probes += w.probes
-		st.Hash.LockWaits += w.lockWaits
-		st.Hash.CASFailures += w.casFailures
-		st.DecodedBytes += w.decodedBytes
-		st.Spill.fold(w)
+		st.foldCounters(w.counters)
 		if resident := w.tableBytes + w.fileBytes + w.graphBytes + w.spillBufferBytes; resident > peak {
 			peak = resident
 		}
@@ -500,9 +472,7 @@ func spillConstruct(ctx context.Context, in step2Input, cfg Config, st store.Par
 		return device.Step2Output{}, fmt.Errorf("core: merging partition %d: %w", in.part, err)
 	}
 	out.Kmers = kmers
-	out.SpillRuns = int64(len(runNames))
-	out.SpillBytes = spilledBytes
-	out.MergePasses = passes
+	out.Spill = device.SpillCounts{Runs: int64(len(runNames)), SpilledBytes: spilledBytes, MergePasses: passes}
 	return out, nil
 }
 
@@ -519,22 +489,14 @@ func step2Construct(ctx context.Context, p device.Processor, sks []msp.Superkmer
 	// Failed attempts still performed real hash-table work before the table
 	// overflowed; fold those counters into the eventual successful output so
 	// the run stats stay monotonic and honest across resizes.
-	var wasted device.Step2Output
+	var wasted HashStats
 	for resizes := 0; ; resizes++ {
 		out, err := p.Step2(ctx, sks, cfg.K, slots)
 		if !errors.Is(err, hashtable.ErrTableFull) {
-			out.LockedInserts += wasted.LockedInserts
-			out.LockFreeUpdates += wasted.LockFreeUpdates
-			out.Probes += wasted.Probes
-			out.LockWaits += wasted.LockWaits
-			out.CASFailures += wasted.CASFailures
+			out.Hash.Add(wasted)
 			return out, err
 		}
-		wasted.LockedInserts += out.LockedInserts
-		wasted.LockFreeUpdates += out.LockFreeUpdates
-		wasted.Probes += out.Probes
-		wasted.LockWaits += out.LockWaits
-		wasted.CASFailures += out.CASFailures
+		wasted.Add(out.Hash)
 		// Property 1 under-estimated this partition (possible for unusual
 		// inputs, e.g. coverage below 1); fall back to the resize path the
 		// pre-sizing normally avoids.

@@ -28,7 +28,7 @@ func resultOf(t *testing.T, out Step2Output) step2Result {
 	}
 	return step2Result{
 		graph: buf.Bytes(), kmers: out.Kmers, distinct: out.Distinct, tableBytes: out.TableBytes,
-		lockedInserts: out.LockedInserts, lockFreeUpdates: out.LockFreeUpdates,
+		lockedInserts: out.Hash.Inserts, lockFreeUpdates: out.Hash.Updates,
 		vertices: out.Graph.NumVertices(),
 	}
 }

@@ -72,25 +72,16 @@ type Step2Output struct {
 	TableBytes int64
 	// Distinct is the number of distinct vertices found.
 	Distinct int64
-	// LockedInserts / LockFreeUpdates expose the state-transfer split.
-	LockedInserts   int64
-	LockFreeUpdates int64
-	// Probes / LockWaits / CASFailures expose the table's probe-walk and
-	// locking-contention counters for the observability layer.
-	Probes      int64
-	LockWaits   int64
-	CASFailures int64
+	// Hash is the hash table's work counters — the state-transfer split
+	// (Inserts locked, Updates lock-free), probe walks and contention; zero
+	// on the out-of-core path.
+	Hash hashtable.Snapshot
 	// WarpDivergence is, on GPUs, the mean ratio of slowest-lane probes to
 	// mean-lane probes per warp (1.0 = no divergence); zero on CPUs.
 	WarpDivergence float64
-	// SpillRuns / SpillBytes / MergePasses describe the out-of-core path's
-	// work when the partition was constructed by sort-merge instead of a
-	// hash table (all zero on the in-core path): runs spilled to the store,
-	// their total serialized bytes, and merge passes performed (including
-	// the final streaming merge).
-	SpillRuns   int64
-	SpillBytes  int64
-	MergePasses int64
+	// Spill is the out-of-core path's work when the partition was
+	// constructed by sort-merge instead of a hash table; zero in-core.
+	Spill SpillCounts
 	// SpillFiles names every run file the out-of-core construction read or
 	// wrote — the scanned runs, then the merge intermediates. They are the
 	// caller's to remove once nothing can claim them.
@@ -488,14 +479,7 @@ func (c *CPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 // counters without a graph, so retried attempts (the bounded resize loop)
 // keep their metrics monotonic and honest.
 func counterOnlyOutput(table *hashtable.Table) Step2Output {
-	m := table.Metrics().Snapshot()
-	return Step2Output{
-		LockedInserts:   m.Inserts,
-		LockFreeUpdates: m.Updates,
-		Probes:          m.Probes,
-		LockWaits:       m.LockWaits,
-		CASFailures:     m.CASFailures,
-	}
+	return Step2Output{Hash: table.Metrics().Snapshot()}
 }
 
 // Step1TransferBytes is the GPU Step 1 host<->device traffic model: the
@@ -676,16 +660,11 @@ func collectStep2(table *hashtable.Table, k int, kmers int64, sortWorkers int) S
 		sortWorkers = mp
 	}
 	sub.SortParallel(sortWorkers)
-	m := table.Metrics().Snapshot()
 	return Step2Output{
-		Graph:           sub,
-		Kmers:           kmers,
-		TableBytes:      table.MemoryBytes(),
-		Distinct:        int64(table.Len()),
-		LockedInserts:   m.Inserts,
-		LockFreeUpdates: m.Updates,
-		Probes:          m.Probes,
-		LockWaits:       m.LockWaits,
-		CASFailures:     m.CASFailures,
+		Graph:      sub,
+		Kmers:      kmers,
+		TableBytes: table.MemoryBytes(),
+		Distinct:   int64(table.Len()),
+		Hash:       table.Metrics().Snapshot(),
 	}
 }

@@ -119,11 +119,11 @@ func TestGPUStep2Accounting(t *testing.T) {
 	if out.WarpDivergence < 1 {
 		t.Errorf("warp divergence = %.3f, must be >= 1", out.WarpDivergence)
 	}
-	if out.LockedInserts != out.Distinct {
-		t.Errorf("locked inserts %d != distinct %d", out.LockedInserts, out.Distinct)
+	if out.Hash.Inserts != out.Distinct {
+		t.Errorf("locked inserts %d != distinct %d", out.Hash.Inserts, out.Distinct)
 	}
-	if out.LockFreeUpdates != out.Kmers-out.Distinct {
-		t.Errorf("lock-free updates %d, want %d", out.LockFreeUpdates, out.Kmers-out.Distinct)
+	if out.Hash.Updates != out.Kmers-out.Distinct {
+		t.Errorf("lock-free updates %d, want %d", out.Hash.Updates, out.Kmers-out.Distinct)
 	}
 }
 

@@ -66,6 +66,23 @@ type ExternalConfig struct {
 	Threads int
 }
 
+// SpillCounts is the work of the out-of-core path: run files spilled to the
+// store, their total serialized bytes, and merge passes performed (the final
+// streaming merge included). It is one partition's on Step2Output.Spill, and
+// a build's, summed with Add, in core.SpillStats.
+type SpillCounts struct {
+	Runs         int64 `json:"spill_runs"`
+	SpilledBytes int64 `json:"spill_bytes"`
+	MergePasses  int64 `json:"merge_passes"`
+}
+
+// Add sums o's counts into c.
+func (c *SpillCounts) Add(o SpillCounts) {
+	c.Runs += o.Runs
+	c.SpilledBytes += o.SpilledBytes
+	c.MergePasses += o.MergePasses
+}
+
 // SpillResult reports one partition's scan-and-spill phase.
 type SpillResult struct {
 	// RunNames are the published run files, in ordinal order.

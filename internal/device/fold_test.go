@@ -83,9 +83,9 @@ func TestStep2FoldedMatchesExpanded(t *testing.T) {
 			t.Fatalf("%s: folded kmers/table/transfer %d/%d/%d, expanded %d/%d/%d", p.Name(),
 				got.Kmers, got.TableBytes, got.TransferBytes, want.Kmers, want.TableBytes, want.TransferBytes)
 		}
-		if got.LockedInserts != want.LockedInserts || got.LockedInserts+got.LockFreeUpdates != walkedKmers(folded, k) {
+		if got.Hash.Inserts != want.Hash.Inserts || got.Hash.Inserts+got.Hash.Updates != walkedKmers(folded, k) {
 			t.Fatalf("%s: %d inserts + %d updates, want %d inserts and %d operations in all", p.Name(),
-				got.LockedInserts, got.LockFreeUpdates, want.LockedInserts, walkedKmers(folded, k))
+				got.Hash.Inserts, got.Hash.Updates, want.Hash.Inserts, walkedKmers(folded, k))
 		}
 	}
 }

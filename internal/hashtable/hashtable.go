@@ -10,7 +10,8 @@
 // vertices are roughly 1/5 of all k-mer instances in real data, this
 // "one-insertion, multiple-updates" pattern eliminates about 80% of the
 // locking a per-access lock would incur, which the paper reports in §III
-// and which the Contention method exposes for the reproduction benchmarks.
+// and which Snapshot.ContentionReduction reports for the reproduction
+// benchmarks.
 //
 // The table keys on the canonical k-mer exactly as given, and insertions
 // only add to counters, so the final counts do not depend on insertion
@@ -19,6 +20,7 @@
 package hashtable
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -87,18 +89,60 @@ func (m *Metrics) handleShard(worker int) *metricsShard {
 }
 
 // Snapshot is a point-in-time copy of a table's work counters, safe to keep
-// after the table (or its metrics) is reset.
+// after the table (or its metrics) is reset. It is also the one record of a
+// build's hash-table work: a kernel returns it, a build sums one per
+// partition with Add, and it renders as the hash_table object of
+// parahash.metrics/v1.
 type Snapshot struct {
-	Inserts, Updates, Probes, LockWaits, CASFailures int64
+	// Inserts counts first-time key insertions (each takes the slot lock
+	// once); Updates counts lock-free duplicate-key visits.
+	Inserts int64 `json:"inserts"`
+	Updates int64 `json:"updates"`
+	// Probes is the total slots examined across all accesses.
+	Probes int64 `json:"probes"`
+	// LockWaits counts spins on a locked slot; CASFailures counts lost
+	// empty→locked races.
+	LockWaits   int64 `json:"lock_waits"`
+	CASFailures int64 `json:"cas_failures"`
+}
+
+// Add sums o's counters into s.
+func (s *Snapshot) Add(o Snapshot) {
+	s.Inserts += o.Inserts
+	s.Updates += o.Updates
+	s.Probes += o.Probes
+	s.LockWaits += o.LockWaits
+	s.CASFailures += o.CASFailures
 }
 
 // ContentionReduction is Updates/(Inserts+Updates) over the snapshot — the
-// §III-C3 lock-avoidance fraction.
+// §III-C3 lock-avoidance fraction, about 0.8 on the paper's datasets
+// ("reduce the contentious lock on the keys by 80%"); 0 with no accesses.
 func (s Snapshot) ContentionReduction() float64 {
 	if s.Inserts+s.Updates == 0 {
 		return 0
 	}
 	return float64(s.Updates) / float64(s.Inserts+s.Updates)
+}
+
+// ProbesPerAccess is the mean probe walk: Probes/(Inserts+Updates), 0 with
+// no accesses.
+func (s Snapshot) ProbesPerAccess() float64 {
+	if s.Inserts+s.Updates == 0 {
+		return 0
+	}
+	return float64(s.Probes) / float64(s.Inserts+s.Updates)
+}
+
+// MarshalJSON renders the counters followed by the two ratios derived from
+// them, contention_reduction and probes_per_access.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	type counters Snapshot // the fields without this method
+	return json.Marshal(struct {
+		counters
+		ContentionReduction float64 `json:"contention_reduction"`
+		ProbesPerAccess     float64 `json:"probes_per_access"`
+	}{counters(s), s.ContentionReduction(), s.ProbesPerAccess()})
 }
 
 // Snapshot merges every shard, reading each counter atomically (each on its
@@ -534,12 +578,4 @@ func (t *Table) Grow() (*Table, error) {
 	bigger.metrics.Reset()
 	bigger.metrics.add(t.metrics.Snapshot())
 	return bigger, nil
-}
-
-// ContentionReduction returns the fraction of key accesses that avoided
-// locking thanks to the state-transfer mechanism: Updates/(Inserts+Updates).
-// On the paper's datasets this is about 0.8 ("reduce the contentious lock
-// on the keys by 80%").
-func (t *Table) ContentionReduction() float64 {
-	return t.metrics.Snapshot().ContentionReduction()
 }

@@ -394,12 +394,12 @@ func TestContentionReduction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	red := tab.ContentionReduction()
+	red := tab.Metrics().Snapshot().ContentionReduction()
 	if red < 0.7 || red > 0.9 {
 		t.Errorf("contention reduction = %.2f, want ~0.8", red)
 	}
 	empty, _ := New(27, 8)
-	if empty.ContentionReduction() != 0 {
+	if empty.Metrics().Snapshot().ContentionReduction() != 0 {
 		t.Error("empty table should report 0 reduction")
 	}
 }

@@ -40,3 +40,28 @@ func TestHandleShardSingleProcFastPath(t *testing.T) {
 		t.Errorf("Snapshot.Inserts = %d, want 5", got)
 	}
 }
+
+// TestSnapshotRatios holds the one definition of each ratio derived from the
+// counters — the figures the CLI prints and parahash.metrics/v1 renders — to
+// its formula, the empty snapshot included, and Add to a field-wise sum.
+func TestSnapshotRatios(t *testing.T) {
+	var empty Snapshot
+	if got := empty.ContentionReduction(); got != 0 {
+		t.Errorf("empty contention reduction = %g, want 0", got)
+	}
+	if got := empty.ProbesPerAccess(); got != 0 {
+		t.Errorf("empty probes per access = %g, want 0", got)
+	}
+	s := Snapshot{Inserts: 200, Updates: 800, Probes: 1100}
+	if got := s.ContentionReduction(); got != 0.8 {
+		t.Errorf("contention reduction = %g, want 0.8", got)
+	}
+	if got := s.ProbesPerAccess(); got != 1.1 {
+		t.Errorf("probes per access = %g, want 1.1", got)
+	}
+	sum := Snapshot{Inserts: 1, Updates: 2, Probes: 3, LockWaits: 4, CASFailures: 5}
+	sum.Add(Snapshot{Inserts: 10, Updates: 20, Probes: 30, LockWaits: 40, CASFailures: 50})
+	if want := (Snapshot{11, 22, 33, 44, 55}); sum != want {
+		t.Errorf("Add = %+v, want %+v", sum, want)
+	}
+}

@@ -1,3 +1,17 @@
+// Package obs is ParaHash's schedule tracer: it records per-partition
+// pipeline stage spans — wall-clock spans from the live run, virtual-time
+// spans replayed from the deterministic schedule behind the paper's Eq. 1–2
+// model (§IV) — and exports them as Chrome trace-event JSON (viewable in
+// Perfetto or chrome://tracing). The build's metrics document,
+// parahash.metrics/v1, is not here: it is core.BuildMetrics, rendered from
+// the records a build's Stats hold.
+//
+// The package is a leaf: it depends only on the pipeline package (for
+// virtual-schedule conversion) so every other layer can feed it without
+// import cycles. It imports neither net/http nor runtime/pprof: the query
+// path links it, so live-profiling hooks belong in a command. The encoder
+// emits fields in a fixed order, making its output golden-testable and
+// diff-friendly.
 package obs
 
 import (

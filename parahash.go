@@ -86,10 +86,10 @@ type Dataset = simulate.Dataset
 // Calibration holds the virtual-time cost model constants.
 type Calibration = costmodel.Calibration
 
-// BuildMetrics is the observability registry serialised by -metrics-json:
-// hash-table contention, MSP encoding, per-step predicted-vs-measured model
-// validation and per-processor workload shares.
-type BuildMetrics = obs.BuildMetrics
+// BuildMetrics is the parahash.metrics/v1 document serialised by
+// -metrics-json: hash-table contention, MSP encoding, per-step
+// predicted-vs-measured model validation and per-processor workload shares.
+type BuildMetrics = core.BuildMetrics
 
 // Trace records per-partition pipeline stage spans (wall-clock and
 // virtual-time) for Chrome trace-event export; set Config.Trace to collect.
