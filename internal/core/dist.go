@@ -66,6 +66,9 @@ type DistPlan struct {
 	// promotion after a Flush starts it; only the coordinator's goroutine
 	// promotes and flushes.
 	commits *step2Committer
+	// counters holds the work counters of every promoted result, for Finish
+	// to fold as a single-process build folds its partitions'.
+	counters []Step2Counters
 }
 
 // ErrFencedRefused marks a worker result PromoteFenced would not promote:
@@ -196,8 +199,9 @@ func FencedName(i int, token int64) string {
 // PromoteFenced verifies a worker's fenced subgraph file, renames it to the
 // canonical partition name and hands its Step 2 record to the plan's group
 // committer; the claim lands once Flush returns. distinct is the
-// worker-reported pre-filter vertex count. The caller must have checked the
-// token is current. The bytes are held to the judgement a resume applies
+// worker-reported pre-filter vertex count and counters its work, which the
+// run's stats count only once the result is promoted. The caller must have
+// checked the token is current, so a fenced zombie's work is never counted. The bytes are held to the judgement a resume applies
 // (checkSubgraphFile: the build's k, strict order, exactly the declared
 // records), so a torn, mis-ordered or foreign worker file is refused with
 // ErrFencedRefused and never enters the manifest to fail the finish.
@@ -208,7 +212,7 @@ func FencedName(i int, token int64) string {
 // the one save that claims the group, so a claim still names only synced
 // bytes, and what a crash takes back first is an unclaimed orphan that the
 // resume rebuilds.
-func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, distinct int64) error {
+func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, distinct int64, counters Step2Counters) error {
 	name := FencedName(i, token)
 	vertices, edges, size, err := checkSubgraphFile(p.ck.ds, name, p.cfg.K)
 	if err != nil {
@@ -220,7 +224,11 @@ func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, distin
 	if p.commits == nil {
 		p.commits = startStep2Committer(ctx, p.cfg, p.st, p.ck)
 	}
-	return p.commits.submit(step2Record(i, size, vertices, edges, distinct))
+	if err := p.commits.submit(step2Record(i, size, vertices, edges, distinct)); err != nil {
+		return err
+	}
+	p.counters = append(p.counters, counters)
+	return nil
 }
 
 // Flush waits until every promotion so far is claimed and returns the first
@@ -280,9 +288,9 @@ func (p *DistPlan) Done() bool {
 }
 
 // Finish assembles the run result once every partition is journalled
-// (waiting out the claims still in flight), folding the coordinator's
-// distributed-governance counters into the stats; the graph's size comes
-// from the journalled records, and the graph itself is streamed from the
+// (waiting out the claims still in flight), folding the promoted results'
+// work counters and the coordinator's distributed-governance counters into
+// the stats; the graph's size comes from the journalled records, and the graph itself is streamed from the
 // promoted subgraph files by Result.WriteGraph, exactly as a
 // single-process build's is.
 func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
@@ -302,6 +310,9 @@ func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 	for _, rec := range p.ck.man.Step2 {
 		res.Stats.foldStep2Record(rec)
 	}
+	for _, c := range p.counters {
+		res.Stats.foldCounters(c)
+	}
 	res.Stats.DuplicateVertices = res.Stats.TotalKmers - res.Stats.DistinctVertices
 	res.Stats.ResumedPartitions = p.ck.resumed
 	res.Stats.RebuiltPartitions = p.ck.rebuilt()
@@ -313,8 +324,8 @@ func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 }
 
 // DistOutput is a worker's report for one constructed partition: the fenced
-// store name it published plus the counts the coordinator journals after
-// promotion.
+// store name it published, the counts the coordinator journals after
+// promotion, and the work counters it folds then.
 type DistOutput struct {
 	Name     string
 	Bytes    int64
@@ -322,6 +333,7 @@ type DistOutput struct {
 	Edges    int64
 	Distinct int64
 	Kmers    int64
+	Counters Step2Counters
 }
 
 // DistWorker is the worker side of distributed Step 2 for the life of one
@@ -399,6 +411,7 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 		Edges:    int64(out.Graph.NumEdges()),
 		Distinct: out.Distinct,
 		Kmers:    out.Kmers,
+		Counters: step2Counters(out, in.spill, part.Bytes),
 	}
 	graph.PutVertices(out.Graph.Vertices)
 	return res, nil

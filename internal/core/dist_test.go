@@ -52,7 +52,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 			continue
 		}
 		_, out := construct(i)
-		if err := plan.PromoteFenced(ctx, i, token, out.Distinct); err != nil {
+		if err := plan.PromoteFenced(ctx, i, token, out.Distinct, out.Counters); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 			if err := os.WriteFile(path, damage(img), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.PromoteFenced(ctx, victim, token, out.Distinct); !errors.Is(err, ErrFencedRefused) {
+			if err := plan.PromoteFenced(ctx, victim, token, out.Distinct, out.Counters); !errors.Is(err, ErrFencedRefused) {
 				t.Errorf("err = %v, want ErrFencedRefused", err)
 			}
 			if _, err := os.Stat(dataFile(dir, subgraphFile(victim))); !os.IsNotExist(err) {
@@ -100,7 +100,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 	}
 
 	_, out := construct(victim)
-	if err := plan.PromoteFenced(ctx, victim, token, out.Distinct); err != nil {
+	if err := plan.PromoteFenced(ctx, victim, token, out.Distinct, out.Counters); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plan.SweepFenced(); err != nil {

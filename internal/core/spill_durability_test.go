@@ -548,7 +548,7 @@ func TestDistWorkerNeverSyncs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := plan.PromoteFenced(ctx, i, 7, out.Distinct); err != nil {
+		if err := plan.PromoteFenced(ctx, i, 7, out.Distinct, out.Counters); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -180,7 +180,7 @@ func TestSpillLeavesNoDirectories(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.PromoteFenced(ctx, i, 1, out.Distinct); err != nil {
+			if err := plan.PromoteFenced(ctx, i, 1, out.Distinct, out.Counters); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -245,9 +245,8 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		w.fileBytes = partStats[i].EncodedBytes
 		w.tableBytes = out.TableBytes
 		w.distinct = out.Distinct
-		w.counters.Hash, w.counters.Spill = out.Hash, out.Spill
+		w.counters = step2Counters(out, plans[slot], w.counters.DecodedBytes)
 		if plan := plans[slot]; plan != nil {
-			w.counters.Spilled, w.counters.AutoRouted = true, plan.auto
 			w.spillBufferBytes = plan.budget
 		}
 		// Published, not durable: the committer flushes it with its group.
@@ -286,6 +285,17 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	}
 	applyReport(&stats, report, procs)
 	return works, stats, nil
+}
+
+// step2Counters is what a partition constructed as out, routed by plan (nil:
+// in-core), adds to the run's counters, decoded the encoded bytes its reads
+// consumed.
+func step2Counters(out device.Step2Output, plan *spillPlan, decoded int64) Step2Counters {
+	c := Step2Counters{Hash: out.Hash, DecodedBytes: decoded, Spill: out.Spill}
+	if plan != nil {
+		c.Spilled, c.AutoRouted = true, plan.auto
+	}
+	return c
 }
 
 // step2Slots gives a multi-threaded CPU two partitions in flight, so its

@@ -268,7 +268,11 @@ func (c *coordinator) handleDone(w *workerState, m Message) error {
 		c.opts.Logf("dist: worker %s reported partition %d outside its lease", w.id, m.Partition)
 		return c.strike(w)
 	}
-	if err := c.plan.PromoteFenced(c.ctx, m.Partition, m.Token, m.Distinct); err != nil {
+	var counters core.Step2Counters
+	if m.Counters != nil {
+		counters = *m.Counters
+	}
+	if err := c.plan.PromoteFenced(c.ctx, m.Partition, m.Token, m.Distinct, counters); err != nil {
 		if !errors.Is(err, core.ErrFencedRefused) {
 			return err // the group commit failed: nothing more can be claimed
 		}

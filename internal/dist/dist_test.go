@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"parahash/internal/core"
+	"parahash/internal/device"
 	"parahash/internal/diskstore"
 	"parahash/internal/fastq"
 	"parahash/internal/graph"
@@ -122,6 +123,12 @@ var protocolSamples = []Message{
 	{Type: TypeHeartbeat, Worker: "w0", Token: 3},
 	{Type: TypeDone, Worker: "w0", Token: 3, Partition: 4, Name: "subgraphs/0004.t3",
 		Bytes: 128, Vertices: 7, Edges: 9, Distinct: 7, Kmers: 40},
+	{Type: TypeDone, Worker: "w1", Token: 4, Partition: 6, Name: "subgraphs/0006.t4",
+		Bytes: 96, Vertices: 5, Edges: 6, Distinct: 5, Kmers: 30, Counters: &core.Step2Counters{
+			Hash:         core.HashStats{Inserts: 5, Updates: 25, Probes: 31, LockWaits: 2, CASFailures: 1},
+			DecodedBytes: 210, Spilled: true, AutoRouted: true,
+			Spill: device.SpillCounts{Runs: 3, SpilledBytes: 144, MergePasses: 1},
+		}},
 	{Type: TypeError, Worker: "w0", Token: 3, Partition: 5, Error: "device lost"},
 	{Type: TypeShutdown},
 }
@@ -188,6 +195,9 @@ func FuzzReadMessages(f *testing.F) {
 	f.Add([]byte("{\"type\":\"hello\"}\ngarbage\n"))
 	f.Add([]byte("\n\n{}\r\n{\"type\":\"assign\",\"partitions\":[]}"))
 	f.Add([]byte(`{"type":"done","token":-1,"partition":1e3}`))
+	f.Add([]byte(`{"type":"done","token":2,"partition":1,"counters":{"hash":{"inserts":3,"updates":-1,` +
+		`"contention_reduction":9},"decoded_bytes":7,"spilled":true,"spill":{"spill_runs":2}}}` + "\n" +
+		`{"type":"done","counters":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out := make(chan Message, bytes.Count(data, []byte("\n"))+1)
 		err := ReadMessages(bytes.NewReader(data), out)
@@ -252,6 +262,40 @@ func TestDistBuildFaultFree(t *testing.T) {
 		t.Fatalf("dist counters missing from build metrics: %+v", m.Dist)
 	}
 	checkStoreClean(t, dir)
+}
+
+// TestDistBuildCountsWorkerWork: a -workers build counts its workers' Step 2
+// work — hash table, spill and decoded bytes, carried on each done message
+// and folded once the result is promoted — exactly as a single-process build
+// counts its own, in-core and with every partition spilled.
+func TestDistBuildCountsWorkerWork(t *testing.T) {
+	reads, base := testData(t)
+	base.CPUThreads, base.NumGPUs = 1, 0 // one thread: counts that do not vary run to run
+	for _, budget := range []int64{0, 2048} {
+		base.PartitionMemoryBudgetBytes = budget
+		single, err := core.Build(reads, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := distConfig(base, t.TempDir())
+		_, res, _, err := runDist(t, reads, cfg, &LocalTransport{Cfg: cfg}, Options{Workers: 2, LeaseMS: 5000})
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		want, got := core.MetricsOf(single, base), core.MetricsOf(res, cfg)
+		if got.HashTable != want.HashTable {
+			t.Errorf("budget %d: hash_table %+v, single-process %+v", budget, got.HashTable, want.HashTable)
+		}
+		if got.Spill != want.Spill {
+			t.Errorf("budget %d: spill %+v, single-process %+v", budget, got.Spill, want.Spill)
+		}
+		if got.MSP.EncodedBytesRead != want.MSP.EncodedBytesRead {
+			t.Errorf("budget %d: msp.encoded_bytes_read %d, single-process %d", budget, got.MSP.EncodedBytesRead, want.MSP.EncodedBytesRead)
+		}
+		if (budget == 0) != (got.HashTable.Inserts > 0) || (budget > 0) != (got.Spill.Partitions == cfg.NumPartitions) {
+			t.Errorf("budget %d: nothing counted: hash_table %+v, spill %+v", budget, got.HashTable, got.Spill)
+		}
+	}
 }
 
 // TestDistFinishStreamsWhatItDoesNotKeep: a -workers 2 build finishes the
@@ -396,7 +440,7 @@ func (c *zombieConn) Kill() {
 			}
 			c.out <- Message{Type: TypeDone, Worker: "zombie", Token: a.Token,
 				Partition: p, Name: out.Name, Bytes: out.Bytes, Vertices: out.Vertices,
-				Edges: out.Edges, Distinct: out.Distinct, Kmers: out.Kmers}
+				Edges: out.Edges, Distinct: out.Distinct, Kmers: out.Kmers, Counters: &out.Counters}
 		}()
 	})
 }
@@ -448,6 +492,11 @@ func TestZombieWriteIsFencedOff(t *testing.T) {
 	}
 	if stats.Reassignments < 1 {
 		t.Fatalf("zombie's partitions were never reassigned: %+v", stats)
+	}
+	// The fenced result's work is not counted: every vertex is inserted by
+	// exactly one promoted table.
+	if h := res.Stats.Hash; h.Inserts != res.Stats.DistinctVertices {
+		t.Fatalf("hash inserts %d, want one per distinct vertex (%d)", h.Inserts, res.Stats.DistinctVertices)
 	}
 	// Exactly one fencing token won: token high-water strictly exceeds the
 	// zombie's (reassignment minted a newer one), and no leases survive.

@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"parahash/internal/core"
 )
 
 // Message types, coordinator → worker.
@@ -66,7 +68,10 @@ type Message struct {
 	Edges     int64  `json:"edges,omitempty"`
 	Distinct  int64  `json:"distinct,omitempty"`
 	Kmers     int64  `json:"kmers,omitempty"`
-	Error     string `json:"error,omitempty"`
+	// Counters is the partition's work (hash table, spill, decoded bytes),
+	// folded into the run's stats once the result is promoted.
+	Counters *core.Step2Counters `json:"counters,omitempty"`
+	Error    string              `json:"error,omitempty"`
 }
 
 // WriteMessage encodes one message as a JSON line.

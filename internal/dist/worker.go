@@ -82,7 +82,7 @@ func serveLease(ctx context.Context, id string, w *core.DistWorker, lease Messag
 		faultinject.MaybeCrash(CrashPoint)
 		if err := send(Message{Type: TypeDone, Worker: id, Token: lease.Token,
 			Partition: p, Name: out.Name, Bytes: out.Bytes, Vertices: out.Vertices,
-			Edges: out.Edges, Distinct: out.Distinct, Kmers: out.Kmers}); err != nil {
+			Edges: out.Edges, Distinct: out.Distinct, Kmers: out.Kmers, Counters: &out.Counters}); err != nil {
 			return err
 		}
 	}
