@@ -201,10 +201,11 @@ func FencedName(i int, token int64) string {
 // committer; the claim lands once Flush returns. distinct is the
 // worker-reported pre-filter vertex count and counters its work, which the
 // run's stats count only once the result is promoted. The caller must have
-// checked the token is current, so a fenced zombie's work is never counted. The bytes are held to the judgement a resume applies
-// (checkSubgraphFile: the build's k, strict order, exactly the declared
-// records), so a torn, mis-ordered or foreign worker file is refused with
-// ErrFencedRefused and never enters the manifest to fail the finish.
+// checked the token is current, so a fenced zombie's work is never counted.
+// The bytes are held to the judgement a resume applies (checkSubgraphFile:
+// the build's k, strict order, exactly the declared records), so a torn,
+// mis-ordered or foreign worker file is refused with ErrFencedRefused and
+// never enters the manifest to fail the finish.
 //
 // Nothing here is flushed: the worker published the file volatile, and the
 // rename is volatile too. The committer's covering Sync of the canonical
@@ -290,9 +291,9 @@ func (p *DistPlan) Done() bool {
 // Finish assembles the run result once every partition is journalled
 // (waiting out the claims still in flight), folding the promoted results'
 // work counters and the coordinator's distributed-governance counters into
-// the stats; the graph's size comes from the journalled records, and the graph itself is streamed from the
-// promoted subgraph files by Result.WriteGraph, exactly as a
-// single-process build's is.
+// the stats; the graph's size comes from the journalled records, and the
+// graph itself is streamed from the promoted subgraph files by
+// Result.WriteGraph, exactly as a single-process build's is.
 func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 	if err := p.Flush(); err != nil {
 		return nil, err

@@ -219,7 +219,7 @@ func (st *Stats) foldCounters(c Step2Counters) {
 		if c.AutoRouted {
 			st.Spill.AutoRouted++
 		}
-		st.Spill.Add(c.Spill)
+		st.Spill.SpillCounts.Add(c.Spill)
 	}
 }
 

@@ -346,8 +346,9 @@ func (c *byteCount) Write(p []byte) (int, error) {
 }
 
 // foldStep2Works accumulates the per-partition Step 2 measurements into the
-// run stats — graph sizes and work counters — and returns the largest single-partition residency (table + encoded input
-// + graph, the graph at the model's width) for the peak-memory estimate.
+// run stats — graph sizes and work counters — and returns the largest
+// single-partition residency (table + encoded input + graph, the graph at
+// the model's width) for the peak-memory estimate.
 func foldStep2Works(st *Stats, works []step2Work) int64 {
 	var peak int64
 	for _, w := range works {

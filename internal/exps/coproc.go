@@ -240,7 +240,8 @@ func Contention(opts Options) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	var locked, lockFree, kmers int64
+	var hash hashtable.Snapshot
+	var kmers int64
 	for _, sks := range parts {
 		var pk int64
 		for _, sk := range sks {
@@ -253,21 +254,18 @@ func Contention(opts Options) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		m := table.Metrics().Snapshot()
-		locked += m.Inserts
-		lockFree += m.Updates
+		hash.Add(table.Metrics().Snapshot())
 		kmers += pk
 	}
-	reduction := float64(lockFree) / float64(locked+lockFree)
 	rep := Report{
 		ID:     "contention",
 		Title:  "State-transfer lock reduction (Chr14)",
 		Header: []string{"Metric", "Value"},
 		Rows: [][]string{
 			{"k-mer accesses", fmt.Sprintf("%d", kmers)},
-			{"locked inserts (distinct vertices)", fmt.Sprintf("%d", locked)},
-			{"lock-free updates (duplicates)", fmt.Sprintf("%d", lockFree)},
-			{"lock reduction", fmt.Sprintf("%.1f%%", 100*reduction)},
+			{"locked inserts (distinct vertices)", fmt.Sprintf("%d", hash.Inserts)},
+			{"lock-free updates (duplicates)", fmt.Sprintf("%d", hash.Updates)},
+			{"lock reduction", fmt.Sprintf("%.1f%%", 100*hash.ContentionReduction())},
 		},
 	}
 	rep.Notes = append(rep.Notes,
