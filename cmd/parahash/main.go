@@ -497,7 +497,7 @@ func printStats(w io.Writer, res *parahash.Result, cfg parahash.Config) {
 		fmt.Fprintf(w, "msp encoding: %d superkmers, %.1f MB encoded (%.0f%% of plain), %.1f MB decoded in step 2\n",
 			s.Superkmers.TotalSuperkmers,
 			float64(s.Superkmers.TotalEncoded)/(1<<20),
-			100*float64(s.Superkmers.TotalEncoded)/float64(s.Superkmers.TotalPlain),
+			100*s.Superkmers.EncodingRatio(),
 			float64(s.DecodedBytes)/(1<<20))
 	}
 	if s.Degraded() {

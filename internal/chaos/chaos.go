@@ -330,9 +330,6 @@ func NewEngine(prof Profile) (*Engine, error) {
 	return e, nil
 }
 
-// OracleBytes returns the oracle graph's canonical serialisation.
-func (e *Engine) OracleBytes() []byte { return e.oracleBytes }
-
 // written is the graph a finished build writes (Result.WriteGraph).
 func written(res *core.Result) ([]byte, error) {
 	var buf bytes.Buffer

@@ -35,7 +35,10 @@ type RunReport struct {
 	// is also a "job-outcome" violation).
 	Outcome string `json:"outcome"`
 	// Error and ErrorClass carry a failed build's error text and its
-	// matched classification.
+	// matched classification. A replay reproduces ErrorClass, not always
+	// Error: the text may name counts that depend on when the fault landed
+	// ("6 of 10 partitions failed" in one replay, "8 of 10" in the next).
+	// Outcome, ErrorClass, Faults and Resumed are the replay-stable fields.
 	Error      string `json:"error,omitempty"`
 	ErrorClass string `json:"error_class,omitempty"`
 	// Resumed reports that the post-failure fault-free resume ran.

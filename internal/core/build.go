@@ -111,17 +111,30 @@ func buildWithStore(ctx context.Context, src chunkSource, cfg Config, st store.P
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 2 (subgraph construction): %w", err))
 	}
+	return assembleResult(cfg, st, s1, works, step2Stats, ck)
+}
 
+// assembleResult is the one assembly of a finished build's Result, a
+// single-process build's and a -workers coordinator's: Step 1's result, the
+// partitions constructed this run in partition order with their Step 2
+// schedule, and the claims the checkpoint verified on resume (ck nil: none).
+// The peak-memory estimate is the larger of Step 1's largest input chunk and
+// Step 2's largest single-partition residency.
+func assembleResult(cfg Config, st store.PartitionStore, s1 step1Result, works []step2Work, step2 StepStats, ck *checkpoint) (*Result, error) {
 	res := newResult(cfg, st)
-	res.Stats.Step1 = s1.stats
-	res.Stats.Step2 = step2Stats
-	res.Stats.TotalSeconds = s1.stats.Seconds + step2Stats.Seconds
-	res.Stats.Superkmers = msp.SummarizeStats(s1.parts)
-	res.Stats.TotalKmers = res.Stats.Superkmers.TotalKmers
-	finishStats(&res.Stats, works, ck)
-	if s1.peakChunkBytes > res.Stats.PeakMemoryBytes {
-		res.Stats.PeakMemoryBytes = s1.peakChunkBytes
+	s := &res.Stats
+	s.Step1, s.Step2 = s1.stats, step2
+	s.TotalSeconds = s1.stats.Seconds + step2.Seconds
+	s.Superkmers = msp.SummarizeStats(s1.parts)
+	s.TotalKmers = s.Superkmers.TotalKmers
+	s.PeakMemoryBytes = max(foldStep2Works(s, works), s1.peakChunkBytes)
+	if ck != nil {
+		for _, rec := range ck.step2Skip {
+			s.foldStep2Record(rec)
+		}
+		s.ResumedPartitions, s.RebuiltPartitions = ck.resumed, ck.rebuilt()
 	}
+	s.DuplicateVertices = s.TotalKmers - s.DistinctVertices
 	if err := res.finish(cfg); err != nil {
 		return nil, err
 	}
@@ -183,19 +196,4 @@ func buildStep1(ctx context.Context, src chunkSource, cfg Config, st store.Parti
 		}
 	}
 	return s1, nil
-}
-
-// finishStats folds the executed partitions' measurements plus the resumed
-// partitions' journalled counts into the run stats, leaving the largest
-// single-partition residency in PeakMemoryBytes.
-func finishStats(st *Stats, works []step2Work, ck *checkpoint) {
-	st.PeakMemoryBytes = foldStep2Works(st, works)
-	if ck != nil {
-		for _, rec := range ck.step2Skip {
-			st.foldStep2Record(rec)
-		}
-		st.ResumedPartitions = ck.resumed
-		st.RebuiltPartitions = ck.rebuilt()
-	}
-	st.DuplicateVertices = st.TotalKmers - st.DistinctVertices
 }

@@ -13,7 +13,6 @@ import (
 	"parahash/internal/fastq"
 	"parahash/internal/graph"
 	"parahash/internal/manifest"
-	"parahash/internal/msp"
 	"parahash/internal/store"
 )
 
@@ -57,18 +56,17 @@ type DistStats struct {
 // plan's group committer claims under, so a lease save and a claim never
 // interleave.
 type DistPlan struct {
-	cfg       Config
-	st        store.PartitionStore // the checkpoint store as the build sees it
-	ck        *checkpoint
-	partStats []msp.PartitionStats
-	step1     StepStats
+	cfg Config
+	st  store.PartitionStore // the checkpoint store as the build sees it
+	ck  *checkpoint
+	s1  step1Result
 	// commits claims promoted subgraphs a group at a time. The first
 	// promotion after a Flush starts it; only the coordinator's goroutine
 	// promotes and flushes.
 	commits *step2Committer
-	// counters holds the work counters of every promoted result, for Finish
-	// to fold as a single-process build folds its partitions'.
-	counters []Step2Counters
+	// promoted holds every promoted partition's work and claim by partition,
+	// for Finish to schedule and fold as a single-process build does its own.
+	promoted map[int]step2Work
 }
 
 // ErrFencedRefused marks a worker result PromoteFenced would not promote:
@@ -129,7 +127,7 @@ func prepareDistBuild(ctx context.Context, src chunkSource, cfg Config) (*DistPl
 		return nil, err
 	}
 	_ = ck.ds.Remove(staleRuns...) // best-effort; scrub sweeps leftovers
-	p := &DistPlan{cfg: cfg, st: st, ck: ck, partStats: s1.parts, step1: s1.stats}
+	p := &DistPlan{cfg: cfg, st: st, ck: ck, s1: s1, promoted: map[int]step2Work{}}
 	// So are any fenced orphans: results the dead fleet published but never
 	// reported. Nothing will ever promote them (their tokens are below the
 	// preserved high-water), so sweep them before leasing the space out.
@@ -138,9 +136,6 @@ func prepareDistBuild(ctx context.Context, src chunkSource, cfg Config) (*DistPl
 	}
 	return p, nil
 }
-
-// Partitions returns the build's partition count.
-func (p *DistPlan) Partitions() int { return p.cfg.NumPartitions }
 
 // Pending returns the partitions whose Step 2 is not yet durably journalled,
 // in index order.
@@ -153,9 +148,6 @@ func (p *DistPlan) Pending() []int {
 	}
 	return out
 }
-
-// KmersOf returns a partition's k-mer count (the Step 2 work weight).
-func (p *DistPlan) KmersOf(i int) int64 { return p.partStats[i].Kmers }
 
 // Manifest exposes the manifest for inspection while no Run is in flight; a
 // running coordinator changes it only through the methods below.
@@ -198,10 +190,11 @@ func FencedName(i int, token int64) string {
 
 // PromoteFenced verifies a worker's fenced subgraph file, renames it to the
 // canonical partition name and hands its Step 2 record to the plan's group
-// committer; the claim lands once Flush returns. distinct is the
-// worker-reported pre-filter vertex count and counters its work, which the
-// run's stats count only once the result is promoted. The caller must have
-// checked the token is current, so a fenced zombie's work is never counted.
+// committer; the claim lands once Flush returns. work is what the worker's
+// construction reported, which the run's stats count only once the result is
+// promoted; the claim's sizes come from the file, not the worker. The caller
+// must have checked the token is current, so a fenced zombie's work is never
+// counted.
 // The bytes are held to the judgement a resume applies (checkSubgraphFile:
 // the build's k, strict order, exactly the declared records), so a torn,
 // mis-ordered or foreign worker file is refused with ErrFencedRefused and
@@ -213,7 +206,7 @@ func FencedName(i int, token int64) string {
 // the one save that claims the group, so a claim still names only synced
 // bytes, and what a crash takes back first is an unclaimed orphan that the
 // resume rebuilds.
-func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, distinct int64, counters Step2Counters) error {
+func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, work PartitionWork) error {
 	name := FencedName(i, token)
 	vertices, edges, size, err := checkSubgraphFile(p.ck.ds, name, p.cfg.K)
 	if err != nil {
@@ -225,10 +218,12 @@ func (p *DistPlan) PromoteFenced(ctx context.Context, i int, token int64, distin
 	if p.commits == nil {
 		p.commits = startStep2Committer(ctx, p.cfg, p.st, p.ck)
 	}
-	if err := p.commits.submit(step2Record(i, size, vertices, edges, distinct)); err != nil {
+	w := step2Work{PartitionWork: work, claim: step2Record(i, size, vertices, edges, work.Distinct),
+		fileBytes: p.s1.parts[i].EncodedBytes}
+	if err := p.commits.submit(w.claim); err != nil {
 		return err
 	}
-	p.counters = append(p.counters, counters)
+	p.promoted[i] = w
 	return nil
 }
 
@@ -289,11 +284,12 @@ func (p *DistPlan) Done() bool {
 }
 
 // Finish assembles the run result once every partition is journalled
-// (waiting out the claims still in flight), folding the promoted results'
-// work counters and the coordinator's distributed-governance counters into
-// the stats; the graph's size comes from the journalled records, and the
-// graph itself is streamed from the promoted subgraph files by
-// Result.WriteGraph, exactly as a single-process build's is.
+// (waiting out the claims still in flight), exactly as a single-process
+// build of the same partitions does: the promoted partitions are scheduled
+// on the modelled processors in partition order and folded with the resumed
+// claims by the one assembly (assembleResult), and the coordinator's
+// distributed-governance counters are added. The graph is streamed from the
+// promoted subgraph files by Result.WriteGraph.
 func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 	if err := p.Flush(); err != nil {
 		return nil, err
@@ -302,39 +298,22 @@ func (p *DistPlan) Finish(dist DistStats) (*Result, error) {
 		return nil, fmt.Errorf("core: distributed build incomplete: %d of %d partitions journalled",
 			len(p.ck.man.Step2), p.cfg.NumPartitions)
 	}
-	res := newResult(p.cfg, p.st)
-	res.Stats.Step1 = p.step1
-	res.Stats.Step2 = StepStats{Partitions: p.cfg.NumPartitions}
-	res.Stats.TotalSeconds = p.step1.Seconds
-	res.Stats.Superkmers = msp.SummarizeStats(p.partStats)
-	res.Stats.TotalKmers = res.Stats.Superkmers.TotalKmers
-	for _, rec := range p.ck.man.Step2 {
-		res.Stats.foldStep2Record(rec)
+	works := make([]step2Work, 0, len(p.promoted))
+	for i := 0; i < p.cfg.NumPartitions; i++ {
+		if w, ok := p.promoted[i]; ok {
+			works = append(works, w)
+		}
 	}
-	for _, c := range p.counters {
-		res.Stats.foldCounters(c)
-	}
-	res.Stats.DuplicateVertices = res.Stats.TotalKmers - res.Stats.DistinctVertices
-	res.Stats.ResumedPartitions = p.ck.resumed
-	res.Stats.RebuiltPartitions = p.ck.rebuilt()
-	res.Stats.Dist = &dist
-	if err := res.finish(p.cfg); err != nil {
+	step2, err := scheduleStep2(works, p.cfg, processors(p.cfg))
+	if err != nil {
 		return nil, err
 	}
+	res, err := assembleResult(p.cfg, p.st, p.s1, works, step2, p.ck)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.Dist = &dist
 	return res, nil
-}
-
-// DistOutput is a worker's report for one constructed partition: the fenced
-// store name it published, the counts the coordinator journals after
-// promotion, and the work counters it folds then.
-type DistOutput struct {
-	Name     string
-	Bytes    int64
-	Vertices int64
-	Edges    int64
-	Distinct int64
-	Kmers    int64
-	Counters Step2Counters
 }
 
 // DistWorker is the worker side of distributed Step 2 for the life of one
@@ -376,14 +355,15 @@ func NewDistWorker(cfg Config) (*DistWorker, error) {
 // does, after promotion, for the files it is about to claim. A spilled
 // partition's runs carry outName's token and are never claimed: they go
 // once the subgraph is published, and a worker killed first leaves fenced
-// orphans that SweepFenced removes.
-func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (DistOutput, error) {
+// orphans that SweepFenced removes. It returns what the construction
+// reports, for the coordinator to promote the file with.
+func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (PartitionWork, error) {
 	cfg, st := w.cfg, w.st
 	// The call's own from load to return, so it goes back on every path.
 	part := loadedPartitions.Get().(*loadedPartition)
 	defer loadedPartitions.Put(part)
 	if err := loadPartition(st, superkmerFile(index), part); err != nil {
-		return DistOutput{}, fmt.Errorf("core: loading partition %d: %w", index, err)
+		return PartitionWork{}, fmt.Errorf("core: loading partition %d: %w", index, err)
 	}
 	in := step2Input{part: index, sks: part.Superkmers, kmers: part.NumKmers(cfg.K)}
 	in.spill = cfg.spillRoute(index, in.kmers)
@@ -396,24 +376,14 @@ func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (
 		out, err = step2Construct(ctx, w.proc, in.sks, in.kmers, cfg)
 	}
 	if err != nil {
-		return DistOutput{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
+		return PartitionWork{}, fmt.Errorf("core: constructing partition %d: %w", index, err)
 	}
-	size, err := publishSubgraph(st.CreateVolatile, outName, out.Graph, cfg.OutputFilterMin)
-	if err != nil {
-		return DistOutput{}, err
+	if _, err := publishSubgraph(st.CreateVolatile, outName, out.Graph, cfg.OutputFilterMin); err != nil {
+		return PartitionWork{}, err
 	}
 	if len(out.SpillFiles) > 0 {
 		_ = st.Remove(out.SpillFiles...)
 	}
-	res := DistOutput{
-		Name:     outName,
-		Bytes:    size,
-		Vertices: int64(out.Graph.NumVertices()),
-		Edges:    int64(out.Graph.NumEdges()),
-		Distinct: out.Distinct,
-		Kmers:    out.Kmers,
-		Counters: step2Counters(out, in.spill, part.Bytes),
-	}
 	graph.PutVertices(out.Graph.Vertices)
-	return res, nil
+	return partitionWork(out, in.spill, part.Bytes), nil
 }

@@ -37,22 +37,22 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 	var token int64
 	// construct runs partition i under a fresh lease token and returns the
 	// fenced file's path and the worker's report.
-	construct := func(i int) (string, DistOutput) {
+	construct := func(i int) (string, PartitionWork) {
 		t.Helper()
 		token++
-		out, err := worker.Construct(ctx, i, FencedName(i, token))
+		work, err := worker.Construct(ctx, i, FencedName(i, token))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dataFile(dir, out.Name), out
+		return dataFile(dir, FencedName(i, token)), work
 	}
 	const victim = 3
 	for _, i := range plan.Pending() {
 		if i == victim {
 			continue
 		}
-		_, out := construct(i)
-		if err := plan.PromoteFenced(ctx, i, token, out.Distinct, out.Counters); err != nil {
+		_, work := construct(i)
+		if err := plan.PromoteFenced(ctx, i, token, work); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 	}
 	for name, damage := range damages {
 		t.Run(name, func(t *testing.T) {
-			path, out := construct(victim)
+			path, work := construct(victim)
 			img, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +84,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 			if err := os.WriteFile(path, damage(img), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.PromoteFenced(ctx, victim, token, out.Distinct, out.Counters); !errors.Is(err, ErrFencedRefused) {
+			if err := plan.PromoteFenced(ctx, victim, token, work); !errors.Is(err, ErrFencedRefused) {
 				t.Errorf("err = %v, want ErrFencedRefused", err)
 			}
 			if _, err := os.Stat(dataFile(dir, subgraphFile(victim))); !os.IsNotExist(err) {
@@ -99,8 +99,8 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 		})
 	}
 
-	_, out := construct(victim)
-	if err := plan.PromoteFenced(ctx, victim, token, out.Distinct, out.Counters); err != nil {
+	_, work := construct(victim)
+	if err := plan.PromoteFenced(ctx, victim, token, work); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := plan.SweepFenced(); err != nil {

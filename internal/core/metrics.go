@@ -64,7 +64,7 @@ func MetricsOf(res *Result, cfg Config) *BuildMetrics {
 			EncodedBytesWritten: res.Stats.Superkmers.TotalEncoded,
 			EncodedBytesRead:    res.Stats.DecodedBytes,
 			PlainBytes:          res.Stats.Superkmers.TotalPlain,
-			EncodingRatio:       encodingRatio(res.Stats.Superkmers.TotalEncoded, res.Stats.Superkmers.TotalPlain),
+			EncodingRatio:       res.Stats.Superkmers.EncodingRatio(),
 		},
 		Steps: []StepMetrics{
 			stepMetricsOf("step1", res.Stats.Step1),
@@ -90,13 +90,6 @@ func MetricsOf(res *Result, cfg Config) *BuildMetrics {
 		Spill: res.Stats.Spill,
 		Dist:  res.Stats.Dist,
 	}
-}
-
-func encodingRatio(encoded, plain int64) float64 {
-	if plain == 0 {
-		return 0
-	}
-	return float64(encoded) / float64(plain)
 }
 
 // stepMetricsOf converts one step's stats, folding the per-processor slices
@@ -145,7 +138,7 @@ func at[T any](s []T, i int) T {
 }
 
 // MSPMetrics records Step 1's encoding effectiveness and Step 2's decode
-// traffic. EncodingRatio is encoded/plain bytes (≈0.26 with 2-bit packing).
+// traffic. EncodingRatio is msp.StatsSummary.EncodingRatio.
 type MSPMetrics struct {
 	Superkmers          int64   `json:"superkmers"`
 	Kmers               int64   `json:"kmers"`

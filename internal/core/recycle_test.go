@@ -189,11 +189,11 @@ func TestDistWorkerRecyclesAcrossPartitions(t *testing.T) {
 	}
 	first := w.proc
 	for i := 0; i < cfg.NumPartitions; i++ {
-		out, err := w.Construct(context.Background(), i, FencedName(i, 1))
+		work, err := w.Construct(context.Background(), i, FencedName(i, 1))
 		if err != nil {
 			t.Fatalf("partition %d: %v", i, err)
 		}
-		got, err := os.ReadFile(dataFile(dir, out.Name))
+		got, err := os.ReadFile(dataFile(dir, FencedName(i, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,8 +204,8 @@ func TestDistWorkerRecyclesAcrossPartitions(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("worker's partition %d differs from the single-process build's", i)
 		}
-		if rec := m.Step2For(i); rec == nil || rec.Distinct != out.Distinct {
-			t.Fatalf("partition %d distinct %d, manifest says %+v", i, out.Distinct, rec)
+		if rec := m.Step2For(i); rec == nil || rec.Distinct != work.Distinct {
+			t.Fatalf("partition %d distinct %d, manifest says %+v", i, work.Distinct, rec)
 		}
 	}
 	if w.proc != first {

@@ -544,11 +544,11 @@ func TestDistWorkerNeverSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range plan.Pending() {
-		out, err := worker.Construct(ctx, i, FencedName(i, 7))
+		work, err := worker.Construct(ctx, i, FencedName(i, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := plan.PromoteFenced(ctx, i, 7, out.Distinct, out.Counters); err != nil {
+		if err := plan.PromoteFenced(ctx, i, 7, work); err != nil {
 			t.Fatal(err)
 		}
 	}

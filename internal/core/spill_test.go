@@ -176,11 +176,11 @@ func TestSpillLeavesNoDirectories(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, i := range plan.Pending() {
-			out, err := worker.Construct(ctx, i, FencedName(i, 1))
+			work, err := worker.Construct(ctx, i, FencedName(i, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.PromoteFenced(ctx, i, 1, out.Distinct, out.Counters); err != nil {
+			if err := plan.PromoteFenced(ctx, i, 1, work); err != nil {
 				t.Fatal(err)
 			}
 		}

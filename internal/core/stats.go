@@ -146,21 +146,32 @@ type SpillStats struct {
 	PartitionMemoryBudgetBytes int64 `json:"partition_memory_budget_bytes"`
 }
 
-// Step2Counters is what one partition's Step 2 adds to a run's Hash, Spill
-// and DecodedBytes — a single-process build's partition and a -workers
-// worker's alike, folded the same way (Stats.foldCounters).
-type Step2Counters struct {
-	// Hash is the table's work, failed resize attempts included; zero for
-	// a partition built out-of-core.
+// PartitionWork is what one partition's construction reports — a
+// single-process build's write stage and a -workers worker's done message
+// alike. The claim journalled for it counts the subgraph as published; this
+// counts the work: what Step 2's schedule charges (Kmers, TableBytes), the
+// peak-memory estimate weighs (TableBytes, SpillBufferBytes), and what
+// Stats.foldCounters adds to the run's Hash, Spill and DecodedBytes.
+type PartitionWork struct {
+	// Kmers is the partition's k-mer count and Distinct its constructed
+	// vertices before the output filter.
+	Kmers    int64 `json:"kmers"`
+	Distinct int64 `json:"distinct"`
+	// TableBytes is the hash table the construction held; zero for a
+	// partition built out-of-core.
+	TableBytes int64 `json:"table_bytes"`
+	// SpillBufferBytes is an out-of-core partition's run-buffer budget,
+	// counted toward the peak-memory estimate in place of a table; zero for
+	// a partition built in-core. AutoRouted marks one routed out-of-core by
+	// the build's memory budget, and Spill is that path's work.
+	SpillBufferBytes int64              `json:"spill_buffer_bytes,omitempty"`
+	AutoRouted       bool               `json:"auto_routed,omitempty"`
+	Spill            device.SpillCounts `json:"spill"`
+	// Hash is the table's work, failed resize attempts included.
 	Hash HashStats `json:"hash"`
 	// DecodedBytes counts the encoded partition bytes the read stage
 	// consumed (retries included).
 	DecodedBytes int64 `json:"decoded_bytes"`
-	// Spilled marks a partition constructed out-of-core, and AutoRouted one
-	// routed there by the build's memory budget; Spill is that path's work.
-	Spilled    bool               `json:"spilled,omitempty"`
-	AutoRouted bool               `json:"auto_routed,omitempty"`
-	Spill      device.SpillCounts `json:"spill"`
 }
 
 // Stats aggregates a full ParaHash run.
@@ -210,11 +221,11 @@ type Stats struct {
 	Dist *DistStats
 }
 
-// foldCounters adds one partition's Step 2 work counters.
-func (st *Stats) foldCounters(c Step2Counters) {
+// foldCounters adds one constructed partition's work counters.
+func (st *Stats) foldCounters(c PartitionWork) {
 	st.Hash.Add(c.Hash)
 	st.DecodedBytes += c.DecodedBytes
-	if c.Spilled {
+	if c.SpillBufferBytes > 0 {
 		st.Spill.Partitions++
 		if c.AutoRouted {
 			st.Spill.AutoRouted++
@@ -224,8 +235,8 @@ func (st *Stats) foldCounters(c Step2Counters) {
 }
 
 // foldStep2Record adds the graph-size counts a partition was journalled with:
-// how a partition this process did not construct — resumed, or built by a
-// -workers process — enters the run's totals.
+// how every partition enters the run's graph totals, one constructed this
+// run and one resumed from its claim alone.
 func (st *Stats) foldStep2Record(rec manifest.Step2Partition) {
 	st.DistinctVertices += rec.Distinct
 	st.GraphVertices += rec.Vertices

@@ -29,24 +29,17 @@ var ErrResizeExhausted = errors.New("core: hash table resize attempts exhausted"
 // under-estimate) only trips on genuinely pathological partitions.
 const maxTableResizes = 16
 
-// step2Work records one superkmer partition's measured work.
+// step2Work is one partition constructed this run: what the construction
+// reported, the claim journalled for its published subgraph, and its encoded
+// input size (Step 1's), which Step 2's schedule charges for reading it.
 type step2Work struct {
-	kmers      int64
-	fileBytes  int64
-	tableBytes int64
-	graphBytes int64
-	distinct   int64
-	// graphVertices and graphEdges count the subgraph as written, after the
-	// output filter.
-	graphVertices, graphEdges int64
-
-	// spillBufferBytes is a spilled partition's admitted run-buffer
-	// residency (the partition budget), counted toward the peak-memory
-	// estimate in place of a table.
-	spillBufferBytes int64
-
-	counters Step2Counters
+	PartitionWork
+	claim     manifest.Step2Partition
+	fileBytes int64
 }
+
+// graphBytes is the published subgraph's size at the model's width.
+func (w step2Work) graphBytes() int64 { return graph.ModelBytes(int(w.claim.Vertices)) }
 
 // spillPlan is one partition's out-of-core routing decision, made before
 // the pipeline starts so the admission gate can weigh the partition by its
@@ -230,7 +223,7 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 		// Accumulate (not assign): a retried read re-decodes the partition
 		// and both passes cost real IO. The write closure fills the other
 		// fields; the pipeline's stage ordering makes the shared struct safe.
-		works[slot].counters.DecodedBytes += in.loaded.Bytes
+		works[slot].DecodedBytes += in.loaded.Bytes
 		if err != nil {
 			loadedPartitions.Put(in.loaded) // no construction ever saw it
 			return step2Input{}, err
@@ -241,14 +234,8 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	write := func(slot int, out device.Step2Output) error {
 		i := pending[slot]
 		w := &works[slot]
-		w.kmers = out.Kmers
+		w.PartitionWork = partitionWork(out, plans[slot], w.DecodedBytes)
 		w.fileBytes = partStats[i].EncodedBytes
-		w.tableBytes = out.TableBytes
-		w.distinct = out.Distinct
-		w.counters = step2Counters(out, plans[slot], w.counters.DecodedBytes)
-		if plan := plans[slot]; plan != nil {
-			w.spillBufferBytes = plan.budget
-		}
 		// Published, not durable: the committer flushes it with its group.
 		size, err := publishSubgraph(st.CreateVolatile, subgraphFile(i), out.Graph, cfg.OutputFilterMin)
 		if err != nil {
@@ -259,9 +246,8 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 			// published, not one the watchdog may have abandoned.
 			_ = st.Remove(out.SpillFiles...)
 		}
-		rec := step2Record(i, size, int64(out.Graph.NumVertices()), int64(out.Graph.NumEdges()), out.Distinct)
-		w.graphBytes, w.graphVertices, w.graphEdges = graph.ModelBytes(out.Graph.NumVertices()), rec.Vertices, rec.Edges
-		if err := committer.submit(rec); err != nil {
+		w.claim = step2Record(i, size, int64(out.Graph.NumVertices()), int64(out.Graph.NumEdges()), out.Distinct)
+		if err := committer.submit(w.claim); err != nil {
 			return err // retried: the subgraph is published again
 		}
 		// Written: this was the last use of its vertices.
@@ -287,15 +273,15 @@ func runStep2(ctx context.Context, partStats []msp.PartitionStats, cfg Config, s
 	return works, stats, nil
 }
 
-// step2Counters is what a partition constructed as out, routed by plan (nil:
-// in-core), adds to the run's counters, decoded the encoded bytes its reads
-// consumed.
-func step2Counters(out device.Step2Output, plan *spillPlan, decoded int64) Step2Counters {
-	c := Step2Counters{Hash: out.Hash, DecodedBytes: decoded, Spill: out.Spill}
+// partitionWork is what a partition constructed as out, routed by plan
+// (nil: in-core), reports, decoded the encoded bytes its reads consumed.
+func partitionWork(out device.Step2Output, plan *spillPlan, decoded int64) PartitionWork {
+	w := PartitionWork{Kmers: out.Kmers, Distinct: out.Distinct, TableBytes: out.TableBytes,
+		Spill: out.Spill, Hash: out.Hash, DecodedBytes: decoded}
 	if plan != nil {
-		c.Spilled, c.AutoRouted = true, plan.auto
+		w.SpillBufferBytes, w.AutoRouted = plan.budget, plan.auto
 	}
-	return c
+	return w
 }
 
 // step2Slots gives a multi-threaded CPU two partitions in flight, so its
@@ -345,20 +331,16 @@ func (c *byteCount) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// foldStep2Works accumulates the per-partition Step 2 measurements into the
-// run stats — graph sizes and work counters — and returns the largest
-// single-partition residency (table + encoded input + graph, the graph at
-// the model's width) for the peak-memory estimate.
+// foldStep2Works folds the partitions constructed this run into the run
+// stats — each one's claim and its work counters — and returns the largest
+// single-partition residency (table or run buffer + encoded input + graph,
+// the graph at the model's width) for the peak-memory estimate.
 func foldStep2Works(st *Stats, works []step2Work) int64 {
 	var peak int64
 	for _, w := range works {
-		st.DistinctVertices += w.distinct
-		st.GraphVertices += w.graphVertices
-		st.GraphEdges += w.graphEdges
-		st.foldCounters(w.counters)
-		if resident := w.tableBytes + w.fileBytes + w.graphBytes + w.spillBufferBytes; resident > peak {
-			peak = resident
-		}
+		st.foldStep2Record(w.claim)
+		st.foldCounters(w.PartitionWork)
+		peak = max(peak, w.TableBytes+w.fileBytes+w.graphBytes()+w.SpillBufferBytes)
 	}
 	return peak
 }
@@ -523,10 +505,10 @@ func step2Construct(ctx context.Context, p device.Processor, sks []msp.Superkmer
 // step2Cost returns processor p's virtual seconds for one partition.
 func step2Cost(cfg Config, p device.Processor, w step2Work) float64 {
 	if p.Kind() == device.KindCPU {
-		return cfg.Calibration.CPUStep2Seconds(w.kmers, cpuThreadsOf(p), w.tableBytes)
+		return cfg.Calibration.CPUStep2Seconds(w.Kmers, cpuThreadsOf(p), w.TableBytes)
 	}
-	transfer := w.fileBytes + w.graphBytes
-	return cfg.Calibration.GPUStep2Seconds(w.kmers, transfer, w.tableBytes)
+	transfer := w.fileBytes + w.graphBytes()
+	return cfg.Calibration.GPUStep2Seconds(w.Kmers, transfer, w.TableBytes)
 }
 
 // scheduleStep2 computes the step's virtual-time schedule.
@@ -539,7 +521,7 @@ func scheduleStep2(works []step2Work, cfg Config, procs []device.Processor) (Ste
 			costs[p] = step2Cost(cfg, proc, w)
 			solo[p] += costs[p]
 		}
-		outputSeconds := cfg.Calibration.WriteSeconds(cfg.Medium, w.graphBytes)
+		outputSeconds := cfg.Calibration.WriteSeconds(cfg.Medium, w.graphBytes())
 		if cfg.ExcludeGraphOutput {
 			outputSeconds = 0
 		}
@@ -547,7 +529,7 @@ func scheduleStep2(works []step2Work, cfg Config, procs []device.Processor) (Ste
 			InputSeconds:   cfg.Calibration.ReadSeconds(cfg.Medium, w.fileBytes),
 			OutputSeconds:  outputSeconds,
 			ComputeSeconds: costs,
-			WorkUnits:      w.distinct,
+			WorkUnits:      w.Distinct,
 		}
 	}
 	sched, err := pipeline.Simulate(parts, len(procs))

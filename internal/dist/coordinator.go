@@ -262,17 +262,13 @@ func (c *coordinator) handleDone(w *workerState, m Message) error {
 		c.opts.Logf("dist: fenced stale write from %s (partition %d, token %d)", w.id, m.Partition, m.Token)
 		return c.plan.DiscardFenced(m.Partition, m.Token)
 	}
-	if !covers(w.lease, m.Partition) || w.lease.done[m.Partition] {
-		// A result for a partition the lease does not hold is a protocol
-		// violation; treat it as a worker failure.
-		c.opts.Logf("dist: worker %s reported partition %d outside its lease", w.id, m.Partition)
+	if m.Work == nil || !covers(w.lease, m.Partition) || w.lease.done[m.Partition] {
+		// A result without its work, or for a partition the lease does not
+		// hold, is a protocol violation; treat it as a worker failure.
+		c.opts.Logf("dist: worker %s reported partition %d without its work or outside its lease", w.id, m.Partition)
 		return c.strike(w)
 	}
-	var counters core.Step2Counters
-	if m.Counters != nil {
-		counters = *m.Counters
-	}
-	if err := c.plan.PromoteFenced(c.ctx, m.Partition, m.Token, m.Distinct, counters); err != nil {
+	if err := c.plan.PromoteFenced(c.ctx, m.Partition, m.Token, *m.Work); err != nil {
 		if !errors.Is(err, core.ErrFencedRefused) {
 			return err // the group commit failed: nothing more can be claimed
 		}

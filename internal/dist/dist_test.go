@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -121,14 +123,17 @@ var protocolSamples = []Message{
 	{Type: TypeHello, Worker: "w0"},
 	{Type: TypeAssign, Token: 3, Partitions: []int{4, 5, 6}, LeaseMS: 2000},
 	{Type: TypeHeartbeat, Worker: "w0", Token: 3},
-	{Type: TypeDone, Worker: "w0", Token: 3, Partition: 4, Name: "subgraphs/0004.t3",
-		Bytes: 128, Vertices: 7, Edges: 9, Distinct: 7, Kmers: 40},
-	{Type: TypeDone, Worker: "w1", Token: 4, Partition: 6, Name: "subgraphs/0006.t4",
-		Bytes: 96, Vertices: 5, Edges: 6, Distinct: 5, Kmers: 30, Counters: &core.Step2Counters{
-			Hash:         core.HashStats{Inserts: 5, Updates: 25, Probes: 31, LockWaits: 2, CASFailures: 1},
-			DecodedBytes: 210, Spilled: true, AutoRouted: true,
-			Spill: device.SpillCounts{Runs: 3, SpilledBytes: 144, MergePasses: 1},
-		}},
+	{Type: TypeDone, Worker: "w0", Token: 3, Partition: 4, Work: &core.PartitionWork{
+		Kmers: 40, Distinct: 7, TableBytes: 512,
+		Hash:         core.HashStats{Inserts: 7, Updates: 33, Probes: 44},
+		DecodedBytes: 96,
+	}},
+	{Type: TypeDone, Worker: "w1", Token: 4, Partition: 6, Work: &core.PartitionWork{
+		Kmers: 30, Distinct: 5, SpillBufferBytes: 2048, AutoRouted: true,
+		Spill:        device.SpillCounts{Runs: 3, SpilledBytes: 144, MergePasses: 1},
+		Hash:         core.HashStats{Inserts: 5, Updates: 25, Probes: 31, LockWaits: 2, CASFailures: 1},
+		DecodedBytes: 210,
+	}},
 	{Type: TypeError, Worker: "w0", Token: 3, Partition: 5, Error: "device lost"},
 	{Type: TypeShutdown},
 }
@@ -151,6 +156,25 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, msgs) {
 		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, msgs)
+	}
+}
+
+// retiredDoneFrame is a done message as workers sent it before a done
+// carried one work field: its sizes and counters as loose keys.
+const retiredDoneFrame = `{"type":"done","worker":"w0","token":3,"partition":4,"name":"subgraphs/0004.t3",` +
+	`"bytes":128,"vertices":7,"edges":9,"distinct":7,"kmers":40,"counters":{"hash":{"inserts":7},` +
+	`"decoded_bytes":96,"spilled":true,"spill":{"spill_runs":2}}}` + "\n"
+
+// TestProtocolIgnoresRetiredDoneFields: an old worker's done frame still
+// decodes — the retired keys are ignored — and carries no work.
+func TestProtocolIgnoresRetiredDoneFields(t *testing.T) {
+	out := make(chan Message, 1)
+	if err := ReadMessages(strings.NewReader(retiredDoneFrame), out); err != nil {
+		t.Fatal(err)
+	}
+	want := Message{Type: TypeDone, Worker: "w0", Token: 3, Partition: 4}
+	if got := <-out; !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 }
 
@@ -195,9 +219,10 @@ func FuzzReadMessages(f *testing.F) {
 	f.Add([]byte("{\"type\":\"hello\"}\ngarbage\n"))
 	f.Add([]byte("\n\n{}\r\n{\"type\":\"assign\",\"partitions\":[]}"))
 	f.Add([]byte(`{"type":"done","token":-1,"partition":1e3}`))
-	f.Add([]byte(`{"type":"done","token":2,"partition":1,"counters":{"hash":{"inserts":3,"updates":-1,` +
-		`"contention_reduction":9},"decoded_bytes":7,"spilled":true,"spill":{"spill_runs":2}}}` + "\n" +
-		`{"type":"done","counters":null}`))
+	f.Add([]byte(`{"type":"done","token":2,"partition":1,"work":{"kmers":9,"hash":{"inserts":3,"updates":-1,` +
+		`"contention_reduction":9},"decoded_bytes":7,"spill_buffer_bytes":64,"spill":{"spill_runs":2}}}` + "\n" +
+		`{"type":"done","work":null}`))
+	f.Add([]byte(retiredDoneFrame))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		out := make(chan Message, bytes.Count(data, []byte("\n"))+1)
 		err := ReadMessages(bytes.NewReader(data), out)
@@ -264,36 +289,76 @@ func TestDistBuildFaultFree(t *testing.T) {
 	checkStoreClean(t, dir)
 }
 
-// TestDistBuildCountsWorkerWork: a -workers build counts its workers' Step 2
-// work — hash table, spill and decoded bytes, carried on each done message
-// and folded once the result is promoted — exactly as a single-process build
-// counts its own, in-core and with every partition spilled.
+// TestDistBuildCountsWorkerWork: a -workers build reports what a
+// single-process build of the same partitions reports — the whole
+// parahash.metrics/v1 document: Step 2's schedule and the peak-memory
+// estimate, charged on the modelled processors, and the hash table, spill and
+// decoded-bytes counters its workers carried on their done messages — but for
+// its dist object and Step 2's measured partitions (the coordinator's own
+// processors construct nothing). In-core, with every partition spilled, and
+// on a resume that rebuilds one lost subgraph.
 func TestDistBuildCountsWorkerWork(t *testing.T) {
 	reads, base := testData(t)
 	base.CPUThreads, base.NumGPUs = 1, 0 // one thread: counts that do not vary run to run
+	document := func(res *core.Result, cfg core.Config) string {
+		m := core.MetricsOf(res, cfg)
+		m.Dist = nil
+		for i := range m.Steps[1].Processors {
+			m.Steps[1].Processors[i].MeasuredPartitions = 0
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	// compare builds cfg with two workers and holds its document to single's.
+	compare := func(name string, single *core.Result, cfg core.Config) *core.Result {
+		t.Helper()
+		_, res, _, err := runDist(t, reads, cfg, &LocalTransport{Cfg: cfg}, Options{Workers: 2, LeaseMS: 5000})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := document(res, cfg), document(single, base); got != want {
+			t.Errorf("%s: the -workers document differs from the single-process one:\n got %s\nwant %s", name, got, want)
+		}
+		return res
+	}
 	for _, budget := range []int64{0, 2048} {
 		base.PartitionMemoryBudgetBytes = budget
 		single, err := core.Build(reads, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := distConfig(base, t.TempDir())
-		_, res, _, err := runDist(t, reads, cfg, &LocalTransport{Cfg: cfg}, Options{Workers: 2, LeaseMS: 5000})
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
+		name := fmt.Sprintf("budget %d", budget)
+		s := compare(name, single, distConfig(base, t.TempDir())).Stats
+		if (budget == 0) != (s.Hash.Inserts > 0) || (budget > 0) != (s.Spill.Partitions == base.NumPartitions) ||
+			s.Step2.Seconds == 0 || s.PeakMemoryBytes == 0 {
+			t.Errorf("%s: nothing counted: hash_table %+v, spill %+v, step 2 %.4fs, peak %d bytes",
+				name, s.Hash, s.Spill, s.Step2.Seconds, s.PeakMemoryBytes)
 		}
-		want, got := core.MetricsOf(single, base), core.MetricsOf(res, cfg)
-		if got.HashTable != want.HashTable {
-			t.Errorf("budget %d: hash_table %+v, single-process %+v", budget, got.HashTable, want.HashTable)
+
+		// Two finished checkpoints lose one subgraph each; one is resumed
+		// single-process, the other with two workers.
+		resume := [2]core.Config{}
+		for j := range resume {
+			cfg := distConfig(base, t.TempDir())
+			if _, err := core.Build(reads, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(filepath.Join(cfg.Checkpoint.Dir, "data", "subgraphs", "0005")); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Checkpoint.Resume = true
+			resume[j] = cfg
 		}
-		if got.Spill != want.Spill {
-			t.Errorf("budget %d: spill %+v, single-process %+v", budget, got.Spill, want.Spill)
+		if single, err = core.Build(reads, resume[0]); err != nil {
+			t.Fatal(err)
 		}
-		if got.MSP.EncodedBytesRead != want.MSP.EncodedBytesRead {
-			t.Errorf("budget %d: msp.encoded_bytes_read %d, single-process %d", budget, got.MSP.EncodedBytesRead, want.MSP.EncodedBytesRead)
-		}
-		if (budget == 0) != (got.HashTable.Inserts > 0) || (budget > 0) != (got.Spill.Partitions == cfg.NumPartitions) {
-			t.Errorf("budget %d: nothing counted: hash_table %+v, spill %+v", budget, got.HashTable, got.Spill)
+		s = compare(name+", resumed", single, resume[1]).Stats
+		if s.ResumedPartitions != base.NumPartitions-1 || s.RebuiltPartitions != 1 || s.Step2.Partitions != 1 {
+			t.Errorf("%s, resumed: %d partitions resumed, %d rebuilt, %d built, want %d, 1, 1",
+				name, s.ResumedPartitions, s.RebuiltPartitions, s.Step2.Partitions, base.NumPartitions-1)
 		}
 	}
 }
@@ -434,13 +499,11 @@ func (c *zombieConn) Kill() {
 			if err != nil {
 				return
 			}
-			out, err := w.Construct(context.Background(), p, core.FencedName(p, a.Token))
+			work, err := w.Construct(context.Background(), p, core.FencedName(p, a.Token))
 			if err != nil {
 				return
 			}
-			c.out <- Message{Type: TypeDone, Worker: "zombie", Token: a.Token,
-				Partition: p, Name: out.Name, Bytes: out.Bytes, Vertices: out.Vertices,
-				Edges: out.Edges, Distinct: out.Distinct, Kmers: out.Kmers, Counters: &out.Counters}
+			c.out <- Message{Type: TypeDone, Worker: "zombie", Token: a.Token, Partition: p, Work: &work}
 		}()
 	})
 }
@@ -508,6 +571,55 @@ func TestZombieWriteIsFencedOff(t *testing.T) {
 		t.Fatalf("%d leases left in the manifest", n)
 	}
 	checkStoreClean(t, dir)
+}
+
+// worklessConn is a worker whose done messages arrive without their work,
+// as an old worker's would.
+type worklessConn struct {
+	Conn
+	out chan Message
+}
+
+func (c *worklessConn) Recv() <-chan Message { return c.out }
+
+// worklessTransport starts worker w0 as a worklessConn over LocalTransport.
+type worklessTransport struct{ local *LocalTransport }
+
+func (t *worklessTransport) Start(ctx context.Context, id string) (Conn, error) {
+	conn, err := t.local.Start(ctx, id)
+	if err != nil || id != "w0" {
+		return conn, err
+	}
+	c := &worklessConn{Conn: conn, out: make(chan Message)}
+	go func() {
+		defer close(c.out)
+		for m := range conn.Recv() {
+			m.Work = nil
+			c.out <- m
+		}
+	}()
+	return c, nil
+}
+
+// TestDoneWithoutWorkIsRefused: a done message that carries no work is a
+// protocol violation — the worker is struck and its partitions go to a
+// survivor, so nothing is promoted that the run's stats cannot count.
+func TestDoneWithoutWorkIsRefused(t *testing.T) {
+	reads, base := testData(t)
+	oracle := oracleBytes(t, reads, base)
+	cfg := distConfig(base, t.TempDir())
+	tr := &worklessTransport{local: &LocalTransport{Cfg: cfg}}
+	_, res, stats, err := runDist(t, reads, cfg, tr, Options{Workers: 2, LeaseMS: 5000})
+	if err != nil {
+		t.Fatalf("distributed build with a workless worker failed: %v", err)
+	}
+	checkConverged(t, res, oracle)
+	if stats.Reassignments < 1 {
+		t.Fatalf("the workless worker's partitions were never reassigned: %+v", stats)
+	}
+	if h := res.Stats.Hash; h.Inserts != res.Stats.DistinctVertices {
+		t.Fatalf("hash inserts %d, want one per distinct vertex (%d)", h.Inserts, res.Stats.DistinctVertices)
+	}
 }
 
 // TestDistBuildOutOfCore runs the distributed build with a per-partition

@@ -60,18 +60,13 @@ type Message struct {
 	Partitions []int `json:"partitions,omitempty"`
 	LeaseMS    int64 `json:"lease_ms,omitempty"`
 
-	// Done / error fields.
-	Partition int    `json:"partition,omitempty"`
-	Name      string `json:"name,omitempty"`
-	Bytes     int64  `json:"bytes,omitempty"`
-	Vertices  int64  `json:"vertices,omitempty"`
-	Edges     int64  `json:"edges,omitempty"`
-	Distinct  int64  `json:"distinct,omitempty"`
-	Kmers     int64  `json:"kmers,omitempty"`
-	// Counters is the partition's work (hash table, spill, decoded bytes),
-	// folded into the run's stats once the result is promoted.
-	Counters *core.Step2Counters `json:"counters,omitempty"`
-	Error    string              `json:"error,omitempty"`
+	// Done / error fields. Work is what a done partition's construction
+	// reported, folded into the run's stats once the result is promoted;
+	// the fenced file's name and sizes the coordinator derives and reads
+	// itself.
+	Partition int                 `json:"partition,omitempty"`
+	Work      *core.PartitionWork `json:"work,omitempty"`
+	Error     string              `json:"error,omitempty"`
 }
 
 // WriteMessage encodes one message as a JSON line.

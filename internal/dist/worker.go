@@ -66,7 +66,7 @@ func serveLease(ctx context.Context, id string, w *core.DistWorker, lease Messag
 		if err := faultinject.MaybeStall(ctx, CrashPoint); err != nil {
 			return err
 		}
-		out, err := w.Construct(ctx, p, core.FencedName(p, lease.Token))
+		work, err := w.Construct(ctx, p, core.FencedName(p, lease.Token))
 		if err != nil {
 			if ctx.Err() != nil {
 				return context.Cause(ctx)
@@ -81,8 +81,7 @@ func serveLease(ctx context.Context, id string, w *core.DistWorker, lease Messag
 		// the partition under a new token and the orphan is swept.
 		faultinject.MaybeCrash(CrashPoint)
 		if err := send(Message{Type: TypeDone, Worker: id, Token: lease.Token,
-			Partition: p, Name: out.Name, Bytes: out.Bytes, Vertices: out.Vertices,
-			Edges: out.Edges, Distinct: out.Distinct, Kmers: out.Kmers, Counters: &out.Counters}); err != nil {
+			Partition: p, Work: &work}); err != nil {
 			return err
 		}
 	}

@@ -196,6 +196,15 @@ type StatsSummary struct {
 	KmerVariance float64
 }
 
+// EncodingRatio is the encoded partition bytes over the plain-text bytes
+// they encode (≈0.26 with 2-bit packing), or 0 when nothing was encoded.
+func (s StatsSummary) EncodingRatio() float64 {
+	if s.TotalPlain == 0 {
+		return 0
+	}
+	return float64(s.TotalEncoded) / float64(s.TotalPlain)
+}
+
 // SummarizeStats computes a StatsSummary over per-partition stats.
 func SummarizeStats(stats []PartitionStats) StatsSummary {
 	var s StatsSummary
