@@ -196,13 +196,13 @@ func cmdScrub(w io.Writer, dir string) error {
 		return err
 	}
 	if !rep.ManifestPresent {
-		fmt.Fprintf(w, "no manifest in %s; swept %d in-flight file(s), nothing claimed to verify\n",
-			dir, len(rep.TmpSwept))
+		fmt.Fprintf(w, "no manifest in %s; swept %d leftover file(s), nothing claimed to verify\n",
+			dir, len(rep.Swept))
 		return nil
 	}
 	if !rep.Step1Done {
-		fmt.Fprintf(w, "manifest journals no completed step; a resume reruns everything (swept %d in-flight file(s))\n",
-			len(rep.TmpSwept))
+		fmt.Fprintf(w, "manifest journals no completed step; a resume reruns everything (swept %d leftover file(s))\n",
+			len(rep.Swept))
 		return nil
 	}
 	fmt.Fprintf(w, "step 1 claims verified: %d (damaged %d)\n", rep.Step1Verified, rep.Step1Damaged)
@@ -210,22 +210,22 @@ func cmdScrub(w io.Writer, dir string) error {
 	if rep.SpillVerified > 0 || rep.SpillDamaged > 0 {
 		fmt.Fprintf(w, "spill run claims verified: %d (damaged %d)\n", rep.SpillVerified, rep.SpillDamaged)
 	}
-	for _, name := range rep.TmpSwept {
-		fmt.Fprintf(w, "swept in-flight file: %s\n", name)
-	}
-	for _, name := range rep.SpillSwept {
-		fmt.Fprintf(w, "swept orphaned spill run: %s\n", name)
+	for _, name := range rep.Swept {
+		fmt.Fprintf(w, "swept leftover: %s\n", name)
 	}
 	for _, name := range rep.Quarantined {
 		fmt.Fprintf(w, "quarantined: %s\n", name)
 	}
 	if rep.ManifestRepaired {
-		fmt.Fprintln(w, "manifest repaired: damaged step 2 claims dropped for selective rebuild")
+		fmt.Fprintln(w, "manifest repaired: untrusted claims and stale leases dropped")
 	}
-	if rep.Clean() {
+	switch {
+	case rep.Clean():
 		fmt.Fprintln(w, "checkpoint clean: every claim matches its durable bytes")
-	} else {
+	case len(rep.Quarantined) > 0 || rep.Step1Damaged+rep.Step2Damaged+rep.SpillDamaged > 0:
 		fmt.Fprintln(w, "checkpoint repaired: resume with -resume to rebuild the quarantined partitions")
+	default:
+		fmt.Fprintf(w, "checkpoint tidied: %d leftover file(s) swept, no claim damaged\n", len(rep.Swept))
 	}
 	return nil
 }

@@ -302,6 +302,26 @@ func TestScrub(t *testing.T) {
 		t.Fatalf("clean checkpoint scrub output:\n%s", out.String())
 	}
 
+	// Leftovers alone damage nothing: scrub names each file it sweeps and
+	// asks for no rebuild.
+	for _, name := range []string{"subgraphs/0002.tmp", "subgraphs/0005.t7"} {
+		if err := os.WriteFile(filepath.Join(dir, "data", filepath.FromSlash(name)), []byte("left behind"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.Reset()
+	if err := run([]string{"scrub", dir}, &out, &errw); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"swept leftover: subgraphs/0002.tmp", "swept leftover: subgraphs/0005.t7", "checkpoint tidied"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("scrub output missing %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "resume with -resume") {
+		t.Errorf("a scrub that quarantined nothing asks for a rebuild:\n%s", out.String())
+	}
+
 	// Truncate one subgraph; scrub must quarantine it and report repair.
 	victim := filepath.Join(dir, "data", "subgraphs", "0003")
 	data, err := os.ReadFile(victim)

@@ -159,9 +159,9 @@ func run(args []string, stdout io.Writer) error {
 	api = server.Handler(mgr)
 	close(ready)
 	rec := mgr.Recovery()
-	if len(rec.Requeued) > 0 || rec.TmpSwept > 0 {
-		fmt.Fprintf(stdout, "recovery: %d jobs re-queued (%s), %d orphaned tmp files swept\n",
-			len(rec.Requeued), strings.Join(rec.Requeued, ", "), rec.TmpSwept)
+	if len(rec.Requeued) > 0 || rec.Swept > 0 {
+		fmt.Fprintf(stdout, "recovery: %d jobs re-queued (%s), %d leftover files swept\n",
+			len(rec.Requeued), strings.Join(rec.Requeued, ", "), rec.Swept)
 	}
 	fmt.Fprintln(stdout, "parahashd ready")
 

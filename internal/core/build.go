@@ -132,7 +132,7 @@ func assembleResult(cfg Config, st store.PartitionStore, s1 step1Result, works [
 		for _, rec := range ck.step2Skip {
 			s.foldStep2Record(rec)
 		}
-		s.ResumedPartitions, s.RebuiltPartitions = ck.resumed, ck.rebuilt()
+		s.ResumedPartitions, s.RebuiltPartitions = len(ck.step2Skip), ck.rebuilt()
 	}
 	s.DuplicateVertices = s.TotalKmers - s.DistinctVertices
 	if err := res.finish(cfg); err != nil {

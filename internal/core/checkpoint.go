@@ -7,6 +7,9 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
 	"sync"
 
 	"parahash/internal/diskstore"
@@ -66,11 +69,16 @@ type checkpoint struct {
 	// out-of-core merges these runs directly instead of re-spilling.
 	spillReady map[int][]manifest.SpillRun
 
-	// resumed counts partitions skipped because their Step 2 artifact
-	// verified; rebuiltSet collects partitions whose manifest claim failed
+	// rebuiltSet collects partitions whose manifest claim failed
 	// verification and had to be re-executed.
-	resumed    int
 	rebuiltSet map[int]bool
+
+	// What assess found, for Scrub to report and quarantine: the claimed
+	// files that failed verification, the claimed runs that verified or
+	// not, and whether it changed the manifest (dropped a claim or a lease).
+	damaged                   []string
+	runsVerified, runsDamaged int
+	changed                   bool
 }
 
 // errCheckpointClosed is what a straggling attempt gets for journalling
@@ -112,26 +120,36 @@ func wrapBuildStore(cfg Config, st store.PartitionStore) store.PartitionStore {
 	return st
 }
 
-// openCheckpoint resolves the configured store. Without a checkpoint
-// directory it returns the in-memory simulated store and a nil checkpoint —
-// the historical behaviour. With one it opens the durable disk store,
-// loads (or initialises) the manifest, and on resume assesses every claim.
-func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
-	if cfg.Checkpoint.Dir == "" {
-		return wrapBuildStore(cfg, iosim.NewStore()), nil, nil
-	}
-	ds, err := diskstore.Open(filepath.Join(cfg.Checkpoint.Dir, "data"))
+// newCheckpoint opens the durable store of the checkpoint directory dir;
+// the manifest is the caller's to load or make.
+func newCheckpoint(dir string) (*checkpoint, error) {
+	ds, err := diskstore.Open(filepath.Join(dir, "data"))
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: opening checkpoint store: %w", err)
+		return nil, fmt.Errorf("core: opening checkpoint store: %w", err)
 	}
-	ck := &checkpoint{
+	return &checkpoint{
 		ds:           ds,
-		path:         filepath.Join(cfg.Checkpoint.Dir, "manifest.json"),
+		path:         filepath.Join(dir, "manifest.json"),
 		step1Rebuild: make(map[int]bool),
 		step2Skip:    make(map[int]manifest.Step2Partition),
 		spillReady:   make(map[int][]manifest.SpillRun),
 		spilled:      make(map[int]bool),
 		rebuiltSet:   make(map[int]bool),
+	}, nil
+}
+
+// openCheckpoint resolves the configured store. Without a checkpoint
+// directory it returns the in-memory simulated store and a nil checkpoint —
+// the historical behaviour. With one it opens the durable disk store,
+// loads (or initialises) the manifest, and on resume sweeps the leftovers
+// and assesses every claim.
+func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
+	if cfg.Checkpoint.Dir == "" {
+		return wrapBuildStore(cfg, iosim.NewStore()), nil, nil
+	}
+	ck, err := newCheckpoint(cfg.Checkpoint.Dir)
+	if err != nil {
+		return nil, nil, err
 	}
 	fp := cfg.fingerprint()
 	if cfg.Checkpoint.Resume {
@@ -141,9 +159,14 @@ func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
 			if err := m.Validate(fp, cfg.NumPartitions); err != nil {
 				return nil, nil, err
 			}
+			// Against the claims as loaded: a run whose claim assess drops
+			// only in memory must survive a crash before the next save.
+			if _, err := sweepLeftovers(ck.ds, m); err != nil {
+				return nil, nil, fmt.Errorf("core: sweeping checkpoint leftovers: %w", err)
+			}
 			ck.man = m
-			ck.assess(cfg)
-			return wrapBuildStore(cfg, ds), ck, nil
+			ck.assess(cfg.K)
+			return wrapBuildStore(cfg, ck.ds), ck, nil
 		case os.IsNotExist(err):
 			// No manifest yet — nothing durable to trust; fall through to a
 			// fresh start in the same directory.
@@ -157,20 +180,27 @@ func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
 	if err := os.Remove(ck.path); err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("core: clearing checkpoint manifest: %w", err)
 	}
-	if err := ds.Reset(); err != nil {
+	if err := ck.ds.Reset(); err != nil {
 		return nil, nil, fmt.Errorf("core: clearing checkpoint store: %w", err)
 	}
 	ck.man = manifest.New(fp, cfg.NumPartitions)
 	if err := ck.man.Save(ck.path); err != nil {
 		return nil, nil, err
 	}
-	return wrapBuildStore(cfg, ds), ck, nil
+	return wrapBuildStore(cfg, ck.ds), ck, nil
 }
 
-// assess verifies every manifest claim against the durable store and fills
-// the resume plan. It never fails: an unverifiable claim just downgrades to
-// a rebuild of that partition.
-func (ck *checkpoint) assess(cfg Config) {
+// assess is the one judgement of a checkpoint's claims, resume's and
+// Scrub's: it verifies every claim against the durable store and fills the
+// resume plan. k is the build's, or 0 to take each file header's (Scrub
+// knows no k). It never fails: an unverifiable claim just downgrades to a
+// rebuild of that partition. What it drops — claims it cannot trust, and
+// the leases of a dead fleet — it drops in memory, for the next save.
+//
+// The Step 1 file of a partition whose subgraph verified is not read: a
+// resume never reads it, and a bad one would force a Step 1 re-scan for
+// nothing (DESIGN §7). Scrub checks those itself.
+func (ck *checkpoint) assess(k int) {
 	m := ck.man
 	if !m.Step1Done {
 		// A crash before Step 1 completion leaves only unpublished *.tmp
@@ -180,17 +210,22 @@ func (ck *checkpoint) assess(cfg Config) {
 		return
 	}
 	ck.step1Valid = true
-	var claimed []int
+	// A resumed build owns the whole partition space, single-process or
+	// -workers; the token high-water stays, keeping tokens unique.
+	if len(m.Leases) > 0 {
+		m.ClearLeases()
+		ck.changed = true
+	}
 	for i := 0; i < m.Partitions; i++ {
 		if rec := m.Step2For(i); rec != nil {
-			if verifySubgraphFile(ck.ds, cfg.K, rec) {
+			if verifySubgraphFile(ck.ds, k, rec) {
 				ck.step2Skip[i] = *rec
-				ck.resumed++
-				claimed = append(claimed, i)
 				continue
 			}
+			ck.damaged = append(ck.damaged, rec.Name)
 			m.DropStep2(i)
 			ck.rebuiltSet[i] = true
+			ck.changed = true
 		}
 		// Spill claims are trusted for a merge-only resume only when the run
 		// scan completed before the crash and every claimed run file
@@ -200,39 +235,36 @@ func (ck *checkpoint) assess(cfg Config) {
 		// the partition's whole spill state; it re-spills from its Step 1
 		// file, overwriting the same deterministic run names.
 		if runs := m.SpillRunsFor(i); len(runs) > 0 || m.IsSpillDone(i) {
-			if m.IsSpillDone(i) && verifySpillRuns(ck.ds, cfg.K, runs) {
+			ready := m.IsSpillDone(i)
+			for _, rec := range runs {
+				if verifySpillRunFile(ck.ds, k, rec) {
+					ck.runsVerified++
+				} else {
+					ck.damaged = append(ck.damaged, rec.Name)
+					ck.runsDamaged++
+					ready = false
+				}
+			}
+			if ready {
 				ck.spillReady[i] = runs
 			} else {
 				m.DropSpill(i)
+				ck.changed = true
 			}
 		}
 		// The partition will run Step 2, so its Step 1 file must be intact.
-		if !ck.verifyStep1(m.Step1For(i)) {
+		if rec := m.Step1For(i); !verifyStep1File(ck.ds, rec) {
+			ck.damaged = append(ck.damaged, rec.Name)
 			ck.step1Rebuild[i] = true
 			ck.rebuiltSet[i] = true
 		}
 	}
-	// A kill between a commit group's save and its sweep leaves the claimed
-	// partitions' spill files behind, and this run skips those partitions.
-	if len(claimed) > 0 {
-		sweepSpill(ck.ds, claimed)
-	}
-}
-
-// verifyStep1 checks a claimed partition file against the durable store.
-func (ck *checkpoint) verifyStep1(rec *manifest.Step1Partition) bool {
-	return verifyStep1File(ck.ds, rec)
 }
 
 // verifyStep1File checks a claimed partition file: present, the recorded
 // size, and a full decode under RequireFooter whose record CRC matches the
-// manifest's independently recorded checksum. Resume assessment and the
-// Scrub repair pass share this exact judgement, so a claim Scrub verifies
-// clean is by construction one a resume will trust.
+// manifest's independently recorded checksum.
 func verifyStep1File(ds store.PartitionStore, rec *manifest.Step1Partition) bool {
-	if rec == nil {
-		return false
-	}
 	if sz, err := ds.Size(rec.Name); err != nil || sz != rec.Bytes {
 		return false
 	}
@@ -254,12 +286,8 @@ func verifyStep1File(ds store.PartitionStore, rec *manifest.Step1Partition) bool
 
 // verifySubgraphFile checks a claimed subgraph file by checkSubgraphFile's
 // judgement, and that it is the file claimed: the recorded size and vertex
-// count. Resume assessment and Scrub share it, so a claim Scrub verifies
-// clean is by construction one a resume will trust.
+// count.
 func verifySubgraphFile(ds store.PartitionStore, k int, rec *manifest.Step2Partition) bool {
-	if rec == nil {
-		return false
-	}
 	if sz, err := ds.Size(rec.Name); err != nil || sz != rec.Bytes {
 		return false
 	}
@@ -287,20 +315,9 @@ func checkSubgraphFile(ds store.PartitionStore, name string, k int) (vertices, e
 	return vertices, edges, r.Size(), err
 }
 
-// verifySpillRuns checks every journalled run of a partition: present, the
-// recorded size, a clean streaming verification (structure, sort order,
-// CRC footer) and a checksum matching the manifest's independent record.
-func verifySpillRuns(ds store.PartitionStore, k int, runs []manifest.SpillRun) bool {
-	for _, rec := range runs {
-		if !verifySpillRunFile(ds, k, rec) {
-			return false
-		}
-	}
-	return true
-}
-
-// verifySpillRunFile applies the spill-run judgement shared by resume
-// assessment and Scrub.
+// verifySpillRunFile checks a claimed spill run: present, the recorded
+// size, a clean streaming verification (structure, sort order, CRC footer)
+// and a checksum matching the manifest's independent record.
 func verifySpillRunFile(ds store.PartitionStore, k int, rec manifest.SpillRun) bool {
 	if sz, err := ds.Size(rec.Name); err != nil || sz != rec.Bytes {
 		return false
@@ -385,8 +402,7 @@ func step2Record(i int, size, vertices, edges, distinct int64) manifest.Step2Par
 // partitions accumulated are dropped in the same atomic save — a subgraph
 // supersedes its runs — and the run files of every partition that spilled,
 // claimed or not, removed afterwards (a crash in between leaves orphans,
-// swept by the next resume's assess or by Scrub). Safe to repeat after a
-// failed save.
+// which sweepLeftovers removes). Safe to repeat after a failed save.
 func (ck *checkpoint) markStep2(group ...manifest.Step2Partition) error {
 	ck.mu.Lock()
 	for _, rec := range group {
@@ -412,8 +428,10 @@ func (ck *checkpoint) markStep2(group ...manifest.Step2Partition) error {
 // sweepSpill best-effort removes everything under the partitions' spill
 // directories — journalled runs and the merge intermediates that continue
 // their ordinals unjournalled — with one listing of the store and one
-// removal, which flushes each directory once. Called only once the
-// partitions' subgraphs are claimed and the runs prove nothing.
+// removal, which flushes each directory once. Called mid-build, once the
+// partitions' subgraphs are claimed and the runs prove nothing: the
+// unclaimed runs of partitions still in flight are live, so sweepLeftovers
+// would not do.
 func sweepSpill(st store.PartitionStore, parts []int) {
 	names, err := st.List()
 	if err != nil {
@@ -431,6 +449,49 @@ func sweepSpill(st store.PartitionStore, parts []int) {
 	}
 	_ = st.Remove(runs...)
 }
+
+// sweepLeftovers is the one rule for what a checkpoint directory may hold
+// beside the claims of m, its durable manifest (nil: nothing is claimed).
+// It removes orphaned *.tmp files (diskstore.SweepTmp spares writers still
+// open in this process), fenced worker results — subgraphs/NNNN.tK, and
+// spill/NNNN/run-MMMM.tK with the rest of spill/ — and every spill/ file no
+// claim names: runs a claimed subgraph superseded, runs of a scan never
+// claimed, merge intermediates. Unclaimed canonical superkmers/ and
+// subgraphs/ files stay, because a rebuild overwrites them under the same
+// name (DESIGN §7), and so does any file it does not recognise. No other
+// process may be writing to the store. It returns the removed names, sorted.
+func sweepLeftovers(ds *diskstore.Store, m *manifest.Manifest) ([]string, error) {
+	swept, err := ds.SweepTmp()
+	if err != nil {
+		return nil, err
+	}
+	names, err := ds.List()
+	if err != nil {
+		return nil, err
+	}
+	claimed := make(map[string]bool)
+	if m != nil {
+		for _, rec := range m.SpillRuns {
+			claimed[rec.Name] = true
+		}
+	}
+	var gone []string
+	for _, name := range names {
+		if strings.HasPrefix(name, "spill/") && !claimed[name] || fencedSubgraph.MatchString(name) {
+			gone = append(gone, name)
+		}
+	}
+	if err := ds.Remove(gone...); err != nil {
+		return nil, err
+	}
+	swept = append(swept, gone...)
+	sort.Strings(swept)
+	return swept, nil
+}
+
+// fencedSubgraph matches a worker's fenced subgraph: a canonical subgraph
+// name with a ".t<token>" suffix (FencedName).
+var fencedSubgraph = regexp.MustCompile(`^subgraphs/\d+\.t\d+$`)
 
 // journalSpillScan claims a partition's completed run scan — every run it
 // spilled plus the spill-done mark — in one save, so a crash from here on

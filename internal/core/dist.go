@@ -107,18 +107,13 @@ func prepareDistBuild(ctx context.Context, src chunkSource, cfg Config) (*DistPl
 	if err != nil {
 		return nil, canceledErr(ctx, fmt.Errorf("core: step 1 (MSP partitioning): %w", err))
 	}
-	// Any leases in a resumed manifest belong to a dead coordinator; this
-	// process owns the whole partition space now. So do any journalled
-	// spill runs: they were scanned by a dead single-process build, and
-	// workers spill under their own fenced names instead of reading the
-	// manifest, so nothing will ever merge them — drop the claims in the
-	// same save, then remove the files.
+	// Any journalled spill runs were scanned by a dead single-process build,
+	// and workers spill under their own fenced names instead of reading the
+	// manifest, so nothing will ever merge them: drop the claims, then sweep
+	// the leftovers against the saved manifest — the runs, and what a dead
+	// fleet published but never reported (fenced results, whose tokens are
+	// below the preserved high-water), before leasing the space out.
 	ck.mu.Lock()
-	ck.man.ClearLeases()
-	var staleRuns []string
-	for _, rec := range ck.man.SpillRuns {
-		staleRuns = append(staleRuns, rec.Name)
-	}
 	ck.man.SpillRuns, ck.man.SpillDone = nil, nil
 	ck.spillReady = map[int][]manifest.SpillRun{}
 	err = ck.save()
@@ -126,12 +121,8 @@ func prepareDistBuild(ctx context.Context, src chunkSource, cfg Config) (*DistPl
 	if err != nil {
 		return nil, err
 	}
-	_ = ck.ds.Remove(staleRuns...) // best-effort; scrub sweeps leftovers
 	p := &DistPlan{cfg: cfg, st: st, ck: ck, s1: s1, promoted: map[int]step2Work{}}
-	// So are any fenced orphans: results the dead fleet published but never
-	// reported. Nothing will ever promote them (their tokens are below the
-	// preserved high-water), so sweep them before leasing the space out.
-	if _, err := p.SweepFenced(); err != nil {
+	if _, err := p.SweepLeftovers(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -244,31 +235,17 @@ func (p *DistPlan) DiscardFenced(i int, token int64) error {
 	return p.ck.ds.Remove(FencedName(i, token))
 }
 
-// SweepFenced removes every fenced file still in the store — the orphans of
-// revoked leases whose workers published after losing their claim: fenced
-// subgraphs, and the fenced spill runs of workers killed mid-merge on an
-// out-of-core partition — with one directory flush per directory. Returns
-// the swept names. Run after the build completes so the checkpoint directory
-// holds exactly the canonical artifacts.
-func (p *DistPlan) SweepFenced() ([]string, error) {
-	names, err := p.ck.ds.List()
-	if err != nil {
-		return nil, err
-	}
-	var swept []string
-	for _, name := range names {
-		var idx, run int
-		var token int64
-		if n, _ := fmt.Sscanf(name, "subgraphs/%04d.t%d", &idx, &token); n == 2 {
-			swept = append(swept, name)
-		} else if n, _ := fmt.Sscanf(name, "spill/%04d/run-%04d.t%d", &idx, &run, &token); n == 3 {
-			swept = append(swept, name)
-		}
-	}
-	if err := p.ck.ds.Remove(swept...); err != nil {
-		return nil, err
-	}
-	return swept, nil
+// SweepLeftovers removes what the checkpoint may not keep beside the
+// plan's claims (sweepLeftovers): orphaned *.tmp files, fenced files —
+// the orphans of revoked leases whose workers published after losing their
+// claim, and the fenced spill runs of workers killed mid-merge — and every
+// unclaimed spill file. It returns the swept names. Run only while no
+// worker is alive, so the checkpoint directory holds exactly the canonical
+// artifacts.
+func (p *DistPlan) SweepLeftovers() ([]string, error) {
+	p.ck.mu.Lock()
+	defer p.ck.mu.Unlock()
+	return sweepLeftovers(p.ck.ds, p.ck.man)
 }
 
 // Done reports whether every partition's Step 2 completion is journalled.
@@ -355,7 +332,7 @@ func NewDistWorker(cfg Config) (*DistWorker, error) {
 // does, after promotion, for the files it is about to claim. A spilled
 // partition's runs carry outName's token and are never claimed: they go
 // once the subgraph is published, and a worker killed first leaves fenced
-// orphans that SweepFenced removes. It returns what the construction
+// orphans that SweepLeftovers removes. It returns what the construction
 // reports, for the coordinator to promote the file with.
 func (w *DistWorker) Construct(ctx context.Context, index int, outName string) (PartitionWork, error) {
 	cfg, st := w.cfg, w.st

@@ -103,7 +103,7 @@ func TestPromoteFencedRefusesDamagedFiles(t *testing.T) {
 	if err := plan.PromoteFenced(ctx, victim, token, work); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.SweepFenced(); err != nil {
+	if _, err := plan.SweepLeftovers(); err != nil {
 		t.Fatal(err)
 	}
 	res, err := plan.Finish(DistStats{})

@@ -92,8 +92,8 @@ func TestScrubRepairsDamagedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.TmpSwept) != 1 || rep.TmpSwept[0] != "superkmers/0001.tmp" {
-		t.Fatalf("TmpSwept = %v", rep.TmpSwept)
+	if len(rep.Swept) != 1 || rep.Swept[0] != "superkmers/0001.tmp" {
+		t.Fatalf("Swept = %v", rep.Swept)
 	}
 	// Bit-flips are caught by CRC (step1) and, for the fixed-size subgraph
 	// encoding, by the parse/vertex-count check.
@@ -129,7 +129,7 @@ func TestScrubRepairsDamagedCheckpoint(t *testing.T) {
 	}
 	// Partition 5's Step 1 claim remains with its file quarantined — scrub
 	// keeps reporting it damaged (idempotent), but nothing new moves.
-	if len(again.TmpSwept) != 0 || again.Step2Damaged != 0 || len(again.Quarantined) != 0 {
+	if len(again.Swept) != 0 || again.Step2Damaged != 0 || len(again.Quarantined) != 0 {
 		t.Fatalf("second scrub not idempotent: %+v", again)
 	}
 
@@ -211,5 +211,84 @@ func TestDiskFullFailsGracefully(t *testing.T) {
 	}
 	if res.Stats.ResumedPartitions == 0 {
 		t.Fatal("resume after disk-full resumed nothing (Step 2 progress lost)")
+	}
+}
+
+// TestNothingOutlivesResumeOrScrub plants in a finished checkpoint one
+// leftover of each kind a crash or a dead fleet leaves — a fenced subgraph,
+// a fenced run, an orphaned *.tmp and an unclaimed run. A single-process
+// resume and a Scrub judge the checkpoint by the same rule, so each removes
+// all four: the resume to the finished build's graph, the Scrub to a
+// checkpoint a second Scrub finds clean. A resume also drops a dead fleet's
+// leases and keeps its token high-water.
+func TestNothingOutlivesResumeOrScrub(t *testing.T) {
+	reads := tinyReads(t)
+	cfg, dir := ckConfig(t)
+	cfg.KeepSubgraphs = false
+	want := writtenGraph(t, buildCheckpointed(t, reads, cfg))
+	leftovers := []string{"subgraphs/0005.t7", "spill/0009/run-0002.t3", "subgraphs/0004.tmp", spillRunFile(2, 0)}
+	plant := func() {
+		t.Helper()
+		for _, name := range leftovers {
+			p := dataFile(dir, name)
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, []byte("left behind"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkGone := func(after string) {
+		t.Helper()
+		for _, name := range leftovers {
+			if _, err := os.Stat(dataFile(dir, name)); !os.IsNotExist(err) {
+				t.Errorf("%s survived the %s (%v)", name, after, err)
+			}
+		}
+	}
+	cfg.Checkpoint.Resume = true
+
+	plant()
+	if got := writtenGraph(t, buildCheckpointed(t, reads, cfg)); !bytes.Equal(got, want) {
+		t.Error("the resumed graph differs from the finished build's")
+	}
+	checkGone("resume")
+
+	plant()
+	rep, err := Scrub(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Swept) != len(leftovers) || len(rep.Quarantined) != 0 || rep.ManifestRepaired {
+		t.Errorf("scrub of leftovers alone: %+v", rep)
+	}
+	checkGone("scrub")
+	if again, err := Scrub(dir); err != nil || !again.Clean() || again.ManifestRepaired {
+		t.Errorf("second scrub: %+v, %v", again, err)
+	}
+
+	// A dead fleet's lease, and a lost subgraph so the resume saves.
+	manPath := filepath.Join(dir, "manifest.json")
+	m, err := manifest.Load(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := m.NextLeaseToken()
+	m.SetLease(manifest.Lease{Start: 3, Count: 2, Worker: "w0", Token: token})
+	if err := m.Save(manPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(dataFile(dir, subgraphFile(3))); err != nil {
+		t.Fatal(err)
+	}
+	if got := writtenGraph(t, buildCheckpointed(t, reads, cfg)); !bytes.Equal(got, want) {
+		t.Error("the graph resumed past a lease differs from the finished build's")
+	}
+	if m, err = manifest.Load(manPath); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Leases) != 0 || m.LeaseToken != token {
+		t.Errorf("the resume saved leases %+v, token high-water %d; want none, %d", m.Leases, m.LeaseToken, token)
 	}
 }

@@ -501,7 +501,7 @@ func TestResumeDropsMidScanClaims(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rep.ManifestRepaired || rep.SpillDamaged != 0 || len(rep.SpillSwept) == 0 {
+			if !rep.ManifestRepaired || rep.SpillDamaged != 0 || len(rep.Swept) == 0 {
 				t.Fatalf("scrub of a mid-scan claim: %+v", rep)
 			}
 		}

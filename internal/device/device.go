@@ -6,10 +6,10 @@
 // SIMT-structured sweep (warps of 32 work items whose cost is the slowest
 // lane's, reproducing divergence). Results are therefore bit-identical
 // across processors. Kernels charge no time: they return counts — bases,
-// k-mers, table bytes, host<->device transfer bytes — and core's step1Cost
-// and step2Cost turn those into the virtual seconds of the paper's Eq. 1–2
-// model, a GPU's transfer included, which the paper does not overlap with
-// device compute.
+// superkmers, k-mers, table bytes — and core's step1Cost and step2Cost turn
+// those into the virtual seconds of the paper's Eq. 1–2 model, a GPU's
+// host<->device transfer included (derived from the same counts), which the
+// paper does not overlap with device compute.
 package device
 
 import (
@@ -56,8 +56,6 @@ type Step1Output struct {
 	Superkmers []msp.Superkmer
 	// Bases is the number of input bases scanned.
 	Bases int64
-	// TransferBytes is the host<->device traffic (zero on CPU).
-	TransferBytes int64
 }
 
 // Step2Output is the result of hashing one superkmer partition.
@@ -66,8 +64,6 @@ type Step2Output struct {
 	Graph *graph.Subgraph
 	// Kmers is the number of k-mer instances hashed.
 	Kmers int64
-	// TransferBytes is the host<->device traffic (zero on CPU).
-	TransferBytes int64
 	// TableBytes is the hash table footprint used.
 	TableBytes int64
 	// Distinct is the number of distinct vertices found.
@@ -485,8 +481,7 @@ func counterOnlyOutput(table *hashtable.Table) Step2Output {
 // Step1TransferBytes is the GPU Step 1 host<->device traffic model: the
 // 2-bit encoded reads travel down (bases/4 bytes) and one 12-byte
 // (id, offset, length) record per superkmer travels back up (§III-D). The
-// kernel accounting and the scheduler cost model both use this single
-// definition, so the two formulas can never drift apart.
+// scheduler's cost model charges it from Step 1's counts.
 func Step1TransferBytes(bases, superkmers int64) int64 {
 	return bases/4 + superkmers*12
 }
@@ -547,11 +542,7 @@ func (g *GPU) Step1(ctx context.Context, reads []fastq.Read, k, p int) (Step1Out
 		}
 		all = sc.Superkmers(all, rd.Bases)
 	}
-	return Step1Output{
-		Superkmers:    all,
-		Bases:         bases,
-		TransferBytes: Step1TransferBytes(bases, int64(len(all))),
-	}, nil
+	return Step1Output{Superkmers: all, Bases: bases}, nil
 }
 
 // encodedBytes is the encoded size of the records sks stand for, folded
@@ -567,9 +558,9 @@ func encodedBytes(sks []msp.Superkmer) int64 {
 // Step2 runs the hashing kernel in SIMT order: work items (k-mer edge
 // observations, a folded superkmer's weighted once) are processed in warps
 // of 32, and each warp's probe cost is its slowest lane's, reproducing the
-// thread-divergence penalty of §III-D. The device-memory check and the
-// transfer count take the partition as its file holds it, folded copies
-// included, so folding changes neither the verdict nor the transfer.
+// thread-divergence penalty of §III-D. The device-memory check takes the
+// partition as its file holds it, folded copies included, so folding does
+// not change the verdict.
 func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int) (Step2Output, error) {
 	partBytes := encodedBytes(sks)
 	if g.MemoryBytes > 0 {
@@ -637,8 +628,6 @@ func (g *GPU) Step2(ctx context.Context, sks []msp.Superkmer, k, tableSlots int)
 
 	out := collectStep2(table, k, kmers, runtime.GOMAXPROCS(0))
 	g.tables.put(table, 1)
-	// Transfer: the encoded superkmer partition down, the subgraph up.
-	out.TransferBytes = partBytes + graph.ModelBytes(out.Graph.NumVertices())
 	if warps > 0 && warpMeanSum > 0 {
 		out.WarpDivergence = warpMaxSum / warpMeanSum
 	}

@@ -79,9 +79,9 @@ func TestStep2FoldedMatchesExpanded(t *testing.T) {
 		if !bytes.Equal(serialized(t, got.Graph), serialized(t, want.Graph)) {
 			t.Fatalf("%s: folded partition builds a different graph", p.Name())
 		}
-		if got.Kmers != want.Kmers || got.TableBytes != want.TableBytes || got.TransferBytes != want.TransferBytes {
-			t.Fatalf("%s: folded kmers/table/transfer %d/%d/%d, expanded %d/%d/%d", p.Name(),
-				got.Kmers, got.TableBytes, got.TransferBytes, want.Kmers, want.TableBytes, want.TransferBytes)
+		if got.Kmers != want.Kmers || got.TableBytes != want.TableBytes {
+			t.Fatalf("%s: folded kmers/table %d/%d, expanded %d/%d", p.Name(),
+				got.Kmers, got.TableBytes, want.Kmers, want.TableBytes)
 		}
 		if got.Hash.Inserts != want.Hash.Inserts || got.Hash.Inserts+got.Hash.Updates != walkedKmers(folded, k) {
 			t.Fatalf("%s: %d inserts + %d updates, want %d inserts and %d operations in all", p.Name(),
@@ -92,7 +92,7 @@ func TestStep2FoldedMatchesExpanded(t *testing.T) {
 
 // TestGPUStep2ChargesFoldedPartitionInFull: the device holds and receives
 // the partition as its file holds it, so a folded partition gets the same
-// device-memory verdict and transfer as its expanded form — and, since
+// device-memory verdict and counts as its expanded form — and, since
 // core's step2Cost charges from these counts alone, the same virtual time.
 func TestGPUStep2ChargesFoldedPartitionInFull(t *testing.T) {
 	const k, slots = 27, 1 << 16
@@ -115,9 +115,9 @@ func TestGPUStep2ChargesFoldedPartitionInFull(t *testing.T) {
 		if errs[0] != nil {
 			continue
 		}
-		if outs[1].TransferBytes != outs[0].TransferBytes || outs[1].Kmers != outs[0].Kmers || outs[1].TableBytes != outs[0].TableBytes {
-			t.Fatalf("memory %d: folded transfer/kmers/table %d/%d/%d, expanded %d/%d/%d", memory,
-				outs[1].TransferBytes, outs[1].Kmers, outs[1].TableBytes, outs[0].TransferBytes, outs[0].Kmers, outs[0].TableBytes)
+		if outs[1].Kmers != outs[0].Kmers || outs[1].TableBytes != outs[0].TableBytes {
+			t.Fatalf("memory %d: folded kmers/table %d/%d, expanded %d/%d", memory,
+				outs[1].Kmers, outs[1].TableBytes, outs[0].Kmers, outs[0].TableBytes)
 		}
 	}
 }

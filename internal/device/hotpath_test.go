@@ -99,16 +99,6 @@ func TestStep1TransferBytesShared(t *testing.T) {
 	if got := Step1TransferBytes(400, 10); got != 400/4+10*12 {
 		t.Fatalf("Step1TransferBytes(400, 10) = %d", got)
 	}
-	// The GPU's reported transfer must use the shared formula.
-	reads := testReads(t)
-	gpu := &GPU{}
-	out, err := gpu.Step1(context.Background(), reads, 27, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := Step1TransferBytes(out.Bases, int64(len(out.Superkmers))); out.TransferBytes != want {
-		t.Fatalf("GPU transfer %d, want %d", out.TransferBytes, want)
-	}
 }
 
 func TestStep2Chunks(t *testing.T) {

@@ -125,7 +125,8 @@ type coordinator struct {
 // with its token before the worker hears about it), promote verified fenced
 // results into the plan's group commit, and survive worker death, hangs and
 // partitions by lease expiry plus re-assignment. On success every partition
-// is journalled, fenced orphans are swept and no leases remain outstanding.
+// is journalled, leftovers (fenced orphans among them) are swept and no
+// leases remain outstanding.
 // On every path the plan's committer is drained first: when Run returns,
 // each promoted partition is claimed or never will be.
 func Run(ctx context.Context, plan *core.DistPlan, tr Transport, opts Options) (core.DistStats, error) {
@@ -202,12 +203,12 @@ func (c *coordinator) run(ctx context.Context, tr Transport) error {
 	if err := c.plan.Flush(); err != nil {
 		return err
 	}
-	swept, err := c.plan.SweepFenced()
+	swept, err := c.plan.SweepLeftovers()
 	if err != nil {
-		return fmt.Errorf("dist: sweeping fenced orphans: %w", err)
+		return fmt.Errorf("dist: sweeping leftovers: %w", err)
 	}
 	if len(swept) > 0 {
-		c.opts.Logf("dist: swept %d fenced orphan(s): %v", len(swept), swept)
+		c.opts.Logf("dist: swept %d leftover file(s): %v", len(swept), swept)
 	}
 	c.plan.Leases((*manifest.Manifest).ClearLeases)
 	return c.plan.SaveManifest()

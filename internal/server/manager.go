@@ -134,9 +134,9 @@ type RecoveryReport struct {
 	Requeued []string
 	// Scrubbed maps job id to its checkpoint scrub outcome.
 	Scrubbed map[string]core.ScrubReport
-	// TmpSwept counts orphaned in-flight files removed across all job
-	// checkpoints plus the journal directory.
-	TmpSwept int
+	// Swept counts the leftovers Scrub removed across all job checkpoints
+	// (core.ScrubReport.Swept), plus the journal's own orphaned tmp file.
+	Swept int
 	// CompactedJobs counts terminal journal records dropped by startup
 	// compaction.
 	CompactedJobs int
@@ -172,8 +172,9 @@ type jobRuntime struct {
 }
 
 // Open creates (or reopens) a Manager over root, runs startup recovery —
-// sweep orphaned tmp files, scrub every unfinished job's checkpoint, and
-// re-queue jobs a dead process left behind — and only then reports ready.
+// sweep the journal's orphaned tmp file, scrub every unfinished job's
+// checkpoint, and re-queue jobs a dead process left behind — and only then
+// reports ready.
 func Open(opts Options) (*Manager, error) {
 	if opts.Root == "" {
 		return nil, errors.New("server: Options.Root is required")
@@ -227,7 +228,7 @@ func Open(opts Options) (*Manager, error) {
 	journalPath := filepath.Join(opts.Root, "jobs.json")
 	if _, err := os.Stat(journalPath + ".tmp"); err == nil {
 		os.Remove(journalPath + ".tmp")
-		m.recovery.TmpSwept++
+		m.recovery.Swept++
 	}
 	j, err := OpenJournal(journalPath)
 	if err != nil {
@@ -265,9 +266,8 @@ func (m *Manager) recover() error {
 		if r.State.Terminal() {
 			continue
 		}
-		// Scrub the checkpoint before resuming through it: orphaned .tmp
-		// files from the in-flight writes of the dead process are swept,
-		// and claims whose bytes did not survive are quarantined so the
+		// Scrub the checkpoint before resuming through it: leftovers of the
+		// dead process (orphaned .tmp files among them) are swept, and claims whose bytes did not survive are quarantined so the
 		// resume selectively rebuilds them.
 		ckDir := m.checkpointDir(r.ID)
 		if _, err := os.Stat(ckDir); err == nil {
@@ -276,7 +276,7 @@ func (m *Manager) recover() error {
 				return fmt.Errorf("server: scrubbing job %s checkpoint: %w", r.ID, err)
 			}
 			m.recovery.Scrubbed[r.ID] = rep
-			m.recovery.TmpSwept += len(rep.TmpSwept)
+			m.recovery.Swept += len(rep.Swept)
 		}
 		id := r.ID
 		resume := r.State == StateRunning

@@ -398,8 +398,8 @@ func TestStartupSweepsOrphanedTmp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Drain(context.Background())
-	if m2.Recovery().TmpSwept < 2 {
-		t.Errorf("recovery swept %d tmp files, want >= 2", m2.Recovery().TmpSwept)
+	if m2.Recovery().Swept < 2 {
+		t.Errorf("recovery swept %d leftover files, want >= 2", m2.Recovery().Swept)
 	}
 	if _, err := os.Stat(strayCk); !os.IsNotExist(err) {
 		t.Errorf("stray file %s survived restart", strayCk)
