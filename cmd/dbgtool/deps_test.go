@@ -12,6 +12,33 @@ import (
 // hook that needs one of these belongs in internal/server or a command,
 // never in a package that core (and so dbgtool) links.
 func TestQueryPathLinksNoNetwork(t *testing.T) {
+	deps := listDeps(t)
+	for _, pkg := range deps {
+		switch pkg {
+		case "net", "net/http", "crypto/tls", "runtime/pprof":
+			t.Errorf("dbgtool links %s (%d packages in its closure)", pkg, len(deps))
+		}
+	}
+}
+
+// TestQueryPathLinksNoCheckpointCode keeps dbgtool the graph-file tool: the
+// checkpoint code (scrub is parahash's) and what it starts up — the
+// manifest's JSON and hashing, a regexp compiled at init — stay out of a
+// lookup's closure, which is about 70 packages.
+func TestQueryPathLinksNoCheckpointCode(t *testing.T) {
+	deps := listDeps(t)
+	for _, pkg := range deps {
+		switch pkg {
+		case "parahash/internal/core", "parahash/internal/manifest", "regexp", "encoding/json", "crypto/sha256":
+			t.Errorf("dbgtool links %s (%d packages in its closure)", pkg, len(deps))
+		}
+	}
+}
+
+// listDeps returns dbgtool's import closure, skipping the test where no go
+// tool is on PATH.
+func listDeps(t *testing.T) []string {
+	t.Helper()
 	gobin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go tool on PATH")
@@ -20,11 +47,5 @@ func TestQueryPathLinksNoNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go list -deps: %v", err)
 	}
-	deps := strings.Fields(string(out))
-	for _, pkg := range deps {
-		switch pkg {
-		case "net", "net/http", "crypto/tls", "runtime/pprof":
-			t.Errorf("dbgtool links %s (%d packages in its closure)", pkg, len(deps))
-		}
-	}
+	return strings.Fields(string(out))
 }

@@ -9,7 +9,9 @@
 //	dbgtool contigs  graph.dbg [-auto]      # compact to contig FASTA
 //	dbgtool gfa      graph.dbg out.gfa      # export compacted graph as GFA 1.0
 //	dbgtool dot      graph.dbg out.dot      # export compacted graph as DOT
-//	dbgtool scrub    checkpoint-dir         # verify + repair a build checkpoint
+//
+// It links the graph reader only, so a lookup starts fast; checkpoints are
+// scrubbed by parahash scrub DIR.
 package main
 
 import (
@@ -20,7 +22,6 @@ import (
 	"os"
 	"strings"
 
-	"parahash/internal/core"
 	"parahash/internal/dna"
 	"parahash/internal/graph"
 )
@@ -34,15 +35,13 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) error {
 	if len(args) < 2 {
-		return fmt.Errorf("usage: dbgtool {stats|lookup|spectrum|contigs|gfa|dot} graph.dbg [args] | dbgtool scrub checkpoint-dir")
+		return fmt.Errorf("usage: dbgtool {stats|lookup|spectrum|contigs|gfa|dot} graph.dbg [args]")
 	}
 	cmd, path := args[0], args[1]
 	rest := args[2:]
 
-	// scrub operates on a checkpoint directory, not a graph file, so it
-	// dispatches before the graph load.
 	if cmd == "scrub" {
-		return cmdScrub(stdout, path)
+		return fmt.Errorf("unknown subcommand %q: scrub a checkpoint with parahash scrub DIR", cmd)
 	}
 	// lookup reads one page of the file in place; everything else decodes
 	// the whole graph.
@@ -187,46 +186,6 @@ func cmdContigs(w, errw io.Writer, g *graph.Subgraph, auto bool, minLen int) err
 	m := graph.ComputeAssemblyMetrics(kept, 0)
 	fmt.Fprintf(errw, "%d contigs written; total %d bp, longest %d, N50 %d\n",
 		m.Contigs, m.TotalBases, m.Longest, m.N50)
-	return nil
-}
-
-func cmdScrub(w io.Writer, dir string) error {
-	rep, err := core.Scrub(dir)
-	if err != nil {
-		return err
-	}
-	if !rep.ManifestPresent {
-		fmt.Fprintf(w, "no manifest in %s; swept %d leftover file(s), nothing claimed to verify\n",
-			dir, len(rep.Swept))
-		return nil
-	}
-	if !rep.Step1Done {
-		fmt.Fprintf(w, "manifest journals no completed step; a resume reruns everything (swept %d leftover file(s))\n",
-			len(rep.Swept))
-		return nil
-	}
-	fmt.Fprintf(w, "step 1 claims verified: %d (damaged %d)\n", rep.Step1Verified, rep.Step1Damaged)
-	fmt.Fprintf(w, "step 2 claims verified: %d (damaged %d)\n", rep.Step2Verified, rep.Step2Damaged)
-	if rep.SpillVerified > 0 || rep.SpillDamaged > 0 {
-		fmt.Fprintf(w, "spill run claims verified: %d (damaged %d)\n", rep.SpillVerified, rep.SpillDamaged)
-	}
-	for _, name := range rep.Swept {
-		fmt.Fprintf(w, "swept leftover: %s\n", name)
-	}
-	for _, name := range rep.Quarantined {
-		fmt.Fprintf(w, "quarantined: %s\n", name)
-	}
-	if rep.ManifestRepaired {
-		fmt.Fprintln(w, "manifest repaired: untrusted claims and stale leases dropped")
-	}
-	switch {
-	case rep.Clean():
-		fmt.Fprintln(w, "checkpoint clean: every claim matches its durable bytes")
-	case len(rep.Quarantined) > 0 || rep.Step1Damaged+rep.Step2Damaged+rep.SpillDamaged > 0:
-		fmt.Fprintln(w, "checkpoint repaired: resume with -resume to rebuild the quarantined partitions")
-	default:
-		fmt.Fprintf(w, "checkpoint tidied: %d leftover file(s) swept, no claim damaged\n", len(rep.Swept))
-	}
 	return nil
 }
 

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"parahash"
+	"parahash/internal/core"
 	"parahash/internal/faultinject"
 	"parahash/internal/manifest"
 )
@@ -202,5 +204,68 @@ func TestCrashResumeHelper(t *testing.T) {
 	args := strings.Split(os.Getenv("PARAHASH_E2E_ARGS"), "\x1f")
 	if err := run(args, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestScrub(t *testing.T) {
+	d, err := parahash.GenerateDataset(parahash.TinyProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.NumPartitions = 8
+	cfg.CPUThreads = 2
+	cfg.NumGPUs = 0
+	dir := t.TempDir()
+	cfg.Checkpoint = core.CheckpointConfig{Dir: dir, InputLabel: "test:tiny"}
+	if _, err := core.Build(d.Reads, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := run([]string{"scrub", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "checkpoint clean") {
+		t.Fatalf("clean checkpoint scrub output:\n%s", out.String())
+	}
+
+	// Leftovers alone damage nothing: scrub names each file it sweeps and
+	// asks for no rebuild.
+	for _, name := range []string{"subgraphs/0002.tmp", "subgraphs/0005.t7"} {
+		if err := os.WriteFile(filepath.Join(dir, "data", filepath.FromSlash(name)), []byte("left behind"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.Reset()
+	if err := run([]string{"scrub", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"swept leftover: subgraphs/0002.tmp", "swept leftover: subgraphs/0005.t7", "checkpoint tidied"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("scrub output missing %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "resume with -resume") {
+		t.Errorf("a scrub that quarantined nothing asks for a rebuild:\n%s", out.String())
+	}
+
+	// Truncate one subgraph; scrub must quarantine it and report repair.
+	victim := filepath.Join(dir, "data", "subgraphs", "0003")
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(victim, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"scrub", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"quarantined: subgraphs/0003", "manifest repaired", "checkpoint repaired"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("scrub output missing %q:\n%s", want, out.String())
+		}
 	}
 }

@@ -6,6 +6,7 @@
 //
 //	parahash -in reads.fastq -k 27 -p 11 -partitions 64 -out graph.dbg
 //	parahash -profile chr14 -gpus 2 -medium disk
+//	parahash scrub checkpoint-dir   # verify + repair a build checkpoint
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"syscall"
 
 	"parahash"
+	"parahash/internal/core"
 	"parahash/internal/device"
 	"parahash/internal/dist"
 )
@@ -89,6 +91,13 @@ func main() {
 }
 
 func run(args []string, stdout io.Writer) error {
+	// scrub operates on a checkpoint directory and takes no build flags.
+	if len(args) > 0 && args[0] == "scrub" {
+		if len(args) != 2 {
+			return fmt.Errorf("usage: parahash scrub checkpoint-dir")
+		}
+		return cmdScrub(stdout, args[1])
+	}
 	fs := flag.NewFlagSet("parahash", flag.ContinueOnError)
 	var (
 		inPath     = fs.String("in", "", "input FASTA/FASTQ file (mutually exclusive with -profile)")
@@ -333,6 +342,46 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("writing heap profile: %w", err)
 		}
 		fmt.Fprintf(stdout, "heap profile written to %s\n", *memProfile)
+	}
+	return nil
+}
+
+func cmdScrub(w io.Writer, dir string) error {
+	rep, err := core.Scrub(dir)
+	if err != nil {
+		return err
+	}
+	if !rep.ManifestPresent {
+		fmt.Fprintf(w, "no manifest in %s; swept %d leftover file(s), nothing claimed to verify\n",
+			dir, len(rep.Swept))
+		return nil
+	}
+	if !rep.Step1Done {
+		fmt.Fprintf(w, "manifest journals no completed step; a resume reruns everything (swept %d leftover file(s))\n",
+			len(rep.Swept))
+		return nil
+	}
+	fmt.Fprintf(w, "step 1 claims verified: %d (damaged %d)\n", rep.Step1Verified, rep.Step1Damaged)
+	fmt.Fprintf(w, "step 2 claims verified: %d (damaged %d)\n", rep.Step2Verified, rep.Step2Damaged)
+	if rep.SpillVerified > 0 || rep.SpillDamaged > 0 {
+		fmt.Fprintf(w, "spill run claims verified: %d (damaged %d)\n", rep.SpillVerified, rep.SpillDamaged)
+	}
+	for _, name := range rep.Swept {
+		fmt.Fprintf(w, "swept leftover: %s\n", name)
+	}
+	for _, name := range rep.Quarantined {
+		fmt.Fprintf(w, "quarantined: %s\n", name)
+	}
+	if rep.ManifestRepaired {
+		fmt.Fprintln(w, "manifest repaired: untrusted claims and stale leases dropped")
+	}
+	switch {
+	case rep.Clean():
+		fmt.Fprintln(w, "checkpoint clean: every claim matches its durable bytes")
+	case len(rep.Quarantined) > 0 || rep.Step1Damaged+rep.Step2Damaged+rep.SpillDamaged > 0:
+		fmt.Fprintln(w, "checkpoint repaired: resume with -resume to rebuild the quarantined partitions")
+	default:
+		fmt.Fprintf(w, "checkpoint tidied: %d leftover file(s) swept, no claim damaged\n", len(rep.Swept))
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -164,8 +163,17 @@ func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
 			if _, err := sweepLeftovers(ck.ds, m); err != nil {
 				return nil, nil, fmt.Errorf("core: sweeping checkpoint leftovers: %w", err)
 			}
+			leased := len(m.Leases) > 0
 			ck.man = m
 			ck.assess(cfg.K)
+			// A dead fleet's leases go to disk now, since a resume that
+			// verifies every partition saves nothing else. Dropped claims
+			// wait for the next save, as ever.
+			if leased && len(m.Leases) == 0 {
+				if err := m.Save(ck.path); err != nil {
+					return nil, nil, err
+				}
+			}
 			return wrapBuildStore(cfg, ck.ds), ck, nil
 		case os.IsNotExist(err):
 			// No manifest yet — nothing durable to trust; fall through to a
@@ -195,7 +203,7 @@ func openCheckpoint(cfg Config) (store.PartitionStore, *checkpoint, error) {
 // resume plan. k is the build's, or 0 to take each file header's (Scrub
 // knows no k). It never fails: an unverifiable claim just downgrades to a
 // rebuild of that partition. What it drops — claims it cannot trust, and
-// the leases of a dead fleet — it drops in memory, for the next save.
+// the leases of a dead fleet — it drops in memory, for its caller to save.
 //
 // The Step 1 file of a partition whose subgraph verified is not read: a
 // resume never reads it, and a bad one would force a Step 1 re-scan for
@@ -477,7 +485,7 @@ func sweepLeftovers(ds *diskstore.Store, m *manifest.Manifest) ([]string, error)
 	}
 	var gone []string
 	for _, name := range names {
-		if strings.HasPrefix(name, "spill/") && !claimed[name] || fencedSubgraph.MatchString(name) {
+		if strings.HasPrefix(name, "spill/") && !claimed[name] || isFencedSubgraph(name) {
 			gone = append(gone, name)
 		}
 	}
@@ -489,9 +497,17 @@ func sweepLeftovers(ds *diskstore.Store, m *manifest.Manifest) ([]string, error)
 	return swept, nil
 }
 
-// fencedSubgraph matches a worker's fenced subgraph: a canonical subgraph
-// name with a ".t<token>" suffix (FencedName).
-var fencedSubgraph = regexp.MustCompile(`^subgraphs/\d+\.t\d+$`)
+// isFencedSubgraph reports a worker's fenced subgraph: a canonical subgraph
+// name with a ".t<token>" suffix (FencedName), that is "subgraphs/", ASCII
+// digits, ".t", ASCII digits and nothing after.
+func isFencedSubgraph(name string) bool {
+	rest, ok := strings.CutPrefix(name, "subgraphs/")
+	index, token, fenced := strings.Cut(rest, ".t")
+	return ok && fenced && digits(index) && digits(token)
+}
+
+// digits reports a non-empty string of ASCII digits.
+func digits(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
 
 // journalSpillScan claims a partition's completed run scan — every run it
 // spilled plus the spill-done mark — in one save, so a crash from here on

@@ -90,6 +90,61 @@ func TestResumeCompletedBuildSkipsAllPartitions(t *testing.T) {
 	}
 }
 
+// TestResumeSavesDroppedLeases: a resume that verifies every partition has
+// no claim to save, but the dead fleet's leases it drops still reach the
+// disk, and the token high-water stays.
+func TestResumeSavesDroppedLeases(t *testing.T) {
+	reads := tinyReads(t)
+	cfg, dir := ckConfig(t)
+	buildCheckpointed(t, reads, cfg)
+	manPath := filepath.Join(dir, "manifest.json")
+	m, err := manifest.Load(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := m.NextLeaseToken()
+	m.SetLease(manifest.Lease{Start: 3, Count: 2, Worker: "w0", Token: token})
+	if err := m.Save(manPath); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Checkpoint.Resume = true
+	if res := buildCheckpointed(t, reads, cfg); res.Stats.ResumedPartitions != cfg.NumPartitions {
+		t.Fatalf("resumed %d partitions, want all %d", res.Stats.ResumedPartitions, cfg.NumPartitions)
+	}
+	if m, err = manifest.Load(manPath); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Leases) != 0 || m.LeaseToken != token {
+		t.Errorf("manifest after the resume: leases %+v, token high-water %d; want none, %d", m.Leases, m.LeaseToken, token)
+	}
+}
+
+// TestIsFencedSubgraph: the leftover rule's fenced-name check accepts a
+// canonical subgraph name with a ".t<token>" suffix and nothing else.
+func TestIsFencedSubgraph(t *testing.T) {
+	for name, want := range map[string]bool{
+		"subgraphs/0005.t7":      true,
+		"subgraphs/12.t123":      true,
+		"subgraphs/0005":         false,
+		"subgraphs/0005.tmp":     false,
+		"subgraphs/0005.t7.tmp":  false,
+		"subgraphs/0005.t":       false,
+		"subgraphs/.t7":          false,
+		"subgraphs/0005.tt7":     false,
+		"spill/0005/run-0001.t3": false,
+		FencedName(5, 7):         true,
+		"superkmers/0005.t7":     false,
+		"subgraphs/0005.t7/0001": false,
+		"subgraphs/0x05.t7":      false,
+		"subgraphs/0005.t\u0667": false,
+	} {
+		if got := isFencedSubgraph(name); got != want {
+			t.Errorf("isFencedSubgraph(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
 func TestResumeRebuildsDeletedSubgraph(t *testing.T) {
 	reads := tinyReads(t)
 	cfg, dir := ckConfig(t)

@@ -67,11 +67,17 @@ func (r ScrubReport) Clean() bool {
 // save of the repaired manifest, and the leftover sweep (sweepLeftovers).
 //
 // Scrub is safe to run repeatedly and on a checkpoint that was interrupted
-// at any point. A corrupt manifest is an error, not a repair: Scrub cannot
-// distinguish a damaged journal from someone else's file, and a fresh
-// (non-resume) build resets the directory anyway.
+// at any point. A directory that does not exist is an error wrapping
+// fs.ErrNotExist, and Scrub creates nothing; an existing one without a
+// manifest is an empty checkpoint. A corrupt manifest is an error, not a
+// repair: Scrub cannot distinguish a damaged journal from someone else's
+// file, and a fresh (non-resume) build resets the directory anyway.
 func Scrub(dir string) (ScrubReport, error) {
 	var rep ScrubReport
+	// Before the store is opened, which would create it.
+	if _, err := os.Stat(dir); err != nil {
+		return rep, fmt.Errorf("core: scrub: %w", err)
+	}
 	ck, err := newCheckpoint(dir)
 	if err != nil {
 		return rep, fmt.Errorf("core: scrub: %w", err)

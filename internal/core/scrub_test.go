@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,6 +44,18 @@ func TestScrubEmptyDirReportsNoManifest(t *testing.T) {
 	}
 	if rep.ManifestPresent || !rep.Clean() {
 		t.Fatalf("empty dir scrub: %+v", rep)
+	}
+}
+
+// TestScrubMissingDirIsAnError: a mistyped path is refused, not scrubbed as
+// an empty checkpoint, and nothing is created under it.
+func TestScrubMissingDirIsAnError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nosuchdir")
+	if rep, err := Scrub(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("scrub of a missing dir: %+v, err = %v; want fs.ErrNotExist", rep, err)
+	}
+	if _, err := os.Lstat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("scrub of a missing dir left %s behind (%v)", dir, err)
 	}
 }
 
